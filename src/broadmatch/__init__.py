@@ -18,7 +18,6 @@ from .partition import (
     PartitionTable,
     Segment,
     global_partition,
-    prefix_totals,
     query_partition,
     tables_for,
 )

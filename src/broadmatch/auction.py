@@ -10,13 +10,17 @@ the lowest prices any symmetric equilibrium of the generalized second-price
 auction can support.  An optional reserve acts as a pseudo-score ranked just
 below the last participant; participants scoring below the reserve are
 excluded.
+
+``slot_prices`` is that formula over an already-ranked score list;
+``price_query`` ranks an active set and calls it, and the day engine calls
+it directly on the top K+1 of a ranking it keeps across events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .model import SlotParams
 
@@ -47,57 +51,79 @@ class Slate:
         return self.payoffs[advertiser]
 
 
+def slot_prices(scores: Sequence[Fraction], slots: SlotParams,
+                reserve: Fraction = ZERO) -> List[Fraction]:
+    """Per-impression prices, by rank, of the top ``min(K, L)`` bidders.
+
+    ``scores`` are already ranked (descending) and all at or above the
+    reserve; L is their count.  Slot r's price reads only the scores ranked
+    r+1..K+1 and the reserve, so a caller holding a longer ranking may pass
+    just its first K+1 scores.  This is the one pricing formula: the
+    suffix sum above, over the coefficients ``slots.drops``.
+    """
+    drops = slots.drops
+    L = len(scores)
+    n = min(len(drops), L)
+    prices = [ZERO] * n
+    suffix = ZERO
+    for j in range(n, 0, -1):
+        # the score ranked just below rank j; the reserve stands in at L+1
+        suffix += drops[j - 1] * (scores[j] if j < L else reserve)
+        prices[j - 1] = suffix
+    return prices
+
+
+def tabulate(ranked: Sequence[Tuple[str, Fraction]], prices: Sequence[Fraction],
+             slots: SlotParams) -> Tuple[tuple, Dict[str, Fraction],
+                                         Dict[str, Fraction], Fraction, Fraction]:
+    """(ranking, prices, payoffs, revenue, welfare) of a ranked active set.
+
+    ``prices`` are ``slot_prices`` of the ranking.  Bidders past the last
+    slot get slot None and price and payoff 0; dict keys follow rank order.
+    """
+    gamma = slots.gamma
+    ranking = []
+    price_of: Dict[str, Fraction] = {}
+    payoffs: Dict[str, Fraction] = {}
+    revenue = ZERO
+    welfare = ZERO
+    for n, (adv, s) in enumerate(ranked):
+        if n < len(prices):
+            p = prices[n]
+            value = gamma[n] * s
+            ranking.append((adv, s, n + 1))
+            price_of[adv] = p
+            payoffs[adv] = value - p
+            revenue += p
+            welfare += value
+        else:
+            ranking.append((adv, s, None))
+            price_of[adv] = ZERO
+            payoffs[adv] = ZERO
+    return tuple(ranking), price_of, payoffs, revenue, welfare
+
+
+def check_reserve(reserve: Fraction) -> None:
+    if reserve < 0:
+        raise ValueError("reserve must be nonnegative, got %s" % reserve)
+
+
 def price_query(active: Iterable[Tuple[str, Fraction]], slots: SlotParams,
                 reserve: Fraction = ZERO) -> Slate:
     """Price one query for the given active set.
 
     ``active`` yields (advertiser id, score) pairs.  An empty active set is
-    legal and produces a zero-revenue slate (a "dark" query).
+    legal and produces a zero-revenue slate (a "dark" query).  A negative
+    reserve is a ValueError: it would price the last slot below zero.
     """
+    check_reserve(reserve)
     ranked = sorted(
         ((adv, s) for adv, s in active if s >= reserve),
         key=lambda p: (-p[1], p[0]),
     )
-    gamma = slots.gamma
-    K = len(gamma)
-    L = len(ranked)
-    occupied = min(K, L)
-
-    def below(rank: int) -> Fraction:
-        # score of the participant ranked just below `rank` (1-based),
-        # the reserve standing in at position L+1
-        if rank < L:
-            return ranked[rank][1]
-        if rank == L:
-            return reserve
-        return ZERO
-
-    # price of slot r is a suffix sum over (gamma_j - gamma_{j+1}) * below(j)
-    suffix = ZERO
-    prices_by_rank = [ZERO] * (K + 2)
-    for j in range(K, 0, -1):
-        gamma_next = gamma[j] if j < K else ZERO
-        suffix += (gamma[j - 1] - gamma_next) * below(j)
-        prices_by_rank[j] = suffix
-
-    ranking = []
-    prices: Dict[str, Fraction] = {}
-    payoffs: Dict[str, Fraction] = {}
-    revenue = ZERO
-    welfare = ZERO
-    for n, (adv, s) in enumerate(ranked, start=1):
-        if n <= occupied:
-            p = prices_by_rank[n]
-            ranking.append((adv, s, n))
-            prices[adv] = p
-            payoffs[adv] = gamma[n - 1] * s - p
-            revenue += p
-            welfare += gamma[n - 1] * s
-        else:
-            ranking.append((adv, s, None))
-            prices[adv] = ZERO
-            payoffs[adv] = ZERO
-    return Slate(slots, reserve, tuple(ranking), prices, payoffs, revenue, welfare)
+    top = [s for _, s in ranked[:slots.count + 1]]
+    return Slate(slots, reserve,
+                 *tabulate(ranked, slot_prices(top, slots, reserve), slots))
 
 
 def revenue_identity_check(slate: Slate) -> Fraction:

@@ -97,7 +97,7 @@ def _enc(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
-        return {"exact": format_rational(x), "approx": "%.6f" % float(x)}
+        return {"exact": format_rational(x), "approx": _approx(x, 6)}
     if isinstance(x, float):
         return "inf" if x == _INF else "%.6f" % x
     if isinstance(x, dict):
@@ -106,6 +106,16 @@ def _enc(x):
         seq = sorted(x) if isinstance(x, (set, frozenset)) else x
         return [_enc(v) for v in seq]
     raise TypeError("cannot encode %r" % type(x))
+
+
+def _approx(x: Fraction, places: int) -> str:
+    """``"%.{places}f" % float(x)``; beyond float range, the same decimal
+    rounded exactly from integers instead."""
+    try:
+        return "%.*f" % (places, float(x))
+    except OverflowError:
+        whole, frac = divmod(round(abs(x) * 10 ** places), 10 ** places)
+        return "%s%d.%0*d" % ("-" if x < 0 else "", whole, places, frac)
 
 
 def _print_json(doc) -> None:
@@ -201,7 +211,7 @@ def _table_text(headers: List[str], rows: List[List[str]]) -> str:
 
 
 def _fr(x: Fraction) -> str:
-    return "%s (%.4f)" % (format_rational(x), float(x))
+    return "%s (%s)" % (format_rational(x), _approx(x, 4))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -261,8 +271,17 @@ def _cmd_partition(args) -> int:
     adv = args.advertiser
     if adv is None:
         raise UsageError("--advertiser is required")
+    kw = args.keyword
+    where = " (keyword %r)" % kw if kw else ""
+    if adv not in {a.id for a in instance.advertisers}:
+        raise UsageError("unknown advertiser %r%s" % (adv, where))
+    if kw and kw not in {k.id for k in instance.keywords}:
+        raise UsageError("unknown keyword %r (advertiser %r)" % (kw, adv))
+    if kw and not instance.has_edge(adv, kw):
+        raise UsageError("advertiser %r has no edge on keyword %r"
+                         % (adv, kw))
     others = _others_arg(args, instance, adv)
-    keywords = [args.keyword] if args.keyword else None
+    keywords = [kw] if kw else None
     tables = tables_for(instance, adv, others, keywords, args.reserve)
     result = {"advertiser": adv, "keywords": {}}
     for kw, table in sorted(tables.items(),
@@ -667,6 +686,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         if hasattr(args, "reserve"):
             args.reserve = _rat(args.reserve, "--reserve")
+            if args.reserve < 0:
+                raise UsageError("--reserve must be nonnegative, got %s"
+                                 % format_rational(args.reserve))
         if getattr(args, "eps", None) is not None:
             args.eps = _rat(args.eps, "--eps")
         if getattr(args, "eps_ne", None) is not None:

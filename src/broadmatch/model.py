@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 BASE = "base"
@@ -105,6 +106,14 @@ class SlotParams:
     @property
     def count(self) -> int:
         return len(self.gamma)
+
+    @cached_property
+    def drops(self) -> Tuple[Fraction, ...]:
+        """gamma_j - gamma_{j+1} for j = 1..K, with gamma_{K+1} = 0: the
+        coefficients of the slot-price suffix sums, computed once."""
+        g = self.gamma
+        return tuple(g[j] - (g[j + 1] if j + 1 < len(g) else 0)
+                     for j in range(len(g)))
 
     def clickability(self, slot: int) -> Fraction:
         """gamma for a 1-based slot; 0 beyond the last slot."""

@@ -8,6 +8,15 @@ scheduled entry) with constant prices, costs and payoffs.  This module
 computes that segmentation exactly by stepping from event to event — never
 query by query, so volumes can be astronomically larger than the market.
 
+Scores are fixed for the day, so the timeline ranks its bidders once, by
+descending score with ties to the smaller id, and keeps the active set in
+that order as bidders enter and leave.  Slot r's price reads only the scores
+ranked r+1..K+1 and the reserve, so each reprice looks at the top K+1
+alone; bidders below slot K pay 0 and, with nonnegative pools, can never go
+broke, so only slotted bidders are checked for eviction.  That is why a
+negative reserve or pool is refused.  Each segment still lists every active
+bidder, in rank order, with unslotted ones at price and payoff 0.
+
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
 response solvers: the advertiser is assumed present in every query, and the
 table records what each query prefix costs and pays.  ``global_partition``
@@ -16,9 +25,10 @@ is the all-advertiser view of an actual day under committed budgets.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import auction
@@ -32,9 +42,10 @@ INFINITE = float("inf")  # order sentinel for zero-cost rates; never used in ari
 class Segment:
     """A maximal run of queries with a fixed priced slate.
 
-    ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` comes
-    straight from the slate (descending score); prices and payoffs are per
-    query.  A segment with an empty ranking is dark: those queries go unsold.
+    ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` lists
+    (advertiser, score, slot) in rank order, as ``auction.price_query``
+    would; prices and payoffs are per query, keyed in the same order.  A
+    segment with an empty ranking is dark: those queries go unsold.
     """
 
     lo: int
@@ -54,13 +65,17 @@ class Segment:
 
 
 class _Bidder:
-    __slots__ = ("id", "score", "start", "pool")
+    __slots__ = ("id", "score", "start", "pool", "rank")
 
     def __init__(self, id: str, score: Fraction, start: int, pool: Optional[Fraction]):
         self.id = id
         self.score = score
         self.start = start
         self.pool = pool  # None = unlimited (used for the table's subject)
+        self.rank = 0     # position in the day's (-score, id) order
+
+
+_by_rank = attrgetter("rank")
 
 
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
@@ -68,49 +83,63 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     """Advance a keyword's day from event to event.
 
     ``bidders`` yields (id, score, start_query, pool) with pool None meaning
-    unlimited.  Participants below the reserve never enter.  Each iteration
-    prices the current set, drops everyone who cannot afford one more query,
-    then jumps to the next entry or exhaustion event.
+    unlimited.  Participants below the reserve never enter.  Everyone is
+    ranked once; each iteration prices the top K+1 of the ranked active set,
+    drops whoever cannot afford one more query, then jumps to the next entry
+    or exhaustion event.  A negative reserve or pool is a ValueError.
     """
-    pending = sorted(
-        (_Bidder(i, s, max(1, q0), b) for i, s, q0, b in bidders if s >= reserve),
-        key=lambda b: (b.start, b.id),
-    )
-    active: List[_Bidder] = []
+    auction.check_reserve(reserve)
+    entrants = []
+    for i, s, q0, b in bidders:
+        if b is not None and b < 0:
+            raise ValueError("negative pool %s for %r" % (b, i))
+        if s >= reserve:
+            entrants.append(_Bidder(i, s, max(1, q0), b))
+    entrants.sort(key=lambda b: (-b.score, b.id))
+    for rank, b in enumerate(entrants):
+        b.rank = rank
+    pending = sorted(entrants, key=lambda b: (b.start, b.id))
+    K = slots.count
+    active: List[_Bidder] = []  # ranked by (-score, id)
+    slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
+    prices: List[Fraction] = []
     segments: List[Segment] = []
+    entered = 0
     t = 1
     while t <= volume:
-        while pending and pending[0].start <= t:
-            active.append(pending.pop(0))
-        # settle the slate: evict members priced beyond their pool, one at a
-        # time from the lowest score up — an eviction can only lower the
-        # others' prices, so survivors are rechecked before they go too
+        while entered < len(pending) and pending[entered].start <= t:
+            insort(active, pending[entered], key=_by_rank)
+            entered += 1
+        # settle the slate: evict slotted members priced beyond their pool,
+        # one at a time from the lowest score up — an eviction can only lower
+        # the others' prices, so survivors are rechecked before they go too
         while True:
-            slate = auction.price_query(((b.id, b.score) for b in active),
-                                        slots, reserve)
-            broke = [b for b in active
-                     if b.pool is not None and slate.prices[b.id] > b.pool]
+            top = active[:K + 1]
+            if top != slotted:  # scores are fixed: same top, same prices
+                slotted = top
+                prices = auction.slot_prices([b.score for b in slotted],
+                                             slots, reserve)
+            broke = [b for b, p in zip(slotted, prices)
+                     if b.pool is not None and p > b.pool]
             if not broke:
                 break
-            out = min(broke, key=lambda b: (b.score, b.id))
-            active = [b for b in active if b is not out]
-        next_entry = pending[0].start if pending else volume + 1
+            active.remove(min(broke, key=lambda b: (b.score, b.id)))
+        next_entry = (pending[entered].start if entered < len(pending)
+                      else volume + 1)
+        hi = min(volume, next_entry - 1)
         if not active:
-            hi = min(volume, next_entry - 1)
             segments.append(Segment(t, hi, (), {}, {}, ZERO, ZERO))
             t = hi + 1
             continue
-        hi = min(volume, next_entry - 1)
-        for b in active:
-            price = slate.prices[b.id]
+        for b, price in zip(slotted, prices):
             if b.pool is not None and price > 0:
                 hi = min(hi, t + b.pool // price - 1)
-        segments.append(Segment(t, hi, slate.ranking, slate.prices, slate.payoffs,
-                                slate.revenue, slate.welfare))
+        segments.append(Segment(t, hi, *auction.tabulate(
+            [(b.id, b.score) for b in active], prices, slots)))
         length = hi - t + 1
-        for b in active:
+        for b, price in zip(slotted, prices):
             if b.pool is not None:
-                b.pool -= length * slate.prices[b.id]
+                b.pool -= length * price
         t = hi + 1
     return tuple(segments)
 
@@ -194,11 +223,6 @@ class PartitionTable:
 
     def query_payoff(self, query: int) -> Fraction:
         return self.payoffs[self.segment_of(query)]
-
-
-def prefix_totals(table: PartitionTable, l: int) -> Tuple[Fraction, Fraction]:
-    """(cumulative payoff, cumulative cost) through query ``l``."""
-    return table.prefix(l)
 
 
 def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,

@@ -94,12 +94,14 @@ def simulate_day(instance: Instance, profile: Profile,
             n = len(seg)
             rev += n * seg.revenue
             wel += n * seg.welfare
-            for adv in seg.active:
+            for adv, _, slot in seg.ranking:
+                participation[(adv, kw)] += n
+                if slot is None:  # unslotted: in the auction, pays nothing
+                    continue
                 paid = n * seg.prices[adv]
                 spend[adv] += paid
                 payoff[adv] += n * seg.payoffs[adv]
                 edge_spend[(adv, kw)] += paid
-                participation[(adv, kw)] += n
         keyword_revenue[kw] = rev
         keyword_welfare[kw] = wel
     leftover = {a.id: a.budget - spend[a.id] for a in instance.advertisers}

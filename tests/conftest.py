@@ -1,5 +1,6 @@
-"""Shared builders: fixture paths, a per-query reference simulator, and the
-seeded random corpus used by the property tests.
+"""Shared builders: fixture paths, a per-query reference simulator, the
+reprice-everything reference timeline, and the seeded random corpus used by
+the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -15,6 +16,7 @@ from broadmatch.auction import price_query
 from broadmatch.cli import _FIXTURE_DIR
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams)
+from broadmatch.partition import Segment
 
 FIXTURES: Path = _FIXTURE_DIR
 
@@ -118,6 +120,44 @@ def naive_day(instance: Instance, profile: Profile, reserve: F = F(0)) -> dict:
             "keyword_revenue": kw_revenue, "keyword_welfare": kw_welfare,
             "spend": spend, "participation": participation,
             "per_query": per_query}
+
+
+def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
+    """The day engine's event loop before rank-once/top-K: re-rank and
+    re-price the whole active set with ``price_query`` at every entry and
+    after every eviction.  Returns the same ``Segment`` tuple."""
+    pending = sorted(([i, s, max(1, q0), b] for i, s, q0, b in bidders
+                      if s >= reserve), key=lambda b: (b[2], b[0]))
+    active: List[list] = []  # [id, score, start, pool]
+    segments: List[Segment] = []
+    t = 1
+    while t <= volume:
+        while pending and pending[0][2] <= t:
+            active.append(pending.pop(0))
+        while True:
+            slate = price_query([(b[0], b[1]) for b in active], slots, reserve)
+            broke = [b for b in active
+                     if b[3] is not None and slate.prices[b[0]] > b[3]]
+            if not broke:
+                break
+            out = min(broke, key=lambda b: (b[1], b[0]))
+            active = [b for b in active if b is not out]
+        hi = min(volume, (pending[0][2] if pending else volume + 1) - 1)
+        if not active:
+            segments.append(Segment(t, hi, (), {}, {}, F(0), F(0)))
+            t = hi + 1
+            continue
+        for b in active:
+            price = slate.prices[b[0]]
+            if b[3] is not None and price > 0:
+                hi = min(hi, t + b[3] // price - 1)
+        segments.append(Segment(t, hi, slate.ranking, slate.prices,
+                                slate.payoffs, slate.revenue, slate.welfare))
+        for b in active:
+            if b[3] is not None:
+                b[3] -= (hi - t + 1) * slate.prices[b[0]]
+        t = hi + 1
+    return tuple(segments)
 
 
 def assert_day_matches_naive(instance, day, ref) -> None:

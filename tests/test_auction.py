@@ -52,6 +52,11 @@ def test_last_slot_price_uses_first_unslotted_score():
     assert slate.prices["3"] == F(0) and slate.prices["4"] == F(0)
 
 
+def test_negative_reserve_is_rejected():
+    with pytest.raises(ValueError, match="reserve must be nonnegative"):
+        price_query([("1", F(5))], TWO, reserve=F(-1))
+
+
 _score = st.fractions(min_value=F(1, 10), max_value=F(8),
                       max_denominator=12)
 

@@ -9,8 +9,11 @@ with the argv list shown in GOLDEN_CASES below.
 """
 
 import json
+import os
 import re
 import subprocess
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,10 @@ USAGE_CASES = [
     ("simulate", "two-keyword-entry-base.json",
      "--split", "two-keyword-entry-natural.split.json",
      "--reserve", "bogus"),
+    ("simulate", "two-keyword-entry-base.json",
+     "--split", "two-keyword-entry-natural.split.json",
+     "--reserve", "-5"),
+    ("price", "two-keyword-entry-base.json", "k1", "--reserve=-1/2"),
 ]
 
 
@@ -168,6 +175,42 @@ def test_usage_errors_exit_2(fx, argv):
     doc = json.loads(out)
     assert code == doc["exit_code"] == 2
     assert doc["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("keyword,advertiser,message", [
+    ("k2", "1", "advertiser '1' has no edge on keyword 'k2'"),
+    ("k2", "zz", "unknown advertiser 'zz' (keyword 'k2')"),
+    (None, "zz", "unknown advertiser 'zz'"),
+    ("nokw", "1", "unknown keyword 'nokw' (advertiser '1')"),
+], ids=["no-edge", "unknown-advertiser-on-keyword", "unknown-advertiser",
+        "unknown-keyword"])
+def test_partition_names_a_bad_advertiser_or_keyword(fx, keyword, advertiser,
+                                                      message):
+    argv = ["partition", "two-keyword-entry-base.json"]
+    argv += [keyword] if keyword else []
+    code, out = fx(*argv, "--advertiser", advertiser)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"] == {"type": "usage", "message": message}
+
+
+def test_rationals_beyond_float_range_encode_from_integers(fx, tmp_path):
+    doc = json.loads((cli._FIXTURE_DIR / "two-keyword-entry-base.json")
+                     .read_text(encoding="utf-8"))
+    doc["advertisers"][0]["budget"] = "1e400"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = fx("simulate", str(huge),
+                   "--split", "two-keyword-entry-natural.split.json")
+    assert code == 0
+    leftover = json.loads(out)["result"]["advertisers"]["1"]["leftover"]
+    assert leftover["exact"] == str(10 ** 400 - 45)
+    assert leftover["approx"] == str(10 ** 400 - 45) + ".000000"
+    assert cli._enc(-F(10 ** 400) - F(2, 3))["approx"] == (
+        "-%d.666667" % 10 ** 400)
+    # in float range the bytes are the float formatting's, as before
+    for x in (F(1, 3), F(-7, 2), F(2, 3), F(-1, 10 ** 9), F(10 ** 300, 7)):
+        assert cli._enc(x)["approx"] == "%.6f" % float(x)
 
 
 def test_argparse_rejections_exit_2(fx):
@@ -234,7 +277,18 @@ def test_fixture_listing_and_emission(fx, tmp_path):
 
 
 def test_console_script_is_wired():
-    proc = subprocess.run(["broadmatch", "fixtures"],
-                          capture_output=True, text=True)
+    """``python -m broadmatch`` runs the CLI, and the installed
+    ``broadmatch`` script is declared to call the same ``main``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "broadmatch", "fixtures"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "two-keyword-entry" in proc.stdout
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == [
+        'broadmatch = "broadmatch.cli:main"']

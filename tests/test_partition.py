@@ -1,5 +1,6 @@
 """Event-driven keyword timelines and per-advertiser partition tables."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,8 @@ from broadmatch.model import Profile, SlotParams
 from broadmatch.partition import (INFINITE, PartitionTable, global_partition,
                                   query_partition, run_keyword_timeline,
                                   tables_for)
-from conftest import build_instance, build_schedule, build_split
+from conftest import (build_instance, build_schedule, build_split,
+                      reference_timeline)
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -87,6 +89,54 @@ def test_timeline_is_event_driven_not_per_query():
                                 reserve=F(1))
     assert [(s.lo, s.hi) for s in segs] == [(1, 3333333),
                                             (3333334, 10**12)]
+
+
+def test_negative_reserve_and_pool_are_rejected():
+    with pytest.raises(ValueError, match="reserve"):
+        run_keyword_timeline(TWO, 10, [("a", F(2), 1, F(3))], reserve=F(-1))
+    with pytest.raises(ValueError, match="negative pool"):
+        run_keyword_timeline(TWO, 10, [("a", F(2), 1, F(-1))])
+
+
+_GAMMA_POOL = [F(1), F(9, 10), F(3, 4), F(3, 5), F(1, 2), F(1, 4), F(1, 8)]
+_TIE_SCORES = [F(1, 2), F(1), F(3, 2), F(2), F(3)]
+
+
+def test_top_k_timeline_matches_the_reprice_everything_loop():
+    """Field-for-field equality with the old loop (``price_query`` on every
+    reprice), dict key order included, on 5,000 seeded keyword days: every
+    K in 1..5 against every bidder count in 0..9, tied scores, start
+    queries 0..volume, unlimited and zero pools, reserves 0, 1/2 and 2."""
+    rng = random.Random(20070601)
+    seen = {"tie": 0, "evicted": 0, "unlimited": 0, "zero": 0, "late": 0}
+    for case in range(5000):
+        k, n = 1 + case % 5, (case // 5) % 10
+        slots = SlotParams(tuple(sorted(rng.sample(_GAMMA_POOL, k),
+                                        reverse=True)))
+        volume = rng.randint(1, 30)
+        reserve = rng.choice([F(0), F(1, 2), F(2)])
+        ids = ["a%d" % i for i in range(n)]
+        rng.shuffle(ids)
+        bidders = []
+        for i in ids:
+            pool = rng.choice([None, F(0), F(rng.randint(1, 60),
+                                             rng.choice([1, 2, 4]))])
+            bidders.append((i, rng.choice(_TIE_SCORES),
+                            rng.randint(0, volume), pool))
+        got = run_keyword_timeline(slots, volume, bidders, reserve)
+        want = reference_timeline(slots, volume, bidders, reserve)
+        assert got == want, case
+        for g, w in zip(got, want):
+            assert list(g.prices) == list(w.prices), case
+            assert list(g.payoffs) == list(w.payoffs), case
+        scores = [s for _, s, _, _ in bidders]
+        seen["tie"] += len(set(scores)) < len(scores)
+        seen["evicted"] += any(set(a.active) - set(b.active)
+                               for a, b in zip(want, want[1:]))
+        seen["unlimited"] += any(b[3] is None for b in bidders)
+        seen["zero"] += any(b[3] == 0 for b in bidders)
+        seen["late"] += any(b[2] > 1 for b in bidders)
+    assert min(seen.values()) >= 500, seen
 
 
 # -- PartitionTable -----------------------------------------------------------
