@@ -20,6 +20,10 @@ Four solvers, one contract:
 
 ``brute_force_oracle`` cross-checks the others by enumeration on small
 inputs.
+
+The dp and AS1/AS2 share one knapsack, whose cost axis runs on Python ints:
+costs and budget are scaled by one common denominator, so every cell is an
+exact int add and compare rather than a ``Fraction`` one.
 """
 
 from __future__ import annotations
@@ -255,16 +259,25 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
 # knapsack over prefixes
 
 
-def _max_affordable_prefix(table: PartitionTable, budget: Fraction) -> int:
-    return table.max_affordable(budget)
-
-
 def _candidate_values(table: PartitionTable, xs: Iterable[int]):
-    """(x, exact cost, exact payoff) triples for candidate prefix lengths."""
+    """(x, exact cost, exact payoff) triples for ascending prefix lengths.
+
+    One sweep over the table's breakpoints serves every candidate; each
+    triple equals ``(x, table.prefix(x)[1], table.prefix(x)[0])``.
+    """
+    bps = table.breakpoints
+    last = len(bps) - 1
+    k = 0
     out = []
     for x in xs:
-        u, c = table.prefix(x)
-        out.append((x, c, u))
+        while k < last and bps[k + 1] <= x:
+            k += 1
+        extra = x - bps[k]
+        if extra:
+            out.append((x, table.cum_cost[k] + extra * table.costs[k],
+                        table.cum_payoff[k] + extra * table.payoffs[k]))
+        else:
+            out.append((x, table.cum_cost[k], table.cum_payoff[k]))
     return out
 
 
@@ -276,36 +289,47 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
     ``unit`` converts exact payoffs to integer levels: level = floor(u/unit).
     With ``unit`` an exact common divisor of all payoffs the rounding is
     lossless and the result is the true optimum.
+
+    Costs (never negative) and the budget are scaled by their common
+    denominator, so every cell adds and compares Python ints exactly.
+    ``over``, one past the scaled budget, marks an unreachable level, and a
+    sum that reaches it is over budget.
     """
-    levels: Dict[str, List[Tuple[int, Fraction, int]]] = {}
+    den = math.lcm(budget.denominator,
+                   *(c.denominator for kw, _ in tabs
+                     for _, c, _ in candidates[kw]))
+    cap = budget.numerator * (den // budget.denominator)
+    over = cap + 1
+    levels: Dict[str, List[Tuple[int, int, int]]] = {}
     total = 0
     for kw, _ in tabs:
-        lv = [(x, c, int(u // unit)) for x, c, u in candidates[kw]]
+        lv = [(x, c.numerator * (den // c.denominator), int(u // unit))
+              for x, c, u in candidates[kw]]
         levels[kw] = lv
         total += max(l for _, _, l in lv) if lv else 0
-    best_cost: List[Optional[Fraction]] = [None] * (total + 1)
-    best_cost[0] = ZERO
+    best_cost = [over] * (total + 1)
+    best_cost[0] = 0
     parents: List[List[Optional[Tuple[int, int]]]] = []
     for kw, _ in tabs:
-        nxt: List[Optional[Fraction]] = [None] * (total + 1)
+        lv = levels[kw]
+        nxt = [over] * (total + 1)
         par: List[Optional[Tuple[int, int]]] = [None] * (total + 1)
         for p in range(total + 1):
-            for x, c, lvl in levels[kw]:
+            low = over
+            pick = None
+            for x, c, lvl in lv:
                 q = p - lvl if p > lvl else 0
-                prev = best_cost[q]
-                if prev is None:
-                    continue
-                tot = prev + c
-                if tot > budget:
-                    continue
-                if nxt[p] is None or tot < nxt[p]:
-                    nxt[p] = tot
-                    par[p] = (x, q)
+                tot = best_cost[q] + c
+                if tot < low:
+                    low = tot
+                    pick = (x, q)
+            nxt[p] = low
+            par[p] = pick
         best_cost = nxt
         parents.append(par)
     opt = 0
     for p in range(total, -1, -1):
-        if best_cost[p] is not None:
+        if best_cost[p] != over:
             opt = p
             break
     queries: Dict[str, int] = {}
@@ -396,9 +420,11 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
     One keyword needs no search at all (per-query payoffs are nonnegative,
     so the deepest affordable prefix is optimal); two keywords go through
     exact segment-configuration enumeration; more go through dynamic
-    programming over utilities rescaled by the lcm of their denominators
-    (costs stay exact rationals throughout).  Projected work beyond
-    ``scale_cap`` raises ``ScaleError`` — use ``fptas_as2`` for such sizes.
+    programming over utilities rescaled by the lcm of their denominators,
+    with costs and budget scaled to ints by their common denominator (an
+    exact scaling, so the witness is the one rational arithmetic picks).
+    Projected work beyond ``scale_cap`` raises ``ScaleError`` — use
+    ``fptas_as2`` for such sizes.
     """
     tables = tables_for(instance, advertiser, others, keywords, reserve)
     tabs = list(tables.items())
@@ -453,6 +479,7 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
                    eps: Fraction, keywords: Optional[Iterable[str]] = None,
                    reserve: Fraction = ZERO,
                    grids: Optional[Dict[str, Sequence[int]]] = None,
+                   _tables: Optional[Dict[str, PartitionTable]] = None,
                    ) -> BestResponse:
     """Knapsack on utilities floored to multiples of eps*P/M.
 
@@ -460,12 +487,14 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     the utility axis then has at most M*ceil(M/eps) levels regardless of
     how fine the exact payoffs are.  Guarantee: payoff >= (1-eps)*optimum.
     ``grids`` optionally restricts candidate prefix lengths per keyword
-    (the fptas wrapper passes volume-independent grids).
+    (the fptas wrapper passes volume-independent grids, and the tables it
+    built them from as ``_tables``, so one solve builds its tables once).
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    tables = tables_for(instance, advertiser, others, keywords, reserve)
+    tables = _tables if _tables is not None else tables_for(
+        instance, advertiser, others, keywords, reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
     m = len(tabs)
@@ -542,7 +571,7 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
              for kw, t in tables.items()}
     inner = eps / (1 + eps)
     res = rounded_dp_as1(instance, advertiser, others, inner, keywords,
-                         reserve, grids=grids)
+                         reserve, grids=grids, _tables=tables)
     return BestResponse(advertiser, "fptas", res.queries, res.committed,
                         res.payoff, res.cost,
                         meta={"eps": eps, "inner_eps": inner,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 engine error, 2 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import shutil
@@ -419,6 +420,9 @@ def _cmd_verify(args) -> int:
             return code
         return _report(args, {"check": "bme", **rep}, code, instance)
     method = args.method if args.method in ("dp", "fptas") else "dp"
+    if method == "fptas" and args.eps_ne == 0:
+        raise UsageError("--eps-ne 0 cannot be certified by the approximation "
+                         "scheme; use --method dp")
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
                                     method=method, reserve=args.reserve)
     code = 0 if rep["ok"] is True else 3
@@ -431,6 +435,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    if args.max_rounds < 0:
+        raise UsageError("--max-rounds must be nonnegative, got %d"
+                         % args.max_rounds)
     instance = _load_instance_file(args.instance)
     if args.method == "fptas" and args.eps is None:
         raise UsageError("--eps is required with --method fptas")
@@ -566,8 +573,18 @@ def _cmd_fixtures(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argparse rejection becomes a UsageError, and so a usage envelope,
+    instead of usage text on stderr; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused after that."""
+    parser = _Parser(
         prog="broadmatch",
         description="Exact engine for broad-match keyword auction games.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -677,11 +694,14 @@ _DISPATCH = {
 
 def run(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _parser().parse_args(argv)
+    except UsageError as exc:
+        command = argv[0] if argv and argv[0] in _DISPATCH else None
+        return _fail(argparse.Namespace(command=command, _argv=argv), 2,
+                     "usage", str(exc))
+    except SystemExit:  # --help printed its text
+        return 0
     args._argv = argv
     try:
         if hasattr(args, "reserve"):

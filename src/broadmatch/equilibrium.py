@@ -22,30 +22,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import bestresp
+from .bestresp import _gt
 from .model import Allocation, Instance, Profile
-from .partition import INFINITE, tables_for
+from .partition import tables_for
 from .simulate import simulate_day
 
 ZERO = Fraction(0)
-
-
-def _fmt_rate(r):
-    if r is None:
-        return None
-    if r == INFINITE:
-        return "inf"
-    return r
-
-
-def _gt(a, b) -> bool:
-    if a == INFINITE:
-        return b != INFINITE
-    if b == INFINITE:
-        return False
-    return a > b
 
 
 def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
@@ -256,7 +241,6 @@ def best_response_dynamics(instance: Instance, method: str = "greedy",
                    if instance.keywords_of(a.id))
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     seen = {_state_key(state): 0}
-    history = [state]
     status, cycle_len = "max-rounds", None
     rounds_done = 0
     for rnd in range(1, max_rounds + 1):
@@ -279,7 +263,6 @@ def best_response_dynamics(instance: Instance, method: str = "greedy",
             state = nxt
             break
         seen[key] = rnd
-        history.append(nxt)
         state = nxt
     return {"status": status, "rounds": rounds_done, "cycle_length": cycle_len,
             "profile": state, "method": method}

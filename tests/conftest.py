@@ -1,6 +1,6 @@
 """Shared builders: fixture paths, a per-query reference simulator, the
-reprice-everything reference timeline, and the seeded random corpus used by
-the property tests.
+reprice-everything reference timeline, the all-Fraction reference knapsack,
+and the seeded random corpus used by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -8,6 +8,7 @@ the core correctness properties.
 """
 
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -16,7 +17,7 @@ from broadmatch.auction import price_query
 from broadmatch.cli import _FIXTURE_DIR
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams)
-from broadmatch.partition import Segment
+from broadmatch.partition import PartitionTable, Segment
 
 FIXTURES: Path = _FIXTURE_DIR
 
@@ -158,6 +159,63 @@ def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
                 b[3] -= (hi - t + 1) * slate.prices[b[0]]
         t = hi + 1
     return tuple(segments)
+
+
+ZERO = F(0)
+
+
+# The best-response knapsack before its cost axis moved to scaled ints,
+# kept verbatim: every cell adds and compares Fractions, and None marks an
+# unreachable level.
+def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
+                       budget: Fraction,
+                       candidates: Dict[str, List[Tuple[int, Fraction,
+                                                        Fraction]]],
+                       unit: Fraction) -> Tuple[Dict[str, int], Fraction]:
+    """Min-cost table over integerized utility targets; returns witness.
+
+    ``unit`` converts exact payoffs to integer levels: level = floor(u/unit).
+    With ``unit`` an exact common divisor of all payoffs the rounding is
+    lossless and the result is the true optimum.
+    """
+    levels: Dict[str, List[Tuple[int, Fraction, int]]] = {}
+    total = 0
+    for kw, _ in tabs:
+        lv = [(x, c, int(u // unit)) for x, c, u in candidates[kw]]
+        levels[kw] = lv
+        total += max(l for _, _, l in lv) if lv else 0
+    best_cost: List[Optional[Fraction]] = [None] * (total + 1)
+    best_cost[0] = ZERO
+    parents: List[List[Optional[Tuple[int, int]]]] = []
+    for kw, _ in tabs:
+        nxt: List[Optional[Fraction]] = [None] * (total + 1)
+        par: List[Optional[Tuple[int, int]]] = [None] * (total + 1)
+        for p in range(total + 1):
+            for x, c, lvl in levels[kw]:
+                q = p - lvl if p > lvl else 0
+                prev = best_cost[q]
+                if prev is None:
+                    continue
+                tot = prev + c
+                if tot > budget:
+                    continue
+                if nxt[p] is None or tot < nxt[p]:
+                    nxt[p] = tot
+                    par[p] = (x, q)
+        best_cost = nxt
+        parents.append(par)
+    opt = 0
+    for p in range(total, -1, -1):
+        if best_cost[p] is not None:
+            opt = p
+            break
+    queries: Dict[str, int] = {}
+    p = opt
+    for (kw, _), par in zip(reversed(tabs), reversed(parents)):
+        x, q = par[p]
+        queries[kw] = x
+        p = q
+    return queries, Fraction(opt)
 
 
 def assert_day_matches_naive(instance, day, ref) -> None:

@@ -1,16 +1,18 @@
 """Best-response solvers: greedy walk, exact dp, rounding schemes, oracle."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from broadmatch.bestresp import (BestResponse, ScaleError, brute_force_oracle,
+from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
+                                 _knapsack, _utility_unit, brute_force_oracle,
                                  build_subpartition, exact_best_response_dp,
                                  fptas_as2, greedy_local_best_response,
                                  rounded_dp_as1)
 from broadmatch.model import all_in_profile, load_instance
 from broadmatch.partition import PartitionTable
-from conftest import FIXTURES, build_instance, build_split
+from conftest import FIXTURES, build_instance, build_split, reference_knapsack
 
 
 def load(name):
@@ -168,3 +170,111 @@ def test_phase_boundary_callback():
     unstable, snapshot = seen[0]
     assert sorted(snapshot) == ["k1", "k2"]
     assert len(unstable) <= 1
+
+
+# -- the int-scaled knapsack --------------------------------------------------
+
+def random_table(rng, kw, volume, cost_dens, pay_dens, pay_max):
+    """A table of 1..4 segments with zero-cost and equal-cost runs."""
+    nseg = rng.randint(1, min(4, volume))
+    cuts = sorted(rng.sample(range(1, volume), nseg - 1))
+    costs, payoffs = [], []
+    for _ in range(nseg):
+        roll = rng.random()
+        if roll < 0.2:
+            costs.append(F(0))
+        elif roll < 0.35 and costs:
+            costs.append(costs[-1])
+        else:
+            costs.append(F(rng.randint(1, 60), rng.choice(cost_dens)))
+        payoffs.append(F(rng.randint(0, pay_max), rng.choice(pay_dens)))
+    return PartitionTable("s", kw, volume, (0, *cuts, volume), tuple(costs),
+                          tuple(payoffs), (("s",),) * nseg)
+
+
+def random_candidates(rng, t):
+    """0..30 ascending prefix lengths (the empty prefix nearly always)."""
+    xs = set(rng.sample(range(t.volume + 1), min(rng.randint(0, 30),
+                                                 t.volume + 1)))
+    if rng.random() < 0.95:
+        xs.add(0)
+    return [(x, t.prefix(x)[1], t.prefix(x)[0]) for x in sorted(xs)]
+
+
+def test_int_knapsack_matches_the_fraction_knapsack():
+    """Identical (queries, opt) from the all-Fraction knapsack and the
+    int-scaled one on 2,000 seeded cases: 1..4 keywords, 0..30 candidates
+    each, zero-cost candidates, equal-cost ties, fractional budgets (some
+    exactly a candidate's cost), cost denominators and prefix lengths up to
+    10^9, under the exact utility unit and under AS1's eps*P/M unit."""
+    rng = random.Random(19750101)
+    seen = {"exact": 0, "rounded": 0, "zero-cost": 0, "tie": 0, "huge": 0,
+            "on-budget": 0, "refused": 0}
+    for case in range(2000):
+        exact = case % 2 == 0
+        m = 1 + (case // 2) % 4
+        huge = not exact and rng.random() < 0.5
+        cost_dens = ([rng.randint(1, 10 ** 9) for _ in range(3)]
+                     if rng.random() < 0.5 else [1, 2, 4, 5])
+        tabs = []
+        for j in range(m):
+            volume = (rng.randint(2, 10 ** 9) if huge
+                      else rng.randint(1, 10 if exact else 40))
+            tabs.append(("k%d" % j, random_table(
+                rng, "k%d" % j, volume, cost_dens, [1, 2] if exact
+                else [1, 2, 3, 4], 3 if exact else 6)))
+        candidates = {kw: random_candidates(rng, t) for kw, t in tabs}
+        costs = [c for lv in candidates.values() for _, c, _ in lv]
+        if costs and rng.random() < 0.25:
+            budget = rng.choice(costs)
+            seen["on-budget"] += 1
+        else:
+            budget = (sum(costs, F(0)) * F(rng.randint(0, 100), 100)
+                      + F(rng.randint(0, 3), rng.randint(1, 10 ** 9)))
+        if exact:
+            unit = _utility_unit(tabs)
+        else:
+            eps = rng.choice([F(1, 2), F(1, 4), F(1, 5)])
+            candidates = {kw: [v for v in lv if v[1] <= budget]
+                          for kw, lv in candidates.items()}
+            peak = max((u for lv in candidates.values() for _, _, u in lv),
+                       default=F(0))
+            unit = eps * peak / m if peak > 0 else F(1)
+        try:
+            want = reference_knapsack(tabs, budget, candidates, unit)
+        except TypeError:  # no candidate combination fits: no witness
+            with pytest.raises(TypeError):
+                _knapsack(tabs, budget, candidates, unit)
+            seen["refused"] += 1
+            continue
+        assert _knapsack(tabs, budget, candidates, unit) == want, case
+        seen["exact" if exact else "rounded"] += 1
+        seen["huge"] += huge
+        seen["zero-cost"] += any(c == 0 for _, t in tabs for c in t.costs)
+        seen["tie"] += len(set(costs)) < len(costs)
+    assert seen["refused"] < 100, seen
+    assert min(v for k, v in seen.items() if k != "refused") >= 200, seen
+
+
+def test_candidate_sweep_equals_per_prefix_lookups():
+    """The one-sweep candidate triples equal ``prefix()`` per candidate, on
+    full ``range`` grids, on ``build_subpartition`` grids and on sparse
+    ascending samples that skip whole segments."""
+    rng = random.Random(1969)
+    for case in range(200):
+        big = case % 2 == 1
+        t = random_table(rng, "k", rng.randint(2, 10 ** 9) if big
+                         else rng.randint(1, 60),
+                         [1, 3, rng.randint(1, 10 ** 9)], [1, 2, 5], 9)
+        budget = t.cum_cost[-1] * F(rng.randint(0, 120), 100)
+        cap = t.max_affordable(budget)
+        grids = [build_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
+                                    rng.randint(1, 6), cap=cap),
+                 build_subpartition(t, F(1, 3), 2),
+                 sorted(rng.sample(range(t.volume + 1),
+                                   min(5, t.volume + 1)))]
+        if not big:
+            grids += [range(cap + 1), range(t.volume + 1)]
+        for xs in grids:
+            assert _candidate_values(t, xs) == [
+                (x, t.prefix(x)[1], t.prefix(x)[0]) for x in xs], case

@@ -164,6 +164,10 @@ USAGE_CASES = [
      "--split", "two-keyword-entry-natural.split.json",
      "--reserve", "-5"),
     ("price", "two-keyword-entry-base.json", "k1", "--reserve=-1/2"),
+    ("dynamics", "two-keyword-entry-base.json", "--max-rounds", "-1"),
+    ("verify", "three-keyword-family.json",
+     "--split", "three-keyword-family-shifted.split.json",
+     "--eps-ne", "0", "--method", "fptas"),
 ]
 
 
@@ -218,6 +222,60 @@ def test_argparse_rejections_exit_2(fx):
     assert code == 2
     code, out = fx("--help")
     assert code == 0 and "broadmatch" in out
+    code, out = fx("best-response", "--help")
+    assert code == 0 and out.startswith("usage: broadmatch best-response")
+
+
+@pytest.mark.parametrize("argv,command,message", [
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--method", "fptas", "--eps", "-1/2"), "best-response",
+     "argument --eps: expected one argument"),
+    (("best-response",), "best-response",
+     "the following arguments are required: instance"),
+    (("no-such-command",), None, "argument command: invalid choice"),
+], ids=["option-without-value", "missing-positional", "unknown-subcommand"])
+def test_argparse_rejections_end_in_an_envelope(monkeypatch, capsys, argv,
+                                                command, message):
+    monkeypatch.chdir(cli._FIXTURE_DIR)
+    code = cli.run(list(argv))
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["command"] == command and doc["argv"] == list(argv)
+    assert doc["error"]["type"] == "usage"
+    assert doc["error"]["message"].startswith(message)
+    assert err == ""
+
+
+def test_dynamics_zero_rounds_is_legal(fx):
+    code, out = fx("dynamics", "two-keyword-entry-base.json",
+                   "--max-rounds", "0")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["result"]["status"] == "max-rounds"
+    assert doc["result"]["rounds"] == 0
+
+
+def test_consecutive_runs_share_one_parser_and_leak_nothing(fx):
+    assert cli._parser() is cli._parser()
+    twice = ("compare", "three-keyword-family.json",
+             "--split", "three-keyword-family-shifted.split.json",
+             "--split", "three-keyword-family-stayhome.split.json")
+    first = fx(*twice)
+    assert first[0] == 0
+    # an appended --split that outlived its call would make three here
+    assert fx(*twice) == first
+    code, out = fx(*twice[:4])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "pass exactly two --split FILE flags")
+    # a failed parse leaves no state behind for the next good run
+    code, _ = fx("best-response", "greedy-vs-exact.json", "--eps")
+    assert code == 2
+    code, out = fx(*GOLDEN_CASES["best-response-dp"])
+    assert code == 0
+    assert out == (GOLDEN / "best-response-dp.json").read_text(
+        encoding="utf-8")
 
 
 def test_engine_errors_exit_1(fx):
