@@ -17,11 +17,11 @@ day already sold.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .equilibrium import natural_base_split
 from .model import Allocation, Instance, Profile
-from .partition import Segment, run_keyword_timeline
+from .partition import keyword_day
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -129,29 +129,18 @@ def obrev_check(base: Instance, ext: Instance,
 
 def _keyword_revenue(instance: Instance, rows: Sequence[Allocation], kw: str,
                      reserve: Fraction) -> Fraction:
-    bidders = [(r.advertiser, instance.score(r.advertiser, kw),
-                r.start_query, r.budget) for r in rows if r.keyword == kw]
-    segs = run_keyword_timeline(instance.slots, instance.volume(kw), bidders,
-                                reserve)
+    """The keyword's revenue with exactly ``rows`` (all on it) committed."""
+    segs = keyword_day(instance, kw, rows, reserve)
     return sum((len(s) * s.revenue for s in segs), ZERO)
 
 
 def _entry_cost(instance: Instance, rows: Sequence[Allocation], kw: str,
                 entrant: Allocation, reserve: Fraction) -> Fraction:
-    """What the entrant actually pays on the keyword, exactly."""
-    bidders = [(r.advertiser, instance.score(r.advertiser, kw),
-                r.start_query, r.budget)
-               for r in rows if r.keyword == kw and r is not entrant]
-    bidders.append((entrant.advertiser,
-                    instance.score(entrant.advertiser, kw),
-                    entrant.start_query, entrant.budget))
-    segs = run_keyword_timeline(instance.slots, instance.volume(kw), bidders,
-                                reserve)
-    paid = ZERO
-    for s in segs:
-        if entrant.advertiser in s.prices:
-            paid += len(s) * s.prices[entrant.advertiser]
-    return paid
+    """What the entrant actually pays on the keyword, exactly, when it joins
+    the other ``rows`` committed there."""
+    segs = keyword_day(instance, kw, (*rows, entrant), reserve)
+    who = entrant.advertiser
+    return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
 
 
 def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
@@ -222,18 +211,19 @@ def allocate_excess(base: Instance, ext: Instance,
                 free -= day.edge_spend.get((i, r.keyword), ZERO)
         return free
 
-    def try_entry(i: str, j: str, start: int, avail: Fraction,
+    def try_entry(i: str, j: str, on_j: Tuple[Allocation, ...], start: int,
+                  avail: Fraction,
                   day: DayOutcome) -> Tuple[Fraction, Allocation]:
         probe = Allocation(i, j, 0, avail, start)
-        paid = _entry_cost(ext, rows, j, probe, reserve)
+        paid = _entry_cost(ext, on_j, j, probe, reserve)
         entrant = Allocation(i, j, 0, paid, start)
-        rev = _keyword_revenue(ext, [r for r in rows if r.keyword == j]
-                               + [entrant], j, reserve)
+        rev = _keyword_revenue(ext, on_j + (entrant,), j, reserve)
         return rev - day.keyword_revenue[j], entrant
 
     info = excess_budgets(base, profile, reserve)
     while True:
-        day = simulate_day(ext, Profile(rows, kind="schedule"), reserve)
+        current = Profile(rows, kind="schedule")
+        day = simulate_day(ext, current, reserve)
         best_delta = ZERO
         best: Optional[Tuple[Allocation, ...]] = None
         best_move: Optional[dict] = None
@@ -244,11 +234,12 @@ def allocate_excess(base: Instance, ext: Instance,
             avail = wallet(i, day)
             if top is None or avail < top:
                 continue
+            on_j = current.rows_on(j)
             for seg in day.segments[j]:
                 starts = (_fine_starts(seg.lo, seg.hi) if fine else [seg.lo])
                 probed: Dict[int, Fraction] = {}
                 for t in starts:
-                    delta, entrant = try_entry(i, j, t, avail, day)
+                    delta, entrant = try_entry(i, j, on_j, t, avail, day)
                     probed[t] = delta
                     if delta > best_delta:
                         best_delta = delta
@@ -267,7 +258,8 @@ def allocate_excess(base: Instance, ext: Instance,
                         for t in _fine_starts(lo, hi):
                             if t in probed:
                                 continue
-                            delta, entrant = try_entry(i, j, t, avail, day)
+                            delta, entrant = try_entry(i, j, on_j, t, avail,
+                                                       day)
                             probed[t] = delta
                             if delta > best_delta:
                                 best_delta = delta
@@ -278,7 +270,7 @@ def allocate_excess(base: Instance, ext: Instance,
                                              "delta": delta, "kind": "entry"}
         if best is None:
             # no single entry pays: try waking a dark stream with a pair
-            pair = _paired_entry(base, ext, rows, day, info, used, wallet,
+            pair = _paired_entry(ext, current, day, info, used, wallet,
                                  new_edges, reserve)
             if pair is None:
                 break
@@ -309,7 +301,7 @@ def allocate_excess(base: Instance, ext: Instance,
     }
 
 
-def _paired_entry(base, ext, rows, day, info, used, wallet, new_edges, reserve):
+def _paired_entry(ext, current, day, info, used, wallet, new_edges, reserve):
     """One combined move: two entrants into a currently dark stream."""
     dark_starts: Dict[str, List[int]] = {}
     for k in ext.keywords:
@@ -323,6 +315,7 @@ def _paired_entry(base, ext, rows, day, info, used, wallet, new_edges, reserve):
         av1 = wallet(i1, day)
         if top1 is None or av1 < top1:
             continue
+        on_j = current.rows_on(j1)
         for b in range(a + 1, len(new_edges)):
             i2, j2 = new_edges[b]
             if j2 != j1 or i2 == i1 or (i2, j2) in used:
@@ -334,13 +327,11 @@ def _paired_entry(base, ext, rows, day, info, used, wallet, new_edges, reserve):
             for t in dark_starts[j1]:
                 p1 = Allocation(i1, j1, 0, av1, t)
                 p2 = Allocation(i2, j1, 0, av2, t)
-                trial = [r for r in rows if r.keyword == j1] + [p1, p2]
-                paid1 = _entry_cost(ext, trial, j1, p1, reserve)
-                paid2 = _entry_cost(ext, trial, j1, p2, reserve)
+                paid1 = _entry_cost(ext, on_j + (p2,), j1, p1, reserve)
+                paid2 = _entry_cost(ext, on_j + (p1,), j1, p2, reserve)
                 e1 = Allocation(i1, j1, 0, paid1, t)
                 e2 = Allocation(i2, j1, 0, paid2, t)
-                rev = _keyword_revenue(ext, [r for r in rows if r.keyword == j1]
-                                       + [e1, e2], j1, reserve)
+                rev = _keyword_revenue(ext, on_j + (e1, e2), j1, reserve)
                 delta = rev - day.keyword_revenue[j1]
                 if delta > (best[0] if best else ZERO):
                     move = {"advertisers": [i1, i2], "keyword": j1,

@@ -335,7 +335,7 @@ def _day_result(instance: Instance, day) -> dict:
 def _cmd_simulate(args) -> int:
     instance = _load_instance_file(args.instance)
     profile = _profile_arg(args, instance)
-    day = simulate_mod.simulate_day(instance, profile, args.reserve, args.jobs)
+    day = simulate_mod.simulate_day(instance, profile, args.reserve)
     result = _day_result(instance, day)
     mismatches = simulate_mod.check_profile_consistency(
         instance, profile, day, args.reserve)
@@ -529,7 +529,7 @@ def _cmd_compare(args) -> int:
         raise UsageError("pass exactly two --split FILE flags")
     days = [simulate_mod.simulate_day(
                 instance, _load_profile_file(instance, p, "split"),
-                args.reserve, args.jobs)
+                args.reserve)
             for p in args.split]
     diff = simulate_mod.compare_outcomes(days[0], days[1])
     result = {"a": args.split[0], "b": args.split[1], "metrics": diff}
@@ -589,15 +589,13 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact engine for broad-match keyword auction games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=False, jobs=False, ext=False):
+    def common(p, profile=False, ext=False):
         p.add_argument("--reserve", default="0", metavar="R",
                        help="reserve score (integer, fraction or decimal)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if profile:
             p.add_argument("--split", action="append", metavar="FILE")
             p.add_argument("--schedule", metavar="FILE")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, metavar="N")
         if ext:
             p.add_argument("--ext", metavar="FILE")
 
@@ -619,7 +617,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one day under a profile")
     p.add_argument("instance")
-    common(p, profile=True, jobs=True)
+    common(p, profile=True)
 
     p = sub.add_parser("best-response", help="one advertiser's best use of "
                                              "her budget against the rest")
@@ -667,7 +665,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="two splits on one instance, side "
                                        "by side")
     p.add_argument("instance")
-    common(p, profile=True, jobs=True)
+    common(p, profile=True)
 
     p = sub.add_parser("fixtures", help="list or emit the bundled examples")
     p.add_argument("name", nargs="?")

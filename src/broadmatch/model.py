@@ -395,15 +395,22 @@ class Profile:
     kind: str = "split"  # or "schedule"
     _row: Dict[Tuple[str, str], Allocation] = field(repr=False, compare=False,
                                                     default_factory=dict)
+    _on: Dict[str, Tuple[Allocation, ...]] = field(repr=False, compare=False,
+                                                   default_factory=dict)
 
     def __post_init__(self):
         self._row.update(((r.advertiser, r.keyword), r) for r in self.rows)
+        on: Dict[str, List[Allocation]] = {}
+        for r in self.rows:
+            on.setdefault(r.keyword, []).append(r)
+        self._on.update((kw, tuple(rs)) for kw, rs in on.items())
 
     def row(self, advertiser: str, keyword: str) -> Optional[Allocation]:
         return self._row.get((advertiser, keyword))
 
-    def rows_on(self, keyword: str) -> List[Allocation]:
-        return [r for r in self.rows if r.keyword == keyword]
+    def rows_on(self, keyword: str) -> Tuple[Allocation, ...]:
+        """The rows on a keyword, in profile order."""
+        return self._on.get(keyword, ())
 
     def rows_of(self, advertiser: str) -> List[Allocation]:
         return [r for r in self.rows if r.advertiser == advertiser]
@@ -413,9 +420,6 @@ class Profile:
             r = self._row.get((advertiser, keyword))
             return r.budget if r is not None else Fraction(0)
         return sum((r.budget for r in self.rows_of(advertiser)), Fraction(0))
-
-    def without(self, advertiser: str) -> "Profile":
-        return Profile(tuple(r for r in self.rows if r.advertiser != advertiser), self.kind)
 
     def replacing(self, advertiser: str, new_rows: Iterable[Allocation]) -> "Profile":
         kept = [r for r in self.rows if r.advertiser != advertiser]

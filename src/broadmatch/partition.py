@@ -17,10 +17,14 @@ broke, so only slotted bidders are checked for eviction.  That is why a
 negative reserve or pool is refused.  Each segment still lists every active
 bidder, in rank order, with unslotted ones at price and payoff 0.
 
+``keyword_day`` is the one way a keyword's day is run: it turns committed
+``Allocation`` rows on the keyword into bidders and runs the timeline.  The
+day simulator, the partition tables and the auctioneer's entry probes all
+go through it.
+
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
 response solvers: the advertiser is assumed present in every query, and the
-table records what each query prefix costs and pays.  ``global_partition``
-is the all-advertiser view of an actual day under committed budgets.
+table records what each query prefix costs and pays.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import auction
-from .model import Instance, Profile
+from .model import Allocation, Instance, Profile
 
 ZERO = Fraction(0)
 INFINITE = float("inf")  # order sentinel for zero-cost rates; never used in arithmetic
@@ -144,6 +148,19 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     return tuple(segments)
 
 
+def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
+                reserve: Fraction = ZERO) -> Tuple[Segment, ...]:
+    """Run a keyword's day for the committed rows on it.
+
+    Each row enters at its start query with its budget as its pool (a
+    budget of None is an unlimited pool).  Rows must all be on ``keyword``.
+    """
+    bidders = [(r.advertiser, instance.score(r.advertiser, keyword),
+                r.start_query, r.budget) for r in rows]
+    return run_keyword_timeline(instance.slots, instance.volume(keyword),
+                                bidders, reserve)
+
+
 @dataclass(frozen=True)
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
@@ -221,9 +238,6 @@ class PartitionTable:
         """Per-query cost c at a 1-based query number."""
         return self.costs[self.segment_of(query)]
 
-    def query_payoff(self, query: int) -> Fraction:
-        return self.payoffs[self.segment_of(query)]
-
 
 def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
                          segments: Sequence[Segment]) -> PartitionTable:
@@ -239,36 +253,6 @@ def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
     return PartitionTable(advertiser, keyword, instance.volume(keyword),
                           tuple(breakpoints), tuple(costs), tuple(payoffs),
                           tuple(actives))
-
-
-def query_partition(instance: Instance, keyword: str, advertiser: str,
-                    others_budgets: Mapping[str, Fraction],
-                    reserve: Fraction = ZERO) -> PartitionTable:
-    """Segment a keyword's stream for one advertiser, given rivals' budgets.
-
-    The advertiser is assumed present in every query (unlimited pool); a
-    rival participates iff it holds an edge and a positive budget.  Rivals
-    drop out exactly when one more query at the current price no longer fits
-    their remaining budget.
-    """
-    if not instance.has_edge(advertiser, keyword):
-        raise KeyError("no edge (%s, %s)" % (advertiser, keyword))
-    if instance.score(advertiser, keyword) < reserve:
-        raise ValueError("advertiser %s is below the reserve on %s: no "
-                         "query is purchasable" % (advertiser, keyword))
-    bidders = [(advertiser, instance.score(advertiser, keyword), 1, None)]
-    for rival, budget in sorted(others_budgets.items()):
-        if rival == advertiser:
-            continue
-        if budget < 0:
-            raise ValueError("negative budget for %r" % rival)
-        if not instance.has_edge(rival, keyword):
-            raise KeyError("no edge (%s, %s)" % (rival, keyword))
-        if budget > 0:
-            bidders.append((rival, instance.score(rival, keyword), 1, budget))
-    segments = run_keyword_timeline(instance.slots, instance.volume(keyword),
-                                    bidders, reserve)
-    return _table_from_timeline(instance, keyword, advertiser, segments)
 
 
 def tables_for(instance: Instance, advertiser: str, others: Profile,
@@ -288,67 +272,9 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     for kw in keywords:
         if instance.score(advertiser, kw) < reserve:
             continue
-        bidders = [(advertiser, instance.score(advertiser, kw), 1, None)]
-        for row in others.rows_on(kw):
-            if row.advertiser == advertiser:
-                continue
-            bidders.append((row.advertiser, instance.score(row.advertiser, kw),
-                            row.start_query, row.budget))
-        segments = run_keyword_timeline(instance.slots, instance.volume(kw),
-                                        bidders, reserve)
+        # the subject is present from query 1 with an unlimited pool
+        rows = [Allocation(advertiser, kw, instance.volume(kw), None)]
+        rows += [r for r in others.rows_on(kw) if r.advertiser != advertiser]
+        segments = keyword_day(instance, kw, rows, reserve)
         tables[kw] = _table_from_timeline(instance, kw, advertiser, segments)
     return tables
-
-
-@dataclass(frozen=True)
-class GlobalPartition:
-    """All-advertiser day segmentation plus excess-budget bookkeeping.
-
-    ``segments[kw]`` is the actual timeline under the committed profile.
-    ``leftover[i]`` is the advertiser's unspent budget D_i; ``top_score[i]``
-    her best base-edge score s_i.  ``excess_holders[kw]`` is the set I_kw of
-    base-edge holders of the keyword with s_i <= D_i: advertisers who could
-    afford at least one query anywhere they already bid.
-    """
-
-    segments: Dict[str, Tuple[Segment, ...]]
-    spend: Dict[str, Fraction]
-    leftover: Dict[str, Fraction]
-    top_score: Dict[str, Fraction]
-    excess_holders: Dict[str, frozenset]
-
-    def last_active(self, keyword: str) -> Tuple[str, ...]:
-        return self.segments[keyword][-1].active if self.segments[keyword] else ()
-
-    def breakpoints(self, keyword: str) -> List[int]:
-        segs = self.segments[keyword]
-        return [0] + [s.hi for s in segs]
-
-
-def global_partition(instance: Instance, profile: Profile,
-                     reserve: Fraction = ZERO) -> GlobalPartition:
-    """Run the day for every keyword under the committed profile."""
-    segments: Dict[str, Tuple[Segment, ...]] = {}
-    spend: Dict[str, Fraction] = {a.id: ZERO for a in instance.advertisers}
-    for k in instance.keywords:
-        bidders = [(r.advertiser, instance.score(r.advertiser, k.id),
-                    r.start_query, r.budget) for r in profile.rows_on(k.id)]
-        segs = run_keyword_timeline(instance.slots, k.volume, bidders, reserve)
-        segments[k.id] = segs
-        for seg in segs:
-            for adv in seg.active:
-                spend[adv] += len(seg) * seg.prices[adv]
-    leftover = {a.id: a.budget - spend[a.id] for a in instance.advertisers}
-    top_score: Dict[str, Fraction] = {}
-    for e in instance.base_edges():
-        cur = top_score.get(e.advertiser)
-        if cur is None or e.score > cur:
-            top_score[e.advertiser] = e.score
-    excess_holders = {
-        k.id: frozenset(
-            e.advertiser for e in instance.base_edges() if e.keyword == k.id
-            and top_score[e.advertiser] <= leftover[e.advertiser]
-        )
-        for k in instance.keywords
-    }
-    return GlobalPartition(segments, spend, leftover, top_score, excess_holders)

@@ -3,7 +3,8 @@
 A day processes every keyword's query stream under a committed profile:
 each query runs one auction among the advertisers whose committed budget on
 that keyword still covers the current price.  The engine never touches
-individual queries — it reuses the event-driven segmentation, so a day over
+individual queries — each keyword's day runs through
+``partition.keyword_day``, the event-driven segmentation, so a day over
 billions of queries costs the same as one over dozens.
 
 ``simulate_day`` trusts its inputs; run the model validators at the
@@ -13,13 +14,12 @@ is allowed (useful for what-if pricing), it just simulates those pools.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .model import Instance, Profile
-from .partition import Segment, run_keyword_timeline
+from .partition import Segment, keyword_day
 
 ZERO = Fraction(0)
 
@@ -39,46 +39,11 @@ class DayOutcome:
     edge_spend: Dict[Tuple[str, str], Fraction]   # per (advertiser, keyword)
     participation: Dict[Tuple[str, str], int]     # queries entered per (adv, kw)
 
-    def segment_table(self, keyword: str) -> List[dict]:
-        """Row-per-segment summary, handy for reports."""
-        rows = []
-        for seg in self.segments[keyword]:
-            rows.append({
-                "lo": seg.lo,
-                "hi": seg.hi,
-                "active": list(seg.active),
-                "prices": dict(seg.prices),
-                "revenue_per_query": seg.revenue,
-            })
-        return rows
-
-
-def _run_keyword(instance: Instance, profile: Profile, kw: str,
-                 reserve: Fraction) -> Tuple[str, Tuple[Segment, ...]]:
-    bidders = [(r.advertiser, instance.score(r.advertiser, kw),
-                r.start_query, r.budget) for r in profile.rows_on(kw)]
-    segs = run_keyword_timeline(instance.slots, instance.volume(kw),
-                                bidders, reserve)
-    return kw, segs
-
 
 def simulate_day(instance: Instance, profile: Profile,
-                 reserve: Fraction = ZERO, jobs: int = 1) -> DayOutcome:
-    """Simulate the full day under a committed profile, exactly.
-
-    With ``jobs > 1`` keywords are simulated on a thread pool; results are
-    reduced in instance keyword order, so output is identical either way.
-    """
-    kw_ids = [k.id for k in instance.keywords]
-    if jobs > 1 and len(kw_ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_keyword, instance, profile, kw, reserve)
-                       for kw in kw_ids]
-            segments = dict(f.result() for f in futures)
-    else:
-        segments = dict(_run_keyword(instance, profile, kw, reserve)
-                        for kw in kw_ids)
-
+                 reserve: Fraction = ZERO) -> DayOutcome:
+    """Simulate the full day under a committed profile, exactly."""
+    segments: Dict[str, Tuple[Segment, ...]] = {}
     keyword_revenue: Dict[str, Fraction] = {}
     keyword_welfare: Dict[str, Fraction] = {}
     spend: Dict[str, Fraction] = {a.id: ZERO for a in instance.advertisers}
@@ -88,7 +53,9 @@ def simulate_day(instance: Instance, profile: Profile,
     for row in profile.rows:
         edge_spend[(row.advertiser, row.keyword)] = ZERO
         participation[(row.advertiser, row.keyword)] = 0
-    for kw in kw_ids:
+    for k in instance.keywords:
+        kw = k.id
+        segments[kw] = keyword_day(instance, kw, profile.rows_on(kw), reserve)
         rev = wel = ZERO
         for seg in segments[kw]:
             n = len(seg)

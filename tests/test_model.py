@@ -86,9 +86,10 @@ def test_profile_accessors():
     assert p.committed("3", "k2") == F(30)
     assert p.committed("2", "k1") == 0
     assert [r.keyword for r in p.rows_of("3")] == ["k1", "k2"]
-    assert len(p.rows_on("k1")) == 2
-    q = p.without("3")
-    assert q.rows_of("3") == []
+    assert [r.advertiser for r in p.rows_on("k1")] == ["1", "3"]
+    assert p.rows_on("k3") == ()
+    q = p.replacing("3", [])
+    assert q.rows_of("3") == [] and q.rows_on("k2") == ()
     r = p.replacing("3", [Allocation("3", "k2", 0, F(40))])
     assert r.committed("3") == F(40) and r.committed("3", "k1") == 0
 

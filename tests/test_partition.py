@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from broadmatch.model import Profile, SlotParams
-from broadmatch.partition import (INFINITE, PartitionTable, global_partition,
-                                  query_partition, run_keyword_timeline,
-                                  tables_for)
+from broadmatch.acbm import excess_budgets
+from broadmatch.model import Allocation, Profile, SlotParams
+from broadmatch.partition import (INFINITE, PartitionTable, keyword_day,
+                                  run_keyword_timeline, tables_for)
+from broadmatch.simulate import simulate_day
 from conftest import (build_instance, build_schedule, build_split,
                       reference_timeline)
 
@@ -139,14 +140,31 @@ def test_top_k_timeline_matches_the_reprice_everything_loop():
     assert min(seen.values()) >= 500, seen
 
 
+# -- keyword_day ---------------------------------------------------------------
+
+def test_keyword_day_runs_committed_rows_as_bidders():
+    rows = [Allocation("2", "k1", 50, F(37), 51),
+            Allocation("1", "k1", 100, F(45)),
+            Allocation("3", "k1", 100, None)]
+    segs = keyword_day(small(), "k1", rows, reserve=F(1))
+    assert segs == run_keyword_timeline(
+        small().slots, 100, [("2", F(3), 51, F(37)), ("1", F(5), 1, F(45)),
+                             ("3", F(2), 1, None)], F(1))
+    # 3's pool is unlimited: it is still in the day after both rivals leave
+    assert segs[-1].active == ("3",) and segs[-1].hi == 100
+    assert keyword_day(small(), "k2", ()) == (
+        run_keyword_timeline(small().slots, 100, []))
+
+
 # -- PartitionTable -----------------------------------------------------------
 
-def table_for_1():
+def table_for_1(budget_2="37"):
     # 1 against 2 (37) and 3 (40) on k1: 23/10 for 26 queries, 3/5 after
-    return query_partition(small(), "k1", "1", {"2": F(37), "3": F(40)})
+    rivals = build_split((("2", "k1", 100, budget_2), ("3", "k1", 100, "40")))
+    return tables_for(small(), "1", rivals, keywords=["k1"])["k1"]
 
 
-def test_query_partition_breakpoints_costs_payoffs():
+def test_table_breakpoints_costs_payoffs():
     t = table_for_1()
     assert t.breakpoints == (0, 26, 100)
     assert t.costs == (F(23, 10), F(3, 5))
@@ -187,7 +205,7 @@ def test_segment_of_and_query_rates():
         with pytest.raises(ValueError):
             t.segment_of(bad)
     assert t.query_cost(26) == F(23, 10) and t.query_cost(27) == F(3, 5)
-    assert t.query_payoff(1) == F(27, 10)
+    assert t.payoffs[t.segment_of(1)] == F(27, 10)
     assert t.rate(0) == F(27, 23) and t.rate(1) == F(22, 3)
 
 
@@ -201,19 +219,11 @@ def test_free_segments_rate_infinite():
     assert t.prefix(100) == (F(759, 5), F(0))
 
 
-def test_query_partition_skips_zero_budget_rivals():
-    t = query_partition(small(), "k1", "1", {"2": F(0), "3": F(40)})
+def test_tables_for_skips_zero_budget_rivals():
+    # a rival with nothing committed is priced out before the first query
+    t = table_for_1(budget_2="0")
     assert t.actives == (("1", "3"),)
     assert t.costs == (F(3, 5),)
-
-
-def test_query_partition_rejects_bad_arguments():
-    with pytest.raises(KeyError):
-        query_partition(small(), "k1", "4", {})      # no such edge
-    with pytest.raises(KeyError):
-        query_partition(small(), "k1", "1", {"4": F(5)})
-    with pytest.raises(ValueError):
-        query_partition(small(), "k1", "1", {"2": F(-1)})
 
 
 def test_tables_for_ignores_subjects_own_rows():
@@ -242,26 +252,36 @@ def test_tables_for_defaults_to_all_edges_of_subject():
     assert sorted(tables) == ["k1", "k2"]
 
 
-# -- global_partition ---------------------------------------------------------
+# -- the natural day, whole ---------------------------------------------------
 
 def test_global_partition_of_the_natural_day():
-    gp = global_partition(small(), natural())
-    assert [(s.lo, s.hi, s.active) for s in gp.segments["k1"]] == [
+    day = simulate_day(small(), natural())
+    k1, k2 = day.segments["k1"], day.segments["k2"]
+    assert [(s.lo, s.hi, s.active) for s in k1] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
-    assert [(s.lo, s.hi, s.active) for s in gp.segments["k2"]] == [
-        (1, 100, ("3", "4"))]
-    assert gp.spend == {"1": F(45), "2": F(0), "3": F(30), "4": F(0)}
-    assert gp.leftover == {"1": F(0), "2": F(37), "3": F(10), "4": F(20)}
-    assert gp.top_score == {"1": F(5), "2": F(3), "3": F(3, 2), "4": F(1)}
-    assert gp.excess_holders == {"k1": frozenset({"2"}),
-                                 "k2": frozenset({"3", "4"})}
-    assert gp.last_active("k1") == ("2",)
-    assert gp.breakpoints("k1") == [0, 50, 100]
+    assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]
+    assert day.spend == {"1": F(45), "2": F(0), "3": F(30), "4": F(0)}
+    assert day.leftover == {"1": F(0), "2": F(37), "3": F(10), "4": F(20)}
+    info = excess_budgets(small(), natural())
+    assert {i: rec["top_score"] for i, rec in info.items()} == {
+        "1": F(5), "2": F(3), "3": F(3, 2), "4": F(1)}
+    holders = {kw: frozenset(e.advertiser for e in small().base_edges()
+                             if e.keyword == kw and info[e.advertiser]["excess"])
+               for kw in ("k1", "k2")}
+    assert holders == {"k1": frozenset({"2"}), "k2": frozenset({"3", "4"})}
+    assert k1[-1].active == ("2",)
+    assert [0] + [s.hi for s in k1] == [0, 50, 100]
 
+
+# -- excess holders of the natural day ----------------------------------------
 
 def test_top_score_counts_base_edges_only():
-    gp = global_partition(small(), natural())
+    info = excess_budgets(small(), natural())
     # 3 holds a score-2 extension edge on k1, but her base score stays 3/2
-    # and extension holders never join a keyword's excess set
-    assert gp.top_score["3"] == F(3, 2)
-    assert "3" not in gp.excess_holders["k1"]
+    assert {i: rec["top_score"] for i, rec in info.items()} == {
+        "1": F(5), "2": F(3), "3": F(3, 2), "4": F(1)}
+    assert {i: rec["excess"] for i, rec in info.items()} == {
+        "1": False, "2": True, "3": True, "4": True}
+    # so k1's excess holders are its base holders with excess: 2 alone
+    assert {e.advertiser for e in small().base_edges()
+            if e.keyword == "k1" and info[e.advertiser]["excess"]} == {"2"}

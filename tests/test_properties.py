@@ -7,12 +7,13 @@ exhaustive oracle), so a failure message always carries the seed to replay.
 import random
 from fractions import Fraction as F
 
+from broadmatch import acbm
 from broadmatch.acbm import allocate_excess
 from broadmatch.auction import price_query, revenue_identity_check
 from broadmatch.bestresp import (brute_force_oracle, exact_best_response_dp,
                                  fptas_as2, greedy_local_best_response)
 from broadmatch.equilibrium import verify_bme
-from broadmatch.model import Profile, all_in_profile
+from broadmatch.model import Allocation, Profile, all_in_profile
 from broadmatch.simulate import simulate_day
 from conftest import (GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       assert_day_matches_naive, naive_day, random_extension_pair,
@@ -109,6 +110,39 @@ def test_excess_scheduling_never_loses_revenue():
         res = allocate_excess(base, ext, fine=rng.random() < 1 / 2)
         assert res["delta"] >= 0, (seed, res["moves"])
         assert res["final_revenue"] == res["initial_revenue"] + res["delta"]
+
+
+def test_acbm_probes_agree_with_per_query_simulation():
+    """The scheduler's probe path against ``naive_day``: every new edge of a
+    keyword enters at a random start query with a random budget, alongside
+    a random profile's base rows there.  ``_keyword_revenue`` must equal the
+    keyword's per-query revenue, and ``_entry_cost`` each entrant's spend."""
+    seen = {"paid": 0, "pair": 0, "late": 0}
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        base, ext = random_extension_pair(rng)
+        rows = random_profile(rng, base, schedule=rng.random() < 1 / 2).rows
+        reserve = rng.choice(RESERVE_GRID)
+        new_on = {}
+        for e in ext.extension_edges():
+            new_on.setdefault(e.keyword, []).append(e.advertiser)
+        for kw, advs in new_on.items():
+            on_kw = tuple(r for r in rows if r.keyword == kw)
+            entrants = tuple(
+                Allocation(i, kw, 0, F(rng.randint(0, 60), rng.choice([1, 2])),
+                           rng.randint(1, ext.volume(kw))) for i in advs)
+            profile = Profile(on_kw + entrants, "schedule")
+            ref = naive_day(ext, profile, reserve)
+            revenue = acbm._keyword_revenue(ext, profile.rows, kw, reserve)
+            assert revenue == ref["keyword_revenue"][kw], seed
+            for entrant in entrants:
+                others = tuple(r for r in profile.rows if r is not entrant)
+                paid = acbm._entry_cost(ext, others, kw, entrant, reserve)
+                assert paid == ref["spend"][entrant.advertiser], seed
+                seen["paid"] += paid > 0
+                seen["late"] += paid > 0 and entrant.start_query > 1
+            seen["pair"] += len(entrants) > 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_price_telescoping_identity_on_a_thousand_slates():

@@ -45,16 +45,14 @@ def test_natural_day_totals():
 
 def test_segment_table_rows():
     day = simulate_day(small(), natural())
-    rows = day.segment_table("k1")
-    assert [(r["lo"], r["hi"], r["active"]) for r in rows] == [
-        (1, 50, ["1", "2"]), (51, 100, ["2"])]
-    assert rows[0]["revenue_per_query"] == F(9, 10)
-
-
-def test_thread_pool_matches_sequential():
-    a = simulate_day(small(), natural())
-    b = simulate_day(small(), natural(), jobs=2)
-    assert a == b
+    k1, k2 = day.segments["k1"], day.segments["k2"]
+    assert [(s.lo, s.hi, s.active) for s in k1] == [
+        (1, 50, ("1", "2")), (51, 100, ("2",))]
+    assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]
+    assert [0] + [s.hi for s in k1] == [0, 50, 100]
+    assert k1[-1].active == ("2",)
+    assert k1[0].prices == {"1": F(9, 10), "2": F(0)}
+    assert k1[0].revenue == F(9, 10)
 
 
 def test_reserve_day():
