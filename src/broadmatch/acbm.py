@@ -37,24 +37,28 @@ def _top_base_score(instance: Instance, advertiser: str) -> Optional[Fraction]:
 
 
 def excess_budgets(instance: Instance, profile: Optional[Profile] = None,
-                   reserve: Fraction = ZERO) -> Dict[str, dict]:
+                   reserve: Fraction = ZERO,
+                   base_day: Optional[DayOutcome] = None) -> Dict[str, dict]:
     """Leftover money after the base day, flagged where it could still buy.
 
     An advertiser holds *excess* when her leftover covers at least her top
     base score — the cheapest conceivable price of one more query wherever
     she already bids.  Smaller leftovers are change, not money.
+    ``base_day``, when given, is the base day of ``profile`` already
+    simulated (as ``obrev_check`` and ``allocate_excess`` pass it on).
     """
     base = instance.base_instance()
-    if profile is None:
-        profile = natural_base_split(instance)
-    day = simulate_day(base, profile, reserve)
+    if base_day is None:
+        if profile is None:
+            profile = natural_base_split(instance)
+        base_day = simulate_day(base, profile, reserve)
     out: Dict[str, dict] = {}
     for adv in base.advertisers:
         top = _top_base_score(base, adv.id)
-        left = day.leftover[adv.id]
+        left = base_day.leftover[adv.id]
         out[adv.id] = {
             "budget": adv.budget,
-            "spend": day.spend[adv.id],
+            "spend": base_day.spend[adv.id],
             "leftover": left,
             "top_score": top,
             "excess": top is not None and top <= left,
@@ -64,7 +68,8 @@ def excess_budgets(instance: Instance, profile: Optional[Profile] = None,
 
 def obrev_check(base: Instance, ext: Instance,
                 profile: Optional[Profile] = None,
-                reserve: Fraction = ZERO) -> dict:
+                reserve: Fraction = ZERO,
+                base_day: Optional[DayOutcome] = None) -> dict:
     """Can excess money be routed through new edges to raise revenue?
 
     Examines the base day's final segments keyword by keyword and reports a
@@ -79,12 +84,15 @@ def obrev_check(base: Instance, ext: Instance,
       up paying;
     * ``c`` — the last active set still contains non-excess members and the
       entrant outscores the best of them.
+
+    ``base_day``, when given, is the base day of ``profile``.
     """
-    if profile is None:
-        profile = natural_base_split(base)
-    info = excess_budgets(base, profile, reserve)
+    if base_day is None:
+        if profile is None:
+            profile = natural_base_split(base)
+        base_day = simulate_day(base.base_instance(), profile, reserve)
+    info = excess_budgets(base, reserve=reserve, base_day=base_day)
     excess = {i for i, rec in info.items() if rec["excess"]}
-    day = simulate_day(base.base_instance(), profile, reserve)
     new_edges = [e for e in ext.edges if not base.has_edge(e.advertiser, e.keyword)]
 
     holders: Dict[str, Set[str]] = {}     # keyword -> new-edge holders
@@ -101,7 +109,8 @@ def obrev_check(base: Instance, ext: Instance,
         i, j = e.advertiser, e.keyword
         if i not in excess:
             continue
-        last = set(day.segments[j][-1].active) if day.segments.get(j) else set()
+        segs = base_day.segments.get(j)
+        last = set(segs[-1].active) if segs else set()
         dark = not last
         s_ij = ext.score(i, j)
         cond = None
@@ -172,7 +181,8 @@ def _fine_starts(lo: int, hi: int) -> List[int]:
 
 def allocate_excess(base: Instance, ext: Instance,
                     profile: Optional[Profile] = None,
-                    fine: bool = False, reserve: Fraction = ZERO) -> dict:
+                    fine: bool = False, reserve: Fraction = ZERO,
+                    base_day: Optional[DayOutcome] = None) -> dict:
     """Schedule excess-budget entries on new edges, one best move at a time.
 
     Starting from the base-day schedule, repeatedly evaluates every unused
@@ -185,14 +195,18 @@ def allocate_excess(base: Instance, ext: Instance,
     the entry costs.  When no single entry pays, pairs of entrants into a
     dark stream are tried as one move.  Stops when nothing positive is
     left.  Greedy and timing-restricted, hence a lower bound: a miss does
-    not prove no improving schedule exists.
+    not prove no improving schedule exists.  ``base_day``, when given, is
+    the base day of ``profile``.  Each round simulates the broadened day
+    once: the first round's day is the initial day and the last one's, the
+    final day.
     """
     if profile is None:
         profile = natural_base_split(base)
     rows: Tuple[Allocation, ...] = tuple(
         Allocation(r.advertiser, r.keyword, r.queries, r.budget, r.start_query)
         for r in profile.rows)
-    initial_day = simulate_day(ext, Profile(rows, kind="schedule"), reserve)
+    initial_day = day = simulate_day(ext, Profile(rows, kind="schedule"),
+                                     reserve)
     moves: List[dict] = []
     used: Set[Tuple[str, str]] = set()
     reduced: Set[str] = set()
@@ -220,10 +234,11 @@ def allocate_excess(base: Instance, ext: Instance,
         rev = _keyword_revenue(ext, on_j + (entrant,), j, reserve)
         return rev - day.keyword_revenue[j], entrant
 
-    info = excess_budgets(base, profile, reserve)
+    info = excess_budgets(base, profile, reserve, base_day)
     while True:
         current = Profile(rows, kind="schedule")
-        day = simulate_day(ext, current, reserve)
+        if moves:  # the rows changed in the last round
+            day = simulate_day(ext, current, reserve)
         best_delta = ZERO
         best: Optional[Tuple[Allocation, ...]] = None
         best_move: Optional[dict] = None
@@ -284,7 +299,7 @@ def allocate_excess(base: Instance, ext: Instance,
             used.add((i, entrant.keyword))
         moves.append(best_move)
 
-    final_day = simulate_day(ext, Profile(rows, kind="schedule"), reserve)
+    final_day = day  # the round that found no move ran the final rows
     # restate each row's declared query count from the final day, so the
     # returned schedule passes the consistency check as-is
     rows = tuple(Allocation(r.advertiser, r.keyword,

@@ -11,16 +11,21 @@ auction can support.  An optional reserve acts as a pseudo-score ranked just
 below the last participant; participants scoring below the reserve are
 excluded.
 
-``slot_prices`` is that formula over an already-ranked score list;
-``price_query`` ranks an active set and calls it, and the day engine calls
-it directly on the top K+1 of a ranking it keeps across events.
+``slot_prices`` is that formula over an already-ranked score list and the
+coefficients ``gamma_j - gamma_{j+1}``; it works on any exact number type.
+``price_query`` ranks an active set and calls it on ``Fraction``s.  The day
+engine (``partition.run_keyword_timeline``) calls it on Python ints: it
+scales one keyword day's scores, reserve and coefficients to a common
+denominator, prices the top K+1 of a ranking it keeps across events, and
+turns prices back into exact ``Fraction``s only in the segments it returns.
+No floats are used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .model import SlotParams
 
@@ -51,56 +56,28 @@ class Slate:
         return self.payoffs[advertiser]
 
 
-def slot_prices(scores: Sequence[Fraction], slots: SlotParams,
-                reserve: Fraction = ZERO) -> List[Fraction]:
+def slot_prices(scores: Sequence, drops: Sequence, reserve=ZERO) -> list:
     """Per-impression prices, by rank, of the top ``min(K, L)`` bidders.
 
     ``scores`` are already ranked (descending) and all at or above the
-    reserve; L is their count.  Slot r's price reads only the scores ranked
-    r+1..K+1 and the reserve, so a caller holding a longer ranking may pass
-    just its first K+1 scores.  This is the one pricing formula: the
-    suffix sum above, over the coefficients ``slots.drops``.
+    reserve; L is their count.  ``drops`` are the K coefficients
+    ``gamma_j - gamma_{j+1}`` (``SlotParams.drops``).  Slot r's price reads
+    only the scores ranked r+1..K+1 and the reserve, so a caller holding a
+    longer ranking may pass just its first K+1 scores.  This is the one
+    pricing formula, the suffix sum above, and it is generic over the
+    number type: ``price_query`` passes ``Fraction``s, the day engine passes
+    ints scaled to one common denominator, and the prices come back in the
+    same unit.
     """
-    drops = slots.drops
     L = len(scores)
     n = min(len(drops), L)
-    prices = [ZERO] * n
-    suffix = ZERO
+    prices = [0] * n
+    suffix = 0
     for j in range(n, 0, -1):
         # the score ranked just below rank j; the reserve stands in at L+1
         suffix += drops[j - 1] * (scores[j] if j < L else reserve)
         prices[j - 1] = suffix
     return prices
-
-
-def tabulate(ranked: Sequence[Tuple[str, Fraction]], prices: Sequence[Fraction],
-             slots: SlotParams) -> Tuple[tuple, Dict[str, Fraction],
-                                         Dict[str, Fraction], Fraction, Fraction]:
-    """(ranking, prices, payoffs, revenue, welfare) of a ranked active set.
-
-    ``prices`` are ``slot_prices`` of the ranking.  Bidders past the last
-    slot get slot None and price and payoff 0; dict keys follow rank order.
-    """
-    gamma = slots.gamma
-    ranking = []
-    price_of: Dict[str, Fraction] = {}
-    payoffs: Dict[str, Fraction] = {}
-    revenue = ZERO
-    welfare = ZERO
-    for n, (adv, s) in enumerate(ranked):
-        if n < len(prices):
-            p = prices[n]
-            value = gamma[n] * s
-            ranking.append((adv, s, n + 1))
-            price_of[adv] = p
-            payoffs[adv] = value - p
-            revenue += p
-            welfare += value
-        else:
-            ranking.append((adv, s, None))
-            price_of[adv] = ZERO
-            payoffs[adv] = ZERO
-    return tuple(ranking), price_of, payoffs, revenue, welfare
 
 
 def check_reserve(reserve: Fraction) -> None:
@@ -121,9 +98,29 @@ def price_query(active: Iterable[Tuple[str, Fraction]], slots: SlotParams,
         ((adv, s) for adv, s in active if s >= reserve),
         key=lambda p: (-p[1], p[0]),
     )
-    top = [s for _, s in ranked[:slots.count + 1]]
-    return Slate(slots, reserve,
-                 *tabulate(ranked, slot_prices(top, slots, reserve), slots))
+    prices = slot_prices([s for _, s in ranked[:slots.count + 1]],
+                         slots.drops, reserve)
+    gamma = slots.gamma
+    ranking = []
+    price_of: Dict[str, Fraction] = {}
+    payoffs: Dict[str, Fraction] = {}
+    revenue = ZERO
+    welfare = ZERO
+    for n, (adv, s) in enumerate(ranked):
+        if n < len(prices):
+            p = prices[n]
+            value = gamma[n] * s
+            ranking.append((adv, s, n + 1))
+            price_of[adv] = p
+            payoffs[adv] = value - p
+            revenue += p
+            welfare += value
+        else:  # past the last slot: in the auction, pays and gains nothing
+            ranking.append((adv, s, None))
+            price_of[adv] = ZERO
+            payoffs[adv] = ZERO
+    return Slate(slots, reserve, tuple(ranking), price_of, payoffs, revenue,
+                 welfare)
 
 
 def revenue_identity_check(slate: Slate) -> Fraction:

@@ -37,10 +37,13 @@ from .model import Allocation, Instance, Profile
 from .partition import INFINITE, PartitionTable, tables_for
 
 ZERO = Fraction(0)
+# Default work cap of the exact dp, and the fixed one of the rounded dp's
+# table and the fptas grid: beyond it a solve refuses with ``ScaleError``.
+WORK_CAP = 10 ** 7
 
 
 class ScaleError(ValueError):
-    """Raised when the exact dp would do more work than its cap allows."""
+    """Raised when a solver would do more work than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -294,6 +297,11 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
     denominator, so every cell adds and compares Python ints exactly.
     ``over``, one past the scaled budget, marks an unreachable level, and a
     sum that reaches it is over budget.
+
+    Some combination must fit: the engine's callers always offer the empty
+    prefix (``x = 0``, cost 0) on every keyword.  When even the cheapest
+    candidates together exceed the budget there is no witness, and that is
+    a ValueError naming the keywords that lack the empty prefix.
     """
     den = math.lcm(budget.denominator,
                    *(c.denominator for kw, _ in tabs
@@ -302,11 +310,18 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
     over = cap + 1
     levels: Dict[str, List[Tuple[int, int, int]]] = {}
     total = 0
+    cheapest = 0
     for kw, _ in tabs:
         lv = [(x, c.numerator * (den // c.denominator), int(u // unit))
               for x, c, u in candidates[kw]]
         levels[kw] = lv
         total += max(l for _, _, l in lv) if lv else 0
+        cheapest += min((c for _, c, _ in lv), default=over)
+    if cheapest > cap:
+        short = [kw for kw, _ in tabs if all(c for _, c, _ in levels[kw])]
+        raise ValueError(
+            "no candidate combination fits the budget %s: no zero-cost empty "
+            "prefix among the candidates on %s" % (budget, ", ".join(short)))
     best_cost = [over] * (total + 1)
     best_cost[0] = 0
     parents: List[List[Optional[Tuple[int, int]]]] = []
@@ -414,7 +429,7 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable, budget: Fraction,
 def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
                            keywords: Optional[Iterable[str]] = None,
                            reserve: Fraction = ZERO,
-                           scale_cap: int = 10 ** 7) -> BestResponse:
+                           scale_cap: int = WORK_CAP) -> BestResponse:
     """Exact optimum over all query vectors within budget.
 
     One keyword needs no search at all (per-query payoffs are nonnegative,
@@ -489,6 +504,9 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     ``grids`` optionally restricts candidate prefix lengths per keyword
     (the fptas wrapper passes volume-independent grids, and the tables it
     built them from as ``_tables``, so one solve builds its tables once).
+    Every candidate's level is at most floor(M/eps), so the table has at
+    most (M*floor(M/eps) + 1) x (candidate count) cells; a projection
+    beyond ``WORK_CAP`` raises ``ScaleError`` before anything is built.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -504,10 +522,16 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
                             {kw: ZERO for kw, _ in tabs}, ZERO, ZERO,
                             meta={"eps": eps})
     unit = eps * peak / m
+    grid = {kw: grids[kw] if grids is not None
+            else range(t.max_affordable(budget) + 1) for kw, t in tabs}
+    projected = (m * math.floor(m / eps) + 1) * sum(map(len, grid.values()))
+    if projected > WORK_CAP:
+        raise ScaleError(
+            "rounded dp would need up to %d cells (cap %d); use a larger eps"
+            % (projected, WORK_CAP))
     candidates = {}
     for kw, t in tabs:
-        xs = grids[kw] if grids is not None else range(t.max_affordable(budget) + 1)
-        candidates[kw] = [(x, c, u) for x, c, u in _candidate_values(t, xs)
+        candidates[kw] = [(x, c, u) for x, c, u in _candidate_values(t, grid[kw])
                           if c <= budget]
     queries, _ = _knapsack(tabs, budget, candidates, unit)
     payoff, cost = _exact_value(tables, queries)
@@ -530,6 +554,8 @@ def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
     exactly there).  The loss bound needs the cap: gridding queries the
     budget could never reach would let a whole block dominate the best
     affordable bundle, so callers pass the affordable prefix length.
+    A grid of more than ``WORK_CAP`` points (all singles when eps is tiny
+    and the stream long) raises ``ScaleError`` before it is built.
     """
     g = math.ceil(m / (eps * eps))
     stop = table.volume if cap is None else cap
@@ -541,6 +567,9 @@ def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
         if length <= 0:
             break
         a, b = divmod(length, g)
+        if len(points) + (g if a else 0) + b > WORK_CAP + 1:
+            raise ScaleError("fptas grid on %s would pass %d points; use a "
+                             "larger eps" % (table.keyword, WORK_CAP))
         pos = lo
         if a >= 1:
             for _ in range(g):

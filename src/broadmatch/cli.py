@@ -484,10 +484,14 @@ def _cmd_acbm(args) -> int:
     chk = check_extension(base, ext)
     if not chk["ok"]:
         raise ModelError(chk["errors"])
-    excess = acbm_mod.excess_budgets(base, reserve=args.reserve)
-    witness = acbm_mod.obrev_check(base, ext, reserve=args.reserve)
-    plan = acbm_mod.allocate_excess(base, ext, fine=args.fine,
-                                    reserve=args.reserve)
+    # one natural split and one base day serve all three steps
+    profile = equilibrium.natural_base_split(base)
+    day = simulate_mod.simulate_day(base.base_instance(), profile,
+                                    args.reserve)
+    excess = acbm_mod.excess_budgets(base, profile, args.reserve, day)
+    witness = acbm_mod.obrev_check(base, ext, profile, args.reserve, day)
+    plan = acbm_mod.allocate_excess(base, ext, profile, args.fine,
+                                    args.reserve, day)
     result = {
         "excess": excess,
         "opportunity": witness,

@@ -17,6 +17,12 @@ broke, so only slotted bidders are checked for eviction.  That is why a
 negative reserve or pool is refused.  Each segment still lists every active
 bidder, in rank order, with unslotted ones at price and payoff 0.
 
+The event loop runs on Python ints: each keyword day scales gamma, scores,
+the reserve and the pools to one common denominator, prices through the
+one pricing formula (``auction.slot_prices``) in that unit, and compares,
+floors and subtracts exactly.  Every ``Segment`` holds exact ``Fraction``s
+again.  No floats are used.
+
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
 day simulator, the partition tables and the auctioneer's entry probes all
@@ -29,6 +35,7 @@ table records what each query prefix costs and pays.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,17 +76,23 @@ class Segment:
 
 
 class _Bidder:
-    __slots__ = ("id", "score", "start", "pool", "rank")
+    __slots__ = ("id", "score", "s", "start", "pool", "rank")
 
-    def __init__(self, id: str, score: Fraction, start: int, pool: Optional[Fraction]):
+    def __init__(self, id: str, score: Fraction, start: int, pool):
         self.id = id
-        self.score = score
+        self.score = score  # exact, for the segments
+        self.s = 0          # score in the day's scaled int unit
         self.start = start
-        self.pool = pool  # None = unlimited (used for the table's subject)
-        self.rank = 0     # position in the day's (-score, id) order
+        self.pool = pool    # None = unlimited (the table's subject); scaled int
+        self.rank = 0       # position in the day's (-score, id) order
 
 
 _by_rank = attrgetter("rank")
+
+
+def _scaled(x, unit: int) -> int:
+    """``x * unit`` for a rational ``x`` whose denominator divides ``unit``."""
+    return x.numerator * (unit // x.denominator)
 
 
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
@@ -91,6 +104,14 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     ranked once; each iteration prices the top K+1 of the ranked active set,
     drops whoever cannot afford one more query, then jumps to the next entry
     or exhaustion event.  A negative reserve or pool is a ValueError.
+
+    The loop runs on ints: with G the lcm of the gamma denominators and S
+    that of the score and reserve denominators, D is the lcm of G*S and every
+    finite pool's denominator.  Scores and the reserve times D/G, the
+    coefficients ``slots.drops`` and gamma times G, and the pools times D
+    are all ints, so prices, slot values and pools are ints in units of 1/D
+    and the eviction test, the floor ``pool // price`` and the pool updates
+    are exact.  Each ``Segment`` gets ``Fraction(x, D)`` back.
     """
     auction.check_reserve(reserve)
     entrants = []
@@ -99,14 +120,29 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
             raise ValueError("negative pool %s for %r" % (b, i))
         if s >= reserve:
             entrants.append(_Bidder(i, s, max(1, q0), b))
-    entrants.sort(key=lambda b: (-b.score, b.id))
+    gamma = slots.gamma
+    g = math.lcm(*(x.denominator for x in gamma))
+    s_den = math.lcm(reserve.denominator,
+                     *(b.score.denominator for b in entrants))
+    D = math.lcm(g * s_den, *(b.pool.denominator for b in entrants
+                              if b.pool is not None))
+    unit = D // g
+    for b in entrants:
+        b.s = _scaled(b.score, unit)
+        if b.pool is not None:
+            b.pool = _scaled(b.pool, D)
+    floor = _scaled(reserve, unit)
+    drops = [_scaled(x, g) for x in slots.drops]
+    clicks = [_scaled(x, g) for x in gamma]
+    entrants.sort(key=lambda b: (-b.s, b.id))
     for rank, b in enumerate(entrants):
         b.rank = rank
     pending = sorted(entrants, key=lambda b: (b.start, b.id))
     K = slots.count
     active: List[_Bidder] = []  # ranked by (-score, id)
     slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
-    prices: List[Fraction] = []
+    prices: List[int] = []
+    priced = None  # the exact view of ``prices``, built once per reprice
     segments: List[Segment] = []
     entered = 0
     t = 1
@@ -121,13 +157,14 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
             top = active[:K + 1]
             if top != slotted:  # scores are fixed: same top, same prices
                 slotted = top
-                prices = auction.slot_prices([b.score for b in slotted],
-                                             slots, reserve)
+                prices = auction.slot_prices([b.s for b in slotted], drops,
+                                             floor)
+                priced = None
             broke = [b for b, p in zip(slotted, prices)
                      if b.pool is not None and p > b.pool]
             if not broke:
                 break
-            active.remove(min(broke, key=lambda b: (b.score, b.id)))
+            active.remove(min(broke, key=lambda b: (b.s, b.id)))
         next_entry = (pending[entered].start if entered < len(pending)
                       else volume + 1)
         hi = min(volume, next_entry - 1)
@@ -138,14 +175,48 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         for b, price in zip(slotted, prices):
             if b.pool is not None and price > 0:
                 hi = min(hi, t + b.pool // price - 1)
-        segments.append(Segment(t, hi, *auction.tabulate(
-            [(b.id, b.score) for b in active], prices, slots)))
+        if priced is None:
+            priced = _exact_slate(slotted, prices, clicks, D)
+        segments.append(_segment(t, hi, active, priced))
         length = hi - t + 1
         for b, price in zip(slotted, prices):
             if b.pool is not None:
                 b.pool -= length * price
         t = hi + 1
     return tuple(segments)
+
+
+def _exact_slate(slotted: Sequence[_Bidder], prices: Sequence[int],
+                 clicks: Sequence[int], D: int) -> tuple:
+    """The slotted bidders' ranking rows, (id, price) and (id, payoff)
+    pairs, revenue and welfare, as exact ``Fraction``s of the scaled ints."""
+    rows = []
+    price_of = []
+    payoff_of = []
+    values = 0
+    for n, (b, p) in enumerate(zip(slotted, prices)):
+        v = clicks[n] * b.s
+        rows.append((b.id, b.score, n + 1))
+        price_of.append((b.id, Fraction(p, D)))
+        payoff_of.append((b.id, Fraction(v - p, D)))
+        values += v
+    return (tuple(rows), price_of, payoff_of, Fraction(sum(prices), D),
+            Fraction(values, D))
+
+
+def _segment(lo: int, hi: int, active: Sequence[_Bidder],
+             priced: tuple) -> Segment:
+    """A segment over the ranked active set; bidders past the last slot get
+    slot None and price and payoff 0, and dict keys follow rank order."""
+    rows, price_of, payoff_of, revenue, welfare = priced
+    prices = dict(price_of)
+    payoffs = dict(payoff_of)
+    rest = active[len(rows):]
+    for b in rest:
+        prices[b.id] = ZERO
+        payoffs[b.id] = ZERO
+    return Segment(lo, hi, rows + tuple((b.id, b.score, None) for b in rest),
+                   prices, payoffs, revenue, welfare)
 
 
 def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],

@@ -141,6 +141,17 @@ def test_scale_refusals():
         exact_best_response_dp(inst, "1", others, scale_cap=1)
     with pytest.raises(ScaleError):
         brute_force_oracle(inst, "1", others, cap=100)
+    # a tiny eps: the rounded dp and the fptas grid refuse before building
+    # (at 1e-400 the level axis alone has ~10^400 entries)
+    with pytest.raises(ScaleError, match="cells"):
+        rounded_dp_as1(inst, "1", others, F(1, 10 ** 400))
+    with pytest.raises(ScaleError, match="cells"):
+        fptas_as2(inst, "1", others, F(1, 10 ** 400))
+    # eps 1e-6 leaves a 10^9-query segment as 10^9 single-query points
+    long = PartitionTable("1", "k1", 10 ** 9, (0, 10 ** 9), (F(1),), (F(1),),
+                          (("1",),))
+    with pytest.raises(ScaleError, match="grid on k1"):
+        build_subpartition(long, F(1, 10 ** 6), 2)
 
 
 def test_eps_validation():
@@ -243,7 +254,7 @@ def test_int_knapsack_matches_the_fraction_knapsack():
         try:
             want = reference_knapsack(tabs, budget, candidates, unit)
         except TypeError:  # no candidate combination fits: no witness
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="zero-cost empty prefix"):
                 _knapsack(tabs, budget, candidates, unit)
             seen["refused"] += 1
             continue

@@ -8,15 +8,20 @@ output change, run from src/broadmatch/fixtures/:
 with the argv list shown in GOLDEN_CASES below.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from broadmatch import cli
 
@@ -58,6 +63,26 @@ def test_reports_are_byte_deterministic(fx):
     first = fx(*GOLDEN_CASES["acbm-fine"])
     second = fx(*GOLDEN_CASES["acbm-fine"])
     assert first == second
+
+
+def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
+    """One natural split, one base day, then one broadened day per round
+    (the first is the initial day, the last the final one)."""
+    from broadmatch import acbm, equilibrium, simulate
+    real = simulate.simulate_day
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for mod in (acbm, equilibrium, simulate):
+        monkeypatch.setattr(mod, "simulate_day", counting)
+    code, out = fx(*GOLDEN_CASES["acbm-fine"])
+    assert code == 0
+    assert out == (GOLDEN / "acbm-fine.json").read_text(encoding="utf-8")
+    rounds = len(json.loads(out)["result"]["moves"]) + 1
+    assert len(calls) == 2 + rounds
 
 
 def test_report_envelope(fx):
@@ -349,3 +374,155 @@ def test_console_script_is_wired():
     scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.strip().splitlines() == [
         'broadmatch = "broadmatch.cli:main"']
+
+
+# -- every argv ends in one envelope --------------------------------------------
+
+_RATIONALS = ["0", "0", "1/2", "1/2", "3", "10/3", "0.25", "-1", "-1/2",
+              "1e400", "1e-400", "99999999999999999999999", "abc", "1/0", ""]
+_IDS = ["1", "2", "3", "4", "99", "k1", "k2", "k9", ""]
+
+
+def _malformed_documents(root: Path) -> None:
+    """Documents the CLI must reject, or survive, without a traceback."""
+    (root / "not-json.json").write_text("{not json", encoding="utf-8")
+    (root / "empty.json").write_text("", encoding="utf-8")
+    (root / "array.json").write_text("[1, 2]", encoding="utf-8")
+    (root / "bad-schema.json").write_text('{"slots": 3}', encoding="utf-8")
+    (root / "adir").mkdir()
+    base = json.loads((root / "two-keyword-entry-base.json").read_text(
+        encoding="utf-8"))
+    base["advertisers"][0]["budget"] = "1e400"
+    base["edges"][0]["score"] = "123456789012345678901234567890/7"
+    base["keywords"][1]["volume"] = 10 ** 15
+    (root / "huge-base.json").write_text(json.dumps(base), encoding="utf-8")
+    base["advertisers"][1]["budget"] = "-5"
+    (root / "negative-base.json").write_text(json.dumps(base),
+                                             encoding="utf-8")
+    split = json.loads((root / "two-keyword-entry-natural.split.json")
+                       .read_text(encoding="utf-8"))
+    split["allocations"][0]["budget"] = "1e400"
+    (root / "huge.split.json").write_text(json.dumps(split), encoding="utf-8")
+    split["allocations"][0]["advertiser"] = "99"
+    (root / "unknown-id.split.json").write_text(json.dumps(split),
+                                                encoding="utf-8")
+
+
+_BAD_FILES = ["missing.json", "not-json.json", "empty.json", "array.json",
+              "bad-schema.json", "adir", "negative-base.json"]
+
+
+def _file(*good):
+    """A document from ``good`` three times in four, a broken one
+    otherwise."""
+    return st.sampled_from([g for g in good for _ in _BAD_FILES * 3]
+                           + [b for b in _BAD_FILES for _ in good])
+
+
+_INSTANCE = _file("two-keyword-entry-base.json",
+                  "two-keyword-entry-base.json", "greedy-vs-exact.json",
+                  "three-keyword-family.json", "single-extension-base.json",
+                  "huge-base.json")
+_SPLIT = _file("two-keyword-entry-natural.split.json",
+               "two-keyword-entry-natural.split.json",
+               "three-keyword-family-shifted.split.json",
+               "single-extension-advshift.split.json", "huge.split.json",
+               "unknown-id.split.json")
+_VALUES = {
+    "--reserve": st.sampled_from(_RATIONALS),
+    "--eps": st.sampled_from(_RATIONALS),
+    "--eps-ne": st.sampled_from(_RATIONALS),
+    "--split": _SPLIT,
+    "--init": _SPLIT,
+    "--profiles": _SPLIT,
+    "--schedule": _file("two-keyword-entry-early.schedule.json",
+                        "single-extension-entry.schedule.json"),
+    "--ext": _file("two-keyword-entry-ext.json", "single-extension-ext.json"),
+    "--advertiser": st.sampled_from(_IDS),
+    "--method": st.sampled_from(["greedy", "dp", "fptas", "brute", "x"]),
+    "--max-rounds": st.sampled_from(["0", "3", "-1", "x", "10**9"]),
+    "--shuffle-seed": st.sampled_from(["0", "7", "-1", "x"]),
+    "--format": st.sampled_from(["json", "json", "xml"]),
+    "--fine": None, "--bme": None,
+}
+_COMMON = ["--reserve", "--format"]
+_PROFILE = _COMMON + ["--split", "--schedule"]
+_COMMANDS = {  # positionals, options always passed, options maybe passed
+    "validate": ([_INSTANCE], [], _PROFILE + ["--ext"]),
+    "price": ([_INSTANCE, st.sampled_from(["k1", "k2", "k9"]),
+               st.lists(st.sampled_from(_IDS), max_size=3)], [], _COMMON),
+    "partition": ([_INSTANCE, st.lists(st.sampled_from(_IDS), max_size=1)],
+                  ["--split"], _PROFILE + ["--advertiser"]),
+    "simulate": ([_INSTANCE], ["--split"], _PROFILE),
+    "best-response": ([_INSTANCE], ["--advertiser", "--split"],
+                      _PROFILE + ["--method", "--eps"]),
+    "verify": ([_INSTANCE], ["--split"],
+               _PROFILE + ["--bme", "--eps-ne", "--method"]),
+    "dynamics": ([_INSTANCE], [], _COMMON + ["--method", "--eps",
+                                             "--max-rounds", "--init",
+                                             "--shuffle-seed"]),
+    "dilemma": ([_INSTANCE, _VALUES["--ext"]], ["--profiles"], _COMMON),
+    "acbm": ([_INSTANCE], ["--ext"], _COMMON + ["--fine"]),
+    "compare": ([_INSTANCE], ["--split", "--split"], _PROFILE),
+    "fixtures": ([st.lists(st.sampled_from(["two-keyword-entry", "nope"]),
+                           max_size=1),
+                  st.lists(st.sampled_from(["out", "adir/sub",
+                                            "not-json.json/sub"]),
+                           max_size=1)], [], _COMMON),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A well-shaped command line nine times in ten (its positionals and
+    the options it needs, plus some it takes, each value good or bad),
+    free-form tokens otherwise."""
+    if draw(st.sampled_from([False] * 9 + [True])):
+        tokens = st.sampled_from(sorted(_COMMANDS) + ["frobnicate", "--nope"]
+                                 + _IDS + _RATIONALS + list(_VALUES)
+                                 + _BAD_FILES)
+        return draw(st.lists(tokens, max_size=6))
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, needed, options = _COMMANDS[command]
+    argv = [command]
+    for strategy in positionals:
+        value = draw(strategy)
+        argv += value if isinstance(value, list) else [value]
+    for flag in needed + draw(st.lists(st.sampled_from(options),
+                                       max_size=3)):
+        argv.append(flag)
+        if _VALUES[flag] is not None:
+            argv.append(draw(_VALUES[flag]))
+    return argv
+
+
+def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
+    """Drawn subcommands, positionals and options, good and bad (missing,
+    malformed and huge documents, negative and huge rationals, unknown
+    ids and flags): each run prints exactly one JSON envelope whose exit
+    code is the one returned, in {0, 1, 2, 3}, and nothing on stderr.
+    ``--format table`` and ``--help`` print text by design and are not
+    drawn."""
+    shutil.copytree(cli._FIXTURE_DIR, tmp_path, dirs_exist_ok=True)
+    _malformed_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_argv())
+    # an engine refusal, and a tiny eps that once overflowed the fptas table
+    @example(["best-response", "greedy-vs-exact.json", "--advertiser", "1",
+              "--method", "fptas", "--eps", "3"])
+    @example(["best-response", "greedy-vs-exact.json", "--advertiser", "1",
+              "--method", "fptas", "--eps", "1e-400"])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2, 3), argv
+        doc = json.loads(out.getvalue())  # exactly one JSON document
+        assert doc["exit_code"] == code, argv
+        assert doc["argv"] == argv
+        assert err.getvalue() == "", argv
+
+    check()

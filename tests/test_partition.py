@@ -140,6 +140,77 @@ def test_top_k_timeline_matches_the_reprice_everything_loop():
     assert min(seen.values()) >= 500, seen
 
 
+_COPRIME_GAMMA = [F(1), F(8, 9), F(5, 7), F(2, 3), F(4, 9), F(2, 7),
+                  F(1, 3), F(1, 9)]
+_POOL_DENS = [3, 7, 11, 10 ** 9 + 7]
+
+
+def _spend(segments, bidder):
+    return sum((len(s) * s.prices[bidder] for s in segments
+                if bidder in s.prices), F(0))
+
+
+def test_int_core_is_exact_across_coprime_denominators():
+    """The int core (one common denominator per keyword day) matches the
+    reprice-everything ``Fraction`` loop field for field, dict key order
+    included, on 3,000 seeded days: gamma over 3, 7 and 9, scores and
+    reserves over 3, 6 and 7, pools over 3, 7, 11 and 10^9+7, volumes up
+    to 10^9, lone bidders whose pool falls 1/p short of m whole queries
+    (m up to 10^9), and every other day rerun with some pools cut to
+    exactly what they spent (as acbm pins paid entries and reduced
+    rows)."""
+    rng = random.Random(19800229)
+    seen = {"tie": 0, "evicted": 0, "unlimited": 0, "spent-pool": 0,
+            "huge": 0, "mixed-dens": 0, "hair-short": 0}
+    for case in range(3000):
+        k = 1 + case % 4
+        slots = SlotParams(tuple(sorted(rng.sample(_COPRIME_GAMMA, k),
+                                        reverse=True)))
+        huge = case % 3 == 0
+        volume = rng.randint(10 ** 6, 10 ** 9) if huge else rng.randint(1, 40)
+        reserve = rng.choice([F(0), F(1, 3), F(5, 6), F(2, 7)])
+        scores = [F(rng.randint(1, 24), rng.choice([3, 6, 7]))
+                  for _ in range(3)]
+        bidders = []
+        for n in range(rng.randint(0, 7)):
+            top = 10 ** 10 if huge else 200
+            pool = rng.choice([None, F(rng.randint(0, top),
+                                       rng.choice(_POOL_DENS))])
+            bidders.append(("a%d" % n, rng.choice(scores),
+                            rng.randint(0, volume // rng.choice([1, 2, 9])),
+                            pool))
+        if case % 6 == 0:
+            # a lone bidder at the reserve's price, a hair short of m
+            # queries: the floor must give m - 1, where a float gives m
+            reserve = rng.choice([F(1, 3), F(5, 6), F(2, 7)])
+            m = rng.randint(10 ** 5, volume)
+            pool = (slots.drops[0] * reserve * m
+                    - F(1, rng.choice(_POOL_DENS[1:])))
+            bidders = [("a0", scores[0] + reserve, 1, pool)]
+            seen["hair-short"] += 1
+        want = reference_timeline(slots, volume, bidders, reserve)
+        if case % 2 and bidders:
+            # pin some pools to their exact spend: same day, zero left over
+            bidders = [(i, s, q0, _spend(want, i) if rng.random() < 0.6
+                        else b) for i, s, q0, b in bidders]
+            want = reference_timeline(slots, volume, bidders, reserve)
+            seen["spent-pool"] += 1
+        got = run_keyword_timeline(slots, volume, bidders, reserve)
+        assert got == want, case
+        for g, w in zip(got, want):
+            assert list(g.prices) == list(w.prices), case
+            assert list(g.payoffs) == list(w.payoffs), case
+        drawn = [s for _, s, _, _ in bidders]
+        seen["tie"] += len(set(drawn)) < len(drawn)
+        seen["evicted"] += any(set(a.active) - set(b.active)
+                               for a, b in zip(want, want[1:]))
+        seen["unlimited"] += any(b[3] is None for b in bidders)
+        seen["huge"] += huge and len(want) > 1
+        seen["mixed-dens"] += len({b[3].denominator for b in bidders
+                                   if b[3] is not None}) > 1
+    assert min(seen.values()) >= 300, seen
+
+
 # -- keyword_day ---------------------------------------------------------------
 
 def test_keyword_day_runs_committed_rows_as_bidders():
