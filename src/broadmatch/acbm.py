@@ -12,6 +12,22 @@ raise revenue (with a structural witness naming the keyword and why);
 ``allocate_excess`` actually schedules entries, greedily committing the
 single best revenue-positive move at a time, never touching what the base
 day already sold.
+
+A probe of a candidate entry (``_probe``) runs the keyword's day with the
+entrant at its whole free wallet, which gives what it pays; the scheduler
+commits it pinned to that payment, and the probe's revenue is that of the
+pinned day.  Pinning usually changes nothing, and
+``partition.pinning_keeps_day`` proves so from the run's own segments, so
+the probe is one run.  It can change the day: a pinned entrant may be
+broke on a slate the settle passes through, where at its wallet it was
+not, and be dropped ahead of a higher-scored broke bidder.  Then, and only
+then, the probe runs the pinned day as well.  A paired entry is probed the
+same way, with both entrants in one run.
+
+Entry timing with ``fine`` is a heuristic, not an exhaustive search: a
+segment of at most 64 queries is probed at every start, a wider one at no
+more than 64 evenly spread starts and then in windows halved around the
+best probe so far, so it can miss the best start of a wide segment.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .equilibrium import natural_base_split
 from .model import Allocation, Instance, Profile
-from .partition import keyword_day
+from .partition import day_totals, keyword_day, pinning_keeps_day
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -136,29 +152,39 @@ def obrev_check(base: Instance, ext: Instance,
             "excess": sorted(excess)}
 
 
-def _keyword_revenue(instance: Instance, rows: Sequence[Allocation], kw: str,
-                     reserve: Fraction) -> Fraction:
-    """The keyword's revenue with exactly ``rows`` (all on it) committed."""
-    segs = keyword_day(instance, kw, rows, reserve)
-    return sum((len(s) * s.revenue for s in segs), ZERO)
+def _probe(instance: Instance, rows: Sequence[Allocation], kw: str,
+           entrants: Sequence[Allocation],
+           reserve: Fraction) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """What each entrant pays on ``kw``, exactly, when ``entrants`` join
+    the other ``rows`` committed there, and the keyword's revenue once the
+    entrants are committed pinned to those payments.
 
-
-def _entry_cost(instance: Instance, rows: Sequence[Allocation], kw: str,
-                entrant: Allocation, reserve: Fraction) -> Fraction:
-    """What the entrant actually pays on the keyword, exactly, when it joins
-    the other ``rows`` committed there."""
-    segs = keyword_day(instance, kw, (*rows, entrant), reserve)
-    who = entrant.advertiser
-    return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
+    The payments come from one run of the day with the entrants at the
+    pools they are given.  When ``partition.pinning_keeps_day`` proves the
+    pinned day is that day, its revenue is the run's; otherwise a second
+    run with the pinned entrants gives it.
+    """
+    segs = keyword_day(instance, kw, (*rows, *entrants), reserve)
+    ids = [e.advertiser for e in entrants]
+    totals = day_totals(segs, ids)
+    paid = tuple(totals.paid.get(i, ZERO) for i in ids)
+    if pinning_keeps_day(segs, ids):
+        return totals.revenue, paid
+    pinned = [Allocation(e.advertiser, kw, 0, p, e.start_query)
+              for e, p in zip(entrants, paid)]
+    segs = keyword_day(instance, kw, (*rows, *pinned), reserve)
+    return day_totals(segs).revenue, paid
 
 
 def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
                  day: DayOutcome) -> Tuple[Allocation, ...]:
     """Pin the advertiser's committed pools to what they actually spend.
 
-    A pool equal to its own exact spend buys the same queries to the same
-    boundary, so the day is unchanged — but the difference becomes free
-    wallet money the scheduler may commit elsewhere.
+    The difference becomes free wallet money the scheduler may commit
+    elsewhere.  A pool equal to its own exact spend usually buys the same
+    queries to the same boundary, but not always (see
+    ``partition.pinning_keeps_day``); the next round simulates the day
+    with the pinned rows either way.
     """
     out = []
     for r in rows:
@@ -172,11 +198,49 @@ def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
 
 
 def _fine_starts(lo: int, hi: int) -> List[int]:
-    """Up to FINE_WINDOW evenly spread probe starts across [lo, hi]."""
+    """Up to FINE_WINDOW evenly spread probe starts across [lo, hi].
+
+    Start k is ``lo + round(k * w / n)`` with w = hi - lo and n =
+    FINE_WINDOW - 1, in exact integer arithmetic; n is odd, so the
+    rounding never meets a tie.  Wider than FINE_WINDOW, w > n, so the
+    starts strictly increase.
+    """
     if hi - lo + 1 <= FINE_WINDOW:
         return list(range(lo, hi + 1))
-    return sorted({lo + round(k * (hi - lo) / (FINE_WINDOW - 1))
-                   for k in range(FINE_WINDOW)})
+    w, n = hi - lo, FINE_WINDOW - 1
+    return [lo + (2 * k * w + n) // (2 * n) for k in range(FINE_WINDOW)]
+
+
+def _search(lo: int, hi: int, fine: bool, probe) -> Dict[int, tuple]:
+    """Probe entry starts in [lo, hi]; ``probe(t)`` returns (delta, ...).
+
+    Coarse, the one start is ``lo``.  Fine, every start of a segment of at
+    most FINE_WINDOW queries; a wider one gets FINE_WINDOW evenly spread
+    starts, then windows halved around the best probe so far (ties to the
+    earliest start) until a window of FINE_WINDOW queries is scanned whole.
+    This is a heuristic: it can miss the best start of a wide segment.
+    Returns each probed start's result, in probe order.
+    """
+    if not fine:
+        return {lo: probe(lo)}
+    probed = {t: probe(t) for t in _fine_starts(lo, hi)}
+    width = hi - lo + 1
+    if width <= FINE_WINDOW:
+        return probed
+
+    def rank(t: int) -> tuple:
+        return probed[t][0], -t
+
+    t0 = max(probed, key=rank)
+    while width > FINE_WINDOW:
+        width = max(FINE_WINDOW, width // 2)
+        a = max(lo, t0 - width // 2)
+        new = [t for t in _fine_starts(a, min(hi, a + width - 1))
+               if t not in probed]
+        for t in new:
+            probed[t] = probe(t)
+        t0 = max([t0, *new], key=rank)  # the best so far, kept up to date
+    return probed
 
 
 def allocate_excess(base: Instance, ext: Instance,
@@ -187,18 +251,19 @@ def allocate_excess(base: Instance, ext: Instance,
 
     Starting from the base-day schedule, repeatedly evaluates every unused
     new edge of an excess holder at candidate entry queries (each current
-    segment start; with ``fine``, a per-query scan inside each segment,
-    subsampled and then halved in around the best probe when a segment is
-    wider than 64 queries).  The strictly best revenue-positive move is
-    committed: the entrant's base pools are first pinned to their exact
-    spend (freeing the leftover), and the new edge receives exactly what
-    the entry costs.  When no single entry pays, pairs of entrants into a
-    dark stream are tried as one move.  Stops when nothing positive is
-    left.  Greedy and timing-restricted, hence a lower bound: a miss does
-    not prove no improving schedule exists.  ``base_day``, when given, is
-    the base day of ``profile``.  Each round simulates the broadened day
-    once: the first round's day is the initial day and the last one's, the
-    final day.
+    segment start; with ``fine``, the heuristic search of ``_search``
+    inside each segment: every query of a segment of at most 64, sampled
+    and then halved in around the best probe in a wider one).  The
+    strictly best revenue-positive move is committed: the entrant's base
+    pools are first pinned to their exact spend (freeing the leftover),
+    and the new edge receives exactly what the entry costs.  When no
+    single entry pays, pairs of entrants into a dark stream are tried as
+    one move.  Stops when nothing positive is left.  Greedy and
+    timing-restricted, hence a lower bound: a miss does not prove no
+    improving schedule exists.  ``base_day``, when given, is the base day
+    of ``profile``.  Each round simulates the broadened day once: the
+    first round's day is the initial day and the last one's, the final
+    day.
     """
     if profile is None:
         profile = natural_base_split(base)
@@ -229,10 +294,8 @@ def allocate_excess(base: Instance, ext: Instance,
                   avail: Fraction,
                   day: DayOutcome) -> Tuple[Fraction, Allocation]:
         probe = Allocation(i, j, 0, avail, start)
-        paid = _entry_cost(ext, on_j, j, probe, reserve)
-        entrant = Allocation(i, j, 0, paid, start)
-        rev = _keyword_revenue(ext, on_j + (entrant,), j, reserve)
-        return rev - day.keyword_revenue[j], entrant
+        rev, (paid,) = _probe(ext, on_j, j, (probe,), reserve)
+        return rev - day.keyword_revenue[j], Allocation(i, j, 0, paid, start)
 
     info = excess_budgets(base, profile, reserve, base_day)
     while True:
@@ -251,38 +314,16 @@ def allocate_excess(base: Instance, ext: Instance,
                 continue
             on_j = current.rows_on(j)
             for seg in day.segments[j]:
-                starts = (_fine_starts(seg.lo, seg.hi) if fine else [seg.lo])
-                probed: Dict[int, Fraction] = {}
-                for t in starts:
-                    delta, entrant = try_entry(i, j, on_j, t, avail, day)
-                    probed[t] = delta
+                probed = _search(seg.lo, seg.hi, fine,
+                                 lambda t: try_entry(i, j, on_j, t, avail,
+                                                     day))
+                for t, (delta, entrant) in probed.items():
                     if delta > best_delta:
                         best_delta = delta
                         best = (entrant,)
                         best_move = {"advertiser": i, "keyword": j,
                                      "start_query": t, "budget": entrant.budget,
                                      "delta": delta, "kind": "entry"}
-                if fine and seg.hi - seg.lo + 1 > FINE_WINDOW:
-                    # halve in around the best probe until an exact window
-                    width = seg.hi - seg.lo + 1
-                    while width > FINE_WINDOW:
-                        t0 = max(probed, key=lambda t: (probed[t], -t))
-                        width = max(FINE_WINDOW, width // 2)
-                        lo = max(seg.lo, t0 - width // 2)
-                        hi = min(seg.hi, lo + width - 1)
-                        for t in _fine_starts(lo, hi):
-                            if t in probed:
-                                continue
-                            delta, entrant = try_entry(i, j, on_j, t, avail,
-                                                       day)
-                            probed[t] = delta
-                            if delta > best_delta:
-                                best_delta = delta
-                                best = (entrant,)
-                                best_move = {"advertiser": i, "keyword": j,
-                                             "start_query": t,
-                                             "budget": entrant.budget,
-                                             "delta": delta, "kind": "entry"}
         if best is None:
             # no single entry pays: try waking a dark stream with a pair
             pair = _paired_entry(ext, current, day, info, used, wallet,
@@ -340,13 +381,11 @@ def _paired_entry(ext, current, day, info, used, wallet, new_edges, reserve):
             if top2 is None or av2 < top2:
                 continue
             for t in dark_starts[j1]:
-                p1 = Allocation(i1, j1, 0, av1, t)
-                p2 = Allocation(i2, j1, 0, av2, t)
-                paid1 = _entry_cost(ext, on_j + (p2,), j1, p1, reserve)
-                paid2 = _entry_cost(ext, on_j + (p1,), j1, p2, reserve)
+                rev, (paid1, paid2) = _probe(
+                    ext, on_j, j1, (Allocation(i1, j1, 0, av1, t),
+                                    Allocation(i2, j1, 0, av2, t)), reserve)
                 e1 = Allocation(i1, j1, 0, paid1, t)
                 e2 = Allocation(i2, j1, 0, paid2, t)
-                rev = _keyword_revenue(ext, on_j + (e1, e2), j1, reserve)
                 delta = rev - day.keyword_revenue[j1]
                 if delta > (best[0] if best else ZERO):
                     move = {"advertisers": [i1, i2], "keyword": j1,

@@ -18,10 +18,19 @@ negative reserve or pool is refused.  Each segment still lists every active
 bidder, in rank order, with unslotted ones at price and payoff 0.
 
 The event loop runs on Python ints: each keyword day scales gamma, scores,
-the reserve and the pools to one common denominator, prices through the
+the reserve and the pools to one common denominator D, prices through the
 one pricing formula (``auction.slot_prices``) in that unit, and compares,
-floors and subtracts exactly.  Every ``Segment`` holds exact ``Fraction``s
-again.  No floats are used.
+floors and subtracts exactly.  A ``Segment`` keeps the day's ints: D, and
+for the slotted bidders only, in rank order, each one's per-query price
+and value (clicks times score) in units of 1/D.  Its ``prices``,
+``payoffs``, ``revenue`` and ``welfare`` are exact ``Fraction`` views of
+those ints, each built on its first read; ``day_totals`` sums a whole
+day on the ints and converts once per total, so only this module reads
+the int layout.  Where the settle before a segment dropped somebody, the
+segment also keeps the prices the settle asked on its way
+(``passed_prices``), from which ``pinning_keeps_day`` tells whether
+pinning some pools to their spend would leave the day as it is.  No
+floats are used.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
@@ -39,40 +48,121 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import auction
 from .model import Allocation, Instance, Profile
 
 ZERO = Fraction(0)
+_first = itemgetter(0)
 INFINITE = float("inf")  # order sentinel for zero-cost rates; never used in arithmetic
 
 
-@dataclass(frozen=True)
 class Segment:
     """A maximal run of queries with a fixed priced slate.
 
     ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` lists
-    (advertiser, score, slot) in rank order, as ``auction.price_query``
-    would; prices and payoffs are per query, keyed in the same order.  A
-    segment with an empty ranking is dark: those queries go unsold.
+    (advertiser, score, slot) for every active bidder in rank order, as
+    ``auction.price_query`` would.  ``D`` is the keyword day's common
+    denominator.  ``int_prices`` and ``int_values`` cover the slotted
+    bidders only, the first ``len(int_prices)`` rows of the ranking: each
+    one's per-query price and value (clicks times score) in units of 1/D.
+    Unslotted bidders pay and gain nothing.
+
+    ``passed_prices`` looks inside the settle at query ``lo`` when it
+    dropped somebody (it is empty otherwise): for each bidder with a finite
+    pool that sat in a slot and was not broke on a slate the settle passed
+    through on its way, (advertiser, the highest such price, in units of
+    1/D), in the order first met.
+
+    ``prices`` and ``payoffs`` (per query, keyed in rank order over every
+    active bidder), ``revenue`` and ``welfare`` are exact ``Fraction``
+    views of those ints.  Each is built on its first read, apart from the
+    others.  Two segments are equal when their bounds, rankings and the
+    four views are, dict key order included.  A segment with an empty
+    ranking is dark: those queries go unsold.
     """
 
-    lo: int
-    hi: int
-    ranking: Tuple[Tuple[str, Fraction, object], ...]
-    prices: Dict[str, Fraction]
-    payoffs: Dict[str, Fraction]
-    revenue: Fraction
-    welfare: Fraction
+    __slots__ = ("lo", "hi", "ranking", "D", "int_prices", "int_values",
+                 "passed_prices", "_prices", "_payoffs", "_revenue",
+                 "_welfare")
+
+    def __init__(self, lo: int, hi: int,
+                 ranking: Tuple[Tuple[str, Fraction, object], ...], D: int,
+                 int_prices: Tuple[int, ...], int_values: Tuple[int, ...],
+                 passed_prices: Tuple[Tuple[str, int], ...] = ()):
+        self.lo = lo
+        self.hi = hi
+        self.ranking = ranking
+        self.D = D
+        self.int_prices = int_prices
+        self.int_values = int_values
+        self.passed_prices = passed_prices
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
     @property
     def active(self) -> Tuple[str, ...]:
-        return tuple(adv for adv, _, _ in self.ranking)
+        return tuple(map(_first, self.ranking))
+
+    def _view(self, scaled: Iterable[int]) -> Dict[str, Fraction]:
+        D = self.D
+        out = {adv: Fraction(x, D) for (adv, _, _), x in zip(self.ranking,
+                                                               scaled)}
+        for adv, _, _ in self.ranking[len(self.int_prices):]:
+            out[adv] = ZERO
+        return out
+
+    @property
+    def prices(self) -> Dict[str, Fraction]:
+        try:
+            return self._prices
+        except AttributeError:
+            self._prices = self._view(self.int_prices)
+            return self._prices
+
+    @property
+    def payoffs(self) -> Dict[str, Fraction]:
+        try:
+            return self._payoffs
+        except AttributeError:
+            self._payoffs = self._view(
+                v - p for p, v in zip(self.int_prices, self.int_values))
+            return self._payoffs
+
+    @property
+    def revenue(self) -> Fraction:
+        try:
+            return self._revenue
+        except AttributeError:
+            self._revenue = Fraction(sum(self.int_prices), self.D)
+            return self._revenue
+
+    @property
+    def welfare(self) -> Fraction:
+        try:
+            return self._welfare
+        except AttributeError:
+            self._welfare = Fraction(sum(self.int_values), self.D)
+            return self._welfare
+
+    def _key(self) -> tuple:
+        return (self.lo, self.hi, self.ranking, list(self.prices.items()),
+                list(self.payoffs.items()), self.revenue, self.welfare)
+
+    def __eq__(self, other):
+        if not isinstance(other, Segment):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return ("Segment(lo=%r, hi=%r, ranking=%r, prices=%r, payoffs=%r, "
+                "revenue=%r, welfare=%r)" % self._key())
 
 
 class _Bidder:
@@ -111,7 +201,7 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     coefficients ``slots.drops`` and gamma times G, and the pools times D
     are all ints, so prices, slot values and pools are ints in units of 1/D
     and the eviction test, the floor ``pool // price`` and the pool updates
-    are exact.  Each ``Segment`` gets ``Fraction(x, D)`` back.
+    are exact.  Each ``Segment`` keeps D and its slotted bidders' ints.
     """
     auction.check_reserve(reserve)
     entrants = []
@@ -142,7 +232,7 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     active: List[_Bidder] = []  # ranked by (-score, id)
     slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
     prices: List[int] = []
-    priced = None  # the exact view of ``prices``, built once per reprice
+    slate = None  # segment fields of the settled active set; reset on change
     segments: List[Segment] = []
     entered = 0
     t = 1
@@ -150,34 +240,38 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         while entered < len(pending) and pending[entered].start <= t:
             insort(active, pending[entered], key=_by_rank)
             entered += 1
+            slate = None
         # settle the slate: evict slotted members priced beyond their pool,
-        # one at a time from the lowest score up — an eviction can only lower
-        # the others' prices, so survivors are rechecked before they go too
+        # one at a time from the lowest score up — an eviction moves the
+        # others' prices, so survivors are rechecked before they go too
+        passed: Dict[str, int] = {}
         while True:
             top = active[:K + 1]
             if top != slotted:  # scores are fixed: same top, same prices
                 slotted = top
                 prices = auction.slot_prices([b.s for b in slotted], drops,
                                              floor)
-                priced = None
             broke = [b for b, p in zip(slotted, prices)
                      if b.pool is not None and p > b.pool]
             if not broke:
                 break
+            for b, price in zip(slotted, prices):
+                if (b.pool is not None and price <= b.pool
+                        and price > passed.get(b.id, -1)):
+                    passed[b.id] = price
             active.remove(min(broke, key=lambda b: (b.s, b.id)))
+            slate = None
         next_entry = (pending[entered].start if entered < len(pending)
                       else volume + 1)
         hi = min(volume, next_entry - 1)
-        if not active:
-            segments.append(Segment(t, hi, (), {}, {}, ZERO, ZERO))
-            t = hi + 1
-            continue
         for b, price in zip(slotted, prices):
             if b.pool is not None and price > 0:
                 hi = min(hi, t + b.pool // price - 1)
-        if priced is None:
-            priced = _exact_slate(slotted, prices, clicks, D)
-        segments.append(_segment(t, hi, active, priced))
+        if slate is None:
+            slate = _slate(active, prices, clicks)
+        ranking, int_prices, int_values = slate
+        segments.append(Segment(t, hi, ranking, D, int_prices, int_values,
+                                tuple(passed.items())))
         length = hi - t + 1
         for b, price in zip(slotted, prices):
             if b.pool is not None:
@@ -186,37 +280,15 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     return tuple(segments)
 
 
-def _exact_slate(slotted: Sequence[_Bidder], prices: Sequence[int],
-                 clicks: Sequence[int], D: int) -> tuple:
-    """The slotted bidders' ranking rows, (id, price) and (id, payoff)
-    pairs, revenue and welfare, as exact ``Fraction``s of the scaled ints."""
-    rows = []
-    price_of = []
-    payoff_of = []
-    values = 0
-    for n, (b, p) in enumerate(zip(slotted, prices)):
-        v = clicks[n] * b.s
-        rows.append((b.id, b.score, n + 1))
-        price_of.append((b.id, Fraction(p, D)))
-        payoff_of.append((b.id, Fraction(v - p, D)))
-        values += v
-    return (tuple(rows), price_of, payoff_of, Fraction(sum(prices), D),
-            Fraction(values, D))
-
-
-def _segment(lo: int, hi: int, active: Sequence[_Bidder],
-             priced: tuple) -> Segment:
-    """A segment over the ranked active set; bidders past the last slot get
-    slot None and price and payoff 0, and dict keys follow rank order."""
-    rows, price_of, payoff_of, revenue, welfare = priced
-    prices = dict(price_of)
-    payoffs = dict(payoff_of)
-    rest = active[len(rows):]
-    for b in rest:
-        prices[b.id] = ZERO
-        payoffs[b.id] = ZERO
-    return Segment(lo, hi, rows + tuple((b.id, b.score, None) for b in rest),
-                   prices, payoffs, revenue, welfare)
+def _slate(active: Sequence[_Bidder], prices: Sequence[int],
+           clicks: Sequence[int]) -> tuple:
+    """The ranking rows of the ranked active set (slot None past the priced
+    ones), and the slotted bidders' int prices and values."""
+    n = len(prices)
+    ranking = tuple((b.id, b.score, r + 1 if r < n else None)
+                    for r, b in enumerate(active))
+    values = tuple(clicks[r] * active[r].s for r in range(n))
+    return ranking, tuple(prices), values
 
 
 def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
@@ -232,13 +304,79 @@ def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
                                 bidders, reserve)
 
 
+class DayTotals(NamedTuple):
+    """A keyword day's totals, exactly: its revenue and welfare, and per
+    advertiser ever slotted, what it paid and what it gained (value minus
+    price) over the day."""
+
+    revenue: Fraction
+    welfare: Fraction
+    paid: Dict[str, Fraction]
+    gained: Dict[str, Fraction]
+
+
+def day_totals(segments: Sequence[Segment],
+               advertisers: Optional[Iterable[str]] = None) -> DayTotals:
+    """Sum a keyword day's segments on their scaled ints, converting once
+    per total.  Unslotted bidders pay and gain nothing, so an advertiser
+    never slotted is in neither dict; with ``advertisers``, the dicts cover
+    only those of them that were slotted."""
+    want = None if advertisers is None else set(advertisers)
+    rev = wel = 0
+    paid: Dict[str, int] = {}
+    gained: Dict[str, int] = {}
+    for seg in segments:
+        n = seg.hi - seg.lo + 1
+        for (adv, _, _), p, v in zip(seg.ranking, seg.int_prices,
+                                     seg.int_values):
+            rev += n * p
+            wel += n * v
+            if want is None or adv in want:
+                paid[adv] = paid.get(adv, 0) + n * p
+                gained[adv] = gained.get(adv, 0) + n * (v - p)
+    D = segments[0].D if segments else 1  # no queries, nothing to convert
+    return DayTotals(Fraction(rev, D), Fraction(wel, D),
+                     {adv: Fraction(x, D) for adv, x in paid.items()},
+                     {adv: Fraction(x, D) for adv, x in gained.items()})
+
+
+def pinning_keeps_day(segments: Sequence[Segment],
+                      bidders: Iterable[str]) -> bool:
+    """True when the day is provably unchanged with each of ``bidders``'
+    pool pinned to what it pays over ``segments``.
+
+    Pinned, a bidder's pool at query t is what it still pays from t on;
+    other pools are untouched.  The two days agree as long as every slate
+    a settle looks at finds the same bidders broke.  A bidder broke at its
+    whole pool is broke pinned too.  On the slate a settle ends with, a
+    slotted bidder pays its price over the whole segment, so its pinned
+    pool covers that price and does not end the segment early either.
+    That leaves the slates a settle passes through before it ends: this is
+    True when none of them asked a bidder not broke there for more than
+    its pinned pool (``Segment.passed_prices``).  Otherwise the pinned
+    bidder could be dropped there ahead of a higher-scored broke one, so
+    this is False, and only a rerun tells the pinned day.
+    """
+    left = dict.fromkeys(bidders, 0)  # paid from this segment on, in 1/D
+    for seg in reversed(segments):
+        n = seg.hi - seg.lo + 1
+        for (adv, _, _), p in zip(seg.ranking, seg.int_prices):
+            if adv in left:
+                left[adv] += n * p
+        for adv, p in seg.passed_prices:
+            if p > left.get(adv, p):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
     Segment ``lam`` covers queries ``breakpoints[lam]+1 .. breakpoints[lam+1]``
     at constant per-query cost ``costs[lam]`` and payoff ``payoffs[lam]``.
-    Cumulative sums are precomputed so prefix evaluation is a bisect.
+    Cumulative sums are precomputed so prefix evaluation is a bisect;
+    ``tables_for`` passes them in, summed on the keyword day's ints.
     """
 
     advertiser: str
@@ -252,6 +390,8 @@ class PartitionTable:
     cum_payoff: Tuple[Fraction, ...] = field(repr=False, default=())
 
     def __post_init__(self):
+        if self.cum_cost:
+            return
         cc, cu = [ZERO], [ZERO]
         for lam, c in enumerate(self.costs):
             length = self.breakpoints[lam + 1] - self.breakpoints[lam]
@@ -315,15 +455,34 @@ def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
     breakpoints = [0]
     costs: List[Fraction] = []
     payoffs: List[Fraction] = []
+    cum_cost = [ZERO]
+    cum_payoff = [ZERO]
     actives: List[Tuple[str, ...]] = []
+    D = segments[0].D if segments else 1
+    spent = gained = 0  # over the segments so far, in units of 1/D
     for seg in segments:
         breakpoints.append(seg.hi)
-        costs.append(seg.prices[advertiser])
-        payoffs.append(seg.payoffs[advertiser])
-        actives.append(seg.active)
+        active = seg.active
+        actives.append(active)
+        n = active.index(advertiser)  # the subject is in every segment
+        if n < len(seg.int_prices):
+            p = seg.int_prices[n]
+            u = seg.int_values[n] - p
+            costs.append(Fraction(p, D))
+            payoffs.append(Fraction(u, D))
+            length = seg.hi - seg.lo + 1
+            spent += length * p
+            gained += length * u
+            cum_cost.append(Fraction(spent, D))
+            cum_payoff.append(Fraction(gained, D))
+        else:  # unslotted: in the auction, pays and gains nothing
+            costs.append(ZERO)
+            payoffs.append(ZERO)
+            cum_cost.append(cum_cost[-1])
+            cum_payoff.append(cum_payoff[-1])
     return PartitionTable(advertiser, keyword, instance.volume(keyword),
                           tuple(breakpoints), tuple(costs), tuple(payoffs),
-                          tuple(actives))
+                          tuple(actives), tuple(cum_cost), tuple(cum_payoff))
 
 
 def tables_for(instance: Instance, advertiser: str, others: Profile,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .model import Instance, Profile
-from .partition import Segment, keyword_day
+from .partition import Segment, day_totals, keyword_day
 
 ZERO = Fraction(0)
 
@@ -55,22 +55,18 @@ def simulate_day(instance: Instance, profile: Profile,
         participation[(row.advertiser, row.keyword)] = 0
     for k in instance.keywords:
         kw = k.id
-        segments[kw] = keyword_day(instance, kw, profile.rows_on(kw), reserve)
-        rev = wel = ZERO
-        for seg in segments[kw]:
-            n = len(seg)
-            rev += n * seg.revenue
-            wel += n * seg.welfare
-            for adv, _, slot in seg.ranking:
-                participation[(adv, kw)] += n
-                if slot is None:  # unslotted: in the auction, pays nothing
-                    continue
-                paid = n * seg.prices[adv]
-                spend[adv] += paid
-                payoff[adv] += n * seg.payoffs[adv]
-                edge_spend[(adv, kw)] += paid
-        keyword_revenue[kw] = rev
-        keyword_welfare[kw] = wel
+        segments[kw] = segs = keyword_day(instance, kw, profile.rows_on(kw),
+                                          reserve)
+        for seg in segs:
+            for adv, _, _ in seg.ranking:
+                participation[(adv, kw)] += len(seg)
+        totals = day_totals(segs)
+        for adv, paid in totals.paid.items():
+            spend[adv] += paid
+            edge_spend[(adv, kw)] += paid
+            payoff[adv] += totals.gained[adv]
+        keyword_revenue[kw] = totals.revenue
+        keyword_welfare[kw] = totals.welfare
     leftover = {a.id: a.budget - spend[a.id] for a in instance.advertisers}
     return DayOutcome(segments, sum(keyword_revenue.values(), ZERO),
                       sum(keyword_welfare.values(), ZERO),

@@ -1,6 +1,7 @@
 """Shared builders: fixture paths, a per-query reference simulator, the
-reprice-everything reference timeline, the all-Fraction reference knapsack,
-and the seeded random corpus used by the property tests.
+two-run reference acbm probes, the reprice-everything reference timeline,
+the all-Fraction reference knapsack, and the seeded random corpus used by
+the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -11,15 +12,16 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from broadmatch.auction import price_query
 from broadmatch.cli import _FIXTURE_DIR
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams)
-from broadmatch.partition import PartitionTable, Segment
+from broadmatch.partition import PartitionTable, keyword_day
 
 FIXTURES: Path = _FIXTURE_DIR
+ZERO = F(0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -123,14 +125,62 @@ def naive_day(instance: Instance, profile: Profile, reserve: F = F(0)) -> dict:
             "per_query": per_query}
 
 
+# -- reference acbm probes ----------------------------------------------------
+
+# The scheduler's probes as they were when each one ran the keyword's day
+# more than once, kept verbatim apart from their names: the entrant's cost
+# from a run at its whole wallet, then the revenue from a second run with
+# the entrant pinned to that cost.
+def reference_keyword_revenue(instance: Instance, rows: Sequence[Allocation],
+                              kw: str, reserve: Fraction) -> Fraction:
+    """The keyword's revenue with exactly ``rows`` (all on it) committed."""
+    segs = keyword_day(instance, kw, rows, reserve)
+    return sum((len(s) * s.revenue for s in segs), ZERO)
+
+
+def reference_entry_cost(instance: Instance, rows: Sequence[Allocation],
+                         kw: str, entrant: Allocation,
+                         reserve: Fraction) -> Fraction:
+    """What the entrant actually pays on the keyword, exactly, when it joins
+    the other ``rows`` committed there."""
+    segs = keyword_day(instance, kw, (*rows, entrant), reserve)
+    who = entrant.advertiser
+    return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
+
+
+# -- reference timeline -------------------------------------------------------
+
+class SegmentViews(NamedTuple):
+    """A segment as the engine's ``Segment`` shows it: bounds, ranking and
+    its four exact views."""
+
+    lo: int
+    hi: int
+    ranking: tuple
+    prices: Dict[str, F]
+    payoffs: Dict[str, F]
+    revenue: F
+    welfare: F
+
+    @property
+    def active(self) -> Tuple[str, ...]:
+        return tuple(adv for adv, _, _ in self.ranking)
+
+
+def segment_views(seg) -> tuple:
+    """A segment's seven views, dict key order included, for comparison."""
+    return (seg.lo, seg.hi, seg.ranking, list(seg.prices.items()),
+            list(seg.payoffs.items()), seg.revenue, seg.welfare)
+
+
 def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
     """The day engine's event loop before rank-once/top-K: re-rank and
     re-price the whole active set with ``price_query`` at every entry and
-    after every eviction.  Returns the same ``Segment`` tuple."""
+    after every eviction.  Returns the segments as ``SegmentViews``."""
     pending = sorted(([i, s, max(1, q0), b] for i, s, q0, b in bidders
                       if s >= reserve), key=lambda b: (b[2], b[0]))
     active: List[list] = []  # [id, score, start, pool]
-    segments: List[Segment] = []
+    segments: List[SegmentViews] = []
     t = 1
     while t <= volume:
         while pending and pending[0][2] <= t:
@@ -145,23 +195,21 @@ def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
             active = [b for b in active if b is not out]
         hi = min(volume, (pending[0][2] if pending else volume + 1) - 1)
         if not active:
-            segments.append(Segment(t, hi, (), {}, {}, F(0), F(0)))
+            segments.append(SegmentViews(t, hi, (), {}, {}, F(0), F(0)))
             t = hi + 1
             continue
         for b in active:
             price = slate.prices[b[0]]
             if b[3] is not None and price > 0:
                 hi = min(hi, t + b[3] // price - 1)
-        segments.append(Segment(t, hi, slate.ranking, slate.prices,
-                                slate.payoffs, slate.revenue, slate.welfare))
+        segments.append(SegmentViews(t, hi, slate.ranking, slate.prices,
+                                     slate.payoffs, slate.revenue,
+                                     slate.welfare))
         for b in active:
             if b[3] is not None:
                 b[3] -= (hi - t + 1) * slate.prices[b[0]]
         t = hi + 1
     return tuple(segments)
-
-
-ZERO = F(0)
 
 
 # The best-response knapsack before its cost axis moved to scaled ints,
@@ -286,14 +334,18 @@ def random_profile(rng: random.Random, instance: Instance,
     return Profile(tuple(rows), "schedule" if schedule else "split")
 
 
-def random_extension_pair(rng: random.Random) -> Tuple[Instance, Instance]:
+def random_extension_pair(rng: random.Random, v_max: int = 25,
+                          gamma: Optional[Tuple[F, ...]] = None
+                          ) -> Tuple[Instance, Instance]:
     """A base market with one home keyword per advertiser, plus a broadened
-    copy carrying a few extension edges (the shape excess scheduling needs)."""
+    copy carrying a few extension edges (the shape excess scheduling needs).
+    Keyword volumes are drawn from 1..``v_max``; ``gamma``, when given,
+    replaces the drawn prefix of ``GAMMA_GRID`` (whose drops are all 1/4)."""
     slots = rng.randint(1, 3)
-    gamma = tuple(GAMMA_GRID[:slots])
+    gamma = tuple(gamma or GAMMA_GRID[:slots])
     m = rng.randint(1, 4)
     n = rng.randint(1, 5)
-    keywords = tuple(Keyword("k%d" % (j + 1), rng.randint(1, 25))
+    keywords = tuple(Keyword("k%d" % (j + 1), rng.randint(1, v_max))
                      for j in range(m))
     advertisers = tuple(
         Advertiser("a%d" % (i + 1),

@@ -1,11 +1,18 @@
 """Excess budgets, entry witnesses, and the revenue-driven entry scheduler."""
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
+from broadmatch import acbm
 from broadmatch.acbm import allocate_excess, excess_budgets, obrev_check
-from broadmatch.model import load_instance, validate_profile
+from broadmatch.equilibrium import natural_base_split
+from broadmatch.model import Allocation, load_instance, validate_profile
+from broadmatch.partition import keyword_day, pinning_keeps_day
 from broadmatch.simulate import check_profile_consistency
-from conftest import FIXTURES, build_instance
+from conftest import (FIXTURES, RESERVE_GRID, build_instance,
+                      random_extension_pair, random_profile,
+                      reference_entry_cost, reference_keyword_revenue)
 
 
 def inst(name):
@@ -151,3 +158,159 @@ def test_explicit_profile_argument_matches_the_default():
     assert excess_budgets(ext, profile=nat) == excess_budgets(ext)
     assert obrev_check(base, ext, profile=nat) == obrev_check(base, ext)
     assert allocate_excess(base, ext, profile=nat)["final_revenue"] == F(221, 2)
+
+
+# -- the probe ---------------------------------------------------------------
+
+def _two_run_probe(ext, on_kw, kw, entrants, reserve):
+    """Revenue and payments as the scheduler found them with two runs per
+    entrant: each one's cost at its whole wallet beside the others, then the
+    revenue with every entrant pinned to its cost."""
+    paid = tuple(reference_entry_cost(
+        ext, on_kw + tuple(o for o in entrants if o is not e), kw, e, reserve)
+        for e in entrants)
+    pinned = tuple(Allocation(e.advertiser, kw, 0, p, e.start_query)
+                   for e, p in zip(entrants, paid))
+    return reference_keyword_revenue(ext, on_kw + pinned, kw, reserve), paid
+
+
+# GAMMA_GRID's drops are all 1/4; these also draw drops that increase
+# down the slots, as in the bundled fixtures' (1, 7/10).
+_PROBE_GAMMAS = [None, (F(1), F(9, 10)), (F(1), F(3, 4), F(1, 2)),
+                 (F(1), F(7, 10)), (F(1), F(1, 2))]
+
+
+def test_one_run_probe_matches_the_two_run_reference():
+    """``_probe`` runs the keyword's day once with the entrants at their
+    whole wallets, and again with them pinned to their costs only when
+    ``pinning_keeps_day`` cannot show the pinned day is the same; the
+    two-run reference always pins first.  Both must give the same revenue
+    and payments, on 4,000 seeded extension pairs with single and paired
+    entrants and drops both even and increasing."""
+    seen = {"single": 0, "pair": 0, "leftover": 0, "evicted": 0,
+            "below-reserve": 0, "rerun": 0, "pinning-moved-the-day": 0}
+    for seed in range(4000):
+        rng = random.Random(seed)
+        base, ext = random_extension_pair(rng,
+                                          gamma=rng.choice(_PROBE_GAMMAS))
+        rows = random_profile(rng, base, schedule=rng.random() < 1 / 2).rows
+        reserve = rng.choice(RESERVE_GRID)
+        new_on = {}
+        for e in ext.extension_edges():
+            new_on.setdefault(e.keyword, []).append(e.advertiser)
+        for kw, advs in new_on.items():
+            on_kw = tuple(r for r in rows if r.keyword == kw)
+            wallets = [Allocation(i, kw, 0, F(rng.randint(0, 60),
+                                             rng.choice([1, 2, 3])),
+                                  rng.randint(1, ext.volume(kw)))
+                       for i in advs]
+            groups = [(w,) for w in wallets]
+            groups += combinations(wallets, 2)
+            for entrants in groups:
+                got = acbm._probe(ext, on_kw, kw, entrants, reserve)
+                assert got == _two_run_probe(ext, on_kw, kw, entrants,
+                                             reserve), (seed, kw, entrants)
+                segs = keyword_day(ext, kw, on_kw + entrants, reserve)
+                seen["single" if len(entrants) == 1 else "pair"] += 1
+                if not pinning_keeps_day(segs, [e.advertiser
+                                                for e in entrants]):
+                    seen["rerun"] += 1
+                    seen["pinning-moved-the-day"] += (
+                        got[0] != reference_keyword_revenue(
+                            ext, on_kw + entrants, kw, reserve))
+                for e, paid in zip(entrants, got[1]):
+                    i = e.advertiser
+                    if ext.score(i, kw) < reserve:
+                        assert paid == 0, (seed, kw, i)
+                        seen["below-reserve"] += 1
+                        continue
+                    seen["leftover"] += 0 < paid < e.budget
+                    inside = [i in s.active for s in segs]
+                    seen["evicted"] += (True in inside
+                                        and not inside[-1]
+                                        and paid > 0)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_probe_reruns_where_pinning_moves_the_day():
+    """Gamma (1, 9/10), reserve 0, volume 4: X scores 10 with a pool of 5,
+    the entrant E scores 5 with a wallet of 100, Y scores 4 unlimited, all
+    from query 1.  At its wallet, E outlasts X, which is dropped at query
+    2, and pays 3.6 + 3 x 0.4 = 4.8 for revenue 8.9.  Pinned to 4.8, E is
+    broke at query 2 beside X (at 3.6, before X goes) and, scoring lower,
+    is dropped first; X then pays 0.4 twice and the day's revenue is 8.5.
+    The probe must report the day the scheduler commits: 8.5."""
+    ext = build_instance(("1", "9/10"), [("k", 4)],
+                         [("X", "5"), ("E", "100"), ("Y", "1000")],
+                         [("X", "k", "10", "base"), ("E", "k", "5", "base"),
+                          ("Y", "k", "4", "base")])
+    rows = (Allocation("X", "k", 0, F(5), 1), Allocation("Y", "k", 0, None, 1))
+    entrant = Allocation("E", "k", 0, F(100), 1)
+    segs = keyword_day(ext, "k", rows + (entrant,), F(0))
+    assert sum((len(s) * s.revenue for s in segs), F(0)) == F(89, 10)
+    assert not pinning_keeps_day(segs, ["E"])
+    assert acbm._probe(ext, rows, "k", (entrant,), F(0)) == (
+        F(17, 2), (F(24, 5),))
+
+
+# -- the --fine search -------------------------------------------------------
+
+def test_fine_starts_are_exact_integer_roundings():
+    """Start k is lo + round(k * w / 63) exactly, w = hi - lo: inside
+    [lo, hi] and strictly increasing even where a float quotient of widths
+    past 2^53 would overshoot ``hi``; below 2^40 it is the float formula
+    the search used before, so no probe moves there."""
+    n = acbm.FINE_WINDOW - 1
+    rng = random.Random(4 * 10 ** 18)
+    for w in [3895396538115722516] + [
+            4 * 10 ** 18 + rng.randint(-10 ** 15, 10 ** 15)
+            for _ in range(200)]:
+        lo = rng.randint(1, 10 ** 6)
+        starts = acbm._fine_starts(lo, lo + w)
+        assert len(starts) == acbm.FINE_WINDOW
+        assert starts[0] == lo and starts[-1] == lo + w
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        assert starts == [lo + round(F(k * w, n))
+                          for k in range(acbm.FINE_WINDOW)], w
+    for _ in range(2000):
+        w = rng.randint(acbm.FINE_WINDOW, 2 ** 40)
+        assert acbm._fine_starts(1, 1 + w) == sorted(
+            {1 + round(k * w / n) for k in range(acbm.FINE_WINDOW)}), w
+    assert acbm._fine_starts(5, 68) == list(range(5, 69))
+
+
+def test_search_scans_narrow_segments_whole_and_homes_in_on_wide_ones():
+    """Coarse, ``_search`` probes the segment's first query alone.  Fine,
+    it probes every start of a segment of at most FINE_WINDOW queries, in
+    order.  On a wider one it stays inside the segment, probes each start
+    once, no more than FINE_WINDOW per halving, and finds the peak of a
+    single-peaked delta; it is a heuristic, so a delta with several peaks
+    may be missed (``tests/fine_search_misses.py`` measures how often on
+    the scheduler's own probes)."""
+    def search(lo, hi, fine, delta):
+        calls = []
+
+        def probe(t):
+            calls.append(t)
+            return (delta(t),)
+
+        return acbm._search(lo, hi, fine, probe), calls
+
+    probed, calls = search(7, 10 ** 9, False, lambda t: -t)
+    assert calls == [7] and list(probed) == [7]
+    rng = random.Random(64)
+    for _ in range(200):
+        lo = rng.randint(1, 10 ** 6)
+        hi = lo + rng.randint(0, acbm.FINE_WINDOW - 1)
+        probed, calls = search(lo, hi, True, lambda t: rng.randint(-9, 9))
+        assert calls == list(range(lo, hi + 1))
+    for _ in range(200):
+        lo = rng.randint(1, 10 ** 6)
+        width = rng.randint(acbm.FINE_WINDOW + 1, 10 ** rng.randint(2, 12))
+        hi = lo + width - 1
+        peak = rng.randint(lo, hi)
+        probed, calls = search(lo, hi, True, lambda t: -abs(t - peak))
+        assert len(calls) == len(set(calls))
+        assert all(lo <= t <= hi for t in calls)
+        assert len(calls) <= acbm.FINE_WINDOW * width.bit_length()
+        assert peak in probed, (lo, hi, peak)

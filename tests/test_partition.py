@@ -7,11 +7,13 @@ import pytest
 
 from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
-from broadmatch.partition import (INFINITE, PartitionTable, keyword_day,
+from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
+                                  keyword_day, pinning_keeps_day,
                                   run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
-from conftest import (build_instance, build_schedule, build_split,
-                      reference_timeline)
+from conftest import (RESERVE_GRID, build_instance, build_schedule,
+                      build_split, random_instance, random_profile,
+                      reference_timeline, segment_views)
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -126,10 +128,8 @@ def test_top_k_timeline_matches_the_reprice_everything_loop():
                             rng.randint(0, volume), pool))
         got = run_keyword_timeline(slots, volume, bidders, reserve)
         want = reference_timeline(slots, volume, bidders, reserve)
-        assert got == want, case
-        for g, w in zip(got, want):
-            assert list(g.prices) == list(w.prices), case
-            assert list(g.payoffs) == list(w.payoffs), case
+        assert ([segment_views(g) for g in got]
+                == [segment_views(w) for w in want]), case
         scores = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(scores)) < len(scores)
         seen["evicted"] += any(set(a.active) - set(b.active)
@@ -146,7 +146,7 @@ _POOL_DENS = [3, 7, 11, 10 ** 9 + 7]
 
 
 def _spend(segments, bidder):
-    return sum((len(s) * s.prices[bidder] for s in segments
+    return sum(((s.hi - s.lo + 1) * s.prices[bidder] for s in segments
                 if bidder in s.prices), F(0))
 
 
@@ -190,16 +190,15 @@ def test_int_core_is_exact_across_coprime_denominators():
             seen["hair-short"] += 1
         want = reference_timeline(slots, volume, bidders, reserve)
         if case % 2 and bidders:
-            # pin some pools to their exact spend: same day, zero left over
+            # pin some pools to their exact spend: zero left over, and
+            # the same day unless the settle order changes
             bidders = [(i, s, q0, _spend(want, i) if rng.random() < 0.6
                         else b) for i, s, q0, b in bidders]
             want = reference_timeline(slots, volume, bidders, reserve)
             seen["spent-pool"] += 1
         got = run_keyword_timeline(slots, volume, bidders, reserve)
-        assert got == want, case
-        for g, w in zip(got, want):
-            assert list(g.prices) == list(w.prices), case
-            assert list(g.payoffs) == list(w.payoffs), case
+        assert ([segment_views(g) for g in got]
+                == [segment_views(w) for w in want]), case
         drawn = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(drawn)) < len(drawn)
         seen["evicted"] += any(set(a.active) - set(b.active)
@@ -209,6 +208,51 @@ def test_int_core_is_exact_across_coprime_denominators():
         seen["mixed-dens"] += len({b[3].denominator for b in bidders
                                    if b[3] is not None}) > 1
     assert min(seen.values()) >= 300, seen
+
+
+def test_pinning_keeps_day_only_where_the_pinned_day_is_the_same():
+    """Where ``pinning_keeps_day`` is True, rerunning the day with those
+    bidders' pools pinned to their spend gives the same segments, field
+    for field; 3,000 seeded days with drops even, falling and rising.
+    Where it is False the pinned day often does differ: the check is not
+    vacuous.  ``day_totals`` matches the sums of the exact views."""
+    rng = random.Random(8191)
+    seen = {"kept": 0, "kept-after-evictions": 0, "rerun": 0,
+            "moved": 0}
+    for case in range(3000):
+        gamma = sorted({F(rng.randint(1, 20), 20)
+                        for _ in range(rng.randint(0, 3))} | {F(1)},
+                       reverse=True)
+        slots = SlotParams(tuple(gamma))
+        volume = rng.randint(1, 10)
+        bidders = [("o%d" % n, F(rng.randint(1, 12)), rng.randint(1, volume),
+                    rng.choice([None, F(rng.randint(0, 30),
+                                        rng.choice([1, 2]))]))
+                   for n in range(rng.randint(0, 5))]
+        watched = ["e%d" % n for n in range(rng.randint(1, 2))]
+        bidders += [(i, F(rng.randint(1, 12)), rng.randint(1, volume),
+                     F(rng.randint(0, 60))) for i in watched]
+        reserve = F(rng.randint(0, 3))
+        segs = run_keyword_timeline(slots, volume, bidders, reserve)
+        totals = day_totals(segs)
+        assert totals.revenue == sum((len(g) * g.revenue for g in segs), F(0))
+        assert totals.welfare == sum((len(g) * g.welfare for g in segs), F(0))
+        for adv, paid in totals.paid.items():
+            assert paid == _spend(segs, adv), case
+        pinned = [(i, s, q0, totals.paid.get(i, F(0)) if i in watched else b)
+                  for i, s, q0, b in bidders]
+        again = run_keyword_timeline(slots, volume, pinned, reserve)
+        same = ([segment_views(g) for g in segs]
+                == [segment_views(g) for g in again])
+        if pinning_keeps_day(segs, watched):
+            assert same, case
+            seen["kept"] += 1
+            seen["kept-after-evictions"] += any(
+                adv in watched for g in segs for adv, _ in g.passed_prices)
+        else:
+            seen["rerun"] += 1
+            seen["moved"] += not same
+    assert min(seen.values()) >= 20, seen
 
 
 # -- keyword_day ---------------------------------------------------------------
@@ -243,6 +287,28 @@ def test_table_breakpoints_costs_payoffs():
     assert t.actives == (("1", "2", "3"), ("1", "3"))
     assert t.segment_count == 2
     assert t.cum_cost == (F(0), F(299, 5), F(521, 5))
+
+
+def test_table_cumulative_sums_match_its_own_segments():
+    """``tables_for`` sums a table's prefixes on the keyword day's ints;
+    a table rebuilt from the same breakpoints, costs and payoffs sums them
+    as ``Fraction``s itself, and must equal it, on 300 seeded markets
+    with random rival schedules and reserves."""
+    seen = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        others = random_profile(rng, instance, schedule=rng.random() < 0.5)
+        subject = rng.choice(instance.advertisers).id
+        reserve = rng.choice(RESERVE_GRID)
+        for t in tables_for(instance, subject, others,
+                            reserve=reserve).values():
+            again = PartitionTable(t.advertiser, t.keyword, t.volume,
+                                   t.breakpoints, t.costs, t.payoffs,
+                                   t.actives)
+            assert again == t, (seed, t.keyword)
+            seen += t.segment_count > 1
+    assert seen >= 100, seen
 
 
 def test_prefix_evaluation_is_exact():

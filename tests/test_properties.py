@@ -115,8 +115,9 @@ def test_excess_scheduling_never_loses_revenue():
 def test_acbm_probes_agree_with_per_query_simulation():
     """The scheduler's probe path against ``naive_day``: every new edge of a
     keyword enters at a random start query with a random budget, alongside
-    a random profile's base rows there.  ``_keyword_revenue`` must equal the
-    keyword's per-query revenue, and ``_entry_cost`` each entrant's spend."""
+    a random profile's base rows there.  ``_probe`` must give each
+    entrant's per-query spend, and the keyword's per-query revenue with
+    the entrants pinned to those spends."""
     seen = {"paid": 0, "pair": 0, "late": 0}
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -133,11 +134,13 @@ def test_acbm_probes_agree_with_per_query_simulation():
                            rng.randint(1, ext.volume(kw))) for i in advs)
             profile = Profile(on_kw + entrants, "schedule")
             ref = naive_day(ext, profile, reserve)
-            revenue = acbm._keyword_revenue(ext, profile.rows, kw, reserve)
-            assert revenue == ref["keyword_revenue"][kw], seed
-            for entrant in entrants:
-                others = tuple(r for r in profile.rows if r is not entrant)
-                paid = acbm._entry_cost(ext, others, kw, entrant, reserve)
+            revenue, payments = acbm._probe(ext, on_kw, kw, entrants, reserve)
+            pinned = tuple(Allocation(e.advertiser, kw, 0, paid, e.start_query)
+                           for e, paid in zip(entrants, payments))
+            committed = Profile(on_kw + pinned, "schedule")
+            assert revenue == naive_day(ext, committed,
+                                        reserve)["keyword_revenue"][kw], seed
+            for entrant, paid in zip(entrants, payments):
                 assert paid == ref["spend"][entrant.advertiser], seed
                 seen["paid"] += paid > 0
                 seen["late"] += paid > 0 and entrant.start_query > 1
