@@ -2,7 +2,11 @@
 
 Reports are deterministic JSON (sorted keys, two-space indent, LF endings):
 identical inputs produce byte-identical output.  Every exact rational is
-emitted as an object ``{"exact": "p/q", "approx": "0.000000"}``.
+emitted as an object ``{"exact": "p/q", "approx": "0.000000"}``.  One writer
+(``_dumps``) walks the engine's result once and emits exactly the bytes of
+``json.dumps(..., sort_keys=True, indent=2)``: with an ``indent`` the
+standard encoder falls back to pure Python on CPython 3.10 to 3.12, and it
+would walk a second tree built only to hold those pairs.
 
 Exit codes: 0 success, 1 engine error, 2 usage or schema error,
 3 verification failed (so ``verify`` slots into CI pipelines).
@@ -17,8 +21,9 @@ import json
 import shutil
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import acbm as acbm_mod
 from . import bestresp, equilibrium, simulate as simulate_mod
@@ -92,23 +97,6 @@ FIXTURES = {
 
 # -- report plumbing ----------------------------------------------------------
 
-def _enc(x):
-    """Recursively JSON-encode engine values; exact rationals become
-    {"exact", "approx"} pairs and the infinite rate sentinel becomes "inf"."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, Fraction):
-        return {"exact": format_rational(x), "approx": _approx(x, 6)}
-    if isinstance(x, float):
-        return "inf" if x == _INF else "%.6f" % x
-    if isinstance(x, dict):
-        return {str(k): _enc(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, frozenset, set)):
-        seq = sorted(x) if isinstance(x, (set, frozenset)) else x
-        return [_enc(v) for v in seq]
-    raise TypeError("cannot encode %r" % type(x))
-
-
 def _approx(x: Fraction, places: int) -> str:
     """``"%.{places}f" % float(x)``; beyond float range, the same decimal
     rounded exactly from integers instead."""
@@ -119,8 +107,76 @@ def _approx(x: Fraction, places: int) -> str:
         return "%s%d.%0*d" % ("-" if x < 0 else "", whole, places, frac)
 
 
-def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _dumps(doc) -> str:
+    """``doc`` as report text, in one walk: the bytes of
+    ``json.dumps(enc(doc), sort_keys=True, indent=2) + "\\n"``, where ``enc``
+    makes each exact rational an ``{"exact", "approx"}`` object, the
+    infinite rate sentinel ``"inf"`` and any other float ``"%.6f"``, each
+    key ``str(key)`` and each set a sorted list.  Values dispatch on their
+    exact type; any other type is a ``TypeError``."""
+    chunks: List[str] = []
+    out = chunks.append
+    keys: Dict[str, str] = {}  # '"key": ' per key seen in this document
+    newlines = ["\n"]  # newlines[d]: a line break and depth d's indent
+    rationals: List[str] = []  # rationals[d]: the two-key block at depth d
+
+    def newline(depth: int) -> str:
+        while len(newlines) <= depth:
+            newlines.append(newlines[-1] + "  ")
+        return newlines[depth]
+
+    def write(x, depth: int) -> None:
+        t = type(x)
+        if t is str:
+            out(encode_basestring_ascii(x))
+        elif t is Fraction:
+            while len(rationals) <= depth:
+                d = len(rationals)
+                rationals.append('{%s"approx": "%%s",%s"exact": "%%s"%s}' % (
+                    newline(d + 1), newline(d + 1), newline(d)))
+            out(rationals[depth] % (_approx(x, 6), format_rational(x)))
+        elif t is dict:
+            if not all(type(k) is str for k in x):
+                x = {str(k): v for k, v in x.items()}
+            if not x:
+                out("{}")
+                return
+            inner = newline(depth + 1)
+            sep, comma = "{" + inner, "," + inner
+            for k in sorted(x):
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = encode_basestring_ascii(k) + ": "
+                out(sep)
+                out(key)
+                write(x[k], depth + 1)
+                sep = comma
+            out(newline(depth) + "}")
+        elif t is list or t is tuple or t is set or t is frozenset:
+            if not x:
+                out("[]")
+                return
+            inner = newline(depth + 1)
+            sep, comma = "[" + inner, "," + inner
+            for v in sorted(x) if t is set or t is frozenset else x:
+                out(sep)
+                write(v, depth + 1)
+                sep = comma
+            out(newline(depth) + "]")
+        elif t is bool:
+            out("true" if x else "false")
+        elif t is int:
+            out(repr(x))
+        elif x is None:
+            out("null")
+        elif t is float:
+            out('"inf"' if x == _INF else '"%.6f"' % x)
+        else:
+            raise TypeError("cannot encode %r" % t)
+
+    write(doc, 0)
+    out("\n")
+    return "".join(chunks)
 
 
 def _digest(instance: Instance) -> str:
@@ -130,26 +186,24 @@ def _digest(instance: Instance) -> str:
 
 def _report(args, result: dict, code: int = 0,
             instance: Optional[Instance] = None) -> int:
-    doc = {
+    sys.stdout.write(_dumps({
         "command": args.command,
         "argv": list(args._argv),
         "instance": _digest(instance) if instance is not None else None,
-        "result": _enc(result),
+        "result": result,
         "exit_code": code,
-    }
-    _print_json(doc)
+    }))
     return code
 
 
 def _fail(args, code: int, kind: str, payload) -> int:
-    doc = {
+    sys.stdout.write(_dumps({
         "command": getattr(args, "command", None),
         "argv": list(getattr(args, "_argv", [])),
         "error": {"type": kind,
                   "errors" if isinstance(payload, list) else "message": payload},
         "exit_code": code,
-    }
-    _print_json(doc)
+    }))
     return code
 
 

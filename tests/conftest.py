@@ -1,7 +1,7 @@
 """Shared builders: fixture paths, a per-query reference simulator, the
 two-run reference acbm probes, the reprice-everything reference timeline,
-the all-Fraction reference knapsack, and the seeded random corpus used by
-the property tests.
+the all-Fraction reference knapsack, the tree-building reference report
+encoder, and the seeded random corpus used by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from broadmatch.auction import price_query
-from broadmatch.cli import _FIXTURE_DIR
+from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
-                              Profile, SlotParams)
+                              Profile, SlotParams, format_rational)
 from broadmatch.partition import PartitionTable, keyword_day
 
 FIXTURES: Path = _FIXTURE_DIR
@@ -264,6 +264,31 @@ def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
         queries[kw] = x
         p = q
     return queries, Fraction(opt)
+
+
+# -- reference report encoding -------------------------------------------------
+
+_INF = float("inf")
+
+
+# The report encoder from before the CLI wrote its JSON itself, kept verbatim
+# apart from its name: it builds the tree that ``json.dumps(...,
+# sort_keys=True, indent=2)`` then encoded.
+def reference_enc(x):
+    """Recursively JSON-encode engine values; exact rationals become
+    {"exact", "approx"} pairs and the infinite rate sentinel becomes "inf"."""
+    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, Fraction):
+        return {"exact": format_rational(x), "approx": _approx(x, 6)}
+    if isinstance(x, float):
+        return "inf" if x == _INF else "%.6f" % x
+    if isinstance(x, dict):
+        return {str(k): reference_enc(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, frozenset, set)):
+        seq = sorted(x) if isinstance(x, (set, frozenset)) else x
+        return [reference_enc(v) for v in seq]
+    raise TypeError("cannot encode %r" % type(x))
 
 
 def assert_day_matches_naive(instance, day, ref) -> None:

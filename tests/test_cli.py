@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch import cli
+from conftest import reference_enc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +38,14 @@ GOLDEN_CASES = {
     "verify-shifted-bme": ["verify", "three-keyword-family.json",
                            "--split", "three-keyword-family-shifted.split.json",
                            "--bme"],
+    # advertiser 2 pays nothing on k1 all day: both segments rate "inf"
+    "partition-free-rate": ["partition", "two-keyword-entry-base.json",
+                            "--advertiser", "2",
+                            "--split", "two-keyword-entry-natural.split.json"],
+    # a schema-error envelope: the split names what the instance lacks
+    "validate-schema-errors": ["validate", "two-keyword-entry-base.json",
+                               "--split",
+                               "three-keyword-family-shifted.split.json"],
 }
 
 
@@ -55,8 +64,9 @@ def fx(monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_reports(fx, name):
     code, out = fx(*GOLDEN_CASES[name])
-    assert code == 0
-    assert out == (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert out == golden
+    assert code == json.loads(golden)["exit_code"]
 
 
 def test_reports_are_byte_deterministic(fx):
@@ -234,11 +244,11 @@ def test_rationals_beyond_float_range_encode_from_integers(fx, tmp_path):
     leftover = json.loads(out)["result"]["advertisers"]["1"]["leftover"]
     assert leftover["exact"] == str(10 ** 400 - 45)
     assert leftover["approx"] == str(10 ** 400 - 45) + ".000000"
-    assert cli._enc(-F(10 ** 400) - F(2, 3))["approx"] == (
+    assert cli._approx(-F(10 ** 400) - F(2, 3), 6) == (
         "-%d.666667" % 10 ** 400)
     # in float range the bytes are the float formatting's, as before
     for x in (F(1, 3), F(-7, 2), F(2, 3), F(-1, 10 ** 9), F(10 ** 300, 7)):
-        assert cli._enc(x)["approx"] == "%.6f" % float(x)
+        assert cli._approx(x, 6) == "%.6f" % float(x)
 
 
 def test_argparse_rejections_exit_2(fx):
@@ -376,6 +386,71 @@ def test_console_script_is_wired():
         'broadmatch = "broadmatch.cli:main"']
 
 
+# -- the report writer -----------------------------------------------------------
+
+# Keys and strings with all that JSON escapes: quotes, backslashes, control
+# characters, non-ASCII, characters beyond the BMP and lone surrogates.
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                                   "\ud800", "\udfff", "\U0001f600"]),
+                max_size=6)
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2 ** 200, 2 ** 200) | _TEXT)
+_EXACT = (st.integers().map(F) | st.fractions()
+          | st.builds(F, st.integers(-10 ** 400, 10 ** 400),
+                      st.integers(1, 10 ** 30)))
+_ENGINE_LEAVES = (_JSON_LEAVES | _EXACT | st.just(float("inf")) | st.floats()
+                  | st.sets(st.integers() | _EXACT, max_size=4)
+                  | st.frozensets(_TEXT, max_size=4))
+
+
+def _deepen(tree, key, depth: int):
+    for level in range(depth):
+        tree = {key: tree} if level % 2 else [tree]
+    return tree
+
+
+def _trees(leaves, keys, tuples=False):
+    """Lists (and tuples) and dicts keyed by ``keys`` around ``leaves``,
+    inside up to 100 more one-entry lists and dicts."""
+    def nest(kids):
+        seqs = st.lists(kids, max_size=4)
+        if tuples:
+            seqs = seqs | seqs.map(tuple)
+        return seqs | st.dictionaries(keys, kids, max_size=4)
+
+    return st.builds(_deepen, st.recursive(leaves, nest, max_leaves=12), keys,
+                     st.sampled_from([0, 0, 1, 2, 65, 100]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trees(_JSON_LEAVES, _TEXT))
+def test_writer_is_json_dumps_on_plain_trees(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True,
+                                          indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trees(_ENGINE_LEAVES, _TEXT | st.integers(), tuples=True))
+# an int key and a text key with the same str(): the later one is kept
+@example({1: F(1, 2), "1": [F(-3)], 10: 7, "9": None})
+@example({"2": 0, 2: (F(10 ** 400, 3), float("inf"))})
+def test_writer_is_json_dumps_of_the_reference_encoding(tree):
+    """Exact rationals, the rate sentinel, tuples, sets and int keys (which
+    can collide with their text) are encoded as the tree-building encoder
+    encoded them."""
+    assert cli._dumps(tree) == json.dumps(reference_enc(tree), sort_keys=True,
+                                          indent=2) + "\n"
+
+
+def test_writer_refuses_what_it_cannot_encode():
+    for value in (b"bytes", 1j, object(), {"k": [bytearray()]}):
+        with pytest.raises(TypeError):
+            reference_enc(value)
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+
 # -- every argv ends in one envelope --------------------------------------------
 
 _RATIONALS = ["0", "0", "1/2", "1/2", "3", "10/3", "0.25", "-1", "-1/2",
@@ -499,8 +574,9 @@ def _argv(draw):
 def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
     """Drawn subcommands, positionals and options, good and bad (missing,
     malformed and huge documents, negative and huge rationals, unknown
-    ids and flags): each run prints exactly one JSON envelope whose exit
-    code is the one returned, in {0, 1, 2, 3}, and nothing on stderr.
+    ids and flags): each run prints exactly one JSON envelope, in the
+    canonical sorted-key two-space-indent form, whose exit code is the one
+    returned, in {0, 1, 2, 3}, and nothing on stderr.
     ``--format table`` and ``--help`` print text by design and are not
     drawn."""
     shutil.copytree(cli._FIXTURE_DIR, tmp_path, dirs_exist_ok=True)
@@ -521,6 +597,8 @@ def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
             code = cli.run(argv)
         assert code in (0, 1, 2, 3), argv
         doc = json.loads(out.getvalue())  # exactly one JSON document
+        assert out.getvalue() == json.dumps(doc, sort_keys=True,
+                                            indent=2) + "\n", argv
         assert doc["exit_code"] == code, argv
         assert doc["argv"] == argv
         assert err.getvalue() == "", argv
