@@ -49,12 +49,6 @@ class Slate:
     revenue: Fraction
     welfare: Fraction
 
-    def price(self, advertiser: str) -> Fraction:
-        return self.prices[advertiser]
-
-    def payoff(self, advertiser: str) -> Fraction:
-        return self.payoffs[advertiser]
-
 
 def slot_prices(scores: Sequence, drops: Sequence, reserve=ZERO) -> list:
     """Per-impression prices, by rank, of the top ``min(K, L)`` bidders.

@@ -34,11 +34,11 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .model import Allocation, Instance, Profile
-from .partition import INFINITE, PartitionTable, tables_for
+from .partition import INFINITE, PartitionTable, rate_gt, tables_for
 
 ZERO = Fraction(0)
-# Default work cap of the exact dp, and the fixed one of the rounded dp's
-# table and the fptas grid: beyond it a solve refuses with ``ScaleError``.
+# Work cap of the exact dp, the rounded dp's table and the fptas grid:
+# beyond it a solve refuses with ``ScaleError``.
 WORK_CAP = 10 ** 7
 
 
@@ -116,24 +116,15 @@ def _pick_unstable(states: Sequence[_EdgeState]) -> Optional[Tuple[_EdgeState, L
         up = cand.mp_plus()
         if up is None:
             continue
-        pool = [d for d in donors if d is not cand and _gt(up, d.mp_minus())]
+        pool = [d for d in donors
+                if d is not cand and rate_gt(up, d.mp_minus())]
         if pool:
             return cand, donors
     return None
 
 
-def _gt(a, b) -> bool:
-    """Exact a > b where either side may be the +inf sentinel."""
-    if a == INFINITE:
-        return b != INFINITE
-    if b == INFINITE:
-        return False
-    return a > b
-
-
 def greedy_local_best_response(instance: Instance, advertiser: str,
                                others: Profile,
-                               keywords: Optional[Iterable[str]] = None,
                                reserve: Fraction = ZERO,
                                on_phase_boundary: Optional[Callable] = None,
                                ) -> BestResponse:
@@ -151,7 +142,7 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
     between the phases with (unstable_edges, snapshot) — useful for
     checking how non-local the walk's raw output really is.
     """
-    tables = tables_for(instance, advertiser, others, keywords, reserve)
+    tables = tables_for(instance, advertiser, others, reserve=reserve)
     states = [_EdgeState(kw, t) for kw, t in tables.items()]
     budget = instance.budget(advertiser)
     spent = ZERO  # total money out of the wallet = sum of committed
@@ -165,7 +156,7 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
                 continue
             lam = s.table.segment_of(s.bought + 1)
             r = s.table.rate(lam)
-            if best is None or _gt(r, best_rate):
+            if best is None or rate_gt(r, best_rate):
                 best, best_rate = s, r
         if best is None:
             break
@@ -195,7 +186,7 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
             up = s.mp_plus()
             if up is None:
                 continue
-            if any(d is not s and d.bought > 0 and _gt(up, d.mp_minus())
+            if any(d is not s and d.bought > 0 and rate_gt(up, d.mp_minus())
                    for d in states):
                 unstable.append(s.kw)
         snapshot = {s.kw: {"bought": s.bought, "committed": s.committed,
@@ -213,10 +204,12 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
         while land.bought < land.table.volume:
             up = land.mp_plus()
             pool = [d for d in donors
-                    if d is not land and d.bought > 0 and _gt(up, d.mp_minus())]
+                    if d is not land and d.bought > 0
+                    and rate_gt(up, d.mp_minus())]
             if not pool:
                 break
-            donor = min(pool, key=lambda d: (d.mp_minus() == INFINITE, d.mp_minus()))
+            donor = min(pool, key=lambda d: (d.mp_minus() is INFINITE,
+                                             d.mp_minus()))
             top = donor.table.segment_of(donor.bought)
             c_top = donor.table.costs[top]
             z_top = donor.table.breakpoints[top]
@@ -365,15 +358,16 @@ def _utility_unit(tabs: List[Tuple[str, PartitionTable]]) -> Fraction:
     return Fraction(1, den)
 
 
-def _config_pair(ta: PartitionTable, tb: PartitionTable, budget: Fraction,
-                 scale_cap: int) -> Tuple[int, int, int]:
+def _config_pair(ta: PartitionTable, tb: PartitionTable,
+                 budget: Fraction) -> Tuple[int, int, int]:
     """Exact two-keyword optimum by segment-configuration enumeration.
 
     Fix which segment each prefix ends in; within a configuration the
     choice is a two-variable knapsack over the in-segment query counts,
     solved by scanning the cheaper-to-scan variable (per-query payoffs are
     never negative, so free segments are always taken whole).  Work is the
-    total scan length over feasible configurations; refuses beyond the cap.
+    total scan length over feasible configurations; refuses beyond
+    ``WORK_CAP``.
     """
     work = 0
     for sa in range(ta.segment_count):
@@ -388,10 +382,10 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable, budget: Fraction,
                 work += min(la, lb) + 1
             else:
                 work += 1
-    if work > scale_cap:
+    if work > WORK_CAP:
         raise ScaleError(
             "exact dp would scan ~%d points (cap %d); use the fptas instead"
-            % (work, scale_cap))
+            % (work, WORK_CAP))
 
     best_u = None
     best = (0, 0)
@@ -427,9 +421,7 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable, budget: Fraction,
 
 
 def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
-                           keywords: Optional[Iterable[str]] = None,
-                           reserve: Fraction = ZERO,
-                           scale_cap: int = WORK_CAP) -> BestResponse:
+                           reserve: Fraction = ZERO) -> BestResponse:
     """Exact optimum over all query vectors within budget.
 
     One keyword needs no search at all (per-query payoffs are nonnegative,
@@ -438,10 +430,10 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
     programming over utilities rescaled by the lcm of their denominators,
     with costs and budget scaled to ints by their common denominator (an
     exact scaling, so the witness is the one rational arithmetic picks).
-    Projected work beyond ``scale_cap`` raises ``ScaleError`` — use
+    Projected work beyond ``WORK_CAP`` raises ``ScaleError`` — use
     ``fptas_as2`` for such sizes.
     """
-    tables = tables_for(instance, advertiser, others, keywords, reserve)
+    tables = tables_for(instance, advertiser, others, reserve=reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
     meta: dict = {}
@@ -453,7 +445,7 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
         meta["work"] = t.segment_count
     elif len(tabs) == 2:
         (ka, ta), (kb, tb) = tabs
-        xa, xb, work = _config_pair(ta, tb, budget, scale_cap)
+        xa, xb, work = _config_pair(ta, tb, budget)
         queries = {ka: xa, kb: xb}
         meta["work"] = work
     else:
@@ -466,10 +458,10 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
             total_levels += int(u // unit)
             total_cands += maxaff[kw] + 1
         projected = (total_levels + 1) * total_cands
-        if projected > scale_cap:
+        if projected > WORK_CAP:
             raise ScaleError(
                 "exact dp would need ~%d cells (cap %d); use the fptas instead"
-                % (projected, scale_cap))
+                % (projected, WORK_CAP))
         candidates = {kw: _candidate_values(t, range(maxaff[kw] + 1))
                       for kw, t in tabs}
         queries, _ = _knapsack(tabs, budget, candidates, unit)
@@ -491,8 +483,7 @@ def _peak_single(tabs, budget) -> Fraction:
 
 
 def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
-                   eps: Fraction, keywords: Optional[Iterable[str]] = None,
-                   reserve: Fraction = ZERO,
+                   eps: Fraction, reserve: Fraction = ZERO,
                    grids: Optional[Dict[str, Sequence[int]]] = None,
                    _tables: Optional[Dict[str, PartitionTable]] = None,
                    ) -> BestResponse:
@@ -512,7 +503,7 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     if eps <= 0:
         raise ValueError("eps must be positive")
     tables = _tables if _tables is not None else tables_for(
-        instance, advertiser, others, keywords, reserve)
+        instance, advertiser, others, reserve=reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
     m = len(tabs)
@@ -582,8 +573,7 @@ def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
 
 
 def fptas_as2(instance: Instance, advertiser: str, others: Profile,
-              eps: Fraction, keywords: Optional[Iterable[str]] = None,
-              reserve: Fraction = ZERO) -> BestResponse:
+              eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
     """Fully polynomial scheme: AS1 on per-keyword endpoint grids.
 
     The grid forfeits at most an eps^2 factor and the rounding a further
@@ -593,14 +583,14 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    tables = tables_for(instance, advertiser, others, keywords, reserve)
+    tables = tables_for(instance, advertiser, others, reserve=reserve)
     m = len(tables)
     budget = instance.budget(advertiser)
     grids = {kw: build_subpartition(t, eps, m, cap=t.max_affordable(budget))
              for kw, t in tables.items()}
     inner = eps / (1 + eps)
-    res = rounded_dp_as1(instance, advertiser, others, inner, keywords,
-                         reserve, grids=grids, _tables=tables)
+    res = rounded_dp_as1(instance, advertiser, others, inner, reserve,
+                         grids=grids, _tables=tables)
     return BestResponse(advertiser, "fptas", res.queries, res.committed,
                         res.payoff, res.cost,
                         meta={"eps": eps, "inner_eps": inner,
@@ -608,11 +598,10 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
 
 
 def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
-                       keywords: Optional[Iterable[str]] = None,
                        reserve: Fraction = ZERO,
                        cap: int = 10 ** 6) -> BestResponse:
     """Exhaustive search over all query vectors (small inputs only)."""
-    tables = tables_for(instance, advertiser, others, keywords, reserve)
+    tables = tables_for(instance, advertiser, others, reserve=reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
     space = 1

@@ -31,9 +31,7 @@ from .model import (Instance, ModelError, Profile, all_in_profile,
                     check_extension, format_rational, load_instance,
                     load_schedule, load_split, serialize_instance,
                     serialize_profile, validate_profile)
-from .partition import tables_for
-
-_INF = float("inf")
+from .partition import INFINITE, tables_for
 
 
 class UsageError(Exception):
@@ -110,10 +108,10 @@ def _approx(x: Fraction, places: int) -> str:
 def _dumps(doc) -> str:
     """``doc`` as report text, in one walk: the bytes of
     ``json.dumps(enc(doc), sort_keys=True, indent=2) + "\\n"``, where ``enc``
-    makes each exact rational an ``{"exact", "approx"}`` object, the
-    infinite rate sentinel ``"inf"`` and any other float ``"%.6f"``, each
-    key ``str(key)`` and each set a sorted list.  Values dispatch on their
-    exact type; any other type is a ``TypeError``."""
+    makes each exact rational an ``{"exact", "approx"}`` object, the rate
+    sentinel ``partition.INFINITE`` the text ``"inf"``, each key
+    ``str(key)`` and each set a sorted list.  Values dispatch on their
+    exact type; any other type, a float included, is a ``TypeError``."""
     chunks: List[str] = []
     out = chunks.append
     keys: Dict[str, str] = {}  # '"key": ' per key seen in this document
@@ -169,8 +167,8 @@ def _dumps(doc) -> str:
             out(repr(x))
         elif x is None:
             out("null")
-        elif t is float:
-            out('"inf"' if x == _INF else '"%.6f"' % x)
+        elif x is INFINITE:
+            out('"inf"')
         else:
             raise TypeError("cannot encode %r" % t)
 
@@ -360,7 +358,8 @@ def _cmd_partition(args) -> int:
             sys.stdout.write("%s (advertiser %s)\n" % (kw, adv))
             rows = [[str(s["from"]), str(s["to"]), ",".join(s["active"]),
                      format_rational(s["cost"]), format_rational(s["payoff"]),
-                     "inf" if s["rate"] == _INF else format_rational(s["rate"])]
+                     "inf" if s["rate"] is INFINITE
+                     else format_rational(s["rate"])]
                     for s in result["keywords"][kw]["segments"]]
             sys.stdout.write(_table_text(
                 ["from", "to", "active", "cost", "payoff", "rate"], rows))

@@ -25,31 +25,27 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import bestresp
-from .bestresp import _gt
 from .model import Allocation, Instance, Profile
-from .partition import tables_for
+from .partition import rate_gt, tables_for
 from .simulate import simulate_day
 
 ZERO = Fraction(0)
 
 
 def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
-                     graph: str = "full", reserve: Fraction = ZERO) -> Dict[str, dict]:
+                     reserve: Fraction = ZERO) -> Dict[str, dict]:
     """Per-keyword marginal rates of one advertiser under a profile.
 
-    For each keyword the advertiser matches, reports how many queries her
-    committed budget buys, the payoff-per-cost rate of the last bought
-    query (None when she buys none) and of the next one (None when the
-    stream is exhausted).  Rates on free queries surface as ``inf``.
-    Keywords the reserve prices her out of are omitted entirely.
+    For each keyword the advertiser matches in ``instance``, reports how
+    many queries her committed budget buys, the payoff-per-cost rate of the
+    last bought query (None when she buys none) and of the next one (None
+    when the stream is exhausted).  Rates on free queries are
+    ``partition.INFINITE``.  Keywords the reserve prices her out of are
+    omitted entirely.
     """
-    kws = instance.keywords_of(advertiser, graph)
-    tables = tables_for(instance, advertiser, profile, kws, reserve)
+    tables = tables_for(instance, advertiser, profile, reserve=reserve)
     out: Dict[str, dict] = {}
-    for kw in kws:
-        if kw not in tables:
-            continue
-        t = tables[kw]
+    for kw, t in tables.items():
         b = profile.committed(advertiser, kw)
         v = t.max_affordable(b)
         mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
@@ -67,7 +63,7 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     return out
 
 
-def verify_bme(instance: Instance, profile: Profile, graph: str = "full",
+def verify_bme(instance: Instance, profile: Profile,
                reserve: Fraction = ZERO) -> dict:
     """Check local stability of a committed profile, edge by edge.
 
@@ -83,10 +79,9 @@ def verify_bme(instance: Instance, profile: Profile, graph: str = "full",
     marginals: Dict[str, Dict[str, dict]] = {}
     for adv in instance.advertisers:
         i = adv.id
-        kws = instance.keywords_of(i, graph)
-        if not kws:
+        if not instance.keywords_of(i):
             continue
-        mp = marginal_payoffs(instance, i, profile, graph, reserve)
+        mp = marginal_payoffs(instance, i, profile, reserve)
         marginals[i] = mp
         for l in mp:
             up = mp[l]["mp_plus"]
@@ -98,7 +93,7 @@ def verify_bme(instance: Instance, profile: Profile, graph: str = "full",
                 down = mp[j]["mp_minus"]
                 if down is None:
                     continue
-                if _gt(up, down):
+                if rate_gt(up, down):
                     e1.append({"advertiser": i, "into": l, "outof": j,
                                "mp_plus": up, "mp_minus": down})
         # budget parked on a priced-out keyword can never turn into spend,
@@ -124,14 +119,13 @@ def verify_bme(instance: Instance, profile: Profile, graph: str = "full",
 
 
 def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
-                  method: str = "dp", delta: Optional[Fraction] = None,
-                  graph: str = "full", reserve: Fraction = ZERO,
-                  scale_cap: int = 10 ** 9) -> dict:
+                  method: str = "dp", reserve: Fraction = ZERO) -> dict:
     """Certify or refute the profile as an eps Nash point.
 
     With the exact method every advertiser's optimum is computed outright
-    and the verdict is definite.  With the approximation scheme (inner
-    accuracy ``delta``, default eps/2) the optimum is only bracketed:
+    and the verdict is definite; an optimum past the dp's work cap
+    (``bestresp.WORK_CAP``) is a ``ScaleError``.  With the approximation
+    scheme, run at accuracy delta = eps/2, the optimum is only bracketed:
     payoff >= (1-eps) * alg/(1-delta) certifies, payoff < (1-eps) * alg
     refutes, anything between is inconclusive for that advertiser.
     """
@@ -143,27 +137,25 @@ def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
     if method == "fptas" and eps == 0:
         raise ValueError("eps 0 cannot be certified by the approximation "
                          "scheme; use the exact method")
-    if delta is None:
-        delta = eps / 2 if eps > 0 else None
-    base = instance if graph == "full" else instance.base_instance()
-    day = simulate_day(base, profile, reserve)
+    delta = eps / 2
+    day = simulate_day(instance, profile, reserve)
     per: Dict[str, dict] = {}
     statuses = []
-    for adv in base.advertisers:
+    for adv in instance.advertisers:
         i = adv.id
-        if not base.keywords_of(i):
+        if not instance.keywords_of(i):
             continue
         have = day.payoff[i]
         if method == "dp":
-            opt = bestresp.exact_best_response_dp(base, i, profile,
-                                                  reserve=reserve,
-                                                  scale_cap=scale_cap)
+            opt = bestresp.exact_best_response_dp(instance, i, profile,
+                                                  reserve=reserve)
             ok = have >= (1 - eps) * opt.payoff
             status = "certified" if ok else "violated"
             per[i] = {"payoff": have, "optimum": opt.payoff,
                       "deviation": opt.queries, "status": status}
         else:
-            alg = bestresp.fptas_as2(base, i, profile, delta, reserve=reserve)
+            alg = bestresp.fptas_as2(instance, i, profile, delta,
+                                     reserve=reserve)
             upper = alg.payoff / (1 - delta)
             if have >= (1 - eps) * upper:
                 status = "certified"
@@ -188,39 +180,30 @@ def _state_key(profile: Profile) -> Tuple:
                          r.start_query) for r in profile.rows))
 
 
-def initial_profile(instance: Instance, init: str = "top") -> Profile:
-    """Deterministic starting profile for the dynamics.
-
-    ``top``: whole budget on the matched keyword with the highest score
-    (first in instance order on ties).  ``uniform``: budget divided equally
-    across all matched keywords.
-    """
+def initial_profile(instance: Instance) -> Profile:
+    """Deterministic starting profile for the dynamics: each advertiser's
+    whole budget on her matched keyword with the highest score (first in
+    instance order on ties)."""
     rows: List[Allocation] = []
     for adv in instance.advertisers:
         kws = instance.keywords_of(adv.id)
         if not kws:
             continue
-        if init == "top":
-            best = max(kws, key=lambda kw: (instance.score(adv.id, kw),
-                                            -instance.keyword_index(kw)))
-            rows.append(Allocation(adv.id, best, 0, adv.budget))
-        elif init == "uniform":
-            share = adv.budget / len(kws)
-            rows.extend(Allocation(adv.id, kw, 0, share) for kw in kws)
-        else:
-            raise ValueError("unknown init %r" % init)
+        best = max(kws, key=lambda kw: (instance.score(adv.id, kw),
+                                        -instance.keyword_index(kw)))
+        rows.append(Allocation(adv.id, best, 0, adv.budget))
     return Profile(tuple(rows))
 
 
 def best_response_dynamics(instance: Instance, method: str = "greedy",
                            eps: Optional[Fraction] = None,
                            max_rounds: int = 100,
-                           init: str = "top",
                            shuffle_seed: Optional[int] = None,
                            reserve: Fraction = ZERO,
                            profile: Optional[Profile] = None) -> dict:
     """Iterate single-advertiser responses until nothing moves.
 
+    Starts from ``profile``, or by default from ``initial_profile``.
     Advertisers respond in ascending id order each round (or a seeded
     shuffle per round).  Stops at a fixed point, on revisiting an earlier
     state (a cycle), or after ``max_rounds`` rounds.
@@ -236,7 +219,7 @@ def best_response_dynamics(instance: Instance, method: str = "greedy",
     }.get(method)
     if solver is None:
         raise ValueError("unknown method %r" % method)
-    state = profile if profile is not None else initial_profile(instance, init)
+    state = profile if profile is not None else initial_profile(instance)
     order = sorted(a.id for a in instance.advertisers
                    if instance.keywords_of(a.id))
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
@@ -274,9 +257,10 @@ def natural_base_split(instance: Instance) -> Profile:
     The reference point for broadened-matching comparisons.  Ambiguous (and
     an error) when somebody holds more than one base edge.
     """
+    base = instance.base_instance()
     rows: List[Allocation] = []
-    for adv in instance.advertisers:
-        kws = instance.keywords_of(adv.id, graph="base")
+    for adv in base.advertisers:
+        kws = base.keywords_of(adv.id)
         if not kws:
             continue
         if len(kws) > 1:
@@ -285,7 +269,7 @@ def natural_base_split(instance: Instance) -> Profile:
                 "all-in split is ambiguous — supply one explicitly"
                 % (adv.id, len(kws)))
         rows.append(Allocation(adv.id, kws[0], 0, adv.budget))
-    day = simulate_day(instance.base_instance(), Profile(tuple(rows)))
+    day = simulate_day(base, Profile(tuple(rows)))
     fixed = [Allocation(r.advertiser, r.keyword,
                         day.participation[(r.advertiser, r.keyword)], r.budget)
              for r in rows]
@@ -293,24 +277,22 @@ def natural_base_split(instance: Instance) -> Profile:
 
 
 def dilemma_report(base: Instance, ext: Instance, profiles: List[Profile],
-                   base_profile: Optional[Profile] = None,
                    reserve: Fraction = ZERO) -> dict:
     """Revenue movement from broadening the matching, per stable profile.
 
     Each candidate profile is first checked for local stability on the
     broadened instance (a failed check marks the report not ok); its day
     revenue is then compared with the base day under the all-in base
-    split.  A mix of gains and losses across stable profiles is the
-    auctioneer's dilemma: whether broadening pays depends on which stable
-    point the advertisers settle into.
+    split, ``natural_base_split``.  A mix of gains and losses across
+    stable profiles is the auctioneer's dilemma: whether broadening pays
+    depends on which stable point the advertisers settle into.
     """
-    if base_profile is None:
-        base_profile = natural_base_split(base)
-    base_day = simulate_day(base.base_instance(), base_profile, reserve)
+    base_day = simulate_day(base.base_instance(), natural_base_split(base),
+                            reserve)
     rows = []
     ok = True
     for prof in profiles:
-        check = verify_bme(ext, prof, graph="full", reserve=reserve)
+        check = verify_bme(ext, prof, reserve)
         day = simulate_day(ext, prof, reserve)
         if not check["ok"]:
             ok = False

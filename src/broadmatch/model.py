@@ -115,12 +115,6 @@ class SlotParams:
         return tuple(g[j] - (g[j + 1] if j + 1 < len(g) else 0)
                      for j in range(len(g)))
 
-    def clickability(self, slot: int) -> Fraction:
-        """gamma for a 1-based slot; 0 beyond the last slot."""
-        if 1 <= slot <= len(self.gamma):
-            return self.gamma[slot - 1]
-        return Fraction(0)
-
 
 @dataclass(frozen=True)
 class Keyword:
@@ -173,9 +167,6 @@ class Instance:
     def budget(self, advertiser: str) -> Fraction:
         return self._adv[advertiser].budget
 
-    def edge(self, advertiser: str, keyword: str) -> Edge:
-        return self._edge[(advertiser, keyword)]
-
     def has_edge(self, advertiser: str, keyword: str) -> bool:
         return (advertiser, keyword) in self._edge
 
@@ -186,20 +177,13 @@ class Instance:
         """Position of the keyword in the document order (tie-break rank)."""
         return self._kw_order[keyword]
 
-    def _selected(self, graph: str) -> Iterable[Edge]:
-        if graph == "full":
-            return self.edges
-        if graph == BASE:
-            return (e for e in self.edges if e.tag == BASE)
-        raise ValueError("graph must be 'full' or 'base'")
-
-    def keywords_of(self, advertiser: str, graph: str = "full") -> List[str]:
-        kws = [e.keyword for e in self._selected(graph) if e.advertiser == advertiser]
+    def keywords_of(self, advertiser: str) -> List[str]:
+        kws = [e.keyword for e in self.edges if e.advertiser == advertiser]
         kws.sort(key=self.keyword_index)
         return kws
 
-    def advertisers_on(self, keyword: str, graph: str = "full") -> List[str]:
-        return sorted(e.advertiser for e in self._selected(graph) if e.keyword == keyword)
+    def advertisers_on(self, keyword: str) -> List[str]:
+        return sorted(e.advertiser for e in self.edges if e.keyword == keyword)
 
     def base_edges(self) -> Tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.tag == BASE)
@@ -571,44 +555,35 @@ def check_extension(base: Instance, ext: Instance) -> dict:
     return {"ok": not errors, "errors": errors, "new_edges": new_edges}
 
 
-def all_in_profile(instance: Instance, budgets: Optional[Mapping[str, Fraction]] = None,
-                   skip: Sequence[str] = ()) -> Profile:
+def all_in_profile(instance: Instance, skip: Sequence[str] = ()) -> Profile:
     """Profile committing each advertiser's full budget on every held edge.
 
     A what-if world for partition tables: each keyword sees every rival
     backed by her whole budget from query 1.  Not a valid split when an
     advertiser holds several edges (the same budget backs each keyword
     independently), so only feed it to table builders, never to a day.
+    ``skip`` names advertisers left out.
     """
-    if budgets is None:
-        budgets = {a.id: a.budget for a in instance.advertisers}
-    rows = []
-    for edge in instance.edges:
-        if edge.advertiser in skip or edge.advertiser not in budgets:
-            continue
-        rows.append(Allocation(edge.advertiser, edge.keyword,
-                               instance.volume(edge.keyword),
-                               Fraction(budgets[edge.advertiser])))
-    return Profile(tuple(rows))
+    return Profile(tuple(
+        Allocation(e.advertiser, e.keyword, instance.volume(e.keyword),
+                   instance.budget(e.advertiser))
+        for e in instance.edges if e.advertiser not in skip))
 
 
 def split_of_queries(instance: Instance, advertiser: str, queries: Mapping[str, int],
-                     others: Optional[object] = None) -> Profile:
+                     others: Optional[Profile] = None) -> Profile:
     """The exact budget split that buys a given query vector.
 
     Each keyword's committed budget is the exact cumulative cost of its
     first ``queries[kw]`` queries for this advertiser, given the other
-    advertisers' commitments.  ``others`` may be a Profile or a plain
-    {advertiser: budget} mapping (read as all-in on every held edge from
-    query 1); by default every rival is all-in with her full budget.
-    Raises ``ModelError`` if the total exceeds the budget.
+    advertisers' committed profile ``others``; by default every rival is
+    all-in with her full budget.  Raises ``ModelError`` if the total
+    exceeds the budget.
     """
     from . import partition
 
     if others is None:
         others = all_in_profile(instance, skip=(advertiser,))
-    elif isinstance(others, Mapping):
-        others = all_in_profile(instance, budgets=others, skip=(advertiser,))
     errors: List[dict] = []
     rows: List[Allocation] = []
     total = Fraction(0)

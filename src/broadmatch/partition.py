@@ -30,7 +30,8 @@ the int layout.  Where the settle before a segment dropped somebody, the
 segment also keeps the prices the settle asked on its way
 (``passed_prices``), from which ``pinning_keeps_day`` tells whether
 pinning some pools to their spend would leave the day as it is.  No
-floats are used.
+floats are used: a free segment's rate is the exact sentinel ``INFINITE``,
+and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
@@ -57,7 +58,6 @@ from .model import Allocation, Instance, Profile
 
 ZERO = Fraction(0)
 _first = itemgetter(0)
-INFINITE = float("inf")  # order sentinel for zero-cost rates; never used in arithmetic
 
 
 class Segment:
@@ -369,6 +369,26 @@ def pinning_keeps_day(segments: Sequence[Segment],
     return True
 
 
+class _Infinite:
+    """The type of ``INFINITE``: the rate of a free segment, above every
+    exact rate and equal only to itself.  It takes part in no arithmetic."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "INFINITE"
+
+
+INFINITE = _Infinite()
+
+
+def rate_gt(a, b) -> bool:
+    """Exact a > b for two rates, either of which may be ``INFINITE``."""
+    if a is INFINITE:
+        return b is not INFINITE
+    return b is not INFINITE and a > b
+
+
 @dataclass(frozen=True)
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
@@ -405,7 +425,8 @@ class PartitionTable:
         return len(self.costs)
 
     def rate(self, lam: int):
-        """Marginal payoff per unit cost in segment ``lam``; +inf when free."""
+        """Marginal payoff per unit cost in segment ``lam``; ``INFINITE``
+        when free."""
         c = self.costs[lam]
         if c == 0:
             return INFINITE

@@ -18,7 +18,7 @@ from broadmatch.auction import price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, format_rational)
-from broadmatch.partition import PartitionTable, keyword_day
+from broadmatch.partition import INFINITE, PartitionTable, keyword_day
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -62,6 +62,19 @@ def build_split(rows) -> Profile:
 def build_schedule(rows) -> Profile:
     return Profile(tuple(Allocation(a, k, q, F(b), t)
                           for a, k, q, b, t in rows), "schedule")
+
+
+def tri_keyword(volume: int) -> Instance:
+    """Subject "s" above one rival on each of three keywords of one slot;
+    the exact dp's cell count grows with the volume squared."""
+    kws = tuple(("k%d" % j, volume) for j in (1, 2, 3))
+    edges = []
+    for j, s in ((1, "2"), (2, "3"), (3, "4")):
+        edges.append(("s", "k%d" % j, s, "base"))
+        edges.append(("r%d" % j, "k%d" % j, "1/2", "base"))
+    advs = (("s", "10000000"),) + tuple(
+        ("r%d" % j, "1000000000") for j in (1, 2, 3))
+    return build_instance(("1",), kws, advs, edges)
 
 
 # -- reference simulator ------------------------------------------------------
@@ -268,12 +281,10 @@ def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
 
 # -- reference report encoding -------------------------------------------------
 
-_INF = float("inf")
-
-
 # The report encoder from before the CLI wrote its JSON itself, kept verbatim
-# apart from its name: it builds the tree that ``json.dumps(...,
-# sort_keys=True, indent=2)`` then encoded.
+# apart from its name and its rate sentinel, now ``partition.INFINITE``: it
+# builds the tree that ``json.dumps(..., sort_keys=True, indent=2)`` then
+# encoded.
 def reference_enc(x):
     """Recursively JSON-encode engine values; exact rationals become
     {"exact", "approx"} pairs and the infinite rate sentinel becomes "inf"."""
@@ -281,8 +292,8 @@ def reference_enc(x):
         return x
     if isinstance(x, Fraction):
         return {"exact": format_rational(x), "approx": _approx(x, 6)}
-    if isinstance(x, float):
-        return "inf" if x == _INF else "%.6f" % x
+    if x is INFINITE:
+        return "inf"
     if isinstance(x, dict):
         return {str(k): reference_enc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, frozenset, set)):

@@ -17,7 +17,7 @@ from broadmatch.model import (Instance, Keyword, all_in_profile, load_instance,
                               load_schedule, load_split)
 from broadmatch.partition import tables_for
 from broadmatch.simulate import simulate_day
-from conftest import FIXTURES, build_instance
+from conftest import FIXTURES, build_instance, tri_keyword
 
 import test_properties
 
@@ -164,17 +164,6 @@ def _best_of(fn, reps=7):
     return best
 
 
-def _tri_keyword(volume):
-    kws = tuple(("k%d" % j, volume) for j in (1, 2, 3))
-    edges = []
-    for j, s in ((1, "2"), (2, "3"), (3, "4")):
-        edges.append(("s", "k%d" % j, s, "base"))
-        edges.append(("r%d" % j, "k%d" % j, "1/2", "base"))
-    advs = (("s", "10000000"),) + tuple(
-        ("r%d" % j, "1000000000") for j in (1, 2, 3))
-    return build_instance(("1",), kws, advs, edges)
-
-
 def test_criterion_7():
     # a million-fold volume increase must not slow the event-driven paths;
     # the exact dp refuses honestly and the approximation scheme takes over
@@ -196,8 +185,8 @@ def test_criterion_7():
     assert (fptas_as2(big, "1", others, F(1, 4)).payoff
             == fptas_as2(base, "1", others, F(1, 4)).payoff)
 
-    small3 = _tri_keyword(10)
-    big3 = _tri_keyword(10 ** 7)
+    small3 = tri_keyword(10)
+    big3 = tri_keyword(10 ** 7)
     r = exact_best_response_dp(small3, "s", all_in_profile(small3, skip=("s",)))
     assert r.payoff == F(75)
     try:

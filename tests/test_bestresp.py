@@ -99,15 +99,16 @@ def test_build_subpartition_spans_segments():
 
 
 def test_single_keyword_needs_no_search():
+    # on the base graph advertiser 3 holds one edge, k2
     inst = build_instance(
         ("1", "7/10"), (("k1", 100), ("k2", 100)),
         (("1", "45"), ("2", "37"), ("3", "40"), ("4", "20")),
         (("1", "k1", "5", "base"), ("2", "k1", "3", "base"),
          ("3", "k2", "3/2", "base"), ("4", "k2", "1", "base"),
-         ("3", "k1", "2", "extension")))
+         ("3", "k1", "2", "extension"))).base_instance()
     others = build_split((("1", "k1", 50, "45"), ("2", "k1", 100, "37"),
                           ("4", "k2", 100, "20")))
-    res = exact_best_response_dp(inst, "3", others, keywords=["k2"])
+    res = exact_best_response_dp(inst, "3", others)
     assert res.queries == {"k2": 100}
     assert res.payoff == F(120) and res.cost == F(30)
     assert res.meta["work"] == 1
@@ -135,10 +136,22 @@ def test_priced_out_subject_stays_home():
     assert exact_best_response_dp(inst, "z", others).payoff == F(0)
 
 
+def _two_keyword(volume):
+    """Subject "s" above one rival on each of two keywords of one slot: one
+    priced segment per keyword, so the dp scans volume + 1 points."""
+    return build_instance(
+        ("1",), (("k1", volume), ("k2", volume)),
+        (("s", "10"), ("r1", "1"), ("r2", "1")),
+        (("s", "k1", "2", "base"), ("s", "k2", "3", "base"),
+         ("r1", "k1", "1/2", "base"), ("r2", "k2", "1/2", "base")))
+
+
 def test_scale_refusals():
+    # past WORK_CAP, the two-keyword scan refuses before it starts
+    big = _two_keyword(10 ** 7)
+    with pytest.raises(ScaleError, match="points"):
+        exact_best_response_dp(big, "s", all_in_profile(big, skip=("s",)))
     inst, others = against_field("agreeing-methods.json", "1")
-    with pytest.raises(ScaleError):
-        exact_best_response_dp(inst, "1", others, scale_cap=1)
     with pytest.raises(ScaleError):
         brute_force_oracle(inst, "1", others, cap=100)
     # a tiny eps: the rounded dp and the fptas grid refuse before building

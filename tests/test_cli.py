@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +25,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch import cli
-from conftest import reference_enc
+from broadmatch.model import serialize_instance
+from broadmatch.partition import INFINITE
+from conftest import reference_enc, tri_keyword
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +160,27 @@ def test_verify_eps_ne_exit_codes(fx):
     assert code == 3 and json.loads(out)["result"]["ok"] is None
     code, out = fx(*argv, "--eps-ne", "3/20", "--method", "dp")
     assert code == 3 and json.loads(out)["result"]["ok"] is False
+
+
+def test_verify_eps_ne_dp_refuses_past_the_work_cap(fx, tmp_path):
+    # 45,048,003 projected cells for "s": the dp's one cap refuses at once
+    market = tmp_path / "tri.json"
+    market.write_text(json.dumps(serialize_instance(tri_keyword(1000))),
+                      encoding="utf-8")
+    rows = [{"advertiser": "r%d" % j, "keyword": "k%d" % j,
+             "queries": 1000, "budget": "1000000000"} for j in (1, 2, 3)]
+    rows.append({"advertiser": "s", "keyword": "k1", "queries": 0,
+                 "budget": "10000000"})
+    split = tmp_path / "tri.split.json"
+    split.write_text(json.dumps({"allocations": rows}), encoding="utf-8")
+    started = time.perf_counter()
+    code, out = fx("verify", str(market), "--split", str(split),
+                   "--eps-ne", "0", "--method", "dp")
+    assert time.perf_counter() - started < 1
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 1
+    assert doc["error"]["type"] == "scale"
+    assert "45048003 cells" in doc["error"]["message"]
 
 
 def test_dynamics_reaches_the_fixed_point(fx):
@@ -399,7 +423,7 @@ _JSON_LEAVES = (st.none() | st.booleans() | st.integers()
 _EXACT = (st.integers().map(F) | st.fractions()
           | st.builds(F, st.integers(-10 ** 400, 10 ** 400),
                       st.integers(1, 10 ** 30)))
-_ENGINE_LEAVES = (_JSON_LEAVES | _EXACT | st.just(float("inf")) | st.floats()
+_ENGINE_LEAVES = (_JSON_LEAVES | _EXACT | st.just(INFINITE)
                   | st.sets(st.integers() | _EXACT, max_size=4)
                   | st.frozensets(_TEXT, max_size=4))
 
@@ -434,7 +458,7 @@ def test_writer_is_json_dumps_on_plain_trees(tree):
 @given(_trees(_ENGINE_LEAVES, _TEXT | st.integers(), tuples=True))
 # an int key and a text key with the same str(): the later one is kept
 @example({1: F(1, 2), "1": [F(-3)], 10: 7, "9": None})
-@example({"2": 0, 2: (F(10 ** 400, 3), float("inf"))})
+@example({"2": 0, 2: (F(10 ** 400, 3), INFINITE)})
 def test_writer_is_json_dumps_of_the_reference_encoding(tree):
     """Exact rationals, the rate sentinel, tuples, sets and int keys (which
     can collide with their text) are encoded as the tree-building encoder
@@ -444,7 +468,9 @@ def test_writer_is_json_dumps_of_the_reference_encoding(tree):
 
 
 def test_writer_refuses_what_it_cannot_encode():
-    for value in (b"bytes", 1j, object(), {"k": [bytearray()]}):
+    # the engine is float-free: a float in a report is a fault
+    for value in (b"bytes", 1j, object(), {"k": [bytearray()]}, 0.5,
+                  [float("inf")]):
         with pytest.raises(TypeError):
             reference_enc(value)
         with pytest.raises(TypeError):

@@ -98,7 +98,7 @@ def test_saturated_streams_excuse_leftover_money():
     ext = inst("two-keyword-entry-ext.json")
     nat = split("two-keyword-entry-natural.split.json")
     assert verify_bme(ext, nat)["ok"]
-    assert verify_bme(ext, nat, graph="base")["ok"]
+    assert verify_bme(ext.base_instance(), nat)["ok"]
 
 
 # -- eps Nash certification ---------------------------------------------------
@@ -171,18 +171,14 @@ def test_dynamics_rejects_unknown_knobs():
     am = inst("agreeing-methods.json")
     with pytest.raises(ValueError):
         best_response_dynamics(am, method="magic")
-    with pytest.raises(ValueError):
-        best_response_dynamics(am, init="sideways")
 
 
 def test_initial_profiles():
     fam = inst(FAMILY)
-    top = initial_profile(fam, "top")
+    top = initial_profile(fam)
     assert top.row("2", "k3").budget == F(42, 5)     # 17/5 beats 3 on k1
     assert top.row("4", "k1").budget == F(1)
     assert top.row("5", "k2").budget == F(42, 5)
-    uni = initial_profile(fam, "uniform")
-    assert uni.committed("2", "k1") == uni.committed("2", "k3") == F(21, 5)
 
 
 # -- natural split and dilemmas ----------------------------------------------

@@ -27,7 +27,7 @@ def test_instance_lookups():
     assert inst.score("3", "k1") == F(2)
     assert inst.has_edge("1", "k1") and not inst.has_edge("1", "k2")
     assert inst.keywords_of("3") == ["k1", "k2"]
-    assert inst.keywords_of("3", graph="base") == ["k2"]
+    assert inst.base_instance().keywords_of("3") == ["k2"]
     assert inst.advertisers_on("k1") == ["1", "2", "3"]
     assert inst.keyword_index("k2") == 1
     assert len(inst.base_edges()) == 4
@@ -113,8 +113,6 @@ def test_all_in_profile():
     assert p.committed("3", "k1") == F(40) and p.committed("3", "k2") == F(40)
     q = all_in_profile(inst, skip=("3",))
     assert q.rows_of("3") == []
-    r = all_in_profile(inst, budgets={"1": F(5)})
-    assert r.committed("1", "k1") == F(5)
 
 
 def test_split_of_queries_prices_a_query_vector():
