@@ -21,9 +21,10 @@ Four solvers, one contract:
 ``brute_force_oracle`` cross-checks the others by enumeration on small
 inputs.
 
-The dp and AS1/AS2 share one knapsack, whose cost axis runs on Python ints:
-costs and budget are scaled by one common denominator, so every cell is an
-exact int add and compare rather than a ``Fraction`` one.
+The dp and AS1/AS2 share one knapsack on Python ints: candidates are the
+tables' int prefix costs and payoffs, scaled with the budget to one common
+denominator, and only the cells that can change the answer are computed,
+so the witness is the one the full rational table picks.
 """
 
 from __future__ import annotations
@@ -255,97 +256,113 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
 # knapsack over prefixes
 
 
-def _candidate_values(table: PartitionTable, xs: Iterable[int]):
-    """(x, exact cost, exact payoff) triples for ascending prefix lengths.
-
-    One sweep over the table's breakpoints serves every candidate; each
-    triple equals ``(x, table.prefix(x)[1], table.prefix(x)[0])``.
-    """
+def _candidate_values(table: PartitionTable, xs: Iterable[int],
+                      budget: Fraction) -> List[Tuple[int, int, int]]:
+    """(x, C, U) for the ascending prefix lengths x whose cost fits the
+    budget, C and U the prefix's cost and payoff times the table's ``D``.
+    One sweep over the breakpoints serves every candidate; costs never
+    fall, so it stops at the first one past floor(budget * D)."""
+    cap = budget.numerator * table.D // budget.denominator
     bps = table.breakpoints
-    last = len(bps) - 1
-    k = 0
-    out = []
+    cc, cu = table.int_cum_cost, table.int_cum_payoff
+    ic, iu = table.int_costs, table.int_payoffs
+    last = len(ic) - 1  # x = volume ends the last segment
+    k, out = 0, []
     for x in xs:
         while k < last and bps[k + 1] <= x:
             k += 1
         extra = x - bps[k]
-        if extra:
-            out.append((x, table.cum_cost[k] + extra * table.costs[k],
-                        table.cum_payoff[k] + extra * table.payoffs[k]))
-        else:
-            out.append((x, table.cum_cost[k], table.cum_payoff[k]))
+        c = cc[k] + extra * ic[k]
+        if c > cap:
+            break
+        out.append((x, c, cu[k] + extra * iu[k]))
     return out
 
 
+def _cells(best: Sequence[int], lv: List[Tuple[int, int, int]],
+           ps: Iterable[int], over: int):
+    """The cells (least ``best[q] + c``, its (x, q)) at ascending level
+    targets ``ps`` over a layer's candidates (x, c, lvl), q = max(p - lvl,
+    0), first in order on ties; ``(over, None)`` when nothing is under
+    ``over``.  Levels ascend and are distinct, so a scan starts at the
+    first q within ``best`` (past it every cost is ``over``) and ends at the
+    first lvl >= p: every later one has q = 0 and costs no less.
+    """
+    reach = len(best) - 1
+    n = len(lv)
+    lo = hi = 0
+    for p in ps:
+        while hi < n and lv[hi][2] < p:
+            hi += 1
+        while lv[lo][2] < p - reach:
+            lo += 1
+        low, pick = over, None
+        for x, c, lvl in lv[lo:hi + 1]:
+            q = p - lvl if p > lvl else 0
+            if best[q] + c < low:
+                low, pick = best[q] + c, (x, q)
+        yield low, pick
+
+
 def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
-              candidates: Dict[str, List[Tuple[int, Fraction, Fraction]]],
+              candidates: Dict[str, List[Tuple[int, int, int]]],
               unit: Fraction) -> Tuple[Dict[str, int], Fraction]:
     """Min-cost table over integerized utility targets; returns witness.
 
-    ``unit`` converts exact payoffs to integer levels: level = floor(u/unit).
-    With ``unit`` an exact common divisor of all payoffs the rounding is
-    lossless and the result is the true optimum.
-
-    Costs (never negative) and the budget are scaled by their common
-    denominator, so every cell adds and compares Python ints exactly.
-    ``over``, one past the scaled budget, marks an unreachable level, and a
-    sum that reaches it is over budget.
+    ``candidates[kw]`` holds (x, C, U) in ascending x, the prefix's cost
+    and payoff times the table's ``D``; neither falls along the list.
+    ``unit`` converts payoffs to integer levels, floor(U / (D * unit)); with
+    ``unit`` an exact common divisor of all payoffs the rounding is
+    lossless and the result is the true optimum.  Costs and the budget are
+    scaled to one common denominator, so every cell is an int add and
+    compare; ``over``, one past the scaled budget, marks an unreachable
+    level.  Only cells that can change the answer are computed: the first
+    candidate per level, the levels a layer's keywords reach together, the
+    scans ``_cells`` makes, and a bisection of the last layer, whose cost
+    never falls as its level rises.
 
     Some combination must fit: the engine's callers always offer the empty
     prefix (``x = 0``, cost 0) on every keyword.  When even the cheapest
     candidates together exceed the budget there is no witness, and that is
     a ValueError naming the keywords that lack the empty prefix.
     """
-    den = math.lcm(budget.denominator,
-                   *(c.denominator for kw, _ in tabs
-                     for _, c, _ in candidates[kw]))
+    den = math.lcm(budget.denominator, *(t.D for _, t in tabs))
     cap = budget.numerator * (den // budget.denominator)
     over = cap + 1
-    levels: Dict[str, List[Tuple[int, int, int]]] = {}
-    total = 0
+    layers = []
     cheapest = 0
-    for kw, _ in tabs:
-        lv = [(x, c.numerator * (den // c.denominator), int(u // unit))
-              for x, c, u in candidates[kw]]
-        levels[kw] = lv
-        total += max(l for _, _, l in lv) if lv else 0
-        cheapest += min((c for _, c, _ in lv), default=over)
+    for kw, t in tabs:
+        scale, per_level = den // t.D, t.D * unit.numerator
+        lv = []
+        for x, c, u in candidates[kw]:
+            lvl = u * unit.denominator // per_level
+            if not lv or lvl > lv[-1][2]:
+                lv.append((x, c * scale, lvl))
+        layers.append(lv)
+        cheapest += lv[0][1] if lv else over
     if cheapest > cap:
-        short = [kw for kw, _ in tabs if all(c for _, c, _ in levels[kw])]
+        short = [kw for (kw, _), lv in zip(tabs, layers) if not lv or lv[0][1]]
         raise ValueError(
             "no candidate combination fits the budget %s: no zero-cost empty "
             "prefix among the candidates on %s" % (budget, ", ".join(short)))
-    best_cost = [over] * (total + 1)
-    best_cost[0] = 0
-    parents: List[List[Optional[Tuple[int, int]]]] = []
-    for kw, _ in tabs:
-        lv = levels[kw]
-        nxt = [over] * (total + 1)
-        par: List[Optional[Tuple[int, int]]] = [None] * (total + 1)
-        for p in range(total + 1):
-            low = over
-            pick = None
-            for x, c, lvl in lv:
-                q = p - lvl if p > lvl else 0
-                tot = best_cost[q] + c
-                if tot < low:
-                    low = tot
-                    pick = (x, q)
-            nxt[p] = low
-            par[p] = pick
-        best_cost = nxt
+    best: Sequence[int] = (0,)
+    parents: List[Sequence[Optional[Tuple[int, int]]]] = []
+    for lv in layers[:-1]:
+        best, par = zip(*_cells(best, lv, range(len(best) + lv[-1][2]), over))
         parents.append(par)
-    opt = 0
-    for p in range(total, -1, -1):
-        if best_cost[p] != over:
-            opt = p
-            break
-    queries: Dict[str, int] = {}
-    p = opt
-    for (kw, _), par in zip(reversed(tabs), reversed(parents)):
-        x, q = par[p]
+    lv = layers[-1]
+    opt, top = 0, len(best) + lv[-1][2]  # within budget at opt, not at top
+    while top - opt > 1:
+        mid = (opt + top) // 2
+        if next(_cells(best, lv, (mid,), over))[0] < over:
+            opt = mid
+        else:
+            top = mid
+    _, (x, p) = next(_cells(best, lv, (opt,), over))
+    queries = {tabs[-1][0]: x}
+    for (kw, _), par in zip(reversed(tabs[:-1]), reversed(parents)):
+        x, p = par[p]
         queries[kw] = x
-        p = q
     return queries, Fraction(opt)
 
 
@@ -369,10 +386,13 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable,
     total scan length over feasible configurations; refuses beyond
     ``WORK_CAP``.
     """
+    # (payoff, cost) of each table's prefix up to each of its breakpoints
+    cum_a = [ta.prefix(z) for z in ta.breakpoints]
+    cum_b = [tb.prefix(z) for z in tb.breakpoints]
     work = 0
     for sa in range(ta.segment_count):
         for sb in range(tb.segment_count):
-            base = ta.cum_cost[sa] + tb.cum_cost[sb]
+            base = cum_a[sa][1] + cum_b[sb][1]
             if base > budget:
                 continue
             la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
@@ -391,11 +411,11 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable,
     best = (0, 0)
     for sa in range(ta.segment_count):
         for sb in range(tb.segment_count):
-            base_c = ta.cum_cost[sa] + tb.cum_cost[sb]
+            base_c = cum_a[sa][1] + cum_b[sb][1]
             room = budget - base_c
             if room < 0:
                 continue
-            base_u = ta.cum_payoff[sa] + tb.cum_payoff[sb]
+            base_u = cum_a[sa][0] + cum_b[sb][0]
             la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
             lb = tb.breakpoints[sb + 1] - tb.breakpoints[sb]
             ca, cb = ta.costs[sa], tb.costs[sb]
@@ -462,7 +482,7 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
             raise ScaleError(
                 "exact dp would need ~%d cells (cap %d); use the fptas instead"
                 % (projected, WORK_CAP))
-        candidates = {kw: _candidate_values(t, range(maxaff[kw] + 1))
+        candidates = {kw: _candidate_values(t, range(maxaff[kw] + 1), budget)
                       for kw, t in tabs}
         queries, _ = _knapsack(tabs, budget, candidates, unit)
         meta.update(unit=unit, cells=projected)
@@ -520,10 +540,7 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
         raise ScaleError(
             "rounded dp would need up to %d cells (cap %d); use a larger eps"
             % (projected, WORK_CAP))
-    candidates = {}
-    for kw, t in tabs:
-        candidates[kw] = [(x, c, u) for x, c, u in _candidate_values(t, grid[kw])
-                          if c <= budget]
+    candidates = {kw: _candidate_values(t, grid[kw], budget) for kw, t in tabs}
     queries, _ = _knapsack(tabs, budget, candidates, unit)
     payoff, cost = _exact_value(tables, queries)
     committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}

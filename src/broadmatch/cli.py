@@ -473,9 +473,11 @@ def _cmd_verify(args) -> int:
             return code
         return _report(args, {"check": "bme", **rep}, code, instance)
     method = args.method if args.method in ("dp", "fptas") else "dp"
-    if method == "fptas" and args.eps_ne == 0:
-        raise UsageError("--eps-ne 0 cannot be certified by the approximation "
-                         "scheme; use --method dp")
+    if not (0 < args.eps_ne < 2 if method == "fptas" else args.eps_ne >= 0):
+        raise UsageError("--eps-ne must be %s, got %s" % (
+            "in (0, 2) with --method fptas, which runs at half of it (0 needs "
+            "--method dp)" if method == "fptas" else "nonnegative",
+            format_rational(args.eps_ne)))
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
                                     method=method, reserve=args.reserve)
     code = 0 if rep["ok"] is True else 3
@@ -766,6 +768,9 @@ def run(argv: Optional[List[str]] = None) -> int:
                                  % format_rational(args.reserve))
         if getattr(args, "eps", None) is not None:
             args.eps = _rat(args.eps, "--eps")
+            if args.method == "fptas" and not 0 < args.eps < 1:
+                raise UsageError("--eps must be in (0, 1) with --method "
+                                 "fptas, got %s" % format_rational(args.eps))
         if getattr(args, "eps_ne", None) is not None:
             args.eps_ne = _rat(args.eps_ne, "--eps-ne")
         return _DISPATCH[args.command](args)

@@ -395,8 +395,9 @@ class PartitionTable:
 
     Segment ``lam`` covers queries ``breakpoints[lam]+1 .. breakpoints[lam+1]``
     at constant per-query cost ``costs[lam]`` and payoff ``payoffs[lam]``.
-    Cumulative sums are precomputed so prefix evaluation is a bisect;
-    ``tables_for`` passes them in, summed on the keyword day's ints.
+    They are also kept as ints in units of 1/``D``, D the lcm of their
+    denominators (``int_costs``, ``int_payoffs``), and summed into
+    ``int_cum_cost`` and ``int_cum_payoff`` so prefix evaluation is a bisect.
     """
 
     advertiser: str
@@ -406,19 +407,25 @@ class PartitionTable:
     costs: Tuple[Fraction, ...]           # per segment
     payoffs: Tuple[Fraction, ...]
     actives: Tuple[Tuple[str, ...], ...]  # ranked active set per segment
-    cum_cost: Tuple[Fraction, ...] = field(repr=False, default=())
-    cum_payoff: Tuple[Fraction, ...] = field(repr=False, default=())
+    D: int = field(init=False, repr=False, compare=False)
+    int_costs: tuple = field(init=False, repr=False, compare=False)
+    int_payoffs: tuple = field(init=False, repr=False, compare=False)
+    int_cum_cost: tuple = field(init=False, repr=False, compare=False)
+    int_cum_payoff: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cum_cost:
-            return
-        cc, cu = [ZERO], [ZERO]
-        for lam, c in enumerate(self.costs):
+        D = math.lcm(*(x.denominator for x in self.costs + self.payoffs))
+        ic = tuple(_scaled(c, D) for c in self.costs)
+        iu = tuple(_scaled(u, D) for u in self.payoffs)
+        cc, cu = [0], [0]
+        for lam, (c, u) in enumerate(zip(ic, iu)):
             length = self.breakpoints[lam + 1] - self.breakpoints[lam]
             cc.append(cc[-1] + length * c)
-            cu.append(cu[-1] + length * self.payoffs[lam])
-        object.__setattr__(self, "cum_cost", tuple(cc))
-        object.__setattr__(self, "cum_payoff", tuple(cu))
+            cu.append(cu[-1] + length * u)
+        for name, value in (("D", D), ("int_costs", ic), ("int_payoffs", iu),
+                            ("int_cum_cost", tuple(cc)),
+                            ("int_cum_payoff", tuple(cu))):
+            object.__setattr__(self, name, value)
 
     @property
     def segment_count(self) -> int:
@@ -443,11 +450,12 @@ class PartitionTable:
         if not 0 <= l <= self.volume:
             raise ValueError("prefix length %d out of range 0..%d" % (l, self.volume))
         k = bisect_right(self.breakpoints, l) - 1
-        if self.breakpoints[k] == l:
-            return self.cum_payoff[k], self.cum_cost[k]
-        extra = l - self.breakpoints[k]
-        return (self.cum_payoff[k] + extra * self.payoffs[k],
-                self.cum_cost[k] + extra * self.costs[k])
+        u, c = self.int_cum_payoff[k], self.int_cum_cost[k]
+        if self.breakpoints[k] < l:
+            extra = l - self.breakpoints[k]
+            u += extra * self.int_payoffs[k]
+            c += extra * self.int_costs[k]
+        return Fraction(u, self.D), Fraction(c, self.D)
 
     def prefix_cost(self, l: int) -> Fraction:
         return self.prefix(l)[1]
@@ -459,11 +467,12 @@ class PartitionTable:
         """Largest prefix whose exact cost fits the budget."""
         if budget < 0:
             raise ValueError("budget must be nonnegative")
+        num, den = budget.numerator * self.D, budget.denominator
         for lam in range(self.segment_count):
-            if self.cum_cost[lam + 1] <= budget:
+            if self.int_cum_cost[lam + 1] * den <= num:
                 continue
-            room = budget - self.cum_cost[lam]
-            return self.breakpoints[lam] + int(room // self.costs[lam])
+            room = num - self.int_cum_cost[lam] * den
+            return self.breakpoints[lam] + room // (self.int_costs[lam] * den)
         return self.volume
 
     def query_cost(self, query: int) -> Fraction:
@@ -476,11 +485,8 @@ def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
     breakpoints = [0]
     costs: List[Fraction] = []
     payoffs: List[Fraction] = []
-    cum_cost = [ZERO]
-    cum_payoff = [ZERO]
     actives: List[Tuple[str, ...]] = []
     D = segments[0].D if segments else 1
-    spent = gained = 0  # over the segments so far, in units of 1/D
     for seg in segments:
         breakpoints.append(seg.hi)
         active = seg.active
@@ -488,22 +494,14 @@ def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
         n = active.index(advertiser)  # the subject is in every segment
         if n < len(seg.int_prices):
             p = seg.int_prices[n]
-            u = seg.int_values[n] - p
             costs.append(Fraction(p, D))
-            payoffs.append(Fraction(u, D))
-            length = seg.hi - seg.lo + 1
-            spent += length * p
-            gained += length * u
-            cum_cost.append(Fraction(spent, D))
-            cum_payoff.append(Fraction(gained, D))
+            payoffs.append(Fraction(seg.int_values[n] - p, D))
         else:  # unslotted: in the auction, pays and gains nothing
             costs.append(ZERO)
             payoffs.append(ZERO)
-            cum_cost.append(cum_cost[-1])
-            cum_payoff.append(cum_payoff[-1])
     return PartitionTable(advertiser, keyword, instance.volume(keyword),
                           tuple(breakpoints), tuple(costs), tuple(payoffs),
-                          tuple(actives), tuple(cum_cost), tuple(cum_payoff))
+                          tuple(actives))
 
 
 def tables_for(instance: Instance, advertiser: str, others: Profile,

@@ -1,5 +1,6 @@
 """Best-response solvers: greedy walk, exact dp, rounding schemes, oracle."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,8 +12,9 @@ from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
                                  fptas_as2, greedy_local_best_response,
                                  rounded_dp_as1)
 from broadmatch.model import all_in_profile, load_instance
-from broadmatch.partition import PartitionTable
-from conftest import FIXTURES, build_instance, build_split, reference_knapsack
+from broadmatch.partition import PartitionTable, tables_for
+from conftest import (FIXTURES, build_instance, build_split, random_instance,
+                      random_profile, reference_knapsack)
 
 
 def load(name):
@@ -225,6 +227,16 @@ def random_candidates(rng, t):
     return [(x, t.prefix(x)[1], t.prefix(x)[0]) for x in sorted(xs)]
 
 
+def int_candidates(tabs, candidates):
+    """``Fraction`` (x, cost, payoff) candidates as ``_knapsack`` takes
+    them: (x, C, U) ints over each table's D."""
+    def scaled(v, D):
+        assert (v * D).denominator == 1
+        return (v * D).numerator
+    return {kw: [(x, scaled(c, t.D), scaled(u, t.D))
+                 for x, c, u in candidates[kw]] for kw, t in tabs}
+
+
 def test_int_knapsack_matches_the_fraction_knapsack():
     """Identical (queries, opt) from the all-Fraction knapsack and the
     int-scaled one on 2,000 seeded cases: 1..4 keywords, 0..30 candidates
@@ -268,10 +280,11 @@ def test_int_knapsack_matches_the_fraction_knapsack():
             want = reference_knapsack(tabs, budget, candidates, unit)
         except TypeError:  # no candidate combination fits: no witness
             with pytest.raises(ValueError, match="zero-cost empty prefix"):
-                _knapsack(tabs, budget, candidates, unit)
+                _knapsack(tabs, budget, int_candidates(tabs, candidates), unit)
             seen["refused"] += 1
             continue
-        assert _knapsack(tabs, budget, candidates, unit) == want, case
+        assert _knapsack(tabs, budget, int_candidates(tabs, candidates),
+                         unit) == want, case
         seen["exact" if exact else "rounded"] += 1
         seen["huge"] += huge
         seen["zero-cost"] += any(c == 0 for _, t in tabs for c in t.costs)
@@ -280,25 +293,93 @@ def test_int_knapsack_matches_the_fraction_knapsack():
     assert min(v for k, v in seen.items() if k != "refused") >= 200, seen
 
 
+def test_pruned_knapsack_matches_the_fraction_knapsack():
+    """The knapsack's pruning against the all-Fraction knapsack on 5 and 6
+    keywords, under coarse units that put many candidates on one level,
+    with single-candidate keywords and budgets exactly at a candidate's
+    cost.  Each pruning must take part at least 200 times: a candidate
+    dropped for sharing its level with an earlier one (a), a cell scan
+    stopped at the first candidate at or past its target level (b), and a
+    last layer bisected to an optimum below the top level (d)."""
+    rng = random.Random(20080711)
+    seen = {"dropped": 0, "broke": 0, "below-top": 0, "single": 0,
+            "on-budget": 0}
+    for case in range(600):
+        m = 5 + case % 2
+        tabs = [("k%d" % j, random_table(rng, "k%d" % j, rng.randint(1, 40),
+                                         [1, 2, 3], [1, 2, 4], 6))
+                for j in range(m)]
+        candidates = {}
+        for kw, t in tabs:
+            xs = sorted({0, *rng.sample(range(t.volume + 1),
+                                        min(rng.randint(0, 12), t.volume))})
+            if rng.random() < 0.15:
+                xs = xs[:1]
+                seen["single"] += 1
+            candidates[kw] = [(x, t.prefix(x)[1], t.prefix(x)[0]) for x in xs]
+        costs = [c for lv in candidates.values() for _, c, _ in lv]
+        if rng.random() < 0.5:
+            budget = rng.choice(costs)
+            seen["on-budget"] += 1
+        else:
+            budget = sum(costs, F(0)) * F(rng.randint(0, 100), 100)
+        peak = max(u for lv in candidates.values() for _, _, u in lv)
+        unit = peak / rng.randint(1, 8) if peak > 0 else F(1)
+        want = reference_knapsack(tabs, budget, candidates, unit)
+        assert _knapsack(tabs, budget, int_candidates(tabs, candidates),
+                         unit) == want, case
+        levels = [[int(u // unit) for _, _, u in candidates[kw]]
+                  for kw, _ in tabs]
+        seen["dropped"] += any(len(set(lv)) < len(lv) for lv in levels)
+        seen["broke"] += any(len(set(lv)) > 1 for lv in levels[:-1])
+        seen["below-top"] += want[1] < sum(lv[-1] for lv in levels)
+    assert min(seen.values()) >= 200, seen
+
+
 def test_candidate_sweep_equals_per_prefix_lookups():
-    """The one-sweep candidate triples equal ``prefix()`` per candidate, on
-    full ``range`` grids, on ``build_subpartition`` grids and on sparse
-    ascending samples that skip whole segments."""
+    """The one-sweep int candidates equal ``prefix()`` per candidate times
+    the table's D, the lcm of its denominators, on hand-built ``Fraction``
+    tables and on ``tables_for`` tables of seeded markets, over full
+    ``range`` grids, ``build_subpartition`` grids and sparse ascending
+    samples that skip whole segments.  The sweep
+    keeps exactly the prefixes whose cost fits the budget, a budget equal
+    to a prefix's cost (C * budget.den == budget.num * D) included."""
     rng = random.Random(1969)
-    for case in range(200):
-        big = case % 2 == 1
-        t = random_table(rng, "k", rng.randint(2, 10 ** 9) if big
-                         else rng.randint(1, 60),
-                         [1, 3, rng.randint(1, 10 ** 9)], [1, 2, 5], 9)
-        budget = t.cum_cost[-1] * F(rng.randint(0, 120), 100)
+    tables = [random_table(rng, "k", rng.randint(2, 10 ** 9) if case % 2
+                           else rng.randint(1, 60),
+                           [1, 3, rng.randint(1, 10 ** 9)], [1, 2, 5], 9)
+              for case in range(200)]
+    hand_built = len(tables)
+    for seed in range(100):
+        market = random.Random(seed)
+        instance = random_instance(market)
+        others = random_profile(market, instance)
+        subject = market.choice(instance.advertisers).id
+        tables += tables_for(instance, subject, others).values()
+    seen = {"hand-built": 0, "tables_for": 0, "boundary": 0, "cut": 0}
+    for case, t in enumerate(tables):
+        assert t.D == math.lcm(*(x.denominator for x in t.costs + t.payoffs))
+        seen["hand-built" if case < hand_built else "tables_for"] += 1
+        if rng.random() < 0.5:
+            budget = t.prefix_cost(rng.randint(0, t.volume))
+        else:
+            budget = t.prefix_cost(t.volume) * F(rng.randint(0, 120), 100)
         cap = t.max_affordable(budget)
         grids = [build_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
                                     rng.randint(1, 6), cap=cap),
                  build_subpartition(t, F(1, 3), 2),
                  sorted(rng.sample(range(t.volume + 1),
                                    min(5, t.volume + 1)))]
-        if not big:
+        if t.volume <= 60:
             grids += [range(cap + 1), range(t.volume + 1)]
         for xs in grids:
-            assert _candidate_values(t, xs) == [
-                (x, t.prefix(x)[1], t.prefix(x)[0]) for x in xs], case
+            want = [(x, t.prefix(x)[1] * t.D, t.prefix(x)[0] * t.D)
+                    for x in xs if t.prefix(x)[1] <= budget]
+            got = _candidate_values(t, xs, budget)
+            assert got == want, case
+            assert all(type(v) is int for triple in got for v in triple)
+            seen["boundary"] += any(c * budget.denominator
+                                    == budget.numerator * t.D
+                                    for _, c, _ in got)
+            seen["cut"] += len(got) < len(xs)
+    assert min(seen.values()) >= 100, seen

@@ -5,7 +5,8 @@ output change, run from src/broadmatch/fixtures/:
 
     python3 -c "from broadmatch.cli import run; run([...])" > ../../../tests/golden/NAME.json
 
-with the argv list shown in GOLDEN_CASES below.
+with the argv list shown in GOLDEN_CASES below; for MARKET_GOLDEN_CASES, run
+from tests/markets/ and write to ../golden/NAME.json.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ from broadmatch.partition import INFINITE
 from conftest import reference_enc, tri_keyword
 
 GOLDEN = Path(__file__).parent / "golden"
+MARKETS = Path(__file__).parent / "markets"
 
 GOLDEN_CASES = {
     "simulate-natural": ["simulate", "two-keyword-entry-base.json",
@@ -52,6 +54,18 @@ GOLDEN_CASES = {
 }
 
 
+# Markets under tests/markets/: a subject on three keywords (the exact dp's
+# lcm-grid knapsack) and one on five (the fptas grid and the rounded dp).
+MARKET_GOLDEN_CASES = {
+    "best-response-dp-three-keywords": [
+        "best-response", "three-keyword-subject.json", "--advertiser", "s",
+        "--method", "dp"],
+    "best-response-fptas-five-keywords": [
+        "best-response", "five-keyword-subject.json", "--advertiser", "s",
+        "--method", "fptas", "--eps", "1/4"],
+}
+
+
 @pytest.fixture
 def fx(monkeypatch, capsys):
     """Invoke the CLI in-process from inside the bundled-fixtures directory."""
@@ -69,6 +83,15 @@ def test_golden_reports(fx, name):
     code, out = fx(*GOLDEN_CASES[name])
     golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert out == golden
+    assert code == json.loads(golden)["exit_code"]
+
+
+@pytest.mark.parametrize("name", sorted(MARKET_GOLDEN_CASES))
+def test_market_golden_reports(monkeypatch, capsys, name):
+    monkeypatch.chdir(MARKETS)
+    code = cli.run(list(MARKET_GOLDEN_CASES[name]))
+    golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
     assert code == json.loads(golden)["exit_code"]
 
 
@@ -337,12 +360,53 @@ def test_consecutive_runs_share_one_parser_and_leak_nothing(fx):
 
 
 def test_engine_errors_exit_1(fx):
-    code, out = fx("verify", "three-keyword-family.json",
-                   "--split", "three-keyword-family-shifted.split.json",
-                   "--eps-ne=-1/10")
+    # advertiser 1 holds two base edges: no natural all-in split to start at
+    code, out = fx("acbm", "greedy-vs-exact.json",
+                   "--ext", "greedy-vs-exact.json")
     doc = json.loads(out)
     assert code == 1
     assert doc["error"]["type"] == "engine"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--method", "fptas", "--eps", eps),
+     "--eps must be in (0, 1) with --method fptas, got " + eps)
+    for eps in ("1", "0", "-1", "3/2")] + [
+    (("dynamics", "greedy-vs-exact.json", "--method", "fptas", "--eps", "1"),
+     "--eps must be in (0, 1) with --method fptas, got 1")] + [
+    (("verify", "three-keyword-family.json",
+      "--split", "three-keyword-family-shifted.split.json",
+      "--eps-ne", eps, "--method", "fptas"),
+     "--eps-ne must be in (0, 2) with --method fptas, which runs at half of "
+     "it (0 needs --method dp), got " + eps)
+    for eps in ("2", "0", "-1")] + [
+    (("verify", "three-keyword-family.json",
+      "--split", "three-keyword-family-shifted.split.json",
+      "--eps-ne=" + eps, "--method", "dp"),
+     "--eps-ne must be nonnegative, got " + eps)
+    for eps in ("-1", "-1/10")])
+def test_out_of_range_accuracy_names_the_option(fx, argv, message):
+    """An accuracy outside what the method takes is the user's to fix:
+    a usage envelope, exit 2, naming the option and the value given, not
+    the inner solver's own range (the fptas check of ``--eps-ne`` runs at
+    half of it)."""
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"] == {"type": "usage", "message": message}
+
+
+def test_accuracy_at_the_edges_of_its_range_runs(fx):
+    argv = ("verify", "three-keyword-family.json",
+            "--split", "three-keyword-family-shifted.split.json")
+    assert fx(*argv, "--eps-ne", "19/10", "--method", "fptas")[0] == 0
+    assert fx(*argv, "--eps-ne", "2", "--method", "dp")[0] in (0, 3)
+    assert fx("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+              "--method", "fptas", "--eps", "99/100")[0] == 0
+    # --eps is the fptas's alone; the other methods leave it unread
+    assert fx("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+              "--method", "dp", "--eps", "5")[0] == 0
 
 
 def test_table_formats(fx):
@@ -612,7 +676,7 @@ def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(_argv())
-    # an engine refusal, and a tiny eps that once overflowed the fptas table
+    # an out-of-range eps, and a tiny eps that once overflowed the fptas table
     @example(["best-response", "greedy-vs-exact.json", "--advertiser", "1",
               "--method", "fptas", "--eps", "3"])
     @example(["best-response", "greedy-vs-exact.json", "--advertiser", "1",

@@ -286,14 +286,17 @@ def test_table_breakpoints_costs_payoffs():
     assert t.payoffs == (F(27, 10), F(22, 5))
     assert t.actives == (("1", "2", "3"), ("1", "3"))
     assert t.segment_count == 2
-    assert t.cum_cost == (F(0), F(299, 5), F(521, 5))
+    assert [t.prefix_cost(z) for z in t.breakpoints] == [F(0), F(299, 5),
+                                                         F(521, 5)]
+    assert (t.D, t.int_cum_cost) == (10, (0, 598, 1042))
 
 
 def test_table_cumulative_sums_match_its_own_segments():
-    """``tables_for`` sums a table's prefixes on the keyword day's ints;
-    a table rebuilt from the same breakpoints, costs and payoffs sums them
-    as ``Fraction``s itself, and must equal it, on 300 seeded markets
-    with random rival schedules and reserves."""
+    """A table's prefix sums at its breakpoints, as ``Fraction``s and as
+    ints over its D, equal the ``Fraction`` sums of its own segments, and a
+    table rebuilt from the same breakpoints, costs and payoffs sums them
+    alike, on 300 seeded markets with random rival schedules and
+    reserves."""
     seen = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -303,10 +306,20 @@ def test_table_cumulative_sums_match_its_own_segments():
         reserve = rng.choice(RESERVE_GRID)
         for t in tables_for(instance, subject, others,
                             reserve=reserve).values():
+            want = [(F(0), F(0))]
+            for lam, (c, u) in enumerate(zip(t.costs, t.payoffs)):
+                length = t.breakpoints[lam + 1] - t.breakpoints[lam]
+                want.append((want[-1][0] + length * u,
+                             want[-1][1] + length * c))
+            assert [t.prefix(z) for z in t.breakpoints] == want, seed
+            assert t.int_cum_payoff == tuple(u * t.D for u, _ in want)
+            assert t.int_cum_cost == tuple(c * t.D for _, c in want)
             again = PartitionTable(t.advertiser, t.keyword, t.volume,
                                    t.breakpoints, t.costs, t.payoffs,
                                    t.actives)
             assert again == t, (seed, t.keyword)
+            assert (again.D, again.int_cum_cost, again.int_cum_payoff) == (
+                t.D, t.int_cum_cost, t.int_cum_payoff)
             seen += t.segment_count > 1
     assert seen >= 100, seen
 
