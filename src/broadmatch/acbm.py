@@ -317,7 +317,7 @@ def allocate_excess(base: Instance, ext: Instance,
                 probed = _search(seg.lo, seg.hi, fine,
                                  lambda t: try_entry(i, j, on_j, t, avail,
                                                      day))
-                for t, (delta, entrant) in probed.items():
+                for t, (delta, entrant) in sorted(probed.items()):
                     if delta > best_delta:
                         best_delta = delta
                         best = (entrant,)
