@@ -24,10 +24,19 @@ not, and be dropped ahead of a higher-scored broke bidder.  Then, and only
 then, the probe runs the pinned day as well.  A paired entry is probed the
 same way, with both entrants in one run.
 
-Entry timing with ``fine`` is a heuristic, not an exhaustive search: a
+Entry timing with ``fine`` settles a quiet segment (``_quiet``: nobody
+pays in it, it runs to the day's last query and no committed row on the
+keyword enters after its first query) with two probes, its first query
+and the next.  An entry later in the segment meets what an entry at the
+second query meets, so its day is that one shifted and cut short and
+earns no more; ``_search`` gives the argument.  It needs a certificate
+that pinning keeps each of those days, which the second probe reads from
+its own run (``partition.pinning_keeps_prefixes``); without it, and on
+every other segment, timing is a heuristic, not an exhaustive search: a
 segment of at most 64 queries is probed at every start, a wider one at no
 more than 64 evenly spread starts and then in windows halved around the
-best probe so far, so it can miss the best start of a wide segment.
+best probe so far, so it can miss the best start of a wide segment.  Of
+several starts with the best delta, the scheduler commits the earliest.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .equilibrium import natural_base_split
 from .model import Allocation, Instance, Profile
-from .partition import day_totals, keyword_day, pinning_keeps_day
+from .partition import (Segment, day_totals, keyword_day,
+                        pinning_keeps_day, pinning_keeps_prefixes)
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -153,27 +163,31 @@ def obrev_check(base: Instance, ext: Instance,
 
 
 def _probe(instance: Instance, rows: Sequence[Allocation], kw: str,
-           entrants: Sequence[Allocation],
-           reserve: Fraction) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+           entrants: Sequence[Allocation], reserve: Fraction
+           ) -> Tuple[Fraction, Tuple[Fraction, ...], bool]:
     """What each entrant pays on ``kw``, exactly, when ``entrants`` join
-    the other ``rows`` committed there, and the keyword's revenue once the
-    entrants are committed pinned to those payments.
+    the other ``rows`` committed there, the keyword's revenue once the
+    entrants are committed pinned to those payments, and whether pinning
+    them keeps every prefix of the day as well
+    (``partition.pinning_keeps_prefixes``), the certificate ``_search``'s
+    two-probe rule reads.
 
     The payments come from one run of the day with the entrants at the
-    pools they are given.  When ``partition.pinning_keeps_day`` proves the
-    pinned day is that day, its revenue is the run's; otherwise a second
-    run with the pinned entrants gives it.
+    pools they are given.  When pinning provably keeps that day, its
+    revenue is the run's; otherwise a second run with the pinned entrants
+    gives it.
     """
     segs = keyword_day(instance, kw, (*rows, *entrants), reserve)
     ids = [e.advertiser for e in entrants]
     totals = day_totals(segs, ids)
     paid = tuple(totals.paid.get(i, ZERO) for i in ids)
-    if pinning_keeps_day(segs, ids):
-        return totals.revenue, paid
+    prefixes = pinning_keeps_prefixes(segs, ids)
+    if prefixes or pinning_keeps_day(segs, ids):
+        return totals.revenue, paid, prefixes
     pinned = [Allocation(e.advertiser, kw, 0, p, e.start_query)
               for e, p in zip(entrants, paid)]
     segs = keyword_day(instance, kw, (*rows, *pinned), reserve)
-    return day_totals(segs).revenue, paid
+    return day_totals(segs).revenue, paid, False
 
 
 def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
@@ -211,18 +225,44 @@ def _fine_starts(lo: int, hi: int) -> List[int]:
     return [lo + (2 * k * w + n) // (2 * n) for k in range(FINE_WINDOW)]
 
 
-def _search(lo: int, hi: int, fine: bool, probe) -> Dict[int, tuple]:
-    """Probe entry starts in [lo, hi]; ``probe(t)`` returns (delta, ...).
+def _quiet(seg: Segment, rows: Sequence[Allocation], volume: int) -> bool:
+    """True when nobody pays in ``seg``, it ends at the day's last query
+    and none of ``rows``, those committed on its keyword, starts after its
+    first query: ``_search`` settles such a segment with two probes."""
+    return (not seg.revenue and seg.hi == volume
+            and all(r.start_query <= seg.lo for r in rows))
 
-    Coarse, the one start is ``lo``.  Fine, every start of a segment of at
-    most FINE_WINDOW queries; a wider one gets FINE_WINDOW evenly spread
-    starts, then windows halved around the best probe so far (ties to the
-    earliest start) until a window of FINE_WINDOW queries is scanned whole.
-    This is a heuristic: it can miss the best start of a wide segment.
-    Returns each probed start's result, in probe order.
+
+def _search(lo: int, hi: int, fine: bool, probe,
+            quiet: bool = False) -> Dict[int, tuple]:
+    """Probe entry starts in [lo, hi]; ``probe(t)`` returns (delta, ...,
+    certified), the last item ``_probe``'s prefix certificate.
+
+    Coarse, the one start is ``lo``.  Fine, a ``quiet`` segment
+    (``_quiet``) is settled by two probes, ``lo`` and ``lo + 1``, when the
+    ``lo + 1`` probe is certified.  An entry at any t in (lo, hi] meets
+    the slate and the pools an entry at lo + 1 meets, since in between
+    nobody pays, goes broke or enters: its day is the lo + 1 day shifted
+    and cut short.  Revenue per query is nonnegative, so its unpinned
+    delta is at most lo + 1's.  The certificate says pinning keeps each of
+    those days, so pinned deltas are unpinned ones and lo + 1 is the
+    earliest best start in (lo, hi].  ``lo`` is probed apart, since an
+    entry there joins the settle that opened the segment.  Without the
+    certificate the segment is searched like any other.
+
+    Otherwise, fine, every start of a segment of at most FINE_WINDOW
+    queries is probed; a wider one gets FINE_WINDOW evenly spread starts,
+    then windows halved around the best probe so far (ties to the earliest
+    start) until a window of FINE_WINDOW queries is scanned whole.  This
+    search is a heuristic: it can miss the best start of a wide segment.
+    Returns each probed start's result.
     """
     if not fine:
         return {lo: probe(lo)}
+    if quiet and lo < hi:
+        probed = {t: probe(t) for t in (lo, lo + 1)}
+        if probed[lo + 1][-1]:
+            return probed
     probed = {t: probe(t) for t in _fine_starts(lo, hi)}
     width = hi - lo + 1
     if width <= FINE_WINDOW:
@@ -251,19 +291,20 @@ def allocate_excess(base: Instance, ext: Instance,
 
     Starting from the base-day schedule, repeatedly evaluates every unused
     new edge of an excess holder at candidate entry queries (each current
-    segment start; with ``fine``, the heuristic search of ``_search``
-    inside each segment: every query of a segment of at most 64, sampled
-    and then halved in around the best probe in a wider one).  The
-    strictly best revenue-positive move is committed: the entrant's base
-    pools are first pinned to their exact spend (freeing the leftover),
-    and the new edge receives exactly what the entry costs.  When no
-    single entry pays, pairs of entrants into a dark stream are tried as
-    one move.  Stops when nothing positive is left.  Greedy and
-    timing-restricted, hence a lower bound: a miss does not prove no
-    improving schedule exists.  ``base_day``, when given, is the base day
-    of ``profile``.  Each round simulates the broadened day once: the
-    first round's day is the initial day and the last one's, the final
-    day.
+    segment start; with ``fine``, ``_search`` inside each segment: the
+    first two queries of a quiet one whose second probe is certified, and
+    otherwise every query of a segment of at most 64, sampled and then
+    halved in around the best probe in a wider one).  The strictly best
+    revenue-positive move is committed; a tie goes to the first edge, then
+    the first segment, then the earliest start.  The entrant's base pools
+    are first pinned to their exact spend (freeing the leftover), and the
+    new edge receives exactly what the entry costs.  When no single entry
+    pays, pairs of entrants into a dark stream are tried as one move.
+    Stops when nothing positive is left.  Greedy and timing-restricted,
+    hence a lower bound: a miss does not prove no improving schedule
+    exists.  ``base_day``, when given, is the base day of ``profile``.
+    Each round simulates the broadened day once: the first round's day is
+    the initial day and the last one's, the final day.
     """
     if profile is None:
         profile = natural_base_split(base)
@@ -292,10 +333,11 @@ def allocate_excess(base: Instance, ext: Instance,
 
     def try_entry(i: str, j: str, on_j: Tuple[Allocation, ...], start: int,
                   avail: Fraction,
-                  day: DayOutcome) -> Tuple[Fraction, Allocation]:
+                  day: DayOutcome) -> Tuple[Fraction, Allocation, bool]:
         probe = Allocation(i, j, 0, avail, start)
-        rev, (paid,) = _probe(ext, on_j, j, (probe,), reserve)
-        return rev - day.keyword_revenue[j], Allocation(i, j, 0, paid, start)
+        rev, (paid,), certified = _probe(ext, on_j, j, (probe,), reserve)
+        return (rev - day.keyword_revenue[j], Allocation(i, j, 0, paid, start),
+                certified)
 
     info = excess_budgets(base, profile, reserve, base_day)
     while True:
@@ -316,8 +358,9 @@ def allocate_excess(base: Instance, ext: Instance,
             for seg in day.segments[j]:
                 probed = _search(seg.lo, seg.hi, fine,
                                  lambda t: try_entry(i, j, on_j, t, avail,
-                                                     day))
-                for t, (delta, entrant) in sorted(probed.items()):
+                                                     day),
+                                 _quiet(seg, on_j, ext.volume(j)))
+                for t, (delta, entrant, _) in sorted(probed.items()):
                     if delta > best_delta:
                         best_delta = delta
                         best = (entrant,)
@@ -381,7 +424,7 @@ def _paired_entry(ext, current, day, info, used, wallet, new_edges, reserve):
             if top2 is None or av2 < top2:
                 continue
             for t in dark_starts[j1]:
-                rev, (paid1, paid2) = _probe(
+                rev, (paid1, paid2), _ = _probe(
                     ext, on_j, j1, (Allocation(i1, j1, 0, av1, t),
                                     Allocation(i2, j1, 0, av2, t)), reserve)
                 e1 = Allocation(i1, j1, 0, paid1, t)

@@ -245,10 +245,10 @@ def _profile_arg(args, instance: Instance) -> Profile:
 
 
 def _others_arg(args, instance: Instance, advertiser: str) -> Profile:
-    """The rivals' profile for table building; defaults to everyone all-in."""
-    if getattr(args, "split", None):
-        path = args.split[0] if isinstance(args.split, list) else args.split
-        return _load_profile_file(instance, path, "split")
+    """The rivals' profile for table building, from ``--split`` or
+    ``--schedule``; defaults to everyone all-in."""
+    if args.split or args.schedule:
+        return _profile_arg(args, instance)
     return all_in_profile(instance, skip=(advertiser,))
 
 
@@ -473,10 +473,14 @@ def _cmd_verify(args) -> int:
             return code
         return _report(args, {"check": "bme", **rep}, code, instance)
     method = args.method if args.method in ("dp", "fptas") else "dp"
-    if not (0 < args.eps_ne < 2 if method == "fptas" else args.eps_ne >= 0):
+    if args.eps_ne >= 1:  # then (1 - E) * optimum <= 0 passes everybody
+        raise UsageError("--eps-ne must be below 1 (from 1 up, the check "
+                         "passes every profile), got %s"
+                         % format_rational(args.eps_ne))
+    if not (args.eps_ne > 0 if method == "fptas" else args.eps_ne >= 0):
         raise UsageError("--eps-ne must be %s, got %s" % (
-            "in (0, 2) with --method fptas, which runs at half of it (0 needs "
-            "--method dp)" if method == "fptas" else "nonnegative",
+            "in (0, 1) with --method fptas (0 needs --method dp)"
+            if method == "fptas" else "nonnegative",
             format_rational(args.eps_ne)))
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
                                     method=method, reserve=args.reserve)
@@ -540,9 +544,7 @@ def _cmd_acbm(args) -> int:
     if not chk["ok"]:
         raise ModelError(chk["errors"])
     # one natural split and one base day serve all three steps
-    profile = equilibrium.natural_base_split(base)
-    day = simulate_mod.simulate_day(base.base_instance(), profile,
-                                    args.reserve)
+    profile, day = equilibrium._natural_base_day(base, args.reserve)
     excess = acbm_mod.excess_budgets(base, profile, args.reserve, day)
     witness = acbm_mod.obrev_check(base, ext, profile, args.reserve, day)
     plan = acbm_mod.allocate_excess(base, ext, profile, args.fine,

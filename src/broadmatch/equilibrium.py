@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from . import bestresp
 from .model import Allocation, Instance, Profile
 from .partition import rate_gt, tables_for
-from .simulate import simulate_day
+from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
 
@@ -257,6 +257,16 @@ def natural_base_split(instance: Instance) -> Profile:
     The reference point for broadened-matching comparisons.  Ambiguous (and
     an error) when somebody holds more than one base edge.
     """
+    return _natural_base_day(instance)[0]
+
+
+def _natural_base_day(instance: Instance, reserve: Fraction = ZERO
+                      ) -> Tuple[Profile, DayOutcome]:
+    """``natural_base_split`` and its base day at ``reserve``.
+
+    The split's query counts come from its base day at reserve 0, so at
+    reserve 0 that day is returned as it is, not run again.
+    """
     base = instance.base_instance()
     rows: List[Allocation] = []
     for adv in base.advertisers:
@@ -270,10 +280,13 @@ def natural_base_split(instance: Instance) -> Profile:
                 % (adv.id, len(kws)))
         rows.append(Allocation(adv.id, kws[0], 0, adv.budget))
     day = simulate_day(base, Profile(tuple(rows)))
-    fixed = [Allocation(r.advertiser, r.keyword,
-                        day.participation[(r.advertiser, r.keyword)], r.budget)
-             for r in rows]
-    return Profile(tuple(fixed))
+    fixed = Profile(tuple(
+        Allocation(r.advertiser, r.keyword,
+                   day.participation[(r.advertiser, r.keyword)], r.budget)
+        for r in rows))
+    if reserve:
+        day = simulate_day(base, fixed, reserve)
+    return fixed, day
 
 
 def dilemma_report(base: Instance, ext: Instance, profiles: List[Profile],
@@ -287,8 +300,7 @@ def dilemma_report(base: Instance, ext: Instance, profiles: List[Profile],
     stable profiles is the auctioneer's dilemma: whether broadening pays
     depends on which stable point the advertisers settle into.
     """
-    base_day = simulate_day(base.base_instance(), natural_base_split(base),
-                            reserve)
+    base_day = _natural_base_day(base, reserve)[1]
     rows = []
     ok = True
     for prof in profiles:

@@ -29,9 +29,10 @@ day on the ints and converts once per total, so only this module reads
 the int layout.  Where the settle before a segment dropped somebody, the
 segment also keeps the prices the settle asked on its way
 (``passed_prices``), from which ``pinning_keeps_day`` tells whether
-pinning some pools to their spend would leave the day as it is.  No
-floats are used: a free segment's rate is the exact sentinel ``INFINITE``,
-and ``rate_gt`` is the one order on rates.
+pinning some pools to their spend would leave the day as it is, and
+``pinning_keeps_prefixes`` whether it would leave every prefix of the day
+as it is too.  No floats are used: a free segment's rate is the exact
+sentinel ``INFINITE``, and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
@@ -366,6 +367,30 @@ def pinning_keeps_day(segments: Sequence[Segment],
         for adv, p in seg.passed_prices:
             if p > left.get(adv, p):
                 return False
+    return True
+
+
+def pinning_keeps_prefixes(segments: Sequence[Segment],
+                           bidders: Iterable[str]) -> bool:
+    """True when ``pinning_keeps_day`` holds for the day and for each of
+    its prefixes, the day cut short after any query.
+
+    A timeline is causal, so a cut keeps the settles, and the passed
+    prices, of every segment it reaches, and from any such segment on a
+    pinned bidder still pays at least its own per-query price there.  So
+    it is enough that no passed price asked of one of ``bidders`` exceeds
+    its own price on that segment, 0 where it is not slotted.  The test
+    reads each segment alone, so it carries over to a day made of these
+    segments shifted to a later start and cut short, after segments that
+    none of ``bidders`` has entered yet.  It implies ``pinning_keeps_day``.
+    """
+    want = set(bidders)
+    for seg in segments:
+        if seg.passed_prices:
+            own = dict(zip(map(_first, seg.ranking), seg.int_prices))
+            for adv, p in seg.passed_prices:
+                if adv in want and p > own.get(adv, 0):
+                    return False
     return True
 
 

@@ -13,6 +13,7 @@ from broadmatch.simulate import check_profile_consistency
 from conftest import (FIXTURES, RESERVE_GRID, build_instance,
                       random_extension_pair, random_profile,
                       reference_entry_cost, reference_keyword_revenue)
+from fine_search_misses import quiet_segments
 
 
 def inst(name):
@@ -207,13 +208,15 @@ def test_one_run_probe_matches_the_two_run_reference():
             groups = [(w,) for w in wallets]
             groups += combinations(wallets, 2)
             for entrants in groups:
-                got = acbm._probe(ext, on_kw, kw, entrants, reserve)
-                assert got == _two_run_probe(ext, on_kw, kw, entrants,
-                                             reserve), (seed, kw, entrants)
+                *got, certified = acbm._probe(ext, on_kw, kw, entrants,
+                                              reserve)
+                assert tuple(got) == _two_run_probe(
+                    ext, on_kw, kw, entrants, reserve), (seed, kw, entrants)
                 segs = keyword_day(ext, kw, on_kw + entrants, reserve)
                 seen["single" if len(entrants) == 1 else "pair"] += 1
-                if not pinning_keeps_day(segs, [e.advertiser
-                                                for e in entrants]):
+                ids = [e.advertiser for e in entrants]
+                if not pinning_keeps_day(segs, ids):
+                    assert not certified, (seed, kw, entrants)
                     seen["rerun"] += 1
                     seen["pinning-moved-the-day"] += (
                         got[0] != reference_keyword_revenue(
@@ -250,7 +253,7 @@ def test_probe_reruns_where_pinning_moves_the_day():
     assert sum((len(s) * s.revenue for s in segs), F(0)) == F(89, 10)
     assert not pinning_keeps_day(segs, ["E"])
     assert acbm._probe(ext, rows, "k", (entrant,), F(0)) == (
-        F(17, 2), (F(24, 5),))
+        F(17, 2), (F(24, 5),), False)
 
 
 # -- the --fine search -------------------------------------------------------
@@ -314,3 +317,49 @@ def test_search_scans_narrow_segments_whole_and_homes_in_on_wide_ones():
         assert all(lo <= t <= hi for t in calls)
         assert len(calls) <= acbm.FINE_WINDOW * width.bit_length()
         assert peak in probed, (lo, hi, peak)
+
+
+def test_two_probes_settle_quiet_segments():
+    """A quiet segment (nobody pays, it runs to the day's last query, no
+    committed row starts later) is settled by probes at lo and lo + 1.
+    Against a per-query scan of pinned days run the long way, on 60 seeded
+    extension pairs (volumes up to 200) at reserve 0 and 1/2: the lo + 1
+    probe is certified, no pinned delta rises on (lo, hi], and the best
+    delta and its earliest start are the scan's
+    (``tests/fine_search_misses.py`` runs the same check on more seeds)."""
+    got = quiet_segments(range(60))
+    assert got["uncertified"] == got["rises"] == got["fast_misses"] == 0, got
+    assert got["wide"] >= 20, got
+
+
+def test_quiet_segment_without_the_certificate_is_searched(monkeypatch):
+    """Gamma (1, 1), reserve 0, k of 1,000 queries: A (score 10, budget 1)
+    and B (4) fill both slots with no bid below them, so nobody pays all
+    day and k's one segment is quiet.  E (5) holds 100 unspent on its home
+    keyword.  Entering k, E takes slot 2 and prices A at 4, which A cannot
+    pay: the settle asks E 4 on its way, drops A, and E then pays 0.  So
+    the probe at query 2 is not certified, and the scheduler searches the
+    segment like any other."""
+    edges = [("A", "k", "10", "base"), ("B", "k", "4", "base"),
+             ("E", "h", "5", "base")]
+    market = (("1", "1"), [("k", 1000), ("h", 10)],
+              [("A", "1"), ("B", "50"), ("E", "100")])
+    base = build_instance(*market, edges)
+    ext = build_instance(*market, edges + [("E", "k", "5", "extension")])
+    rows = (Allocation("A", "k", 0, F(1)), Allocation("B", "k", 0, F(50)))
+    assert acbm._probe(ext, rows, "k", (Allocation("E", "k", 0, F(100), 2),),
+                       F(0)) == (F(0), (F(0),), False)
+    searched = []
+    real = acbm._search
+
+    def spy(lo, hi, fine, probe, quiet=False):
+        got = real(lo, hi, fine, probe, quiet)
+        searched.append((lo, hi, quiet, got, real(lo, hi, fine, probe)))
+        return got
+
+    monkeypatch.setattr(acbm, "_search", spy)
+    res = allocate_excess(base, ext, fine=True)
+    assert res["moves"] == [] and res["final_revenue"] == F(0)
+    [(lo, hi, quiet, got, full)] = searched
+    assert (lo, hi, quiet) == (1, 1000, True)
+    assert got == full and len(got) > acbm.FINE_WINDOW

@@ -26,8 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch import cli
-from broadmatch.model import serialize_instance
-from broadmatch.partition import INFINITE
+from broadmatch.bestresp import exact_best_response_dp
+from broadmatch.model import load_instance, load_schedule, serialize_instance
+from broadmatch.partition import INFINITE, tables_for
 from conftest import reference_enc, tri_keyword
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,7 +103,8 @@ def test_reports_are_byte_deterministic(fx):
 
 
 def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
-    """One natural split, one base day, then one broadened day per round
+    """At reserve 0 the day that fills in the natural split's query counts
+    is the base day, so one base day, then one broadened day per round
     (the first is the initial day, the last the final one)."""
     from broadmatch import acbm, equilibrium, simulate
     real = simulate.simulate_day
@@ -118,7 +120,7 @@ def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
     assert code == 0
     assert out == (GOLDEN / "acbm-fine.json").read_text(encoding="utf-8")
     rounds = len(json.loads(out)["result"]["moves"]) + 1
-    assert len(calls) == 2 + rounds
+    assert len(calls) == 1 + rounds
 
 
 def test_report_envelope(fx):
@@ -162,6 +164,45 @@ def test_missing_file_is_a_usage_error(fx):
     assert code == 2
     assert doc["error"]["type"] == "usage"
     assert "cannot read" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["partition", "best-response"])
+def test_schedule_sets_the_rivals_profile(fx, command):
+    """``--schedule FILE`` gives the rivals' rows as ``--split`` does: in
+    the late schedule advertiser 3 enters k1 at query 51, so advertiser 1's
+    table there is the one ``tables_for`` builds against that schedule, not
+    the all-in default, and the best response follows that table.  A
+    schedule file that does not exist is a usage error."""
+    argv = (command, "two-keyword-entry-ext.json", "--advertiser", "1")
+    code, out = fx(*argv, "--schedule", "no-such-file.json")
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"]["type"] == "usage"
+    assert "cannot read no-such-file.json" in doc["error"]["message"]
+
+    ext = load_instance((cli._FIXTURE_DIR / "two-keyword-entry-ext.json")
+                        .read_text(encoding="utf-8"))
+    late = load_schedule((cli._FIXTURE_DIR / "two-keyword-entry-late"
+                          ".schedule.json").read_text(encoding="utf-8"))
+    code, out = fx(*argv, "--schedule", "two-keyword-entry-late.schedule.json")
+    assert code == 0
+    got = json.loads(out)["result"]
+    _, default = fx(*argv)
+    assert got != json.loads(default)["result"]
+    if command == "partition":
+        tables = tables_for(ext, "1", late)
+        assert sorted(got["keywords"]) == sorted(tables)
+        for kw, table in tables.items():
+            rows = got["keywords"][kw]
+            assert rows["breakpoints"] == list(table.breakpoints)
+            assert [(s["active"], s["cost"]["exact"])
+                    for s in rows["segments"]] == [
+                (list(a), str(c)) for a, c in zip(table.actives, table.costs)]
+        assert ["1", "2", "3"] in [s["active"] for s in
+                                   got["keywords"]["k1"]["segments"]]
+    else:
+        assert got["payoff"]["exact"] == str(
+            exact_best_response_dp(ext, "1", late).payoff)
 
 
 def test_verify_unstable_split_exits_3(fx):
@@ -378,19 +419,29 @@ def test_engine_errors_exit_1(fx):
     (("verify", "three-keyword-family.json",
       "--split", "three-keyword-family-shifted.split.json",
       "--eps-ne", eps, "--method", "fptas"),
-     "--eps-ne must be in (0, 2) with --method fptas, which runs at half of "
-     "it (0 needs --method dp), got " + eps)
+     "--eps-ne must be below 1 (from 1 up, the check passes every profile), "
+     "got " + eps if eps == "2" else
+     "--eps-ne must be in (0, 1) with --method fptas (0 needs --method dp), "
+     "got " + eps)
     for eps in ("2", "0", "-1")] + [
     (("verify", "three-keyword-family.json",
       "--split", "three-keyword-family-shifted.split.json",
       "--eps-ne=" + eps, "--method", "dp"),
      "--eps-ne must be nonnegative, got " + eps)
-    for eps in ("-1", "-1/10")])
+    for eps in ("-1", "-1/10")] + [
+    (("verify", "three-keyword-family.json",
+      "--split", "three-keyword-family-shifted.split.json",
+      "--eps-ne", eps, "--method", method),
+     "--eps-ne must be below 1 (from 1 up, the check passes every profile), "
+     "got " + eps)
+    for method, eps in (("dp", "1"), ("dp", "5"), ("fptas", "1"))])
 def test_out_of_range_accuracy_names_the_option(fx, argv, message):
     """An accuracy outside what the method takes is the user's to fix:
     a usage envelope, exit 2, naming the option and the value given, not
     the inner solver's own range (the fptas check of ``--eps-ne`` runs at
-    half of it)."""
+    half of it).  From ``--eps-ne 1`` up, the bound (1 - E) times the best
+    response is at most 0 and would certify every profile, so either
+    method refuses it."""
     code, out = fx(*argv)
     doc = json.loads(out)
     assert code == doc["exit_code"] == 2
@@ -400,8 +451,8 @@ def test_out_of_range_accuracy_names_the_option(fx, argv, message):
 def test_accuracy_at_the_edges_of_its_range_runs(fx):
     argv = ("verify", "three-keyword-family.json",
             "--split", "three-keyword-family-shifted.split.json")
-    assert fx(*argv, "--eps-ne", "19/10", "--method", "fptas")[0] == 0
-    assert fx(*argv, "--eps-ne", "2", "--method", "dp")[0] in (0, 3)
+    assert fx(*argv, "--eps-ne", "99/100", "--method", "fptas")[0] == 0
+    assert fx(*argv, "--eps-ne", "99/100", "--method", "dp")[0] == 0
     assert fx("best-response", "greedy-vs-exact.json", "--advertiser", "1",
               "--method", "fptas", "--eps", "99/100")[0] == 0
     # --eps is the fptas's alone; the other methods leave it unread

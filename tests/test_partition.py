@@ -9,6 +9,7 @@ from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
 from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
                                   keyword_day, pinning_keeps_day,
+                                  pinning_keeps_prefixes,
                                   run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
@@ -215,10 +216,13 @@ def test_pinning_keeps_day_only_where_the_pinned_day_is_the_same():
     bidders' pools pinned to their spend gives the same segments, field
     for field; 3,000 seeded days with drops even, falling and rising.
     Where it is False the pinned day often does differ: the check is not
-    vacuous.  ``day_totals`` matches the sums of the exact views."""
+    vacuous.  Where ``pinning_keeps_prefixes`` is True, so is
+    ``pinning_keeps_day``, and the same holds for the day cut short to
+    each of its prefixes, each pinned to its own spend.  ``day_totals``
+    matches the sums of the exact views."""
     rng = random.Random(8191)
     seen = {"kept": 0, "kept-after-evictions": 0, "rerun": 0,
-            "moved": 0}
+            "moved": 0, "prefixes-kept-after-evictions": 0}
     for case in range(3000):
         gamma = sorted({F(rng.randint(1, 20), 20)
                         for _ in range(rng.randint(0, 3))} | {F(1)},
@@ -244,14 +248,26 @@ def test_pinning_keeps_day_only_where_the_pinned_day_is_the_same():
         again = run_keyword_timeline(slots, volume, pinned, reserve)
         same = ([segment_views(g) for g in segs]
                 == [segment_views(g) for g in again])
+        evicted = any(adv in watched for g in segs
+                      for adv, _ in g.passed_prices)
         if pinning_keeps_day(segs, watched):
             assert same, case
             seen["kept"] += 1
-            seen["kept-after-evictions"] += any(
-                adv in watched for g in segs for adv, _ in g.passed_prices)
+            seen["kept-after-evictions"] += evicted
         else:
             seen["rerun"] += 1
             seen["moved"] += not same
+        if pinning_keeps_prefixes(segs, watched):
+            assert pinning_keeps_day(segs, watched), case
+            seen["prefixes-kept-after-evictions"] += evicted
+            for n in range(1, volume):
+                cut = run_keyword_timeline(slots, n, bidders, reserve)
+                paid = day_totals(cut).paid
+                pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched
+                           else b) for i, s, q0, b in bidders]
+                assert ([segment_views(g) for g in cut]
+                        == [segment_views(g) for g in run_keyword_timeline(
+                            slots, n, pinned, reserve)]), (case, n)
     assert min(seen.values()) >= 20, seen
 
 

@@ -134,7 +134,8 @@ def test_acbm_probes_agree_with_per_query_simulation():
                            rng.randint(1, ext.volume(kw))) for i in advs)
             profile = Profile(on_kw + entrants, "schedule")
             ref = naive_day(ext, profile, reserve)
-            revenue, payments = acbm._probe(ext, on_kw, kw, entrants, reserve)
+            revenue, payments, _ = acbm._probe(ext, on_kw, kw, entrants,
+                                               reserve)
             pinned = tuple(Allocation(e.advertiser, kw, 0, paid, e.start_query)
                            for e, paid in zip(entrants, payments))
             committed = Profile(on_kw + pinned, "schedule")
