@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import Allocation, Instance, Profile
 from .partition import INFINITE, PartitionTable, rate_gt, tables_for
@@ -110,25 +110,20 @@ class _EdgeState:
         return self.table.rate(self.table.segment_of(self.bought + 1))
 
 
-def _pick_unstable(states: Sequence[_EdgeState]) -> Optional[Tuple[_EdgeState, List[_EdgeState]]]:
-    """First edge whose next query beats some other edge's last query."""
-    donors = [s for s in states if s.bought > 0]
+def _unstable(states: Sequence[_EdgeState]) -> Iterator[_EdgeState]:
+    """The edges whose next query pays a strictly better rate than some
+    other edge's last query, in keyword order."""
     for cand in states:
         up = cand.mp_plus()
-        if up is None:
-            continue
-        pool = [d for d in donors
-                if d is not cand and rate_gt(up, d.mp_minus())]
-        if pool:
-            return cand, donors
-    return None
+        if up is not None and any(d is not cand and d.bought > 0
+                                  and rate_gt(up, d.mp_minus())
+                                  for d in states):
+            yield cand
 
 
 def greedy_local_best_response(instance: Instance, advertiser: str,
                                others: Profile,
-                               reserve: Fraction = ZERO,
-                               on_phase_boundary: Optional[Callable] = None,
-                               ) -> BestResponse:
+                               reserve: Fraction = ZERO) -> BestResponse:
     """Greedy segment walk, then marginal-payoff readjustment.
 
     Allocation: repeatedly buy out the remaining segment with the best
@@ -139,16 +134,22 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
 
     Readjustment: while some edge's next query pays a strictly better rate
     than another edge's last query, move money from the worst last-segment
-    holding to that edge.  ``on_phase_boundary``, if given, is called
-    between the phases with (unstable_edges, snapshot) — useful for
-    checking how non-local the walk's raw output really is.
+    holding to that edge.
     """
     tables = tables_for(instance, advertiser, others, reserve=reserve)
-    states = [_EdgeState(kw, t) for kw, t in tables.items()]
-    budget = instance.budget(advertiser)
-    spent = ZERO  # total money out of the wallet = sum of committed
+    states = _walk(tables, instance.budget(advertiser))
+    _readjust(states)
+    queries = {s.kw: s.bought for s in states}
+    committed = {s.kw: s.committed for s in states}
+    payoff, cost = _exact_value(tables, queries)
+    return BestResponse(advertiser, "greedy", queries, committed, payoff, cost)
 
-    # --- allocation phase -------------------------------------------------
+
+def _walk(tables: Mapping[str, PartitionTable], budget: Fraction) -> List[_EdgeState]:
+    """The greedy response's allocation phase: each edge's state once the
+    budget is committed or every stream is bought out."""
+    states = [_EdgeState(kw, t) for kw, t in tables.items()]
+    spent = ZERO  # total money out of the wallet = sum of committed
     while True:
         best: Optional[_EdgeState] = None
         best_rate = None
@@ -180,31 +181,20 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
         best.committed += remaining
         spent = budget
         break
+    return states
 
-    if on_phase_boundary is not None:
-        unstable = []
-        for s in states:
-            up = s.mp_plus()
-            if up is None:
-                continue
-            if any(d is not s and d.bought > 0 and rate_gt(up, d.mp_minus())
-                   for d in states):
-                unstable.append(s.kw)
-        snapshot = {s.kw: {"bought": s.bought, "committed": s.committed,
-                           "cost": s.cost} for s in states}
-        on_phase_boundary(unstable, snapshot)
 
-    # --- readjustment phase -----------------------------------------------
+def _readjust(states: List[_EdgeState]) -> None:
+    """The greedy response's readjustment phase, in place."""
     guard = 4 * len(states) * len(states) + 16
     while guard > 0:
         guard -= 1
-        picked = _pick_unstable(states)
-        if picked is None:
+        land = next(_unstable(states), None)
+        if land is None:
             break
-        land, donors = picked
         while land.bought < land.table.volume:
             up = land.mp_plus()
-            pool = [d for d in donors
+            pool = [d for d in states
                     if d is not land and d.bought > 0
                     and rate_gt(up, d.mp_minus())]
             if not pool:
@@ -242,14 +232,8 @@ def greedy_local_best_response(instance: Instance, advertiser: str,
                 land.cost += room * c_l
                 land.committed = land.cost
                 land.bought = land.table.breakpoints[nxt + 1]
-            donors = [d for d in states if d.bought > 0]
     else:
         raise RuntimeError("readjustment failed to settle")
-
-    queries = {s.kw: s.bought for s in states}
-    committed = {s.kw: s.committed for s in states}
-    payoff, cost = _exact_value(tables, queries)
-    return BestResponse(advertiser, "greedy", queries, committed, payoff, cost)
 
 
 # ---------------------------------------------------------------------------

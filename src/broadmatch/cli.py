@@ -205,12 +205,21 @@ def _fail(args, code: int, kind: str, payload) -> int:
     return code
 
 
-def _rat(text: str, what: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("invalid %s: %r (want an integer, fraction p/q, "
-                         "or decimal)" % (what, text))
+        raise argparse.ArgumentTypeError(
+            "not a rational: %r (want an integer, fraction p/q, or decimal)"
+            % text)
+
+
+def _reserve(text: str) -> Fraction:
+    reserve = _rational(text)
+    if reserve < 0:
+        raise argparse.ArgumentTypeError(
+            "must be nonnegative, got %s" % format_rational(reserve))
+    return reserve
 
 
 def _read(path: str) -> str:
@@ -232,24 +241,32 @@ def _load_profile_file(instance: Instance, path: str, kind: str) -> Profile:
     return profile
 
 
-def _profile_arg(args, instance: Instance) -> Profile:
-    if getattr(args, "split", None) and getattr(args, "schedule", None):
-        raise UsageError("--split and --schedule are mutually exclusive")
-    if getattr(args, "split", None):
-        path = args.split[0] if isinstance(args.split, list) else args.split
-        return _load_profile_file(instance, path, "split")
-    if getattr(args, "schedule", None):
+def _profile_arg(args, instance: Instance) -> Optional[Profile]:
+    """The profile of ``--split`` or ``--schedule``; None without either."""
+    if args.split:
+        return _load_profile_file(instance, args.split, "split")
+    if args.schedule:
         return _load_profile_file(instance, args.schedule, "schedule")
-    raise UsageError("a profile is required: pass --split FILE or "
-                     "--schedule FILE")
+    return None
 
 
 def _others_arg(args, instance: Instance, advertiser: str) -> Profile:
     """The rivals' profile for table building, from ``--split`` or
     ``--schedule``; defaults to everyone all-in."""
-    if args.split or args.schedule:
-        return _profile_arg(args, instance)
-    return all_in_profile(instance, skip=(advertiser,))
+    return (_profile_arg(args, instance)
+            or all_in_profile(instance, skip=(advertiser,)))
+
+
+def _check_fptas_eps(args) -> None:
+    """``--method fptas`` needs ``--eps`` in (0, 1); other methods leave
+    ``--eps`` unread."""
+    if args.method != "fptas":
+        return
+    if args.eps is None:
+        raise UsageError("--eps is required with --method fptas")
+    if not 0 < args.eps < 1:
+        raise UsageError("--eps must be in (0, 1) with --method fptas, got %s"
+                         % format_rational(args.eps))
 
 
 def _table_text(headers: List[str], rows: List[List[str]]) -> str:
@@ -272,8 +289,7 @@ def _fr(x: Fraction) -> str:
 def _cmd_validate(args) -> int:
     instance = _load_instance_file(args.instance)
     result = {"ok": True, "warnings": [], "checked": ["instance"]}
-    if args.split or args.schedule:
-        _profile_arg(args, instance)
+    if _profile_arg(args, instance) is not None:
         result["checked"].append("profile")
     if args.ext:
         ext = _load_instance_file(args.ext)
@@ -322,8 +338,6 @@ def _cmd_price(args) -> int:
 def _cmd_partition(args) -> int:
     instance = _load_instance_file(args.instance)
     adv = args.advertiser
-    if adv is None:
-        raise UsageError("--advertiser is required")
     kw = args.keyword
     where = " (keyword %r)" % kw if kw else ""
     if adv not in {a.id for a in instance.advertisers}:
@@ -409,29 +423,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _run_response(instance, args, advertiser, others):
-    method = args.method
-    if method == "greedy":
-        return bestresp.greedy_local_best_response(
-            instance, advertiser, others, reserve=args.reserve)
-    if method == "dp":
-        return bestresp.exact_best_response_dp(
-            instance, advertiser, others, reserve=args.reserve)
-    if method == "fptas":
-        if args.eps is None:
-            raise UsageError("--eps is required with --method fptas")
+    if args.method == "fptas":
         return bestresp.fptas_as2(instance, advertiser, others, args.eps,
                                   reserve=args.reserve)
-    if method == "brute":
-        return bestresp.brute_force_oracle(
-            instance, advertiser, others, reserve=args.reserve)
-    raise UsageError("unknown method %r" % method)
+    solver = {"greedy": bestresp.greedy_local_best_response,
+              "dp": bestresp.exact_best_response_dp,
+              "brute": bestresp.brute_force_oracle}[args.method]
+    return solver(instance, advertiser, others, reserve=args.reserve)
 
 
 def _cmd_best_response(args) -> int:
+    _check_fptas_eps(args)
     instance = _load_instance_file(args.instance)
     adv = args.advertiser
-    if adv is None:
-        raise UsageError("--advertiser is required")
     if adv not in {a.id for a in instance.advertisers}:
         raise UsageError("unknown advertiser %r" % adv)
     others = _others_arg(args, instance, adv)
@@ -460,8 +464,6 @@ def _cmd_best_response(args) -> int:
 def _cmd_verify(args) -> int:
     instance = _load_instance_file(args.instance)
     profile = _profile_arg(args, instance)
-    if args.bme == (args.eps_ne is not None):
-        raise UsageError("pass exactly one of --bme or --eps-ne EPS")
     if args.bme:
         rep = equilibrium.verify_bme(instance, profile, reserve=args.reserve)
         code = 0 if rep["ok"] else 3
@@ -472,18 +474,18 @@ def _cmd_verify(args) -> int:
                                                 len(rep["e2_violations"])))
             return code
         return _report(args, {"check": "bme", **rep}, code, instance)
-    method = args.method if args.method in ("dp", "fptas") else "dp"
+    fptas = args.method == "fptas"
     if args.eps_ne >= 1:  # then (1 - E) * optimum <= 0 passes everybody
         raise UsageError("--eps-ne must be below 1 (from 1 up, the check "
                          "passes every profile), got %s"
                          % format_rational(args.eps_ne))
-    if not (args.eps_ne > 0 if method == "fptas" else args.eps_ne >= 0):
+    if not (args.eps_ne > 0 if fptas else args.eps_ne >= 0):
         raise UsageError("--eps-ne must be %s, got %s" % (
             "in (0, 1) with --method fptas (0 needs --method dp)"
-            if method == "fptas" else "nonnegative",
+            if fptas else "nonnegative",
             format_rational(args.eps_ne)))
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
-                                    method=method, reserve=args.reserve)
+                                    method=args.method, reserve=args.reserve)
     code = 0 if rep["ok"] is True else 3
     if args.format == "table":
         rows = [[i, r.get("status", "?")] for i, r in
@@ -494,12 +496,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    _check_fptas_eps(args)
     if args.max_rounds < 0:
         raise UsageError("--max-rounds must be nonnegative, got %d"
                          % args.max_rounds)
     instance = _load_instance_file(args.instance)
-    if args.method == "fptas" and args.eps is None:
-        raise UsageError("--eps is required with --method fptas")
     start = None
     if args.init:
         start = _load_profile_file(instance, args.init, "split")
@@ -537,8 +538,6 @@ def _cmd_dilemma(args) -> int:
 
 def _cmd_acbm(args) -> int:
     base = _load_instance_file(args.base)
-    if not args.ext:
-        raise UsageError("--ext FILE is required")
     ext = _load_instance_file(args.ext)
     chk = check_extension(base, ext)
     if not chk["ok"]:
@@ -642,27 +641,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Store the option's value, and refuse a second one."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and reused after that."""
+    """The CLI's parser, built on the first call and reused after that.
+    Each subcommand declares exactly the options it reads."""
     parser = _Parser(
         prog="broadmatch",
         description="Exact engine for broad-match keyword auction games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=False, ext=False):
-        p.add_argument("--reserve", default="0", metavar="R",
-                       help="reserve score (integer, fraction or decimal)")
+    def common(p):
+        p.add_argument("--reserve", type=_reserve, default=Fraction(0),
+                       metavar="R", help="reserve score (integer, fraction "
+                       "or decimal)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        if profile:
-            p.add_argument("--split", action="append", metavar="FILE")
-            p.add_argument("--schedule", metavar="FILE")
-        if ext:
-            p.add_argument("--ext", metavar="FILE")
+
+    def profile(p, required=False):
+        group = p.add_mutually_exclusive_group(required=required)
+        group.add_argument("--split", action=_Once, metavar="FILE")
+        group.add_argument("--schedule", action=_Once, metavar="FILE")
 
     p = sub.add_parser("validate", help="check an instance and profiles")
     p.add_argument("instance")
-    common(p, profile=True, ext=True)
+    profile(p)
+    p.add_argument("--ext", metavar="FILE")
 
     p = sub.add_parser("price", help="price one query of a keyword")
     p.add_argument("instance")
@@ -673,36 +684,41 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="per-advertiser segment tables")
     p.add_argument("instance")
     p.add_argument("keyword", nargs="?")
-    p.add_argument("--advertiser", metavar="ID")
-    common(p, profile=True)
+    p.add_argument("--advertiser", required=True, metavar="ID")
+    profile(p)
+    common(p)
 
     p = sub.add_parser("simulate", help="run one day under a profile")
     p.add_argument("instance")
-    common(p, profile=True)
+    profile(p, required=True)
+    common(p)
 
     p = sub.add_parser("best-response", help="one advertiser's best use of "
                                              "her budget against the rest")
     p.add_argument("instance")
-    p.add_argument("--advertiser", metavar="ID")
+    p.add_argument("--advertiser", required=True, metavar="ID")
     p.add_argument("--method", choices=("greedy", "dp", "fptas", "brute"),
                    default="dp")
-    p.add_argument("--eps", metavar="E")
-    common(p, profile=True)
+    p.add_argument("--eps", type=_rational, metavar="E")
+    profile(p)
+    common(p)
 
     p = sub.add_parser("verify", help="check a profile for stability")
     p.add_argument("instance")
-    p.add_argument("--bme", action="store_true",
-                   help="marginal-payoff stability across keywords")
-    p.add_argument("--eps-ne", metavar="E", dest="eps_ne",
-                   help="certify an approximate Nash point")
+    check = p.add_mutually_exclusive_group(required=True)
+    check.add_argument("--bme", action="store_true",
+                       help="marginal-payoff stability across keywords")
+    check.add_argument("--eps-ne", type=_rational, metavar="E", dest="eps_ne",
+                       help="certify an approximate Nash point")
     p.add_argument("--method", choices=("dp", "fptas"), default="dp")
-    common(p, profile=True)
+    profile(p, required=True)
+    common(p)
 
     p = sub.add_parser("dynamics", help="iterate best responses")
     p.add_argument("instance")
     p.add_argument("--method", choices=("greedy", "dp", "fptas"),
                    default="greedy")
-    p.add_argument("--eps", metavar="E")
+    p.add_argument("--eps", type=_rational, metavar="E")
     p.add_argument("--max-rounds", type=int, default=100, metavar="N")
     p.add_argument("--init", metavar="FILE",
                    help="starting split (default: all-in on the top keyword)")
@@ -719,19 +735,20 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acbm", help="schedule leftover budgets onto "
                                     "broadened keywords")
     p.add_argument("base")
+    p.add_argument("--ext", required=True, metavar="FILE")
     p.add_argument("--fine", action="store_true",
                    help="refine entry queries inside segments")
-    common(p, ext=True)
+    common(p)
 
     p = sub.add_parser("compare", help="two splits on one instance, side "
                                        "by side")
     p.add_argument("instance")
-    common(p, profile=True)
+    p.add_argument("--split", action="append", metavar="FILE")
+    common(p)
 
     p = sub.add_parser("fixtures", help="list or emit the bundled examples")
     p.add_argument("name", nargs="?")
     p.add_argument("dir", nargs="?")
-    common(p)
 
     return parser
 
@@ -763,18 +780,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
     args._argv = argv
     try:
-        if hasattr(args, "reserve"):
-            args.reserve = _rat(args.reserve, "--reserve")
-            if args.reserve < 0:
-                raise UsageError("--reserve must be nonnegative, got %s"
-                                 % format_rational(args.reserve))
-        if getattr(args, "eps", None) is not None:
-            args.eps = _rat(args.eps, "--eps")
-            if args.method == "fptas" and not 0 < args.eps < 1:
-                raise UsageError("--eps must be in (0, 1) with --method "
-                                 "fptas, got %s" % format_rational(args.eps))
-        if getattr(args, "eps_ne", None) is not None:
-            args.eps_ne = _rat(args.eps_ne, "--eps-ne")
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         return _fail(args, 2, "usage", str(exc))

@@ -128,10 +128,12 @@ def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
     scheme, run at accuracy delta = eps/2, the optimum is only bracketed:
     payoff >= (1-eps) * alg/(1-delta) certifies, payoff < (1-eps) * alg
     refutes, anything between is inconclusive for that advertiser.
+    ``eps`` must lie in [0, 1), since from 1 up the bound (1-eps) * optimum
+    is at most 0 and passes every profile; the scheme needs eps > 0.
     """
     eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < 1:
+        raise ValueError("eps must be in [0, 1)")
     if method not in ("dp", "fptas"):
         raise ValueError("method must be dp or fptas")
     if method == "fptas" and eps == 0:

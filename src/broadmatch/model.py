@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 BASE = "base"
 EXTENSION = "extension"
@@ -87,14 +87,55 @@ def _require_str(value, path: str, errors: List[dict]) -> str:
     return value
 
 
-def _check_keys(obj: dict, path: str, required: Iterable[str], optional: Iterable[str],
-                errors: List[dict]) -> None:
-    required = set(required)
-    allowed = required | set(optional)
-    for key in required - obj.keys():
-        _err(errors, path, "missing key %r" % key)
-    for key in obj.keys() - allowed:
-        _err(errors, path, "unknown key %r" % key)
+def _check_keys(obj: dict, path: str, required: Sequence[str],
+                optional: Sequence[str], errors: List[dict]) -> None:
+    for key in required:
+        if key not in obj:
+            _err(errors, path, "missing key %r" % key)
+    for key in obj:
+        if key not in required and key not in optional:
+            _err(errors, path, "unknown key %r" % key)
+
+
+def _decode(document, kind: str) -> dict:
+    """The object a loader reads: ``document`` parsed if it is JSON text,
+    as given otherwise; anything but a JSON object is refused."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
+    if not isinstance(document, dict):
+        raise ModelError([{"path": "$",
+                           "message": "%s document must be a JSON object" % kind}])
+    return document
+
+
+def _objects(doc: dict, key: str, required: Sequence[str],
+             optional: Sequence[str], errors: List[dict]) -> Iterator[Tuple[str, dict]]:
+    """``(path, item)`` for each object of the list ``doc[key]``, after
+    checking the item's keys.  A non-list and each non-object item are
+    errors."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        _err(errors, "$." + key, "expected a list")
+        return
+    for n, item in enumerate(items):
+        path = "$.%s[%d]" % (key, n)
+        if isinstance(item, dict):
+            _check_keys(item, path, required, optional, errors)
+            yield path, item
+        else:
+            _err(errors, path, "expected an object")
+
+
+def _unique(keys: Iterable, path: str, message: str, errors: List[dict]) -> None:
+    """An error at ``path % n`` for the n-th key when an earlier one equals it."""
+    seen = set()
+    for n, key in enumerate(keys):
+        if key in seen:
+            _err(errors, path % n, message % (key,))
+        seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -196,14 +237,13 @@ class Instance:
         return Instance(self.slots, self.keywords, self.advertisers, self.base_edges())
 
 
-def _validate_instance_doc(doc) -> Tuple[Optional[Instance], List[dict]]:
+def load_instance(document) -> Instance:
+    """Parse and validate an instance from a JSON string or parsed object."""
+    doc = _decode(document, "instance")
     errors: List[dict] = []
-    if not isinstance(doc, dict):
-        _err(errors, "$", "instance document must be a JSON object")
-        return None, errors
     _check_keys(doc, "$", ("slots", "keywords", "advertisers", "edges"), (), errors)
     if errors:
-        return None, errors
+        raise ModelError(errors)
 
     slots_doc = doc["slots"]
     gamma: Tuple[Fraction, ...] = ()
@@ -233,62 +273,30 @@ def _validate_instance_doc(doc) -> Tuple[Optional[Instance], List[dict]]:
                      "clickability not strictly decreasing")
 
     keywords: List[Keyword] = []
-    kw_doc = doc["keywords"]
-    if not isinstance(kw_doc, list):
-        _err(errors, "$.keywords", "expected a list")
-        kw_doc = []
-    for n, item in enumerate(kw_doc):
-        path = "$.keywords[%d]" % n
-        if not isinstance(item, dict):
-            _err(errors, path, "expected an object")
-            continue
-        _check_keys(item, path, ("id", "volume"), (), errors)
+    for path, item in _objects(doc, "keywords", ("id", "volume"), (), errors):
         kid = _require_str(item.get("id", ""), path + ".id", errors)
         vol = _require_int(item.get("volume", 0), path + ".volume", errors)
         if vol < 1:
             _err(errors, path + ".volume", "volume must be a positive integer")
         keywords.append(Keyword(kid, vol))
-    seen = set()
-    for n, k in enumerate(keywords):
-        if k.id in seen:
-            _err(errors, "$.keywords[%d].id" % n, "duplicate keyword id %r" % k.id)
-        seen.add(k.id)
+    _unique([k.id for k in keywords], "$.keywords[%d].id",
+            "duplicate keyword id %r", errors)
 
     advertisers: List[Advertiser] = []
-    adv_doc = doc["advertisers"]
-    if not isinstance(adv_doc, list):
-        _err(errors, "$.advertisers", "expected a list")
-        adv_doc = []
-    for n, item in enumerate(adv_doc):
-        path = "$.advertisers[%d]" % n
-        if not isinstance(item, dict):
-            _err(errors, path, "expected an object")
-            continue
-        _check_keys(item, path, ("id", "budget"), (), errors)
+    for path, item in _objects(doc, "advertisers", ("id", "budget"), (), errors):
         aid = _require_str(item.get("id", ""), path + ".id", errors)
         budget = parse_rational(item.get("budget", 0), path + ".budget", errors)
         if budget < 0:
             _err(errors, path + ".budget", "budget must be nonnegative")
         advertisers.append(Advertiser(aid, budget))
-    seen = set()
-    for n, a in enumerate(advertisers):
-        if a.id in seen:
-            _err(errors, "$.advertisers[%d].id" % n, "duplicate advertiser id %r" % a.id)
-        seen.add(a.id)
+    _unique([a.id for a in advertisers], "$.advertisers[%d].id",
+            "duplicate advertiser id %r", errors)
 
     edges: List[Edge] = []
-    edge_doc = doc["edges"]
-    if not isinstance(edge_doc, list):
-        _err(errors, "$.edges", "expected a list")
-        edge_doc = []
     kw_ids = {k.id for k in keywords}
     adv_ids = {a.id for a in advertisers}
-    for n, item in enumerate(edge_doc):
-        path = "$.edges[%d]" % n
-        if not isinstance(item, dict):
-            _err(errors, path, "expected an object")
-            continue
-        _check_keys(item, path, ("advertiser", "keyword", "score"), ("tag",), errors)
+    for path, item in _objects(doc, "edges", ("advertiser", "keyword", "score"),
+                               ("tag",), errors):
         adv = _require_str(item.get("advertiser", ""), path + ".advertiser", errors)
         kw = _require_str(item.get("keyword", ""), path + ".keyword", errors)
         score = parse_rational(item.get("score", 0), path + ".score", errors)
@@ -303,29 +311,12 @@ def _validate_instance_doc(doc) -> Tuple[Optional[Instance], List[dict]]:
             _err(errors, path + ".tag", "tag must be 'base' or 'extension'")
             tag = BASE
         edges.append(Edge(adv, kw, score, tag))
-    seen = set()
-    for n, e in enumerate(edges):
-        key = (e.advertiser, e.keyword)
-        if key in seen:
-            _err(errors, "$.edges[%d]" % n, "duplicate edge %r" % (key,))
-        seen.add(key)
+    _unique([(e.advertiser, e.keyword) for e in edges], "$.edges[%d]",
+            "duplicate edge %r", errors)
 
-    if errors:
-        return None, errors
-    return Instance(SlotParams(gamma), tuple(keywords), tuple(advertisers), tuple(edges)), errors
-
-
-def load_instance(document) -> Instance:
-    """Parse and validate an instance from a JSON string or parsed object."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
-    instance, errors = _validate_instance_doc(document)
     if errors:
         raise ModelError(errors)
-    return instance
+    return Instance(SlotParams(gamma), tuple(keywords), tuple(advertisers), tuple(edges))
 
 
 def serialize_instance(instance: Instance) -> dict:
@@ -410,31 +401,16 @@ class Profile:
         return Profile(tuple(kept) + tuple(new_rows), self.kind)
 
 
+_FIELDS = {"split": ("advertiser", "keyword", "queries", "budget"),
+           "schedule": ("advertiser", "keyword", "queries", "budget", "start_query")}
+
+
 def _load_profile(document, kind: str) -> Profile:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
+    doc = _decode(document, kind)
     errors: List[dict] = []
-    if not isinstance(document, dict):
-        _err(errors, "$", "%s document must be a JSON object" % kind)
-        raise ModelError(errors)
-    _check_keys(document, "$", ("allocations",), (), errors)
+    _check_keys(doc, "$", ("allocations",), (), errors)
     rows: List[Allocation] = []
-    alloc_doc = document.get("allocations", [])
-    if not isinstance(alloc_doc, list):
-        _err(errors, "$.allocations", "expected a list")
-        alloc_doc = []
-    fields = ["advertiser", "keyword", "queries", "budget"]
-    if kind == "schedule":
-        fields.append("start_query")
-    for n, item in enumerate(alloc_doc):
-        path = "$.allocations[%d]" % n
-        if not isinstance(item, dict):
-            _err(errors, path, "expected an object")
-            continue
-        _check_keys(item, path, fields, (), errors)
+    for path, item in _objects(doc, "allocations", _FIELDS[kind], (), errors):
         adv = _require_str(item.get("advertiser", ""), path + ".advertiser", errors)
         kw = _require_str(item.get("keyword", ""), path + ".keyword", errors)
         queries = _require_int(item.get("queries", 0), path + ".queries", errors)
@@ -449,12 +425,8 @@ def _load_profile(document, kind: str) -> Profile:
         if budget < 0:
             _err(errors, path + ".budget", "budget must be nonnegative")
         rows.append(Allocation(adv, kw, queries, budget, start))
-    seen = set()
-    for n, r in enumerate(rows):
-        key = (r.advertiser, r.keyword)
-        if key in seen:
-            _err(errors, "$.allocations[%d]" % n, "duplicate allocation %r" % (key,))
-        seen.add(key)
+    _unique([(r.advertiser, r.keyword) for r in rows], "$.allocations[%d]",
+            "duplicate allocation %r", errors)
     if errors:
         raise ModelError(errors)
     return Profile(tuple(rows), kind)
@@ -568,40 +540,3 @@ def all_in_profile(instance: Instance, skip: Sequence[str] = ()) -> Profile:
         Allocation(e.advertiser, e.keyword, instance.volume(e.keyword),
                    instance.budget(e.advertiser))
         for e in instance.edges if e.advertiser not in skip))
-
-
-def split_of_queries(instance: Instance, advertiser: str, queries: Mapping[str, int],
-                     others: Optional[Profile] = None) -> Profile:
-    """The exact budget split that buys a given query vector.
-
-    Each keyword's committed budget is the exact cumulative cost of its
-    first ``queries[kw]`` queries for this advertiser, given the other
-    advertisers' committed profile ``others``; by default every rival is
-    all-in with her full budget.  Raises ``ModelError`` if the total
-    exceeds the budget.
-    """
-    from . import partition
-
-    if others is None:
-        others = all_in_profile(instance, skip=(advertiser,))
-    errors: List[dict] = []
-    rows: List[Allocation] = []
-    total = Fraction(0)
-    for kw in sorted(queries, key=instance.keyword_index):
-        x = queries[kw]
-        if not instance.has_edge(advertiser, kw):
-            _err(errors, "$.%s" % kw, "no edge (%s, %s)" % (advertiser, kw))
-            continue
-        if not 0 <= x <= instance.volume(kw):
-            _err(errors, "$.%s" % kw, "query count %d out of range" % x)
-            continue
-        table = partition.tables_for(instance, advertiser, others, keywords=[kw])[kw]
-        _, cost = table.prefix(x)
-        total += cost
-        rows.append(Allocation(advertiser, kw, x, cost))
-    if errors:
-        raise ModelError(errors)
-    if total > instance.budget(advertiser):
-        raise ModelError([{"path": "$", "message": "cost %s exceeds budget %s"
-                           % (total, instance.budget(advertiser))}])
-    return Profile(tuple(rows))

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
-                                 _knapsack, _utility_unit, brute_force_oracle,
+                                 _knapsack, _unstable, _utility_unit, _walk,
+                                 brute_force_oracle,
                                  build_subpartition, exact_best_response_dp,
                                  fptas_as2, greedy_local_best_response,
                                  rounded_dp_as1)
@@ -187,15 +188,12 @@ def test_response_profile_rows():
             for r in prof.rows] == [("1", "k1", 9, F(18))]
 
 
-def test_phase_boundary_callback():
+def test_greedy_walk_at_the_phase_boundary():
     inst, others = against_field("greedy-vs-exact.json", "1")
-    seen = []
-    greedy_local_best_response(inst, "1", others,
-                               on_phase_boundary=lambda u, s: seen.append((u, s)))
-    assert len(seen) == 1
-    unstable, snapshot = seen[0]
-    assert sorted(snapshot) == ["k1", "k2"]
-    assert len(unstable) <= 1
+    states = _walk(tables_for(inst, "1", others), inst.budget("1"))
+    assert sorted(s.kw for s in states) == ["k1", "k2"]
+    assert sum(s.committed for s in states) == inst.budget("1")
+    assert len(list(_unstable(states))) <= 1
 
 
 # -- the int-scaled knapsack --------------------------------------------------

@@ -290,7 +290,22 @@ USAGE_CASES = [
     ("compare", "three-keyword-family.json",
      "--split", "three-keyword-family-stayhome.split.json",
      "--split", "three-keyword-family-shifted.split.json", "--jobs", "2"),
-]
+    # an option the subcommand does not take
+    ("validate", "two-keyword-entry-base.json", "--reserve", "5"),
+    ("fixtures", "--format", "table"),
+    ("compare", "three-keyword-family.json",
+     "--split", "three-keyword-family-stayhome.split.json",
+     "--split", "three-keyword-family-shifted.split.json",
+     "--schedule", "two-keyword-entry-early.schedule.json"),
+] + [
+    # a second --split outside compare
+    (command, "three-keyword-family.json", *options,
+     "--split", "three-keyword-family-shifted.split.json",
+     "--split", "three-keyword-family-stayhome.split.json")
+    for command, *options in (("simulate",), ("verify", "--bme"),
+                              ("partition", "--advertiser", "5"),
+                              ("best-response", "--advertiser", "5"),
+                              ("validate",))]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES,
@@ -355,7 +370,16 @@ def test_argparse_rejections_exit_2(fx):
     (("best-response",), "best-response",
      "the following arguments are required: instance"),
     (("no-such-command",), None, "argument command: invalid choice"),
-], ids=["option-without-value", "missing-positional", "unknown-subcommand"])
+    (("simulate", "two-keyword-entry-base.json",
+      "--split", "two-keyword-entry-natural.split.json",
+      "--split", "no-such.json"), "simulate",
+     "argument --split: may be given only once"),
+    (("simulate", "two-keyword-entry-base.json",
+      "--split", "two-keyword-entry-natural.split.json",
+      "--reserve", "-5"), "simulate",
+     "argument --reserve: must be nonnegative, got -5"),
+], ids=["option-without-value", "missing-positional", "unknown-subcommand",
+        "repeated-split", "negative-reserve"])
 def test_argparse_rejections_end_in_an_envelope(monkeypatch, capsys, argv,
                                                 command, message):
     monkeypatch.chdir(cli._FIXTURE_DIR)
@@ -664,11 +688,11 @@ _VALUES = {
 _COMMON = ["--reserve", "--format"]
 _PROFILE = _COMMON + ["--split", "--schedule"]
 _COMMANDS = {  # positionals, options always passed, options maybe passed
-    "validate": ([_INSTANCE], [], _PROFILE + ["--ext"]),
+    "validate": ([_INSTANCE], [], ["--split", "--schedule", "--ext"]),
     "price": ([_INSTANCE, st.sampled_from(["k1", "k2", "k9"]),
                st.lists(st.sampled_from(_IDS), max_size=3)], [], _COMMON),
     "partition": ([_INSTANCE, st.lists(st.sampled_from(_IDS), max_size=1)],
-                  ["--split"], _PROFILE + ["--advertiser"]),
+                  ["--advertiser", "--split"], _PROFILE),
     "simulate": ([_INSTANCE], ["--split"], _PROFILE),
     "best-response": ([_INSTANCE], ["--advertiser", "--split"],
                       _PROFILE + ["--method", "--eps"]),
@@ -679,12 +703,12 @@ _COMMANDS = {  # positionals, options always passed, options maybe passed
                                              "--shuffle-seed"]),
     "dilemma": ([_INSTANCE, _VALUES["--ext"]], ["--profiles"], _COMMON),
     "acbm": ([_INSTANCE], ["--ext"], _COMMON + ["--fine"]),
-    "compare": ([_INSTANCE], ["--split", "--split"], _PROFILE),
+    "compare": ([_INSTANCE], ["--split", "--split"], _COMMON),
     "fixtures": ([st.lists(st.sampled_from(["two-keyword-entry", "nope"]),
                            max_size=1),
                   st.lists(st.sampled_from(["out", "adir/sub",
                                             "not-json.json/sub"]),
-                           max_size=1)], [], _COMMON),
+                           max_size=1)], [], []),
 }
 
 
@@ -704,8 +728,9 @@ def _argv(draw):
     for strategy in positionals:
         value = draw(strategy)
         argv += value if isinstance(value, list) else [value]
-    for flag in needed + draw(st.lists(st.sampled_from(options),
-                                       max_size=3)):
+    if options:
+        needed = needed + draw(st.lists(st.sampled_from(options), max_size=3))
+    for flag in needed:
         argv.append(flag)
         if _VALUES[flag] is not None:
             argv.append(draw(_VALUES[flag]))

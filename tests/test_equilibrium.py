@@ -135,6 +135,11 @@ def test_eps_ne_argument_validation():
         verify_eps_ne(fam, sh, F(1, 10), method="annealing")
     with pytest.raises(ValueError):
         verify_eps_ne(fam, sh, F(0), method="fptas")
+    # from eps 1 up the bound (1 - eps) * optimum passes every profile
+    for method in ("dp", "fptas"):
+        with pytest.raises(ValueError):
+            verify_eps_ne(fam, sh, F(1), method=method)
+        assert verify_eps_ne(fam, sh, F(99, 100), method=method)["ok"] is True
 
 
 # -- dynamics -----------------------------------------------------------------

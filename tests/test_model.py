@@ -1,13 +1,13 @@
+import copy
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from broadmatch.model import (Allocation, Instance, ModelError, Profile,
-                              all_in_profile, check_extension, load_instance,
-                              load_schedule, load_split, serialize_instance,
-                              serialize_profile, split_of_queries,
-                              validate_profile)
+from broadmatch.model import (Allocation, ModelError, all_in_profile,
+                              check_extension, load_instance, load_schedule,
+                              load_split, serialize_instance,
+                              serialize_profile, validate_profile)
 from conftest import FIXTURES, build_instance, build_split
 
 
@@ -68,6 +68,231 @@ def test_load_instance_rejects_duplicate_edge():
     assert any("duplicate edge" in e["message"] for e in err.value.errors)
 
 
+def _market(**changes):
+    """A valid two-keyword instance document with some sections replaced."""
+    doc = {
+        "slots": {"count": 2, "clickability": ["1", "1/2"]},
+        "keywords": [{"id": "k1", "volume": 10}, {"id": "k2", "volume": 5}],
+        "advertisers": [{"id": "a", "budget": "5"}, {"id": "b", "budget": 3}],
+        "edges": [{"advertiser": "a", "keyword": "k1", "score": "2"},
+                  {"advertiser": "b", "keyword": "k1", "score": 1,
+                   "tag": "extension"}],
+    }
+    doc.update(copy.deepcopy(changes))
+    return doc
+
+
+def _rows(*rows):
+    """An allocations document; a fifth value is the row's start query."""
+    keys = ("advertiser", "keyword", "queries", "budget", "start_query")
+    return {"allocations": [dict(zip(keys, row)) for row in rows]}
+
+
+FLOAT = 'floats are not exact; quote the value, e.g. "2.3"'
+NOT_STR = "expected a non-empty string"
+LOADERS = {"instance": load_instance, "split": load_split,
+           "schedule": load_schedule}
+
+# name: (loader, document, its errors as (path, message) in report order).
+# Between them the documents reach every branch of the loaders' walk; a
+# duplicate's index counts only the items that were objects.
+LOADER_ERRORS = {
+    "instance-text-not-json": ("instance", "{not json", [
+        ("$", "invalid JSON: Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1)")]),
+    "instance-not-object": ("instance", [1, 2], [
+        ("$", "instance document must be a JSON object")]),
+    "instance-missing-and-unknown-key": (
+        "instance", {k: v for k, v in _market(bogus=1).items()
+                     if k != "edges"}, [
+            ("$", "missing key 'edges'"), ("$", "unknown key 'bogus'")]),
+    "instance-slots-not-object": ("instance", _market(slots=3), [
+        ("$.slots", "expected an object")]),
+    "instance-slots-keys-and-types": (
+        "instance", _market(slots={"count": "2", "clickability": ["1"],
+                                   "x": 1}), [
+            ("$.slots", "unknown key 'x'"),
+            ("$.slots.count", "expected an integer, got str"),
+            ("$.slots.count", "slot count must be >= 1"),
+            ("$.slots.clickability", "expected 0 values, got 1")]),
+    "instance-slots-zero-count": (
+        "instance", _market(slots={"count": 0, "clickability": "1"}), [
+            ("$.slots.clickability", "expected a list"),
+            ("$.slots.count", "slot count must be >= 1")]),
+    "instance-clickability-values": (
+        "instance", _market(slots={"count": 4,
+                                   "clickability": ["1", 0.5, "1", "-1"]}), [
+            ("$.slots.clickability[1]", FLOAT),
+            ("$.slots.clickability[1]", "clickability must be positive"),
+            ("$.slots.clickability[3]", "clickability must be positive"),
+            ("$.slots.clickability[2]",
+             "clickability not strictly decreasing")]),
+    "instance-sections-not-lists": (
+        "instance", _market(keywords={}, advertisers="a", edges=None), [
+            ("$.keywords", "expected a list"),
+            ("$.advertisers", "expected a list"),
+            ("$.edges", "expected a list")]),
+    "instance-keyword-items": (
+        "instance", _market(keywords=[
+            3, {"id": "k1"}, {"id": "", "volume": 2.5},
+            {"id": 7, "volume": 0, "note": "x"},
+            {"id": "k2", "volume": True}]), [
+            ("$.keywords[0]", "expected an object"),
+            ("$.keywords[1]", "missing key 'volume'"),
+            ("$.keywords[1].volume", "volume must be a positive integer"),
+            ("$.keywords[2].id", NOT_STR),
+            ("$.keywords[2].volume", "expected an integer, got float"),
+            ("$.keywords[2].volume", "volume must be a positive integer"),
+            ("$.keywords[3]", "unknown key 'note'"),
+            ("$.keywords[3].id", NOT_STR),
+            ("$.keywords[3].volume", "volume must be a positive integer"),
+            ("$.keywords[4].volume", "expected an integer, got bool"),
+            ("$.keywords[4].volume", "volume must be a positive integer"),
+            ("$.keywords[2].id", "duplicate keyword id ''")]),
+    "instance-advertiser-items": (
+        "instance", _market(advertisers=[
+            {"id": "a", "budget": "-1"}, {"budget": "1/0"},
+            {"id": "b", "budget": 2.5}, {"id": "c", "budget": True},
+            {"id": "d", "budget": None},
+            {"id": "e", "budget": "abc", "cap": 1}, "x"]), [
+            ("$.advertisers[0].budget", "budget must be nonnegative"),
+            ("$.advertisers[1]", "missing key 'id'"),
+            ("$.advertisers[1].id", NOT_STR),
+            ("$.advertisers[1].budget", "not a rational: '1/0'"),
+            ("$.advertisers[2].budget", FLOAT),
+            ("$.advertisers[3].budget",
+             "expected integer or rational string, got boolean"),
+            ("$.advertisers[4].budget",
+             "expected integer or rational string, got NoneType"),
+            ("$.advertisers[5]", "unknown key 'cap'"),
+            ("$.advertisers[5].budget", "not a rational: 'abc'"),
+            ("$.advertisers[6]", "expected an object")]),
+    "instance-edge-items": (
+        "instance", _market(edges=[
+            {"advertiser": "a", "keyword": "k1", "score": "0"},
+            {"advertiser": "zz", "keyword": "k9", "score": "-1/2"},
+            {"advertiser": "b", "keyword": "k2", "score": 1.5,
+             "tag": "broad"},
+            {"advertiser": "", "keyword": 4, "score": "1", "weight": 2},
+            {"keyword": "k2", "score": "1"}, []]), [
+            ("$.edges[0].score", "score must be positive"),
+            ("$.edges[1].advertiser", "unknown advertiser 'zz'"),
+            ("$.edges[1].keyword", "unknown keyword 'k9'"),
+            ("$.edges[1].score", "score must be positive"),
+            ("$.edges[2].score", FLOAT),
+            ("$.edges[2].score", "score must be positive"),
+            ("$.edges[2].tag", "tag must be 'base' or 'extension'"),
+            ("$.edges[3]", "unknown key 'weight'"),
+            ("$.edges[3].advertiser", NOT_STR),
+            ("$.edges[3].keyword", NOT_STR),
+            ("$.edges[4]", "missing key 'advertiser'"),
+            ("$.edges[4].advertiser", NOT_STR),
+            ("$.edges[5]", "expected an object")]),
+    "instance-duplicates": (
+        "instance", _market(
+            keywords=[{"id": "k1", "volume": 10}, {"id": "k1", "volume": 3},
+                      {"id": "k2", "volume": 5}, {"id": "k1", "volume": 1}],
+            advertisers=[{"id": "a", "budget": "5"},
+                         {"id": "a", "budget": 1}, {"id": "b", "budget": 3}],
+            edges=[{"advertiser": "a", "keyword": "k1", "score": "2"},
+                   {"advertiser": "a", "keyword": "k1", "score": "3",
+                    "tag": "extension"},
+                   {"advertiser": "b", "keyword": "k2", "score": "1"}]), [
+            ("$.keywords[1].id", "duplicate keyword id 'k1'"),
+            ("$.keywords[3].id", "duplicate keyword id 'k1'"),
+            ("$.advertisers[1].id", "duplicate advertiser id 'a'"),
+            ("$.edges[1]", "duplicate edge ('a', 'k1')")]),
+    "instance-duplicates-after-a-skipped-item": (
+        "instance", _market(
+            keywords=["k0", {"id": "k1", "volume": 10},
+                      {"id": "k1", "volume": 3}],
+            edges=[7, {"advertiser": "a", "keyword": "k1", "score": "2"},
+                   {"advertiser": "a", "keyword": "k1", "score": "2"}]), [
+            ("$.keywords[0]", "expected an object"),
+            ("$.keywords[1].id", "duplicate keyword id 'k1'"),
+            ("$.edges[0]", "expected an object"),
+            ("$.edges[1]", "duplicate edge ('a', 'k1')")]),
+    "split-text-not-json": ("split", '{"allocations": [}', [
+        ("$", "invalid JSON: Expecting value: line 1 column 18 (char 17)")]),
+    "split-not-object": ("split", "[]", [
+        ("$", "split document must be a JSON object")]),
+    "schedule-not-object": ("schedule", '"rows"', [
+        ("$", "schedule document must be a JSON object")]),
+    "split-missing-allocations": ("split", {"rows": []}, [
+        ("$", "missing key 'allocations'"), ("$", "unknown key 'rows'")]),
+    "split-unknown-key-keeps-walking": (
+        "split", dict(_rows(("a", "k1", -1, "1")), extra=True), [
+            ("$", "unknown key 'extra'"),
+            ("$.allocations[0].queries", "queries must be nonnegative")]),
+    "split-allocations-not-list": ("split", {"allocations": {"a": 1}}, [
+        ("$.allocations", "expected a list")]),
+    "split-items": (
+        "split", {"allocations": [
+            5, {"advertiser": "a", "keyword": "k1", "queries": 0},
+            {"advertiser": "", "keyword": 3, "queries": 1.0, "budget": -2},
+            {"advertiser": "a", "keyword": "k2", "queries": "4",
+             "budget": 0.25},
+            {"advertiser": "a", "keyword": "k3", "queries": 2,
+             "budget": "x/y", "start_query": 1}]}, [
+            ("$.allocations[0]", "expected an object"),
+            ("$.allocations[1]", "missing key 'budget'"),
+            ("$.allocations[2].advertiser", NOT_STR),
+            ("$.allocations[2].keyword", NOT_STR),
+            ("$.allocations[2].queries", "expected an integer, got float"),
+            ("$.allocations[2].budget", "budget must be nonnegative"),
+            ("$.allocations[3].queries", "expected an integer, got str"),
+            ("$.allocations[3].budget", FLOAT),
+            ("$.allocations[4]", "unknown key 'start_query'"),
+            ("$.allocations[4].budget", "not a rational: 'x/y'")]),
+    "split-duplicate-allocation": (
+        "split", _rows(("a", "k1", 1, "1"), ("b", "k1", 1, "1"),
+                       ("a", "k1", 2, "2"), ("a", "k1", 3, "3")), [
+            ("$.allocations[2]", "duplicate allocation ('a', 'k1')"),
+            ("$.allocations[3]", "duplicate allocation ('a', 'k1')")]),
+    "schedule-items": (
+        "schedule", _rows(("a", "k1", 1, "1"), ("a", "k2", 1, "1", 0),
+                          ("b", "k1", -3, "1/2", "5"),
+                          ("b", "k2", 0, "0", False)), [
+            ("$.allocations[0]", "missing key 'start_query'"),
+            ("$.allocations[1].start_query", "start_query must be >= 1"),
+            ("$.allocations[2].start_query", "expected an integer, got str"),
+            ("$.allocations[2].start_query", "start_query must be >= 1"),
+            ("$.allocations[2].queries", "queries must be nonnegative"),
+            ("$.allocations[3].start_query", "expected an integer, got bool"),
+            ("$.allocations[3].start_query", "start_query must be >= 1")]),
+    "schedule-duplicate-allocation": (
+        "schedule", _rows(("a", "k1", 1, "1", 2), ("a", "k1", 1, "1", 3)), [
+            ("$.allocations[1]", "duplicate allocation ('a', 'k1')")]),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADER_ERRORS))
+def test_loader_error_lists_are_pinned(name):
+    """Each malformed document's full error list, as text and parsed."""
+    kind, doc, expected = LOADER_ERRORS[name]
+    for document in [doc] if isinstance(doc, str) else [json.dumps(doc), doc]:
+        with pytest.raises(ModelError) as err:
+            LOADERS[kind](document)
+        assert [(e["path"], e["message"])
+                for e in err.value.errors] == expected, name
+
+
+def test_missing_and_unknown_keys_are_reported_in_a_fixed_order():
+    """Missing keys in the schema's order, unknown ones in the document's,
+    so a report's bytes do not depend on string hashing."""
+    with pytest.raises(ModelError) as err:
+        load_instance({"zz": 1, "slots": {}, "aa": 2})
+    assert [e["message"] for e in err.value.errors] == [
+        "missing key 'keywords'", "missing key 'advertisers'",
+        "missing key 'edges'", "unknown key 'zz'", "unknown key 'aa'"]
+    with pytest.raises(ModelError) as err:
+        load_schedule({"allocations": [{"keyword": "k1", "b": 1, "a": 2}]})
+    assert [e["message"] for e in err.value.errors][:6] == [
+        "missing key 'advertiser'", "missing key 'queries'",
+        "missing key 'budget'", "missing key 'start_query'",
+        "unknown key 'b'", "unknown key 'a'"]
+
+
 def test_split_forbids_start_query_and_schedule_requires_it():
     rows = [{"advertiser": "1", "keyword": "k1", "queries": 1, "budget": "1"}]
     assert load_split(json.dumps({"allocations": rows}))
@@ -113,24 +338,6 @@ def test_all_in_profile():
     assert p.committed("3", "k1") == F(40) and p.committed("3", "k2") == F(40)
     q = all_in_profile(inst, skip=("3",))
     assert q.rows_of("3") == []
-
-
-def test_split_of_queries_prices_a_query_vector():
-    inst = small()
-    # Default rivals: everyone else all-in.  On k2 advertiser 3 faces only
-    # 4 (score 1), so 100 queries cost 100 * (3/10) = 30.
-    p = split_of_queries(inst, "3", {"k1": 0, "k2": 100})
-    assert p.committed("3", "k2") == F(30)
-    row = p.row("3", "k1")
-    assert row.queries == 0 and row.budget == 0
-    # An explicit empty world prices every query at zero.
-    alone = split_of_queries(inst, "3", {"k2": 100}, others=Profile(()))
-    assert alone.committed("3", "k2") == 0
-    # 1 facing 2 (37) and 3 (40) pays 23/10 for 26 queries, then 3/5 once
-    # 2 drops out: 51 queries cost 374/5, past 1's budget of 45.
-    with pytest.raises(ModelError) as err:
-        split_of_queries(inst, "1", {"k1": 51})
-    assert "exceeds budget" in err.value.errors[0]["message"]
 
 
 def test_check_extension():

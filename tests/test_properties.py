@@ -10,10 +10,12 @@ from fractions import Fraction as F
 from broadmatch import acbm
 from broadmatch.acbm import allocate_excess
 from broadmatch.auction import price_query, revenue_identity_check
-from broadmatch.bestresp import (brute_force_oracle, exact_best_response_dp,
-                                 fptas_as2, greedy_local_best_response)
+from broadmatch.bestresp import (_unstable, _walk, brute_force_oracle,
+                                 exact_best_response_dp, fptas_as2,
+                                 greedy_local_best_response)
 from broadmatch.equilibrium import verify_bme
 from broadmatch.model import Allocation, Profile, all_in_profile
+from broadmatch.partition import tables_for
 from broadmatch.simulate import simulate_day
 from conftest import (GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       assert_day_matches_naive, naive_day, random_extension_pair,
@@ -71,14 +73,10 @@ def test_greedy_phases_leave_at_most_one_loose_end():
         rng = random.Random(seed)
         instance = random_instance(rng)
         adv, others = _subject(rng, instance)
-        worst = []
-
-        def watch(unstable, snapshot):
-            worst.append(len(unstable))
-
-        greedy_local_best_response(instance, adv, others,
-                                   on_phase_boundary=watch)
-        assert all(count <= 1 for count in worst), (seed, worst)
+        states = _walk(tables_for(instance, adv, others),
+                       instance.budget(adv))
+        unstable = [s.kw for s in _unstable(states)]
+        assert len(unstable) <= 1, (seed, unstable)
 
 
 def test_engine_agrees_with_per_query_simulation():
