@@ -75,7 +75,7 @@ def slot_prices(scores: Sequence, drops: Sequence, reserve=ZERO) -> list:
 
 
 def check_reserve(reserve: Fraction) -> None:
-    if reserve < 0:
+    if reserve.numerator < 0:
         raise ValueError("reserve must be nonnegative, got %s" % reserve)
 
 
@@ -115,30 +115,3 @@ def price_query(active: Iterable[Tuple[str, Fraction]], slots: SlotParams,
             payoffs[adv] = ZERO
     return Slate(slots, reserve, tuple(ranking), price_of, payoffs, revenue,
                  welfare)
-
-
-def revenue_identity_check(slate: Slate) -> Fraction:
-    """Recompute revenue as sum_j (gamma_j - gamma_{j+1}) * j * s_{(j+1)}.
-
-    The suffix-sum prices telescope to this form; the function asserts the
-    equality and returns the value.
-    """
-    gamma = slate.slots.gamma
-    K = len(gamma)
-    L = len(slate.ranking)
-    occupied = min(K, L)
-
-    def below(rank: int) -> Fraction:
-        if rank < L:
-            return slate.ranking[rank][1]
-        if rank == L:
-            return slate.reserve
-        return ZERO
-
-    total = ZERO
-    for j in range(1, occupied + 1):
-        gamma_next = gamma[j] if j < K else ZERO
-        total += (gamma[j - 1] - gamma_next) * j * below(j)
-    assert total == slate.revenue, "telescoped revenue %s != price sum %s" % (
-        total, slate.revenue)
-    return total

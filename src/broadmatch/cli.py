@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import acbm as acbm_mod
 from . import bestresp, equilibrium, simulate as simulate_mod
@@ -97,9 +97,10 @@ FIXTURES = {
 
 def _approx(x: Fraction, places: int) -> str:
     """``"%.{places}f" % float(x)``; beyond float range, the same decimal
-    rounded exactly from integers instead."""
+    rounded exactly from integers instead.  ``float(x)`` is the correctly
+    rounded quotient ``numerator / denominator``, taken here directly."""
     try:
-        return "%.*f" % (places, float(x))
+        return "%.*f" % (places, x.numerator / x.denominator)
     except OverflowError:
         whole, frac = divmod(round(abs(x) * 10 ** places), 10 ** places)
         return "%s%d.%0*d" % ("-" if x < 0 else "", whole, places, frac)
@@ -111,60 +112,77 @@ def _dumps(doc) -> str:
     makes each exact rational an ``{"exact", "approx"}`` object, the rate
     sentinel ``partition.INFINITE`` the text ``"inf"``, each key
     ``str(key)`` and each set a sorted list.  Values dispatch on their
-    exact type; any other type, a float included, is a ``TypeError``."""
+    exact type; any other type, a float included, is a ``TypeError``.
+
+    A rational's numerator n and denominator d are read once and printed
+    with one format: exact as ``"%d"`` or ``"%d/%d"``, approx as
+    ``"%.6f" % (n / d)``, the correctly rounded quotient that ``float``
+    gives too (``_approx`` beyond float range)."""
     chunks: List[str] = []
     out = chunks.append
     keys: Dict[str, str] = {}  # '"key": ' per key seen in this document
-    newlines = ["\n"]  # newlines[d]: a line break and depth d's indent
-    rationals: List[str] = []  # rationals[d]: the two-key block at depth d
+    newlines = ["\n", "\n  "]  # newlines[d]: a line break and depth d's indent
+    # per depth, the two-key block of an integer, of a p/q, and as text
+    rationals: List[Tuple[str, str, str]] = []
 
-    def newline(depth: int) -> str:
-        while len(newlines) <= depth:
-            newlines.append(newlines[-1] + "  ")
-        return newlines[depth]
+    def rational(x: Fraction, depth: int) -> str:
+        while len(rationals) <= depth:
+            d = len(rationals)
+            block = '{%s"approx": "%%s",%s"exact": "%%s"%s}' % (
+                newlines[d + 1], newlines[d + 1], newlines[d])
+            rationals.append((block % ("%.6f", "%d"),
+                              block % ("%.6f", "%d/%d"), block))
+        n, d = x.numerator, x.denominator
+        try:
+            if d == 1:
+                return rationals[depth][0] % (n / d, n)
+            return rationals[depth][1] % (n / d, n, d)
+        except OverflowError:
+            return rationals[depth][2] % (_approx(x, 6), format_rational(x))
 
     def write(x, depth: int) -> None:
         t = type(x)
-        if t is str:
-            out(encode_basestring_ascii(x))
-        elif t is Fraction:
-            while len(rationals) <= depth:
-                d = len(rationals)
-                rationals.append('{%s"approx": "%%s",%s"exact": "%%s"%s}' % (
-                    newline(d + 1), newline(d + 1), newline(d)))
-            out(rationals[depth] % (_approx(x, 6), format_rational(x)))
-        elif t is dict:
-            if not all(type(k) is str for k in x):
-                x = {str(k): v for k, v in x.items()}
+        if t is dict:
             if not x:
                 out("{}")
                 return
-            inner = newline(depth + 1)
+            if not all(type(k) is str for k in x):
+                x = {str(k): v for k, v in x.items()}
+            if len(newlines) < depth + 3:  # a rational item's block
+                newlines.append(newlines[-1] + "  ")
+            inner = newlines[depth + 1]
             sep, comma = "{" + inner, "," + inner
             for k in sorted(x):
                 key = keys.get(k)
                 if key is None:
                     key = keys[k] = encode_basestring_ascii(k) + ": "
-                out(sep)
-                out(key)
+                out(sep + key)
                 write(x[k], depth + 1)
                 sep = comma
-            out(newline(depth) + "}")
+            out(newlines[depth] + "}")
+        elif t is Fraction:
+            out(rational(x, depth))
+        elif t is str:
+            out(encode_basestring_ascii(x))
         elif t is list or t is tuple or t is set or t is frozenset:
             if not x:
                 out("[]")
                 return
-            inner = newline(depth + 1)
+            if t is set or t is frozenset:
+                x = sorted(x)
+            if len(newlines) < depth + 3:
+                newlines.append(newlines[-1] + "  ")
+            inner = newlines[depth + 1]
             sep, comma = "[" + inner, "," + inner
-            for v in sorted(x) if t is set or t is frozenset else x:
+            for v in x:
                 out(sep)
                 write(v, depth + 1)
                 sep = comma
-            out(newline(depth) + "]")
+            out(newlines[depth] + "]")
         elif t is bool:
             out("true" if x else "false")
         elif t is int:
-            out(repr(x))
+            out("%d" % x)
         elif x is None:
             out("null")
         elif x is INFINITE:
@@ -227,6 +245,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise UsageError("cannot read %s: not UTF-8 text (%s)" % (path, exc))
 
 
 def _load_instance_file(path: str) -> Instance:
@@ -358,7 +378,7 @@ def _cmd_partition(args) -> int:
             segs.append({
                 "from": table.breakpoints[lam] + 1,
                 "to": table.breakpoints[lam + 1],
-                "active": list(table.actives[lam]),
+                "active": table.actives[lam],
                 "cost": table.costs[lam],
                 "payoff": table.payoffs[lam],
                 "rate": table.rate(lam),
@@ -387,7 +407,7 @@ def _day_result(instance: Instance, day) -> dict:
         keywords[k.id] = {
             "revenue": day.keyword_revenue[k.id],
             "welfare": day.keyword_welfare[k.id],
-            "segments": [{"from": s.lo, "to": s.hi, "active": list(s.active),
+            "segments": [{"from": s.lo, "to": s.hi, "active": s.active,
                           "revenue": s.revenue, "welfare": s.welfare}
                          for s in day.segments[k.id]],
         }

@@ -51,11 +51,12 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
         mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
         mp_plus = t.rate(t.segment_of(v + 1)) if v < t.volume else None
         nxt = t.query_cost(v + 1) if v < t.volume else None
+        payoff, cost = t.prefix(v)
         out[kw] = {
             "budget": b,
             "queries": v,
-            "cost": t.prefix_cost(v),
-            "payoff": t.prefix_payoff(v),
+            "cost": cost,
+            "payoff": payoff,
             "mp_minus": mp_minus,
             "mp_plus": mp_plus,
             "next_cost": nxt,

@@ -16,6 +16,7 @@ load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -48,19 +49,28 @@ def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
 
     Accepts integers and strings such as ``"2.3"``, ``"23/10"`` or ``"45"``.
     JSON floats are rejected: a decimal literal in the source text must be
-    quoted to stay exact.
+    quoted to stay exact.  A string of ASCII digits, with an optional
+    leading minus and an optional ``/`` and ASCII-digit denominator, is read
+    with ``int``; any other string goes to ``Fraction(str)``, so both ways
+    accept and refuse the same strings.
     """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        try:
+            if (digits.isascii() and digits.isdigit()
+                    and (not slash or den.isascii() and den.isdigit())):
+                return (Fraction(int(num), int(den)) if slash
+                        else Fraction(int(num)))
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            _err(errors, path, "not a rational: %r" % value)
+            return Fraction(0)
     if isinstance(value, bool):
         _err(errors, path, "expected integer or rational string, got boolean")
         return Fraction(0)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _err(errors, path, "not a rational: %r" % value)
-            return Fraction(0)
     if isinstance(value, float):
         _err(errors, path, "floats are not exact; quote the value, e.g. \"2.3\"")
         return Fraction(0)
@@ -73,18 +83,25 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-def _require_int(value, path: str, errors: List[dict]) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _err(errors, path, "expected an integer, got %s" % type(value).__name__)
-        return 0
-    return value
+# Field readers: ``item[key]`` checked, with an error at ``path.key`` (the
+# path built only then) and a neutral value when it does not fit.
+
+def _int_field(item: dict, key: str, path: str, errors: List[dict],
+               default: int = 0) -> int:
+    value = item.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    _err(errors, path + "." + key,
+         "expected an integer, got %s" % type(value).__name__)
+    return 0
 
 
-def _require_str(value, path: str, errors: List[dict]) -> str:
-    if not isinstance(value, str) or not value:
-        _err(errors, path, "expected a non-empty string")
-        return ""
-    return value
+def _str_field(item: dict, key: str, path: str, errors: List[dict]) -> str:
+    value = item.get(key, "")
+    if isinstance(value, str) and value:
+        return value
+    _err(errors, path + "." + key, "expected a non-empty string")
+    return ""
 
 
 def _check_keys(obj: dict, path: str, required: Sequence[str],
@@ -99,12 +116,16 @@ def _check_keys(obj: dict, path: str, required: Sequence[str],
 
 def _decode(document, kind: str) -> dict:
     """The object a loader reads: ``document`` parsed if it is JSON text,
-    as given otherwise; anything but a JSON object is refused."""
+    as given otherwise; anything but a JSON object, and bytes that do not
+    decode as text, are refused."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
+        except UnicodeDecodeError as exc:
+            raise ModelError([{"path": "$",
+                               "message": "invalid text encoding: %s" % exc}])
     if not isinstance(document, dict):
         raise ModelError([{"path": "$",
                            "message": "%s document must be a JSON object" % kind}])
@@ -120,21 +141,26 @@ def _objects(doc: dict, key: str, required: Sequence[str],
     if not isinstance(items, list):
         _err(errors, "$." + key, "expected a list")
         return
+    need = frozenset(required)
+    allowed = need.union(optional)
     for n, item in enumerate(items):
         path = "$.%s[%d]" % (key, n)
         if isinstance(item, dict):
-            _check_keys(item, path, required, optional, errors)
+            if not need <= item.keys() <= allowed:
+                _check_keys(item, path, required, optional, errors)
             yield path, item
         else:
             _err(errors, path, "expected an object")
 
 
-def _unique(keys: Iterable, path: str, message: str, errors: List[dict]) -> None:
-    """An error at ``path % n`` for the n-th key when an earlier one equals it."""
+def _unique(keys: Iterable[Tuple[str, object]], message: str,
+            errors: List[dict]) -> None:
+    """An error at ``path`` for each ``(path, key)`` whose key an earlier
+    one already had."""
     seen = set()
-    for n, key in enumerate(keys):
+    for path, key in keys:
         if key in seen:
-            _err(errors, path % n, message % (key,))
+            _err(errors, path, message % (key,))
         seen.add(key)
 
 
@@ -155,6 +181,16 @@ class SlotParams:
         g = self.gamma
         return tuple(g[j] - (g[j + 1] if j + 1 < len(g) else 0)
                      for j in range(len(g)))
+
+    @cached_property
+    def scaled(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """(G, gamma times G, ``drops`` times G), G the lcm of the gamma
+        denominators: the day engine's int clickabilities and price
+        coefficients, computed once."""
+        G = math.lcm(*(x.denominator for x in self.gamma))
+        return (G,
+                tuple(x.numerator * (G // x.denominator) for x in self.gamma),
+                tuple(x.numerator * (G // x.denominator) for x in self.drops))
 
 
 @dataclass(frozen=True)
@@ -251,7 +287,7 @@ def load_instance(document) -> Instance:
         _err(errors, "$.slots", "expected an object")
     else:
         _check_keys(slots_doc, "$.slots", ("count", "clickability"), (), errors)
-        count = _require_int(slots_doc.get("count", 0), "$.slots.count", errors)
+        count = _int_field(slots_doc, "count", "$.slots", errors)
         click = slots_doc.get("clickability", [])
         if not isinstance(click, list):
             _err(errors, "$.slots.clickability", "expected a list")
@@ -265,7 +301,7 @@ def load_instance(document) -> Instance:
         if len(gamma) != count:
             _err(errors, "$.slots.clickability", "expected %d values, got %d" % (count, len(gamma)))
         for n, g in enumerate(gamma):
-            if g <= 0:
+            if g.numerator <= 0:
                 _err(errors, "$.slots.clickability[%d]" % n, "clickability must be positive")
         for n in range(len(gamma) - 1):
             if gamma[n] <= gamma[n + 1]:
@@ -273,46 +309,49 @@ def load_instance(document) -> Instance:
                      "clickability not strictly decreasing")
 
     keywords: List[Keyword] = []
+    ids: List[Tuple[str, str]] = []  # (path, id) for the duplicate scans
     for path, item in _objects(doc, "keywords", ("id", "volume"), (), errors):
-        kid = _require_str(item.get("id", ""), path + ".id", errors)
-        vol = _require_int(item.get("volume", 0), path + ".volume", errors)
+        kid = _str_field(item, "id", path, errors)
+        ids.append((path + ".id", kid))
+        vol = _int_field(item, "volume", path, errors)
         if vol < 1:
             _err(errors, path + ".volume", "volume must be a positive integer")
         keywords.append(Keyword(kid, vol))
-    _unique([k.id for k in keywords], "$.keywords[%d].id",
-            "duplicate keyword id %r", errors)
+    _unique(ids, "duplicate keyword id %r", errors)
 
     advertisers: List[Advertiser] = []
+    ids = []
     for path, item in _objects(doc, "advertisers", ("id", "budget"), (), errors):
-        aid = _require_str(item.get("id", ""), path + ".id", errors)
+        aid = _str_field(item, "id", path, errors)
+        ids.append((path + ".id", aid))
         budget = parse_rational(item.get("budget", 0), path + ".budget", errors)
-        if budget < 0:
+        if budget.numerator < 0:
             _err(errors, path + ".budget", "budget must be nonnegative")
         advertisers.append(Advertiser(aid, budget))
-    _unique([a.id for a in advertisers], "$.advertisers[%d].id",
-            "duplicate advertiser id %r", errors)
+    _unique(ids, "duplicate advertiser id %r", errors)
 
     edges: List[Edge] = []
     kw_ids = {k.id for k in keywords}
     adv_ids = {a.id for a in advertisers}
+    pairs: List[Tuple[str, Tuple[str, str]]] = []
     for path, item in _objects(doc, "edges", ("advertiser", "keyword", "score"),
                                ("tag",), errors):
-        adv = _require_str(item.get("advertiser", ""), path + ".advertiser", errors)
-        kw = _require_str(item.get("keyword", ""), path + ".keyword", errors)
+        adv = _str_field(item, "advertiser", path, errors)
+        kw = _str_field(item, "keyword", path, errors)
         score = parse_rational(item.get("score", 0), path + ".score", errors)
         tag = item.get("tag", BASE)
         if adv and adv not in adv_ids:
             _err(errors, path + ".advertiser", "unknown advertiser %r" % adv)
         if kw and kw not in kw_ids:
             _err(errors, path + ".keyword", "unknown keyword %r" % kw)
-        if score <= 0:
+        if score.numerator <= 0:
             _err(errors, path + ".score", "score must be positive")
         if tag not in _TAGS:
             _err(errors, path + ".tag", "tag must be 'base' or 'extension'")
             tag = BASE
         edges.append(Edge(adv, kw, score, tag))
-    _unique([(e.advertiser, e.keyword) for e in edges], "$.edges[%d]",
-            "duplicate edge %r", errors)
+        pairs.append((path, (adv, kw)))
+    _unique(pairs, "duplicate edge %r", errors)
 
     if errors:
         raise ModelError(errors)
@@ -410,23 +449,24 @@ def _load_profile(document, kind: str) -> Profile:
     errors: List[dict] = []
     _check_keys(doc, "$", ("allocations",), (), errors)
     rows: List[Allocation] = []
+    pairs: List[Tuple[str, Tuple[str, str]]] = []
     for path, item in _objects(doc, "allocations", _FIELDS[kind], (), errors):
-        adv = _require_str(item.get("advertiser", ""), path + ".advertiser", errors)
-        kw = _require_str(item.get("keyword", ""), path + ".keyword", errors)
-        queries = _require_int(item.get("queries", 0), path + ".queries", errors)
+        adv = _str_field(item, "advertiser", path, errors)
+        kw = _str_field(item, "keyword", path, errors)
+        queries = _int_field(item, "queries", path, errors)
         budget = parse_rational(item.get("budget", 0), path + ".budget", errors)
         start = 1
         if kind == "schedule":
-            start = _require_int(item.get("start_query", 1), path + ".start_query", errors)
+            start = _int_field(item, "start_query", path, errors, 1)
             if start < 1:
                 _err(errors, path + ".start_query", "start_query must be >= 1")
         if queries < 0:
             _err(errors, path + ".queries", "queries must be nonnegative")
-        if budget < 0:
+        if budget.numerator < 0:
             _err(errors, path + ".budget", "budget must be nonnegative")
         rows.append(Allocation(adv, kw, queries, budget, start))
-    _unique([(r.advertiser, r.keyword) for r in rows], "$.allocations[%d]",
-            "duplicate allocation %r", errors)
+        pairs.append((path, (adv, kw)))
+    _unique(pairs, "duplicate allocation %r", errors)
     if errors:
         raise ModelError(errors)
     return Profile(tuple(rows), kind)
@@ -460,34 +500,43 @@ def serialize_profile(profile: Profile) -> dict:
 def validate_profile(instance: Instance, profile: Profile) -> List[dict]:
     """Static consistency of a profile against an instance.
 
-    Checks edge existence, volume bounds and per-advertiser budget caps.
-    Whether each row's ``queries`` matches the simulated participation count
-    is a dynamic property checked by ``simulate.check_profile_consistency``.
+    Checks edge existence, volume bounds and per-advertiser budget caps,
+    the caps on int sums over the lcm of each advertiser's budget
+    denominators.  Whether each row's ``queries`` matches the simulated
+    participation count is a dynamic property checked by
+    ``simulate.check_profile_consistency``.
     """
     errors: List[dict] = []
+    committed: Dict[str, List[Fraction]] = {}
     for n, r in enumerate(profile.rows):
-        path = "$.allocations[%d]" % n
+        committed.setdefault(r.advertiser, []).append(r.budget)
+        kw = instance._kw.get(r.keyword)
         if r.advertiser not in instance._adv:
-            _err(errors, path + ".advertiser", "unknown advertiser %r" % r.advertiser)
+            _err(errors, "$.allocations[%d].advertiser" % n,
+                 "unknown advertiser %r" % r.advertiser)
+        elif kw is None:
+            _err(errors, "$.allocations[%d].keyword" % n,
+                 "unknown keyword %r" % r.keyword)
+        elif (r.advertiser, r.keyword) not in instance._edge:
+            _err(errors, "$.allocations[%d]" % n, "no edge (%s, %s) in the "
+                 "instance" % (r.advertiser, r.keyword))
+        else:
+            if r.queries > kw.volume:
+                _err(errors, "$.allocations[%d].queries" % n,
+                     "exceeds keyword volume %d" % kw.volume)
+            if r.start_query > kw.volume:
+                _err(errors, "$.allocations[%d].start_query" % n,
+                     "exceeds keyword volume %d" % kw.volume)
+    for adv in sorted(committed):
+        if adv not in instance._adv:
             continue
-        if r.keyword not in instance._kw:
-            _err(errors, path + ".keyword", "unknown keyword %r" % r.keyword)
-            continue
-        if not instance.has_edge(r.advertiser, r.keyword):
-            _err(errors, path, "no edge (%s, %s) in the instance" % (r.advertiser, r.keyword))
-            continue
-        vol = instance.volume(r.keyword)
-        if r.queries > vol:
-            _err(errors, path + ".queries", "exceeds keyword volume %d" % vol)
-        if r.start_query > vol:
-            _err(errors, path + ".start_query", "exceeds keyword volume %d" % vol)
-    by_adv: Dict[str, Fraction] = {}
-    for r in profile.rows:
-        by_adv[r.advertiser] = by_adv.get(r.advertiser, Fraction(0)) + r.budget
-    for adv in sorted(by_adv):
-        if adv in instance._adv and by_adv[adv] > instance.budget(adv):
+        budgets = committed[adv]
+        L = math.lcm(*[b.denominator for b in budgets])
+        total = sum([b.numerator * (L // b.denominator) for b in budgets])
+        cap = instance.budget(adv)
+        if total * cap.denominator > cap.numerator * L:
             _err(errors, "$.allocations", "advertiser %r commits %s > budget %s"
-                 % (adv, by_adv[adv], instance.budget(adv)))
+                 % (adv, Fraction(total, L), cap))
     return errors
 
 

@@ -20,13 +20,17 @@ bidder, in rank order, with unslotted ones at price and payoff 0.
 The event loop runs on Python ints: each keyword day scales gamma, scores,
 the reserve and the pools to one common denominator D, prices through the
 one pricing formula (``auction.slot_prices``) in that unit, and compares,
-floors and subtracts exactly.  A ``Segment`` keeps the day's ints: D, and
-for the slotted bidders only, in rank order, each one's per-query price
-and value (clicks times score) in units of 1/D.  Its ``prices``,
-``payoffs``, ``revenue`` and ``welfare`` are exact ``Fraction`` views of
-those ints, each built on its first read; ``day_totals`` sums a whole
-day on the ints and converts once per total, so only this module reads
-the int layout.  Where the settle before a segment dropped somebody, the
+floors and subtracts exactly.  Gamma and the price coefficients are scaled
+once per ``SlotParams`` (``SlotParams.scaled``), and the reserve and sign
+tests read numerators, so a run builds no ``Fraction``.  A ``Segment``
+keeps the day's ints: D, and for the slotted bidders only, in rank order,
+each one's per-query price and value (clicks times score) in units of
+1/D.  Its ``prices``, ``payoffs``, ``revenue`` and ``welfare`` are exact
+``Fraction`` views of those ints, each built on its first read;
+``day_totals`` is the one summation of a whole day on the ints, and
+returns them with D, so a caller adding several days (``simulate_day``)
+converts once per reported total and only this module reads a segment's
+int layout.  Where the settle before a segment dropped somebody, the
 segment also keeps the prices the settle asked on its way
 (``passed_prices``), from which ``pinning_keeps_day`` tells whether
 pinning some pools to their spend would leave the day as it is, and
@@ -167,7 +171,7 @@ class Segment:
 
 
 class _Bidder:
-    __slots__ = ("id", "score", "s", "start", "pool", "rank")
+    __slots__ = ("id", "score", "s", "start", "pool", "rank", "row")
 
     def __init__(self, id: str, score: Fraction, start: int, pool):
         self.id = id
@@ -176,14 +180,10 @@ class _Bidder:
         self.start = start
         self.pool = pool    # None = unlimited (the table's subject); scaled int
         self.rank = 0       # position in the day's (-score, id) order
+        self.row = (id, score, None)  # its ranking row when unslotted
 
 
 _by_rank = attrgetter("rank")
-
-
-def _scaled(x, unit: int) -> int:
-    """``x * unit`` for a rational ``x`` whose denominator divides ``unit``."""
-    return x.numerator * (unit // x.denominator)
 
 
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
@@ -199,37 +199,43 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     The loop runs on ints: with G the lcm of the gamma denominators and S
     that of the score and reserve denominators, D is the lcm of G*S and every
     finite pool's denominator.  Scores and the reserve times D/G, the
-    coefficients ``slots.drops`` and gamma times G, and the pools times D
-    are all ints, so prices, slot values and pools are ints in units of 1/D
-    and the eviction test, the floor ``pool // price`` and the pool updates
-    are exact.  Each ``Segment`` keeps D and its slotted bidders' ints.
+    coefficients ``slots.drops`` and gamma times G (``slots.scaled``), and
+    the pools times D are all ints, so prices, slot values and pools are ints
+    in units of 1/D and the eviction test, the floor ``pool // price`` and
+    the pool updates are exact.  The reserve and sign tests on the way in
+    read numerators, and no ``Fraction`` is built.  Each ``Segment`` keeps D
+    and its slotted bidders' ints.
     """
     auction.check_reserve(reserve)
+    r_num, r_den = reserve.numerator, reserve.denominator
+    s_den = r_den
+    p_den = 1
     entrants = []
     for i, s, q0, b in bidders:
-        if b is not None and b < 0:
+        if b is not None and b.numerator < 0:
             raise ValueError("negative pool %s for %r" % (b, i))
-        if s >= reserve:
+        d = s.denominator
+        if s.numerator * r_den >= r_num * d:  # s >= reserve
             entrants.append(_Bidder(i, s, max(1, q0), b))
-    gamma = slots.gamma
-    g = math.lcm(*(x.denominator for x in gamma))
-    s_den = math.lcm(reserve.denominator,
-                     *(b.score.denominator for b in entrants))
-    D = math.lcm(g * s_den, *(b.pool.denominator for b in entrants
-                              if b.pool is not None))
+            if s_den % d:
+                s_den = math.lcm(s_den, d)
+            if b is not None and p_den % b.denominator:
+                p_den = math.lcm(p_den, b.denominator)
+    g, clicks, drops = slots.scaled
+    D = math.lcm(g * s_den, p_den)
     unit = D // g
     for b in entrants:
-        b.s = _scaled(b.score, unit)
+        s = b.score
+        b.s = s.numerator * (unit // s.denominator)
         if b.pool is not None:
-            b.pool = _scaled(b.pool, D)
-    floor = _scaled(reserve, unit)
-    drops = [_scaled(x, g) for x in slots.drops]
-    clicks = [_scaled(x, g) for x in gamma]
+            b.pool = b.pool.numerator * (D // b.pool.denominator)
+    floor = r_num * (unit // r_den)
     entrants.sort(key=lambda b: (-b.s, b.id))
     for rank, b in enumerate(entrants):
         b.rank = rank
     pending = sorted(entrants, key=lambda b: (b.start, b.id))
-    K = slots.count
+    waiting = len(pending)
+    top_k = slots.count + 1
     active: List[_Bidder] = []  # ranked by (-score, id)
     slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
     prices: List[int] = []
@@ -238,41 +244,54 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     entered = 0
     t = 1
     while t <= volume:
-        while entered < len(pending) and pending[entered].start <= t:
+        while entered < waiting and pending[entered].start <= t:
             insort(active, pending[entered], key=_by_rank)
             entered += 1
             slate = None
         # settle the slate: evict slotted members priced beyond their pool,
         # one at a time from the lowest score up — an eviction moves the
-        # others' prices, so survivors are rechecked before they go too
-        passed: Dict[str, int] = {}
+        # others' prices, so survivors are rechecked before they go too.
+        # The settled slate's shortest run, pool // price, bounds the segment
+        passed: Optional[Dict[str, int]] = None
         while True:
-            top = active[:K + 1]
-            if top != slotted:  # scores are fixed: same top, same prices
-                slotted = top
-                prices = auction.slot_prices([b.s for b in slotted], drops,
-                                             floor)
-            broke = [b for b, p in zip(slotted, prices)
-                     if b.pool is not None and p > b.pool]
-            if not broke:
+            if slate is None:  # else the active set is the settled one
+                top = active[:top_k]
+                if top != slotted:  # scores are fixed: same top, same prices
+                    slotted = top
+                    prices = auction.slot_prices([b.s for b in top], drops,
+                                                 floor)
+            worst = None
+            run = volume - t + 1  # queries left in the day
+            for b, price in zip(slotted, prices):
+                pool = b.pool
+                if pool is None or not price:
+                    continue
+                if price > pool:  # broke; in rank order, the first of the
+                    # lowest score is the one least by (score, id)
+                    if worst is None or b.s < worst.s:
+                        worst = b
+                elif pool // price < run:
+                    run = pool // price
+            if worst is None:
                 break
+            if passed is None:
+                passed = {}
             for b, price in zip(slotted, prices):
                 if (b.pool is not None and price <= b.pool
                         and price > passed.get(b.id, -1)):
                     passed[b.id] = price
-            active.remove(min(broke, key=lambda b: (b.s, b.id)))
+            active.remove(worst)
             slate = None
-        next_entry = (pending[entered].start if entered < len(pending)
+        next_entry = (pending[entered].start if entered < waiting
                       else volume + 1)
-        hi = min(volume, next_entry - 1)
-        for b, price in zip(slotted, prices):
-            if b.pool is not None and price > 0:
-                hi = min(hi, t + b.pool // price - 1)
+        hi = t + run - 1
+        if hi >= next_entry:
+            hi = next_entry - 1
         if slate is None:
             slate = _slate(active, prices, clicks)
         ranking, int_prices, int_values = slate
         segments.append(Segment(t, hi, ranking, D, int_prices, int_values,
-                                tuple(passed.items())))
+                                tuple(passed.items()) if passed else ()))
         length = hi - t + 1
         for b, price in zip(slotted, prices):
             if b.pool is not None:
@@ -286,9 +305,10 @@ def _slate(active: Sequence[_Bidder], prices: Sequence[int],
     """The ranking rows of the ranked active set (slot None past the priced
     ones), and the slotted bidders' int prices and values."""
     n = len(prices)
-    ranking = tuple((b.id, b.score, r + 1 if r < n else None)
-                    for r, b in enumerate(active))
-    values = tuple(clicks[r] * active[r].s for r in range(n))
+    head = active[:n]
+    ranking = tuple([(b.id, b.score, r) for r, b in enumerate(head, 1)]
+                    + [b.row for b in active[n:]])
+    values = tuple([c * b.s for c, b in zip(clicks, head)])
     return ranking, tuple(prices), values
 
 
@@ -306,20 +326,36 @@ def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
 
 
 class DayTotals(NamedTuple):
-    """A keyword day's totals, exactly: its revenue and welfare, and per
-    advertiser ever slotted, what it paid and what it gained (value minus
-    price) over the day."""
+    """A keyword day's totals, exactly, as ints in units of 1/``D`` (the
+    day's common denominator): its revenue and welfare, and per advertiser
+    ever slotted, what it paid and what it gained (value minus price) over
+    the day.  ``revenue``, ``welfare`` and ``paid`` are exact ``Fraction``
+    views of those ints, built on each read."""
 
-    revenue: Fraction
-    welfare: Fraction
-    paid: Dict[str, Fraction]
-    gained: Dict[str, Fraction]
+    D: int
+    int_revenue: int
+    int_welfare: int
+    int_paid: Dict[str, int]
+    int_gained: Dict[str, int]
+
+    @property
+    def revenue(self) -> Fraction:
+        return Fraction(self.int_revenue, self.D)
+
+    @property
+    def welfare(self) -> Fraction:
+        return Fraction(self.int_welfare, self.D)
+
+    @property
+    def paid(self) -> Dict[str, Fraction]:
+        D = self.D
+        return {adv: Fraction(x, D) for adv, x in self.int_paid.items()}
 
 
 def day_totals(segments: Sequence[Segment],
                advertisers: Optional[Iterable[str]] = None) -> DayTotals:
-    """Sum a keyword day's segments on their scaled ints, converting once
-    per total.  Unslotted bidders pay and gain nothing, so an advertiser
+    """Sum a keyword day's segments on their scaled ints: the one summation
+    of a day.  Unslotted bidders pay and gain nothing, so an advertiser
     never slotted is in neither dict; with ``advertisers``, the dicts cover
     only those of them that were slotted."""
     want = None if advertisers is None else set(advertisers)
@@ -328,17 +364,15 @@ def day_totals(segments: Sequence[Segment],
     gained: Dict[str, int] = {}
     for seg in segments:
         n = seg.hi - seg.lo + 1
-        for (adv, _, _), p, v in zip(seg.ranking, seg.int_prices,
-                                     seg.int_values):
-            rev += n * p
-            wel += n * v
+        prices, values = seg.int_prices, seg.int_values
+        rev += n * sum(prices)
+        wel += n * sum(values)
+        for (adv, _, _), p, v in zip(seg.ranking, prices, values):
             if want is None or adv in want:
                 paid[adv] = paid.get(adv, 0) + n * p
                 gained[adv] = gained.get(adv, 0) + n * (v - p)
     D = segments[0].D if segments else 1  # no queries, nothing to convert
-    return DayTotals(Fraction(rev, D), Fraction(wel, D),
-                     {adv: Fraction(x, D) for adv, x in paid.items()},
-                     {adv: Fraction(x, D) for adv, x in gained.items()})
+    return DayTotals(D, rev, wel, paid, gained)
 
 
 def pinning_keeps_day(segments: Sequence[Segment],
@@ -439,9 +473,9 @@ class PartitionTable:
     int_cum_payoff: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        D = math.lcm(*(x.denominator for x in self.costs + self.payoffs))
-        ic = tuple(_scaled(c, D) for c in self.costs)
-        iu = tuple(_scaled(u, D) for u in self.payoffs)
+        D = math.lcm(*[x.denominator for x in self.costs + self.payoffs])
+        ic = tuple([c.numerator * (D // c.denominator) for c in self.costs])
+        iu = tuple([u.numerator * (D // u.denominator) for u in self.payoffs])
         cc, cu = [0], [0]
         for lam, (c, u) in enumerate(zip(ic, iu)):
             length = self.breakpoints[lam + 1] - self.breakpoints[lam]

@@ -1,7 +1,8 @@
 """Shared builders: fixture paths, a per-query reference simulator, the
-two-run reference acbm probes, the reprice-everything reference timeline,
-the all-Fraction reference knapsack, the tree-building reference report
-encoder, and the seeded random corpus used by the property tests.
+telescoped revenue identity of a priced slate, the two-run reference acbm
+probes, the reprice-everything reference timeline, the all-Fraction
+reference knapsack, the tree-building reference report encoder, and the
+seeded random corpus used by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from broadmatch.auction import price_query
+from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, format_rational)
@@ -85,6 +86,8 @@ def naive_day(instance: Instance, profile: Profile, reserve: F = F(0)) -> dict:
     drop), then charge everyone who stays.  O(volume) per keyword on purpose.
     """
     spend = {a.id: F(0) for a in instance.advertisers}
+    payoff = {a.id: F(0) for a in instance.advertisers}
+    edge_spend = {(r.advertiser, r.keyword): F(0) for r in profile.rows}
     participation: Dict[Tuple[str, str], int] = {}
     revenue = welfare = F(0)
     kw_revenue: Dict[str, F] = {}
@@ -121,6 +124,8 @@ def naive_day(instance: Instance, profile: Profile, reserve: F = F(0)) -> dict:
                 p = slate.prices[i]
                 pools[i] -= p
                 spend[i] += p
+                payoff[i] += slate.payoffs[i]
+                edge_spend[(i, k.id)] += p
                 participation[(i, k.id)] += 1
                 prices[i] = p
             rev += slate.revenue
@@ -134,8 +139,38 @@ def naive_day(instance: Instance, profile: Profile, reserve: F = F(0)) -> dict:
 
     return {"revenue": revenue, "welfare": welfare,
             "keyword_revenue": kw_revenue, "keyword_welfare": kw_welfare,
-            "spend": spend, "participation": participation,
+            "spend": spend, "payoff": payoff,
+            "leftover": {a.id: a.budget - spend[a.id]
+                         for a in instance.advertisers},
+            "edge_spend": edge_spend, "participation": participation,
             "per_query": per_query}
+
+
+def revenue_identity_check(slate: Slate) -> F:
+    """Recompute revenue as sum_j (gamma_j - gamma_{j+1}) * j * s_{(j+1)}.
+
+    The suffix-sum prices telescope to this form; the function asserts the
+    equality and returns the value.
+    """
+    gamma = slate.slots.gamma
+    K = len(gamma)
+    L = len(slate.ranking)
+    occupied = min(K, L)
+
+    def below(rank: int) -> F:
+        if rank < L:
+            return slate.ranking[rank][1]
+        if rank == L:
+            return slate.reserve
+        return ZERO
+
+    total = ZERO
+    for j in range(1, occupied + 1):
+        gamma_next = gamma[j] if j < K else ZERO
+        total += (gamma[j - 1] - gamma_next) * j * below(j)
+    assert total == slate.revenue, "telescoped revenue %s != price sum %s" % (
+        total, slate.revenue)
+    return total
 
 
 # -- reference acbm probes ----------------------------------------------------
@@ -308,8 +343,10 @@ def assert_day_matches_naive(instance, day, ref) -> None:
     assert day.welfare == ref["welfare"]
     assert day.keyword_revenue == ref["keyword_revenue"]
     assert day.keyword_welfare == ref["keyword_welfare"]
-    for adv, amount in ref["spend"].items():
-        assert day.spend[adv] == amount, adv
+    assert day.spend == ref["spend"]
+    assert day.payoff == ref["payoff"]
+    assert day.leftover == ref["leftover"]
+    assert day.edge_spend == ref["edge_spend"]
     for key, count in ref["participation"].items():
         assert day.participation.get(key, 0) == count, key
     for k in instance.keywords:

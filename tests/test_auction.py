@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadmatch.auction import price_query, revenue_identity_check
+from broadmatch.auction import price_query
 from broadmatch.model import SlotParams
+from conftest import revenue_identity_check
 
 TWO = SlotParams((F(1), F(7, 10)))
 

@@ -158,6 +158,24 @@ def test_validate_rejects_malformed_input(fx, tmp_path):
     assert "invalid JSON" in doc["error"]["errors"][0]["message"]
 
 
+@pytest.mark.parametrize("which", ["instance", "split"])
+def test_input_that_is_not_utf8_is_a_usage_error(fx, tmp_path, which):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"slots": "\xff"}')
+    argv = (["simulate", str(bad), "--split",
+             "two-keyword-entry-natural.split.json"] if which == "instance"
+            else ["simulate", "two-keyword-entry-base.json",
+                  "--split", str(bad)])
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"] == {
+        "type": "usage",
+        "message": "cannot read %s: not UTF-8 text ('utf-8' codec can't "
+                   "decode byte 0xff in position 11: invalid start byte)"
+                   % bad}
+
+
 def test_missing_file_is_a_usage_error(fx):
     code, out = fx("validate", "no-such-file.json")
     doc = json.loads(out)
@@ -352,6 +370,38 @@ def test_rationals_beyond_float_range_encode_from_integers(fx, tmp_path):
     # in float range the bytes are the float formatting's, as before
     for x in (F(1, 3), F(-7, 2), F(2, 3), F(-1, 10 ** 9), F(10 ** 300, 7)):
         assert cli._approx(x, 6) == "%.6f" % float(x)
+
+
+def _rounded_exactly(x: F) -> str:
+    """x to six places, half to even, from integers alone."""
+    q, r = divmod(abs(x.numerator) * 10 ** 6, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q % 2):
+        q += 1
+    return "%s%d.%06d" % ("-" if x < 0 else "", *divmod(q, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fractions() | st.integers().map(F)
+       | st.builds(F, st.integers(10 ** 309, 10 ** 420) | st.integers(
+           -10 ** 420, -10 ** 309), st.integers(1, 10 ** 6)))
+@example(F(-1, 10 ** 9))
+@example(F(10 ** 400, 3))
+@example(-F(10 ** 400) - F(2, 3))
+@example(F(0))
+@example(F(5, 10 ** 7))  # a tie in decimal, not in binary
+def test_writer_prints_a_rational_as_float_and_str_do(x):
+    """The writer's two strings of a rational, at every depth, are
+    ``str(x)`` and ``"%.6f" % float(x)``; beyond float range the decimal
+    is x rounded to six places exactly.  Checked apart from ``_approx``,
+    which the reference encoder calls."""
+    try:
+        approx = "%.6f" % float(x)
+    except OverflowError:
+        approx = _rounded_exactly(x)
+    want = {"approx": approx, "exact": str(x)}
+    doc = json.loads(cli._dumps({"x": x, "list": [x, [x]], "deep": {"y": x}}))
+    assert doc == {"x": want, "list": [want, [want]], "deep": {"y": want}}
+    assert json.loads(cli._dumps(x)) == want
 
 
 def test_argparse_rejections_exit_2(fx):

@@ -3,10 +3,12 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from broadmatch.model import (Allocation, ModelError, all_in_profile,
                               check_extension, load_instance, load_schedule,
-                              load_split, serialize_instance,
+                              load_split, parse_rational, serialize_instance,
                               serialize_profile, validate_profile)
 from conftest import FIXTURES, build_instance, build_split
 
@@ -95,7 +97,8 @@ LOADERS = {"instance": load_instance, "split": load_split,
 
 # name: (loader, document, its errors as (path, message) in report order).
 # Between them the documents reach every branch of the loaders' walk; a
-# duplicate's index counts only the items that were objects.
+# duplicate's index is its item's index in the document, non-objects
+# included.
 LOADER_ERRORS = {
     "instance-text-not-json": ("instance", "{not json", [
         ("$", "invalid JSON: Expecting property name enclosed in double "
@@ -148,7 +151,8 @@ LOADER_ERRORS = {
             ("$.keywords[3].volume", "volume must be a positive integer"),
             ("$.keywords[4].volume", "expected an integer, got bool"),
             ("$.keywords[4].volume", "volume must be a positive integer"),
-            ("$.keywords[2].id", "duplicate keyword id ''")]),
+            # the repeat is the document's item 3, after a non-object
+            ("$.keywords[3].id", "duplicate keyword id ''")]),
     "instance-advertiser-items": (
         "instance", _market(advertisers=[
             {"id": "a", "budget": "-1"}, {"budget": "1/0"},
@@ -209,9 +213,18 @@ LOADER_ERRORS = {
             edges=[7, {"advertiser": "a", "keyword": "k1", "score": "2"},
                    {"advertiser": "a", "keyword": "k1", "score": "2"}]), [
             ("$.keywords[0]", "expected an object"),
-            ("$.keywords[1].id", "duplicate keyword id 'k1'"),
+            ("$.keywords[2].id", "duplicate keyword id 'k1'"),
             ("$.edges[0]", "expected an object"),
-            ("$.edges[1]", "duplicate edge ('a', 'k1')")]),
+            ("$.edges[2]", "duplicate edge ('a', 'k1')")]),
+    "instance-advertiser-duplicate-after-a-skipped-item": (
+        "instance", _market(advertisers=[
+            None, {"id": "a", "budget": "5"}, {"id": "a", "budget": "1"},
+            {"id": "b", "budget": 3}]), [
+            ("$.advertisers[0]", "expected an object"),
+            ("$.advertisers[2].id", "duplicate advertiser id 'a'")]),
+    "instance-bytes-not-utf8": ("instance", b'{"slots": "\xff"}', [
+        ("$", "invalid text encoding: 'utf-8' codec can't decode byte 0xff "
+              "in position 11: invalid start byte")]),
     "split-text-not-json": ("split", '{"allocations": [}', [
         ("$", "invalid JSON: Expecting value: line 1 column 18 (char 17)")]),
     "split-not-object": ("split", "[]", [
@@ -224,6 +237,12 @@ LOADER_ERRORS = {
         "split", dict(_rows(("a", "k1", -1, "1")), extra=True), [
             ("$", "unknown key 'extra'"),
             ("$.allocations[0].queries", "queries must be nonnegative")]),
+    "split-bytes-not-utf8": ("split", b'{"allocations": ["\xe9t\xe9"]}', [
+        ("$", "invalid text encoding: 'utf-8' codec can't decode byte 0xe9 "
+              "in position 18: invalid continuation byte")]),
+    "schedule-bytes-not-utf8": ("schedule", b'\xff\xfe{', [
+        ("$", "invalid text encoding: 'utf-16-le' codec can't decode byte "
+              "0x7b in position 2: truncated data")]),
     "split-allocations-not-list": ("split", {"allocations": {"a": 1}}, [
         ("$.allocations", "expected a list")]),
     "split-items": (
@@ -260,6 +279,11 @@ LOADER_ERRORS = {
             ("$.allocations[2].queries", "queries must be nonnegative"),
             ("$.allocations[3].start_query", "expected an integer, got bool"),
             ("$.allocations[3].start_query", "start_query must be >= 1")]),
+    "split-duplicate-after-a-skipped-item": (
+        "split", {"allocations": [7] + _rows(
+            ("a", "k1", 1, "1"), ("a", "k1", 2, "2"))["allocations"]}, [
+            ("$.allocations[0]", "expected an object"),
+            ("$.allocations[2]", "duplicate allocation ('a', 'k1')")]),
     "schedule-duplicate-allocation": (
         "schedule", _rows(("a", "k1", 1, "1", 2), ("a", "k1", 1, "1", 3)), [
             ("$.allocations[1]", "duplicate allocation ('a', 'k1')")]),
@@ -270,7 +294,8 @@ LOADER_ERRORS = {
 def test_loader_error_lists_are_pinned(name):
     """Each malformed document's full error list, as text and parsed."""
     kind, doc, expected = LOADER_ERRORS[name]
-    for document in [doc] if isinstance(doc, str) else [json.dumps(doc), doc]:
+    for document in ([doc] if isinstance(doc, (str, bytes))
+                     else [json.dumps(doc), doc]):
         with pytest.raises(ModelError) as err:
             LOADERS[kind](document)
         assert [(e["path"], e["message"])
@@ -330,6 +355,50 @@ def test_validate_profile_catches_structural_problems():
     toolong = build_split([("1", "k1", 101, "45")])
     assert any("volume" in e["message"]
                for e in validate_profile(inst, toolong))
+
+
+def test_budget_caps_are_exact_over_mixed_denominators():
+    """An advertiser's commitments add up exactly across denominators: at
+    the cap is allowed, 1/12 over it is refused, and the message prints
+    the exact total."""
+    inst = small()  # advertiser 3 holds 40 on k1 and k2
+    at_cap = build_split([("3", "k1", 1, "61/3"), ("3", "k2", 1, "59/3")])
+    assert validate_profile(inst, at_cap) == []
+    over = build_split([("3", "k1", 1, "81/4"), ("3", "k2", 1, "119/6"),
+                        ("1", "k1", 1, "45")])
+    assert [e["message"] for e in validate_profile(inst, over)] == [
+        "advertiser '3' commits 481/12 > budget 40"]
+
+
+# The parser reads ASCII-digit strings with int() and hands every other
+# string to Fraction(str); each must come out as Fraction(str) says.
+_RATIONAL_TEXTS = ["007", "0/5", "3/0", "3/", "/3", "+3", "-4/6", " 3",
+                   "1_000", "\u0663", "2.5", "1e3", "-", "-0/0", "4/-6",
+                   "12/18", "-12", "3 /4", "1" * 5000]
+
+
+def _assert_parses_as_fraction_does(text):
+    errors = []
+    got = parse_rational(text, "$.x", errors)
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError):
+        assert (got, errors) == (0, [{"path": "$.x",
+                                      "message": "not a rational: %r" % text}])
+    else:
+        assert type(got) is F and got == want and errors == [], text
+
+
+@pytest.mark.parametrize("text", _RATIONAL_TEXTS)
+def test_rational_strings_parse_as_fraction_does(text):
+    _assert_parses_as_fraction_does(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789-+/ ._e\u0663", max_size=8))
+@example("-0")
+def test_rational_text_fuzz_parses_as_fraction_does(text):
+    _assert_parses_as_fraction_does(text)
 
 
 def test_all_in_profile():

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from broadmatch import acbm
 from broadmatch.acbm import allocate_excess
-from broadmatch.auction import price_query, revenue_identity_check
+from broadmatch.auction import price_query
 from broadmatch.bestresp import (_unstable, _walk, brute_force_oracle,
                                  exact_best_response_dp, fptas_as2,
                                  greedy_local_best_response)
@@ -19,7 +19,7 @@ from broadmatch.partition import tables_for
 from broadmatch.simulate import simulate_day
 from conftest import (GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       assert_day_matches_naive, naive_day, random_extension_pair,
-                      random_instance, random_profile)
+                      random_instance, random_profile, revenue_identity_check)
 
 SEEDS = range(100)
 
