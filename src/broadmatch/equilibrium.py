@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bestresp
 from .model import Allocation, Instance, Profile
-from .partition import rate_gt, tables_for
+from .partition import budget_margin, rate_gt, subject_day
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -42,16 +42,21 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     when the stream is exhausted).  Rates on free queries are
     ``partition.INFINITE``.  Keywords the reserve prices her out of are
     omitted entirely.
+
+    The figures are those her partition tables (``tables_for``) give, but
+    no table is built: her day on each keyword (``partition.subject_day``)
+    runs only until her payment passes her committed budget, since nothing
+    after the first query that budget cannot buy is read, and
+    ``partition.budget_margin`` reads the figures from the day's ints.
     """
-    tables = tables_for(instance, advertiser, profile, reserve=reserve)
     out: Dict[str, dict] = {}
-    for kw, t in tables.items():
+    for kw in instance.keywords_of(advertiser):
+        if instance.score(advertiser, kw) < reserve:
+            continue
         b = profile.committed(advertiser, kw)
-        v = t.max_affordable(b)
-        mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
-        mp_plus = t.rate(t.segment_of(v + 1)) if v < t.volume else None
-        nxt = t.query_cost(v + 1) if v < t.volume else None
-        payoff, cost = t.prefix(v)
+        segments = subject_day(instance, advertiser, kw, profile, reserve, b)
+        v, cost, payoff, mp_minus, mp_plus, nxt = budget_margin(
+            segments, advertiser, b)
         out[kw] = {
             "budget": b,
             "queries": v,

@@ -26,12 +26,12 @@ tests read numerators, so a run builds no ``Fraction``.  A ``Segment``
 keeps the day's ints: D, and for the slotted bidders only, in rank order,
 each one's per-query price and value (clicks times score) in units of
 1/D.  Its ``prices``, ``payoffs``, ``revenue`` and ``welfare`` are exact
-``Fraction`` views of those ints, each built on its first read;
-``day_totals`` is the one summation of a whole day on the ints, and
-returns them with D, so a caller adding several days (``simulate_day``)
-converts once per reported total and only this module reads a segment's
-int layout.  Where the settle before a segment dropped somebody, the
-segment also keeps the prices the settle asked on its way
+``Fraction`` views of those ints, the first two built on their first read,
+the last two on each; ``day_totals`` is the one summation of a whole day
+on the ints, and returns them with D, so a caller adding several days
+(``simulate_day``) converts once per reported total and only this module
+reads a segment's int layout.  Where the settle before a segment dropped
+somebody, the segment also keeps the prices the settle asked on its way
 (``passed_prices``), from which ``pinning_keeps_day`` tells whether
 pinning some pools to their spend would leave the day as it is, and
 ``pinning_keeps_prefixes`` whether it would leave every prefix of the day
@@ -40,8 +40,16 @@ sentinel ``INFINITE``, and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
-day simulator, the partition tables and the auctioneer's entry probes all
-go through it.
+day simulator, the partition tables, the stability check's marginal rates
+and the auctioneer's entry probes all go through it.  One optional
+argument, ``stop``, a (bidder, budget) pair, ends the day after the first
+segment in which that bidder's running payment exceeds the budget.  A
+timeline is causal, so the stopped run is a prefix of the whole day's
+segments, its last one whole; without ``stop`` the loop does one more
+test per segment and nothing else.  ``subject_day`` is the day a partition
+table reads, and ``budget_margin`` reads what a budget buys of it straight
+from the segments' ints, so a caller that needs only that (the marginal
+rates) runs the day only as far as the first query the budget cannot buy.
 
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
 response solvers: the advertiser is assumed present in every query, and the
@@ -84,15 +92,15 @@ class Segment:
 
     ``prices`` and ``payoffs`` (per query, keyed in rank order over every
     active bidder), ``revenue`` and ``welfare`` are exact ``Fraction``
-    views of those ints.  Each is built on its first read, apart from the
-    others.  Two segments are equal when their bounds, rankings and the
-    four views are, dict key order included.  A segment with an empty
+    views of those ints.  The two dicts are built on their first read,
+    apart from each other; the two sums on each read, which comes once per
+    reported segment.  Two segments are equal when their bounds, rankings
+    and the four views are, dict key order included.  A segment with an empty
     ranking is dark: those queries go unsold.
     """
 
     __slots__ = ("lo", "hi", "ranking", "D", "int_prices", "int_values",
-                 "passed_prices", "_prices", "_payoffs", "_revenue",
-                 "_welfare")
+                 "passed_prices", "_prices", "_payoffs")
 
     def __init__(self, lo: int, hi: int,
                  ranking: Tuple[Tuple[str, Fraction, object], ...], D: int,
@@ -140,19 +148,11 @@ class Segment:
 
     @property
     def revenue(self) -> Fraction:
-        try:
-            return self._revenue
-        except AttributeError:
-            self._revenue = Fraction(sum(self.int_prices), self.D)
-            return self._revenue
+        return Fraction(sum(self.int_prices), self.D)
 
     @property
     def welfare(self) -> Fraction:
-        try:
-            return self._welfare
-        except AttributeError:
-            self._welfare = Fraction(sum(self.int_values), self.D)
-            return self._welfare
+        return Fraction(sum(self.int_values), self.D)
 
     def _key(self) -> tuple:
         return (self.lo, self.hi, self.ranking, list(self.prices.items()),
@@ -187,7 +187,9 @@ _by_rank = attrgetter("rank")
 
 
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
-                         reserve: Fraction = ZERO) -> Tuple[Segment, ...]:
+                         reserve: Fraction = ZERO,
+                         stop: Optional[Tuple[str, Fraction]] = None
+                         ) -> Tuple[Segment, ...]:
     """Advance a keyword's day from event to event.
 
     ``bidders`` yields (id, score, start_query, pool) with pool None meaning
@@ -205,6 +207,13 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     the pool updates are exact.  The reserve and sign tests on the way in
     read numerators, and no ``Fraction`` is built.  Each ``Segment`` keeps D
     and its slotted bidders' ints.
+
+    ``stop``, a (bidder id, budget) pair, ends the day after the first
+    segment in which that bidder's running payment exceeds the budget, or
+    at the day's end if it never does.  A timeline is causal, so the
+    stopped run is a prefix of the whole day's segments, its last segment
+    whole.  The watched bidder's price is read once per slate and added
+    once per segment.
     """
     auction.check_reserve(reserve)
     r_num, r_den = reserve.numerator, reserve.denominator
@@ -230,6 +239,12 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         if b.pool is not None:
             b.pool = b.pool.numerator * (D // b.pool.denominator)
     floor = r_num * (unit // r_den)
+    watch = None  # the bidder whose payment ends the day, if any
+    if stop is not None:
+        who, budget = stop
+        watch = next((b for b in entrants if b.id == who), None)
+        cap = budget.numerator * D // budget.denominator  # paid > cap: over
+        paid = owed = 0  # its payment so far and its price on the slate
     entrants.sort(key=lambda b: (-b.s, b.id))
     for rank, b in enumerate(entrants):
         b.rank = rank
@@ -289,10 +304,17 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
             hi = next_entry - 1
         if slate is None:
             slate = _slate(active, prices, clicks)
+            if watch is not None:
+                owed = next((price for b, price in zip(slotted, prices)
+                             if b is watch), 0)
         ranking, int_prices, int_values = slate
         segments.append(Segment(t, hi, ranking, D, int_prices, int_values,
                                 tuple(passed.items()) if passed else ()))
         length = hi - t + 1
+        if watch is not None:
+            paid += length * owed
+            if paid > cap:
+                break
         for b, price in zip(slotted, prices):
             if b.pool is not None:
                 b.pool -= length * price
@@ -313,16 +335,19 @@ def _slate(active: Sequence[_Bidder], prices: Sequence[int],
 
 
 def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
-                reserve: Fraction = ZERO) -> Tuple[Segment, ...]:
+                reserve: Fraction = ZERO,
+                stop: Optional[Tuple[str, Fraction]] = None
+                ) -> Tuple[Segment, ...]:
     """Run a keyword's day for the committed rows on it.
 
     Each row enters at its start query with its budget as its pool (a
     budget of None is an unlimited pool).  Rows must all be on ``keyword``.
+    ``stop`` cuts the day short as in ``run_keyword_timeline``.
     """
     bidders = [(r.advertiser, instance.score(r.advertiser, keyword),
                 r.start_query, r.budget) for r in rows]
     return run_keyword_timeline(instance.slots, instance.volume(keyword),
-                                bidders, reserve)
+                                bidders, reserve, stop)
 
 
 class DayTotals(NamedTuple):
@@ -580,9 +605,66 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     for kw in keywords:
         if instance.score(advertiser, kw) < reserve:
             continue
-        # the subject is present from query 1 with an unlimited pool
-        rows = [Allocation(advertiser, kw, instance.volume(kw), None)]
-        rows += [r for r in others.rows_on(kw) if r.advertiser != advertiser]
-        segments = keyword_day(instance, kw, rows, reserve)
+        segments = subject_day(instance, advertiser, kw, others, reserve)
         tables[kw] = _table_from_timeline(instance, kw, advertiser, segments)
     return tables
+
+
+def subject_day(instance: Instance, advertiser: str, keyword: str,
+                others: Profile, reserve: Fraction = ZERO,
+                budget: Optional[Fraction] = None) -> Tuple[Segment, ...]:
+    """The keyword's day as a partition table sees it: the advertiser
+    present from query 1 with an unlimited pool, rivals exactly where
+    ``others`` has a row for them (any of the advertiser's own rows are
+    ignored), each from its start query.  With ``budget``, the day stops
+    after the first segment in which her payment exceeds it."""
+    rows = [Allocation(advertiser, keyword, instance.volume(keyword), None)]
+    rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
+    return keyword_day(instance, keyword, rows, reserve,
+                       None if budget is None else (advertiser, budget))
+
+
+def _rate(cost: int, payoff: int):
+    return INFINITE if cost == 0 else Fraction(payoff, cost)
+
+
+def budget_margin(segments: Sequence[Segment], advertiser: str,
+                  budget: Fraction) -> tuple:
+    """What ``budget`` buys of a day ``advertiser`` is in from query 1.
+
+    ``segments`` is such a day (``subject_day``), whole or stopped at this
+    budget.  Returns (v, cost, payoff, last rate, next rate, next cost): v
+    is the longest prefix whose cost fits the budget, then its cost and
+    payoff, the rate (payoff per unit cost) of query v, None when v is 0,
+    and the rate and cost of query v + 1, None when v is the day's last
+    query.  Queries she is unslotted in cost and pay nothing, and a free
+    query's rate is ``INFINITE``.  One pass over the segments' ints; one
+    ``Fraction`` per reported value.
+    """
+    if budget.numerator < 0:
+        raise ValueError("budget must be nonnegative")
+    D = segments[0].D if segments else 1
+    cap = budget.numerator * D // budget.denominator  # cost <= cap: it fits
+    cost = payoff = 0  # of the queries bought so far, in units of 1/D
+    last = None  # (cost, payoff) of the last query bought
+    for seg in segments:
+        c = u = 0  # unslotted: in the auction, pays and gains nothing
+        for (adv, _, _), price, value in zip(seg.ranking, seg.int_prices,
+                                             seg.int_values):
+            if adv == advertiser:
+                c, u = price, value - price
+                break
+        n = seg.hi - seg.lo + 1
+        if cost + n * c > cap:
+            k = (cap - cost) // c  # queries of this segment bought, < n
+            if k:
+                last = (c, u)
+            v = seg.lo - 1 + k
+            return (v, Fraction(cost + k * c, D), Fraction(payoff + k * u, D),
+                    _rate(*last) if v else None, _rate(c, u), Fraction(c, D))
+        cost += n * c
+        payoff += n * u
+        last = (c, u)
+    v = segments[-1].hi if segments else 0
+    return (v, Fraction(cost, D), Fraction(payoff, D),
+            _rate(*last) if v else None, None, None)

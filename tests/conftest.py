@@ -1,8 +1,9 @@
 """Shared builders: fixture paths, a per-query reference simulator, the
 telescoped revenue identity of a priced slate, the two-run reference acbm
 probes, the reprice-everything reference timeline, the all-Fraction
-reference knapsack, the tree-building reference report encoder, and the
-seeded random corpus used by the property tests.
+reference knapsack, the table-based reference marginal rates, the
+tree-building reference report encoder, and the seeded random corpus used
+by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -19,7 +20,8 @@ from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, format_rational)
-from broadmatch.partition import INFINITE, PartitionTable, keyword_day
+from broadmatch.partition import (INFINITE, PartitionTable, keyword_day,
+                                  tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -312,6 +314,35 @@ def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
         queries[kw] = x
         p = q
     return queries, Fraction(opt)
+
+
+# -- reference marginal rates -------------------------------------------------
+
+# ``equilibrium.marginal_payoffs`` as it was when it read whole-day partition
+# tables, kept verbatim apart from its name.
+def reference_marginals(instance: Instance, advertiser: str, profile: Profile,
+                        reserve: Fraction = ZERO) -> Dict[str, dict]:
+    """Per-keyword marginal rates of one advertiser under a profile, read
+    from her whole-day partition tables (``tables_for``)."""
+    tables = tables_for(instance, advertiser, profile, reserve=reserve)
+    out: Dict[str, dict] = {}
+    for kw, t in tables.items():
+        b = profile.committed(advertiser, kw)
+        v = t.max_affordable(b)
+        mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
+        mp_plus = t.rate(t.segment_of(v + 1)) if v < t.volume else None
+        nxt = t.query_cost(v + 1) if v < t.volume else None
+        payoff, cost = t.prefix(v)
+        out[kw] = {
+            "budget": b,
+            "queries": v,
+            "cost": cost,
+            "payoff": payoff,
+            "mp_minus": mp_minus,
+            "mp_plus": mp_plus,
+            "next_cost": nxt,
+        }
+    return out
 
 
 # -- reference report encoding -------------------------------------------------

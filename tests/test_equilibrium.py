@@ -1,5 +1,6 @@
 """Stability checks, eps Nash certification, dynamics, revenue dilemmas."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +10,10 @@ from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
                                     natural_base_split, verify_bme,
                                     verify_eps_ne)
 from broadmatch.model import Allocation, Profile, load_instance, load_split
-from broadmatch.partition import INFINITE
+from broadmatch.partition import INFINITE, subject_day
 from broadmatch.simulate import simulate_day
-from conftest import FIXTURES, build_instance
+from conftest import (FIXTURES, RESERVE_GRID, build_instance, build_schedule,
+                      random_instance, random_profile, reference_marginals)
 
 
 def inst(name):
@@ -50,6 +52,82 @@ def test_free_queries_count_as_already_bought():
     assert mp["k1"]["queries"] == 100
     assert mp["k1"]["cost"] == 0 and mp["k1"]["payoff"] == F(759, 5)
     assert mp["k1"]["mp_minus"] == INFINITE and mp["k1"]["mp_plus"] is None
+
+
+def _records(mp):
+    return [(kw, list(rec.items())) for kw, rec in mp.items()]
+
+
+def test_marginal_payoffs_match_the_table_reference_on_the_corpus():
+    """Field for field, key order included, against the whole-day table
+    reading (``conftest.reference_marginals``) for every advertiser of the
+    hundred seeded markets, under splits and schedules, with reserves."""
+    seen = {"none_bought": 0, "all_bought": 0, "next": 0, "free": 0,
+            "omitted": 0, "schedule": 0, "reserve": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        for schedule in (False, True):
+            profile = random_profile(rng, instance, schedule)
+            reserve = rng.choice(RESERVE_GRID)
+            for adv in instance.advertisers:
+                got = marginal_payoffs(instance, adv.id, profile, reserve)
+                assert _records(got) == _records(reference_marginals(
+                    instance, adv.id, profile, reserve)), (seed, adv.id)
+                seen["omitted"] += len(got) < len(instance.keywords_of(adv.id))
+                for rec in got.values():
+                    seen["none_bought"] += rec["queries"] == 0
+                    seen["all_bought"] += rec["mp_plus"] is None
+                    seen["next"] += rec["mp_plus"] is not None
+                    seen["free"] += INFINITE in (rec["mp_minus"],
+                                                 rec["mp_plus"])
+                    seen["schedule"] += schedule
+                    seen["reserve"] += reserve > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_next_query_on_a_segment_boundary():
+    # two slots; s pays 3/2 while r (pool 2) lasts, queries 1..4, then 1/2
+    # until x enters at query 8: her 6 buys exactly the first segment
+    market = build_instance(
+        ("1", "1/2"), (("k", 10),),
+        (("s", "6"), ("r", "2"), ("q", "100"), ("x", "100")),
+        (("s", "k", "3", "base"), ("r", "k", "2", "base"),
+         ("q", "k", "1", "base"), ("x", "k", "1/2", "base")))
+    profile = build_schedule((("s", "k", 4, "6", 1), ("r", "k", 4, "2", 1),
+                              ("q", "k", 10, "100", 1),
+                              ("x", "k", 3, "100", 8)))
+    mp = marginal_payoffs(market, "s", profile)
+    assert mp == reference_marginals(market, "s", profile)
+    assert mp["k"] == {"budget": F(6), "queries": 4, "cost": F(6),
+                       "payoff": F(6), "mp_minus": F(1), "mp_plus": F(5),
+                       "next_cost": F(1, 2)}
+    # the day stops after the segment holding query 5, before x enters
+    whole = subject_day(market, "s", "k", profile)
+    stopped = subject_day(market, "s", "k", profile, budget=F(6))
+    assert [(g.lo, g.hi) for g in whole] == [(1, 4), (5, 7), (8, 10)]
+    assert stopped == whole[:2]
+
+
+def test_zero_budget_buys_the_free_opening():
+    # one slot; s is alone, so free, until r enters at query 4, and is
+    # pushed out of the slot when y enters at query 7
+    market = build_instance(
+        ("1",), (("k", 10), ("h", 10)),
+        (("s", "5"), ("r", "100"), ("y", "100")),
+        (("s", "k", "2", "base"), ("s", "h", "1", "base"),
+         ("r", "k", "1", "base"), ("y", "k", "3", "base")))
+    profile = build_schedule((("s", "h", 10, "5", 1),
+                              ("r", "k", 7, "100", 4),
+                              ("y", "k", 4, "100", 7)))
+    mp = marginal_payoffs(market, "s", profile)
+    assert mp == reference_marginals(market, "s", profile)
+    assert mp["k"] == {"budget": F(0), "queries": 3, "cost": F(0),
+                       "payoff": F(6), "mp_minus": INFINITE, "mp_plus": F(1),
+                       "next_cost": F(1)}
+    whole = subject_day(market, "s", "k", profile)
+    assert [(g.lo, g.hi) for g in whole] == [(1, 3), (4, 6), (7, 10)]
+    assert subject_day(market, "s", "k", profile, budget=F(0)) == whole[:2]
 
 
 # -- local stability ----------------------------------------------------------

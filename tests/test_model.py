@@ -36,6 +36,22 @@ def test_instance_lookups():
     assert [e.keyword for e in inst.extension_edges()] == ["k1"]
 
 
+def test_edge_indexes_keep_their_orders_and_hand_out_copies():
+    # edges listed against keyword order and id order
+    inst = build_instance(
+        ("1",), (("k1", 10), ("k2", 10), ("k3", 10)),
+        (("a", "1"), ("b", "1"), ("c", "1")),
+        (("b", "k3", "1", "base"), ("a", "k3", "1", "base"),
+         ("b", "k1", "1", "extension"), ("c", "k3", "1", "base")))
+    assert inst.keywords_of("b") == ["k1", "k3"]
+    assert inst.advertisers_on("k3") == ["a", "b", "c"]
+    assert inst.keywords_of("nobody") == [] and inst.advertisers_on("k2") == []
+    inst.keywords_of("b").append("k2")
+    inst.advertisers_on("k3").clear()
+    assert inst.keywords_of("b") == ["k1", "k3"]
+    assert inst.advertisers_on("k3") == ["a", "b", "c"]
+
+
 def test_base_instance_strips_extensions():
     base = small().base_instance()
     assert not base.has_edge("3", "k1")

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
 from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
                                   keyword_day, pinning_keeps_day,
                                   pinning_keeps_prefixes,
-                                  run_keyword_timeline, tables_for)
+                                  run_keyword_timeline, subject_day,
+                                  tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
                       build_split, random_instance, random_profile,
@@ -285,6 +288,118 @@ def test_keyword_day_runs_committed_rows_as_bidders():
     assert segs[-1].active == ("3",) and segs[-1].hi == 100
     assert keyword_day(small(), "k2", ()) == (
         run_keyword_timeline(small().slots, 100, []))
+
+
+# -- a day stopped at a bidder's budget ---------------------------------------
+
+def _first_over(segments, bidder, budget):
+    """Index of the first segment after which the bidder's running payment,
+    summed on the ``Fraction`` views, exceeds the budget; None if none."""
+    paid = F(0)
+    for n, seg in enumerate(segments):
+        paid += len(seg) * seg.prices.get(bidder, F(0))
+        if paid > budget:
+            return n
+    return None
+
+
+def _check_stop(full, stopped, bidder, budget):
+    """The stopped run is a tuple and the prefix of the whole day that ends
+    with the first segment in which the bidder's payment passes the
+    budget, or the whole day.  Returns that segment's index, or None."""
+    assert type(stopped) is tuple
+    assert ([(segment_views(s), s.passed_prices) for s in stopped]
+            == [(segment_views(s), s.passed_prices)
+                for s in full[:len(stopped)]])
+    first = _first_over(full, bidder, budget)
+    assert len(stopped) == (len(full) if first is None else first + 1)
+    return first
+
+
+def test_stop_ends_the_day_after_the_budget_is_passed():
+    # 1 pays 9/10 a query: 45 buys 50 queries, so 44 is passed in segment 1
+    bidders = [("1", F(5), 1, F(45)), ("2", F(3), 1, F(37))]
+    full = run_keyword_timeline(TWO, 100, bidders)
+    assert len(full) == 2
+    for budget, n in ((F(0), 1), (F(44), 1), (F(45), 2), (F(10**9), 2)):
+        stopped = run_keyword_timeline(TWO, 100, bidders, stop=("1", budget))
+        assert len(stopped) == n, budget
+        _check_stop(full, stopped, "1", budget)
+    # 2 never pays, and nobody is "9": both days run whole
+    for who in ("2", "9"):
+        stopped = run_keyword_timeline(TWO, 100, bidders, stop=(who, F(0)))
+        assert stopped == full
+
+
+def test_stop_cuts_subject_days_on_the_corpus():
+    """On the hundred seeded markets, with and without schedules and
+    reserves: each advertiser's table day on each of its keywords, stopped
+    at budgets 0, its committed budget, a fractional share of its whole-day
+    payment and that payment itself, and each rival's committed day stopped
+    at a share of its pool."""
+    seen = {"cut": 0, "whole": 0, "reserve": 0, "late": 0, "zero": 0,
+            "fraction": 0, "free": 0, "unslotted": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        profile = random_profile(rng, instance, schedule=seed % 2 == 1)
+        reserve = rng.choice(RESERVE_GRID)
+        for adv in instance.advertisers:
+            for kw in instance.keywords_of(adv.id):
+                full = subject_day(instance, adv.id, kw, profile, reserve)
+                total = _spend(full, adv.id)
+                share = total * F(rng.randint(1, 9), 10) + F(1, 7)
+                for budget in (F(0), profile.committed(adv.id, kw), share,
+                               total):
+                    stopped = subject_day(instance, adv.id, kw, profile,
+                                          reserve, budget)
+                    first = _check_stop(full, stopped, adv.id, budget)
+                    seen["cut"] += len(stopped) < len(full)
+                    seen["whole"] += first is None
+                    seen["zero"] += budget == 0
+                    seen["fraction"] += budget.denominator > 1
+                seen["reserve"] += reserve > 0
+                seen["late"] += any(r.start_query > 1
+                                    for r in profile.rows_on(kw))
+                slots = [(slot, s.prices[adv.id]) for s in full
+                         for i, _, slot in s.ranking if i == adv.id]
+                seen["free"] += any(slot and not p for slot, p in slots)
+                seen["unslotted"] += any(slot is None for slot, _ in slots)
+        for kw in instance.keywords:
+            rows = profile.rows_on(kw.id)
+            full = keyword_day(instance, kw.id, rows, reserve)
+            for r in rows:
+                budget = r.budget * F(rng.randint(0, 4), 4)
+                stopped = keyword_day(instance, kw.id, rows, reserve,
+                                      (r.advertiser, budget))
+                _check_stop(full, stopped, r.advertiser, budget)
+    assert min(seen.values()) >= 20, seen
+
+
+@st.composite
+def _stopped_days(draw):
+    k = draw(st.integers(1, 3))
+    gamma = sorted(draw(st.lists(st.sampled_from(_GAMMA_POOL), min_size=k,
+                                 max_size=k, unique=True)), reverse=True)
+    volume = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 6))
+    pools = st.none() | st.fractions(0, 60, max_denominator=7)
+    bidders = [("a%d" % i, draw(st.sampled_from(_TIE_SCORES)),
+                draw(st.integers(0, volume)), draw(pools)) for i in range(n)]
+    reserve = draw(st.sampled_from([F(0), F(1, 2), F(2)]))
+    who = "a%d" % draw(st.integers(0, n))  # a<n> is in no day
+    budget = draw(st.fractions(0, 60, max_denominator=7))
+    return SlotParams(tuple(gamma)), volume, bidders, reserve, who, budget
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_stopped_days())
+def test_a_stopped_day_is_a_prefix_of_the_whole_day(day):
+    slots, volume, bidders, reserve, who, budget = day
+    full = run_keyword_timeline(slots, volume, bidders, reserve)
+    stopped = run_keyword_timeline(slots, volume, bidders, reserve,
+                                   (who, budget))
+    _check_stop(full, stopped, who, budget)
 
 
 # -- PartitionTable -----------------------------------------------------------
