@@ -217,8 +217,7 @@ class Edge:
 class Instance:
     """An immutable market: slots, keywords, advertisers, scored edges.
 
-    Lookup tables are materialized once in ``__post_init__``, and the
-    per-advertiser and per-keyword edge indexes on first use; the object is
+    Lookup tables are materialized once in ``__post_init__``; the object is
     safe to share across threads.
     """
 
@@ -236,23 +235,6 @@ class Instance:
         self._adv.update((a.id, a) for a in self.advertisers)
         self._edge.update(((e.advertiser, e.keyword), e) for e in self.edges)
         self._kw_order.update((k.id, n) for n, k in enumerate(self.keywords))
-
-    # Built on first use, not in __post_init__: many instances (a loaded
-    # extension, each base_instance copy) are never asked for them.
-    @cached_property
-    def _kws_of(self) -> Dict[str, Tuple[str, ...]]:
-        kws: Dict[str, List[str]] = {}
-        for e in self.edges:
-            kws.setdefault(e.advertiser, []).append(e.keyword)
-        order = self._kw_order.__getitem__
-        return {a: tuple(sorted(ks, key=order)) for a, ks in kws.items()}
-
-    @cached_property
-    def _advs_on(self) -> Dict[str, Tuple[str, ...]]:
-        advs: Dict[str, List[str]] = {}
-        for e in self.edges:
-            advs.setdefault(e.keyword, []).append(e.advertiser)
-        return {k: tuple(sorted(ads)) for k, ads in advs.items()}
 
     # -- lookups ------------------------------------------------------------
 
@@ -273,12 +255,12 @@ class Instance:
         return self._kw_order[keyword]
 
     def keywords_of(self, advertiser: str) -> List[str]:
-        """The advertiser's keywords, in document order."""
-        return list(self._kws_of.get(advertiser, ()))
+        kws = [e.keyword for e in self.edges if e.advertiser == advertiser]
+        kws.sort(key=self.keyword_index)
+        return kws
 
     def advertisers_on(self, keyword: str) -> List[str]:
-        """The ids of the advertisers on a keyword, sorted."""
-        return list(self._advs_on.get(keyword, ()))
+        return sorted(e.advertiser for e in self.edges if e.keyword == keyword)
 
     def base_edges(self) -> Tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.tag == BASE)

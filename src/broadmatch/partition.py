@@ -544,9 +544,6 @@ class PartitionTable:
     def prefix_cost(self, l: int) -> Fraction:
         return self.prefix(l)[1]
 
-    def prefix_payoff(self, l: int) -> Fraction:
-        return self.prefix(l)[0]
-
     def max_affordable(self, budget: Fraction) -> int:
         """Largest prefix whose exact cost fits the budget."""
         if budget < 0:
@@ -558,10 +555,6 @@ class PartitionTable:
             room = num - self.int_cum_cost[lam] * den
             return self.breakpoints[lam] + room // (self.int_costs[lam] * den)
         return self.volume
-
-    def query_cost(self, query: int) -> Fraction:
-        """Per-query cost c at a 1-based query number."""
-        return self.costs[self.segment_of(query)]
 
 
 def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,

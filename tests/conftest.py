@@ -319,7 +319,8 @@ def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
 # -- reference marginal rates -------------------------------------------------
 
 # ``equilibrium.marginal_payoffs`` as it was when it read whole-day partition
-# tables, kept verbatim apart from its name.
+# tables, kept verbatim apart from its name and its read of the next query's
+# cost (``PartitionTable.query_cost`` had no other caller and is gone).
 def reference_marginals(instance: Instance, advertiser: str, profile: Profile,
                         reserve: Fraction = ZERO) -> Dict[str, dict]:
     """Per-keyword marginal rates of one advertiser under a profile, read
@@ -331,7 +332,7 @@ def reference_marginals(instance: Instance, advertiser: str, profile: Profile,
         v = t.max_affordable(b)
         mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
         mp_plus = t.rate(t.segment_of(v + 1)) if v < t.volume else None
-        nxt = t.query_cost(v + 1) if v < t.volume else None
+        nxt = t.costs[t.segment_of(v + 1)] if v < t.volume else None
         payoff, cost = t.prefix(v)
         out[kw] = {
             "budget": b,

@@ -36,7 +36,7 @@ def test_instance_lookups():
     assert [e.keyword for e in inst.extension_edges()] == ["k1"]
 
 
-def test_edge_indexes_keep_their_orders_and_hand_out_copies():
+def test_edge_lookups_keep_their_orders_and_hand_out_copies():
     # edges listed against keyword order and id order
     inst = build_instance(
         ("1",), (("k1", 10), ("k2", 10), ("k3", 10)),

@@ -462,7 +462,7 @@ def test_prefix_evaluation_is_exact():
     assert t.prefix(27) == (F(373, 5), F(302, 5))
     assert t.prefix(100) == (F(1979, 5), F(521, 5))
     assert t.prefix_cost(51) == F(374, 5)
-    assert t.prefix_payoff(51) == F(901, 5)
+    assert t.prefix(51)[0] == F(901, 5)
     for bad in (-1, 101):
         with pytest.raises(ValueError):
             t.prefix(bad)
@@ -485,7 +485,7 @@ def test_segment_of_and_query_rates():
     for bad in (0, 101):
         with pytest.raises(ValueError):
             t.segment_of(bad)
-    assert t.query_cost(26) == F(23, 10) and t.query_cost(27) == F(3, 5)
+    assert [t.costs[t.segment_of(q)] for q in (26, 27)] == [F(23, 10), F(3, 5)]
     assert t.payoffs[t.segment_of(1)] == F(27, 10)
     assert t.rate(0) == F(27, 23) and t.rate(1) == F(22, 3)
 
