@@ -71,16 +71,16 @@ def excess_budgets(instance: Instance, profile: Optional[Profile] = None,
     base score — the cheapest conceivable price of one more query wherever
     she already bids.  Smaller leftovers are change, not money.
     ``base_day``, when given, is the base day of ``profile`` already
-    simulated (as ``obrev_check`` and ``allocate_excess`` pass it on).
+    simulated (as ``obrev_check`` and ``allocate_excess`` pass it on); only
+    without it is the base market copied out of ``instance``, to simulate.
     """
-    base = instance.base_instance()
     if base_day is None:
         if profile is None:
             profile = natural_base_split(instance)
-        base_day = simulate_day(base, profile, reserve)
+        base_day = simulate_day(instance.base_instance(), profile, reserve)
     out: Dict[str, dict] = {}
-    for adv in base.advertisers:
-        top = _top_base_score(base, adv.id)
+    for adv in instance.advertisers:
+        top = _top_base_score(instance, adv.id)
         left = base_day.leftover[adv.id]
         out[adv.id] = {
             "budget": adv.budget,

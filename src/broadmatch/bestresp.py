@@ -533,7 +533,7 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
 
 
 def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
-                       cap: Optional[int] = None) -> Tuple[int, ...]:
+                       cap: int) -> Tuple[int, ...]:
     """Volume-independent candidate prefix lengths for one keyword.
 
     Each exact segment of length L is carved into G = ceil(m/eps^2) equal
@@ -550,11 +550,10 @@ def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
     and the stream long) raises ``ScaleError`` before it is built.
     """
     g = math.ceil(m / (eps * eps))
-    stop = table.volume if cap is None else cap
     points = [0]
     for lam in range(table.segment_count):
         lo = table.breakpoints[lam]
-        hi = min(table.breakpoints[lam + 1], stop)
+        hi = min(table.breakpoints[lam + 1], cap)
         length = hi - lo
         if length <= 0:
             break

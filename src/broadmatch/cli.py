@@ -278,9 +278,12 @@ def _others_arg(args, instance: Instance, advertiser: str) -> Profile:
 
 
 def _check_fptas_eps(args) -> None:
-    """``--method fptas`` needs ``--eps`` in (0, 1); other methods leave
-    ``--eps`` unread."""
+    """``--method fptas`` needs ``--eps`` in (0, 1); no other method reads
+    ``--eps``, so with one of them it is refused."""
     if args.method != "fptas":
+        if args.eps is not None:
+            raise UsageError("--eps is read only with --method fptas, not "
+                             "with --method %s" % args.method)
         return
     if args.eps is None:
         raise UsageError("--eps is required with --method fptas")
@@ -327,7 +330,9 @@ def _cmd_price(args) -> int:
     if kw not in {k.id for k in instance.keywords}:
         raise UsageError("unknown keyword %r" % kw)
     ids = args.ids or instance.advertisers_on(kw)
-    for i in ids:
+    for n, i in enumerate(ids):
+        if i in ids[:n]:
+            raise UsageError("advertiser %r is given twice" % i)
         if not instance.has_edge(i, kw):
             raise UsageError("no edge (%s, %s) in the instance" % (i, kw))
     from .auction import price_query
@@ -485,6 +490,9 @@ def _cmd_verify(args) -> int:
     instance = _load_instance_file(args.instance)
     profile = _profile_arg(args, instance)
     if args.bme:
+        if args.method is not None:
+            raise UsageError("--method is read only with --eps-ne, not with "
+                             "--bme")
         rep = equilibrium.verify_bme(instance, profile, reserve=args.reserve)
         code = 0 if rep["ok"] else 3
         if args.format == "table":
@@ -494,7 +502,8 @@ def _cmd_verify(args) -> int:
                                                 len(rep["e2_violations"])))
             return code
         return _report(args, {"check": "bme", **rep}, code, instance)
-    fptas = args.method == "fptas"
+    method = args.method or "dp"
+    fptas = method == "fptas"
     if args.eps_ne >= 1:  # then (1 - E) * optimum <= 0 passes everybody
         raise UsageError("--eps-ne must be below 1 (from 1 up, the check "
                          "passes every profile), got %s"
@@ -505,7 +514,7 @@ def _cmd_verify(args) -> int:
             if fptas else "nonnegative",
             format_rational(args.eps_ne)))
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
-                                    method=args.method, reserve=args.reserve)
+                                    method=method, reserve=args.reserve)
     code = 0 if rep["ok"] is True else 3
     if args.format == "table":
         rows = [[i, r.get("status", "?")] for i, r in
@@ -730,7 +739,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="marginal-payoff stability across keywords")
     check.add_argument("--eps-ne", type=_rational, metavar="E", dest="eps_ne",
                        help="certify an approximate Nash point")
-    p.add_argument("--method", choices=("dp", "fptas"), default="dp")
+    p.add_argument("--method", choices=("dp", "fptas"))  # dp by default
     profile(p, required=True)
     common(p)
 

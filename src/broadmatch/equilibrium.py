@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bestresp
 from .model import Allocation, Instance, Profile
-from .partition import budget_margin, rate_gt, subject_day
+from .partition import PartitionTable, rate_gt, subject_day
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -43,20 +43,26 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     ``partition.INFINITE``.  Keywords the reserve prices her out of are
     omitted entirely.
 
-    The figures are those her partition tables (``tables_for``) give, but
-    no table is built: her day on each keyword (``partition.subject_day``)
-    runs only until her payment passes her committed budget, since nothing
-    after the first query that budget cannot buy is read, and
-    ``partition.budget_margin`` reads the figures from the day's ints.
+    Each keyword's figures are read from her partition table of her day
+    (``partition.subject_day``) stopped once her payment passes her
+    committed budget: nothing after the first query that budget cannot buy
+    is read, so the table may end at the segment holding that query.
     """
     out: Dict[str, dict] = {}
     for kw in instance.keywords_of(advertiser):
         if instance.score(advertiser, kw) < reserve:
             continue
         b = profile.committed(advertiser, kw)
-        segments = subject_day(instance, advertiser, kw, profile, reserve, b)
-        v, cost, payoff, mp_minus, mp_plus, nxt = budget_margin(
-            segments, advertiser, b)
+        t = PartitionTable(advertiser, kw, instance.volume(kw),
+                           subject_day(instance, advertiser, kw, profile,
+                                       reserve, b))
+        v = t.max_affordable(b)
+        mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
+        mp_plus = nxt = None
+        if v < t.volume:  # then the table holds query v + 1
+            lam = t.segment_of(v + 1)
+            mp_plus, nxt = t.rate(lam), Fraction(t.int_costs[lam], t.D)
+        payoff, cost = t.prefix(v)
         out[kw] = {
             "budget": b,
             "queries": v,

@@ -47,20 +47,20 @@ segment in which that bidder's running payment exceeds the budget.  A
 timeline is causal, so the stopped run is a prefix of the whole day's
 segments, its last one whole; without ``stop`` the loop does one more
 test per segment and nothing else.  ``subject_day`` is the day a partition
-table reads, and ``budget_margin`` reads what a budget buys of it straight
-from the segments' ints, so a caller that needs only that (the marginal
-rates) runs the day only as far as the first query the budget cannot buy.
+table reads.
 
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
-response solvers: the advertiser is assumed present in every query, and the
-table records what each query prefix costs and pays.
+response solvers and the stability check: the advertiser is assumed
+present in every query, and the table records, on its day's ints, what
+each query prefix costs and pays.  The solvers read tables of the whole day
+(``tables_for``), the stability check tables of the day stopped at her
+committed budget, so that day runs only to the first query it cannot buy.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -473,66 +473,109 @@ def rate_gt(a, b) -> bool:
     return b is not INFINITE and a > b
 
 
-@dataclass(frozen=True)
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
-    Segment ``lam`` covers queries ``breakpoints[lam]+1 .. breakpoints[lam+1]``
-    at constant per-query cost ``costs[lam]`` and payoff ``payoffs[lam]``.
-    They are also kept as ints in units of 1/``D``, D the lcm of their
-    denominators (``int_costs``, ``int_payoffs``), and summed into
-    ``int_cum_cost`` and ``int_cum_payoff`` so prefix evaluation is a bisect.
+    Built in one pass from ``segments``, a day she is in from query 1
+    (``subject_day``).  Segment ``lam`` covers queries
+    ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
+    cost and payoff, kept as ints in units of 1/``D``, the day's common
+    denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
+    and summed into ``int_cum_cost`` and ``int_cum_payoff`` so prefix
+    evaluation is a bisect.  ``costs``, ``payoffs`` and ``actives`` (the
+    ranked active set per segment) are read-only views built on first read.
+    A table ends where its day does: at ``volume``, or before it for a day
+    stopped at a budget, whose last segment holds the first query that
+    budget cannot buy.  Past the last breakpoint is out of range.
     """
 
-    advertiser: str
-    keyword: str
-    volume: int
-    breakpoints: Tuple[int, ...]          # z_0 = 0 < z_1 < ... < z_Lambda = volume
-    costs: Tuple[Fraction, ...]           # per segment
-    payoffs: Tuple[Fraction, ...]
-    actives: Tuple[Tuple[str, ...], ...]  # ranked active set per segment
-    D: int = field(init=False, repr=False, compare=False)
-    int_costs: tuple = field(init=False, repr=False, compare=False)
-    int_payoffs: tuple = field(init=False, repr=False, compare=False)
-    int_cum_cost: tuple = field(init=False, repr=False, compare=False)
-    int_cum_payoff: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("advertiser", "keyword", "volume", "segments", "breakpoints",
+                 "D", "int_costs", "int_payoffs", "int_cum_cost",
+                 "int_cum_payoff", "_costs", "_payoffs", "_actives")
 
-    def __post_init__(self):
-        D = math.lcm(*[x.denominator for x in self.costs + self.payoffs])
-        ic = tuple([c.numerator * (D // c.denominator) for c in self.costs])
-        iu = tuple([u.numerator * (D // u.denominator) for u in self.payoffs])
-        cc, cu = [0], [0]
-        for lam, (c, u) in enumerate(zip(ic, iu)):
-            length = self.breakpoints[lam + 1] - self.breakpoints[lam]
-            cc.append(cc[-1] + length * c)
-            cu.append(cu[-1] + length * u)
-        for name, value in (("D", D), ("int_costs", ic), ("int_payoffs", iu),
-                            ("int_cum_cost", tuple(cc)),
-                            ("int_cum_payoff", tuple(cu))):
-            object.__setattr__(self, name, value)
+    def __init__(self, advertiser: str, keyword: str, volume: int,
+                 segments: Sequence[Segment]):
+        self.advertiser = advertiser
+        self.keyword = keyword
+        self.volume = volume
+        self.segments = segments
+        self.D = segments[0].D if segments else 1
+        self._costs = self._payoffs = self._actives = None
+        breakpoints, ic, iu, cc, cu = [0], [], [], [0], [0]
+        for seg in segments:
+            c = u = 0  # unslotted unless found among the priced rows
+            for (adv, _, _), price, value in zip(seg.ranking, seg.int_prices,
+                                                 seg.int_values):
+                if adv == advertiser:
+                    c, u = price, value - price
+                    break
+            n = seg.hi - seg.lo + 1
+            breakpoints.append(seg.hi)
+            ic.append(c)
+            iu.append(u)
+            cc.append(cc[-1] + n * c)
+            cu.append(cu[-1] + n * u)
+        self.breakpoints = tuple(breakpoints)
+        self.int_costs, self.int_payoffs = tuple(ic), tuple(iu)
+        self.int_cum_cost, self.int_cum_payoff = tuple(cc), tuple(cu)
+
+    @property
+    def costs(self) -> Tuple[Fraction, ...]:
+        if self._costs is None:
+            self._costs = tuple([Fraction(c, self.D) for c in self.int_costs])
+        return self._costs
+
+    @property
+    def payoffs(self) -> Tuple[Fraction, ...]:
+        if self._payoffs is None:
+            self._payoffs = tuple([Fraction(u, self.D)
+                                   for u in self.int_payoffs])
+        return self._payoffs
+
+    @property
+    def actives(self) -> Tuple[Tuple[str, ...], ...]:
+        if self._actives is None:
+            self._actives = tuple([seg.active for seg in self.segments])
+        return self._actives
+
+    def _key(self) -> tuple:
+        return (self.advertiser, self.keyword, self.volume, self.breakpoints,
+                self.costs, self.payoffs, self.actives)
+
+    def __eq__(self, other):  # which also leaves tables unhashable
+        if not isinstance(other, PartitionTable):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("PartitionTable(advertiser=%r, keyword=%r, volume=%r, "
+                "breakpoints=%r, costs=%r, payoffs=%r, actives=%r)"
+                % self._key())
 
     @property
     def segment_count(self) -> int:
-        return len(self.costs)
+        return len(self.int_costs)
 
     def rate(self, lam: int):
         """Marginal payoff per unit cost in segment ``lam``; ``INFINITE``
         when free."""
-        c = self.costs[lam]
+        c = self.int_costs[lam]
         if c == 0:
             return INFINITE
-        return self.payoffs[lam] / c
+        return Fraction(self.int_payoffs[lam], c)
 
     def segment_of(self, query: int) -> int:
         """Index of the segment containing a 1-based query number."""
-        if not 1 <= query <= self.volume:
-            raise ValueError("query %d out of range 1..%d" % (query, self.volume))
+        end = self.breakpoints[-1]
+        if not 1 <= query <= end:
+            raise ValueError("query %d out of range 1..%d" % (query, end))
         return bisect_left(self.breakpoints, query) - 1
 
     def prefix(self, l: int) -> Tuple[Fraction, Fraction]:
         """(payoff, cost) of the first ``l`` queries, exactly."""
-        if not 0 <= l <= self.volume:
-            raise ValueError("prefix length %d out of range 0..%d" % (l, self.volume))
+        end = self.breakpoints[-1]
+        if not 0 <= l <= end:
+            raise ValueError("prefix length %d out of range 0..%d" % (l, end))
         k = bisect_right(self.breakpoints, l) - 1
         u, c = self.int_cum_payoff[k], self.int_cum_cost[k]
         if self.breakpoints[k] < l:
@@ -545,40 +588,16 @@ class PartitionTable:
         return self.prefix(l)[1]
 
     def max_affordable(self, budget: Fraction) -> int:
-        """Largest prefix whose exact cost fits the budget."""
-        if budget < 0:
+        """Largest prefix whose exact cost fits the budget; the last
+        breakpoint when every prefix of the table does."""
+        if budget.numerator < 0:
             raise ValueError("budget must be nonnegative")
-        num, den = budget.numerator * self.D, budget.denominator
-        for lam in range(self.segment_count):
-            if self.int_cum_cost[lam + 1] * den <= num:
-                continue
-            room = num - self.int_cum_cost[lam] * den
-            return self.breakpoints[lam] + room // (self.int_costs[lam] * den)
-        return self.volume
-
-
-def _table_from_timeline(instance: Instance, keyword: str, advertiser: str,
-                         segments: Sequence[Segment]) -> PartitionTable:
-    breakpoints = [0]
-    costs: List[Fraction] = []
-    payoffs: List[Fraction] = []
-    actives: List[Tuple[str, ...]] = []
-    D = segments[0].D if segments else 1
-    for seg in segments:
-        breakpoints.append(seg.hi)
-        active = seg.active
-        actives.append(active)
-        n = active.index(advertiser)  # the subject is in every segment
-        if n < len(seg.int_prices):
-            p = seg.int_prices[n]
-            costs.append(Fraction(p, D))
-            payoffs.append(Fraction(seg.int_values[n] - p, D))
-        else:  # unslotted: in the auction, pays and gains nothing
-            costs.append(ZERO)
-            payoffs.append(ZERO)
-    return PartitionTable(advertiser, keyword, instance.volume(keyword),
-                          tuple(breakpoints), tuple(costs), tuple(payoffs),
-                          tuple(actives))
+        cap = budget.numerator * self.D // budget.denominator  # in 1/D
+        lam = bisect_right(self.int_cum_cost, cap) - 1  # whole segments
+        if lam == len(self.int_costs):
+            return self.breakpoints[-1]
+        room = cap - self.int_cum_cost[lam]
+        return self.breakpoints[lam] + room // self.int_costs[lam]
 
 
 def tables_for(instance: Instance, advertiser: str, others: Profile,
@@ -598,8 +617,9 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     for kw in keywords:
         if instance.score(advertiser, kw) < reserve:
             continue
-        segments = subject_day(instance, advertiser, kw, others, reserve)
-        tables[kw] = _table_from_timeline(instance, kw, advertiser, segments)
+        tables[kw] = PartitionTable(
+            advertiser, kw, instance.volume(kw),
+            subject_day(instance, advertiser, kw, others, reserve))
     return tables
 
 
@@ -615,49 +635,3 @@ def subject_day(instance: Instance, advertiser: str, keyword: str,
     rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
     return keyword_day(instance, keyword, rows, reserve,
                        None if budget is None else (advertiser, budget))
-
-
-def _rate(cost: int, payoff: int):
-    return INFINITE if cost == 0 else Fraction(payoff, cost)
-
-
-def budget_margin(segments: Sequence[Segment], advertiser: str,
-                  budget: Fraction) -> tuple:
-    """What ``budget`` buys of a day ``advertiser`` is in from query 1.
-
-    ``segments`` is such a day (``subject_day``), whole or stopped at this
-    budget.  Returns (v, cost, payoff, last rate, next rate, next cost): v
-    is the longest prefix whose cost fits the budget, then its cost and
-    payoff, the rate (payoff per unit cost) of query v, None when v is 0,
-    and the rate and cost of query v + 1, None when v is the day's last
-    query.  Queries she is unslotted in cost and pay nothing, and a free
-    query's rate is ``INFINITE``.  One pass over the segments' ints; one
-    ``Fraction`` per reported value.
-    """
-    if budget.numerator < 0:
-        raise ValueError("budget must be nonnegative")
-    D = segments[0].D if segments else 1
-    cap = budget.numerator * D // budget.denominator  # cost <= cap: it fits
-    cost = payoff = 0  # of the queries bought so far, in units of 1/D
-    last = None  # (cost, payoff) of the last query bought
-    for seg in segments:
-        c = u = 0  # unslotted: in the auction, pays and gains nothing
-        for (adv, _, _), price, value in zip(seg.ranking, seg.int_prices,
-                                             seg.int_values):
-            if adv == advertiser:
-                c, u = price, value - price
-                break
-        n = seg.hi - seg.lo + 1
-        if cost + n * c > cap:
-            k = (cap - cost) // c  # queries of this segment bought, < n
-            if k:
-                last = (c, u)
-            v = seg.lo - 1 + k
-            return (v, Fraction(cost + k * c, D), Fraction(payoff + k * u, D),
-                    _rate(*last) if v else None, _rate(c, u), Fraction(c, D))
-        cost += n * c
-        payoff += n * u
-        last = (c, u)
-    v = segments[-1].hi if segments else 0
-    return (v, Fraction(cost, D), Fraction(payoff, D),
-            _rate(*last) if v else None, None, None)

@@ -1,15 +1,17 @@
-"""Shared builders: fixture paths, a per-query reference simulator, the
-telescoped revenue identity of a priced slate, the two-run reference acbm
-probes, the reprice-everything reference timeline, the all-Fraction
-reference knapsack, the table-based reference marginal rates, the
-tree-building reference report encoder, and the seeded random corpus used
-by the property tests.
+"""Shared builders: fixture paths, partition tables from ``Fraction``
+costs and payoffs, a per-query reference simulator, the telescoped revenue
+identity of a priced slate, the two-run reference acbm probes, the
+reprice-everything reference timeline, the all-Fraction reference
+knapsack, the table-based reference marginal rates, the tree-building
+reference report encoder, and the seeded random corpus used by the
+property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
 the core correctness properties.
 """
 
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -20,8 +22,8 @@ from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, format_rational)
-from broadmatch.partition import (INFINITE, PartitionTable, keyword_day,
-                                  tables_for)
+from broadmatch.partition import (INFINITE, PartitionTable, Segment,
+                                  keyword_day, tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -65,6 +67,28 @@ def build_split(rows) -> Profile:
 def build_schedule(rows) -> Profile:
     return Profile(tuple(Allocation(a, k, q, F(b), t)
                           for a, k, q, b, t in rows), "schedule")
+
+
+def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
+                   costs, payoffs, actives=None) -> PartitionTable:
+    """A partition table with the given per-segment ``Fraction`` costs and
+    payoffs, built as the engine builds every table: from a day's segments,
+    here made up with D the lcm of the denominators and the advertiser
+    priced at her place in each segment's active set (alone by default),
+    everybody ranked ahead of her at price and value 0."""
+    D = math.lcm(*(x.denominator for x in (*costs, *payoffs)))
+    segments = []
+    for lam, (c, u) in enumerate(zip(costs, payoffs)):
+        active = actives[lam] if actives else (advertiser,)
+        n = active.index(advertiser)
+        ranking = tuple((a, ZERO, r + 1 if r <= n else None)
+                        for r, a in enumerate(active))
+        price, value = c * D, (c + u) * D
+        assert price.denominator == value.denominator == 1
+        segments.append(Segment(breakpoints[lam] + 1, breakpoints[lam + 1],
+                                ranking, D, (0,) * n + (int(price),),
+                                (0,) * n + (int(value),)))
+    return PartitionTable(advertiser, keyword, volume, tuple(segments))
 
 
 def tri_keyword(volume: int) -> Instance:

@@ -1,6 +1,5 @@
 """Best-response solvers: greedy walk, exact dp, rounding schemes, oracle."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -13,9 +12,9 @@ from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
                                  fptas_as2, greedy_local_best_response,
                                  rounded_dp_as1)
 from broadmatch.model import all_in_profile, load_instance
-from broadmatch.partition import PartitionTable, tables_for
-from conftest import (FIXTURES, build_instance, build_split, random_instance,
-                      random_profile, reference_knapsack)
+from broadmatch.partition import tables_for
+from conftest import (FIXTURES, build_instance, build_split, fraction_table,
+                      random_instance, random_profile, reference_knapsack)
 
 
 def load(name):
@@ -82,21 +81,23 @@ def test_rounded_dp_guarantee():
 
 
 def test_build_subpartition_endpoints():
-    t = PartitionTable("a", "k", 100, (0, 100), (F(1),), (F(2),), (("a",),))
-    pts = build_subpartition(t, F(1, 2), 2)       # G = ceil(2 / (1/4)) = 8
+    t = fraction_table("a", "k", 100, (0, 100), (F(1),), (F(2),))
+    # G = ceil(2 / (1/4)) = 8
+    pts = build_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts == (0, 12, 24, 36, 48, 60, 72, 84, 96, 97, 98, 99, 100)
     assert len(pts) == 13
 
 
 def test_build_subpartition_short_segments_go_single():
-    t = PartitionTable("a", "k", 5, (0, 5), (F(1),), (F(2),), (("a",),))
-    assert build_subpartition(t, F(1, 2), 2) == (0, 1, 2, 3, 4, 5)
+    t = fraction_table("a", "k", 5, (0, 5), (F(1),), (F(2),))
+    assert build_subpartition(t, F(1, 2), 2, cap=t.volume) == (
+        0, 1, 2, 3, 4, 5)
 
 
 def test_build_subpartition_spans_segments():
-    t = PartitionTable("a", "k", 105, (0, 5, 105), (F(1), F(2)),
-                       (F(2), F(1)), (("a",), ("a",)))
-    pts = build_subpartition(t, F(1, 2), 2)
+    t = fraction_table("a", "k", 105, (0, 5, 105), (F(1), F(2)),
+                       (F(2), F(1)))
+    pts = build_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts[:6] == (0, 1, 2, 3, 4, 5)
     assert pts[6:] == (17, 29, 41, 53, 65, 77, 89, 101, 102, 103, 104, 105)
 
@@ -164,10 +165,9 @@ def test_scale_refusals():
     with pytest.raises(ScaleError, match="cells"):
         fptas_as2(inst, "1", others, F(1, 10 ** 400))
     # eps 1e-6 leaves a 10^9-query segment as 10^9 single-query points
-    long = PartitionTable("1", "k1", 10 ** 9, (0, 10 ** 9), (F(1),), (F(1),),
-                          (("1",),))
+    long = fraction_table("1", "k1", 10 ** 9, (0, 10 ** 9), (F(1),), (F(1),))
     with pytest.raises(ScaleError, match="grid on k1"):
-        build_subpartition(long, F(1, 10 ** 6), 2)
+        build_subpartition(long, F(1, 10 ** 6), 2, cap=long.volume)
 
 
 def test_eps_validation():
@@ -212,8 +212,7 @@ def random_table(rng, kw, volume, cost_dens, pay_dens, pay_max):
         else:
             costs.append(F(rng.randint(1, 60), rng.choice(cost_dens)))
         payoffs.append(F(rng.randint(0, pay_max), rng.choice(pay_dens)))
-    return PartitionTable("s", kw, volume, (0, *cuts, volume), tuple(costs),
-                          tuple(payoffs), (("s",),) * nseg)
+    return fraction_table("s", kw, volume, (0, *cuts, volume), costs, payoffs)
 
 
 def random_candidates(rng, t):
@@ -336,11 +335,11 @@ def test_pruned_knapsack_matches_the_fraction_knapsack():
 
 def test_candidate_sweep_equals_per_prefix_lookups():
     """The one-sweep int candidates equal ``prefix()`` per candidate times
-    the table's D, the lcm of its denominators, on hand-built ``Fraction``
-    tables and on ``tables_for`` tables of seeded markets, over full
-    ``range`` grids, ``build_subpartition`` grids and sparse ascending
-    samples that skip whole segments.  The sweep
-    keeps exactly the prefixes whose cost fits the budget, a budget equal
+    the table's D, in whose units every cost and payoff is an int, on
+    hand-built ``Fraction`` tables and on ``tables_for`` tables of seeded
+    markets, over full ``range`` grids, ``build_subpartition`` grids and
+    sparse ascending samples that skip whole segments.  The sweep keeps
+    exactly the prefixes whose cost fits the budget, a budget equal
     to a prefix's cost (C * budget.den == budget.num * D) included."""
     rng = random.Random(1969)
     tables = [random_table(rng, "k", rng.randint(2, 10 ** 9) if case % 2
@@ -356,7 +355,8 @@ def test_candidate_sweep_equals_per_prefix_lookups():
         tables += tables_for(instance, subject, others).values()
     seen = {"hand-built": 0, "tables_for": 0, "boundary": 0, "cut": 0}
     for case, t in enumerate(tables):
-        assert t.D == math.lcm(*(x.denominator for x in t.costs + t.payoffs))
+        assert all((x * t.D).denominator == 1
+                   for x in t.costs + t.payoffs), case
         seen["hand-built" if case < hand_built else "tables_for"] += 1
         if rng.random() < 0.5:
             budget = t.prefix_cost(rng.randint(0, t.volume))
@@ -365,7 +365,7 @@ def test_candidate_sweep_equals_per_prefix_lookups():
         cap = t.max_affordable(budget)
         grids = [build_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
                                     rng.randint(1, 6), cap=cap),
-                 build_subpartition(t, F(1, 3), 2),
+                 build_subpartition(t, F(1, 3), 2, cap=t.volume),
                  sorted(rng.sample(range(t.volume + 1),
                                    min(5, t.volume + 1)))]
         if t.volume <= 60:

@@ -123,6 +123,25 @@ def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
     assert len(calls) == 1 + rounds
 
 
+def test_acbm_job_copies_its_base_market_once(fx, monkeypatch):
+    """The natural split's base day is the one place an ``acbm`` job must
+    simulate the base market alone; the excess readers read the loaded
+    market's base edges and the day they are handed."""
+    from broadmatch.model import Instance
+    real = Instance.base_instance
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Instance, "base_instance", counting)
+    code, out = fx(*GOLDEN_CASES["acbm-fine"])
+    assert code == 0
+    assert out == (GOLDEN / "acbm-fine.json").read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_report_envelope(fx):
     code, out = fx("price", "two-keyword-entry-base.json", "k1")
     doc = json.loads(out)
@@ -323,7 +342,17 @@ USAGE_CASES = [
     for command, *options in (("simulate",), ("verify", "--bme"),
                               ("partition", "--advertiser", "5"),
                               ("best-response", "--advertiser", "5"),
-                              ("validate",))]
+                              ("validate",))] + [
+    # an advertiser priced against herself
+    ("price", "two-keyword-entry-base.json", "k1", "1", "1"),
+    # options that the rest of the command line leaves unread
+    ("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+     "--method", "dp", "--eps", "7"),
+    ("dynamics", "greedy-vs-exact.json", "--method", "greedy", "--eps", "5"),
+    ("verify", "three-keyword-family.json",
+     "--split", "three-keyword-family-shifted.split.json",
+     "--bme", "--method", "fptas"),
+]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES,
@@ -522,6 +551,30 @@ def test_out_of_range_accuracy_names_the_option(fx, argv, message):
     assert doc["error"] == {"type": "usage", "message": message}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("price", "two-keyword-entry-base.json", "k1", "2", "1", "2"),
+     "advertiser '2' is given twice"),
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--eps", "1/4"),
+     "--eps is read only with --method fptas, not with --method dp"),
+    (("dynamics", "greedy-vs-exact.json", "--eps", "1/4"),
+     "--eps is read only with --method fptas, not with --method greedy"),
+    (("verify", "three-keyword-family.json",
+      "--split", "three-keyword-family-shifted.split.json",
+      "--bme", "--method", "dp"),
+     "--method is read only with --eps-ne, not with --bme")],
+    ids=["price-twice", "best-response-eps", "dynamics-eps", "verify-bme"])
+def test_unread_or_repeated_arguments_are_named(fx, argv, message):
+    """A repeated ADVERTISER of ``price`` (she would be priced against
+    herself) and an option no other part of the command line reads
+    (``--eps`` without ``--method fptas``, defaults included; ``--method``
+    with ``--bme``) are usage errors naming the id or the option."""
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"] == {"type": "usage", "message": message}
+
+
 def test_accuracy_at_the_edges_of_its_range_runs(fx):
     argv = ("verify", "three-keyword-family.json",
             "--split", "three-keyword-family-shifted.split.json")
@@ -529,9 +582,6 @@ def test_accuracy_at_the_edges_of_its_range_runs(fx):
     assert fx(*argv, "--eps-ne", "99/100", "--method", "dp")[0] == 0
     assert fx("best-response", "greedy-vs-exact.json", "--advertiser", "1",
               "--method", "fptas", "--eps", "99/100")[0] == 0
-    # --eps is the fptas's alone; the other methods leave it unread
-    assert fx("best-response", "greedy-vs-exact.json", "--advertiser", "1",
-              "--method", "dp", "--eps", "5")[0] == 0
 
 
 def test_table_formats(fx):

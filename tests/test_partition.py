@@ -16,8 +16,8 @@ from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
                                   tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
-                      build_split, random_instance, random_profile,
-                      reference_timeline, segment_views)
+                      build_split, fraction_table, random_instance,
+                      random_profile, reference_timeline, segment_views)
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -424,10 +424,11 @@ def test_table_breakpoints_costs_payoffs():
 
 def test_table_cumulative_sums_match_its_own_segments():
     """A table's prefix sums at its breakpoints, as ``Fraction``s and as
-    ints over its D, equal the ``Fraction`` sums of its own segments, and a
-    table rebuilt from the same breakpoints, costs and payoffs sums them
-    alike, on 300 seeded markets with random rival schedules and
-    reserves."""
+    ints over its D, equal the ``Fraction`` sums of its own segments; each
+    cost and payoff times D is an int; and a table rebuilt from the same
+    breakpoints, costs, payoffs and active sets (over the lcm of their
+    denominators) equals it and sums them alike, on 300 seeded markets
+    with random rival schedules and reserves."""
     seen = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -445,12 +446,16 @@ def test_table_cumulative_sums_match_its_own_segments():
             assert [t.prefix(z) for z in t.breakpoints] == want, seed
             assert t.int_cum_payoff == tuple(u * t.D for u, _ in want)
             assert t.int_cum_cost == tuple(c * t.D for _, c in want)
-            again = PartitionTable(t.advertiser, t.keyword, t.volume,
+            assert all((x * t.D).denominator == 1
+                       for x in t.costs + t.payoffs), seed
+            again = fraction_table(t.advertiser, t.keyword, t.volume,
                                    t.breakpoints, t.costs, t.payoffs,
                                    t.actives)
             assert again == t, (seed, t.keyword)
-            assert (again.D, again.int_cum_cost, again.int_cum_payoff) == (
-                t.D, t.int_cum_cost, t.int_cum_payoff)
+            for ours, theirs in ((again.int_cum_cost, t.int_cum_cost),
+                                 (again.int_cum_payoff, t.int_cum_payoff)):
+                assert [x * t.D for x in ours] == [
+                    x * again.D for x in theirs], seed
             seen += t.segment_count > 1
     assert seen >= 100, seen
 
@@ -531,6 +536,81 @@ def test_tables_for_honors_rival_start_queries():
 def test_tables_for_defaults_to_all_edges_of_subject():
     tables = tables_for(small(), "3", natural())
     assert sorted(tables) == ["k1", "k2"]
+
+
+def _check_stopped_table(whole, stopped, budget):
+    """A table of the day stopped at ``budget`` agrees with the whole-day
+    table on what the budget buys and on every prefix, rate and segment up
+    to its last breakpoint, past which it refuses.  Returns whether it
+    ends early."""
+    last = stopped.breakpoints[-1]
+    assert stopped.breakpoints == whole.breakpoints[:len(stopped.breakpoints)]
+    assert stopped.max_affordable(budget) == whole.max_affordable(budget)
+    assert [stopped.prefix(l) for l in range(last + 1)] == [
+        whole.prefix(l) for l in range(last + 1)]
+    assert [stopped.segment_of(q) for q in range(1, last + 1)] == [
+        whole.segment_of(q) for q in range(1, last + 1)]
+    assert [stopped.rate(lam) for lam in range(stopped.segment_count)] == [
+        whole.rate(lam) for lam in range(stopped.segment_count)]
+    early = last < whole.volume
+    if early:
+        assert stopped.max_affordable(budget) < last
+        for bad in (stopped.segment_of, stopped.prefix):
+            with pytest.raises(ValueError):
+                bad(last + 1)
+    else:
+        assert stopped == whole
+    return early
+
+
+def test_stopped_day_tables_agree_with_whole_day_tables_on_the_corpus():
+    """On the hundred seeded markets, with and without schedules and
+    reserves: each advertiser's table on each keyword she is not priced
+    out of, built from her day stopped at budgets 0, her committed budget
+    and a fractional share of her whole-day payment, against her
+    whole-day table."""
+    seen = {"early": 0, "whole": 0, "free": 0, "reserve": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        profile = random_profile(rng, instance, schedule=seed % 2 == 1)
+        reserve = rng.choice(RESERVE_GRID)
+        for adv in instance.advertisers:
+            tables = tables_for(instance, adv.id, profile, reserve=reserve)
+            for kw, whole in tables.items():
+                total = whole.prefix_cost(whole.volume)
+                for budget in (F(0), profile.committed(adv.id, kw),
+                               total * F(rng.randint(1, 9), 10) + F(1, 7)):
+                    stopped = PartitionTable(
+                        adv.id, kw, instance.volume(kw),
+                        subject_day(instance, adv.id, kw, profile, reserve,
+                                    budget))
+                    early = _check_stopped_table(whole, stopped, budget)
+                    seen["early" if early else "whole"] += 1
+                    seen["free"] += INFINITE in map(
+                        stopped.rate, range(stopped.segment_count))
+                    seen["reserve"] += reserve > 0
+    assert min(seen.values()) >= 50, seen
+
+
+@st.composite
+def _subject_days(draw):
+    """A stopped-day draw with a subject "s" present from query 1 with an
+    unlimited pool, at a score the reserve lets in."""
+    slots, volume, bidders, reserve, _, budget = draw(_stopped_days())
+    score = draw(st.sampled_from([s for s in _TIE_SCORES if s >= reserve]))
+    return slots, volume, [("s", score, 1, None)] + bidders, reserve, budget
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_subject_days())
+def test_a_stopped_day_table_agrees_with_the_whole_day_table(day):
+    slots, volume, bidders, reserve, budget = day
+    whole = PartitionTable("s", "k", volume, run_keyword_timeline(
+        slots, volume, bidders, reserve))
+    stopped = PartitionTable("s", "k", volume, run_keyword_timeline(
+        slots, volume, bidders, reserve, ("s", budget)))
+    _check_stopped_table(whole, stopped, budget)
 
 
 # -- the natural day, whole ---------------------------------------------------
