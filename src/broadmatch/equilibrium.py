@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bestresp
 from .model import Allocation, Instance, Profile
-from .partition import PartitionTable, rate_gt, subject_day
+from .partition import keyword_marginals, rate_gt
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -43,35 +43,44 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     ``partition.INFINITE``.  Keywords the reserve prices her out of are
     omitted entirely.
 
-    Each keyword's figures are read from her partition table of her day
-    (``partition.subject_day``) stopped once her payment passes her
-    committed budget: nothing after the first query that budget cannot buy
-    is read, so the table may end at the segment holding that query.
+    The figures are those of her partition table against the profile
+    (``partition.subject_day``), read as ``verify_bme`` reads them: from
+    the profile's own day on the keyword where her row starts at query 1
+    (``partition.keyword_marginals``), from her day stopped at her
+    committed budget otherwise.
     """
-    out: Dict[str, dict] = {}
-    for kw in instance.keywords_of(advertiser):
-        if instance.score(advertiser, kw) < reserve:
+    return _marginals(instance, profile, reserve, (advertiser,)).get(
+        advertiser, {})
+
+
+def _marginals(instance: Instance, profile: Profile, reserve: Fraction,
+               advertisers: Sequence[str]) -> Dict[str, Dict[str, dict]]:
+    """``marginal_payoffs`` of each of ``advertisers`` that matches some
+    keyword, in their order: the subjects of each keyword gathered in one
+    pass over the edges, each keyword read once for all of them."""
+    kws_of: Dict[str, List[str]] = {i: [] for i in advertisers}
+    subjects: Dict[str, List[str]] = {}
+    for e in instance.edges:
+        kws = kws_of.get(e.advertiser)
+        if kws is not None:
+            kws.append(e.keyword)
+            if e.score >= reserve:
+                subjects.setdefault(e.keyword, []).append(e.advertiser)
+    found = {kw: keyword_marginals(instance, kw, profile, subs, reserve)
+             for kw, subs in subjects.items()}
+    out: Dict[str, Dict[str, dict]] = {}
+    for i, kws in kws_of.items():
+        if not kws:
             continue
-        b = profile.committed(advertiser, kw)
-        t = PartitionTable(advertiser, kw, instance.volume(kw),
-                           subject_day(instance, advertiser, kw, profile,
-                                       reserve, b))
-        v = t.max_affordable(b)
-        mp_minus = t.rate(t.segment_of(v)) if v > 0 else None
-        mp_plus = nxt = None
-        if v < t.volume:  # then the table holds query v + 1
-            lam = t.segment_of(v + 1)
-            mp_plus, nxt = t.rate(lam), Fraction(t.int_costs[lam], t.D)
-        payoff, cost = t.prefix(v)
-        out[kw] = {
-            "budget": b,
-            "queries": v,
-            "cost": cost,
-            "payoff": payoff,
-            "mp_minus": mp_minus,
-            "mp_plus": mp_plus,
-            "next_cost": nxt,
-        }
+        kws.sort(key=instance.keyword_index)
+        mp = out[i] = {}
+        for kw in kws:
+            m = found.get(kw, {}).get(i)
+            if m is not None:
+                mp[kw] = {"budget": profile.committed(i, kw),
+                          "queries": m.queries, "cost": m.cost,
+                          "payoff": m.payoff, "mp_minus": m.mp_minus,
+                          "mp_plus": m.mp_plus, "next_cost": m.next_cost}
     return out
 
 
@@ -88,13 +97,13 @@ def verify_bme(instance: Instance, profile: Profile,
     """
     e1: List[dict] = []
     e2: List[dict] = []
-    marginals: Dict[str, Dict[str, dict]] = {}
+    marginals = _marginals(instance, profile, reserve,
+                           [adv.id for adv in instance.advertisers])
     for adv in instance.advertisers:
         i = adv.id
-        if not instance.keywords_of(i):
+        mp = marginals.get(i)
+        if mp is None:
             continue
-        mp = marginal_payoffs(instance, i, profile, reserve)
-        marginals[i] = mp
         for l in mp:
             up = mp[l]["mp_plus"]
             if up is None:

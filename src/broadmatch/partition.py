@@ -53,8 +53,15 @@ table reads.
 response solvers and the stability check: the advertiser is assumed
 present in every query, and the table records, on its day's ints, what
 each query prefix costs and pays.  The solvers read tables of the whole day
-(``tables_for``), the stability check tables of the day stopped at her
-committed budget, so that day runs only to the first query it cannot buy.
+(``tables_for``).  The stability check's marginal rates
+(``keyword_marginals``) are read, for every subject of a keyword at once,
+off the profile's own day there, run once: it agrees with each subject's
+table through her last segment in it, and for most subjects it also
+settles the next query.  A table is built only for the others: of the
+rest of her day, run by the timeline from the query after that segment (a
+tail), or of her whole day where her row starts late or she holds none;
+both stop at her committed budget, so they run only to the first query it
+cannot buy.
 """
 
 from __future__ import annotations
@@ -477,7 +484,8 @@ class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
     Built in one pass from ``segments``, a day she is in from query 1
-    (``subject_day``).  Segment ``lam`` covers queries
+    (``subject_day``, or a tail of it that ``keyword_marginals`` runs from a
+    later query, numbered from 1).  Segment ``lam`` covers queries
     ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
@@ -635,3 +643,167 @@ def subject_day(instance: Instance, advertiser: str, keyword: str,
     rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
     return keyword_day(instance, keyword, rows, reserve,
                        None if budget is None else (advertiser, budget))
+
+
+class Marginal(NamedTuple):
+    """A subject's marginal figures on one keyword (``keyword_marginals``).
+
+    ``queries`` is what her committed budget buys on her partition table,
+    ``cost`` and ``payoff`` those queries' exact totals, ``mp_minus`` the
+    rate of the last one (None when she buys none) and ``mp_plus`` and
+    ``next_cost`` the rate and cost of the next one (None when the stream is
+    exhausted).  ``case`` names how they were read: ``"exhausted"``,
+    ``"quiet"`` or ``"tail"`` off the profile's own day, or
+    ``"stopped-day"`` off her own stopped day."""
+
+    queries: int
+    cost: Fraction
+    payoff: Fraction
+    mp_minus: object
+    mp_plus: object
+    next_cost: Optional[Fraction]
+    case: str
+
+
+def _rate(price: int, value: int):
+    """The rate of a slate on which one pays ``price`` for ``value``."""
+    return INFINITE if price == 0 else Fraction(value - price, price)
+
+
+def _scaled(x: Fraction, D: int) -> int:
+    """``x`` in units of 1/D, for a D its denominator divides."""
+    return x.numerator * (D // x.denominator)
+
+
+def _read_table(t: PartitionTable, budget: Fraction, case: str, v0: int,
+                paid: Fraction, gained: Fraction, rate0) -> Marginal:
+    """The marginal figures of a table that starts after query ``v0``, the
+    queries before it bought for ``paid`` with ``gained`` at rate ``rate0``
+    (the last one's), and ``budget`` the money left for the table."""
+    w = t.max_affordable(budget)
+    mp_minus = rate0
+    if w:
+        u, c = t.prefix(w)
+        paid, gained = paid + c, gained + u
+        mp_minus = t.rate(t.segment_of(w))
+    mp_plus = nxt = None
+    if w < t.volume:  # then the table holds its query w + 1
+        lam = t.segment_of(w + 1)
+        mp_plus, nxt = t.rate(lam), Fraction(t.int_costs[lam], t.D)
+    return Marginal(v0 + w, paid, gained, mp_minus, mp_plus, nxt, case)
+
+
+def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
+                      subjects: Sequence[str], reserve: Fraction
+                      ) -> Dict[str, Marginal]:
+    """Each subject's marginal figures on ``keyword``, read as from her
+    partition table against ``profile`` (``subject_day``), stopped once her
+    payment passes her committed budget there.
+
+    ``subjects`` match the keyword at or above the reserve.  One whose row
+    there starts at query 1 is read off the profile's own day on the
+    keyword, run once for all of them: up to the settle that drops her,
+    every settle finds the same bidders broke as in her table's day, since
+    she is never the lowest broke bidder, so the two days agree through
+    ``v0``, the end of her last segment there.  Then:
+
+    * ``v0`` is the volume: she bought everything (``"exhausted"``);
+    * she pays on her last slate, no rival enters at ``v0 + 1`` and every
+      slotted rival's pool still covers its price there: the settle that
+      dropped her began on that slate and found her alone broke, so her
+      table's slate at ``v0 + 1`` is that slate, and its price is more
+      than her budget left (``"quiet"``);
+    * otherwise the table's day is run from ``v0 + 1`` (``"tail"``), she
+      unlimited, stopped at her budget left, the rivals present at ``v0``
+      with their pools left, later entries shifted by ``v0`` and the
+      evicted left out.  The own day can drop her too early, on a slate
+      her unlimited self never meets, so this run cannot be skipped.
+
+    A subject with no row on the keyword, or one starting later, is read
+    off her own stopped day (``"stopped-day"``).
+    """
+    volume = instance.volume(keyword)
+    rows = profile.rows_on(keyword)
+    row_of = {r.advertiser: r for r in rows}
+    out: Dict[str, Marginal] = {}
+    own = []
+    for adv in subjects:
+        r = row_of.get(adv)
+        if r is not None and r.start_query <= 1:
+            own.append(adv)
+            continue
+        b = profile.committed(adv, keyword)
+        out[adv] = _read_table(
+            PartitionTable(adv, keyword, volume, subject_day(
+                instance, adv, keyword, profile, reserve, b)),
+            b, "stopped-day", 0, ZERO, ZERO, None)
+    if not own:
+        return out
+    segs = keyword_day(instance, keyword, rows, reserve)
+    # one pass: everyone's int payments and gains, and for each subject the
+    # index of her last segment with the payments through it
+    paid: Dict[str, int] = {}
+    gained: Dict[str, int] = {}
+    last: Dict[str, Tuple[int, Dict[str, int]]] = {}
+    alive = set(own)
+    ranking = None
+    for n, seg in enumerate(segs):
+        if alive and seg.ranking is not ranking:  # a new slate: who left?
+            ranking = seg.ranking
+            gone = alive.difference(map(_first, ranking))
+            if gone:
+                alive -= gone
+                through = dict(paid)
+                for adv in gone:
+                    last[adv] = (n - 1, through)
+        k = seg.hi - seg.lo + 1
+        for (adv, _, _), p, v in zip(seg.ranking, seg.int_prices,
+                                     seg.int_values):
+            paid[adv] = paid.get(adv, 0) + k * p
+            gained[adv] = gained.get(adv, 0) + k * (v - p)
+    for adv in alive:
+        last[adv] = (len(segs) - 1, paid)
+    D = segs[0].D if segs else 1
+    starts = {r.start_query for r in rows}
+    for adv in own:
+        n, through = last[adv]
+        own_paid = Fraction(paid.get(adv, 0), D)
+        own_gained = Fraction(gained.get(adv, 0), D)
+        v0 = price = value = 0
+        seg = rate0 = None
+        if n >= 0:
+            seg = segs[n]
+            v0 = seg.hi
+            for (who, _, _), p, v in zip(seg.ranking, seg.int_prices,
+                                         seg.int_values):
+                if who == adv:  # else unslotted there: she paid nothing
+                    price, value = p, v
+                    break
+            rate0 = _rate(price, value)
+        if v0 == volume:
+            out[adv] = Marginal(v0, own_paid, own_gained, rate0, None, None,
+                                "exhausted")
+            continue
+        if price and v0 + 1 not in starts and all(
+                who == adv or _scaled(row_of[who].budget, D)
+                - through.get(who, 0) >= p
+                for (who, _, _), p in zip(seg.ranking, seg.int_prices)):
+            out[adv] = Marginal(v0, own_paid, own_gained, rate0, rate0,
+                                Fraction(price, D), "quiet")
+            continue
+        bidders = [(adv, instance.score(adv, keyword), 1, None)]
+        if seg is not None:
+            bidders += [(who, s, 1, row_of[who].budget
+                         - Fraction(through.get(who, 0), D))
+                        for who, s, _ in seg.ranking if who != adv]
+        bidders += [(r.advertiser, instance.score(r.advertiser, keyword),
+                     r.start_query - v0, r.budget)
+                    for r in rows  # a start below 1 is query 1
+                    if max(r.start_query, 1) > v0 and r.advertiser != adv]
+        left = row_of[adv].budget - own_paid
+        tail = run_keyword_timeline(instance.slots, volume - v0, bidders,
+                                    reserve, (adv, left))
+        out[adv] = _read_table(PartitionTable(adv, keyword, volume - v0, tail),
+                               left, "tail", v0, own_paid, own_gained, rate0)
+    return out
+

@@ -365,6 +365,11 @@ def test_usage_errors_exit_2(fx, argv):
     assert doc["error"]["type"] == "usage"
 
 
+def test_usage_cases_are_distinct():
+    # a repeated case would run twice and take the id of its first copy
+    assert len(set(USAGE_CASES)) == len(USAGE_CASES)
+
+
 @pytest.mark.parametrize("keyword,advertiser,message", [
     ("k2", "1", "advertiser '1' has no edge on keyword 'k2'"),
     ("k2", "zz", "unknown advertiser 'zz' (keyword 'k2')"),

@@ -4,16 +4,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
                                     initial_profile, marginal_payoffs,
                                     natural_base_split, verify_bme,
                                     verify_eps_ne)
-from broadmatch.model import Allocation, Profile, load_instance, load_split
-from broadmatch.partition import INFINITE, subject_day
+from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
+                              Profile, SlotParams, all_in_profile,
+                              load_instance, load_split)
+from broadmatch.partition import (INFINITE, keyword_day, keyword_marginals,
+                                  subject_day)
 from broadmatch.simulate import simulate_day
-from conftest import (FIXTURES, RESERVE_GRID, build_instance, build_schedule,
-                      random_instance, random_profile, reference_marginals)
+from conftest import (FIXTURES, GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
+                      build_instance, build_schedule, random_instance,
+                      random_profile, reference_marginals)
 
 
 def inst(name):
@@ -61,9 +67,12 @@ def _records(mp):
 def test_marginal_payoffs_match_the_table_reference_on_the_corpus():
     """Field for field, key order included, against the whole-day table
     reading (``conftest.reference_marginals``) for every advertiser of the
-    hundred seeded markets, under splits and schedules, with reserves."""
+    hundred seeded markets, under splits and schedules, with reserves; and
+    each of the four ways ``partition.keyword_marginals`` reads a subject
+    is taken."""
     seen = {"none_bought": 0, "all_bought": 0, "next": 0, "free": 0,
             "omitted": 0, "schedule": 0, "reserve": 0}
+    cases = dict.fromkeys(("exhausted", "quiet", "tail", "stopped-day"), 0)
     for seed in range(100):
         rng = random.Random(seed)
         instance = random_instance(rng)
@@ -83,7 +92,90 @@ def test_marginal_payoffs_match_the_table_reference_on_the_corpus():
                                                  rec["mp_plus"])
                     seen["schedule"] += schedule
                     seen["reserve"] += reserve > 0
+            for kw in instance.keywords:
+                subjects = [i for i in instance.advertisers_on(kw.id)
+                            if instance.score(i, kw.id) >= reserve]
+                for m in keyword_marginals(instance, kw.id, profile,
+                                           subjects, reserve).values():
+                    cases[m.case] += 1
     assert min(seen.values()) >= 20, seen
+    assert min(cases.values()) >= 5, cases
+
+
+def test_the_own_day_can_drop_a_subject_too_early():
+    # two slots, everyone all-in on k.  In the own day the settle at query
+    # 1 drops 4 from a slate that asks 5/2 of advertiser 0, then drops 0,
+    # tied on score with 1 and first of the two by id, from a slate asking
+    # 9/2 of her 4.  Unlimited, she leaves 1 to be dropped there instead,
+    # and on the slate after that her price is 3, which her 4 buys once
+    market = build_instance(
+        ("1", "1/2"), (("k", 9),),
+        (("0", "4"), ("1", "1"), ("2", "12"), ("3", "10"), ("4", "4")),
+        (("0", "k", "5", "base"), ("1", "k", "5", "base"),
+         ("2", "k", "2", "base"), ("3", "k", "4", "base"),
+         ("4", "k", "6", "base")))
+    profile = all_in_profile(market)
+    own = keyword_day(market, "k", profile.rows_on("k"))
+    assert [(g.lo, g.hi, g.active) for g in own] == [(1, 9, ("3", "2"))]
+    assert dict(own[0].passed_prices)["0"] == 5  # 5/2 in units of 1/D
+    assert own[0].D == 2
+    found = keyword_marginals(market, "k", profile, list("01234"), F(0))
+    assert found["0"].case == "tail" and found["0"].queries == 1
+    # the same rows starting at query 0, which a day reads as query 1
+    at_zero = Profile(tuple(Allocation(r.advertiser, "k", 0, r.budget, 0)
+                            for r in profile.rows), "schedule")
+    for rows in (profile, at_zero):
+        marginals = verify_bme(market, rows)["marginals"]
+        for i in "01234":
+            want = reference_marginals(market, i, rows)
+            assert _records(marginal_payoffs(market, i, rows)) \
+                == _records(want), i
+            assert _records(marginals[i]) == _records(want), i
+    assert marginals["0"]["k"] == {
+        "budget": F(4), "queries": 1, "cost": F(3), "payoff": F(2),
+        "mp_minus": F(2, 3), "mp_plus": F(2, 3), "next_cost": F(3)}
+
+
+@st.composite
+def _one_keyword_markets(draw):
+    """One keyword, 2 to 6 advertisers, at least two of them tied on
+    score, a reserve from ``RESERVE_GRID``; a split or a schedule, in which
+    an advertiser may hold no row or start late (or at query 0, which a day
+    reads as query 1)."""
+    k = draw(st.integers(1, 3))
+    volume = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 6))
+    scores = [draw(st.sampled_from(SCORE_GRID)) for _ in range(n)]
+    scores[draw(st.integers(1, n - 1))] = scores[0]
+    reserve = draw(st.sampled_from(RESERVE_GRID))
+    schedule = draw(st.booleans())
+    money = st.fractions(0, 40, max_denominator=4)
+    advertisers, edges, rows = [], [], []
+    for i, score in enumerate(scores):
+        adv = "a%d" % i
+        committed = draw(money)
+        advertisers.append(Advertiser(adv, committed + draw(money)))
+        edges.append(Edge(adv, "k", score))
+        if draw(st.integers(0, 5)):  # else she holds no row
+            start = (draw(st.just(1) | st.integers(0, volume)) if schedule
+                     else 1)
+            rows.append(Allocation(adv, "k", 0, committed, start))
+    instance = Instance(SlotParams(tuple(GAMMA_GRID[:k])),
+                        (Keyword("k", volume),), tuple(advertisers),
+                        tuple(edges))
+    profile = Profile(tuple(rows), "schedule" if schedule else "split")
+    return instance, profile, reserve
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_one_keyword_markets())
+def test_verify_bme_marginals_match_the_table_reference(market):
+    instance, profile, reserve = market
+    got = verify_bme(instance, profile, reserve)["marginals"]
+    assert list(got) == [a.id for a in instance.advertisers]
+    for a in instance.advertisers:
+        assert _records(got[a.id]) == _records(reference_marginals(
+            instance, a.id, profile, reserve)), a.id
 
 
 def test_next_query_on_a_segment_boundary():
