@@ -44,10 +44,9 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     omitted entirely.
 
     The figures are those of her partition table against the profile
-    (``partition.subject_day``), read as ``verify_bme`` reads them: from
-    the profile's own day on the keyword where her row starts at query 1
-    (``partition.keyword_marginals``), from her day stopped at her
-    committed budget otherwise.
+    (``partition.subject_day``), read as ``verify_bme`` reads them: off the
+    profile's own day on each keyword (``partition.keyword_marginals``).
+    This is the public one-advertiser entry point of that reading.
     """
     return _marginals(instance, profile, reserve, (advertiser,)).get(
         advertiser, {})
@@ -58,21 +57,18 @@ def _marginals(instance: Instance, profile: Profile, reserve: Fraction,
     """``marginal_payoffs`` of each of ``advertisers`` that matches some
     keyword, in their order: the subjects of each keyword gathered in one
     pass over the edges, each keyword read once for all of them."""
-    kws_of: Dict[str, List[str]] = {i: [] for i in advertisers}
+    wanted = set(advertisers)
     subjects: Dict[str, List[str]] = {}
     for e in instance.edges:
-        kws = kws_of.get(e.advertiser)
-        if kws is not None:
-            kws.append(e.keyword)
-            if e.score >= reserve:
-                subjects.setdefault(e.keyword, []).append(e.advertiser)
+        if e.advertiser in wanted and e.score >= reserve:
+            subjects.setdefault(e.keyword, []).append(e.advertiser)
     found = {kw: keyword_marginals(instance, kw, profile, subs, reserve)
              for kw, subs in subjects.items()}
     out: Dict[str, Dict[str, dict]] = {}
-    for i, kws in kws_of.items():
+    for i in advertisers:
+        kws = instance.keywords_of(i)
         if not kws:
             continue
-        kws.sort(key=instance.keyword_index)
         mp = out[i] = {}
         for kw in kws:
             m = found.get(kw, {}).get(i)

@@ -57,11 +57,11 @@ each query prefix costs and pays.  The solvers read tables of the whole day
 (``keyword_marginals``) are read, for every subject of a keyword at once,
 off the profile's own day there, run once: it agrees with each subject's
 table through her last segment in it, and for most subjects it also
-settles the next query.  A table is built only for the others: of the
+settles the next query.  A table is built only for the others, of the
 rest of her day, run by the timeline from the query after that segment (a
-tail), or of her whole day where her row starts late or she holds none;
-both stop at her committed budget, so they run only to the first query it
-cannot buy.
+tail; from query 1 where her row starts late or she holds none), and
+stopped at her committed budget, so it runs only to the first query that
+budget cannot buy.
 """
 
 from __future__ import annotations
@@ -480,6 +480,11 @@ def rate_gt(a, b) -> bool:
     return b is not INFINITE and a > b
 
 
+def _rate(cost: int, payoff: int):
+    """Payoff per unit cost of a query; ``INFINITE`` when it is free."""
+    return INFINITE if cost == 0 else Fraction(payoff, cost)
+
+
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
@@ -567,10 +572,7 @@ class PartitionTable:
     def rate(self, lam: int):
         """Marginal payoff per unit cost in segment ``lam``; ``INFINITE``
         when free."""
-        c = self.int_costs[lam]
-        if c == 0:
-            return INFINITE
-        return Fraction(self.int_payoffs[lam], c)
+        return _rate(self.int_costs[lam], self.int_payoffs[lam])
 
     def segment_of(self, query: int) -> int:
         """Index of the segment containing a 1-based query number."""
@@ -652,9 +654,8 @@ class Marginal(NamedTuple):
     ``cost`` and ``payoff`` those queries' exact totals, ``mp_minus`` the
     rate of the last one (None when she buys none) and ``mp_plus`` and
     ``next_cost`` the rate and cost of the next one (None when the stream is
-    exhausted).  ``case`` names how they were read: ``"exhausted"``,
-    ``"quiet"`` or ``"tail"`` off the profile's own day, or
-    ``"stopped-day"`` off her own stopped day."""
+    exhausted).  ``case`` names how they were read off the profile's own
+    day: ``"exhausted"``, ``"quiet"`` or ``"tail"``."""
 
     queries: int
     cost: Fraction
@@ -665,32 +666,9 @@ class Marginal(NamedTuple):
     case: str
 
 
-def _rate(price: int, value: int):
-    """The rate of a slate on which one pays ``price`` for ``value``."""
-    return INFINITE if price == 0 else Fraction(value - price, price)
-
-
 def _scaled(x: Fraction, D: int) -> int:
     """``x`` in units of 1/D, for a D its denominator divides."""
     return x.numerator * (D // x.denominator)
-
-
-def _read_table(t: PartitionTable, budget: Fraction, case: str, v0: int,
-                paid: Fraction, gained: Fraction, rate0) -> Marginal:
-    """The marginal figures of a table that starts after query ``v0``, the
-    queries before it bought for ``paid`` with ``gained`` at rate ``rate0``
-    (the last one's), and ``budget`` the money left for the table."""
-    w = t.max_affordable(budget)
-    mp_minus = rate0
-    if w:
-        u, c = t.prefix(w)
-        paid, gained = paid + c, gained + u
-        mp_minus = t.rate(t.segment_of(w))
-    mp_plus = nxt = None
-    if w < t.volume:  # then the table holds its query w + 1
-        lam = t.segment_of(w + 1)
-        mp_plus, nxt = t.rate(lam), Fraction(t.int_costs[lam], t.D)
-    return Marginal(v0 + w, paid, gained, mp_minus, mp_plus, nxt, case)
 
 
 def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
@@ -700,12 +678,13 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
     partition table against ``profile`` (``subject_day``), stopped once her
     payment passes her committed budget there.
 
-    ``subjects`` match the keyword at or above the reserve.  One whose row
-    there starts at query 1 is read off the profile's own day on the
-    keyword, run once for all of them: up to the settle that drops her,
-    every settle finds the same bidders broke as in her table's day, since
-    she is never the lowest broke bidder, so the two days agree through
-    ``v0``, the end of her last segment there.  Then:
+    ``subjects`` match the keyword at or above the reserve.  They are read
+    off the profile's own day on the keyword, run once for all of them.
+    For one whose row there starts at query 1, up to the settle that drops
+    her, every settle finds the same bidders broke as in her table's day,
+    since she is never the lowest broke bidder, so the two days agree
+    through ``v0``, the end of her last segment there.  For one with no row
+    there, or a row starting later, ``v0`` is 0.  Then:
 
     * ``v0`` is the volume: she bought everything (``"exhausted"``);
     * she pays on her last slate, no rival enters at ``v0 + 1`` and every
@@ -718,34 +697,20 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
       with their pools left, later entries shifted by ``v0`` and the
       evicted left out.  The own day can drop her too early, on a slate
       her unlimited self never meets, so this run cannot be skipped.
-
-    A subject with no row on the keyword, or one starting later, is read
-    off her own stopped day (``"stopped-day"``).
     """
     volume = instance.volume(keyword)
     rows = profile.rows_on(keyword)
     row_of = {r.advertiser: r for r in rows}
-    out: Dict[str, Marginal] = {}
-    own = []
-    for adv in subjects:
-        r = row_of.get(adv)
-        if r is not None and r.start_query <= 1:
-            own.append(adv)
-            continue
-        b = profile.committed(adv, keyword)
-        out[adv] = _read_table(
-            PartitionTable(adv, keyword, volume, subject_day(
-                instance, adv, keyword, profile, reserve, b)),
-            b, "stopped-day", 0, ZERO, ZERO, None)
-    if not own:
-        return out
-    segs = keyword_day(instance, keyword, rows, reserve)
-    # one pass: everyone's int payments and gains, and for each subject the
-    # index of her last segment with the payments through it
+    alive = {adv for adv in subjects
+             if adv in row_of and row_of[adv].start_query <= 1}
+    segs = keyword_day(instance, keyword, rows, reserve) if alive else ()
+    # one pass: everyone's int payments and gains, and for each subject
+    # present from query 1 the index of her last segment with the payments
+    # through it; the others have none
     paid: Dict[str, int] = {}
     gained: Dict[str, int] = {}
-    last: Dict[str, Tuple[int, Dict[str, int]]] = {}
-    alive = set(own)
+    last: Dict[str, Tuple[int, Dict[str, int]]] = dict.fromkeys(
+        subjects, (-1, {}))
     ranking = None
     for n, seg in enumerate(segs):
         if alive and seg.ranking is not ranking:  # a new slate: who left?
@@ -765,30 +730,32 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
         last[adv] = (len(segs) - 1, paid)
     D = segs[0].D if segs else 1
     starts = {r.start_query for r in rows}
-    for adv in own:
+    out: Dict[str, Marginal] = {}
+    for adv in subjects:
         n, through = last[adv]
-        own_paid = Fraction(paid.get(adv, 0), D)
-        own_gained = Fraction(gained.get(adv, 0), D)
         v0 = price = value = 0
-        seg = rate0 = None
+        own_paid = own_gained = ZERO
+        seg = mp_minus = None
         if n >= 0:
             seg = segs[n]
             v0 = seg.hi
+            own_paid = Fraction(paid.get(adv, 0), D)
+            own_gained = Fraction(gained.get(adv, 0), D)
             for (who, _, _), p, v in zip(seg.ranking, seg.int_prices,
                                          seg.int_values):
                 if who == adv:  # else unslotted there: she paid nothing
                     price, value = p, v
                     break
-            rate0 = _rate(price, value)
+            mp_minus = _rate(price, value - price)
         if v0 == volume:
-            out[adv] = Marginal(v0, own_paid, own_gained, rate0, None, None,
+            out[adv] = Marginal(v0, own_paid, own_gained, mp_minus, None, None,
                                 "exhausted")
             continue
         if price and v0 + 1 not in starts and all(
                 who == adv or _scaled(row_of[who].budget, D)
                 - through.get(who, 0) >= p
                 for (who, _, _), p in zip(seg.ranking, seg.int_prices)):
-            out[adv] = Marginal(v0, own_paid, own_gained, rate0, rate0,
+            out[adv] = Marginal(v0, own_paid, own_gained, mp_minus, mp_minus,
                                 Fraction(price, D), "quiet")
             continue
         bidders = [(adv, instance.score(adv, keyword), 1, None)]
@@ -800,10 +767,18 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
                      r.start_query - v0, r.budget)
                     for r in rows  # a start below 1 is query 1
                     if max(r.start_query, 1) > v0 and r.advertiser != adv]
-        left = row_of[adv].budget - own_paid
-        tail = run_keyword_timeline(instance.slots, volume - v0, bidders,
-                                    reserve, (adv, left))
-        out[adv] = _read_table(PartitionTable(adv, keyword, volume - v0, tail),
-                               left, "tail", v0, own_paid, own_gained, rate0)
+        left = profile.committed(adv, keyword) - own_paid
+        t = PartitionTable(adv, keyword, volume - v0, run_keyword_timeline(
+            instance.slots, volume - v0, bidders, reserve, (adv, left)))
+        w = t.max_affordable(left)
+        if w:
+            u, c = t.prefix(w)
+            own_paid, own_gained = own_paid + c, own_gained + u
+            mp_minus = t.rate(t.segment_of(w))
+        mp_plus = nxt = None
+        if w < t.volume:  # then the table holds its query w + 1
+            lam = t.segment_of(w + 1)
+            mp_plus, nxt = t.rate(lam), Fraction(t.int_costs[lam], t.D)
+        out[adv] = Marginal(v0 + w, own_paid, own_gained, mp_minus, mp_plus,
+                            nxt, "tail")
     return out
-

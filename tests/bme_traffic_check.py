@@ -7,8 +7,9 @@ workload from ``bench/gen.py`` at seeds 1, 9 and 37, and requires
 ``verify_bme``'s marginal records of every advertiser to equal the
 whole-day table reading (``conftest.reference_marginals``) field for field,
 key order included.  These markets are wider than the seeded corpus (up to
-54 advertisers over 20 keywords, volumes up to 9 * 10^8), so most records
-are read off the profile's own day.  Not collected by pytest; exits 1 on
+54 advertisers over 20 keywords, volumes up to 9 * 10^8), and most records
+are read off the profile's own day without a run of their own.  Not
+collected by pytest; exits 1 on
 the first advertiser whose records differ.
 """
 

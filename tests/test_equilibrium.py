@@ -68,11 +68,11 @@ def test_marginal_payoffs_match_the_table_reference_on_the_corpus():
     """Field for field, key order included, against the whole-day table
     reading (``conftest.reference_marginals``) for every advertiser of the
     hundred seeded markets, under splits and schedules, with reserves; and
-    each of the four ways ``partition.keyword_marginals`` reads a subject
+    each of the three ways ``partition.keyword_marginals`` reads a subject
     is taken."""
     seen = {"none_bought": 0, "all_bought": 0, "next": 0, "free": 0,
             "omitted": 0, "schedule": 0, "reserve": 0}
-    cases = dict.fromkeys(("exhausted", "quiet", "tail", "stopped-day"), 0)
+    cases = dict.fromkeys(("exhausted", "quiet", "tail"), 0)
     for seed in range(100):
         rng = random.Random(seed)
         instance = random_instance(rng)
