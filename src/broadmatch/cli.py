@@ -8,6 +8,10 @@ emitted as an object ``{"exact": "p/q", "approx": "0.000000"}``.  One writer
 standard encoder falls back to pure Python on CPython 3.10 to 3.12, and it
 would walk a second tree built only to hold those pairs.
 
+``--format table`` prints the same envelope (``_lines``), one ``path  value``
+line per leaf such as ``result.moves[0].start_query  15``, errors included;
+an argv that argparse rejects has no parsed ``--format`` and stays JSON.
+
 Exit codes: 0 success, 1 engine error, 2 usage or schema error,
 3 verification failed (so ``verify`` slots into CI pipelines).
 """
@@ -195,32 +199,71 @@ def _dumps(doc) -> str:
     return "".join(chunks)
 
 
+def _lines(doc) -> str:
+    """``doc`` as text: a ``path  value`` line per leaf, in ``_dumps``'s
+    order.  Paths are dotted keys and ``[n]`` indices, with ``["key"]`` for a
+    key that is empty, not printable ASCII or holds ``" .[]\\``.  Rationals
+    print as ``184/5 (36.8000)``, ``partition.INFINITE`` as ``inf``, other
+    leaves (an empty ``{}`` or ``[]`` too) as their JSON text."""
+    lines: List[str] = []
+
+    def walk(path: str, x) -> None:
+        t = type(x)
+        if t is dict and x:
+            if not all(type(k) is str for k in x):
+                x = {str(k): v for k, v in x.items()}
+            for k in sorted(x):
+                key = encode_basestring_ascii(k)
+                if k and key[1:-1] == k and set(k).isdisjoint(" .[]"):
+                    walk(path + "." + k if path else k, x[k])
+                else:
+                    walk("%s[%s]" % (path, key), x[k])
+        elif t in (list, tuple, set, frozenset) and x:
+            for n, v in enumerate(sorted(x) if t in (set, frozenset) else x):
+                walk("%s[%d]" % (path, n), v)
+        elif t is Fraction:
+            lines.append("%s  %s (%s)\n"
+                         % (path, format_rational(x), _approx(x, 4)))
+        elif x is INFINITE:
+            lines.append(path + "  inf\n")
+        else:
+            lines.append("%s  %s" % (path, _dumps(x)))
+
+    walk("", doc)
+    return "".join(lines)
+
+
 def _digest(instance: Instance) -> str:
     blob = json.dumps(serialize_instance(instance), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _write(args, envelope: dict) -> int:
+    """Print ``envelope`` as the parsed ``--format`` asks; its exit code."""
+    render = _lines if getattr(args, "format", "json") == "table" else _dumps
+    sys.stdout.write(render(envelope))
+    return envelope["exit_code"]
+
+
 def _report(args, result: dict, code: int = 0,
             instance: Optional[Instance] = None) -> int:
-    sys.stdout.write(_dumps({
+    return _write(args, {
         "command": args.command,
         "argv": list(args._argv),
         "instance": _digest(instance) if instance is not None else None,
         "result": result,
         "exit_code": code,
-    }))
-    return code
+    })
 
 
 def _fail(args, code: int, kind: str, payload) -> int:
-    sys.stdout.write(_dumps({
+    return _write(args, {
         "command": getattr(args, "command", None),
         "argv": list(getattr(args, "_argv", [])),
         "error": {"type": kind,
                   "errors" if isinstance(payload, list) else "message": payload},
         "exit_code": code,
-    }))
-    return code
+    })
 
 
 def _rational(text: str) -> Fraction:
@@ -292,21 +335,6 @@ def _check_fptas_eps(args) -> None:
                          % format_rational(args.eps))
 
 
-def _table_text(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for n, cell in enumerate(row):
-            widths[n] = max(widths[n], len(cell))
-    fmt = "  ".join("%%-%ds" % w for w in widths)
-    lines = [fmt % tuple(headers), fmt % tuple("-" * w for w in widths)]
-    lines += [fmt % tuple(row) for row in rows]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
-
-
-def _fr(x: Fraction) -> str:
-    return "%s (%s)" % (format_rational(x), _approx(x, 4))
-
-
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -348,15 +376,6 @@ def _cmd_price(args) -> int:
         "revenue": slate.revenue,
         "welfare": slate.welfare,
     }
-    if args.format == "table":
-        rows = [["-" if slot is None else str(slot), i, format_rational(s),
-                 _fr(slate.prices[i]), _fr(slate.payoffs[i])]
-                for i, s, slot in slate.ranking]
-        sys.stdout.write(_table_text(
-            ["slot", "advertiser", "score", "price", "payoff"], rows))
-        sys.stdout.write("revenue %s  welfare %s\n"
-                         % (_fr(slate.revenue), _fr(slate.welfare)))
-        return 0
     return _report(args, result, 0, instance)
 
 
@@ -392,17 +411,6 @@ def _cmd_partition(args) -> int:
             "breakpoints": list(table.breakpoints),
             "segments": segs,
         }
-    if args.format == "table":
-        for kw in result["keywords"]:
-            sys.stdout.write("%s (advertiser %s)\n" % (kw, adv))
-            rows = [[str(s["from"]), str(s["to"]), ",".join(s["active"]),
-                     format_rational(s["cost"]), format_rational(s["payoff"]),
-                     "inf" if s["rate"] is INFINITE
-                     else format_rational(s["rate"])]
-                    for s in result["keywords"][kw]["segments"]]
-            sys.stdout.write(_table_text(
-                ["from", "to", "active", "cost", "payoff", "rate"], rows))
-        return 0
     return _report(args, result, 0, instance)
 
 
@@ -432,18 +440,6 @@ def _cmd_simulate(args) -> int:
     mismatches = simulate_mod.check_profile_consistency(
         instance, profile, day, args.reserve)
     result["consistency"] = mismatches
-    if args.format == "table":
-        rows = [[k, _fr(result["keywords"][k]["revenue"]),
-                 _fr(result["keywords"][k]["welfare"])]
-                for k in sorted(result["keywords"],
-                                key=instance.keyword_index)]
-        rows.append(["total", _fr(day.revenue), _fr(day.welfare)])
-        sys.stdout.write(_table_text(["keyword", "revenue", "welfare"], rows))
-        arow = [[a.id, _fr(day.spend[a.id]), _fr(day.payoff[a.id]),
-                 _fr(day.leftover[a.id])] for a in instance.advertisers]
-        sys.stdout.write(_table_text(
-            ["advertiser", "spend", "payoff", "leftover"], arow))
-        return 0
     return _report(args, result, 0, instance)
 
 
@@ -474,15 +470,6 @@ def _cmd_best_response(args) -> int:
         "committed": dict(resp.committed),
         "meta": resp.meta,
     }
-    if args.format == "table":
-        rows = [[kw, str(resp.queries.get(kw, 0)),
-                 format_rational(resp.committed.get(kw, Fraction(0)))]
-                for kw in sorted(resp.queries, key=instance.keyword_index)]
-        sys.stdout.write(_table_text(["keyword", "queries", "committed"],
-                                     rows))
-        sys.stdout.write("payoff %s  cost %s  (%s)\n"
-                         % (_fr(resp.payoff), _fr(resp.cost), resp.method))
-        return 0
     return _report(args, result, 0, instance)
 
 
@@ -495,12 +482,6 @@ def _cmd_verify(args) -> int:
                              "--bme")
         rep = equilibrium.verify_bme(instance, profile, reserve=args.reserve)
         code = 0 if rep["ok"] else 3
-        if args.format == "table":
-            sys.stdout.write("stable: %s  (%d rate violations, %d exhaustion "
-                             "violations)\n" % (rep["ok"],
-                                                len(rep["e1_violations"]),
-                                                len(rep["e2_violations"])))
-            return code
         return _report(args, {"check": "bme", **rep}, code, instance)
     method = args.method or "dp"
     fptas = method == "fptas"
@@ -516,11 +497,6 @@ def _cmd_verify(args) -> int:
     rep = equilibrium.verify_eps_ne(instance, profile, args.eps_ne,
                                     method=method, reserve=args.reserve)
     code = 0 if rep["ok"] is True else 3
-    if args.format == "table":
-        rows = [[i, r.get("status", "?")] for i, r in
-                sorted(rep["per_advertiser"].items())]
-        sys.stdout.write(_table_text(["advertiser", "status"], rows))
-        return code
     return _report(args, {"check": "eps-ne", **rep}, code, instance)
 
 
@@ -539,10 +515,6 @@ def _cmd_dynamics(args) -> int:
         reserve=args.reserve, profile=start)
     result = dict(rep)
     result["profile"] = serialize_profile(rep["profile"])["allocations"]
-    if args.format == "table":
-        sys.stdout.write("%s after %d rounds (%s)\n"
-                         % (rep["status"], rep["rounds"], rep["method"]))
-        return 0
     return _report(args, result, 0, instance)
 
 
@@ -555,13 +527,6 @@ def _cmd_dilemma(args) -> int:
     profiles = [_load_profile_file(ext, p, "split") for p in args.profiles]
     rep = equilibrium.dilemma_report(base, ext, profiles,
                                      reserve=args.reserve)
-    if args.format == "table":
-        rows = [[str(n), str(p["stable"]), _fr(p["revenue"]), _fr(p["delta"])]
-                for n, p in enumerate(rep["profiles"])]
-        sys.stdout.write(_table_text(
-            ["profile", "stable", "revenue", "delta"], rows))
-        sys.stdout.write("dilemma: %s\n" % rep["dilemma"])
-        return 0
     return _report(args, rep, 0, base)
 
 
@@ -588,27 +553,6 @@ def _cmd_acbm(args) -> int:
         "initial_welfare": plan["initial_welfare"],
         "final_welfare": plan["final_welfare"],
     }
-    if args.format == "table":
-        rows = [["revenue", _fr(plan["initial_revenue"]),
-                 _fr(plan["final_revenue"]),
-                 _fr(plan["delta"])],
-                ["welfare", _fr(plan["initial_welfare"]),
-                 _fr(plan["final_welfare"]),
-                 _fr(plan["final_welfare"] - plan["initial_welfare"])]]
-        sys.stdout.write(_table_text(["metric", "before", "after", "delta"],
-                                     rows))
-        for mv in plan["moves"]:
-            if mv["kind"] == "entry":
-                sys.stdout.write("enter %s on %s at query %d (+%s)\n"
-                                 % (mv["advertiser"], mv["keyword"],
-                                    mv["start_query"],
-                                    format_rational(mv["delta"])))
-            else:
-                sys.stdout.write("enter %s on %s at query %d (+%s)\n"
-                                 % ("+".join(mv["advertisers"]), mv["keyword"],
-                                    mv["start_query"],
-                                    format_rational(mv["delta"])))
-        return 0
     return _report(args, result, 0, base)
 
 
@@ -622,20 +566,6 @@ def _cmd_compare(args) -> int:
             for p in args.split]
     diff = simulate_mod.compare_outcomes(days[0], days[1])
     result = {"a": args.split[0], "b": args.split[1], "metrics": diff}
-    if args.format == "table":
-        rows = []
-        for metric in sorted(diff):
-            value = diff[metric]
-            if isinstance(value, dict):
-                for k in sorted(value):
-                    a, b, delta = value[k]
-                    rows.append(["%s[%s]" % (metric, k),
-                                 _fr(a), _fr(b), _fr(delta)])
-            else:
-                a, b, delta = value
-                rows.append([metric, _fr(a), _fr(b), _fr(delta)])
-        sys.stdout.write(_table_text(["metric", "a", "b", "delta"], rows))
-        return 0
     return _report(args, result, 0, instance)
 
 

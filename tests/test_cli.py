@@ -6,7 +6,9 @@ output change, run from src/broadmatch/fixtures/:
     python3 -c "from broadmatch.cli import run; run([...])" > ../../../tests/golden/NAME.json
 
 with the argv list shown in GOLDEN_CASES below; for MARKET_GOLDEN_CASES, run
-from tests/markets/ and write to ../golden/NAME.json.
+from tests/markets/ and write to ../golden/NAME.json.  Each case whose
+subcommand takes ``--format`` is run again with ``--format table``, and its
+text is checked against the golden read leaf by leaf (``_golden_lines``).
 """
 
 import contextlib
@@ -67,6 +69,37 @@ MARKET_GOLDEN_CASES = {
 }
 
 
+def _golden_lines(doc, path: str = "") -> list:
+    """A golden JSON envelope read as ``--format table`` lines, apart from
+    the CLI: one ``path  value`` line per leaf in sorted-key order, where
+    each ``{"approx", "exact"}`` object is one leaf, ``exact (x.xxxx)``
+    rounded from ``Fraction(exact)`` to 4 places, the rate's ``"inf"`` is
+    bare, and any other leaf, an empty ``{}`` or ``[]`` too, is its JSON."""
+    if isinstance(doc, dict) and sorted(doc) == ["approx", "exact"]:
+        x = F(doc["exact"])
+        whole, frac = divmod(round(abs(x) * 10 ** 4), 10 ** 4)
+        return ["%s  %s (%s%d.%04d)" % (path, doc["exact"],
+                                         "-" if x < 0 else "", whole, frac)]
+    if isinstance(doc, dict) and doc:
+        return [line for k in sorted(doc)
+                for line in _golden_lines(doc[k], path + "." + k if path
+                                          else k)]
+    if isinstance(doc, list) and doc:
+        return [line for n, v in enumerate(doc)
+                for line in _golden_lines(v, "%s[%d]" % (path, n))]
+    return ["%s  %s" % (path, "inf" if doc == "inf" else json.dumps(doc))]
+
+
+def _check_golden_table(argv, golden: str, run) -> None:
+    """``argv`` with ``--format table`` prints the golden's leaves, its
+    ``argv`` two tokens longer, and returns the golden's exit code."""
+    doc = json.loads(golden)
+    doc["argv"] += ["--format", "table"]
+    code, out = run(*argv, "--format", "table")
+    assert out.splitlines() == _golden_lines(doc)
+    assert code == doc["exit_code"]
+
+
 @pytest.fixture
 def fx(monkeypatch, capsys):
     """Invoke the CLI in-process from inside the bundled-fixtures directory."""
@@ -85,15 +118,23 @@ def test_golden_reports(fx, name):
     golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert out == golden
     assert code == json.loads(golden)["exit_code"]
+    if GOLDEN_CASES[name][0] != "validate":  # validate takes no --format
+        _check_golden_table(GOLDEN_CASES[name], golden, fx)
 
 
 @pytest.mark.parametrize("name", sorted(MARKET_GOLDEN_CASES))
 def test_market_golden_reports(monkeypatch, capsys, name):
     monkeypatch.chdir(MARKETS)
-    code = cli.run(list(MARKET_GOLDEN_CASES[name]))
+
+    def run(*argv):
+        code = cli.run(list(argv))
+        return code, capsys.readouterr().out
+
+    code, out = run(*MARKET_GOLDEN_CASES[name])
     golden = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden
+    assert out == golden
     assert code == json.loads(golden)["exit_code"]
+    _check_golden_table(MARKET_GOLDEN_CASES[name], golden, run)
 
 
 def test_reports_are_byte_deterministic(fx):
@@ -590,29 +631,57 @@ def test_accuracy_at_the_edges_of_its_range_runs(fx):
 
 
 def test_table_formats(fx):
+    """``--format table`` prints the envelope one ``path  value`` line per
+    leaf, the lines README's quick tour names among them; a failed check
+    and an error end in their exit codes there too."""
     code, out = fx("price", "two-keyword-entry-base.json", "k1",
                    "--format", "table")
     assert code == 0
-    assert out.splitlines()[0].split() == [
-        "slot", "advertiser", "score", "price", "payoff"]
-    assert "revenue 9/10 (0.9000)" in out
+    lines = out.splitlines()
+    assert "result.revenue  9/10 (0.9000)" in lines
+    assert "result.ranking[0].slot  1" in lines
+    assert "exit_code  0" in lines
 
     code, out = fx("simulate", "two-keyword-entry-base.json",
                    "--split", "two-keyword-entry-natural.split.json",
                    "--format", "table")
-    assert code == 0 and "total" in out and "leftover" in out
+    assert code == 0
+    lines = out.splitlines()
+    assert "result.revenue  75 (75.0000)" in lines
+    assert "result.advertisers.2.leftover  37 (37.0000)" in lines
+    assert "exit_code  0" in lines
 
     code, out = fx("acbm", "two-keyword-entry-base.json",
                    "--ext", "two-keyword-entry-ext.json", "--fine",
                    "--format", "table")
     assert code == 0
-    assert "enter 3 on k1 at query 15 (+184/5)" in out
+    lines = out.splitlines()
+    assert "result.moves[0].start_query  15" in lines
+    assert "result.delta  184/5 (36.8000)" in lines
+    assert "exit_code  0" in lines
 
     code, out = fx("verify", "three-keyword-family.json",
                    "--split", "three-keyword-family-shifted.split.json",
                    "--bme", "--format", "table")
     assert code == 0
-    assert "stable: True" in out
+    lines = out.splitlines()
+    assert "result.ok  true" in lines
+    assert "exit_code  0" in lines
+
+    code, out = fx("verify", "agreeing-methods.json",
+                   "--split", "agreeing-methods-allk2.split.json", "--bme",
+                   "--format", "table")
+    assert code == 3
+    lines = out.splitlines()
+    assert "result.ok  false" in lines
+    assert "exit_code  3" in lines
+
+    code, out = fx("simulate", "two-keyword-entry-base.json",
+                   "--split", "missing.split.json", "--format", "table")
+    assert code == 2
+    lines = out.splitlines()
+    assert 'error.type  "usage"' in lines
+    assert "exit_code  2" in lines
 
 
 def test_fixture_listing_and_emission(fx, tmp_path):
@@ -721,6 +790,23 @@ def test_writer_refuses_what_it_cannot_encode():
             cli._dumps(value)
 
 
+def test_table_paths_quote_keys_that_are_not_bare():
+    """A key that would split a table line or blur its path (a line break,
+    a space, a dot, a bracket, a quote, non-ASCII, the empty key) prints as
+    its JSON text in brackets; ids are any non-empty strings."""
+    doc = {"result": {"x\ny.z": F(21, 10), "a b": [], 'q"': {"k1": INFINITE},
+                      "\u00e9": {"": None}, "k-1": ("7", 8)}, "exit_code": 0}
+    assert cli._lines(doc).splitlines() == [
+        "exit_code  0",
+        'result["a b"]  []',
+        "result.k-1[0]  \"7\"",
+        "result.k-1[1]  8",
+        'result["q\\""].k1  inf',
+        'result["x\\ny.z"]  21/10 (2.1000)',
+        'result["\\u00e9"][""]  null',
+    ]
+
+
 # -- every argv ends in one envelope --------------------------------------------
 
 _RATIONALS = ["0", "0", "1/2", "1/2", "3", "10/3", "0.25", "-1", "-1/2",
@@ -787,7 +873,7 @@ _VALUES = {
     "--method": st.sampled_from(["greedy", "dp", "fptas", "brute", "x"]),
     "--max-rounds": st.sampled_from(["0", "3", "-1", "x", "10**9"]),
     "--shuffle-seed": st.sampled_from(["0", "7", "-1", "x"]),
-    "--format": st.sampled_from(["json", "json", "xml"]),
+    "--format": st.sampled_from(["json", "json", "table", "xml"]),
     "--fine": None, "--bme": None,
 }
 _COMMON = ["--reserve", "--format"]
@@ -842,14 +928,30 @@ def _argv(draw):
     return argv
 
 
+# a table line: a top-level key, dotted keys and [n] indices, then the leaf
+_TABLE_LINE = re.compile(r"(?:argv|command|error|exit_code|instance|result)"
+                         r"(?:\.[^\s.\[\]]+|\[\d+\])*  \S.*")
+
+
+def _parsed_format(argv) -> str:
+    """The ``--format`` argparse reads from ``argv``: ``json`` when it
+    rejects ``argv`` or the subcommand takes no ``--format``."""
+    try:
+        return getattr(cli._parser().parse_args(argv), "format", "json")
+    except cli.UsageError:
+        return "json"
+
+
 def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
     """Drawn subcommands, positionals and options, good and bad (missing,
     malformed and huge documents, negative and huge rationals, unknown
-    ids and flags): each run prints exactly one JSON envelope, in the
-    canonical sorted-key two-space-indent form, whose exit code is the one
-    returned, in {0, 1, 2, 3}, and nothing on stderr.
-    ``--format table`` and ``--help`` print text by design and are not
-    drawn."""
+    ids and flags): each run returns an exit code in {0, 1, 2, 3} and
+    prints nothing on stderr.  With ``--format table`` parsed it prints
+    unindented ``path  value`` lines, one of them the top-level
+    ``exit_code`` line holding the code returned; otherwise exactly one
+    JSON envelope, in the canonical sorted-key two-space-indent form, with
+    that exit code and the argv.  ``--help`` prints text by design and is
+    not drawn."""
     shutil.copytree(cli._FIXTURE_DIR, tmp_path, dirs_exist_ok=True)
     _malformed_documents(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -862,16 +964,32 @@ def test_every_argv_ends_in_one_envelope(tmp_path, monkeypatch):
               "--method", "fptas", "--eps", "3"])
     @example(["best-response", "greedy-vs-exact.json", "--advertiser", "1",
               "--method", "fptas", "--eps", "1e-400"])
+    # a table run ending in each exit code the draws rarely reach
+    @example(["simulate", "two-keyword-entry-base.json",
+              "--split", "two-keyword-entry-natural.split.json",
+              "--format", "table"])
+    @example(["acbm", "greedy-vs-exact.json", "--ext", "greedy-vs-exact.json",
+              "--format", "table"])
+    @example(["verify", "agreeing-methods.json",
+              "--split", "agreeing-methods-allk2.split.json", "--bme",
+              "--format", "table"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
         assert code in (0, 1, 2, 3), argv
+        assert err.getvalue() == "", argv
+        if _parsed_format(argv) == "table":
+            lines = out.getvalue().split("\n")
+            assert lines.pop() == "", argv
+            assert all(_TABLE_LINE.fullmatch(line) for line in lines), argv
+            assert [line for line in lines if line.startswith("exit_code")
+                    ] == ["exit_code  %d" % code], argv
+            return
         doc = json.loads(out.getvalue())  # exactly one JSON document
         assert out.getvalue() == json.dumps(doc, sort_keys=True,
                                             indent=2) + "\n", argv
         assert doc["exit_code"] == code, argv
         assert doc["argv"] == argv
-        assert err.getvalue() == "", argv
 
     check()
