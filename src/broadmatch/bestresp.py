@@ -21,15 +21,17 @@ Four solvers, one contract:
 ``brute_force_oracle`` cross-checks the others by enumeration on small
 inputs.
 
-The dp and AS1/AS2 share one knapsack on Python ints: candidates are the
-tables' int prefix costs and payoffs, scaled with the budget to one common
-denominator, and only the cells that can change the answer are computed,
-so the witness is the one the full rational table picks.
+The dp and AS1/AS2 share one knapsack on Python ints over the tables' int
+prefix costs and payoffs, scaled with the budget to one common denominator.
+It merges the keywords' (cost, level) Pareto fronts one at a time and takes
+the witness the full rational table picks, by that table's tie rule.
+``WORK_CAP`` bounds that table as projected, not the pairs merged.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -263,47 +265,32 @@ def _candidate_values(table: PartitionTable, xs: Iterable[int],
     return out
 
 
-def _cells(best: Sequence[int], lv: List[Tuple[int, int, int]],
-           ps: Iterable[int], over: int):
-    """The cells (least ``best[q] + c``, its (x, q)) at ascending level
-    targets ``ps`` over a layer's candidates (x, c, lvl), q = max(p - lvl,
-    0), first in order on ties; ``(over, None)`` when nothing is under
-    ``over``.  Levels ascend and are distinct, so a scan starts at the
-    first q within ``best`` (past it every cost is ``over``) and ends at the
-    first lvl >= p: every later one has q = 0 and costs no less.
-    """
-    reach = len(best) - 1
-    n = len(lv)
-    lo = hi = 0
-    for p in ps:
-        while hi < n and lv[hi][2] < p:
-            hi += 1
-        while lv[lo][2] < p - reach:
-            lo += 1
-        low, pick = over, None
-        for x, c, lvl in lv[lo:hi + 1]:
-            q = p - lvl if p > lvl else 0
-            if best[q] + c < low:
-                low, pick = best[q] + c, (x, q)
-        yield low, pick
-
-
 def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
               candidates: Dict[str, List[Tuple[int, int, int]]],
               unit: Fraction) -> Tuple[Dict[str, int], Fraction]:
-    """Min-cost table over integerized utility targets; returns witness.
+    """Best total level within the budget, front by front, and a witness.
 
     ``candidates[kw]`` holds (x, C, U) in ascending x, the prefix's cost
     and payoff times the table's ``D``; neither falls along the list.
     ``unit`` converts payoffs to integer levels, floor(U / (D * unit)); with
     ``unit`` an exact common divisor of all payoffs the rounding is
     lossless and the result is the true optimum.  Costs and the budget are
-    scaled to one common denominator, so every cell is an int add and
-    compare; ``over``, one past the scaled budget, marks an unreachable
-    level.  Only cells that can change the answer are computed: the first
-    candidate per level, the levels a layer's keywords reach together, the
-    scans ``_cells`` makes, and a bisection of the last layer, whose cost
-    never falls as its level rises.
+    scaled to one common denominator, so every step is an int add and
+    compare.  A keyword keeps its first candidate per level.
+
+    Each layer but the last merges the front below it, the (cost, level)
+    points within the budget that no cheaper point matches in level, with
+    its candidates (Nemhauser and Ullmann): each front point meets the
+    candidates its remaining budget affords, the least cost per total level
+    is kept, and a sweep down from the top level keeps the points cheaper
+    than every higher one.  The last layer is only read: the optimum is the
+    highest level a front point reaches with its deepest affordable
+    candidate.  The witness is recovered backwards: at each layer and target
+    p, the first candidate in order (q = max(p - lvl, 0) on the front below,
+    the scan ending at the first lvl >= p) that reaches the least cost, as a
+    full table of levels picks it.  A front holds at most one point per
+    level, so the pairs merged never outnumber the cells of the projected
+    table that the callers cap with ``WORK_CAP``.
 
     Some combination must fit: the engine's callers always offer the empty
     prefix (``x = 0``, cost 0) on every keyword.  When even the cheapest
@@ -312,7 +299,6 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
     """
     den = math.lcm(budget.denominator, *(t.D for _, t in tabs))
     cap = budget.numerator * (den // budget.denominator)
-    over = cap + 1
     layers = []
     cheapest = 0
     for kw, t in tabs:
@@ -323,30 +309,44 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
             if not lv or lvl > lv[-1][2]:
                 lv.append((x, c * scale, lvl))
         layers.append(lv)
-        cheapest += lv[0][1] if lv else over
+        cheapest += lv[0][1] if lv else cap + 1
     if cheapest > cap:
         short = [kw for (kw, _), lv in zip(tabs, layers) if not lv or lv[0][1]]
         raise ValueError(
             "no candidate combination fits the budget %s: no zero-cost empty "
             "prefix among the candidates on %s" % (budget, ", ".join(short)))
-    best: Sequence[int] = (0,)
-    parents: List[Sequence[Optional[Tuple[int, int]]]] = []
+    fronts = [([0], [0])]  # each layer's front below it: costs, levels
     for lv in layers[:-1]:
-        best, par = zip(*_cells(best, lv, range(len(best) + lv[-1][2]), over))
-        parents.append(par)
-    lv = layers[-1]
-    opt, top = 0, len(best) + lv[-1][2]  # within budget at opt, not at top
-    while top - opt > 1:
-        mid = (opt + top) // 2
-        if next(_cells(best, lv, (mid,), over))[0] < over:
-            opt = mid
-        else:
-            top = mid
-    _, (x, p) = next(_cells(best, lv, (opt,), over))
-    queries = {tabs[-1][0]: x}
-    for (kw, _), par in zip(reversed(tabs[:-1]), reversed(parents)):
-        x, p = par[p]
-        queries[kw] = x
+        costs, levels = fronts[-1]
+        points = [(c, lvl) for _, c, lvl in lv]
+        cs = [c for c, _ in points]
+        least = [cap + 1] * (levels[-1] + lv[-1][2] + 1)
+        for fc, fl in zip(costs, levels):
+            for c, lvl in points[:bisect_right(cs, cap - fc)]:
+                if fc + c < least[fl + lvl]:
+                    least[fl + lvl] = fc + c
+        costs, levels, low = [], [], cap + 1
+        for p in range(len(least) - 1, -1, -1):
+            if least[p] < low:
+                low = least[p]
+                costs.append(low)
+                levels.append(p)
+        fronts.append((costs[::-1], levels[::-1]))
+    cs = [c for _, c, _ in layers[-1]]  # k: how many candidates fc affords
+    opt = max(fl + layers[-1][k - 1][2] for fc, fl in zip(*fronts[-1])
+              if (k := bisect_right(cs, cap - fc)))
+    queries, p = {}, opt
+    for (kw, _), lv, (costs, levels) in zip(reversed(tabs), reversed(layers),
+                                            reversed(fronts)):
+        low, top = cap + 1, levels[-1]
+        for x, c, lvl in lv:
+            q = p - lvl if p > lvl else 0
+            total = costs[bisect_left(levels, q)] + c if q <= top else low
+            if total < low:
+                low, pick = total, (x, q)
+            if lvl >= p:
+                break
+        queries[kw], p = pick
     return queries, Fraction(opt)
 
 
@@ -430,8 +430,8 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
 
     One keyword needs no search at all (per-query payoffs are nonnegative,
     so the deepest affordable prefix is optimal); two keywords go through
-    exact segment-configuration enumeration; more go through dynamic
-    programming over utilities rescaled by the lcm of their denominators,
+    exact segment-configuration enumeration; more go through the knapsack's
+    front merge over utilities rescaled by the lcm of their denominators,
     with costs and budget scaled to ints by their common denominator (an
     exact scaling, so the witness is the one rational arithmetic picks).
     Projected work beyond ``WORK_CAP`` raises ``ScaleError`` — use
@@ -499,9 +499,9 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     ``grids`` optionally restricts candidate prefix lengths per keyword
     (the fptas wrapper passes volume-independent grids, and the tables it
     built them from as ``_tables``, so one solve builds its tables once).
-    Every candidate's level is at most floor(M/eps), so the table has at
-    most (M*floor(M/eps) + 1) x (candidate count) cells; a projection
-    beyond ``WORK_CAP`` raises ``ScaleError`` before anything is built.
+    Levels are at most floor(M/eps), so the projected table (which bounds
+    the pairs merged) has at most (M*floor(M/eps) + 1) x (candidate count)
+    cells; past ``WORK_CAP`` that raises ``ScaleError`` before any build.
     """
     eps = Fraction(eps)
     if eps <= 0:

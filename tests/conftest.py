@@ -2,9 +2,9 @@
 costs and payoffs, a per-query reference simulator, the telescoped revenue
 identity of a priced slate, the two-run reference acbm probes, the
 reprice-everything reference timeline, the all-Fraction reference
-knapsack, the table-based reference marginal rates, the tree-building
-reference report encoder, and the seeded random corpus used by the
-property tests.
+knapsack and the level-scanning int one, the table-based reference marginal
+rates, the tree-building reference report encoder, and the seeded random
+corpus used by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
@@ -337,6 +338,97 @@ def reference_knapsack(tabs: List[Tuple[str, PartitionTable]],
         x, q = par[p]
         queries[kw] = x
         p = q
+    return queries, Fraction(opt)
+
+
+# The best-response knapsack as it was before it merged Pareto fronts, kept
+# verbatim apart from the names: every layer scans every level it can reach,
+# over the candidates whose level can make up that target.
+def _scan_cells(best: Sequence[int], lv: List[Tuple[int, int, int]],
+           ps: Iterable[int], over: int):
+    """The cells (least ``best[q] + c``, its (x, q)) at ascending level
+    targets ``ps`` over a layer's candidates (x, c, lvl), q = max(p - lvl,
+    0), first in order on ties; ``(over, None)`` when nothing is under
+    ``over``.  Levels ascend and are distinct, so a scan starts at the
+    first q within ``best`` (past it every cost is ``over``) and ends at the
+    first lvl >= p: every later one has q = 0 and costs no less.
+    """
+    reach = len(best) - 1
+    n = len(lv)
+    lo = hi = 0
+    for p in ps:
+        while hi < n and lv[hi][2] < p:
+            hi += 1
+        while lv[lo][2] < p - reach:
+            lo += 1
+        low, pick = over, None
+        for x, c, lvl in lv[lo:hi + 1]:
+            q = p - lvl if p > lvl else 0
+            if best[q] + c < low:
+                low, pick = best[q] + c, (x, q)
+        yield low, pick
+
+
+def scan_knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
+                  candidates: Dict[str, List[Tuple[int, int, int]]],
+                  unit: Fraction) -> Tuple[Dict[str, int], Fraction]:
+    """Min-cost table over integerized utility targets; returns witness.
+
+    ``candidates[kw]`` holds (x, C, U) in ascending x, the prefix's cost
+    and payoff times the table's ``D``; neither falls along the list.
+    ``unit`` converts payoffs to integer levels, floor(U / (D * unit)); with
+    ``unit`` an exact common divisor of all payoffs the rounding is
+    lossless and the result is the true optimum.  Costs and the budget are
+    scaled to one common denominator, so every cell is an int add and
+    compare; ``over``, one past the scaled budget, marks an unreachable
+    level.  Only cells that can change the answer are computed: the first
+    candidate per level, the levels a layer's keywords reach together, the
+    scans ``_scan_cells`` makes, and a bisection of the last layer, whose
+    cost never falls as its level rises.
+
+    Some combination must fit: the engine's callers always offer the empty
+    prefix (``x = 0``, cost 0) on every keyword.  When even the cheapest
+    candidates together exceed the budget there is no witness, and that is
+    a ValueError naming the keywords that lack the empty prefix.
+    """
+    den = math.lcm(budget.denominator, *(t.D for _, t in tabs))
+    cap = budget.numerator * (den // budget.denominator)
+    over = cap + 1
+    layers = []
+    cheapest = 0
+    for kw, t in tabs:
+        scale, per_level = den // t.D, t.D * unit.numerator
+        lv = []
+        for x, c, u in candidates[kw]:
+            lvl = u * unit.denominator // per_level
+            if not lv or lvl > lv[-1][2]:
+                lv.append((x, c * scale, lvl))
+        layers.append(lv)
+        cheapest += lv[0][1] if lv else over
+    if cheapest > cap:
+        short = [kw for (kw, _), lv in zip(tabs, layers) if not lv or lv[0][1]]
+        raise ValueError(
+            "no candidate combination fits the budget %s: no zero-cost empty "
+            "prefix among the candidates on %s" % (budget, ", ".join(short)))
+    best: Sequence[int] = (0,)
+    parents: List[Sequence[Optional[Tuple[int, int]]]] = []
+    for lv in layers[:-1]:
+        best, par = zip(*_scan_cells(best, lv, range(len(best) + lv[-1][2]),
+                                     over))
+        parents.append(par)
+    lv = layers[-1]
+    opt, top = 0, len(best) + lv[-1][2]  # within budget at opt, not at top
+    while top - opt > 1:
+        mid = (opt + top) // 2
+        if next(_scan_cells(best, lv, (mid,), over))[0] < over:
+            opt = mid
+        else:
+            top = mid
+    _, (x, p) = next(_scan_cells(best, lv, (opt,), over))
+    queries = {tabs[-1][0]: x}
+    for (kw, _), par in zip(reversed(tabs[:-1]), reversed(parents)):
+        x, p = par[p]
+        queries[kw] = x
     return queries, Fraction(opt)
 
 

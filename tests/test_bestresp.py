@@ -1,5 +1,6 @@
 """Best-response solvers: greedy walk, exact dp, rounding schemes, oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,8 @@ from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
 from broadmatch.model import all_in_profile, load_instance
 from broadmatch.partition import tables_for
 from conftest import (FIXTURES, build_instance, build_split, fraction_table,
-                      random_instance, random_profile, reference_knapsack)
+                      random_instance, random_profile, reference_knapsack,
+                      scan_knapsack)
 
 
 def load(name):
@@ -290,17 +292,41 @@ def test_int_knapsack_matches_the_fraction_knapsack():
     assert min(v for k, v in seen.items() if k != "refused") >= 200, seen
 
 
+def merge_events(layers, budget):
+    """What the front merge meets, read from the inputs: each of ``layers``
+    holds a keyword's (cost, level) candidates, the first per level.  Each
+    layer pairs every point of the front below it with each of its
+    candidates within the budget, and every layer but the last is merged
+    into the next front.  Returns whether a merge dropped a pair because a
+    cheaper pair reaches at least its level, and whether two pairs of one
+    layer, the last one included, tied on cost."""
+    front, dropped, tie = [(F(0), 0)], False, False
+    for i, lv in enumerate(layers):
+        pairs = sorted((fc + c, fl + lvl) for fc, fl in front
+                       for c, lvl in lv if fc + c <= budget)
+        front, reach = [], -1  # reach: top level of the cheaper pairs
+        for cost, group in itertools.groupby(pairs, key=lambda p: p[0]):
+            levels = [lvl for _, lvl in group]
+            dropped |= levels[0] <= reach and i < len(layers) - 1
+            tie |= len(levels) > 1
+            if levels[-1] > reach:
+                front.append((cost, levels[-1]))
+                reach = levels[-1]
+    return dropped, tie
+
+
 def test_pruned_knapsack_matches_the_fraction_knapsack():
     """The knapsack's pruning against the all-Fraction knapsack on 5 and 6
     keywords, under coarse units that put many candidates on one level,
     with single-candidate keywords and budgets exactly at a candidate's
-    cost.  Each pruning must take part at least 200 times: a candidate
-    dropped for sharing its level with an earlier one (a), a cell scan
-    stopped at the first candidate at or past its target level (b), and a
-    last layer bisected to an optimum below the top level (d)."""
+    cost.  Each pruning must take part at least 200 times, read from the
+    inputs: a candidate dropped for sharing its level with an earlier one,
+    a merge dropping a pair because a cheaper pair reaches at least its
+    level, two pairs of one layer tying on cost, and an optimum below the
+    top level."""
     rng = random.Random(20080711)
-    seen = {"dropped": 0, "broke": 0, "below-top": 0, "single": 0,
-            "on-budget": 0}
+    seen = {"dropped": 0, "dominated": 0, "cost-tie": 0, "below-top": 0,
+            "single": 0, "on-budget": 0}
     for case in range(600):
         m = 5 + case % 2
         tabs = [("k%d" % j, random_table(rng, "k%d" % j, rng.randint(1, 40),
@@ -327,10 +353,67 @@ def test_pruned_knapsack_matches_the_fraction_knapsack():
                          unit) == want, case
         levels = [[int(u // unit) for _, _, u in candidates[kw]]
                   for kw, _ in tabs]
+        firsts = [[(c, lvl) for i, ((_, c, _), lvl)
+                   in enumerate(zip(candidates[kw], lv))
+                   if i == 0 or lvl > lv[i - 1]]
+                  for (kw, _), lv in zip(tabs, levels)]
+        dominated, tie = merge_events(firsts, budget)
         seen["dropped"] += any(len(set(lv)) < len(lv) for lv in levels)
-        seen["broke"] += any(len(set(lv)) > 1 for lv in levels[:-1])
+        seen["dominated"] += dominated
+        seen["cost-tie"] += tie
         seen["below-top"] += want[1] < sum(lv[-1] for lv in levels)
     assert min(seen.values()) >= 200, seen
+
+
+def test_front_merge_matches_the_level_scan_at_benchmark_scale():
+    """Identical (queries, opt), the key order of ``queries`` included, from
+    the front merge and the level-scanning int knapsack it replaced
+    (``scan_knapsack``), on 24 seeded cases too large for the Fraction
+    reference: 3..6 keywords, up to 251 candidates each from
+    ``_candidate_values`` (whole ranges and sparse samples), levels into
+    the thousands under the exact utility unit and under coarser ones, and
+    budgets between costs or exactly at the cost of the optimum there, so
+    that the optimum's last candidate costs all the budget its front point
+    leaves."""
+    rng = random.Random(19690701)
+    seen = {"exact": 0, "coarse": 0, "on-cost": 0, "between": 0,
+            "wide": 0, "thousands": 0}
+    for case in range(24):
+        m = 3 + case % 4
+        tabs = [("k%d" % j, random_table(rng, "k%d" % j, rng.randint(1, 250),
+                                         [1, 2, 3], [1, 2, 4], 4))
+                for j in range(m)]
+        grids = {kw: range(t.volume + 1) for kw, t in tabs}
+        for kw, xs in grids.items():
+            if rng.random() < 0.3:
+                grids[kw] = sorted({0, *rng.sample(xs, rng.randint(1,
+                                                                   len(xs)))})
+        if case // 4 % 2 == 0:
+            unit = _utility_unit(tabs)
+            seen["exact"] += 1
+        else:
+            unit = F(1, rng.randint(1, 4))
+            seen["coarse"] += 1
+        budget = (sum((t.prefix_cost(t.volume) for _, t in tabs), F(0))
+                  * F(rng.randint(20, 99), 100)
+                  + F(1, rng.randint(2, 10 ** 6)))
+        candidates = {kw: _candidate_values(t, grids[kw], budget)
+                      for kw, t in tabs}
+        if case // 8 != 1:
+            queries, _ = _knapsack(tabs, budget, candidates, unit)
+            budget = sum((t.prefix_cost(queries[kw]) for kw, t in tabs), F(0))
+            candidates = {kw: _candidate_values(t, grids[kw], budget)
+                          for kw, t in tabs}
+            seen["on-cost"] += 1
+        else:
+            seen["between"] += 1
+        want = scan_knapsack(tabs, budget, candidates, unit)
+        got = _knapsack(tabs, budget, candidates, unit)
+        assert (list(got[0].items()), got[1]) == (list(want[0].items()),
+                                                  want[1]), case
+        seen["wide"] += max(map(len, candidates.values())) > 200
+        seen["thousands"] += want[1] >= 1000
+    assert min(seen.values()) >= 8, seen
 
 
 def test_candidate_sweep_equals_per_prefix_lookups():
