@@ -6,32 +6,36 @@ matching is broadened with new edges, the auctioneer itself can decide
 where and *when* those advertisers enter the new streams: entry timing is
 the auctioneer's lever, not the advertisers'.
 
-``excess_budgets`` finds the advertisers with usable leftovers;
-``obrev_check`` decides whether any of them can be placed to strictly
-raise revenue (with a structural witness naming the keyword and why);
-``allocate_excess`` actually schedules entries, greedily committing the
-single best revenue-positive move at a time, never touching what the base
-day already sold.
+Every step reads one base day, simulated once by the caller
+(``equilibrium.natural_base_day``): ``excess_budgets`` finds the
+advertisers with usable leftovers in it; ``obrev_check`` decides whether
+any of them can be placed to strictly raise revenue (with a structural
+witness naming the keyword and why); ``allocate_excess`` actually
+schedules entries, greedily committing the single best revenue-positive
+move at a time, never touching what the base day already sold.  Before any
+entry the broadened day is the base day: the base rows meet the same
+scores on the same keywords, so the scheduler starts from that day and
+simulates only the days its moves make.
 
 A probe of a candidate entry (``_probe``) runs the keyword's day with the
 entrant at its whole free wallet, which gives what it pays; the scheduler
 commits it pinned to that payment, and the probe's revenue is that of the
 pinned day.  Pinning usually changes nothing, and
-``partition.pinning_keeps_day`` proves so from the run's own segments, so
-the probe is one run.  It can change the day: a pinned entrant may be
-broke on a slate the settle passes through, where at its wallet it was
-not, and be dropped ahead of a higher-scored broke bidder.  Then, and only
-then, the probe runs the pinned day as well.  A paired entry is probed the
-same way, with both entrants in one run.
+``partition.pinning_keeps_prefixes`` proves so from the run's own
+segments, for the day and for each of its prefixes, so the probe is one
+run.  It can change the day: a pinned entrant may be broke on a slate the
+settle passes through, where at its wallet it was not, and be dropped
+ahead of a higher-scored broke bidder.  Where the certificate fails the
+probe runs the pinned day as well.  A paired entry is probed the same way,
+with both entrants in one run.
 
 Entry timing with ``fine`` settles a quiet segment (``_quiet``: nobody
 pays in it, it runs to the day's last query and no committed row on the
 keyword enters after its first query) with two probes, its first query
 and the next.  An entry later in the segment meets what an entry at the
 second query meets, so its day is that one shifted and cut short and
-earns no more; ``_search`` gives the argument.  It needs a certificate
-that pinning keeps each of those days, which the second probe reads from
-its own run (``partition.pinning_keeps_prefixes``); without it, and on
+earns no more; ``_search`` gives the argument.  It needs the second
+probe's certificate, which covers each of those days; without it, and on
 every other segment, timing is a heuristic, not an exhaustive search: a
 segment of at most 64 queries is probed at every start, a wider one at no
 more than 64 evenly spread starts and then in windows halved around the
@@ -44,58 +48,42 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .equilibrium import natural_base_split
 from .model import Allocation, Instance, Profile
 from .partition import (Segment, day_totals, keyword_day,
-                        pinning_keeps_day, pinning_keeps_prefixes)
+                        pinning_keeps_prefixes)
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
 FINE_WINDOW = 64  # exhaustive-scan limit for per-query entry refinement
 
 
-def _top_base_score(instance: Instance, advertiser: str) -> Optional[Fraction]:
-    best = None
-    for e in instance.base_edges():
-        if e.advertiser == advertiser and (best is None or e.score > best):
-            best = e.score
-    return best
-
-
-def excess_budgets(instance: Instance, profile: Optional[Profile] = None,
-                   reserve: Fraction = ZERO,
-                   base_day: Optional[DayOutcome] = None) -> Dict[str, dict]:
-    """Leftover money after the base day, flagged where it could still buy.
+def excess_budgets(instance: Instance,
+                   base_day: DayOutcome) -> Dict[str, dict]:
+    """Leftover money after ``base_day``, flagged where it could still buy.
 
     An advertiser holds *excess* when her leftover covers at least her top
     base score — the cheapest conceivable price of one more query wherever
     she already bids.  Smaller leftovers are change, not money.
-    ``base_day``, when given, is the base day of ``profile`` already
-    simulated (as ``obrev_check`` and ``allocate_excess`` pass it on); only
-    without it is the base market copied out of ``instance``, to simulate.
     """
-    if base_day is None:
-        if profile is None:
-            profile = natural_base_split(instance)
-        base_day = simulate_day(instance.base_instance(), profile, reserve)
+    top: Dict[str, Fraction] = {}
+    for e in instance.base_edges():
+        if e.advertiser not in top or e.score > top[e.advertiser]:
+            top[e.advertiser] = e.score
     out: Dict[str, dict] = {}
     for adv in instance.advertisers:
-        top = _top_base_score(instance, adv.id)
+        best = top.get(adv.id)
         left = base_day.leftover[adv.id]
         out[adv.id] = {
             "budget": adv.budget,
             "spend": base_day.spend[adv.id],
             "leftover": left,
-            "top_score": top,
-            "excess": top is not None and top <= left,
+            "top_score": best,
+            "excess": best is not None and best <= left,
         }
     return out
 
 
-def obrev_check(base: Instance, ext: Instance,
-                profile: Optional[Profile] = None,
-                reserve: Fraction = ZERO,
-                base_day: Optional[DayOutcome] = None) -> dict:
+def obrev_check(base: Instance, ext: Instance, base_day: DayOutcome) -> dict:
     """Can excess money be routed through new edges to raise revenue?
 
     Examines the base day's final segments keyword by keyword and reports a
@@ -110,14 +98,8 @@ def obrev_check(base: Instance, ext: Instance,
       up paying;
     * ``c`` — the last active set still contains non-excess members and the
       entrant outscores the best of them.
-
-    ``base_day``, when given, is the base day of ``profile``.
     """
-    if base_day is None:
-        if profile is None:
-            profile = natural_base_split(base)
-        base_day = simulate_day(base.base_instance(), profile, reserve)
-    info = excess_budgets(base, reserve=reserve, base_day=base_day)
+    info = excess_budgets(base, base_day)
     excess = {i for i, rec in info.items() if rec["excess"]}
     new_edges = [e for e in ext.edges if not base.has_edge(e.advertiser, e.keyword)]
 
@@ -168,22 +150,22 @@ def _probe(instance: Instance, rows: Sequence[Allocation], kw: str,
     """What each entrant pays on ``kw``, exactly, when ``entrants`` join
     the other ``rows`` committed there, the keyword's revenue once the
     entrants are committed pinned to those payments, and whether pinning
-    them keeps every prefix of the day as well
+    them provably keeps the day and every prefix of it
     (``partition.pinning_keeps_prefixes``), the certificate ``_search``'s
     two-probe rule reads.
 
     The payments come from one run of the day with the entrants at the
-    pools they are given.  When pinning provably keeps that day, its
-    revenue is the run's; otherwise a second run with the pinned entrants
-    gives it.
+    pools they are given.  Where that certificate holds, pinning keeps the
+    day and the revenue is the run's; otherwise a second run with the
+    pinned entrants gives it.
     """
     segs = keyword_day(instance, kw, (*rows, *entrants), reserve)
     ids = [e.advertiser for e in entrants]
-    totals = day_totals(segs, ids)
-    paid = tuple(totals.paid.get(i, ZERO) for i in ids)
-    prefixes = pinning_keeps_prefixes(segs, ids)
-    if prefixes or pinning_keeps_day(segs, ids):
-        return totals.revenue, paid, prefixes
+    totals = day_totals(segs)
+    spent = totals.paid  # a view, built on each read
+    paid = tuple(spent.get(i, ZERO) for i in ids)
+    if pinning_keeps_prefixes(segs, ids):
+        return totals.revenue, paid, True
     pinned = [Allocation(e.advertiser, kw, 0, p, e.start_query)
               for e, p in zip(entrants, paid)]
     segs = keyword_day(instance, kw, (*rows, *pinned), reserve)
@@ -197,8 +179,8 @@ def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
     The difference becomes free wallet money the scheduler may commit
     elsewhere.  A pool equal to its own exact spend usually buys the same
     queries to the same boundary, but not always (see
-    ``partition.pinning_keeps_day``); the next round simulates the day
-    with the pinned rows either way.
+    ``partition.pinning_keeps_prefixes``); the next round simulates the
+    day with the pinned rows either way.
     """
     out = []
     for r in rows:
@@ -283,10 +265,9 @@ def _search(lo: int, hi: int, fine: bool, probe,
     return probed
 
 
-def allocate_excess(base: Instance, ext: Instance,
-                    profile: Optional[Profile] = None,
-                    fine: bool = False, reserve: Fraction = ZERO,
-                    base_day: Optional[DayOutcome] = None) -> dict:
+def allocate_excess(base: Instance, ext: Instance, profile: Profile,
+                    base_day: DayOutcome, fine: bool = False,
+                    reserve: Fraction = ZERO) -> dict:
     """Schedule excess-budget entries on new edges, one best move at a time.
 
     Starting from the base-day schedule, repeatedly evaluates every unused
@@ -302,17 +283,15 @@ def allocate_excess(base: Instance, ext: Instance,
     pays, pairs of entrants into a dark stream are tried as one move.
     Stops when nothing positive is left.  Greedy and timing-restricted,
     hence a lower bound: a miss does not prove no improving schedule
-    exists.  ``base_day``, when given, is the base day of ``profile``.
-    Each round simulates the broadened day once: the first round's day is
-    the initial day and the last one's, the final day.
+    exists.
+
+    ``base_day`` is the base day of ``profile`` at ``reserve``.  It is the
+    initial day too: ``ext`` extends ``base``, so the base rows meet the
+    same scores on the same keywords there.  Each round after a move
+    simulates the broadened day once, and the last one's is the final day.
     """
-    if profile is None:
-        profile = natural_base_split(base)
-    rows: Tuple[Allocation, ...] = tuple(
-        Allocation(r.advertiser, r.keyword, r.queries, r.budget, r.start_query)
-        for r in profile.rows)
-    initial_day = day = simulate_day(ext, Profile(rows, kind="schedule"),
-                                     reserve)
+    rows = profile.rows
+    initial_day = day = base_day
     moves: List[dict] = []
     used: Set[Tuple[str, str]] = set()
     reduced: Set[str] = set()
@@ -339,7 +318,7 @@ def allocate_excess(base: Instance, ext: Instance,
         return (rev - day.keyword_revenue[j], Allocation(i, j, 0, paid, start),
                 certified)
 
-    info = excess_budgets(base, profile, reserve, base_day)
+    info = excess_budgets(base, base_day)
     while True:
         current = Profile(rows, kind="schedule")
         if moves:  # the rows changed in the last round

@@ -537,11 +537,11 @@ def _cmd_acbm(args) -> int:
     if not chk["ok"]:
         raise ModelError(chk["errors"])
     # one natural split and one base day serve all three steps
-    profile, day = equilibrium._natural_base_day(base, args.reserve)
-    excess = acbm_mod.excess_budgets(base, profile, args.reserve, day)
-    witness = acbm_mod.obrev_check(base, ext, profile, args.reserve, day)
-    plan = acbm_mod.allocate_excess(base, ext, profile, args.fine,
-                                    args.reserve, day)
+    profile, day = equilibrium.natural_base_day(base, args.reserve)
+    excess = acbm_mod.excess_budgets(base, day)
+    witness = acbm_mod.obrev_check(base, ext, day)
+    plan = acbm_mod.allocate_excess(base, ext, profile, day, args.fine,
+                                    args.reserve)
     result = {
         "excess": excess,
         "opportunity": witness,
@@ -584,8 +584,10 @@ def _cmd_fixtures(args) -> int:
         raise UsageError("cannot create %s: %s" % (out, exc))
     written = []
     for fname in FIXTURES[args.name]["files"]:
-        src = _FIXTURE_DIR / fname
-        shutil.copyfile(src, out / fname)
+        try:
+            shutil.copyfile(_FIXTURE_DIR / fname, out / fname)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out / fname, exc))
         written.append(str(out / fname))
     return _report(args, {"written": written}, 0)
 

@@ -276,15 +276,18 @@ def natural_base_split(instance: Instance) -> Profile:
     The reference point for broadened-matching comparisons.  Ambiguous (and
     an error) when somebody holds more than one base edge.
     """
-    return _natural_base_day(instance)[0]
+    return natural_base_day(instance)[0]
 
 
-def _natural_base_day(instance: Instance, reserve: Fraction = ZERO
-                      ) -> Tuple[Profile, DayOutcome]:
+def natural_base_day(instance: Instance, reserve: Fraction = ZERO
+                     ) -> Tuple[Profile, DayOutcome]:
     """``natural_base_split`` and its base day at ``reserve``.
 
     The split's query counts come from its base day at reserve 0, so at
-    reserve 0 that day is returned as it is, not run again.
+    reserve 0 that day is returned as it is, not run again.  On a
+    broadening of ``instance`` the split's rows meet the same scores on
+    the same keywords, so this is also the broadened day before any entry
+    (``acbm.allocate_excess`` reads it as its initial day).
     """
     base = instance.base_instance()
     rows: List[Allocation] = []
@@ -319,7 +322,7 @@ def dilemma_report(base: Instance, ext: Instance, profiles: List[Profile],
     stable profiles is the auctioneer's dilemma: whether broadening pays
     depends on which stable point the advertisers settle into.
     """
-    base_day = _natural_base_day(base, reserve)[1]
+    base_day = natural_base_day(base, reserve)[1]
     rows = []
     ok = True
     for prof in profiles:

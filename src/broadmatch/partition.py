@@ -32,10 +32,9 @@ on the ints, and returns them with D, so a caller adding several days
 (``simulate_day``) converts once per reported total and only this module
 reads a segment's int layout.  Where the settle before a segment dropped
 somebody, the segment also keeps the prices the settle asked on its way
-(``passed_prices``), from which ``pinning_keeps_day`` tells whether
-pinning some pools to their spend would leave the day as it is, and
-``pinning_keeps_prefixes`` whether it would leave every prefix of the day
-as it is too.  No floats are used: a free segment's rate is the exact
+(``passed_prices``), from which ``pinning_keeps_prefixes`` tells whether
+pinning some pools to their spend would leave the day, and every prefix
+of it, as it is.  No floats are used: a free segment's rate is the exact
 sentinel ``INFINITE``, and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
@@ -384,13 +383,10 @@ class DayTotals(NamedTuple):
         return {adv: Fraction(x, D) for adv, x in self.int_paid.items()}
 
 
-def day_totals(segments: Sequence[Segment],
-               advertisers: Optional[Iterable[str]] = None) -> DayTotals:
+def day_totals(segments: Sequence[Segment]) -> DayTotals:
     """Sum a keyword day's segments on their scaled ints: the one summation
     of a day.  Unslotted bidders pay and gain nothing, so an advertiser
-    never slotted is in neither dict; with ``advertisers``, the dicts cover
-    only those of them that were slotted."""
-    want = None if advertisers is None else set(advertisers)
+    never slotted is in neither dict."""
     rev = wel = 0
     paid: Dict[str, int] = {}
     gained: Dict[str, int] = {}
@@ -400,46 +396,28 @@ def day_totals(segments: Sequence[Segment],
         rev += n * sum(prices)
         wel += n * sum(values)
         for (adv, _, _), p, v in zip(seg.ranking, prices, values):
-            if want is None or adv in want:
-                paid[adv] = paid.get(adv, 0) + n * p
-                gained[adv] = gained.get(adv, 0) + n * (v - p)
+            paid[adv] = paid.get(adv, 0) + n * p
+            gained[adv] = gained.get(adv, 0) + n * (v - p)
     D = segments[0].D if segments else 1  # no queries, nothing to convert
     return DayTotals(D, rev, wel, paid, gained)
 
 
-def pinning_keeps_day(segments: Sequence[Segment],
-                      bidders: Iterable[str]) -> bool:
-    """True when the day is provably unchanged with each of ``bidders``'
-    pool pinned to what it pays over ``segments``.
+def pinning_keeps_prefixes(segments: Sequence[Segment],
+                           bidders: Iterable[str]) -> bool:
+    """True when the day, and each of its prefixes (the day cut short
+    after any query), is provably unchanged with each of ``bidders``'
+    pools pinned to what it pays there.
 
     Pinned, a bidder's pool at query t is what it still pays from t on;
-    other pools are untouched.  The two days agree as long as every slate
-    a settle looks at finds the same bidders broke.  A bidder broke at its
+    other pools are untouched.  Two days agree as long as every slate a
+    settle looks at finds the same bidders broke.  A bidder broke at its
     whole pool is broke pinned too.  On the slate a settle ends with, a
     slotted bidder pays its price over the whole segment, so its pinned
     pool covers that price and does not end the segment early either.
-    That leaves the slates a settle passes through before it ends: this is
-    True when none of them asked a bidder not broke there for more than
-    its pinned pool (``Segment.passed_prices``).  Otherwise the pinned
-    bidder could be dropped there ahead of a higher-scored broke one, so
-    this is False, and only a rerun tells the pinned day.
-    """
-    left = dict.fromkeys(bidders, 0)  # paid from this segment on, in 1/D
-    for seg in reversed(segments):
-        n = seg.hi - seg.lo + 1
-        for (adv, _, _), p in zip(seg.ranking, seg.int_prices):
-            if adv in left:
-                left[adv] += n * p
-        for adv, p in seg.passed_prices:
-            if p > left.get(adv, p):
-                return False
-    return True
-
-
-def pinning_keeps_prefixes(segments: Sequence[Segment],
-                           bidders: Iterable[str]) -> bool:
-    """True when ``pinning_keeps_day`` holds for the day and for each of
-    its prefixes, the day cut short after any query.
+    That leaves the slates a settle passes through before it ends
+    (``Segment.passed_prices``): one that asks a bidder not broke there
+    for more than its pinned pool could drop it ahead of a higher-scored
+    broke one, and then only a rerun tells the pinned day.
 
     A timeline is causal, so a cut keeps the settles, and the passed
     prices, of every segment it reaches, and from any such segment on a
@@ -448,7 +426,7 @@ def pinning_keeps_prefixes(segments: Sequence[Segment],
     its own price on that segment, 0 where it is not slotted.  The test
     reads each segment alone, so it carries over to a day made of these
     segments shifted to a later start and cut short, after segments that
-    none of ``bidders`` has entered yet.  It implies ``pinning_keeps_day``.
+    none of ``bidders`` has entered yet.
     """
     want = set(bidders)
     for seg in segments:

@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 from broadmatch import acbm
 from broadmatch.acbm import excess_budgets
-from broadmatch.equilibrium import natural_base_split
+from broadmatch.equilibrium import natural_base_day
 from broadmatch.model import Allocation
 from broadmatch.partition import day_totals, keyword_day
 from broadmatch.simulate import simulate_day
@@ -30,12 +30,12 @@ from conftest import random_extension_pair, random_profile
 def _first_round(seed: int, reserve: F = F(0)):
     """The scheduler's first-round entries on a seeded extension pair
     (volumes up to 200): for every extension edge of an excess holder,
-    (ext, keyword, rows committed there, entrant, wallet, initial day)."""
+    (ext, keyword, rows committed there, entrant, wallet, initial day).
+    The initial day is the natural split's base day, as in the scheduler."""
     rng = random.Random(seed)
     base, ext = random_extension_pair(rng, v_max=200)
-    profile = natural_base_split(base)
-    day = simulate_day(ext, profile, reserve)
-    info = excess_budgets(base, profile, reserve)
+    profile, day = natural_base_day(base, reserve)
+    info = excess_budgets(base, day)
     for e in ext.extension_edges():
         i, j = e.advertiser, e.keyword
         if info[i]["excess"]:
@@ -128,7 +128,7 @@ def quiet_segments(seeds, reserves=(F(0), F(1, 2))) -> dict:
                 def pinned_delta(t):
                     entrant = Allocation(i, j, 0, avail, t)
                     segs = keyword_day(ext, j, on_j + (entrant,), reserve)
-                    paid = day_totals(segs, [i]).paid.get(i, F(0))
+                    paid = day_totals(segs).paid.get(i, F(0))
                     pinned = Allocation(i, j, 0, paid, t)
                     segs = keyword_day(ext, j, on_j + (pinned,), reserve)
                     return day_totals(segs).revenue - day.keyword_revenue[j]

@@ -1,18 +1,21 @@
 """Excess budgets, entry witnesses, and the revenue-driven entry scheduler."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
 
 from broadmatch import acbm
 from broadmatch.acbm import allocate_excess, excess_budgets, obrev_check
-from broadmatch.equilibrium import natural_base_split
+from broadmatch.equilibrium import natural_base_day
 from broadmatch.model import Allocation, load_instance, validate_profile
-from broadmatch.partition import keyword_day, pinning_keeps_day
-from broadmatch.simulate import check_profile_consistency
+from broadmatch.partition import keyword_day, pinning_keeps_prefixes
+from broadmatch.simulate import (DayOutcome, check_profile_consistency,
+                                 simulate_day)
 from conftest import (FIXTURES, RESERVE_GRID, build_instance,
                       random_extension_pair, random_profile,
-                      reference_entry_cost, reference_keyword_revenue)
+                      reference_entry_cost, reference_keyword_revenue,
+                      segment_views)
 from fine_search_misses import quiet_segments
 
 
@@ -27,8 +30,25 @@ def pair(stem):
 ONE = ("1",)  # single slot, clickability one
 
 
+def excess(instance):
+    """``excess_budgets`` on the natural split's base day."""
+    return excess_budgets(instance, natural_base_day(instance)[1])
+
+
+def witness(base, ext):
+    """``obrev_check`` on the natural split's base day."""
+    return obrev_check(base, ext, natural_base_day(base)[1])
+
+
+def plan(base, ext, fine=False):
+    """``allocate_excess`` from the natural split and its base day, as the
+    ``acbm`` command runs it at reserve 0."""
+    profile, day = natural_base_day(base)
+    return allocate_excess(base, ext, profile, day, fine)
+
+
 def test_excess_budgets_of_the_two_keyword_pair():
-    info = excess_budgets(inst("two-keyword-entry-ext.json"))
+    info = excess(inst("two-keyword-entry-ext.json"))
     assert info["1"] == {"budget": F(45), "spend": F(45), "leftover": F(0),
                          "top_score": F(5), "excess": False}
     assert info["2"]["excess"] and info["2"]["leftover"] == F(37)
@@ -39,7 +59,7 @@ def test_excess_budgets_of_the_two_keyword_pair():
 
 def test_entry_witness_when_last_actives_are_all_excess():
     base, ext = pair("two-keyword-entry")
-    chk = obrev_check(base, ext)
+    chk = witness(base, ext)
     assert chk["ok"]
     assert chk["witnesses"] == [
         {"advertiser": "3", "keyword": "k1", "condition": "a"}]
@@ -48,7 +68,7 @@ def test_entry_witness_when_last_actives_are_all_excess():
 
 def test_scheduler_coarse_entry():
     base, ext = pair("two-keyword-entry")
-    res = allocate_excess(base, ext)
+    res = plan(base, ext)
     assert res["moves"] == [{"advertiser": "3", "keyword": "k1",
                              "start_query": 1, "budget": F(0),
                              "delta": F(71, 2), "kind": "entry"}]
@@ -69,7 +89,7 @@ def test_scheduler_coarse_entry():
 
 def test_scheduler_fine_entry_timing():
     base, ext = pair("two-keyword-entry")
-    res = allocate_excess(base, ext, fine=True)
+    res = plan(base, ext, fine=True)
     # delaying entry to query 15 keeps the incumbents paying longer
     assert res["moves"] == [{"advertiser": "3", "keyword": "k1",
                              "start_query": 15, "budget": F(0),
@@ -83,12 +103,12 @@ def test_witness_screen_is_sufficient_not_necessary():
     # both slots stay with higher-scored excess holders, so no structural
     # witness exists; the fine scheduler still finds a timing-based gain
     base, ext = pair("single-extension")
-    chk = obrev_check(base, ext)
+    chk = witness(base, ext)
     assert chk == {"ok": False, "witnesses": [], "excess": ["1", "2", "3"]}
-    coarse = allocate_excess(base, ext)
+    coarse = plan(base, ext)
     assert coarse["moves"] == [] and coarse["delta"] == F(0)
     assert coarse["final_revenue"] == F(5964, 5)
-    fine = allocate_excess(base, ext, fine=True)
+    fine = plan(base, ext, fine=True)
     assert fine["moves"] == [{"advertiser": "3", "keyword": "k1",
                               "start_query": 961, "budget": F(0),
                               "delta": F(448, 5), "kind": "entry"}]
@@ -103,14 +123,14 @@ def test_witness_when_entrant_outscores_an_outsider():
     base = build_instance(ONE, kws, advs, shared)
     ext = build_instance(ONE, kws, advs,
                          shared + (("E", "x", "1", "extension"),))
-    info = excess_budgets(ext)
+    info = excess(ext)
     assert {i: r["excess"] for i, r in info.items()} == {
         "A": True, "Bb": False, "C": False, "E": True}
-    chk = obrev_check(base, ext)
+    chk = witness(base, ext)
     assert chk["witnesses"] == [
         {"advertiser": "E", "keyword": "x", "condition": "c"}]
     # E enters below everyone who pays, yet lifts A's price from 1/2 to 1
-    res = allocate_excess(base, ext)
+    res = plan(base, ext)
     assert res["moves"] == [{"advertiser": "E", "keyword": "x",
                              "start_query": 1, "budget": F(0),
                              "delta": F(9, 2), "kind": "entry"}]
@@ -126,11 +146,11 @@ def test_dark_stream_needs_a_pair():
     ext = build_instance(ONE, kws, advs,
                          shared + (("E1", "z", "3", "extension"),
                                    ("E2", "z", "2", "extension")))
-    chk = obrev_check(base, ext)
+    chk = witness(base, ext)
     # only the higher-scored entrant has a paying companion below her
     assert chk["witnesses"] == [
         {"advertiser": "E1", "keyword": "z", "condition": "b"}]
-    res = allocate_excess(base, ext)
+    res = plan(base, ext)
     assert res["moves"] == [{"advertisers": ["E1", "E2"], "keyword": "z",
                              "start_query": 1, "budgets": [F(10), F(0)],
                              "delta": F(10), "kind": "paired-entry"}]
@@ -145,20 +165,44 @@ def test_dark_stream_needs_a_pair():
 
 def test_no_excess_no_moves():
     base, ext = pair("edge-no-shift")
-    chk = obrev_check(base, ext)
+    chk = witness(base, ext)
     assert chk == {"ok": False, "witnesses": [], "excess": ["1"]}
-    res = allocate_excess(base, ext)
+    res = plan(base, ext)
     assert res["moves"] == [] and res["delta"] == F(0)
     assert res["initial_revenue"] == res["final_revenue"] == F(21)
 
 
-def test_explicit_profile_argument_matches_the_default():
-    from broadmatch.equilibrium import natural_base_split
-    base, ext = pair("two-keyword-entry")
-    nat = natural_base_split(base)
-    assert excess_budgets(ext, profile=nat) == excess_budgets(ext)
-    assert obrev_check(base, ext, profile=nat) == obrev_check(base, ext)
-    assert allocate_excess(base, ext, profile=nat)["final_revenue"] == F(221, 2)
+def _day_views(day):
+    """A day's fields, dict key order included, segments as their views."""
+    out = {}
+    for f in fields(DayOutcome):
+        x = getattr(day, f.name)
+        if f.name == "segments":
+            x = {kw: [segment_views(g) for g in segs]
+                 for kw, segs in x.items()}
+        out[f.name] = list(x.items()) if isinstance(x, dict) else x
+    return out
+
+
+def test_natural_base_day_is_the_broadened_day_before_entry():
+    """``allocate_excess`` starts from the base day it is handed: the
+    natural split's rows meet the same scores on the same keywords in the
+    broadened market, so its day there is the base day, field for field,
+    at every reserve; 300 seeded extension pairs."""
+    seen = {"shared": 0, "paid": 0, "priced-out": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        base, ext = random_extension_pair(rng)
+        for reserve in sorted(set(RESERVE_GRID)):
+            profile, day = natural_base_day(base, reserve)
+            assert _day_views(day) == _day_views(
+                simulate_day(ext, profile, reserve)), (seed, reserve)
+            seen["shared"] += any(day.segments[e.keyword][0].ranking
+                                  for e in ext.extension_edges())
+            seen["paid"] += day.revenue > 0
+            seen["priced-out"] += any(e.score < reserve
+                                      for e in base.edges)
+    assert min(seen.values()) >= 50, seen
 
 
 # -- the probe ---------------------------------------------------------------
@@ -184,8 +228,9 @@ _PROBE_GAMMAS = [None, (F(1), F(9, 10)), (F(1), F(3, 4), F(1, 2)),
 def test_one_run_probe_matches_the_two_run_reference():
     """``_probe`` runs the keyword's day once with the entrants at their
     whole wallets, and again with them pinned to their costs only when
-    ``pinning_keeps_day`` cannot show the pinned day is the same; the
-    two-run reference always pins first.  Both must give the same revenue
+    ``pinning_keeps_prefixes`` cannot show the pinned day is the same,
+    which is what it reports as certified; the two-run reference always
+    pins first.  Both must give the same revenue
     and payments, on 4,000 seeded extension pairs with single and paired
     entrants and drops both even and increasing."""
     seen = {"single": 0, "pair": 0, "leftover": 0, "evicted": 0,
@@ -215,8 +260,9 @@ def test_one_run_probe_matches_the_two_run_reference():
                 segs = keyword_day(ext, kw, on_kw + entrants, reserve)
                 seen["single" if len(entrants) == 1 else "pair"] += 1
                 ids = [e.advertiser for e in entrants]
-                if not pinning_keeps_day(segs, ids):
-                    assert not certified, (seed, kw, entrants)
+                assert certified == pinning_keeps_prefixes(segs, ids), (
+                    seed, kw, entrants)
+                if not certified:
                     seen["rerun"] += 1
                     seen["pinning-moved-the-day"] += (
                         got[0] != reference_keyword_revenue(
@@ -251,7 +297,7 @@ def test_probe_reruns_where_pinning_moves_the_day():
     entrant = Allocation("E", "k", 0, F(100), 1)
     segs = keyword_day(ext, "k", rows + (entrant,), F(0))
     assert sum((len(s) * s.revenue for s in segs), F(0)) == F(89, 10)
-    assert not pinning_keeps_day(segs, ["E"])
+    assert not pinning_keeps_prefixes(segs, ["E"])
     assert acbm._probe(ext, rows, "k", (entrant,), F(0)) == (
         F(17, 2), (F(24, 5),), False)
 
@@ -358,7 +404,7 @@ def test_quiet_segment_without_the_certificate_is_searched(monkeypatch):
         return got
 
     monkeypatch.setattr(acbm, "_search", spy)
-    res = allocate_excess(base, ext, fine=True)
+    res = plan(base, ext, fine=True)
     assert res["moves"] == [] and res["final_revenue"] == F(0)
     [(lo, hi, quiet, got, full)] = searched
     assert (lo, hi, quiet) == (1, 1000, True)

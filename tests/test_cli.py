@@ -145,8 +145,9 @@ def test_reports_are_byte_deterministic(fx):
 
 def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
     """At reserve 0 the day that fills in the natural split's query counts
-    is the base day, so one base day, then one broadened day per round
-    (the first is the initial day, the last the final one)."""
+    is the base day, which is also the broadened day before any entry, so
+    one base day, then one broadened day per round after a move (the last
+    is the final day)."""
     from broadmatch import acbm, equilibrium, simulate
     real = simulate.simulate_day
     calls = []
@@ -161,7 +162,7 @@ def test_acbm_job_runs_its_base_day_once(fx, monkeypatch):
     assert code == 0
     assert out == (GOLDEN / "acbm-fine.json").read_text(encoding="utf-8")
     rounds = len(json.loads(out)["result"]["moves"]) + 1
-    assert len(calls) == 1 + rounds
+    assert len(calls) == rounds
 
 
 def test_acbm_job_copies_its_base_market_once(fx, monkeypatch):
@@ -660,6 +661,13 @@ def test_table_formats(fx):
     assert "result.delta  184/5 (36.8000)" in lines
     assert "exit_code  0" in lines
 
+    code, out = fx("acbm", "two-keyword-entry-base.json",
+                   "--ext", "two-keyword-entry-ext.json", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    assert "result.moves[0].start_query  1" in lines
+    assert "result.delta  71/2 (35.5000)" in lines
+
     code, out = fx("verify", "three-keyword-family.json",
                    "--split", "three-keyword-family-shifted.split.json",
                    "--bme", "--format", "table")
@@ -703,6 +711,17 @@ def test_fixture_listing_and_emission(fx, tmp_path):
 
     code, out = fx("fixtures", "no-such-example")
     assert code == 2 and json.loads(out)["error"]["type"] == "usage"
+
+
+def test_fixture_file_that_cannot_be_written_is_a_usage_error(fx, tmp_path):
+    """A fixture file whose target path is a directory cannot be copied:
+    the run ends in a usage envelope naming the file, exit 2."""
+    (tmp_path / "two-keyword-entry-base.json").mkdir()
+    code, out = fx("fixtures", "two-keyword-entry", str(tmp_path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage"
+    assert "two-keyword-entry-base.json" in error["message"]
 
 
 def test_console_script_is_wired():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
 from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
-                                  keyword_day, pinning_keeps_day,
-                                  pinning_keeps_prefixes,
+                                  keyword_day, pinning_keeps_prefixes,
                                   run_keyword_timeline, subject_day,
                                   tables_for)
 from broadmatch.simulate import simulate_day
@@ -214,18 +213,16 @@ def test_int_core_is_exact_across_coprime_denominators():
     assert min(seen.values()) >= 300, seen
 
 
-def test_pinning_keeps_day_only_where_the_pinned_day_is_the_same():
-    """Where ``pinning_keeps_day`` is True, rerunning the day with those
-    bidders' pools pinned to their spend gives the same segments, field
-    for field; 3,000 seeded days with drops even, falling and rising.
-    Where it is False the pinned day often does differ: the check is not
-    vacuous.  Where ``pinning_keeps_prefixes`` is True, so is
-    ``pinning_keeps_day``, and the same holds for the day cut short to
-    each of its prefixes, each pinned to its own spend.  ``day_totals``
-    matches the sums of the exact views."""
+def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
+    """Where ``pinning_keeps_prefixes`` is True, rerunning the day with
+    those bidders' pools pinned to their spend gives the same segments,
+    field for field, and so does the day cut short to each of its
+    prefixes, each pinned to its own spend; 3,000 seeded days with drops
+    even, falling and rising.  Where it is False the pinned day often does
+    differ: the check is not vacuous.  ``day_totals`` matches the sums of
+    the exact views."""
     rng = random.Random(8191)
-    seen = {"kept": 0, "kept-after-evictions": 0, "rerun": 0,
-            "moved": 0, "prefixes-kept-after-evictions": 0}
+    seen = {"kept": 0, "kept-after-evictions": 0, "rerun": 0, "moved": 0}
     for case in range(3000):
         gamma = sorted({F(rng.randint(1, 20), 20)
                         for _ in range(rng.randint(0, 3))} | {F(1)},
@@ -246,31 +243,27 @@ def test_pinning_keeps_day_only_where_the_pinned_day_is_the_same():
         assert totals.welfare == sum((len(g) * g.welfare for g in segs), F(0))
         for adv, paid in totals.paid.items():
             assert paid == _spend(segs, adv), case
-        pinned = [(i, s, q0, totals.paid.get(i, F(0)) if i in watched else b)
-                  for i, s, q0, b in bidders]
-        again = run_keyword_timeline(slots, volume, pinned, reserve)
-        same = ([segment_views(g) for g in segs]
-                == [segment_views(g) for g in again])
         evicted = any(adv in watched for g in segs
                       for adv, _ in g.passed_prices)
-        if pinning_keeps_day(segs, watched):
-            assert same, case
-            seen["kept"] += 1
-            seen["kept-after-evictions"] += evicted
-        else:
+        if not pinning_keeps_prefixes(segs, watched):
+            pinned = [(i, s, q0, totals.paid.get(i, F(0)) if i in watched
+                       else b) for i, s, q0, b in bidders]
             seen["rerun"] += 1
-            seen["moved"] += not same
-        if pinning_keeps_prefixes(segs, watched):
-            assert pinning_keeps_day(segs, watched), case
-            seen["prefixes-kept-after-evictions"] += evicted
-            for n in range(1, volume):
-                cut = run_keyword_timeline(slots, n, bidders, reserve)
-                paid = day_totals(cut).paid
-                pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched
-                           else b) for i, s, q0, b in bidders]
-                assert ([segment_views(g) for g in cut]
-                        == [segment_views(g) for g in run_keyword_timeline(
-                            slots, n, pinned, reserve)]), (case, n)
+            seen["moved"] += ([segment_views(g) for g in segs]
+                              != [segment_views(g) for g in
+                                  run_keyword_timeline(slots, volume, pinned,
+                                                       reserve)])
+            continue
+        seen["kept"] += 1
+        seen["kept-after-evictions"] += evicted
+        for n in range(1, volume + 1):
+            cut = run_keyword_timeline(slots, n, bidders, reserve)
+            paid = day_totals(cut).paid
+            pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched else b)
+                      for i, s, q0, b in bidders]
+            assert ([segment_views(g) for g in cut]
+                    == [segment_views(g) for g in run_keyword_timeline(
+                        slots, n, pinned, reserve)]), (case, n)
     assert min(seen.values()) >= 20, seen
 
 
@@ -623,7 +616,7 @@ def test_global_partition_of_the_natural_day():
     assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]
     assert day.spend == {"1": F(45), "2": F(0), "3": F(30), "4": F(0)}
     assert day.leftover == {"1": F(0), "2": F(37), "3": F(10), "4": F(20)}
-    info = excess_budgets(small(), natural())
+    info = excess_budgets(small(), day)
     assert {i: rec["top_score"] for i, rec in info.items()} == {
         "1": F(5), "2": F(3), "3": F(3, 2), "4": F(1)}
     holders = {kw: frozenset(e.advertiser for e in small().base_edges()
@@ -637,7 +630,8 @@ def test_global_partition_of_the_natural_day():
 # -- excess holders of the natural day ----------------------------------------
 
 def test_top_score_counts_base_edges_only():
-    info = excess_budgets(small(), natural())
+    info = excess_budgets(small(),
+                          simulate_day(small().base_instance(), natural()))
     # 3 holds a score-2 extension edge on k1, but her base score stays 3/2
     assert {i: rec["top_score"] for i, rec in info.items()} == {
         "1": F(5), "2": F(3), "3": F(3, 2), "4": F(1)}

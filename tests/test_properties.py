@@ -13,7 +13,7 @@ from broadmatch.auction import price_query
 from broadmatch.bestresp import (_unstable, _walk, brute_force_oracle,
                                  exact_best_response_dp, fptas_as2,
                                  greedy_local_best_response)
-from broadmatch.equilibrium import verify_bme
+from broadmatch.equilibrium import natural_base_day, verify_bme
 from broadmatch.model import Allocation, Profile, all_in_profile
 from broadmatch.partition import tables_for
 from broadmatch.simulate import simulate_day
@@ -105,7 +105,9 @@ def test_excess_scheduling_never_loses_revenue():
     for seed in SEEDS:
         rng = random.Random(seed)
         base, ext = random_extension_pair(rng)
-        res = allocate_excess(base, ext, fine=rng.random() < 1 / 2)
+        profile, day = natural_base_day(base)
+        res = allocate_excess(base, ext, profile, day,
+                              fine=rng.random() < 1 / 2)
         assert res["delta"] >= 0, (seed, res["moves"])
         assert res["final_revenue"] == res["initial_revenue"] + res["delta"]
 
