@@ -217,8 +217,10 @@ def _quiet(seg: Segment, rows: Sequence[Allocation], volume: int) -> bool:
 
 def _search(lo: int, hi: int, fine: bool, probe,
             quiet: bool = False) -> Dict[int, tuple]:
-    """Probe entry starts in [lo, hi]; ``probe(t)`` returns (delta, ...,
-    certified), the last item ``_probe``'s prefix certificate.
+    """Probe entry starts in [lo, hi]; ``probe(t)`` returns (value, ...,
+    certified) as ``_probe`` does: first the keyword's revenue with the
+    entry at t, or anything that ranks starts as it does, such as the
+    entry's delta; last ``_probe``'s prefix certificate.
 
     Coarse, the one start is ``lo``.  Fine, a ``quiet`` segment
     (``_quiet``) is settled by two probes, ``lo`` and ``lo + 1``, when the
@@ -310,49 +312,61 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
                 free -= day.edge_spend.get((i, r.keyword), ZERO)
         return free
 
-    def try_entry(i: str, j: str, on_j: Tuple[Allocation, ...], start: int,
-                  avail: Fraction,
-                  day: DayOutcome) -> Tuple[Fraction, Allocation, bool]:
-        probe = Allocation(i, j, 0, avail, start)
-        rev, (paid,), certified = _probe(ext, on_j, j, (probe,), reserve)
-        return (rev - day.keyword_revenue[j], Allocation(i, j, 0, paid, start),
-                certified)
-
     info = excess_budgets(base, base_day)
     while True:
         current = Profile(rows, kind="schedule")
         if moves:  # the rows changed in the last round
             day = simulate_day(ext, current, reserve)
+        # the unused new edges whose holder's free wallet covers her top
+        # base score, with that wallet: this round's possible entrants
+        movers = []
+        for i, j in new_edges:
+            top = info[i]["top_score"]
+            if (i, j) not in used and top is not None:
+                avail = wallet(i, day)
+                if avail >= top:
+                    movers.append((i, j, avail))
         best_delta = ZERO
         best: Optional[Tuple[Allocation, ...]] = None
         best_move: Optional[dict] = None
-        for i, j in new_edges:
-            if (i, j) in used:
-                continue
-            top = info[i]["top_score"]
-            avail = wallet(i, day)
-            if top is None or avail < top:
-                continue
+        for i, j, avail in movers:
             on_j = current.rows_on(j)
             for seg in day.segments[j]:
                 probed = _search(seg.lo, seg.hi, fine,
-                                 lambda t: try_entry(i, j, on_j, t, avail,
-                                                     day),
+                                 lambda t: _probe(ext, on_j, j, (Allocation(
+                                     i, j, 0, avail, t),), reserve),
                                  _quiet(seg, on_j, ext.volume(j)))
-                for t, (delta, entrant, _) in sorted(probed.items()):
+                for t, (rev, (paid,), _) in sorted(probed.items()):
+                    delta = rev - day.keyword_revenue[j]
                     if delta > best_delta:
                         best_delta = delta
-                        best = (entrant,)
+                        best = (Allocation(i, j, 0, paid, t),)
                         best_move = {"advertiser": i, "keyword": j,
-                                     "start_query": t, "budget": entrant.budget,
+                                     "start_query": t, "budget": paid,
                                      "delta": delta, "kind": "entry"}
         if best is None:
-            # no single entry pays: try waking a dark stream with a pair
-            pair = _paired_entry(ext, current, day, info, used, wallet,
-                                 new_edges, reserve)
-            if pair is None:
+            # no single entry pays: try waking a dark stream with a pair,
+            # both entering at one of its dark segments' first query
+            for a, (i1, j, av1) in enumerate(movers):
+                on_j = current.rows_on(j)
+                dark = [seg.lo for seg in day.segments[j] if not seg.active]
+                for i2, _, av2 in [m for m in movers[a + 1:] if m[1] == j]:
+                    for t in dark:
+                        rev, paid, _ = _probe(
+                            ext, on_j, j, (Allocation(i1, j, 0, av1, t),
+                                           Allocation(i2, j, 0, av2, t)),
+                            reserve)
+                        delta = rev - day.keyword_revenue[j]
+                        if delta > best_delta:
+                            best_delta = delta
+                            best = (Allocation(i1, j, 0, paid[0], t),
+                                    Allocation(i2, j, 0, paid[1], t))
+                            best_move = {
+                                "advertisers": [i1, i2], "keyword": j,
+                                "start_query": t, "budgets": list(paid),
+                                "delta": delta, "kind": "paired-entry"}
+            if best is None:
                 break
-            best_delta, best, best_move = pair
         for entrant in best:
             i = entrant.advertiser
             if i not in reduced:
@@ -378,40 +392,3 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
         "final_welfare": final_day.welfare,
     }
 
-
-def _paired_entry(ext, current, day, info, used, wallet, new_edges, reserve):
-    """One combined move: two entrants into a currently dark stream."""
-    dark_starts: Dict[str, List[int]] = {}
-    for k in ext.keywords:
-        dark_starts[k.id] = [s.lo for s in day.segments[k.id] if not s.active]
-    best = None
-    for a in range(len(new_edges)):
-        i1, j1 = new_edges[a]
-        if (i1, j1) in used or not dark_starts.get(j1):
-            continue
-        top1 = info[i1]["top_score"]
-        av1 = wallet(i1, day)
-        if top1 is None or av1 < top1:
-            continue
-        on_j = current.rows_on(j1)
-        for b in range(a + 1, len(new_edges)):
-            i2, j2 = new_edges[b]
-            if j2 != j1 or i2 == i1 or (i2, j2) in used:
-                continue
-            top2 = info[i2]["top_score"]
-            av2 = wallet(i2, day)
-            if top2 is None or av2 < top2:
-                continue
-            for t in dark_starts[j1]:
-                rev, (paid1, paid2), _ = _probe(
-                    ext, on_j, j1, (Allocation(i1, j1, 0, av1, t),
-                                    Allocation(i2, j1, 0, av2, t)), reserve)
-                e1 = Allocation(i1, j1, 0, paid1, t)
-                e2 = Allocation(i2, j1, 0, paid2, t)
-                delta = rev - day.keyword_revenue[j1]
-                if delta > (best[0] if best else ZERO):
-                    move = {"advertisers": [i1, i2], "keyword": j1,
-                            "start_query": t, "budgets": [paid1, paid2],
-                            "delta": delta, "kind": "paired-entry"}
-                    best = (delta, (e1, e2), move)
-    return best

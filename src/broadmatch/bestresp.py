@@ -14,9 +14,9 @@ Four solvers, one contract:
   utilities; exact optimum, refuses oversized inputs.
 * ``rounded_dp_as1`` — the same knapsack on utilities floored to a grid of
   step eps*P/M; payoff at least (1-eps) of optimal.
-* ``fptas_as2`` — AS1 on a volume-independent candidate grid per keyword;
-  still a (1-eps) guarantee, but with table dimensions independent of
-  query volumes.
+* ``fptas_as2`` — the rounded knapsack on a volume-independent candidate
+  grid per keyword; still a (1-eps) guarantee, but with table dimensions
+  independent of query volumes.
 
 ``brute_force_oracle`` cross-checks the others by enumeration on small
 inputs.
@@ -25,7 +25,9 @@ The dp and AS1/AS2 share one knapsack on Python ints over the tables' int
 prefix costs and payoffs, scaled with the budget to one common denominator.
 It merges the keywords' (cost, level) Pareto fronts one at a time and takes
 the witness the full rational table picks, by that table's tie rule.
-``WORK_CAP`` bounds that table as projected, not the pairs merged.
+``WORK_CAP`` bounds that table as projected, not the pairs merged.  AS1 and
+the fptas differ only in the candidate prefix lengths they hand the one
+rounded driver, ``_rounded``: every affordable one, or the fptas grid.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ ZERO = Fraction(0)
 # Work cap of the exact dp, the rounded dp's table and the fptas grid:
 # beyond it a solve refuses with ``ScaleError``.
 WORK_CAP = 10 ** 7
+# Search-space cap of the brute-force oracle.
+BRUTE_CAP = 10 ** 6
 
 
 class ScaleError(ValueError):
@@ -79,6 +83,16 @@ def _exact_value(tables: Mapping[str, PartitionTable],
         payoff += u
         cost += c
     return payoff, cost
+
+
+def _answer(advertiser: str, method: str, tables: Mapping[str, PartitionTable],
+            queries: Dict[str, int], meta: dict) -> BestResponse:
+    """The response buying ``queries``, each keyword's committed budget
+    exactly the cost of its prefix."""
+    payoff, cost = _exact_value(tables, queries)
+    committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}
+    return BestResponse(advertiser, method, queries, committed, payoff, cost,
+                        meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +382,28 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable,
     solved by scanning the cheaper-to-scan variable (per-query payoffs are
     never negative, so free segments are always taken whole).  Work is the
     total scan length over feasible configurations; refuses beyond
-    ``WORK_CAP``.
+    ``WORK_CAP`` before scanning.  Costs, payoffs and the budget are ints
+    over one common denominator; the first strictly best point in
+    configuration order is the witness.
     """
-    # (payoff, cost) of each table's prefix up to each of its breakpoints
-    cum_a = [ta.prefix(z) for z in ta.breakpoints]
-    cum_b = [tb.prefix(z) for z in tb.breakpoints]
-    work = 0
-    for sa in range(ta.segment_count):
-        for sb in range(tb.segment_count):
-            base = cum_a[sa][1] + cum_b[sb][1]
-            if base > budget:
-                continue
-            la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
-            lb = tb.breakpoints[sb + 1] - tb.breakpoints[sb]
-            ca, cb = ta.costs[sa], tb.costs[sb]
-            if ca > 0 and cb > 0:
-                work += min(la, lb) + 1
-            else:
-                work += 1
+    den = math.lcm(budget.denominator, ta.D, tb.D)
+    cap = budget.numerator * (den // budget.denominator)
+
+    def segments(t: PartitionTable) -> List[Tuple[int, ...]]:
+        """(start, length, prefix cost, prefix payoff, cost, payoff) per
+        segment, the start its first query - 1 and the rest in 1/den."""
+        bps, scale = t.breakpoints, den // t.D
+        return [(bps[k], bps[k + 1] - bps[k], t.int_cum_cost[k] * scale,
+                 t.int_cum_payoff[k] * scale, t.int_costs[k] * scale,
+                 t.int_payoffs[k] * scale) for k in range(t.segment_count)]
+
+    feasible, work, segs_b = [], 0, segments(tb)
+    for a in segments(ta):
+        for b in segs_b:
+            room = cap - a[2] - b[2]
+            if room >= 0:
+                feasible.append((a, b, room))
+                work += min(a[1], b[1]) + 1 if a[4] and b[4] else 1
     if work > WORK_CAP:
         raise ScaleError(
             "exact dp would scan ~%d points (cap %d); use the fptas instead"
@@ -393,34 +411,21 @@ def _config_pair(ta: PartitionTable, tb: PartitionTable,
 
     best_u = None
     best = (0, 0)
-    for sa in range(ta.segment_count):
-        for sb in range(tb.segment_count):
-            base_c = cum_a[sa][1] + cum_b[sb][1]
-            room = budget - base_c
-            if room < 0:
-                continue
-            base_u = cum_a[sa][0] + cum_b[sb][0]
-            la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
-            lb = tb.breakpoints[sb + 1] - tb.breakpoints[sb]
-            ca, cb = ta.costs[sa], tb.costs[sb]
-            ua, ub = ta.payoffs[sa], tb.payoffs[sb]
-            if ca == 0 and cb == 0:
-                picks = [(la, lb)]
-            elif ca == 0:
-                picks = [(la, min(lb, int(room // cb)))]
-            elif cb == 0:
-                picks = [(min(la, int(room // ca)), lb)]
-            elif la <= lb:
-                picks = [(i, min(lb, int((room - i * ca) // cb)))
-                         for i in range(min(la, int(room // ca)) + 1)]
-            else:
-                picks = [(min(la, int((room - i * cb) // ca)), i)
-                         for i in range(min(lb, int(room // cb)) + 1)]
-            for i, j in picks:
-                u = base_u + i * ua + j * ub
-                if best_u is None or u > best_u:
-                    best_u = u
-                    best = (ta.breakpoints[sa] + i, tb.breakpoints[sb] + j)
+    for (za, la, _, pa, ca, ua), (zb, lb, _, pb, cb, ub), room in feasible:
+        if not (ca and cb):
+            picks = [(min(la, room // ca) if ca else la,
+                      min(lb, room // cb) if cb else lb)]
+        elif la <= lb:
+            picks = ((i, min(lb, (room - i * ca) // cb))
+                     for i in range(min(la, room // ca) + 1))
+        else:
+            picks = ((min(la, (room - j * cb) // ca), j)
+                     for j in range(min(lb, room // cb) + 1))
+        for i, j in picks:
+            u = pa + pb + i * ua + j * ub
+            if best_u is None or u > best_u:
+                best_u = u
+                best = (za + i, zb + j)
     return best[0], best[1], work
 
 
@@ -470,66 +475,57 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
                       for kw, t in tabs}
         queries, _ = _knapsack(tabs, budget, candidates, unit)
         meta.update(unit=unit, cells=projected)
-    payoff, cost = _exact_value(tables, queries)
-    committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}
-    return BestResponse(advertiser, "dp", queries, committed, payoff, cost,
-                        meta=meta)
+    return _answer(advertiser, "dp", tables, queries, meta)
 
 
-def _peak_single(tabs, budget) -> Fraction:
-    """Best payoff any single keyword alone can reach within the budget."""
-    best = ZERO
-    for kw, t in tabs:
-        u, _ = t.prefix(t.max_affordable(budget))
-        if u > best:
-            best = u
-    return best
+def _rounded(tables: Mapping[str, PartitionTable], budget: Fraction,
+             afford: Mapping[str, int], eps: Fraction,
+             grids: Mapping[str, Sequence[int]]
+             ) -> Tuple[Dict[str, int], Optional[Fraction]]:
+    """The knapsack on utilities floored to multiples of eps*P/M over the
+    ascending candidate prefix lengths ``grids[kw]``: P is the best
+    single-keyword payoff within budget, read at ``afford[kw]``, each
+    keyword's ``max_affordable`` prefix, and M the keyword count.  Returns
+    the witness and the unit, or all-zero queries and no unit when P = 0.
 
-
-def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
-                   eps: Fraction, reserve: Fraction = ZERO,
-                   grids: Optional[Dict[str, Sequence[int]]] = None,
-                   _tables: Optional[Dict[str, PartitionTable]] = None,
-                   ) -> BestResponse:
-    """Knapsack on utilities floored to multiples of eps*P/M.
-
-    P is the best single-keyword payoff within budget, M the keyword count;
-    the utility axis then has at most M*ceil(M/eps) levels regardless of
-    how fine the exact payoffs are.  Guarantee: payoff >= (1-eps)*optimum.
-    ``grids`` optionally restricts candidate prefix lengths per keyword
-    (the fptas wrapper passes volume-independent grids, and the tables it
-    built them from as ``_tables``, so one solve builds its tables once).
     Levels are at most floor(M/eps), so the projected table (which bounds
     the pairs merged) has at most (M*floor(M/eps) + 1) x (candidate count)
     cells; past ``WORK_CAP`` that raises ``ScaleError`` before any build.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    tables = _tables if _tables is not None else tables_for(
-        instance, advertiser, others, reserve=reserve)
-    tabs = list(tables.items())
-    budget = instance.budget(advertiser)
-    m = len(tabs)
-    peak = _peak_single(tabs, budget)
-    if m == 0 or peak == 0:
-        return BestResponse(advertiser, "as1", {kw: 0 for kw, _ in tabs},
-                            {kw: ZERO for kw, _ in tabs}, ZERO, ZERO,
-                            meta={"eps": eps})
+    m = len(tables)
+    peak = max([ZERO, *(tables[kw].prefix(x)[0] for kw, x in afford.items())])
+    if peak == 0:
+        return {kw: 0 for kw in tables}, None
     unit = eps * peak / m
-    grid = {kw: grids[kw] if grids is not None
-            else range(t.max_affordable(budget) + 1) for kw, t in tabs}
-    projected = (m * math.floor(m / eps) + 1) * sum(map(len, grid.values()))
+    projected = (m * math.floor(m / eps) + 1) * sum(map(len, grids.values()))
     if projected > WORK_CAP:
         raise ScaleError(
             "rounded dp would need up to %d cells (cap %d); use a larger eps"
             % (projected, WORK_CAP))
-    candidates = {kw: _candidate_values(t, grid[kw], budget) for kw, t in tabs}
+    tabs = list(tables.items())
+    candidates = {kw: _candidate_values(t, grids[kw], budget) for kw, t in tabs}
     queries, _ = _knapsack(tabs, budget, candidates, unit)
-    payoff, cost = _exact_value(tables, queries)
-    committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}
-    return BestResponse(advertiser, "as1", queries, committed, payoff, cost,
-                        meta={"eps": eps, "unit": unit})
+    return queries, unit
+
+
+def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
+                   eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
+    """AS1: the knapsack on utilities floored to multiples of eps*P/M
+    (``_rounded``) over every affordable prefix length.
+
+    The utility axis has at most M*ceil(M/eps) levels regardless of how
+    fine the exact payoffs are.  Guarantee: payoff >= (1-eps)*optimum.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    tables = tables_for(instance, advertiser, others, reserve=reserve)
+    budget = instance.budget(advertiser)
+    afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
+    queries, unit = _rounded(tables, budget, afford, eps,
+                             {kw: range(x + 1) for kw, x in afford.items()})
+    meta = {"eps": eps} if unit is None else {"eps": eps, "unit": unit}
+    return _answer(advertiser, "as1", tables, queries, meta)
 
 
 def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
@@ -574,11 +570,14 @@ def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
 
 def fptas_as2(instance: Instance, advertiser: str, others: Profile,
               eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
-    """Fully polynomial scheme: AS1 on per-keyword endpoint grids.
+    """Fully polynomial scheme: the rounded knapsack (``_rounded``) on
+    per-keyword endpoint grids.
 
     The grid forfeits at most an eps^2 factor and the rounding a further
     eps/(1+eps), which compound to exactly (1-eps); table dimensions depend
-    only on keyword count and eps, never on volumes.
+    only on keyword count and eps, never on volumes.  The grids are built
+    first, so a grid past ``WORK_CAP`` refuses before the rounded table is
+    sized, and ``grid_sizes`` is reported even when nothing pays.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -586,29 +585,28 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
     tables = tables_for(instance, advertiser, others, reserve=reserve)
     m = len(tables)
     budget = instance.budget(advertiser)
-    grids = {kw: build_subpartition(t, eps, m, cap=t.max_affordable(budget))
+    afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
+    grids = {kw: build_subpartition(t, eps, m, cap=afford[kw])
              for kw, t in tables.items()}
     inner = eps / (1 + eps)
-    res = rounded_dp_as1(instance, advertiser, others, inner, reserve,
-                         grids=grids, _tables=tables)
-    return BestResponse(advertiser, "fptas", res.queries, res.committed,
-                        res.payoff, res.cost,
-                        meta={"eps": eps, "inner_eps": inner,
-                              "grid_sizes": {k: len(v) for k, v in grids.items()}})
+    queries, _ = _rounded(tables, budget, afford, inner, grids)
+    return _answer(advertiser, "fptas", tables, queries,
+                   {"eps": eps, "inner_eps": inner,
+                    "grid_sizes": {k: len(v) for k, v in grids.items()}})
 
 
 def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
-                       reserve: Fraction = ZERO,
-                       cap: int = 10 ** 6) -> BestResponse:
-    """Exhaustive search over all query vectors (small inputs only)."""
+                       reserve: Fraction = ZERO) -> BestResponse:
+    """Exhaustive search over all query vectors (small inputs only); a
+    search space past ``BRUTE_CAP`` raises ``ScaleError``."""
     tables = tables_for(instance, advertiser, others, reserve=reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
     space = 1
     for _, t in tabs:
         space *= t.volume + 1
-        if space > cap:
-            raise ScaleError("search space beyond %d points" % cap)
+        if space > BRUTE_CAP:
+            raise ScaleError("search space beyond %d points" % BRUTE_CAP)
     best_payoff = ZERO
     best_vec = tuple(0 for _ in tabs)
 
@@ -627,6 +625,4 @@ def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
 
     walk(0, ZERO, ZERO, ())
     queries = {kw: x for (kw, _), x in zip(tabs, best_vec)}
-    payoff, cost = _exact_value(tables, queries)
-    committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}
-    return BestResponse(advertiser, "brute", queries, committed, payoff, cost)
+    return _answer(advertiser, "brute", tables, queries, {})

@@ -437,9 +437,8 @@ def _cmd_simulate(args) -> int:
     profile = _profile_arg(args, instance)
     day = simulate_mod.simulate_day(instance, profile, args.reserve)
     result = _day_result(instance, day)
-    mismatches = simulate_mod.check_profile_consistency(
-        instance, profile, day, args.reserve)
-    result["consistency"] = mismatches
+    result["consistency"] = simulate_mod.check_profile_consistency(
+        profile, day)
     return _report(args, result, 0, instance)
 
 

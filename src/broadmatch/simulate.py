@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .model import Instance, Profile
 from .partition import Segment, day_totals, keyword_day
@@ -102,17 +102,15 @@ def _exact_sums(rows: Sequence[Tuple[int, int, int]]) -> Tuple[Fraction,
     return Fraction(xs, L), Fraction(ys, L)
 
 
-def check_profile_consistency(instance: Instance, profile: Profile,
-                              outcome: Optional[DayOutcome] = None,
-                              reserve: Fraction = ZERO) -> List[dict]:
+def check_profile_consistency(profile: Profile,
+                              outcome: DayOutcome) -> List[dict]:
     """Compare each row's declared query count with simulated participation.
 
     A split document states, per (advertiser, keyword), how many queries the
-    budget is supposed to buy; simulation decides how many it actually does.
-    Returns one record per mismatching row (empty list = consistent).
+    budget is supposed to buy; ``outcome``, the profile's simulated day,
+    says how many it actually does.  Returns one record per mismatching row
+    (empty list = consistent).
     """
-    if outcome is None:
-        outcome = simulate_day(instance, profile, reserve)
     problems = []
     for row in profile.rows:
         got = outcome.participation[(row.advertiser, row.keyword)]

@@ -2,7 +2,8 @@
 costs and payoffs, a per-query reference simulator, the telescoped revenue
 identity of a priced slate, the two-run reference acbm probes, the
 reprice-everything reference timeline, the all-Fraction reference
-knapsack and the level-scanning int one, the table-based reference marginal
+knapsack and the level-scanning int one, the all-Fraction two-keyword
+configuration scan, the table-based reference marginal
 rates, the tree-building reference report encoder, and the seeded random
 corpus used by the property tests.
 
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from broadmatch import bestresp
 from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
@@ -437,6 +439,68 @@ def scan_knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
 # ``equilibrium.marginal_payoffs`` as it was when it read whole-day partition
 # tables, kept verbatim apart from its name and its read of the next query's
 # cost (``PartitionTable.query_cost`` had no other caller and is gone).
+# The exact dp's two-keyword segment-configuration scan before it moved to
+# ints over one common denominator, kept verbatim apart from the name and
+# the cap, read from the module so a test can lower it: it enumerates the
+# configurations twice on ``Fraction`` views, once to count the work and
+# once to scan.
+def reference_config_pair(ta: PartitionTable, tb: PartitionTable,
+                          budget: Fraction) -> Tuple[int, int, int]:
+    """Exact two-keyword optimum by segment-configuration enumeration."""
+    # (payoff, cost) of each table's prefix up to each of its breakpoints
+    cum_a = [ta.prefix(z) for z in ta.breakpoints]
+    cum_b = [tb.prefix(z) for z in tb.breakpoints]
+    work = 0
+    for sa in range(ta.segment_count):
+        for sb in range(tb.segment_count):
+            base = cum_a[sa][1] + cum_b[sb][1]
+            if base > budget:
+                continue
+            la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
+            lb = tb.breakpoints[sb + 1] - tb.breakpoints[sb]
+            ca, cb = ta.costs[sa], tb.costs[sb]
+            if ca > 0 and cb > 0:
+                work += min(la, lb) + 1
+            else:
+                work += 1
+    if work > bestresp.WORK_CAP:
+        raise bestresp.ScaleError(
+            "exact dp would scan ~%d points (cap %d); use the fptas instead"
+            % (work, bestresp.WORK_CAP))
+
+    best_u = None
+    best = (0, 0)
+    for sa in range(ta.segment_count):
+        for sb in range(tb.segment_count):
+            base_c = cum_a[sa][1] + cum_b[sb][1]
+            room = budget - base_c
+            if room < 0:
+                continue
+            base_u = cum_a[sa][0] + cum_b[sb][0]
+            la = ta.breakpoints[sa + 1] - ta.breakpoints[sa]
+            lb = tb.breakpoints[sb + 1] - tb.breakpoints[sb]
+            ca, cb = ta.costs[sa], tb.costs[sb]
+            ua, ub = ta.payoffs[sa], tb.payoffs[sb]
+            if ca == 0 and cb == 0:
+                picks = [(la, lb)]
+            elif ca == 0:
+                picks = [(la, min(lb, int(room // cb)))]
+            elif cb == 0:
+                picks = [(min(la, int(room // ca)), lb)]
+            elif la <= lb:
+                picks = [(i, min(lb, int((room - i * ca) // cb)))
+                         for i in range(min(la, int(room // ca)) + 1)]
+            else:
+                picks = [(min(la, int((room - i * cb) // ca)), i)
+                         for i in range(min(lb, int(room // cb)) + 1)]
+            for i, j in picks:
+                u = base_u + i * ua + j * ub
+                if best_u is None or u > best_u:
+                    best_u = u
+                    best = (ta.breakpoints[sa] + i, tb.breakpoints[sb] + j)
+    return best[0], best[1], work
+
+
 def reference_marginals(instance: Instance, advertiser: str, profile: Profile,
                         reserve: Fraction = ZERO) -> Dict[str, dict]:
     """Per-keyword marginal rates of one advertiser under a profile, read

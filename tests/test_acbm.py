@@ -84,7 +84,8 @@ def test_scheduler_coarse_entry():
     assert sched.row("1", "k1").queries == 19
     assert sched.row("2", "k1").queries == 36
     assert validate_profile(ext, sched) == []
-    assert check_profile_consistency(ext, sched) == []
+    assert check_profile_consistency(
+        sched, simulate_day(ext, sched)) == []
 
 
 def test_scheduler_fine_entry_timing():
@@ -96,7 +97,8 @@ def test_scheduler_fine_entry_timing():
                              "delta": F(184, 5), "kind": "entry"}]
     assert res["final_revenue"] == F(559, 5)
     assert res["final_welfare"] == F(3162, 5)
-    assert check_profile_consistency(ext, res["schedule"]) == []
+    assert check_profile_consistency(
+        res["schedule"], simulate_day(ext, res["schedule"])) == []
 
 
 def test_witness_screen_is_sufficient_not_necessary():
@@ -160,7 +162,8 @@ def test_dark_stream_needs_a_pair():
             for r in res["schedule"].rows]
     assert ("E1", "z", 5, F(10)) in rows
     assert ("E2", "z", 10, F(0)) in rows
-    assert check_profile_consistency(ext, res["schedule"]) == []
+    assert check_profile_consistency(
+        res["schedule"], simulate_day(ext, res["schedule"])) == []
 
 
 def test_no_excess_no_moves():

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from broadmatch import bestresp
 from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
-                                 _knapsack, _unstable, _utility_unit, _walk,
+                                 _config_pair, _knapsack, _unstable,
+                                 _utility_unit, _walk,
                                  brute_force_oracle,
                                  build_subpartition, exact_best_response_dp,
                                  fptas_as2, greedy_local_best_response,
@@ -15,8 +17,8 @@ from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
 from broadmatch.model import all_in_profile, load_instance
 from broadmatch.partition import tables_for
 from conftest import (FIXTURES, build_instance, build_split, fraction_table,
-                      random_instance, random_profile, reference_knapsack,
-                      scan_knapsack)
+                      random_instance, random_profile, reference_config_pair,
+                      reference_knapsack, scan_knapsack, tri_keyword)
 
 
 def load(name):
@@ -142,6 +144,19 @@ def test_priced_out_subject_stays_home():
     assert exact_best_response_dp(inst, "z", others).payoff == F(0)
 
 
+def test_an_advertiser_without_keywords_stays_home():
+    inst = build_instance(("1",), (("k", 10),), (("r", "5"), ("z", "3")),
+                          (("r", "k", "2", "base"),))
+    others = all_in_profile(inst, skip=("z",))
+    for res in (exact_best_response_dp(inst, "z", others),
+                brute_force_oracle(inst, "z", others),
+                rounded_dp_as1(inst, "z", others, F(1, 2)),
+                fptas_as2(inst, "z", others, F(1, 2))):
+        assert res.queries == res.committed == {}
+        assert res.payoff == res.cost == F(0)
+    assert res.meta["grid_sizes"] == {}
+
+
 def _two_keyword(volume):
     """Subject "s" above one rival on each of two keywords of one slot: one
     priced segment per keyword, so the dp scans volume + 1 points."""
@@ -157,9 +172,11 @@ def test_scale_refusals():
     big = _two_keyword(10 ** 7)
     with pytest.raises(ScaleError, match="points"):
         exact_best_response_dp(big, "s", all_in_profile(big, skip=("s",)))
+    # three keywords of 100 queries: 101**3 query vectors pass BRUTE_CAP
+    tri = tri_keyword(100)
+    with pytest.raises(ScaleError, match="search space beyond 1000000 "):
+        brute_force_oracle(tri, "s", all_in_profile(tri, skip=("s",)))
     inst, others = against_field("agreeing-methods.json", "1")
-    with pytest.raises(ScaleError):
-        brute_force_oracle(inst, "1", others, cap=100)
     # a tiny eps: the rounded dp and the fptas grid refuse before building
     # (at 1e-400 the level axis alone has ~10^400 entries)
     with pytest.raises(ScaleError, match="cells"):
@@ -170,6 +187,44 @@ def test_scale_refusals():
     long = fraction_table("1", "k1", 10 ** 9, (0, 10 ** 9), (F(1),), (F(1),))
     with pytest.raises(ScaleError, match="grid on k1"):
         build_subpartition(long, F(1, 10 ** 6), 2, cap=long.volume)
+
+
+def _shut_out(rival_on_k2):
+    """Subject "z" below rival "r" on k1, a 2 * 10**7-query stream of one
+    slot: every k1 query is free to her and pays her nothing, and she can
+    afford all of them.  On k2, of 10 queries, she is shut out the same way
+    or bids alone and gains."""
+    edges = [("r", "k1", "5", "base"), ("z", "k1", "2", "base"),
+             ("z", "k2", "2", "base")]
+    if rival_on_k2:
+        edges.append(("r", "k2", "5", "base"))
+    inst = build_instance(("1",), (("k1", 2 * 10 ** 7), ("k2", 10)),
+                          (("r", "100000000"), ("z", "1")), edges)
+    return inst, all_in_profile(inst, skip=("z",))
+
+
+def test_fptas_when_nothing_within_budget_pays():
+    """Where no affordable prefix pays, the fptas stays home on every
+    keyword and still reports the grid it built on each.  The grids come
+    before that check and before the rounded table is sized: a tiny eps
+    makes k1's affordable 2 * 10**7 queries single-query points, and the
+    grid refuses, whether or not anything pays."""
+    inst, others = _shut_out(True)
+    res = fptas_as2(inst, "z", others, F(1, 2))
+    assert res.queries == {"k1": 0, "k2": 0}
+    assert res.payoff == res.cost == F(0)
+    assert res.committed == {"k1": F(0), "k2": F(0)}
+    # G = ceil(2 / (1/4)) = 8 blocks per segment; k2's 10 queries leave
+    # 2 singles
+    assert res.meta["grid_sizes"] == {"k1": 9, "k2": 11}
+    for rival_on_k2 in (True, False):
+        inst, others = _shut_out(rival_on_k2)
+        with pytest.raises(ScaleError, match="grid on k1"):
+            fptas_as2(inst, "z", others, F(1, 10 ** 400))
+    # alone on k2 she gains: there the tiny eps's grid refusal came before
+    # the rounded table, which that eps would overflow too, was sized
+    res = fptas_as2(inst, "z", others, F(1, 2))
+    assert res.queries["k2"] == 10 and res.payoff > 0
 
 
 def test_eps_validation():
@@ -464,3 +519,64 @@ def test_candidate_sweep_equals_per_prefix_lookups():
                                     for _, c, _ in got)
             seen["cut"] += len(got) < len(xs)
     assert min(seen.values()) >= 100, seen
+
+
+def test_int_config_pair_matches_the_fraction_scan(monkeypatch):
+    """Identical (xa, xb, work) from the int configuration scan and the
+    ``Fraction`` one it replaced (``reference_config_pair``) on 1,500
+    seeded pairs of tables of up to 4 segments and 30 queries: free
+    segments, equal-cost runs, budgets with denominators up to 10^9 (some
+    exactly the cost of a pair of prefixes), payoffs from a small set so
+    that optima tie, and priced configurations scanned along the first
+    keyword (la <= lb) and along the second (la > lb).  With the cap at each
+    case's work both answer alike; one below it both refuse, with the same
+    text."""
+    rng = random.Random(20081019)
+    seen = {"free": 0, "fractional": 0, "on-cost": 0, "tie": 0,
+            "scan-a": 0, "scan-b": 0}
+    for case in range(1500):
+        dens = [1, 2, 3, rng.randint(1, 10 ** 9)]
+        ta, tb = (random_table(rng, kw, rng.randint(1, 30), dens, [1, 2, 4], 3)
+                  for kw in ("a", "b"))
+        if rng.random() < 0.25:
+            budget = (ta.prefix_cost(rng.randint(0, ta.volume))
+                      + tb.prefix_cost(rng.randint(0, tb.volume)))
+            seen["on-cost"] += 1
+        else:
+            budget = ((ta.prefix_cost(ta.volume) + tb.prefix_cost(tb.volume))
+                      * F(rng.randint(0, 100), 100)
+                      + F(rng.randint(0, 3), rng.randint(1, 10 ** 9)))
+        want = reference_config_pair(ta, tb, budget)
+        assert _config_pair(ta, tb, budget) == want, case
+        work = want[2]
+        monkeypatch.setattr(bestresp, "WORK_CAP", work)
+        assert _config_pair(ta, tb, budget) == want, case
+        monkeypatch.setattr(bestresp, "WORK_CAP", work - 1)
+        with pytest.raises(ScaleError) as ref:
+            reference_config_pair(ta, tb, budget)
+        with pytest.raises(ScaleError) as got:
+            _config_pair(ta, tb, budget)
+        assert str(got.value) == str(ref.value), case
+        monkeypatch.undo()
+        # what the cases exercise, read from the tables and the budget
+        pa = [ta.prefix(x) for x in range(ta.volume + 1)]
+        pb = [tb.prefix(x) for x in range(tb.volume + 1)]
+        payoffs = [ua + ub for ua, ca in pa for ub, cb in pb
+                   if ca + cb <= budget]
+        seen["tie"] += payoffs.count(max(payoffs)) > 1
+        seen["fractional"] += budget.denominator > 1
+        kinds = set()  # of the feasible configurations
+        for sa in range(ta.segment_count):
+            for sb in range(tb.segment_count):
+                za, zb = ta.breakpoints[sa], tb.breakpoints[sb]
+                if ta.prefix_cost(za) + tb.prefix_cost(zb) > budget:
+                    continue
+                la = ta.breakpoints[sa + 1] - za
+                lb = tb.breakpoints[sb + 1] - zb
+                if ta.costs[sa] and tb.costs[sb]:
+                    kinds.add("scan-a" if la <= lb else "scan-b")
+                else:
+                    kinds.add("free")
+        for kind in kinds:
+            seen[kind] += 1
+    assert min(seen.values()) >= 200, seen
