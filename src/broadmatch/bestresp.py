@@ -14,9 +14,10 @@ Four solvers, one contract:
   utilities; exact optimum, refuses oversized inputs.
 * ``rounded_dp_as1`` — the same knapsack on utilities floored to a grid of
   step eps*P/M; payoff at least (1-eps) of optimal.
-* ``fptas_as2`` — the rounded knapsack on a volume-independent candidate
-  grid per keyword; still a (1-eps) guarantee, but with table dimensions
-  independent of query volumes.
+* ``fptas_as2`` — the rounded knapsack on a candidate grid per keyword;
+  still a (1-eps) guarantee.
+
+Both rounded schemes have table dimensions independent of query volumes.
 
 ``brute_force_oracle`` cross-checks the others by enumeration on small
 inputs.
@@ -25,9 +26,12 @@ The dp and AS1/AS2 share one knapsack on Python ints over the tables' int
 prefix costs and payoffs, scaled with the budget to one common denominator.
 It merges the keywords' (cost, level) Pareto fronts one at a time and takes
 the witness the full rational table picks, by that table's tie rule.
-``WORK_CAP`` bounds that table as projected, not the pairs merged.  AS1 and
-the fptas differ only in the candidate prefix lengths they hand the one
-rounded driver, ``_rounded``: every affordable one, or the fptas grid.
+``WORK_CAP`` bounds that table as projected, not the pairs merged.  Each
+keyword's candidates are generated one per payoff level straight from its
+table's ints (``_level_candidates``), never one per prefix.  AS1 and the
+fptas differ only in the prefix lengths the one rounded driver,
+``_rounded``, draws them from: every affordable one, or the fptas grid,
+which is counted (``_grid_size``) and never listed.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import Allocation, Instance, Profile
 from .partition import INFINITE, PartitionTable, rate_gt, tables_for
@@ -256,41 +260,53 @@ def _readjust(states: List[_EdgeState]) -> None:
 # knapsack over prefixes
 
 
-def _candidate_values(table: PartitionTable, xs: Iterable[int],
-                      budget: Fraction) -> List[Tuple[int, int, int]]:
-    """(x, C, U) for the ascending prefix lengths x whose cost fits the
-    budget, C and U the prefix's cost and payoff times the table's ``D``.
-    One sweep over the breakpoints serves every candidate; costs never
-    fall, so it stops at the first one past floor(budget * D)."""
-    cap = budget.numerator * table.D // budget.denominator
-    bps = table.breakpoints
-    cc, cu = table.int_cum_cost, table.int_cum_payoff
+def _level_candidates(table: PartitionTable, afford: int, unit: Fraction,
+                      g: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    """The first candidate prefix per payoff level up to ``afford``, as
+    (x, C, level) from (0, 0, 0): C the prefix's cost times the table's
+    ``D``, level floor(payoff / unit), rising strictly along the list.
+
+    The candidates are every prefix length or, with ``g``, the fptas grid
+    (``_grid_size``).  Within segment k a prefix's payoff is
+    cu[k] + (x - bps[k]) * iu[k], so the first x to reach the next level is
+    one ceiling division; on the grid it moves up to the next grid point,
+    whose level may skip some.  The work is O(segments + levels), never
+    O(queries).
+    """
+    bps, cc, cu = table.breakpoints, table.int_cum_cost, table.int_cum_payoff
     ic, iu = table.int_costs, table.int_payoffs
-    last = len(ic) - 1  # x = volume ends the last segment
-    k, out = 0, []
-    for x in xs:
-        while k < last and bps[k + 1] <= x:
+    per, den = table.D * unit.numerator, unit.denominator
+    out, level, k, last = [(0, 0, 0)], 0, 0, len(ic)
+    while True:
+        need = -(-(level + 1) * per // den)  # least payoff at level + 1
+        while k < last and cu[k + 1] < need:
             k += 1
-        extra = x - bps[k]
-        c = cc[k] + extra * ic[k]
-        if c > cap:
-            break
-        out.append((x, c, cu[k] + extra * iu[k]))
-    return out
+        if k == last:
+            return out
+        lo = bps[k]  # cu[k] < need <= cu[k + 1], so iu[k] > 0
+        x = lo - (cu[k] - need) // iu[k]
+        if x > afford:
+            return out
+        if g is not None:  # g blocks of a queries, then single queries
+            a = (min(bps[k + 1], afford) - lo) // g
+            if a and x - lo <= g * a:
+                x = lo - (lo - x) // a * a
+        level = (cu[k] + (x - lo) * iu[k]) * den // per
+        out.append((x, cc[k] + (x - lo) * ic[k], level))
 
 
 def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
-              candidates: Dict[str, List[Tuple[int, int, int]]],
-              unit: Fraction) -> Tuple[Dict[str, int], Fraction]:
+              levels: Mapping[str, List[Tuple[int, int, int]]]
+              ) -> Tuple[Dict[str, int], int]:
     """Best total level within the budget, front by front, and a witness.
 
-    ``candidates[kw]`` holds (x, C, U) in ascending x, the prefix's cost
-    and payoff times the table's ``D``; neither falls along the list.
-    ``unit`` converts payoffs to integer levels, floor(U / (D * unit)); with
-    ``unit`` an exact common divisor of all payoffs the rounding is
+    ``levels[kw]`` holds the keyword's candidates one per payoff level, as
+    ``_level_candidates`` gives them: (x, C, level) in ascending x from
+    (0, 0, 0), C the prefix's cost times the table's ``D``.  With levels
+    read against an exact common divisor of all payoffs the rounding is
     lossless and the result is the true optimum.  Costs and the budget are
     scaled to one common denominator, so every step is an int add and
-    compare.  A keyword keeps its first candidate per level.
+    compare; the empty prefixes always fit.
 
     Each layer but the last merges the front below it, the (cost, level)
     points within the budget that no cheaper point matches in level, with
@@ -305,30 +321,13 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
     full table of levels picks it.  A front holds at most one point per
     level, so the pairs merged never outnumber the cells of the projected
     table that the callers cap with ``WORK_CAP``.
-
-    Some combination must fit: the engine's callers always offer the empty
-    prefix (``x = 0``, cost 0) on every keyword.  When even the cheapest
-    candidates together exceed the budget there is no witness, and that is
-    a ValueError naming the keywords that lack the empty prefix.
     """
     den = math.lcm(budget.denominator, *(t.D for _, t in tabs))
     cap = budget.numerator * (den // budget.denominator)
     layers = []
-    cheapest = 0
     for kw, t in tabs:
-        scale, per_level = den // t.D, t.D * unit.numerator
-        lv = []
-        for x, c, u in candidates[kw]:
-            lvl = u * unit.denominator // per_level
-            if not lv or lvl > lv[-1][2]:
-                lv.append((x, c * scale, lvl))
-        layers.append(lv)
-        cheapest += lv[0][1] if lv else cap + 1
-    if cheapest > cap:
-        short = [kw for (kw, _), lv in zip(tabs, layers) if not lv or lv[0][1]]
-        raise ValueError(
-            "no candidate combination fits the budget %s: no zero-cost empty "
-            "prefix among the candidates on %s" % (budget, ", ".join(short)))
+        scale = den // t.D
+        layers.append([(x, c * scale, lvl) for x, c, lvl in levels[kw]])
     fronts = [([0], [0])]  # each layer's front below it: costs, levels
     for lv in layers[:-1]:
         costs, levels = fronts[-1]
@@ -361,7 +360,7 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
             if lvl >= p:
                 break
         queries[kw], p = pick
-    return queries, Fraction(opt)
+    return queries, opt
 
 
 def _utility_unit(tabs: List[Tuple[str, PartitionTable]]) -> Fraction:
@@ -471,50 +470,53 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
             raise ScaleError(
                 "exact dp would need ~%d cells (cap %d); use the fptas instead"
                 % (projected, WORK_CAP))
-        candidates = {kw: _candidate_values(t, range(maxaff[kw] + 1), budget)
-                      for kw, t in tabs}
-        queries, _ = _knapsack(tabs, budget, candidates, unit)
+        queries, _ = _knapsack(tabs, budget, {
+            kw: _level_candidates(t, maxaff[kw], unit) for kw, t in tabs})
         meta.update(unit=unit, cells=projected)
     return _answer(advertiser, "dp", tables, queries, meta)
 
 
 def _rounded(tables: Mapping[str, PartitionTable], budget: Fraction,
              afford: Mapping[str, int], eps: Fraction,
-             grids: Mapping[str, Sequence[int]]
+             sizes: Mapping[str, int], g: Optional[int] = None
              ) -> Tuple[Dict[str, int], Optional[Fraction]]:
-    """The knapsack on utilities floored to multiples of eps*P/M over the
-    ascending candidate prefix lengths ``grids[kw]``: P is the best
-    single-keyword payoff within budget, read at ``afford[kw]``, each
-    keyword's ``max_affordable`` prefix, and M the keyword count.  Returns
-    the witness and the unit, or all-zero queries and no unit when P = 0.
+    """The knapsack on utilities floored to multiples of eps*P/M, over every
+    prefix length up to ``afford[kw]``, each keyword's ``max_affordable``
+    prefix, or with ``g`` over the fptas grid: P is the best single-keyword
+    payoff within budget, read at ``afford``, and M the keyword count.
+    Returns the witness and the unit, or all-zero queries and no unit when
+    P = 0.
 
     Levels are at most floor(M/eps), so the projected table (which bounds
     the pairs merged) has at most (M*floor(M/eps) + 1) x (candidate count)
-    cells; past ``WORK_CAP`` that raises ``ScaleError`` before any build.
+    cells, the count summing ``sizes``; past ``WORK_CAP`` that raises
+    ``ScaleError`` before any candidate is made.  Candidates come one per
+    level from ``_level_candidates``.
     """
     m = len(tables)
     peak = max([ZERO, *(tables[kw].prefix(x)[0] for kw, x in afford.items())])
     if peak == 0:
         return {kw: 0 for kw in tables}, None
     unit = eps * peak / m
-    projected = (m * math.floor(m / eps) + 1) * sum(map(len, grids.values()))
+    projected = (m * math.floor(m / eps) + 1) * sum(sizes.values())
     if projected > WORK_CAP:
         raise ScaleError(
             "rounded dp would need up to %d cells (cap %d); use a larger eps"
             % (projected, WORK_CAP))
     tabs = list(tables.items())
-    candidates = {kw: _candidate_values(t, grids[kw], budget) for kw, t in tabs}
-    queries, _ = _knapsack(tabs, budget, candidates, unit)
+    queries, _ = _knapsack(tabs, budget, {
+        kw: _level_candidates(t, afford[kw], unit, g) for kw, t in tabs})
     return queries, unit
 
 
 def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
                    eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
     """AS1: the knapsack on utilities floored to multiples of eps*P/M
-    (``_rounded``) over every affordable prefix length.
+    (``_rounded``) over every affordable prefix length, one per level.
 
-    The utility axis has at most M*ceil(M/eps) levels regardless of how
-    fine the exact payoffs are.  Guarantee: payoff >= (1-eps)*optimum.
+    A keyword has at most floor(M/eps) + 1 levels, so it counts at most
+    that many candidates, however many queries it affords: the table is
+    independent of volume.  Guarantee: payoff >= (1-eps)*optimum.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -522,62 +524,50 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     tables = tables_for(instance, advertiser, others, reserve=reserve)
     budget = instance.budget(advertiser)
     afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
+    levels = math.floor(len(tables) / eps) + 1  # at most, on any keyword
     queries, unit = _rounded(tables, budget, afford, eps,
-                             {kw: range(x + 1) for kw, x in afford.items()})
+                             {kw: min(x + 1, levels)
+                              for kw, x in afford.items()})
     meta = {"eps": eps} if unit is None else {"eps": eps, "unit": unit}
     return _answer(advertiser, "as1", tables, queries, meta)
 
 
-def build_subpartition(table: PartitionTable, eps: Fraction, m: int,
-                       cap: int) -> Tuple[int, ...]:
-    """Volume-independent candidate prefix lengths for one keyword.
+def _grid_size(table: PartitionTable, g: int, afford: int) -> int:
+    """How many prefix lengths, 0 included, the fptas grid offers on a
+    keyword, counted and never listed.
 
-    Each exact segment of length L is carved into G = ceil(m/eps^2) equal
-    blocks of floor(L/G) queries plus L mod G single queries (all singles
-    when L < G); candidates are the piece endpoints.  Restricting choices
-    to these endpoints costs at most an eps^2 fraction of the optimum while
-    keeping the candidate count independent of query volume.
-
-    ``cap`` truncates the table at a prefix length first (and ends the grid
-    exactly there).  The loss bound needs the cap: gridding queries the
-    budget could never reach would let a whole block dominate the best
-    affordable bundle, so callers pass the affordable prefix length.
-    A grid of more than ``WORK_CAP`` points (all singles when eps is tiny
-    and the stream long) raises ``ScaleError`` before it is built.
+    The table is cut at ``afford``, the affordable prefix length, and each
+    exact segment of length L is carved into g equal blocks of floor(L/g)
+    queries plus L mod g single queries (all singles when L < g); the
+    candidates are the piece endpoints.  The loss bound needs the cut:
+    gridding queries the budget could never reach would let a whole block
+    dominate the best affordable bundle.  A grid of more than ``WORK_CAP``
+    points (all singles when eps is tiny and the stream long) raises
+    ``ScaleError``.
     """
-    g = math.ceil(m / (eps * eps))
-    points = [0]
-    for lam in range(table.segment_count):
-        lo = table.breakpoints[lam]
-        hi = min(table.breakpoints[lam + 1], cap)
-        length = hi - lo
+    bps, size = table.breakpoints, 1
+    for k in range(table.segment_count):
+        length = min(bps[k + 1], afford) - bps[k]
         if length <= 0:
             break
-        a, b = divmod(length, g)
-        if len(points) + (g if a else 0) + b > WORK_CAP + 1:
-            raise ScaleError("fptas grid on %s would pass %d points; use a "
-                             "larger eps" % (table.keyword, WORK_CAP))
-        pos = lo
-        if a >= 1:
-            for _ in range(g):
-                pos += a
-                points.append(pos)
-        for _ in range(b):
-            pos += 1
-            points.append(pos)
-    return tuple(points)
+        size += length if length < g else g + length % g
+    if size > WORK_CAP + 1:
+        raise ScaleError("fptas grid on %s would pass %d points; use a "
+                         "larger eps" % (table.keyword, WORK_CAP))
+    return size
 
 
 def fptas_as2(instance: Instance, advertiser: str, others: Profile,
               eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
     """Fully polynomial scheme: the rounded knapsack (``_rounded``) on
-    per-keyword endpoint grids.
+    per-keyword endpoint grids of G = ceil(M/eps^2) blocks a segment.
 
     The grid forfeits at most an eps^2 factor and the rounding a further
     eps/(1+eps), which compound to exactly (1-eps); table dimensions depend
-    only on keyword count and eps, never on volumes.  The grids are built
-    first, so a grid past ``WORK_CAP`` refuses before the rounded table is
-    sized, and ``grid_sizes`` is reported even when nothing pays.
+    only on keyword count and eps, never on volumes.  The grids are counted
+    first (``_grid_size``), so a grid past ``WORK_CAP`` refuses before the
+    rounded table is sized, and ``grid_sizes`` is reported even when
+    nothing pays.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -586,25 +576,27 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
     m = len(tables)
     budget = instance.budget(advertiser)
     afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
-    grids = {kw: build_subpartition(t, eps, m, cap=afford[kw])
-             for kw, t in tables.items()}
+    g = math.ceil(m / (eps * eps))
+    sizes = {kw: _grid_size(t, g, afford[kw]) for kw, t in tables.items()}
     inner = eps / (1 + eps)
-    queries, _ = _rounded(tables, budget, afford, inner, grids)
+    queries, _ = _rounded(tables, budget, afford, inner, sizes, g)
     return _answer(advertiser, "fptas", tables, queries,
-                   {"eps": eps, "inner_eps": inner,
-                    "grid_sizes": {k: len(v) for k, v in grids.items()}})
+                   {"eps": eps, "inner_eps": inner, "grid_sizes": sizes})
 
 
 def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
                        reserve: Fraction = ZERO) -> BestResponse:
-    """Exhaustive search over all query vectors (small inputs only); a
-    search space past ``BRUTE_CAP`` raises ``ScaleError``."""
+    """Exhaustive search over all query vectors within budget (small inputs
+    only).  Each keyword spans the prefixes the budget alone affords, its
+    ``max_affordable``; a search space past ``BRUTE_CAP`` raises
+    ``ScaleError``."""
     tables = tables_for(instance, advertiser, others, reserve=reserve)
     tabs = list(tables.items())
     budget = instance.budget(advertiser)
+    reach = [t.max_affordable(budget) for _, t in tabs]
     space = 1
-    for _, t in tabs:
-        space *= t.volume + 1
+    for x in reach:
+        space *= x + 1
         if space > BRUTE_CAP:
             raise ScaleError("search space beyond %d points" % BRUTE_CAP)
     best_payoff = ZERO
@@ -617,7 +609,7 @@ def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
                 best_payoff, best_vec = payoff, vec
             return
         kw, t = tabs[idx]
-        for x in range(t.volume + 1):
+        for x in range(reach[idx] + 1):
             u, c = t.prefix(x)
             if cost + c > budget:
                 break  # prefix cost only grows with x

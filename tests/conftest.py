@@ -2,7 +2,8 @@
 costs and payoffs, a per-query reference simulator, the telescoped revenue
 identity of a priced slate, the two-run reference acbm probes, the
 reprice-everything reference timeline, the all-Fraction reference
-knapsack and the level-scanning int one, the all-Fraction two-keyword
+knapsack and the level-scanning int one, the listed fptas grid and the
+per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal
 rates, the tree-building reference report encoder, and the seeded random
 corpus used by the property tests.
@@ -432,6 +433,91 @@ def scan_knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
         x, p = par[p]
         queries[kw] = x
     return queries, Fraction(opt)
+
+
+# The knapsack's candidates before they were generated one per payoff level,
+# kept verbatim apart from the names, a shorter docstring and a cap read
+# from the module: the fptas grid listed point by point, one (x, C, U) per
+# candidate prefix, and the knapsack's own cut to the first per level.
+def reference_subpartition(table: PartitionTable, eps: Fraction, m: int,
+                           cap: int) -> Tuple[int, ...]:
+    """Volume-independent candidate prefix lengths for one keyword.
+
+    Each exact segment of length L is carved into G = ceil(m/eps^2) equal
+    blocks of floor(L/G) queries plus L mod G single queries (all singles
+    when L < G); candidates are the piece endpoints.  ``cap`` truncates the
+    table at a prefix length first (and ends the grid exactly there).  A
+    grid of more than ``WORK_CAP`` points raises ``ScaleError`` before it
+    is built.
+    """
+    g = math.ceil(m / (eps * eps))
+    points = [0]
+    for lam in range(table.segment_count):
+        lo = table.breakpoints[lam]
+        hi = min(table.breakpoints[lam + 1], cap)
+        length = hi - lo
+        if length <= 0:
+            break
+        a, b = divmod(length, g)
+        if len(points) + (g if a else 0) + b > bestresp.WORK_CAP + 1:
+            raise bestresp.ScaleError(
+                "fptas grid on %s would pass %d points; use a larger eps"
+                % (table.keyword, bestresp.WORK_CAP))
+        pos = lo
+        if a >= 1:
+            for _ in range(g):
+                pos += a
+                points.append(pos)
+        for _ in range(b):
+            pos += 1
+            points.append(pos)
+    return tuple(points)
+
+
+def reference_candidate_values(table: PartitionTable, xs: Iterable[int],
+                               budget: Fraction) -> List[Tuple[int, int, int]]:
+    """(x, C, U) for the ascending prefix lengths x whose cost fits the
+    budget, C and U the prefix's cost and payoff times the table's ``D``.
+    One sweep over the breakpoints serves every candidate; costs never
+    fall, so it stops at the first one past floor(budget * D)."""
+    cap = budget.numerator * table.D // budget.denominator
+    bps = table.breakpoints
+    cc, cu = table.int_cum_cost, table.int_cum_payoff
+    ic, iu = table.int_costs, table.int_payoffs
+    last = len(ic) - 1  # x = volume ends the last segment
+    k, out = 0, []
+    for x in xs:
+        while k < last and bps[k + 1] <= x:
+            k += 1
+        extra = x - bps[k]
+        c = cc[k] + extra * ic[k]
+        if c > cap:
+            break
+        out.append((x, c, cu[k] + extra * iu[k]))
+    return out
+
+
+def first_per_level(table: PartitionTable,
+                    candidates: Iterable[Tuple[int, int, int]],
+                    unit: Fraction) -> List[Tuple[int, int, int]]:
+    """(x, C, level) for the first of ``candidates`` (x, C, U) on each
+    level floor(U / (D * unit)), levels rising: what the knapsack kept."""
+    per_level = table.D * unit.numerator
+    lv: List[Tuple[int, int, int]] = []
+    for x, c, u in candidates:
+        lvl = u * unit.denominator // per_level
+        if not lv or lvl > lv[-1][2]:
+            lv.append((x, c, lvl))
+    return lv
+
+
+def reference_level_candidates(table: PartitionTable, xs: Iterable[int],
+                               budget: Fraction, unit: Fraction
+                               ) -> List[Tuple[int, int, int]]:
+    """The first candidate per level among the prefix lengths ``xs`` that
+    fit the budget, swept one by one."""
+    return first_per_level(table, reference_candidate_values(table, xs,
+                                                             budget), unit)
 
 
 # -- reference marginal rates -------------------------------------------------

@@ -1,24 +1,26 @@
 """Best-response solvers: greedy walk, exact dp, rounding schemes, oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from broadmatch import bestresp
-from broadmatch.bestresp import (BestResponse, ScaleError, _candidate_values,
-                                 _config_pair, _knapsack, _unstable,
-                                 _utility_unit, _walk,
-                                 brute_force_oracle,
-                                 build_subpartition, exact_best_response_dp,
-                                 fptas_as2, greedy_local_best_response,
-                                 rounded_dp_as1)
+from broadmatch.bestresp import (BRUTE_CAP, BestResponse, ScaleError,
+                                 _config_pair, _grid_size, _knapsack,
+                                 _level_candidates, _unstable, _utility_unit,
+                                 _walk, brute_force_oracle,
+                                 exact_best_response_dp, fptas_as2,
+                                 greedy_local_best_response, rounded_dp_as1)
 from broadmatch.model import all_in_profile, load_instance
 from broadmatch.partition import tables_for
-from conftest import (FIXTURES, build_instance, build_split, fraction_table,
-                      random_instance, random_profile, reference_config_pair,
-                      reference_knapsack, scan_knapsack, tri_keyword)
+from conftest import (FIXTURES, build_instance, build_split, first_per_level,
+                      fraction_table, random_instance, random_profile,
+                      reference_candidate_values, reference_config_pair,
+                      reference_knapsack, reference_level_candidates,
+                      reference_subpartition, scan_knapsack, tri_keyword)
 
 
 def load(name):
@@ -84,26 +86,59 @@ def test_rounded_dp_guarantee():
         assert (1 - eps) * opt <= res.payoff <= opt
 
 
+def test_rounded_dp_is_independent_of_volume():
+    """AS1 offers a keyword at most floor(M/eps) + 1 candidates, one per
+    level, so 10**9 affordable queries size a small table: it answers within
+    (1-eps) of the optimum, the deepest affordable prefix, where counting
+    every prefix refused.  A tiny eps still refuses on its levels."""
+    inst = build_instance(("1",), (("k", 10 ** 9),),
+                          (("s", "1000000000"), ("r", "1")),
+                          (("s", "k", "2", "base"), ("r", "k", "1/2", "base")))
+    others = all_in_profile(inst, skip=("s",))
+    (t,) = tables_for(inst, "s", others).values()
+    afford = t.max_affordable(inst.budget("s"))
+    assert afford == 10 ** 9
+    opt = t.prefix(afford)[0]
+    for eps in (F(1, 2), F(1, 10), F(1, 1000)):
+        res = rounded_dp_as1(inst, "s", others, eps)
+        assert (1 - eps) * opt <= res.payoff <= opt
+    with pytest.raises(ScaleError, match="cells"):
+        rounded_dp_as1(inst, "s", others, F(1, 10 ** 400))
+
+
+def engine_grid(t, g, afford):
+    """The fptas grid as the engine offers it where every prefix has a level
+    of its own (every per-query payoff positive, a unit of 1/D), checked
+    against its counted size."""
+    xs = tuple(x for x, _, _ in _level_candidates(t, afford, F(1, t.D), g))
+    assert _grid_size(t, g, afford) == len(xs)
+    return xs
+
+
 def test_build_subpartition_endpoints():
     t = fraction_table("a", "k", 100, (0, 100), (F(1),), (F(2),))
     # G = ceil(2 / (1/4)) = 8
-    pts = build_subpartition(t, F(1, 2), 2, cap=t.volume)
+    pts = reference_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts == (0, 12, 24, 36, 48, 60, 72, 84, 96, 97, 98, 99, 100)
-    assert len(pts) == 13
+    assert engine_grid(t, 8, t.volume) == pts
+    # cut mid-segment at 50: 8 blocks of 6, then 2 singles
+    assert engine_grid(t, 8, 50) == reference_subpartition(
+        t, F(1, 2), 2, cap=50) == (0, 6, 12, 18, 24, 30, 36, 42, 48, 49, 50)
 
 
 def test_build_subpartition_short_segments_go_single():
     t = fraction_table("a", "k", 5, (0, 5), (F(1),), (F(2),))
-    assert build_subpartition(t, F(1, 2), 2, cap=t.volume) == (
-        0, 1, 2, 3, 4, 5)
+    assert reference_subpartition(t, F(1, 2), 2, cap=t.volume) == (
+        0, 1, 2, 3, 4, 5) == engine_grid(t, 8, t.volume)
 
 
 def test_build_subpartition_spans_segments():
     t = fraction_table("a", "k", 105, (0, 5, 105), (F(1), F(2)),
                        (F(2), F(1)))
-    pts = build_subpartition(t, F(1, 2), 2, cap=t.volume)
+    pts = reference_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts[:6] == (0, 1, 2, 3, 4, 5)
     assert pts[6:] == (17, 29, 41, 53, 65, 77, 89, 101, 102, 103, 104, 105)
+    assert engine_grid(t, 8, t.volume) == pts
 
 
 def test_single_keyword_needs_no_search():
@@ -183,10 +218,13 @@ def test_scale_refusals():
         rounded_dp_as1(inst, "1", others, F(1, 10 ** 400))
     with pytest.raises(ScaleError, match="cells"):
         fptas_as2(inst, "1", others, F(1, 10 ** 400))
-    # eps 1e-6 leaves a 10^9-query segment as 10^9 single-query points
-    long = fraction_table("1", "k1", 10 ** 9, (0, 10 ** 9), (F(1),), (F(1),))
-    with pytest.raises(ScaleError, match="grid on k1"):
-        build_subpartition(long, F(1, 10 ** 6), 2, cap=long.volume)
+    # eps 1e-6 leaves a 10^9-query segment, all free to its lone bidder, as
+    # 10^9 single-query points
+    long = build_instance(("1",), (("k1", 10 ** 9),), (("s", "1"),),
+                          (("s", "k1", "1", "base"),))
+    with pytest.raises(ScaleError, match="grid on k1 would pass 10000000 "):
+        fptas_as2(long, "s", all_in_profile(long, skip=("s",)),
+                  F(1, 10 ** 6))
 
 
 def _shut_out(rival_on_k2):
@@ -273,33 +311,34 @@ def random_table(rng, kw, volume, cost_dens, pay_dens, pay_max):
 
 
 def random_candidates(rng, t):
-    """0..30 ascending prefix lengths (the empty prefix nearly always)."""
+    """The empty prefix and 0..30 other ascending prefix lengths."""
     xs = set(rng.sample(range(t.volume + 1), min(rng.randint(0, 30),
                                                  t.volume + 1)))
-    if rng.random() < 0.95:
-        xs.add(0)
-    return [(x, t.prefix(x)[1], t.prefix(x)[0]) for x in sorted(xs)]
+    return [(x, t.prefix(x)[1], t.prefix(x)[0]) for x in sorted({0, *xs})]
 
 
-def int_candidates(tabs, candidates):
+def level_lists(tabs, candidates, unit):
     """``Fraction`` (x, cost, payoff) candidates as ``_knapsack`` takes
-    them: (x, C, U) ints over each table's D."""
+    them: the first per level, (x, C, level) with C an int over each
+    table's D."""
     def scaled(v, D):
         assert (v * D).denominator == 1
         return (v * D).numerator
-    return {kw: [(x, scaled(c, t.D), scaled(u, t.D))
-                 for x, c, u in candidates[kw]] for kw, t in tabs}
+    return {kw: first_per_level(t, [(x, scaled(c, t.D), scaled(u, t.D))
+                                    for x, c, u in candidates[kw]], unit)
+            for kw, t in tabs}
 
 
 def test_int_knapsack_matches_the_fraction_knapsack():
     """Identical (queries, opt) from the all-Fraction knapsack and the
-    int-scaled one on 2,000 seeded cases: 1..4 keywords, 0..30 candidates
-    each, zero-cost candidates, equal-cost ties, fractional budgets (some
+    int-scaled one on 2,000 seeded cases: 1..4 keywords, the empty prefix
+    and 0..30 more candidates each, the int one offered the first per
+    level, zero-cost candidates, equal-cost ties, fractional budgets (some
     exactly a candidate's cost), cost denominators and prefix lengths up to
     10^9, under the exact utility unit and under AS1's eps*P/M unit."""
     rng = random.Random(19750101)
     seen = {"exact": 0, "rounded": 0, "zero-cost": 0, "tie": 0, "huge": 0,
-            "on-budget": 0, "refused": 0}
+            "on-budget": 0}
     for case in range(2000):
         exact = case % 2 == 0
         m = 1 + (case // 2) % 4
@@ -330,21 +369,14 @@ def test_int_knapsack_matches_the_fraction_knapsack():
             peak = max((u for lv in candidates.values() for _, _, u in lv),
                        default=F(0))
             unit = eps * peak / m if peak > 0 else F(1)
-        try:
-            want = reference_knapsack(tabs, budget, candidates, unit)
-        except TypeError:  # no candidate combination fits: no witness
-            with pytest.raises(ValueError, match="zero-cost empty prefix"):
-                _knapsack(tabs, budget, int_candidates(tabs, candidates), unit)
-            seen["refused"] += 1
-            continue
-        assert _knapsack(tabs, budget, int_candidates(tabs, candidates),
-                         unit) == want, case
+        want = reference_knapsack(tabs, budget, candidates, unit)
+        assert _knapsack(tabs, budget, level_lists(tabs, candidates,
+                                                   unit)) == want, case
         seen["exact" if exact else "rounded"] += 1
         seen["huge"] += huge
         seen["zero-cost"] += any(c == 0 for _, t in tabs for c in t.costs)
         seen["tie"] += len(set(costs)) < len(costs)
-    assert seen["refused"] < 100, seen
-    assert min(v for k, v in seen.items() if k != "refused") >= 200, seen
+    assert min(seen.values()) >= 200, seen
 
 
 def merge_events(layers, budget):
@@ -404,8 +436,8 @@ def test_pruned_knapsack_matches_the_fraction_knapsack():
         peak = max(u for lv in candidates.values() for _, _, u in lv)
         unit = peak / rng.randint(1, 8) if peak > 0 else F(1)
         want = reference_knapsack(tabs, budget, candidates, unit)
-        assert _knapsack(tabs, budget, int_candidates(tabs, candidates),
-                         unit) == want, case
+        assert _knapsack(tabs, budget, level_lists(tabs, candidates,
+                                                   unit)) == want, case
         levels = [[int(u // unit) for _, _, u in candidates[kw]]
                   for kw, _ in tabs]
         firsts = [[(c, lvl) for i, ((_, c, _), lvl)
@@ -425,7 +457,8 @@ def test_front_merge_matches_the_level_scan_at_benchmark_scale():
     the front merge and the level-scanning int knapsack it replaced
     (``scan_knapsack``), on 24 seeded cases too large for the Fraction
     reference: 3..6 keywords, up to 251 candidates each from
-    ``_candidate_values`` (whole ranges and sparse samples), levels into
+    ``reference_candidate_values`` (whole ranges and sparse samples), the
+    front merge offered the first per level, levels into
     the thousands under the exact utility unit and under coarser ones, and
     budgets between costs or exactly at the cost of the optimum there, so
     that the optimum's last candidate costs all the budget its front point
@@ -452,18 +485,21 @@ def test_front_merge_matches_the_level_scan_at_benchmark_scale():
         budget = (sum((t.prefix_cost(t.volume) for _, t in tabs), F(0))
                   * F(rng.randint(20, 99), 100)
                   + F(1, rng.randint(2, 10 ** 6)))
-        candidates = {kw: _candidate_values(t, grids[kw], budget)
+        candidates = {kw: reference_candidate_values(t, grids[kw], budget)
                       for kw, t in tabs}
         if case // 8 != 1:
-            queries, _ = _knapsack(tabs, budget, candidates, unit)
+            queries, _ = _knapsack(tabs, budget, {
+                kw: first_per_level(t, candidates[kw], unit)
+                for kw, t in tabs})
             budget = sum((t.prefix_cost(queries[kw]) for kw, t in tabs), F(0))
-            candidates = {kw: _candidate_values(t, grids[kw], budget)
+            candidates = {kw: reference_candidate_values(t, grids[kw], budget)
                           for kw, t in tabs}
             seen["on-cost"] += 1
         else:
             seen["between"] += 1
         want = scan_knapsack(tabs, budget, candidates, unit)
-        got = _knapsack(tabs, budget, candidates, unit)
+        got = _knapsack(tabs, budget, {
+            kw: first_per_level(t, candidates[kw], unit) for kw, t in tabs})
         assert (list(got[0].items()), got[1]) == (list(want[0].items()),
                                                   want[1]), case
         seen["wide"] += max(map(len, candidates.values())) > 200
@@ -472,10 +508,11 @@ def test_front_merge_matches_the_level_scan_at_benchmark_scale():
 
 
 def test_candidate_sweep_equals_per_prefix_lookups():
-    """The one-sweep int candidates equal ``prefix()`` per candidate times
+    """The reference one-sweep int candidates
+    (``reference_candidate_values``) equal ``prefix()`` per candidate times
     the table's D, in whose units every cost and payoff is an int, on
     hand-built ``Fraction`` tables and on ``tables_for`` tables of seeded
-    markets, over full ``range`` grids, ``build_subpartition`` grids and
+    markets, over full ``range`` grids, ``reference_subpartition`` grids and
     sparse ascending samples that skip whole segments.  The sweep keeps
     exactly the prefixes whose cost fits the budget, a budget equal
     to a prefix's cost (C * budget.den == budget.num * D) included."""
@@ -501,9 +538,9 @@ def test_candidate_sweep_equals_per_prefix_lookups():
         else:
             budget = t.prefix_cost(t.volume) * F(rng.randint(0, 120), 100)
         cap = t.max_affordable(budget)
-        grids = [build_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
-                                    rng.randint(1, 6), cap=cap),
-                 build_subpartition(t, F(1, 3), 2, cap=t.volume),
+        grids = [reference_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
+                                        rng.randint(1, 6), cap=cap),
+                 reference_subpartition(t, F(1, 3), 2, cap=t.volume),
                  sorted(rng.sample(range(t.volume + 1),
                                    min(5, t.volume + 1)))]
         if t.volume <= 60:
@@ -511,7 +548,7 @@ def test_candidate_sweep_equals_per_prefix_lookups():
         for xs in grids:
             want = [(x, t.prefix(x)[1] * t.D, t.prefix(x)[0] * t.D)
                     for x in xs if t.prefix(x)[1] <= budget]
-            got = _candidate_values(t, xs, budget)
+            got = reference_candidate_values(t, xs, budget)
             assert got == want, case
             assert all(type(v) is int for triple in got for v in triple)
             seen["boundary"] += any(c * budget.denominator
@@ -519,6 +556,124 @@ def test_candidate_sweep_equals_per_prefix_lookups():
                                     for _, c, _ in got)
             seen["cut"] += len(got) < len(xs)
     assert min(seen.values()) >= 100, seen
+
+
+def test_level_candidates_match_the_per_prefix_sweep():
+    """``_level_candidates`` equals the first candidate per level of the
+    per-prefix sweep (``reference_level_candidates``) on 900 seeded
+    hand-built tables of up to 4 segments and 4,000 queries and on the
+    tables of 150 seeded markets: over every affordable prefix under AS1's
+    eps*P/M unit and under the exact utility unit, and over the listed
+    fptas grid (``reference_subpartition``), whose length ``_grid_size``
+    counts.  Budgets end mid-segment and on breakpoints; grids have blocks
+    and single points only, span several segments, and skip levels."""
+    rng = random.Random(20081020)
+    tables = [(t, t.prefix_cost(rng.randint(0, t.volume))
+               if rng.random() < 0.3 else t.prefix_cost(t.volume)
+               * F(rng.randint(0, 120), 100) + F(1, rng.randint(1, 10 ** 6)))
+              for t in (random_table(rng, "k", rng.randint(1, 4000),
+                                     [1, 3, 7], [1, 2, 5], 9)
+                        for _ in range(900))]
+    for seed in range(150):
+        market = random.Random(seed)
+        instance = random_instance(market)
+        others = random_profile(market, instance)
+        subject = market.choice(instance.advertisers).id
+        tables += [(t, instance.budget(subject))
+                   for t in tables_for(instance, subject, others).values()]
+    seen = {"as1": 0, "exact": 0, "blocks": 0, "singles": 0, "segments": 0,
+            "mid-segment": 0, "on-breakpoint": 0, "skips": 0}
+    for case, (t, budget) in enumerate(tables):
+        afford = t.max_affordable(budget)
+        peak = t.prefix(afford)[0]
+        eps, m = rng.choice([F(1, 2), F(1, 3), F(1, 4), F(1, 10)]), \
+            rng.randint(1, 5)
+        units = [("exact", _utility_unit([("k", t)]))]
+        if peak > 0:
+            units.append(("as1", eps * peak / m))
+        for kind, unit in units:
+            want = reference_level_candidates(t, range(afford + 1), budget,
+                                              unit)
+            assert _level_candidates(t, afford, unit) == want, case
+            seen[kind] += 1
+        g = math.ceil(m / (eps * eps))
+        grid = reference_subpartition(t, eps, m, cap=afford)
+        assert _grid_size(t, g, afford) == len(grid), case
+        got = _level_candidates(t, afford, unit, g)
+        assert got == reference_level_candidates(t, grid, budget, unit), case
+        lengths = [min(hi, afford) - lo for lo, hi
+                   in zip(t.breakpoints, t.breakpoints[1:]) if lo < afford]
+        seen["blocks"] += max(lengths, default=0) >= g
+        seen["singles"] += 0 < max(lengths, default=0) < g
+        seen["segments"] += len(lengths) > 1
+        seen["mid-segment" if afford not in t.breakpoints
+             else "on-breakpoint"] += 1
+        seen["skips"] += any(b[2] - a[2] > 1 for a, b in zip(got, got[1:]))
+    assert min(seen.values()) >= 100, seen
+
+
+def _priced_out(volume):
+    """Subject "z", budget 0, above rival "r" on three keywords of
+    ``volume`` queries and one slot: every query costs her r's bid."""
+    kws = tuple(("k%d" % j, volume) for j in (1, 2, 3))
+    edges = [e for kw, _ in kws
+             for e in (("r", kw, "2", "base"), ("z", kw, "5", "base"))]
+    inst = build_instance(("1",), kws, (("r", "100"), ("z", "0")), edges)
+    return inst, all_in_profile(inst, skip=("z",))
+
+
+def test_brute_force_spans_what_the_budget_buys():
+    """The oracle walks each keyword up to what the budget alone affords, so
+    a budget-0 subject priced out on three keywords of 100 queries stays
+    home, where sizing by volume (101**3 vectors) refused; on
+    ``tri_keyword(100)``, which affords every query, it still refuses
+    (``test_scale_refusals``)."""
+    inst, others = _priced_out(100)
+    res = brute_force_oracle(inst, "z", others)
+    assert res.queries == {"k1": 0, "k2": 0, "k3": 0}
+    assert res.payoff == res.cost == F(0)
+    assert exact_best_response_dp(inst, "z", others).queries == res.queries
+
+
+def deep_keywords(rng):
+    """Subject "s" on three keywords of 10**4..10**6 queries and two slots,
+    above rival "a" with a small budget and rival "b" below it: her price
+    falls once "a" runs dry.  Her own budget affords a few dozen queries."""
+    kws, advs = [], [("s", str(F(rng.randint(20, 80), rng.randint(1, 3))))]
+    edges = []
+    for j in (1, 2, 3):
+        kw = "k%d" % j
+        kws.append((kw, rng.randint(10 ** 4, 10 ** 6)))
+        edges.append(("s", kw, str(rng.randint(4, 9)), "base"))
+        for r, bid in (("a", rng.randint(2, 3)), ("b", 1)):
+            edges.append((r + kw, kw, str(bid), "base"))
+            advs.append((r + kw, str(rng.randint(3, 30))))
+    return build_instance(("1", "1/2"), tuple(kws), tuple(advs), tuple(edges))
+
+
+def test_solvers_match_the_oracle_on_deep_keywords():
+    """On 30 seeded markets of three deep keywords, whose volumes put the
+    whole query space far past ``BRUTE_CAP``, the oracle walks what a small
+    budget buys: the exact dp matches its payoff, and AS1 and the fptas keep
+    at least (1-eps) of it.  The budget reaches past the first segment on
+    some keyword in most of them."""
+    seen = {"cheaper": 0, "approx-below": 0}
+    for seed in range(30):
+        inst = deep_keywords(random.Random(seed))
+        others = all_in_profile(inst, skip=("s",))
+        tables = tables_for(inst, "s", others)
+        assert math.prod(t.volume + 1 for t in tables.values()) > BRUTE_CAP
+        opt = brute_force_oracle(inst, "s", others).payoff
+        assert exact_best_response_dp(inst, "s", others).payoff == opt, seed
+        for eps in (F(1, 2), F(1, 4)):
+            for solver in (rounded_dp_as1, fptas_as2):
+                got = solver(inst, "s", others, eps).payoff
+                assert (1 - eps) * opt <= got <= opt, (seed, solver, eps)
+                seen["approx-below"] += got < opt
+        budget = inst.budget("s")
+        seen["cheaper"] += any(t.max_affordable(budget) > t.breakpoints[1]
+                               for t in tables.values())
+    assert seen["cheaper"] >= 10 and seen["approx-below"] >= 1, seen
 
 
 def test_int_config_pair_matches_the_fraction_scan(monkeypatch):
