@@ -6,7 +6,8 @@ emitted as an object ``{"exact": "p/q", "approx": "0.000000"}``.  One writer
 (``_dumps``) walks the engine's result once and emits exactly the bytes of
 ``json.dumps(..., sort_keys=True, indent=2)``: with an ``indent`` the
 standard encoder falls back to pure Python on CPython 3.10 to 3.12, and it
-would walk a second tree built only to hold those pairs.
+would walk a second tree built only to hold those pairs.  A report's
+``instance`` is the sha256 digest of ``model.instance_text``.
 
 ``--format table`` prints the same envelope (``_lines``), one ``path  value``
 line per leaf such as ``result.moves[0].start_query  15``, errors included;
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import shutil
 import sys
 from fractions import Fraction
@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Tuple
 from . import acbm as acbm_mod
 from . import bestresp, equilibrium, simulate as simulate_mod
 from .model import (Instance, ModelError, Profile, all_in_profile,
-                    check_extension, format_rational, load_instance,
-                    load_schedule, load_split, serialize_instance,
+                    check_extension, format_rational, instance_text,
+                    load_instance, load_schedule, load_split,
                     serialize_profile, validate_profile)
 from .partition import INFINITE, tables_for
 
@@ -118,13 +118,17 @@ def _dumps(doc) -> str:
     ``str(key)`` and each set a sorted list.  Values dispatch on their
     exact type; any other type, a float included, is a ``TypeError``.
 
-    A rational's numerator n and denominator d are read once and printed
-    with one format: exact as ``"%d"`` or ``"%d/%d"``, approx as
-    ``"%.6f" % (n / d)``, the correctly rounded quotient that ``float``
-    gives too (``_approx`` beyond float range)."""
+    Each scalar item is one piece with its line break and key, and a list
+    of strings one join.  A dict's sorted keys and their texts are kept per
+    depth and key tuple, so dicts of one shape are sorted once.  A
+    rational's numerator n and denominator d are read once and printed with
+    one format: exact as ``"%d"`` or ``"%d/%d"``, approx as ``"%.6f" % (n
+    / d)``, the correctly rounded quotient that ``float`` gives too
+    (``_approx`` beyond float range)."""
     chunks: List[str] = []
     out = chunks.append
-    keys: Dict[str, str] = {}  # '"key": ' per key seen in this document
+    enc = encode_basestring_ascii
+    layouts: Dict[tuple, tuple] = {}  # (depth, *keys): (keys, their heads)
     newlines = ["\n", "\n  "]  # newlines[d]: a line break and depth d's indent
     # per depth, the two-key block of an integer, of a p/q, and as text
     rationals: List[Tuple[str, str, str]] = []
@@ -144,57 +148,55 @@ def _dumps(doc) -> str:
         except OverflowError:
             return rationals[depth][2] % (_approx(x, 6), format_rational(x))
 
-    def write(x, depth: int) -> None:
-        t = type(x)
-        if t is dict:
-            if not x:
-                out("{}")
-                return
-            if not all(type(k) is str for k in x):
-                x = {str(k): v for k, v in x.items()}
-            if len(newlines) < depth + 3:  # a rational item's block
-                newlines.append(newlines[-1] + "  ")
-            inner = newlines[depth + 1]
-            sep, comma = "{" + inner, "," + inner
-            for k in sorted(x):
-                key = keys.get(k)
-                if key is None:
-                    key = keys[k] = encode_basestring_ascii(k) + ": "
-                out(sep + key)
-                write(x[k], depth + 1)
-                sep = comma
-            out(newlines[depth] + "}")
-        elif t is Fraction:
-            out(rational(x, depth))
-        elif t is str:
-            out(encode_basestring_ascii(x))
-        elif t is list or t is tuple or t is set or t is frozenset:
-            if not x:
-                out("[]")
-                return
-            if t is set or t is frozenset:
-                x = sorted(x)
-            if len(newlines) < depth + 3:
-                newlines.append(newlines[-1] + "  ")
-            inner = newlines[depth + 1]
-            sep, comma = "[" + inner, "," + inner
-            for v in x:
-                out(sep)
-                write(v, depth + 1)
-                sep = comma
-            out(newlines[depth] + "]")
-        elif t is bool:
-            out("true" if x else "false")
-        elif t is int:
-            out("%d" % x)
-        elif x is None:
-            out("null")
-        elif x is INFINITE:
-            out('"inf"')
-        else:
-            raise TypeError("cannot encode %r" % t)
+    def items(pairs, depth: int) -> None:  # (line break and key, value)
+        for head, x in pairs:
+            t = type(x)
+            if t is Fraction:
+                out(head + rational(x, depth))
+            elif t is str:
+                out(head + enc(x))
+            elif t is int:
+                out(head + "%d" % x)
+            elif t is dict or t is list or t is tuple or t is set or t is frozenset:
+                out(head)
+                container(x, t, depth)
+            elif t is bool:
+                out(head + ("true" if x else "false"))
+            elif x is None:
+                out(head + "null")
+            elif x is INFINITE:
+                out(head + '"inf"')
+            else:
+                raise TypeError("cannot encode %r" % t)
 
-    write(doc, 0)
+    def container(x, t, depth: int) -> None:
+        if not x:
+            return out("{}" if t is dict else "[]")
+        if len(newlines) < depth + 3:  # a rational item's block
+            newlines.append(newlines[-1] + "  ")
+        inner = newlines[depth + 1]
+        end = newlines[depth] + ("}" if t is dict else "]")
+        if t is dict:
+            layout = layouts.get((depth, *x))
+            if layout is None:
+                plain = all(type(k) is str for k in x)
+                keys = x if plain else {str(k): k for k in x}
+                order = sorted(keys)
+                layout = order if plain else [keys[k] for k in order], [
+                    "," + inner + enc(k) + ": " for k in order]
+                layout[1][0] = "{" + layout[1][0][1:]
+                if plain:  # other keys can be equal to one another
+                    layouts[(depth, *x)] = layout
+            items(zip(layout[1], map(x.__getitem__, layout[0])), depth + 1)
+        else:
+            x = sorted(x) if t is set or t is frozenset else x
+            if all(type(v) is str for v in x):
+                return out("[" + inner + ("," + inner).join(map(enc, x)) + end)
+            items(zip(["[" + inner] + ["," + inner] * (len(x) - 1), x),
+                  depth + 1)
+        out(end)
+
+    items([("", doc)], 0)
     out("\n")
     return "".join(chunks)
 
@@ -234,8 +236,8 @@ def _lines(doc) -> str:
 
 
 def _digest(instance: Instance) -> str:
-    blob = json.dumps(serialize_instance(instance), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of ``instance_text``."""
+    return hashlib.sha256(instance_text(instance).encode()).hexdigest()[:16]
 
 
 def _write(args, envelope: dict) -> int:
@@ -292,10 +294,6 @@ def _read(path: str) -> str:
         raise UsageError("cannot read %s: not UTF-8 text (%s)" % (path, exc))
 
 
-def _load_instance_file(path: str) -> Instance:
-    return load_instance(_read(path))
-
-
 def _load_profile_file(instance: Instance, path: str, kind: str) -> Profile:
     profile = (load_split if kind == "split" else load_schedule)(_read(path))
     errors = validate_profile(instance, profile)
@@ -338,12 +336,12 @@ def _check_fptas_eps(args) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     result = {"ok": True, "warnings": [], "checked": ["instance"]}
     if _profile_arg(args, instance) is not None:
         result["checked"].append("profile")
     if args.ext:
-        ext = _load_instance_file(args.ext)
+        ext = load_instance(_read(args.ext))
         chk = check_extension(instance, ext)
         if not chk["ok"]:
             raise ModelError(chk["errors"])
@@ -353,7 +351,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_price(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     kw = args.keyword
     if kw not in {k.id for k in instance.keywords}:
         raise UsageError("unknown keyword %r" % kw)
@@ -380,7 +378,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     adv = args.advertiser
     kw = args.keyword
     where = " (keyword %r)" % kw if kw else ""
@@ -433,7 +431,7 @@ def _day_result(instance: Instance, day) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     profile = _profile_arg(args, instance)
     day = simulate_mod.simulate_day(instance, profile, args.reserve)
     result = _day_result(instance, day)
@@ -454,7 +452,7 @@ def _run_response(instance, args, advertiser, others):
 
 def _cmd_best_response(args) -> int:
     _check_fptas_eps(args)
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     adv = args.advertiser
     if adv not in {a.id for a in instance.advertisers}:
         raise UsageError("unknown advertiser %r" % adv)
@@ -473,7 +471,7 @@ def _cmd_best_response(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     profile = _profile_arg(args, instance)
     if args.bme:
         if args.method is not None:
@@ -504,7 +502,7 @@ def _cmd_dynamics(args) -> int:
     if args.max_rounds < 0:
         raise UsageError("--max-rounds must be nonnegative, got %d"
                          % args.max_rounds)
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     start = None
     if args.init:
         start = _load_profile_file(instance, args.init, "split")
@@ -518,8 +516,8 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_dilemma(args) -> int:
-    base = _load_instance_file(args.base)
-    ext = _load_instance_file(args.ext_instance)
+    base = load_instance(_read(args.base))
+    ext = load_instance(_read(args.ext_instance))
     chk = check_extension(base, ext)
     if not chk["ok"]:
         raise ModelError(chk["errors"])
@@ -530,8 +528,8 @@ def _cmd_dilemma(args) -> int:
 
 
 def _cmd_acbm(args) -> int:
-    base = _load_instance_file(args.base)
-    ext = _load_instance_file(args.ext)
+    base = load_instance(_read(args.base))
+    ext = load_instance(_read(args.ext))
     chk = check_extension(base, ext)
     if not chk["ok"]:
         raise ModelError(chk["errors"])
@@ -556,7 +554,7 @@ def _cmd_acbm(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance = _load_instance_file(args.instance)
+    instance = load_instance(_read(args.instance))
     if not args.split or len(args.split) != 2:
         raise UsageError("pass exactly two --split FILE flags")
     days = [simulate_mod.simulate_day(

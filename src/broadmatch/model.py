@@ -10,7 +10,7 @@ All monetary scalars are exact ``fractions.Fraction`` values.  Drop-out
 times involve floor(budget / price), which is discontinuous, so floating
 point is never used anywhere in the engine; rationals enter as JSON strings
 like ``"2.3"`` or ``"23/10"`` (or plain integers) and are canonicalized on
-load.
+load.  The loaders walk each record once; digests hash ``instance_text``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 BASE = "base"
@@ -44,7 +45,8 @@ def _err(errors: List[dict], path: str, message: str) -> None:
     errors.append({"path": path, "message": message})
 
 
-def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
+def parse_rational(value, path: str, errors: List[dict],
+                   memo: Optional[Dict[str, Fraction]] = None) -> Fraction:
     """Parse an exact rational from a JSON scalar.
 
     Accepts integers and strings such as ``"2.3"``, ``"23/10"`` or ``"45"``.
@@ -52,20 +54,27 @@ def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
     quoted to stay exact.  A string of ASCII digits, with an optional
     leading minus and an optional ``/`` and ASCII-digit denominator, is read
     with ``int``; any other string goes to ``Fraction(str)``, so both ways
-    accept and refuse the same strings.
+    accept and refuse the same strings.  With a ``memo``, each string is
+    parsed once (a market repeats its scores, a split its shares).
     """
     if isinstance(value, str):
+        if memo is not None and value in memo:
+            return memo[value]
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         try:
             if (digits.isascii() and digits.isdigit()
                     and (not slash or den.isascii() and den.isdigit())):
-                return (Fraction(int(num), int(den)) if slash
-                        else Fraction(int(num)))
-            return Fraction(value)
+                x = (Fraction(int(num), int(den)) if slash
+                     else Fraction(int(num)))
+            else:
+                x = Fraction(value)
         except (ValueError, ZeroDivisionError):
             _err(errors, path, "not a rational: %r" % value)
             return Fraction(0)
+        if memo is not None:
+            memo[value] = x
+        return x
     if isinstance(value, bool):
         _err(errors, path, "expected integer or rational string, got boolean")
         return Fraction(0)
@@ -83,8 +92,8 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-# Field readers: ``item[key]`` checked, with an error at ``path.key`` (the
-# path built only then) and a neutral value when it does not fit.
+# Field readers: ``item[key]`` checked, with an error at ``path.key`` (``path``
+# is "" inside ``_objects``' walk) and a neutral value when it does not fit.
 
 def _int_field(item: dict, key: str, path: str, errors: List[dict],
                default: int = 0) -> int:
@@ -116,12 +125,12 @@ def _check_keys(obj: dict, path: str, required: Sequence[str],
 
 def _decode(document, kind: str) -> dict:
     """The object a loader reads: ``document`` parsed if it is JSON text,
-    as given otherwise; anything but a JSON object, and bytes that do not
-    decode as text, are refused."""
+    as given otherwise; anything but a JSON object, bytes that do not
+    decode as text, and text nested too deep to parse are refused."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
         except UnicodeDecodeError as exc:
             raise ModelError([{"path": "$",
@@ -132,11 +141,13 @@ def _decode(document, kind: str) -> dict:
     return document
 
 
-def _objects(doc: dict, key: str, required: Sequence[str],
-             optional: Sequence[str], errors: List[dict]) -> Iterator[Tuple[str, dict]]:
-    """``(path, item)`` for each object of the list ``doc[key]``, after
-    checking the item's keys.  A non-list and each non-object item are
-    errors."""
+def _objects(doc: dict, key: str, required: Sequence[str], optional: Sequence[str],
+             errors: List[dict], dupes: List[dict]) -> Iterator[Tuple[int, dict]]:
+    """``(n, item)`` for each object of the list ``doc[key]``, its keys
+    checked; a non-list and a non-object item are errors.  While the caller
+    holds item n, its errors' paths are relative (``".field"``), made
+    absolute when the walk moves on, so a path is built only for an error.
+    ``dupes``, the caller's errors on repeats, follow the section's others."""
     items = doc.get(key, [])
     if not isinstance(items, list):
         _err(errors, "$." + key, "expected a list")
@@ -144,24 +155,16 @@ def _objects(doc: dict, key: str, required: Sequence[str],
     need = frozenset(required)
     allowed = need.union(optional)
     for n, item in enumerate(items):
-        path = "$.%s[%d]" % (key, n)
         if isinstance(item, dict):
             if not need <= item.keys() <= allowed:
-                _check_keys(item, path, required, optional, errors)
-            yield path, item
+                _check_keys(item, "$.%s[%d]" % (key, n), required, optional, errors)
+            mark = len(errors)
+            yield n, item
+            for e in errors[mark:]:
+                e["path"] = "$.%s[%d]%s" % (key, n, e["path"])
         else:
-            _err(errors, path, "expected an object")
-
-
-def _unique(keys: Iterable[Tuple[str, object]], message: str,
-            errors: List[dict]) -> None:
-    """An error at ``path`` for each ``(path, key)`` whose key an earlier
-    one already had."""
-    seen = set()
-    for path, key in keys:
-        if key in seen:
-            _err(errors, path, message % (key,))
-        seen.add(key)
+            _err(errors, "$.%s[%d]" % (key, n), "expected an object")
+    errors += dupes
 
 
 @dataclass(frozen=True)
@@ -193,19 +196,21 @@ class SlotParams:
                 tuple(x.numerator * (G // x.denominator) for x in self.drops))
 
 
-@dataclass(frozen=True)
+# Records: slotted dataclasses, not frozen ones, whose every field set goes
+# through object.__setattr__ (3x the build time); nothing changes a record.
+@dataclass(slots=True, unsafe_hash=True)
 class Keyword:
     id: str
     volume: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Advertiser:
     id: str
     budget: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     advertiser: str
     keyword: str
@@ -309,82 +314,85 @@ def load_instance(document) -> Instance:
                      "clickability not strictly decreasing")
 
     keywords: List[Keyword] = []
-    ids: List[Tuple[str, str]] = []  # (path, id) for the duplicate scans
-    for path, item in _objects(doc, "keywords", ("id", "volume"), (), errors):
-        kid = _str_field(item, "id", path, errors)
-        ids.append((path + ".id", kid))
-        vol = _int_field(item, "volume", path, errors)
+    kw_ids, dupes = set(), []
+    for n, item in _objects(doc, "keywords", ("id", "volume"), (), errors, dupes):
+        kid = _str_field(item, "id", "", errors)
+        if kid in kw_ids:
+            _err(dupes, "$.keywords[%d].id" % n, "duplicate keyword id %r" % kid)
+        kw_ids.add(kid)
+        vol = _int_field(item, "volume", "", errors)
         if vol < 1:
-            _err(errors, path + ".volume", "volume must be a positive integer")
+            _err(errors, ".volume", "volume must be a positive integer")
         keywords.append(Keyword(kid, vol))
-    _unique(ids, "duplicate keyword id %r", errors)
 
+    memo: Dict[str, Fraction] = {}
     advertisers: List[Advertiser] = []
-    ids = []
-    for path, item in _objects(doc, "advertisers", ("id", "budget"), (), errors):
-        aid = _str_field(item, "id", path, errors)
-        ids.append((path + ".id", aid))
-        budget = parse_rational(item.get("budget", 0), path + ".budget", errors)
+    adv_ids, dupes = set(), []
+    for n, item in _objects(doc, "advertisers", ("id", "budget"), (), errors, dupes):
+        aid = _str_field(item, "id", "", errors)
+        if aid in adv_ids:
+            _err(dupes, "$.advertisers[%d].id" % n, "duplicate advertiser id %r" % aid)
+        adv_ids.add(aid)
+        budget = parse_rational(item.get("budget", 0), ".budget", errors, memo)
         if budget.numerator < 0:
-            _err(errors, path + ".budget", "budget must be nonnegative")
+            _err(errors, ".budget", "budget must be nonnegative")
         advertisers.append(Advertiser(aid, budget))
-    _unique(ids, "duplicate advertiser id %r", errors)
 
     edges: List[Edge] = []
-    kw_ids = {k.id for k in keywords}
-    adv_ids = {a.id for a in advertisers}
-    pairs: List[Tuple[str, Tuple[str, str]]] = []
-    for path, item in _objects(doc, "edges", ("advertiser", "keyword", "score"),
-                               ("tag",), errors):
-        adv = _str_field(item, "advertiser", path, errors)
-        kw = _str_field(item, "keyword", path, errors)
-        score = parse_rational(item.get("score", 0), path + ".score", errors)
+    pairs, dupes = set(), []
+    for n, item in _objects(doc, "edges", ("advertiser", "keyword", "score"),
+                            ("tag",), errors, dupes):
+        adv = _str_field(item, "advertiser", "", errors)
+        kw = _str_field(item, "keyword", "", errors)
+        score = parse_rational(item.get("score", 0), ".score", errors, memo)
         tag = item.get("tag", BASE)
         if adv and adv not in adv_ids:
-            _err(errors, path + ".advertiser", "unknown advertiser %r" % adv)
+            _err(errors, ".advertiser", "unknown advertiser %r" % adv)
         if kw and kw not in kw_ids:
-            _err(errors, path + ".keyword", "unknown keyword %r" % kw)
+            _err(errors, ".keyword", "unknown keyword %r" % kw)
         if score.numerator <= 0:
-            _err(errors, path + ".score", "score must be positive")
+            _err(errors, ".score", "score must be positive")
         if tag not in _TAGS:
-            _err(errors, path + ".tag", "tag must be 'base' or 'extension'")
+            _err(errors, ".tag", "tag must be 'base' or 'extension'")
             tag = BASE
         edges.append(Edge(adv, kw, score, tag))
-        pairs.append((path, (adv, kw)))
-    _unique(pairs, "duplicate edge %r", errors)
+        if (adv, kw) in pairs:
+            _err(dupes, "$.edges[%d]" % n, "duplicate edge %r" % ((adv, kw),))
+        pairs.add((adv, kw))
 
     if errors:
         raise ModelError(errors)
     return Instance(SlotParams(gamma), tuple(keywords), tuple(advertisers), tuple(edges))
 
 
+def instance_text(instance: Instance) -> str:
+    """The canonical text of an instance, which the CLI's digest hashes: the
+    ``json.dumps`` of its document with sorted keys, each rational in
+    ``format_rational``'s form, written straight from the records."""
+    enc = encode_basestring_ascii
+    return ('{"advertisers": [%s], "edges": [%s], "keywords": [%s], "slots": '
+            '{"clickability": [%s], "count": %d}}' % (
+                ", ".join(['{"budget": "%s", "id": %s}' % (a.budget, enc(a.id))
+                           for a in instance.advertisers]),
+                ", ".join(['{"advertiser": %s, "keyword": %s, "score": "%s", "tag": %s}'
+                           % (enc(e.advertiser), enc(e.keyword), e.score, enc(e.tag))
+                           for e in instance.edges]),
+                ", ".join(['{"id": %s, "volume": %d}' % (enc(k.id), k.volume)
+                           for k in instance.keywords]),
+                ", ".join(['"%s"' % g for g in instance.slots.gamma]),
+                instance.slots.count))
+
+
 def serialize_instance(instance: Instance) -> dict:
-    """Canonical document form; ``load_instance`` of the result is identity."""
-    return {
-        "slots": {
-            "count": instance.slots.count,
-            "clickability": [format_rational(g) for g in instance.slots.gamma],
-        },
-        "keywords": [{"id": k.id, "volume": k.volume} for k in instance.keywords],
-        "advertisers": [
-            {"id": a.id, "budget": format_rational(a.budget)} for a in instance.advertisers
-        ],
-        "edges": [
-            {
-                "advertiser": e.advertiser,
-                "keyword": e.keyword,
-                "score": format_rational(e.score),
-                "tag": e.tag,
-            }
-            for e in instance.edges
-        ],
-    }
+    """Canonical document form (``instance_text`` parsed); ``load_instance``
+    of the result is identity."""
+    return json.loads(instance_text(instance))
 
 
 # -- budget splits and schedules --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Allocation:
     """One advertiser's commitment on one keyword.
 
@@ -449,24 +457,25 @@ def _load_profile(document, kind: str) -> Profile:
     errors: List[dict] = []
     _check_keys(doc, "$", ("allocations",), (), errors)
     rows: List[Allocation] = []
-    pairs: List[Tuple[str, Tuple[str, str]]] = []
-    for path, item in _objects(doc, "allocations", _FIELDS[kind], (), errors):
-        adv = _str_field(item, "advertiser", path, errors)
-        kw = _str_field(item, "keyword", path, errors)
-        queries = _int_field(item, "queries", path, errors)
-        budget = parse_rational(item.get("budget", 0), path + ".budget", errors)
-        start = 1
-        if kind == "schedule":
-            start = _int_field(item, "start_query", path, errors, 1)
-            if start < 1:
-                _err(errors, path + ".start_query", "start_query must be >= 1")
+    memo: Dict[str, Fraction] = {}
+    pairs, dupes = set(), []
+    for n, item in _objects(doc, "allocations", _FIELDS[kind], (), errors, dupes):
+        adv = _str_field(item, "advertiser", "", errors)
+        kw = _str_field(item, "keyword", "", errors)
+        queries = _int_field(item, "queries", "", errors)
+        budget = parse_rational(item.get("budget", 0), ".budget", errors, memo)
+        start = (_int_field(item, "start_query", "", errors, 1)
+                 if kind == "schedule" else 1)
+        if start < 1:
+            _err(errors, ".start_query", "start_query must be >= 1")
         if queries < 0:
-            _err(errors, path + ".queries", "queries must be nonnegative")
+            _err(errors, ".queries", "queries must be nonnegative")
         if budget.numerator < 0:
-            _err(errors, path + ".budget", "budget must be nonnegative")
+            _err(errors, ".budget", "budget must be nonnegative")
         rows.append(Allocation(adv, kw, queries, budget, start))
-        pairs.append((path, (adv, kw)))
-    _unique(pairs, "duplicate allocation %r", errors)
+        if (adv, kw) in pairs:
+            _err(dupes, "$.allocations[%d]" % n, "duplicate allocation %r" % ((adv, kw),))
+        pairs.add((adv, kw))
     if errors:
         raise ModelError(errors)
     return Profile(tuple(rows), kind)
@@ -483,18 +492,11 @@ def load_schedule(document) -> Profile:
 
 
 def serialize_profile(profile: Profile) -> dict:
-    rows = []
-    for r in profile.rows:
-        item = {
-            "advertiser": r.advertiser,
-            "keyword": r.keyword,
-            "queries": r.queries,
-            "budget": format_rational(r.budget),
-        }
-        if profile.kind == "schedule":
-            item["start_query"] = r.start_query
-        rows.append(item)
-    return {"allocations": rows}
+    """The profile's document, with its kind's fields (``_FIELDS``)."""
+    return {"allocations": [
+        dict(zip(_FIELDS[profile.kind], (r.advertiser, r.keyword, r.queries,
+                                         format_rational(r.budget), r.start_query)))
+        for r in profile.rows]}
 
 
 def validate_profile(instance: Instance, profile: Profile) -> List[dict]:

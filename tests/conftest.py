@@ -5,8 +5,10 @@ reprice-everything reference timeline, the all-Fraction reference
 knapsack and the level-scanning int one, the listed fptas grid and the
 per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal
-rates, the tree-building reference report encoder, and the seeded random
-corpus used by the property tests.
+rates, the tree-building reference report encoder, the instance and
+profile loaders' walk from before the one-walk loaders and the field-by-field
+instance serializer, and the seeded random corpus used by the property
+tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -24,8 +26,10 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 from broadmatch import bestresp
 from broadmatch.auction import Slate, price_query
 from broadmatch.cli import _FIXTURE_DIR, _approx
-from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
-                              Profile, SlotParams, format_rational)
+from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
+                              Instance, Keyword, ModelError, Profile,
+                              SlotParams, _check_keys, _decode, _err,
+                              format_rational, parse_rational)
 from broadmatch.partition import (INFINITE, PartitionTable, Segment,
                                   keyword_day, tables_for)
 
@@ -655,6 +659,209 @@ def assert_day_matches_naive(instance, day, ref) -> None:
                 assert tuple(sorted(seg.active)) == got_active, (k.id, q)
                 for i in seg.active:
                     assert seg.prices[i] == got_prices[i], (k.id, q, i)
+
+
+# -- reference loaders ---------------------------------------------------------
+
+# The instance and profile loaders' walk from before the one-walk loaders,
+# kept verbatim apart from names: a path per record, built before any error,
+# and the ids and pairs listed for a second, duplicate-finding pass.  Their
+# decoding, key checks and rational parser are the module's own.
+
+def _ref_int_field(item: dict, key: str, path: str, errors: List[dict],
+                   default: int = 0) -> int:
+    value = item.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    _err(errors, path + "." + key,
+         "expected an integer, got %s" % type(value).__name__)
+    return 0
+
+
+def _ref_str_field(item: dict, key: str, path: str, errors: List[dict]) -> str:
+    value = item.get(key, "")
+    if isinstance(value, str) and value:
+        return value
+    _err(errors, path + "." + key, "expected a non-empty string")
+    return ""
+
+
+def _ref_objects(doc: dict, key: str, required: Sequence[str],
+                 optional: Sequence[str], errors: List[dict]):
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        _err(errors, "$." + key, "expected a list")
+        return
+    need = frozenset(required)
+    allowed = need.union(optional)
+    for n, item in enumerate(items):
+        path = "$.%s[%d]" % (key, n)
+        if isinstance(item, dict):
+            if not need <= item.keys() <= allowed:
+                _check_keys(item, path, required, optional, errors)
+            yield path, item
+        else:
+            _err(errors, path, "expected an object")
+
+
+def _ref_unique(keys, message: str, errors: List[dict]) -> None:
+    seen = set()
+    for path, key in keys:
+        if key in seen:
+            _err(errors, path, message % (key,))
+        seen.add(key)
+
+
+def reference_load_instance(document) -> Instance:
+    """``model.load_instance`` as it was: the same instance or errors."""
+    doc = _decode(document, "instance")
+    errors: List[dict] = []
+    _check_keys(doc, "$", ("slots", "keywords", "advertisers", "edges"), (),
+                errors)
+    if errors:
+        raise ModelError(errors)
+
+    slots_doc = doc["slots"]
+    gamma: Tuple[Fraction, ...] = ()
+    if not isinstance(slots_doc, dict):
+        _err(errors, "$.slots", "expected an object")
+    else:
+        _check_keys(slots_doc, "$.slots", ("count", "clickability"), (),
+                    errors)
+        count = _ref_int_field(slots_doc, "count", "$.slots", errors)
+        click = slots_doc.get("clickability", [])
+        if not isinstance(click, list):
+            _err(errors, "$.slots.clickability", "expected a list")
+            click = []
+        gamma = tuple(
+            parse_rational(v, "$.slots.clickability[%d]" % n, errors)
+            for n, v in enumerate(click)
+        )
+        if count < 1:
+            _err(errors, "$.slots.count", "slot count must be >= 1")
+        if len(gamma) != count:
+            _err(errors, "$.slots.clickability",
+                 "expected %d values, got %d" % (count, len(gamma)))
+        for n, g in enumerate(gamma):
+            if g.numerator <= 0:
+                _err(errors, "$.slots.clickability[%d]" % n,
+                     "clickability must be positive")
+        for n in range(len(gamma) - 1):
+            if gamma[n] <= gamma[n + 1]:
+                _err(errors, "$.slots.clickability[%d]" % (n + 1),
+                     "clickability not strictly decreasing")
+
+    keywords: List[Keyword] = []
+    ids: List[Tuple[str, str]] = []  # (path, id) for the duplicate scans
+    for path, item in _ref_objects(doc, "keywords", ("id", "volume"), (),
+                                   errors):
+        kid = _ref_str_field(item, "id", path, errors)
+        ids.append((path + ".id", kid))
+        vol = _ref_int_field(item, "volume", path, errors)
+        if vol < 1:
+            _err(errors, path + ".volume", "volume must be a positive integer")
+        keywords.append(Keyword(kid, vol))
+    _ref_unique(ids, "duplicate keyword id %r", errors)
+
+    advertisers: List[Advertiser] = []
+    ids = []
+    for path, item in _ref_objects(doc, "advertisers", ("id", "budget"), (),
+                                   errors):
+        aid = _ref_str_field(item, "id", path, errors)
+        ids.append((path + ".id", aid))
+        budget = parse_rational(item.get("budget", 0), path + ".budget",
+                                errors)
+        if budget.numerator < 0:
+            _err(errors, path + ".budget", "budget must be nonnegative")
+        advertisers.append(Advertiser(aid, budget))
+    _ref_unique(ids, "duplicate advertiser id %r", errors)
+
+    edges: List[Edge] = []
+    kw_ids = {k.id for k in keywords}
+    adv_ids = {a.id for a in advertisers}
+    pairs: List[Tuple[str, Tuple[str, str]]] = []
+    for path, item in _ref_objects(doc, "edges",
+                                   ("advertiser", "keyword", "score"),
+                                   ("tag",), errors):
+        adv = _ref_str_field(item, "advertiser", path, errors)
+        kw = _ref_str_field(item, "keyword", path, errors)
+        score = parse_rational(item.get("score", 0), path + ".score", errors)
+        tag = item.get("tag", BASE)
+        if adv and adv not in adv_ids:
+            _err(errors, path + ".advertiser", "unknown advertiser %r" % adv)
+        if kw and kw not in kw_ids:
+            _err(errors, path + ".keyword", "unknown keyword %r" % kw)
+        if score.numerator <= 0:
+            _err(errors, path + ".score", "score must be positive")
+        if tag not in (BASE, EXTENSION):
+            _err(errors, path + ".tag", "tag must be 'base' or 'extension'")
+            tag = BASE
+        edges.append(Edge(adv, kw, score, tag))
+        pairs.append((path, (adv, kw)))
+    _ref_unique(pairs, "duplicate edge %r", errors)
+
+    if errors:
+        raise ModelError(errors)
+    return Instance(SlotParams(gamma), tuple(keywords), tuple(advertisers),
+                    tuple(edges))
+
+
+def reference_load_profile(document, kind: str) -> Profile:
+    """``model.load_split`` (``kind`` "split") or ``load_schedule``
+    ("schedule") as it was: the same profile or errors."""
+    doc = _decode(document, kind)
+    errors: List[dict] = []
+    _check_keys(doc, "$", ("allocations",), (), errors)
+    rows: List[Allocation] = []
+    pairs: List[Tuple[str, Tuple[str, str]]] = []
+    fields = ("advertiser", "keyword", "queries", "budget") + (
+        ("start_query",) if kind == "schedule" else ())
+    for path, item in _ref_objects(doc, "allocations", fields, (), errors):
+        adv = _ref_str_field(item, "advertiser", path, errors)
+        kw = _ref_str_field(item, "keyword", path, errors)
+        queries = _ref_int_field(item, "queries", path, errors)
+        budget = parse_rational(item.get("budget", 0), path + ".budget",
+                                errors)
+        start = 1
+        if kind == "schedule":
+            start = _ref_int_field(item, "start_query", path, errors, 1)
+            if start < 1:
+                _err(errors, path + ".start_query", "start_query must be >= 1")
+        if queries < 0:
+            _err(errors, path + ".queries", "queries must be nonnegative")
+        if budget.numerator < 0:
+            _err(errors, path + ".budget", "budget must be nonnegative")
+        rows.append(Allocation(adv, kw, queries, budget, start))
+        pairs.append((path, (adv, kw)))
+    _ref_unique(pairs, "duplicate allocation %r", errors)
+    if errors:
+        raise ModelError(errors)
+    return Profile(tuple(rows), kind)
+
+
+def reference_serialize_instance(instance: Instance) -> dict:
+    """``model.serialize_instance`` as it was, built field by field; its
+    sorted ``json.dumps`` defined the instance digest's text."""
+    return {
+        "slots": {
+            "count": instance.slots.count,
+            "clickability": [format_rational(g) for g in instance.slots.gamma],
+        },
+        "keywords": [{"id": k.id, "volume": k.volume} for k in instance.keywords],
+        "advertisers": [
+            {"id": a.id, "budget": format_rational(a.budget)}
+            for a in instance.advertisers
+        ],
+        "edges": [
+            {
+                "advertiser": e.advertiser,
+                "keyword": e.keyword,
+                "score": format_rational(e.score),
+                "tag": e.tag,
+            }
+            for e in instance.edges
+        ],
+    }
 
 
 # -- random corpus ------------------------------------------------------------

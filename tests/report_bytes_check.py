@@ -1,17 +1,23 @@
-"""Check that reports on real traffic are canonical JSON, byte for byte.
+"""Check that reports on real traffic are canonical JSON, byte for byte,
+and that each names its instance by the digest of its canonical text.
 
     PYTHONPATH=src python tests/report_bytes_check.py
 
-Builds the first block of the seed-1 ``market-day`` benchmark workload from
-``bench/gen.py`` (its twelve largest-document jobs, ~3.5 MB of reports) in a
-temporary directory, runs each job in process and requires its stdout to
-equal ``json.dumps(json.loads(out), sort_keys=True, indent=2) + "\\n"``.
-The benchmark's own check digests parsed results with every ``approx``
-dropped, so it cannot see a byte drift in these documents; this can.  Not
-collected by pytest; exits 1 on the first job whose bytes differ.
+Builds the first block of each seed-1 benchmark workload from
+``bench/gen.py`` (``market-day``'s twelve largest-document jobs, ~3.5 MB of
+reports, then ``best-response`` and ``acbm-fine``) in a temporary
+directory, runs each job in process and requires its stdout to equal
+``json.dumps(json.loads(out), sort_keys=True, indent=2) + "\\n"``, and its
+``instance`` to equal the first 16 hex digits of the sha256 of
+``json.dumps(serialize_instance(load_instance(text)), sort_keys=True)``,
+``text`` the job's instance file.  The benchmark's own check digests parsed
+results with every ``approx`` dropped, so it cannot see a byte drift in
+these documents or a drift of the instance digest; this can.  Not collected
+by pytest; exits 1 on the first job whose bytes or digest differ.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -22,35 +28,56 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py, read only)
 from broadmatch import cli  # noqa: E402
+from broadmatch.model import load_instance, serialize_instance  # noqa: E402
 
-WORKLOAD, SEED = "market-day", 1
+SEED = 1
+
+
+def digest(text: str) -> str:
+    doc = serialize_instance(load_instance(text))
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def check(workload: str, root: Path) -> int:
+    files, jobs = gen.WORKLOADS[workload](SEED)
+    block = jobs[:len(jobs) // gen.BLOCKS[workload]]
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    total = 0
+    for name, argv, codes, _ in block:
+        argv = [str(root / a[1:-1]) if a.startswith("{") else a
+                for a in argv]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(argv)
+        out = buf.getvalue()
+        if code not in codes:
+            print("%s: exit code %d" % (name, code))
+            return 1
+        doc = json.loads(out)
+        if out != json.dumps(doc, sort_keys=True, indent=2) + "\n":
+            print("%s: report bytes are not canonical JSON" % name)
+            return 1
+        want = digest(Path(argv[1]).read_text(encoding="utf-8"))
+        if doc["instance"] != want:
+            print("%s: instance digest %s != %s" % (name, doc["instance"],
+                                                     want))
+            return 1
+        total += len(out.encode("utf-8"))
+    print("%d %s seed-%d reports, %d bytes, all canonical, every instance "
+          "digest right (Python %s)" % (len(block), workload, SEED, total,
+                                        sys.version.split()[0]))
+    return 0
 
 
 def main() -> int:
-    files, jobs = gen.WORKLOADS[WORKLOAD](SEED)
-    block = jobs[:len(jobs) // gen.BLOCKS[WORKLOAD]]
-    total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for name, text in files.items():
-            (root / name).write_text(text, encoding="utf-8")
-        for name, argv, codes, _ in block:
-            argv = [str(root / a[1:-1]) if a.startswith("{") else a
-                    for a in argv]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.run(argv)
-            out = buf.getvalue()
-            if code not in codes:
-                print("%s: exit code %d" % (name, code))
+        for workload in gen.WORKLOADS:
+            root = Path(tmp) / workload
+            root.mkdir()
+            if check(workload, root):
                 return 1
-            if out != json.dumps(json.loads(out), sort_keys=True,
-                                 indent=2) + "\n":
-                print("%s: report bytes are not canonical JSON" % name)
-                return 1
-            total += len(out.encode("utf-8"))
-    print("%d %s seed-%d reports, %d bytes, all canonical (Python %s)"
-          % (len(block), WORKLOAD, SEED, total, sys.version.split()[0]))
     return 0
 
 

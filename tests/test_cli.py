@@ -237,6 +237,24 @@ def test_input_that_is_not_utf8_is_a_usage_error(fx, tmp_path, which):
                    % bad}
 
 
+@pytest.mark.parametrize("which", ["instance", "split"])
+def test_input_nested_too_deep_is_a_schema_error(fx, tmp_path, which):
+    """A document nested past the JSON parser's recursion limit is invalid
+    JSON, a schema error with exit 2, not an engine error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    argv = (["validate", str(deep)] if which == "instance"
+            else ["simulate", "two-keyword-entry-base.json",
+                  "--split", str(deep)])
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"]["type"] == "schema"
+    [error] = doc["error"]["errors"]
+    assert error["path"] == "$"
+    assert error["message"].startswith("invalid JSON: ")
+
+
 def test_missing_file_is_a_usage_error(fx):
     code, out = fx("validate", "no-such-file.json")
     doc = json.loads(out)
@@ -791,6 +809,11 @@ def test_writer_is_json_dumps_on_plain_trees(tree):
 # an int key and a text key with the same str(): the later one is kept
 @example({1: F(1, 2), "1": [F(-3)], 10: 7, "9": None})
 @example({"2": 0, 2: (F(10 ** 400, 3), INFINITE)})
+# dicts of one key tuple at one depth share their sorted keys; equal
+# tuples of other keys (1 == True) do not, and lists mixing text join not
+@example([{"b": 1, "a": [F(1, 3)]}, {"b": "x", "a": ("y", "z")},
+          {1: 2, "a": 3}, {True: 4, "a": 5}, {"a": {"b": 6, "a": 7}},
+          ["p", F(1)], ("q", None), {"r", "s"}])
 def test_writer_is_json_dumps_of_the_reference_encoding(tree):
     """Exact rationals, the rate sentinel, tuples, sets and int keys (which
     can collide with their text) are encoded as the tree-building encoder
@@ -922,16 +945,98 @@ _COMMANDS = {  # positionals, options always passed, options maybe passed
 }
 
 
+# Bundled markets with the profiles that fit them, and (base, extension,
+# splits that fit the extension) pairs, for well-formed runs.
+_FITTING = {
+    "two-keyword-entry-base.json": [
+        ("--split", "two-keyword-entry-natural.split.json")],
+    "two-keyword-entry-ext.json": [
+        ("--schedule", "two-keyword-entry-early.schedule.json"),
+        ("--schedule", "two-keyword-entry-tuned.schedule.json")],
+    "single-extension-ext.json": [
+        ("--split", "single-extension-advshift.split.json"),
+        ("--schedule", "single-extension-entry.schedule.json")],
+    "agreeing-methods.json": [("--split", "agreeing-methods-allk2.split.json")],
+    "three-keyword-family.json": [
+        ("--split", "three-keyword-family-shifted.split.json"),
+        ("--split", "three-keyword-family-stayhome.split.json")],
+    "edge-shift-ext.json": [("--split", "edge-shift-shift.split.json"),
+                            ("--split", "edge-shift-noshift.split.json")],
+}
+_PAIRS = [# advertiser 1 holds two base edges: acbm refuses, exit 1
+          ("greedy-vs-exact.json", "greedy-vs-exact.json", []),
+          ("two-keyword-entry-base.json", "two-keyword-entry-ext.json", []),
+          ("single-extension-base.json", "single-extension-ext.json",
+           ["single-extension-advshift.split.json"]),
+          ("edge-shift-base.json", "edge-shift-ext.json",
+           ["edge-shift-shift.split.json", "edge-shift-noshift.split.json"]),
+          ("edge-no-shift-base.json", "edge-no-shift-ext.json",
+           ["edge-no-shift-noshift.split.json"])]
+
+
+def _ids(market: str, section: str) -> list:
+    doc = json.loads((cli._FIXTURE_DIR / market).read_text(encoding="utf-8"))
+    return [item["id"] for item in doc[section]]
+
+
+@st.composite
+def _well_formed(draw):
+    """A run the CLI accepts, over the bundled fixtures: documents that fit
+    each other, ids they hold and option values in range, so that it ends
+    in a result (exit 0), a failed check (3) or an engine refusal (1)."""
+    command = draw(st.sampled_from([
+        "simulate", "verify", "verify", "best-response", "partition", "price",
+        "dynamics", "validate", "acbm", "dilemma", "compare"]))
+    market = draw(st.sampled_from(sorted(_FITTING)))
+    profile = list(draw(st.sampled_from(_FITTING[market])))
+    base, ext, splits = draw(st.sampled_from(_PAIRS))
+    argv = [command, market]
+    if command in ("simulate", "validate"):
+        argv += profile
+    elif command == "verify":
+        argv += profile + draw(st.sampled_from([
+            ["--bme"], ["--eps-ne", "0"], ["--eps-ne", "1/10", "--method", "dp"],
+            ["--eps-ne", "1/2", "--method", "fptas"]]))
+    elif command in ("best-response", "partition"):
+        argv += ["--advertiser",
+                 draw(st.sampled_from(_ids(market, "advertisers")))]
+        argv += draw(st.sampled_from([
+            [], profile, ["--method", "greedy"],
+            ["--method", "fptas", "--eps", "1/4"] + profile]
+            if command == "best-response" else [[], profile]))
+    elif command == "price":
+        argv.append(draw(st.sampled_from(_ids(market, "keywords"))))
+    elif command == "dynamics":
+        argv += ["--max-rounds", "3"]
+    elif command == "acbm":
+        argv = ["acbm", base, "--ext", ext] + draw(
+            st.sampled_from([[], ["--fine"]]))
+    elif command == "dilemma" and splits:
+        argv = ["dilemma", base, ext, "--profiles"] + splits
+    else:
+        argv = ["compare", "three-keyword-family.json",
+                "--split", "three-keyword-family-shifted.split.json",
+                "--split", "three-keyword-family-stayhome.split.json"]
+    if command != "validate":
+        argv += draw(st.sampled_from([[], ["--format", "table"],
+                                      ["--reserve", "1/2"]]))
+    return argv
+
+
 @st.composite
 def _argv(draw):
-    """A well-shaped command line nine times in ten (its positionals and
-    the options it needs, plus some it takes, each value good or bad),
-    free-form tokens otherwise."""
-    if draw(st.sampled_from([False] * 9 + [True])):
+    """A well-formed run over the bundled fixtures three times in ten, a
+    well-shaped command line six times (its positionals and the options it
+    needs, plus some it takes, each value good or bad), free-form tokens
+    otherwise."""
+    shape = draw(st.sampled_from(["free"] + ["fixtures"] * 3 + ["shaped"] * 6))
+    if shape == "free":
         tokens = st.sampled_from(sorted(_COMMANDS) + ["frobnicate", "--nope"]
                                  + _IDS + _RATIONALS + list(_VALUES)
                                  + _BAD_FILES)
         return draw(st.lists(tokens, max_size=6))
+    if shape == "fixtures":
+        return draw(_well_formed())
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     positionals, needed, options = _COMMANDS[command]
     argv = [command]

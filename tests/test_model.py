@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch.model import (Allocation, ModelError, all_in_profile,
-                              check_extension, load_instance, load_schedule,
-                              load_split, parse_rational, serialize_instance,
-                              serialize_profile, validate_profile)
-from conftest import FIXTURES, build_instance, build_split
+                              check_extension, instance_text, load_instance,
+                              load_schedule, load_split, parse_rational,
+                              serialize_instance, serialize_profile,
+                              validate_profile)
+from conftest import (FIXTURES, build_instance, build_split, random_instance,
+                      reference_load_instance, reference_load_profile,
+                      reference_serialize_instance)
 
 
 def small():
@@ -479,3 +483,131 @@ def test_fixture_profiles_validate_against_their_instances():
 def test_serialize_profile_round_trip():
     p = build_split([("1", "k1", 50, "45")])
     assert load_split(json.dumps(serialize_profile(p))) == p
+
+
+def test_text_nested_too_deep_is_invalid_json():
+    """Nesting past the parser's recursion limit is a schema error at ``$``,
+    not a ``RecursionError``, which the CLI would report as an engine
+    error."""
+    for kind, load in LOADERS.items():
+        for text in ("[" * 100000, b"[" * 100000,
+                     '{"allocations": [' + "{" * 100000):
+            with pytest.raises(ModelError) as err:
+                load(text)
+            [error] = err.value.errors
+            assert error["path"] == "$", kind
+            assert error["message"].startswith("invalid JSON: "), kind
+
+
+def test_instance_text_is_the_sorted_json_of_the_document():
+    """``instance_text``, the text the CLI's digest hashes, is the sorted
+    ``json.dumps`` of the document built field by field (the digest's text
+    before it was written directly), and ``serialize_instance`` is that
+    document: for every fixture, a seeded corpus, an empty market and ids
+    that JSON escapes."""
+    markets = [load_instance(path.read_text()) for path in FIXTURES.glob("*.json")
+               if ".split." not in path.name and ".schedule." not in path.name]
+    rng = random.Random(11)
+    markets += [random_instance(rng) for _ in range(100)]
+    markets.append(build_instance(("1",), (), (), ()))
+    markets.append(build_instance(
+        ("1", "1/3"), (('k "1"\\', 3), ("\u00e9\n\t", 2)),
+        (("\u2603", "5/3"), ("\U0001f600", 0)),
+        (("\u2603", 'k "1"\\', "7/2", "extension"),
+         ("\U0001f600", "\u00e9\n\t", "-2/4", "base"))))
+    for inst in markets:
+        text = json.dumps(reference_serialize_instance(inst), sort_keys=True)
+        assert instance_text(inst) == text
+        assert serialize_instance(inst) == reference_serialize_instance(inst)
+
+
+# -- the one-walk loaders against the walk they replaced ------------------------
+
+REFERENCE_LOADERS = {
+    "instance": reference_load_instance,
+    "split": lambda document: reference_load_profile(document, "split"),
+    "schedule": lambda document: reference_load_profile(document, "schedule")}
+
+# every bundled fixture document, by kind: the valid starting points
+_VALID = {"instance": [], "split": [], "schedule": []}
+for _path in sorted(FIXTURES.glob("*.json")):
+    _VALID["split" if ".split." in _path.name else "schedule"
+           if ".schedule." in _path.name else "instance"].append(
+        json.loads(_path.read_text()))
+
+# values a mutation puts where a field, an item or a section was: wrong
+# types, booleans, floats, bad and zero-denominator rationals, empty and
+# unknown names, and values that are fine in some places
+_ODD = [None, True, False, 0, -1, 1, 7, 2.5, "", "x", "zz", "k1", "1", "a1",
+        "0", "-3", "3/2", "1/0", "0/0", "2/-4", " 4", "1e2", [], {}, [1],
+        {"id": "k1"}]
+_KEYS = ["bogus", "tag", "start_query", "id", "volume", "budget", "score",
+         "advertiser", "keyword", "queries", "count", "clickability"]
+
+
+def _outcome(load, document):
+    """A loader's instance or profile, or its error list."""
+    try:
+        return load(document)
+    except ModelError as exc:
+        return exc.errors
+
+
+@st.composite
+def _mutated(draw):
+    """A fixture document of a drawn kind with one to three mutations: a key
+    dropped or added, a value of the wrong type, a bad rational or a
+    boolean, an item repeated (a duplicate id, edge or allocation), a name
+    the market lacks, an item or a section that is not an object or list."""
+    kind = draw(st.sampled_from(sorted(_VALID)))
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        sections = [v for v in doc.values() if isinstance(v, list) and v]
+        objects = [doc] + [v for v in doc.values() if isinstance(v, dict)] + [
+            item for v in sections for item in v if isinstance(item, dict)]
+        target = draw(st.sampled_from(objects))
+        op = draw(st.sampled_from(["drop", "add", "set", "set", "repeat",
+                                   "unknown", "item", "section"]))
+        if op == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif op == "add":
+            target[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_ODD))
+        elif op == "set" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(
+                st.sampled_from(_ODD))
+        elif op == "repeat" and sections:
+            items = draw(st.sampled_from(sections))
+            items.insert(draw(st.integers(0, len(items))),
+                         copy.deepcopy(draw(st.sampled_from(items))))
+        elif op == "unknown" and target.keys() & {"advertiser", "keyword"}:
+            target[draw(st.sampled_from(sorted(
+                target.keys() & {"advertiser", "keyword"})))] = "zz"
+        elif op == "item" and sections:
+            items = draw(st.sampled_from(sections))
+            items[draw(st.integers(0, len(items) - 1))] = draw(
+                st.sampled_from(_ODD))
+        elif op == "section" and doc:
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(
+                st.sampled_from(_ODD))
+    return kind, doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_mutated())
+def test_one_walk_loaders_match_the_walk_they_replaced(case):
+    """On mutated documents, parsed or as text, each loader returns what the
+    reference walk of tests/conftest.py returns, or raises the same errors:
+    the same paths and messages in the same order.  The document is left
+    as it was."""
+    kind, doc = case
+    before = copy.deepcopy(doc)
+    for document in (doc, json.dumps(doc)):
+        assert (_outcome(LOADERS[kind], document)
+                == _outcome(REFERENCE_LOADERS[kind], document))
+    assert doc == before
+
+
+def test_one_walk_loaders_match_the_walk_they_replaced_on_fixtures():
+    for kind, docs in _VALID.items():
+        for doc in docs:
+            assert LOADERS[kind](doc) == REFERENCE_LOADERS[kind](doc)
