@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import shutil
 import sys
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .model import (Instance, ModelError, Profile, all_in_profile,
                     check_extension, format_rational, instance_text,
                     load_instance, load_schedule, load_split,
                     serialize_profile, validate_profile)
-from .partition import INFINITE, tables_for
+from .partition import INFINITE, Segment, tables_for
 
 
 class UsageError(Exception):
@@ -113,8 +114,9 @@ def _approx(x: Fraction, places: int) -> str:
 def _dumps(doc) -> str:
     """``doc`` as report text, in one walk: the bytes of
     ``json.dumps(enc(doc), sort_keys=True, indent=2) + "\\n"``, where ``enc``
-    makes each exact rational an ``{"exact", "approx"}`` object, the rate
-    sentinel ``partition.INFINITE`` the text ``"inf"``, each key
+    makes each exact rational an ``{"exact", "approx"}`` object, each
+    ``partition.Segment`` its report row (``_lines`` spells it out), the
+    rate sentinel ``partition.INFINITE`` the text ``"inf"``, each key
     ``str(key)`` and each set a sorted list.  Values dispatch on their
     exact type; any other type, a float included, is a ``TypeError``.
 
@@ -124,39 +126,43 @@ def _dumps(doc) -> str:
     rational's numerator n and denominator d are read once and printed with
     one format: exact as ``"%d"`` or ``"%d/%d"``, approx as ``"%.6f" % (n
     / d)``, the correctly rounded quotient that ``float`` gives too
-    (``_approx`` beyond float range)."""
+    (``_approx`` beyond float range).  A segment row is one format per
+    depth, its revenue and welfare n/D from its ints, reduced by one gcd."""
     chunks: List[str] = []
     out = chunks.append
     enc = encode_basestring_ascii
     layouts: Dict[tuple, tuple] = {}  # (depth, *keys): (keys, their heads)
+    rows: Dict[int, str] = {}  # per depth, a segment row's format
     newlines = ["\n", "\n  "]  # newlines[d]: a line break and depth d's indent
     # per depth, the two-key block of an integer, of a p/q, and as text
     rationals: List[Tuple[str, str, str]] = []
 
-    def rational(x: Fraction, depth: int) -> str:
+    def rational(n: int, d: int, depth: int) -> str:
         while len(rationals) <= depth:
-            d = len(rationals)
+            k = len(rationals)
             block = '{%s"approx": "%%s",%s"exact": "%%s"%s}' % (
-                newlines[d + 1], newlines[d + 1], newlines[d])
+                newlines[k + 1], newlines[k + 1], newlines[k])
             rationals.append((block % ("%.6f", "%d"),
                               block % ("%.6f", "%d/%d"), block))
-        n, d = x.numerator, x.denominator
         try:
             if d == 1:
                 return rationals[depth][0] % (n / d, n)
             return rationals[depth][1] % (n / d, n, d)
         except OverflowError:
+            x = Fraction(n, d)
             return rationals[depth][2] % (_approx(x, 6), format_rational(x))
 
     def items(pairs, depth: int) -> None:  # (line break and key, value)
         for head, x in pairs:
             t = type(x)
             if t is Fraction:
-                out(head + rational(x, depth))
-            elif t is str:
-                out(head + enc(x))
+                out(head + rational(x.numerator, x.denominator, depth))
             elif t is int:
                 out(head + "%d" % x)
+            elif t is str:
+                out(head + enc(x))
+            elif t is Segment:
+                out(head + row(x, depth))
             elif t is dict or t is list or t is tuple or t is set or t is frozenset:
                 out(head)
                 container(x, t, depth)
@@ -169,6 +175,22 @@ def _dumps(doc) -> str:
             else:
                 raise TypeError("cannot encode %r" % t)
 
+    def row(s: Segment, depth: int) -> str:
+        if depth not in rows:  # and the active list's items a level deeper
+            if len(newlines) < depth + 3:
+                newlines.append(newlines[-1] + "  ")
+            i1 = newlines[depth + 1]
+            rows[depth] = "{" + i1 + ("," + i1).join([
+                '"active": %s', '"from": %d', '"revenue": %s', '"to": %d',
+                '"welfare": %s']) + newlines[depth] + "}"
+        i1, i2, D = newlines[depth + 1], newlines[depth + 2], s.D
+        active = "[" + i2 + ("," + i2).join([enc(a) for a, _, _ in s.ranking])
+        r, w = sum(s.int_prices), sum(s.int_values)
+        g, h = math.gcd(r, D), math.gcd(w, D)
+        return rows[depth] % (active + i1 + "]" if s.ranking else "[]", s.lo,
+                              rational(r // g, D // g, depth + 1), s.hi,
+                              rational(w // h, D // h, depth + 1))
+
     def container(x, t, depth: int) -> None:
         if not x:
             return out("{}" if t is dict else "[]")
@@ -177,16 +199,17 @@ def _dumps(doc) -> str:
         inner = newlines[depth + 1]
         end = newlines[depth] + ("}" if t is dict else "]")
         if t is dict:
-            layout = layouts.get((depth, *x))
+            shape = (depth, *x)
+            layout = layouts.get(shape)
             if layout is None:
-                plain = all(type(k) is str for k in x)
-                keys = x if plain else {str(k): k for k in x}
-                order = sorted(keys)
-                layout = order if plain else [keys[k] for k in order], [
-                    "," + inner + enc(k) + ": " for k in order]
+                try:  # text keys: this shape's layout is kept
+                    order = sorted(x)
+                    layout = layouts[shape] = order, [
+                        f",{inner}{enc(k)}: " for k in order]
+                except TypeError:  # other keys: written as str(key)
+                    return container({str(k): v for k, v in x.items()}, t,
+                                     depth)
                 layout[1][0] = "{" + layout[1][0][1:]
-                if plain:  # other keys can be equal to one another
-                    layouts[(depth, *x)] = layout
             items(zip(layout[1], map(x.__getitem__, layout[0])), depth + 1)
         else:
             x = sorted(x) if t is set or t is frozenset else x
@@ -223,6 +246,9 @@ def _lines(doc) -> str:
         elif t in (list, tuple, set, frozenset) and x:
             for n, v in enumerate(sorted(x) if t in (set, frozenset) else x):
                 walk("%s[%d]" % (path, n), v)
+        elif t is Segment:  # its report row
+            walk(path, {"from": x.lo, "to": x.hi, "active": x.active,
+                        "revenue": x.revenue, "welfare": x.welfare})
         elif t is Fraction:
             lines.append("%s  %s (%s)\n"
                          % (path, format_rational(x), _approx(x, 4)))
@@ -418,9 +444,7 @@ def _day_result(instance: Instance, day) -> dict:
         keywords[k.id] = {
             "revenue": day.keyword_revenue[k.id],
             "welfare": day.keyword_welfare[k.id],
-            "segments": [{"from": s.lo, "to": s.hi, "active": s.active,
-                          "revenue": s.revenue, "welfare": s.welfare}
-                         for s in day.segments[k.id]],
+            "segments": day.segments[k.id],  # each written as its row
         }
     advertisers = {a.id: {"spend": day.spend[a.id],
                           "payoff": day.payoff[a.id],

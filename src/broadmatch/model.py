@@ -126,15 +126,16 @@ def _check_keys(obj: dict, path: str, required: Sequence[str],
 def _decode(document, kind: str) -> dict:
     """The object a loader reads: ``document`` parsed if it is JSON text,
     as given otherwise; anything but a JSON object, bytes that do not
-    decode as text, and text nested too deep to parse are refused."""
+    decode as text, text nested too deep to parse, and an integer literal
+    past Python's int-to-string digit limit are refused."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
         except UnicodeDecodeError as exc:
             raise ModelError([{"path": "$",
                                "message": "invalid text encoding: %s" % exc}])
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError too
+            raise ModelError([{"path": "$", "message": "invalid JSON: %s" % exc}])
     if not isinstance(document, dict):
         raise ModelError([{"path": "$",
                            "message": "%s document must be a JSON object" % kind}])

@@ -27,15 +27,16 @@ keeps the day's ints: D, and for the slotted bidders only, in rank order,
 each one's per-query price and value (clicks times score) in units of
 1/D.  Its ``prices``, ``payoffs``, ``revenue`` and ``welfare`` are exact
 ``Fraction`` views of those ints, the first two built on their first read,
-the last two on each; ``day_totals`` is the one summation of a whole day
-on the ints, and returns them with D, so a caller adding several days
-(``simulate_day``) converts once per reported total and only this module
-reads a segment's int layout.  Where the settle before a segment dropped
-somebody, the segment also keeps the prices the settle asked on its way
-(``passed_prices``), from which ``pinning_keeps_prefixes`` tells whether
-pinning some pools to their spend would leave the day, and every prefix
-of it, as it is.  No floats are used: a free segment's rate is the exact
-sentinel ``INFINITE``, and ``rate_gt`` is the one order on rates.
+the last two on each; the report writer (``cli._dumps``) reads the ints.
+``day_totals`` is the one summation of a whole day on the ints, and
+returns them with D, so a caller adding several days (``simulate_day``)
+builds each reported total once from ints.  Where the settle before a
+segment dropped somebody, the segment also keeps the prices the settle
+asked on its way (``passed_prices``), from which ``pinning_keeps_prefixes``
+tells whether pinning some pools to their spend would leave the day, and
+every prefix of it, as it is.  No floats are used: a free segment's rate
+is the exact sentinel ``INFINITE``, and ``rate_gt`` is the one order on
+rates.
 
 ``keyword_day`` is the one way a keyword's day is run: it turns committed
 ``Allocation`` rows on the keyword into bidders and runs the timeline.  The
@@ -99,8 +100,8 @@ class Segment:
     ``prices`` and ``payoffs`` (per query, keyed in rank order over every
     active bidder), ``revenue`` and ``welfare`` are exact ``Fraction``
     views of those ints.  The two dicts are built on their first read,
-    apart from each other; the two sums on each read, which comes once per
-    reported segment.  Two segments are equal when their bounds, rankings
+    apart from each other; the two sums on each read (a report writes its
+    rows from the ints).  Two segments are equal when their bounds, rankings
     and the four views are, dict key order included.  A segment with an empty
     ranking is dark: those queries go unsold.
     """

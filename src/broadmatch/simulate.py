@@ -7,9 +7,10 @@ individual queries — each keyword's day runs through
 ``partition.keyword_day``, the event-driven segmentation, so a day over
 billions of queries costs the same as one over dozens.  The day's totals
 stay ints until they are reported: ``partition.day_totals`` gives each
-keyword's as ints over its denominator D, an advertiser's spend and payoff
-and the day's revenue and welfare add those over the lcm of the Ds, and
-each reported value becomes one ``Fraction``.
+keyword's as ints over its denominator D; an advertiser's spend, payoff and
+leftover and the day's revenue and welfare add those over the lcm of the
+Ds, and each reported value is one ``Fraction`` built from those ints, with
+no ``Fraction`` arithmetic.  ``edge_spend`` is built on its first read.
 
 ``simulate_day`` trusts its inputs; run the model validators at the
 boundary.  Feeding it a profile whose budgets exceed an advertiser's total
@@ -19,19 +20,20 @@ is allowed (useful for what-if pricing), it just simulates those pools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .model import Instance, Profile
-from .partition import Segment, day_totals, keyword_day
+from .partition import DayTotals, Segment, day_totals, keyword_day
 
 ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class DayOutcome:
-    """Everything observable after one simulated day."""
+    """Everything observable after one simulated day.  ``edge_spend``, which
+    only ``acbm`` reads, is built from the day's totals on its first read."""
 
     segments: Dict[str, Tuple[Segment, ...]]
     revenue: Fraction
@@ -41,22 +43,27 @@ class DayOutcome:
     spend: Dict[str, Fraction]                    # per advertiser, whole day
     payoff: Dict[str, Fraction]
     leftover: Dict[str, Fraction]                 # budget minus spend
-    edge_spend: Dict[Tuple[str, str], Fraction]   # per (advertiser, keyword)
+    edge_spend: Dict[Tuple[str, str], Fraction] = field(init=False)  # per edge
     participation: Dict[Tuple[str, str], int]     # queries entered per (adv, kw)
+
+    def __getattr__(self, name: str):  # a field not yet set: edge_spend
+        if name != "edge_spend":
+            raise AttributeError(name)
+        rows, totals = self._edges  # simulate_day's rows and DayTotals
+        paid = {kw: t.paid for kw, t in totals.items()}
+        spend = {(r.advertiser, r.keyword):
+                 paid[r.keyword].get(r.advertiser, ZERO) for r in rows}
+        object.__setattr__(self, name, spend)
+        return spend
 
 
 def simulate_day(instance: Instance, profile: Profile,
                  reserve: Fraction = ZERO) -> DayOutcome:
     """Simulate the full day under a committed profile, exactly."""
     segments: Dict[str, Tuple[Segment, ...]] = {}
-    keyword_revenue: Dict[str, Fraction] = {}
-    keyword_welfare: Dict[str, Fraction] = {}
-    edge_spend: Dict[Tuple[str, str], Fraction] = {}
-    participation: Dict[Tuple[str, str], int] = {}
-    for row in profile.rows:
-        edge_spend[(row.advertiser, row.keyword)] = ZERO
-        participation[(row.advertiser, row.keyword)] = 0
-    days: List[Tuple[int, int, int]] = []  # (D, revenue, welfare) per keyword
+    totals: Dict[str, DayTotals] = {}
+    participation = dict.fromkeys(
+        ((r.advertiser, r.keyword) for r in profile.rows), 0)
     # per advertiser, (D, paid, gained) on each keyword it was slotted on
     earned: Dict[str, List[Tuple[int, int, int]]] = {}
     for k in instance.keywords:
@@ -70,36 +77,36 @@ def simulate_day(instance: Instance, profile: Profile,
                 entered[adv] = entered.get(adv, 0) + n
         for adv, n in entered.items():
             participation[(adv, kw)] = n
-        totals = day_totals(segs)
-        D, gained = totals.D, totals.int_gained
-        for adv, paid in totals.int_paid.items():
-            edge_spend[(adv, kw)] = Fraction(paid, D)
-            earned.setdefault(adv, []).append((D, paid, gained[adv]))
-        keyword_revenue[kw] = totals.revenue
-        keyword_welfare[kw] = totals.welfare
-        days.append((D, totals.int_revenue, totals.int_welfare))
-    spend: Dict[str, Fraction] = dict.fromkeys(
-        (a.id for a in instance.advertisers), ZERO)
-    payoff: Dict[str, Fraction] = dict(spend)
-    for adv, terms in earned.items():
-        spend[adv], payoff[adv] = _exact_sums(terms)
-    leftover = {a.id: a.budget - spend[a.id] for a in instance.advertisers}
-    revenue, welfare = _exact_sums(days)
-    return DayOutcome(segments, revenue, welfare, keyword_revenue,
-                      keyword_welfare, spend, payoff, leftover, edge_spend,
-                      participation)
+        totals[kw] = t = day_totals(segs)
+        for adv, paid in t.int_paid.items():
+            earned.setdefault(adv, []).append((t.D, paid, t.int_gained[adv]))
+    spend, payoff, leftover = {}, {}, {}  # per advertiser
+    for a in instance.advertisers:
+        L, paid, gained = _over_lcm(earned.get(a.id, ()))
+        b = a.budget
+        spend[a.id] = Fraction(paid, L)
+        payoff[a.id] = Fraction(gained, L)
+        leftover[a.id] = Fraction(b.numerator * L - paid * b.denominator,
+                                  b.denominator * L)
+    L, revenue, welfare = _over_lcm(
+        [(t.D, t.int_revenue, t.int_welfare) for t in totals.values()])
+    day = DayOutcome(segments, Fraction(revenue, L), Fraction(welfare, L),
+                     {kw: t.revenue for kw, t in totals.items()},
+                     {kw: t.welfare for kw, t in totals.items()},
+                     spend, payoff, leftover, participation)
+    object.__setattr__(day, "_edges", (profile.rows, totals))
+    return day
 
 
-def _exact_sums(rows: Sequence[Tuple[int, int, int]]) -> Tuple[Fraction,
-                                                               Fraction]:
-    """The sums of x / D and of y / D over rows ``(D, x, y)``, each as one
-    ``Fraction`` over the lcm of the Ds."""
+def _over_lcm(rows: Sequence[Tuple[int, int, int]]) -> Tuple[int, int, int]:
+    """L, the lcm of the Ds of rows ``(D, x, y)``, and the sums of x / D and
+    of y / D in units of 1/L."""
     L = math.lcm(*[D for D, _, _ in rows])
     xs = ys = 0
     for D, x, y in rows:
         xs += x * (L // D)
         ys += y * (L // D)
-    return Fraction(xs, L), Fraction(ys, L)
+    return L, xs, ys
 
 
 def check_profile_consistency(profile: Profile,

@@ -5,7 +5,8 @@ reprice-everything reference timeline, the all-Fraction reference
 knapsack and the level-scanning int one, the listed fptas grid and the
 per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal
-rates, the tree-building reference report encoder, the instance and
+rates, the tree-building reference report encoder, the all-``Fraction``
+reference day accounting and segment rows, the instance and
 profile loaders' walk from before the one-walk loaders and the field-by-field
 instance serializer, and the seeded random corpus used by the property
 tests.
@@ -20,6 +21,7 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -31,7 +33,7 @@ from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
                               SlotParams, _check_keys, _decode, _err,
                               format_rational, parse_rational)
 from broadmatch.partition import (INFINITE, PartitionTable, Segment,
-                                  keyword_day, tables_for)
+                                  day_totals, keyword_day, tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -637,6 +639,87 @@ def reference_enc(x):
         seq = sorted(x) if isinstance(x, (set, frozenset)) else x
         return [reference_enc(v) for v in seq]
     raise TypeError("cannot encode %r" % type(x))
+
+
+# -- reference day accounting --------------------------------------------------
+
+# ``simulate_day``'s accounting and ``cli._day_result`` from before a
+# reported value was built from the day's ints, kept apart from names:
+# per-keyword and per-edge ``Fraction``s, one ``Fraction`` sum per
+# advertiser, leftover as budget minus spend, and each segment row's
+# revenue and welfare read off ``Segment.revenue`` and ``Segment.welfare``.
+
+def _reference_sums(rows: Sequence[Tuple[int, int, int]]) -> Tuple[F, F]:
+    L = math.lcm(*[D for D, _, _ in rows])
+    xs = ys = 0
+    for D, x, y in rows:
+        xs += x * (L // D)
+        ys += y * (L // D)
+    return Fraction(xs, L), Fraction(ys, L)
+
+
+def reference_simulate_day(instance: Instance, profile: Profile,
+                           reserve: F = F(0)) -> SimpleNamespace:
+    """The fields of ``simulate_day``'s ``DayOutcome``, by name."""
+    segments: Dict[str, Tuple[Segment, ...]] = {}
+    keyword_revenue: Dict[str, F] = {}
+    keyword_welfare: Dict[str, F] = {}
+    edge_spend: Dict[Tuple[str, str], F] = {}
+    participation: Dict[Tuple[str, str], int] = {}
+    for row in profile.rows:
+        edge_spend[(row.advertiser, row.keyword)] = ZERO
+        participation[(row.advertiser, row.keyword)] = 0
+    days: List[Tuple[int, int, int]] = []
+    earned: Dict[str, List[Tuple[int, int, int]]] = {}
+    for k in instance.keywords:
+        kw = k.id
+        segments[kw] = segs = keyword_day(instance, kw, profile.rows_on(kw),
+                                          reserve)
+        entered: Dict[str, int] = {}
+        for seg in segs:
+            n = seg.hi - seg.lo + 1
+            for adv, _, _ in seg.ranking:
+                entered[adv] = entered.get(adv, 0) + n
+        for adv, n in entered.items():
+            participation[(adv, kw)] = n
+        totals = day_totals(segs)
+        D, gained = totals.D, totals.int_gained
+        for adv, paid in totals.int_paid.items():
+            edge_spend[(adv, kw)] = Fraction(paid, D)
+            earned.setdefault(adv, []).append((D, paid, gained[adv]))
+        keyword_revenue[kw] = totals.revenue
+        keyword_welfare[kw] = totals.welfare
+        days.append((D, totals.int_revenue, totals.int_welfare))
+    spend: Dict[str, F] = dict.fromkeys(
+        (a.id for a in instance.advertisers), ZERO)
+    payoff: Dict[str, F] = dict(spend)
+    for adv, terms in earned.items():
+        spend[adv], payoff[adv] = _reference_sums(terms)
+    leftover = {a.id: a.budget - spend[a.id] for a in instance.advertisers}
+    revenue, welfare = _reference_sums(days)
+    return SimpleNamespace(
+        segments=segments, revenue=revenue, welfare=welfare,
+        keyword_revenue=keyword_revenue, keyword_welfare=keyword_welfare,
+        spend=spend, payoff=payoff, leftover=leftover, edge_spend=edge_spend,
+        participation=participation)
+
+
+def reference_day_result(instance: Instance, day) -> dict:
+    keywords = {}
+    for k in instance.keywords:
+        keywords[k.id] = {
+            "revenue": day.keyword_revenue[k.id],
+            "welfare": day.keyword_welfare[k.id],
+            "segments": [{"from": s.lo, "to": s.hi, "active": s.active,
+                          "revenue": s.revenue, "welfare": s.welfare}
+                         for s in day.segments[k.id]],
+        }
+    advertisers = {a.id: {"spend": day.spend[a.id],
+                          "payoff": day.payoff[a.id],
+                          "leftover": day.leftover[a.id]}
+                   for a in instance.advertisers}
+    return {"revenue": day.revenue, "welfare": day.welfare,
+            "keywords": keywords, "advertisers": advertisers}
 
 
 def assert_day_matches_naive(instance, day, ref) -> None:

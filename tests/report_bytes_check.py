@@ -1,5 +1,6 @@
 """Check that reports on real traffic are canonical JSON, byte for byte,
-and that each names its instance by the digest of its canonical text.
+that each names its instance by the digest of its canonical text, and
+that their rationals and segment rows add up.
 
     PYTHONPATH=src python tests/report_bytes_check.py
 
@@ -10,10 +11,14 @@ directory, runs each job in process and requires its stdout to equal
 ``json.dumps(json.loads(out), sort_keys=True, indent=2) + "\\n"``, and its
 ``instance`` to equal the first 16 hex digits of the sha256 of
 ``json.dumps(serialize_instance(load_instance(text)), sort_keys=True)``,
-``text`` the job's instance file.  The benchmark's own check digests parsed
-results with every ``approx`` dropped, so it cannot see a byte drift in
-these documents or a drift of the instance digest; this can.  Not collected
-by pytest; exits 1 on the first job whose bytes or digest differ.
+``text`` the job's instance file.  Every ``{"approx", "exact"}`` pair must
+have ``approx == _approx(Fraction(exact), 6)``, and in each ``simulate``
+report the sum over a keyword's segment rows of (to - from + 1) times the
+row's revenue must be the keyword's revenue, and the same for welfare.  The
+benchmark's own check digests parsed results with every ``approx`` dropped,
+so it cannot see a byte drift in these documents, a drift of the instance
+digest, or a rounding slip in a rational's text; this can.  Not collected
+by pytest; exits 1 on the first job that fails a check.
 """
 
 import contextlib
@@ -22,12 +27,14 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py, read only)
 from broadmatch import cli  # noqa: E402
+from broadmatch.cli import _approx  # noqa: E402
 from broadmatch.model import load_instance, serialize_instance  # noqa: E402
 
 SEED = 1
@@ -37,6 +44,36 @@ def digest(text: str) -> str:
     doc = serialize_instance(load_instance(text))
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def rationals(x):
+    """Every ``{"approx", "exact"}`` pair in a parsed report."""
+    if isinstance(x, dict):
+        if x.keys() == {"approx", "exact"}:
+            yield x
+        else:
+            for v in x.values():
+                yield from rationals(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from rationals(v)
+
+
+def sums_error(doc: dict) -> str:
+    """Why a report's rationals or segment rows do not add up, or ""."""
+    for pair in rationals(doc):
+        if pair["approx"] != _approx(Fraction(pair["exact"]), 6):
+            return "approx %s of %s" % (pair["approx"], pair["exact"])
+    if doc["command"] != "simulate":
+        return ""
+    for kw, day in doc["result"]["keywords"].items():
+        for key in ("revenue", "welfare"):
+            total = sum(Fraction(row[key]["exact"])
+                        * (row["to"] - row["from"] + 1)
+                        for row in day["segments"])
+            if total != Fraction(day[key]["exact"]):
+                return "%s %s: segment rows add to %s" % (kw, key, total)
+    return ""
 
 
 def check(workload: str, root: Path) -> int:
@@ -64,10 +101,14 @@ def check(workload: str, root: Path) -> int:
             print("%s: instance digest %s != %s" % (name, doc["instance"],
                                                      want))
             return 1
+        error = sums_error(doc)
+        if error:
+            print("%s: %s" % (name, error))
+            return 1
         total += len(out.encode("utf-8"))
     print("%d %s seed-%d reports, %d bytes, all canonical, every instance "
-          "digest right (Python %s)" % (len(block), workload, SEED, total,
-                                        sys.version.split()[0]))
+          "digest, approx text and row sum right (Python %s)"
+          % (len(block), workload, SEED, total, sys.version.split()[0]))
     return 0
 
 

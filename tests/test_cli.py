@@ -255,6 +255,34 @@ def test_input_nested_too_deep_is_a_schema_error(fx, tmp_path, which):
     assert error["message"].startswith("invalid JSON: ")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit")
+@pytest.mark.parametrize("which", ["instance", "split"])
+def test_integer_literal_past_the_digit_limit_is_a_schema_error(fx, tmp_path,
+                                                                which):
+    """An instance ``volume`` or a split's ``queries`` longer than Python's
+    int-to-string digit limit is invalid JSON, a schema error with exit 2,
+    not an engine error."""
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    name = ("two-keyword-entry-base.json" if which == "instance"
+            else "two-keyword-entry-natural.split.json")
+    doc = json.loads((cli._FIXTURE_DIR / name).read_text(encoding="utf-8"))
+    field = doc["keywords"] if which == "instance" else doc["allocations"]
+    field[0]["volume" if which == "instance" else "queries"] = -1
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc).replace("-1", big), encoding="utf-8")
+    argv = (["validate", str(bad)] if which == "instance"
+            else ["simulate", "two-keyword-entry-base.json",
+                  "--split", str(bad)])
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"]["type"] == "schema"
+    [error] = doc["error"]["errors"]
+    assert error["path"] == "$"
+    assert error["message"].startswith("invalid JSON: ")
+
+
 def test_missing_file_is_a_usage_error(fx):
     code, out = fx("validate", "no-such-file.json")
     doc = json.loads(out)

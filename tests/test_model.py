@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -497,6 +498,31 @@ def test_text_nested_too_deep_is_invalid_json():
             [error] = err.value.errors
             assert error["path"] == "$", kind
             assert error["message"].startswith("invalid JSON: "), kind
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit")
+def test_integer_literal_past_the_digit_limit_is_invalid_json():
+    """An integer literal longer than Python's int-to-string digit limit
+    makes ``json.loads`` raise a plain ``ValueError``: that is a schema
+    error at ``$``, not an engine error, in every loader.  A rational
+    string of that length is a schema error already, at its field."""
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    inst = json.loads((FIXTURES / "two-keyword-entry-base.json").read_text())
+    inst["keywords"][0]["volume"] = -1
+    split = {"allocations": [{"advertiser": "1", "keyword": "k1",
+                              "budget": "1", "queries": -1}]}
+    for load, doc in ((load_instance, inst), (load_split, split),
+                      (load_schedule, split)):
+        with pytest.raises(ModelError) as err:
+            load(json.dumps(doc).replace("-1", big))
+        [error] = err.value.errors
+        assert error["path"] == "$"
+        assert error["message"].startswith("invalid JSON: ")
+    inst["advertisers"][0]["budget"] = big
+    with pytest.raises(ModelError) as err:
+        load_instance(json.dumps(inst).replace("-1", "100"))
+    assert [e["path"] for e in err.value.errors] == ["$.advertisers[0].budget"]
 
 
 def test_instance_text_is_the_sorted_json_of_the_document():

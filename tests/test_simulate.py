@@ -1,10 +1,15 @@
 """Whole-day simulation: totals, bookkeeping, consistency checks, diffs."""
 
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 
-from broadmatch.simulate import (check_profile_consistency, compare_outcomes,
-                                 simulate_day)
-from conftest import build_instance, build_schedule, build_split
+from broadmatch import cli
+from broadmatch.simulate import (DayOutcome, check_profile_consistency,
+                                 compare_outcomes, simulate_day)
+from conftest import (RESERVE_GRID, build_instance, build_schedule,
+                      build_split, random_instance, random_profile,
+                      reference_day_result, reference_simulate_day)
 
 
 def small():
@@ -103,3 +108,65 @@ def test_day_revenue_equals_total_spend_under_schedules():
     for profile in (natural(), early()):
         day = simulate_day(small(), profile)
         assert day.revenue == sum(day.spend.values())
+
+
+def assert_day_matches_fraction_path(instance, profile, reserve=F(0)):
+    """``simulate_day`` and ``cli._day_result`` against the Fraction path of
+    ``conftest``: every ``DayOutcome`` field equal, dict key order included,
+    and the report rows identical as JSON and as table text."""
+    day = simulate_day(instance, profile, reserve)
+    ref = reference_simulate_day(instance, profile, reserve)
+    for f in fields(DayOutcome):
+        got, want = getattr(day, f.name), getattr(ref, f.name)
+        if isinstance(got, dict):
+            got, want = list(got.items()), list(want.items())
+        assert got == want, f.name
+    ours = cli._day_result(instance, day)
+    theirs = reference_day_result(instance, ref)
+    assert cli._dumps(ours) == cli._dumps(theirs)
+    assert cli._lines(ours) == cli._lines(theirs)
+    return day
+
+
+def test_day_accounting_matches_the_fraction_path_on_the_corpus():
+    """400 seeded markets of the oracle corpus, splits and late-entry
+    schedules, each at a reserve drawn from the grid."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        inst = random_instance(rng)
+        prof = random_profile(rng, inst, schedule=rng.random() < 0.5)
+        assert_day_matches_fraction_path(inst, prof, rng.choice(RESERVE_GRID))
+
+
+def test_day_accounting_matches_the_fraction_path_on_edge_cases():
+    """Dark segments (before a late entry, after the last bidder runs
+    dry), keywords the reserve shuts out, late entries, denominators
+    other than 1, and a keyword of 10**400 queries priced beyond float
+    range, so that segment, keyword and advertiser rows all take
+    ``_approx``'s exact fallback."""
+    big = 10 ** 400
+    inst = build_instance(
+        ("1", "3/4"), (("k1", 12), ("k2", 9), ("k3", big), ("k4", 20)),
+        (("a", "7/3"), ("b", "5/2"), ("c", str(big ** 2)),
+         ("e", str(big ** 2)), ("d", "1/7"), ("f", "3/2")),
+        (("a", "k1", "2", "base"), ("b", "k1", "3/2", "base"),
+         ("d", "k1", "1/3", "base"), ("a", "k2", "1/5", "base"),
+         ("b", "k2", "1/4", "base"), ("c", "k3", str(big), "base"),
+         ("e", "k3", "%d/3" % big, "base"), ("f", "k4", "5", "base")))
+    schedule = build_schedule((
+        ("a", "k1", 0, "2", 4), ("b", "k1", 0, "2", 1),
+        ("d", "k1", 0, "1/7", 6), ("a", "k2", 0, "1/3", 3),
+        ("b", "k2", 0, "1/2", 2), ("c", "k3", 0, str(big ** 2), 1),
+        ("e", "k3", 0, "%d/7" % big ** 2, 5), ("f", "k4", 0, "3/2", 1)))
+    for reserve in (F(0), F(1, 2), F(7, 3)):
+        day = assert_day_matches_fraction_path(inst, schedule, reserve)
+        assert any(not s.ranking for segs in day.segments.values()
+                   for s in segs)
+    day = simulate_day(inst, schedule, F(1, 2))
+    assert [s.ranking for s in day.segments["k2"]] == [()]
+    assert [(s.lo, s.hi, s.active) for s in day.segments["k4"]] == [
+        (1, 12, ("f",)), (13, 20, ())]
+    assert day.participation[("a", "k2")] == 0
+    assert any(s.revenue > 2 ** 1024 for s in day.segments["k3"])
+    assert day.keyword_revenue["k3"] > 2 ** 1024
+    assert day.spend["c"] > 2 ** 1024
