@@ -20,7 +20,8 @@ Four solvers, one contract:
 Both rounded schemes have table dimensions independent of query volumes.
 
 ``brute_force_oracle`` cross-checks the others by enumeration on small
-inputs.
+inputs.  ``solver`` is the one table from method name to solver, which the
+CLI and the dynamics both read.
 
 The dp and AS1/AS2 share one knapsack on Python ints over the tables' int
 prefix costs and payoffs, scaled with the budget to one common denominator.
@@ -40,7 +41,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .model import Allocation, Instance, Profile
 from .partition import INFINITE, PartitionTable, rate_gt, tables_for
@@ -618,3 +620,29 @@ def brute_force_oracle(instance: Instance, advertiser: str, others: Profile,
     walk(0, ZERO, ZERO, ())
     queries = {kw: x for (kw, _), x in zip(tabs, best_vec)}
     return _answer(advertiser, "brute", tables, queries, {})
+
+
+def solver(method: str, eps: Optional[Fraction] = None,
+           reserve: Fraction = ZERO
+           ) -> Callable[[Instance, str, Profile], BestResponse]:
+    """The one table from method name to solver: ``greedy``, ``dp``,
+    ``fptas`` (at ``eps``, which it needs) or ``brute``, as a function of
+    (instance, advertiser, others) at ``reserve``.  An unknown name, or the
+    fptas without eps, is a ValueError.  Each solver is looked up in this
+    module's namespace when the function runs, so rebinding one here (as a
+    tracer does) reaches every caller."""
+    if method == "fptas" and eps is None:
+        raise ValueError("method fptas needs eps")
+    run = {
+        "greedy": lambda inst, adv, others: greedy_local_best_response(
+            inst, adv, others, reserve=reserve),
+        "dp": lambda inst, adv, others: exact_best_response_dp(
+            inst, adv, others, reserve=reserve),
+        "fptas": lambda inst, adv, others: fptas_as2(
+            inst, adv, others, eps, reserve=reserve),
+        "brute": lambda inst, adv, others: brute_force_oracle(
+            inst, adv, others, reserve=reserve),
+    }.get(method)
+    if run is None:
+        raise ValueError("unknown method %r" % method)
+    return run

@@ -464,16 +464,6 @@ def _cmd_simulate(args) -> int:
     return _report(args, result, 0, instance)
 
 
-def _run_response(instance, args, advertiser, others):
-    if args.method == "fptas":
-        return bestresp.fptas_as2(instance, advertiser, others, args.eps,
-                                  reserve=args.reserve)
-    solver = {"greedy": bestresp.greedy_local_best_response,
-              "dp": bestresp.exact_best_response_dp,
-              "brute": bestresp.brute_force_oracle}[args.method]
-    return solver(instance, advertiser, others, reserve=args.reserve)
-
-
 def _cmd_best_response(args) -> int:
     _check_fptas_eps(args)
     instance = load_instance(_read(args.instance))
@@ -481,7 +471,8 @@ def _cmd_best_response(args) -> int:
     if adv not in {a.id for a in instance.advertisers}:
         raise UsageError("unknown advertiser %r" % adv)
     others = _others_arg(args, instance, adv)
-    resp = _run_response(instance, args, adv, others)
+    resp = bestresp.solver(args.method, args.eps, args.reserve)(
+        instance, adv, others)
     result = {
         "advertiser": resp.advertiser,
         "method": resp.method,

@@ -44,7 +44,7 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     omitted entirely.
 
     The figures are those of her partition table against the profile
-    (``partition.subject_day``), read as ``verify_bme`` reads them: off the
+    (``partition.tables_for``), read as ``verify_bme`` reads them: off the
     profile's own day on each keyword (``partition.keyword_marginals``).
     This is the public one-advertiser entry point of that reading.
     """
@@ -223,21 +223,13 @@ def best_response_dynamics(instance: Instance, method: str = "greedy",
     """Iterate single-advertiser responses until nothing moves.
 
     Starts from ``profile``, or by default from ``initial_profile``.
-    Advertisers respond in ascending id order each round (or a seeded
+    ``method`` and ``eps`` pick the solver as ``bestresp.solver`` does, so
+    an unknown method, or the fptas without eps, is a ValueError before any
+    solve.  Advertisers respond in ascending id order each round (or a seeded
     shuffle per round).  Stops at a fixed point, on revisiting an earlier
     state (a cycle), or after ``max_rounds`` rounds.
     """
-    solver = {
-        "greedy": lambda inst, i, prof: bestresp.greedy_local_best_response(
-            inst, i, prof, reserve=reserve),
-        "dp": lambda inst, i, prof: bestresp.exact_best_response_dp(
-            inst, i, prof, reserve=reserve),
-        "fptas": lambda inst, i, prof: bestresp.fptas_as2(
-            inst, i, prof, eps if eps is not None else Fraction(1, 10),
-            reserve=reserve),
-    }.get(method)
-    if solver is None:
-        raise ValueError("unknown method %r" % method)
+    solver = bestresp.solver(method, eps, reserve)
     state = profile if profile is not None else initial_profile(instance)
     order = sorted(a.id for a in instance.advertisers
                    if instance.keywords_of(a.id))

@@ -38,16 +38,15 @@ every prefix of it, as it is.  No floats are used: a free segment's rate
 is the exact sentinel ``INFINITE``, and ``rate_gt`` is the one order on
 rates.
 
-``keyword_day`` is the one way a keyword's day is run: it turns committed
-``Allocation`` rows on the keyword into bidders and runs the timeline.  The
-day simulator, the partition tables, the stability check's marginal rates
-and the auctioneer's entry probes all go through it.  One optional
-argument, ``stop``, a (bidder, budget) pair, ends the day after the first
-segment in which that bidder's running payment exceeds the budget.  A
-timeline is causal, so the stopped run is a prefix of the whole day's
-segments, its last one whole; without ``stop`` the loop does one more
-test per segment and nothing else.  ``subject_day`` is the day a partition
-table reads.
+``keyword_day`` runs a keyword's day from committed ``Allocation`` rows on
+it.  The day simulator, the partition tables (``tables_for``, which adds
+the subject unlimited from query 1), the auctioneer's entry probes and the
+stability check's read of the profile's own day all go through it.  The
+stability check's tails alone run the timeline directly, with its one
+optional argument, ``stop``: a (bidder, budget) pair that ends the day
+after the first segment in which that bidder's running payment exceeds
+the budget.  A timeline is causal, so the stopped run is a prefix of the
+whole day's segments, its last one whole.
 
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
 response solvers and the stability check: the advertiser is assumed
@@ -342,19 +341,16 @@ def _slate(active: Sequence[_Bidder], prices: Sequence[int],
 
 
 def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
-                reserve: Fraction = ZERO,
-                stop: Optional[Tuple[str, Fraction]] = None
-                ) -> Tuple[Segment, ...]:
+                reserve: Fraction = ZERO) -> Tuple[Segment, ...]:
     """Run a keyword's day for the committed rows on it.
 
     Each row enters at its start query with its budget as its pool (a
     budget of None is an unlimited pool).  Rows must all be on ``keyword``.
-    ``stop`` cuts the day short as in ``run_keyword_timeline``.
     """
     bidders = [(r.advertiser, instance.score(r.advertiser, keyword),
                 r.start_query, r.budget) for r in rows]
     return run_keyword_timeline(instance.slots, instance.volume(keyword),
-                                bidders, reserve, stop)
+                                bidders, reserve)
 
 
 class DayTotals(NamedTuple):
@@ -467,16 +463,16 @@ def _rate(cost: int, payoff: int):
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
-    Built in one pass from ``segments``, a day she is in from query 1
-    (``subject_day``, or a tail of it that ``keyword_marginals`` runs from a
-    later query, numbered from 1).  Segment ``lam`` covers queries
+    Built in one pass from ``segments``, a day she is in from query 1 (the
+    day ``tables_for`` runs, or a tail of it that ``keyword_marginals`` runs
+    from a later query, numbered from 1).  Segment ``lam`` covers queries
     ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
     and summed into ``int_cum_cost`` and ``int_cum_payoff`` so prefix
     evaluation is a bisect.  ``costs``, ``payoffs`` and ``actives`` (the
     ranked active set per segment) are read-only views built on first read.
-    A table ends where its day does: at ``volume``, or before it for a day
+    A table ends where its day does: at ``volume``, or before it for a tail
     stopped at a budget, whose last segment holds the first query that
     budget cannot buy.  Past the last breakpoint is out of range.
     """
@@ -594,11 +590,13 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
                reserve: Fraction = ZERO) -> Dict[str, PartitionTable]:
     """Partition tables for an advertiser against a committed profile.
 
-    Rivals participate exactly where the profile has a row for them (any of
-    the advertiser's own rows are ignored); a row's start query is honored,
-    so tables can be computed against mid-stream schedules too.  Keywords
-    where the reserve shuts the advertiser out are omitted: she cannot
-    appear in a single query there, so there is no stream to segment.
+    Each table reads the keyword's day with the advertiser present from
+    query 1 with an unlimited pool, and rivals exactly where the profile has
+    a row for them (any of the advertiser's own rows are ignored); a row's
+    start query is honored, so tables can be computed against mid-stream
+    schedules too.  Keywords where the reserve shuts the advertiser out are
+    omitted: she cannot appear in a single query there, so there is no
+    stream to segment.
     """
     if keywords is None:
         keywords = instance.keywords_of(advertiser)
@@ -606,24 +604,12 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     for kw in keywords:
         if instance.score(advertiser, kw) < reserve:
             continue
-        tables[kw] = PartitionTable(
-            advertiser, kw, instance.volume(kw),
-            subject_day(instance, advertiser, kw, others, reserve))
+        volume = instance.volume(kw)
+        rows = [Allocation(advertiser, kw, volume, None)]
+        rows += [r for r in others.rows_on(kw) if r.advertiser != advertiser]
+        tables[kw] = PartitionTable(advertiser, kw, volume,
+                                    keyword_day(instance, kw, rows, reserve))
     return tables
-
-
-def subject_day(instance: Instance, advertiser: str, keyword: str,
-                others: Profile, reserve: Fraction = ZERO,
-                budget: Optional[Fraction] = None) -> Tuple[Segment, ...]:
-    """The keyword's day as a partition table sees it: the advertiser
-    present from query 1 with an unlimited pool, rivals exactly where
-    ``others`` has a row for them (any of the advertiser's own rows are
-    ignored), each from its start query.  With ``budget``, the day stops
-    after the first segment in which her payment exceeds it."""
-    rows = [Allocation(advertiser, keyword, instance.volume(keyword), None)]
-    rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
-    return keyword_day(instance, keyword, rows, reserve,
-                       None if budget is None else (advertiser, budget))
 
 
 class Marginal(NamedTuple):
@@ -654,8 +640,8 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
                       subjects: Sequence[str], reserve: Fraction
                       ) -> Dict[str, Marginal]:
     """Each subject's marginal figures on ``keyword``, read as from her
-    partition table against ``profile`` (``subject_day``), stopped once her
-    payment passes her committed budget there.
+    partition table against ``profile`` (``tables_for``), up to the first
+    query her committed budget there cannot buy.
 
     ``subjects`` match the keyword at or above the reserve.  They are read
     off the profile's own day on the keyword, run once for all of them.

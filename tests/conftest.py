@@ -1,8 +1,9 @@
 """Shared builders: fixture paths, partition tables from ``Fraction``
 costs and payoffs, a per-query reference simulator, the telescoped revenue
-identity of a priced slate, the two-run reference acbm probes, the
-reprice-everything reference timeline, the all-Fraction reference
-knapsack and the level-scanning int one, the listed fptas grid and the
+identity of a priced slate, the two-run reference acbm probes, days
+stopped at a bidder's budget, the reprice-everything reference timeline,
+the all-Fraction reference knapsack and the level-scanning int one, the
+listed fptas grid and the
 per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal
 rates, the tree-building reference report encoder, the all-``Fraction``
@@ -33,7 +34,8 @@ from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
                               SlotParams, _check_keys, _decode, _err,
                               format_rational, parse_rational)
 from broadmatch.partition import (INFINITE, PartitionTable, Segment,
-                                  day_totals, keyword_day, tables_for)
+                                  day_totals, keyword_day,
+                                  run_keyword_timeline, tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -230,6 +232,34 @@ def reference_entry_cost(instance: Instance, rows: Sequence[Allocation],
     segs = keyword_day(instance, kw, (*rows, entrant), reserve)
     who = entrant.advertiser
     return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
+
+
+# -- stopped days -------------------------------------------------------------
+
+def stopped_day(instance: Instance, keyword: str, rows: Sequence[Allocation],
+                reserve: Fraction, stop: Optional[Tuple[str, Fraction]]
+                ) -> Tuple[Segment, ...]:
+    """The keyword's day of the committed ``rows`` on it, run as
+    ``keyword_day`` runs it but cut short by the timeline's ``stop``, a
+    (bidder, budget) pair; the whole day when ``stop`` is None."""
+    bidders = [(r.advertiser, instance.score(r.advertiser, keyword),
+                r.start_query, r.budget) for r in rows]
+    return run_keyword_timeline(instance.slots, instance.volume(keyword),
+                                bidders, reserve, stop)
+
+
+def stopped_subject_day(instance: Instance, advertiser: str, keyword: str,
+                        others: Profile, reserve: Fraction = ZERO,
+                        budget: Optional[Fraction] = None
+                        ) -> Tuple[Segment, ...]:
+    """The day a partition table of ``advertiser`` on ``keyword`` reads, as
+    ``tables_for`` runs it (she unlimited from query 1, the rivals' rows of
+    ``others``, none of hers), stopped after the first segment in which her
+    payment exceeds ``budget``; the whole day when ``budget`` is None."""
+    rows = [Allocation(advertiser, keyword, instance.volume(keyword), None)]
+    rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
+    return stopped_day(instance, keyword, rows, reserve,
+                       None if budget is None else (advertiser, budget))
 
 
 # -- reference timeline -------------------------------------------------------

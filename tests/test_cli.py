@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broadmatch import cli
+from broadmatch import bestresp, cli
 from broadmatch.bestresp import exact_best_response_dp
 from broadmatch.model import load_instance, load_schedule, serialize_instance
 from broadmatch.partition import INFINITE, tables_for
@@ -379,6 +379,45 @@ def test_dynamics_reaches_the_fixed_point(fx):
     assert doc["result"]["status"] == "fixed-point"
     assert doc["result"]["rounds"] == 2
     assert isinstance(doc["result"]["profile"], list)
+
+
+@pytest.mark.parametrize("argv, reached", [
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--method", "dp"), "exact_best_response_dp"),
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--method", "fptas", "--eps", "1/4"), "fptas_as2"),
+    (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+      "--method", "greedy"), "greedy_local_best_response"),
+    (("dynamics", "two-keyword-entry-base.json", "--method", "dp"),
+     "exact_best_response_dp"),
+    (("dynamics", "two-keyword-entry-base.json", "--method", "fptas",
+      "--eps", "1/4"), "fptas_as2"),
+])
+def test_solvers_rebound_in_bestresp_are_the_ones_run(fx, monkeypatch, argv,
+                                                       reached):
+    # a tracer wraps a solver by rebinding its name in the module namespace,
+    # so the method table must read that namespace on every solve
+    calls = dict.fromkeys(("exact_best_response_dp", "fptas_as2",
+                           "greedy_local_best_response"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(bestresp, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(bestresp, name, counted)
+    code, _ = fx(*argv)
+    assert code == 0
+    assert calls[reached] > 0
+    assert sum(calls.values()) == calls[reached]
+
+
+def test_fptas_without_eps_is_the_same_usage_envelope(fx):
+    code, out = fx("dynamics", "greedy-vs-exact.json", "--method", "fptas")
+    assert code == 2
+    assert out == (
+        '{\n  "argv": [\n    "dynamics",\n    "greedy-vs-exact.json",\n'
+        '    "--method",\n    "fptas"\n  ],\n  "command": "dynamics",\n'
+        '  "error": {\n    "message": "--eps is required with --method '
+        'fptas",\n    "type": "usage"\n  },\n  "exit_code": 2\n}\n')
 
 
 USAGE_CASES = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broadmatch import bestresp
 from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
                                     initial_profile, marginal_payoffs,
                                     natural_base_split, verify_bme,
@@ -15,11 +16,12 @@ from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, all_in_profile,
                               load_instance, load_split)
 from broadmatch.partition import (INFINITE, keyword_day, keyword_marginals,
-                                  subject_day)
+                                  tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (FIXTURES, GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       build_instance, build_schedule, random_instance,
-                      random_profile, reference_marginals)
+                      random_profile, reference_marginals,
+                      stopped_subject_day)
 
 
 def inst(name):
@@ -195,8 +197,8 @@ def test_next_query_on_a_segment_boundary():
                        "payoff": F(6), "mp_minus": F(1), "mp_plus": F(5),
                        "next_cost": F(1, 2)}
     # the day stops after the segment holding query 5, before x enters
-    whole = subject_day(market, "s", "k", profile)
-    stopped = subject_day(market, "s", "k", profile, budget=F(6))
+    whole = tables_for(market, "s", profile)["k"].segments
+    stopped = stopped_subject_day(market, "s", "k", profile, budget=F(6))
     assert [(g.lo, g.hi) for g in whole] == [(1, 4), (5, 7), (8, 10)]
     assert stopped == whole[:2]
 
@@ -217,9 +219,10 @@ def test_zero_budget_buys_the_free_opening():
     assert mp["k"] == {"budget": F(0), "queries": 3, "cost": F(0),
                        "payoff": F(6), "mp_minus": INFINITE, "mp_plus": F(1),
                        "next_cost": F(1)}
-    whole = subject_day(market, "s", "k", profile)
+    whole = tables_for(market, "s", profile)["k"].segments
     assert [(g.lo, g.hi) for g in whole] == [(1, 3), (4, 6), (7, 10)]
-    assert subject_day(market, "s", "k", profile, budget=F(0)) == whole[:2]
+    assert stopped_subject_day(market, "s", "k", profile,
+                               budget=F(0)) == whole[:2]
 
 
 # -- local stability ----------------------------------------------------------
@@ -346,6 +349,15 @@ def test_dynamics_rejects_unknown_knobs():
     am = inst("agreeing-methods.json")
     with pytest.raises(ValueError):
         best_response_dynamics(am, method="magic")
+
+
+def test_dynamics_fptas_needs_eps(monkeypatch):
+    # no default accuracy: the fptas without eps is refused before any solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+    monkeypatch.setattr(bestresp, "fptas_as2", refuse)
+    with pytest.raises(ValueError, match="eps"):
+        best_response_dynamics(inst("agreeing-methods.json"), method="fptas")
 
 
 def test_initial_profiles():

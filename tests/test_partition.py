@@ -11,12 +11,12 @@ from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
 from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
                                   keyword_day, pinning_keeps_prefixes,
-                                  run_keyword_timeline, subject_day,
-                                  tables_for)
+                                  run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
                       build_split, fraction_table, random_instance,
-                      random_profile, reference_timeline, segment_views)
+                      random_profile, reference_timeline, segment_views,
+                      stopped_day, stopped_subject_day)
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -338,14 +338,18 @@ def test_stop_cuts_subject_days_on_the_corpus():
         profile = random_profile(rng, instance, schedule=seed % 2 == 1)
         reserve = rng.choice(RESERVE_GRID)
         for adv in instance.advertisers:
+            tables = tables_for(instance, adv.id, profile, reserve=reserve)
             for kw in instance.keywords_of(adv.id):
-                full = subject_day(instance, adv.id, kw, profile, reserve)
+                full = stopped_subject_day(instance, adv.id, kw, profile,
+                                           reserve)
+                if kw in tables:  # the day her table reads
+                    assert tables[kw].segments == full
                 total = _spend(full, adv.id)
                 share = total * F(rng.randint(1, 9), 10) + F(1, 7)
                 for budget in (F(0), profile.committed(adv.id, kw), share,
                                total):
-                    stopped = subject_day(instance, adv.id, kw, profile,
-                                          reserve, budget)
+                    stopped = stopped_subject_day(instance, adv.id, kw,
+                                                  profile, reserve, budget)
                     first = _check_stop(full, stopped, adv.id, budget)
                     seen["cut"] += len(stopped) < len(full)
                     seen["whole"] += first is None
@@ -361,9 +365,10 @@ def test_stop_cuts_subject_days_on_the_corpus():
         for kw in instance.keywords:
             rows = profile.rows_on(kw.id)
             full = keyword_day(instance, kw.id, rows, reserve)
+            assert stopped_day(instance, kw.id, rows, reserve, None) == full
             for r in rows:
                 budget = r.budget * F(rng.randint(0, 4), 4)
-                stopped = keyword_day(instance, kw.id, rows, reserve,
+                stopped = stopped_day(instance, kw.id, rows, reserve,
                                       (r.advertiser, budget))
                 _check_stop(full, stopped, r.advertiser, budget)
     assert min(seen.values()) >= 20, seen
@@ -576,8 +581,8 @@ def test_stopped_day_tables_agree_with_whole_day_tables_on_the_corpus():
                                total * F(rng.randint(1, 9), 10) + F(1, 7)):
                     stopped = PartitionTable(
                         adv.id, kw, instance.volume(kw),
-                        subject_day(instance, adv.id, kw, profile, reserve,
-                                    budget))
+                        stopped_subject_day(instance, adv.id, kw, profile,
+                                            reserve, budget))
                     early = _check_stopped_table(whole, stopped, budget)
                     seen["early" if early else "whole"] += 1
                     seen["free"] += INFINITE in map(
