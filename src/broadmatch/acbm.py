@@ -49,8 +49,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .model import Allocation, Instance, Profile
-from .partition import (Segment, day_totals, keyword_day,
-                        pinning_keeps_prefixes)
+from .partition import KeywordDay, keyword_day, pinning_keeps_prefixes
 from .simulate import DayOutcome, simulate_day
 
 ZERO = Fraction(0)
@@ -118,7 +117,7 @@ def obrev_check(base: Instance, ext: Instance, base_day: DayOutcome) -> dict:
         if i not in excess:
             continue
         segs = base_day.segments.get(j)
-        last = set(segs[-1].active) if segs else set()
+        last = set(segs.active(-1)) if segs else set()
         dark = not last
         s_ij = ext.score(i, j)
         cond = None
@@ -159,17 +158,16 @@ def _probe(instance: Instance, rows: Sequence[Allocation], kw: str,
     day and the revenue is the run's; otherwise a second run with the
     pinned entrants gives it.
     """
-    segs = keyword_day(instance, kw, (*rows, *entrants), reserve)
+    day = keyword_day(instance, kw, (*rows, *entrants), reserve)
     ids = [e.advertiser for e in entrants]
-    totals = day_totals(segs)
-    spent = totals.paid  # a view, built on each read
-    paid = tuple(spent.get(i, ZERO) for i in ids)
-    if pinning_keeps_prefixes(segs, ids):
+    totals = day.totals
+    paid = tuple(Fraction(totals.int_paid.get(i, 0), totals.D) for i in ids)
+    if pinning_keeps_prefixes(day, ids):
         return totals.revenue, paid, True
     pinned = [Allocation(e.advertiser, kw, 0, p, e.start_query)
               for e, p in zip(entrants, paid)]
-    segs = keyword_day(instance, kw, (*rows, *pinned), reserve)
-    return day_totals(segs).revenue, paid, False
+    return keyword_day(instance, kw, (*rows, *pinned),
+                       reserve).totals.revenue, paid, False
 
 
 def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
@@ -207,12 +205,14 @@ def _fine_starts(lo: int, hi: int) -> List[int]:
     return [lo + (2 * k * w + n) // (2 * n) for k in range(FINE_WINDOW)]
 
 
-def _quiet(seg: Segment, rows: Sequence[Allocation], volume: int) -> bool:
-    """True when nobody pays in ``seg``, it ends at the day's last query
-    and none of ``rows``, those committed on its keyword, starts after its
-    first query: ``_search`` settles such a segment with two probes."""
-    return (not seg.revenue and seg.hi == volume
-            and all(r.start_query <= seg.lo for r in rows))
+def _quiet(day: KeywordDay, n: int, rows: Sequence[Allocation],
+           volume: int) -> bool:
+    """True when nobody pays in segment n of ``day``, it ends at the day's
+    last query and none of ``rows``, those committed on its keyword, starts
+    after its first query: ``_search`` settles such a segment with two
+    probes."""
+    return (not any(day.prices[day.slate[n]]) and day.hi[n] == volume
+            and all(r.start_query <= day.lo[n] for r in rows))
 
 
 def _search(lo: int, hi: int, fine: bool, probe,
@@ -331,11 +331,12 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
         best_move: Optional[dict] = None
         for i, j, avail in movers:
             on_j = current.rows_on(j)
-            for seg in day.segments[j]:
-                probed = _search(seg.lo, seg.hi, fine,
+            segs = day.segments[j]
+            for n, (lo, hi) in enumerate(zip(segs.lo, segs.hi)):
+                probed = _search(lo, hi, fine,
                                  lambda t: _probe(ext, on_j, j, (Allocation(
                                      i, j, 0, avail, t),), reserve),
-                                 _quiet(seg, on_j, ext.volume(j)))
+                                 _quiet(segs, n, on_j, ext.volume(j)))
                 for t, (rev, (paid,), _) in sorted(probed.items()):
                     delta = rev - day.keyword_revenue[j]
                     if delta > best_delta:
@@ -349,7 +350,9 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
             # both entering at one of its dark segments' first query
             for a, (i1, j, av1) in enumerate(movers):
                 on_j = current.rows_on(j)
-                dark = [seg.lo for seg in day.segments[j] if not seg.active]
+                segs = day.segments[j]
+                dark = [segs.lo[n] for n in range(len(segs))
+                        if not segs.active(n)]
                 for i2, _, av2 in [m for m in movers[a + 1:] if m[1] == j]:
                     for t in dark:
                         rev, paid, _ = _probe(

@@ -36,7 +36,7 @@ from .model import (Instance, ModelError, Profile, all_in_profile,
                     check_extension, format_rational, instance_text,
                     load_instance, load_schedule, load_split,
                     serialize_profile, validate_profile)
-from .partition import INFINITE, Segment, tables_for
+from .partition import INFINITE, KeywordDay, tables_for
 
 
 class UsageError(Exception):
@@ -115,7 +115,8 @@ def _dumps(doc) -> str:
     """``doc`` as report text, in one walk: the bytes of
     ``json.dumps(enc(doc), sort_keys=True, indent=2) + "\\n"``, where ``enc``
     makes each exact rational an ``{"exact", "approx"}`` object, each
-    ``partition.Segment`` its report row (``_lines`` spells it out), the
+    ``partition.KeywordDay`` the list of its segments' report rows
+    (``_lines`` spells a row out), the
     rate sentinel ``partition.INFINITE`` the text ``"inf"``, each key
     ``str(key)`` and each set a sorted list.  Values dispatch on their
     exact type; any other type, a float included, is a ``TypeError``.
@@ -127,7 +128,9 @@ def _dumps(doc) -> str:
     one format: exact as ``"%d"`` or ``"%d/%d"``, approx as ``"%.6f" % (n
     / d)``, the correctly rounded quotient that ``float`` gives too
     (``_approx`` beyond float range).  A segment row is one format per
-    depth, its revenue and welfare n/D from its ints, reduced by one gcd."""
+    depth, filled from the day's columns: its slate's active list, and its
+    revenue and welfare n/D from the slate's ints, reduced by one gcd, are
+    formatted once per slate, its bounds per row."""
     chunks: List[str] = []
     out = chunks.append
     enc = encode_basestring_ascii
@@ -161,8 +164,9 @@ def _dumps(doc) -> str:
                 out(head + "%d" % x)
             elif t is str:
                 out(head + enc(x))
-            elif t is Segment:
-                out(head + row(x, depth))
+            elif t is KeywordDay:
+                out(head)
+                day(x, depth)
             elif t is dict or t is list or t is tuple or t is set or t is frozenset:
                 out(head)
                 container(x, t, depth)
@@ -175,21 +179,31 @@ def _dumps(doc) -> str:
             else:
                 raise TypeError("cannot encode %r" % t)
 
-    def row(s: Segment, depth: int) -> str:
-        if depth not in rows:  # and the active list's items a level deeper
-            if len(newlines) < depth + 3:
+    def day(x: KeywordDay, depth: int) -> None:  # its rows, one depth down
+        if not x:
+            return out("[]")
+        d = depth + 1
+        if d not in rows:  # and the active lists' items a level deeper
+            while len(newlines) < d + 3:
                 newlines.append(newlines[-1] + "  ")
-            i1 = newlines[depth + 1]
-            rows[depth] = "{" + i1 + ("," + i1).join([
+            i1 = newlines[d + 1]
+            rows[d] = "{" + i1 + ("," + i1).join([
                 '"active": %s', '"from": %d', '"revenue": %s', '"to": %d',
-                '"welfare": %s']) + newlines[depth] + "}"
-        i1, i2, D = newlines[depth + 1], newlines[depth + 2], s.D
-        active = "[" + i2 + ("," + i2).join([enc(a) for a, _, _ in s.ranking])
-        r, w = sum(s.int_prices), sum(s.int_values)
-        g, h = math.gcd(r, D), math.gcd(w, D)
-        return rows[depth] % (active + i1 + "]" if s.ranking else "[]", s.lo,
-                              rational(r // g, D // g, depth + 1), s.hi,
-                              rational(w // h, D // h, depth + 1))
+                '"welfare": %s']) + newlines[d] + "}"
+        fmt, i1, i2, D = rows[d], newlines[d + 1], newlines[d + 2], x.D
+        lines, k = [], -1
+        for lo, hi, s in zip(x.lo, x.hi, x.slate):
+            if s != k:  # a new slate: its active list, revenue and welfare
+                k, ids = s, x.ids[s]
+                active = ("[" + i2 + ("," + i2).join(map(enc, ids)) + i1 + "]"
+                          if ids else "[]")
+                r, w = sum(x.prices[s]), sum(x.values[s])
+                g, h = math.gcd(r, D), math.gcd(w, D)
+                rev = rational(r // g, D // g, d + 1)
+                wel = rational(w // h, D // h, d + 1)
+            lines.append(fmt % (active, lo, rev, hi, wel))
+        out("[" + newlines[d] + ("," + newlines[d]).join(lines)
+            + newlines[depth] + "]")
 
     def container(x, t, depth: int) -> None:
         if not x:
@@ -246,9 +260,12 @@ def _lines(doc) -> str:
         elif t in (list, tuple, set, frozenset) and x:
             for n, v in enumerate(sorted(x) if t in (set, frozenset) else x):
                 walk("%s[%d]" % (path, n), v)
-        elif t is Segment:  # its report row
-            walk(path, {"from": x.lo, "to": x.hi, "active": x.active,
-                        "revenue": x.revenue, "welfare": x.welfare})
+        elif t is KeywordDay and x:  # its segments' report rows
+            for n, (lo, hi, s) in enumerate(zip(x.lo, x.hi, x.slate)):
+                walk("%s[%d]" % (path, n), {
+                    "from": lo, "to": hi, "active": x.ids[s],
+                    "revenue": Fraction(sum(x.prices[s]), x.D),
+                    "welfare": Fraction(sum(x.values[s]), x.D)})
         elif t is Fraction:
             lines.append("%s  %s (%s)\n"
                          % (path, format_rational(x), _approx(x, 4)))

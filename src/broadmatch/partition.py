@@ -22,21 +22,15 @@ the reserve and the pools to one common denominator D, prices through the
 one pricing formula (``auction.slot_prices``) in that unit, and compares,
 floors and subtracts exactly.  Gamma and the price coefficients are scaled
 once per ``SlotParams`` (``SlotParams.scaled``), and the reserve and sign
-tests read numerators, so a run builds no ``Fraction``.  A ``Segment``
-keeps the day's ints: D, and for the slotted bidders only, in rank order,
-each one's per-query price and value (clicks times score) in units of
-1/D.  Its ``prices``, ``payoffs``, ``revenue`` and ``welfare`` are exact
-``Fraction`` views of those ints, the first two built on their first read,
-the last two on each; the report writer (``cli._dumps``) reads the ints.
-``day_totals`` is the one summation of a whole day on the ints, and
-returns them with D, so a caller adding several days (``simulate_day``)
-builds each reported total once from ints.  Where the settle before a
-segment dropped somebody, the segment also keeps the prices the settle
-asked on its way (``passed_prices``), from which ``pinning_keeps_prefixes``
-tells whether pinning some pools to their spend would leave the day, and
-every prefix of it, as it is.  No floats are used: a free segment's rate
-is the exact sentinel ``INFINITE``, and ``rate_gt`` is the one order on
-rates.
+tests read numerators, so a run builds no ``Fraction``.  It returns a
+``KeywordDay``: int columns of segments, slates and prices in units of 1/D,
+with the day's totals and each bidder's queries counted by the loop, which
+every reader in the engine reads as they are; a ``Segment`` is a view of
+one segment, built on demand.  From the prices a settle asked on its way
+where it dropped somebody, ``pinning_keeps_prefixes`` tells whether pinning
+some pools to their spend would leave the day, and every prefix of it, as
+it is.  No floats are used: a free segment's rate is the exact sentinel
+``INFINITE``, and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` runs a keyword's day from committed ``Allocation`` rows on
 it.  The day simulator, the partition tables (``tables_for``, which adds
@@ -68,7 +62,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -76,19 +70,94 @@ from . import auction
 from .model import Allocation, Instance, Profile
 
 ZERO = Fraction(0)
-_first = itemgetter(0)
+
+
+class KeywordDay:
+    """A keyword's day as ``run_keyword_timeline`` leaves it: int columns.
+
+    ``D`` is the day's common denominator.  Segment n is a maximal run of
+    queries ``lo[n]``..``hi[n]`` (1-based, inclusive) on slate
+    ``slate[n]``.  Slate k lists its active bidders in rank order
+    (``ids[k]``); the first ``len(prices[k])`` of them are slotted, and
+    ``prices[k]`` and ``values[k]`` hold each one's per-query price and
+    value (clicks times score) in units of 1/D.  Unslotted bidders pay and
+    gain nothing, and a slate with no ids is dark: its queries go unsold.
+    ``passed`` maps segment n, where the settle at ``lo[n]`` dropped
+    somebody, to ``Segment.passed_prices`` as a dict.
+
+    ``totals`` (the day's ``DayTotals``), ``entered`` (the queries each
+    bidder that entered the day was active for, 0 for one dropped by its
+    first settle) and ``scores`` (each bidder's exact score, for the views)
+    are built together on the first read of one of them, from what the
+    event loop counted on its bidders: the queries each entered and was
+    dropped on, and what each slotted one paid and was worth at each
+    segment's pool update.  A partition table reads none of them.
+
+    The day is a sequence of its segments: ``day[n]`` builds a ``Segment``
+    view, its ranking that of its slate.  Two days are equal when their
+    segment views are.
+    """
+
+    __slots__ = ("D", "lo", "hi", "slate", "ids", "prices", "values",
+                 "passed", "totals", "entered", "scores", "_counts")
+
+    def __init__(self, D: int):
+        self.D = D
+        self.lo, self.hi, self.slate = [], [], []
+        self.ids, self.prices, self.values = [], [], []
+        self.passed: Dict[int, Dict[str, int]] = {}
+        self._counts = (), 1, 0, 0  # those of a day of no queries
+
+    def __getattr__(self, name: str):  # totals, entered or scores, unset
+        if name not in ("totals", "entered", "scores"):
+            raise AttributeError(name)
+        # the ranked bidders, the query after the last segment, and the
+        # revenue and welfare in units of 1/D
+        bidders, end, revenue, welfare = self._counts
+        slotted = set().union(*[ids[:len(p)]
+                                for ids, p in zip(self.ids, self.prices)])
+        scores, entered, paid, gained = {}, {}, {}, {}
+        for b in bidders:
+            scores[b.id] = b.score
+            if b.since:
+                entered[b.id] = (b.left or end) - b.since
+            if b.id in slotted:
+                paid[b.id] = b.paid
+                gained[b.id] = b.won - b.paid
+        self.totals = DayTotals(self.D, revenue, welfare, paid, gained)
+        self.entered, self.scores = entered, scores
+        del self._counts  # let the bidders go
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(map(self.__getitem__, range(len(self.lo))[n]))
+        return Segment(self, range(len(self.lo))[n])
+
+    def active(self, n: int) -> Tuple[str, ...]:
+        """The ranked active ids of segment n."""
+        return self.ids[self.slate[n]]
+
+    def __eq__(self, other):  # which also leaves days unhashable
+        if not isinstance(other, KeywordDay):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return "KeywordDay(%r)" % (tuple(self),)
 
 
 class Segment:
-    """A maximal run of queries with a fixed priced slate.
+    """A view of segment n of a ``KeywordDay``, built on demand.
 
     ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` lists
     (advertiser, score, slot) for every active bidder in rank order, as
-    ``auction.price_query`` would.  ``D`` is the keyword day's common
-    denominator.  ``int_prices`` and ``int_values`` cover the slotted
-    bidders only, the first ``len(int_prices)`` rows of the ranking: each
-    one's per-query price and value (clicks times score) in units of 1/D.
-    Unslotted bidders pay and gain nothing.
+    ``auction.price_query`` would.  ``D``, ``int_prices`` and ``int_values``
+    are the day's denominator and the slate's ints, which cover the
+    slotted bidders only, the first rows of the ranking.
 
     ``passed_prices`` looks inside the settle at query ``lo`` when it
     dropped somebody (it is empty otherwise): for each bidder with a finite
@@ -98,34 +167,31 @@ class Segment:
 
     ``prices`` and ``payoffs`` (per query, keyed in rank order over every
     active bidder), ``revenue`` and ``welfare`` are exact ``Fraction``
-    views of those ints.  The two dicts are built on their first read,
-    apart from each other; the two sums on each read (a report writes its
-    rows from the ints).  Two segments are equal when their bounds, rankings
-    and the four views are, dict key order included.  A segment with an empty
-    ranking is dark: those queries go unsold.
+    views of those ints, built on each read.  Two segments are equal when
+    their bounds, rankings and the four views are, dict key order included.
     """
 
     __slots__ = ("lo", "hi", "ranking", "D", "int_prices", "int_values",
-                 "passed_prices", "_prices", "_payoffs")
+                 "passed_prices")
 
-    def __init__(self, lo: int, hi: int,
-                 ranking: Tuple[Tuple[str, Fraction, object], ...], D: int,
-                 int_prices: Tuple[int, ...], int_values: Tuple[int, ...],
-                 passed_prices: Tuple[Tuple[str, int], ...] = ()):
-        self.lo = lo
-        self.hi = hi
-        self.ranking = ranking
-        self.D = D
-        self.int_prices = int_prices
-        self.int_values = int_values
-        self.passed_prices = passed_prices
+    def __init__(self, day: KeywordDay, n: int):
+        k = day.slate[n]
+        self.lo = day.lo[n]
+        self.hi = day.hi[n]
+        slotted, score = len(day.prices[k]), day.scores
+        self.ranking = tuple((adv, score[adv], r if r <= slotted else None)
+                             for r, adv in enumerate(day.ids[k], 1))
+        self.D = day.D
+        self.int_prices = tuple(day.prices[k])
+        self.int_values = tuple(day.values[k])
+        self.passed_prices = tuple(day.passed.get(n, {}).items())
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
     @property
     def active(self) -> Tuple[str, ...]:
-        return tuple(map(_first, self.ranking))
+        return tuple([adv for adv, _, _ in self.ranking])
 
     def _view(self, scaled: Iterable[int]) -> Dict[str, Fraction]:
         D = self.D
@@ -137,20 +203,12 @@ class Segment:
 
     @property
     def prices(self) -> Dict[str, Fraction]:
-        try:
-            return self._prices
-        except AttributeError:
-            self._prices = self._view(self.int_prices)
-            return self._prices
+        return self._view(self.int_prices)
 
     @property
     def payoffs(self) -> Dict[str, Fraction]:
-        try:
-            return self._payoffs
-        except AttributeError:
-            self._payoffs = self._view(
-                v - p for p, v in zip(self.int_prices, self.int_values))
-            return self._payoffs
+        return self._view(v - p for p, v in zip(self.int_prices,
+                                                 self.int_values))
 
     @property
     def revenue(self) -> Fraction:
@@ -177,16 +235,20 @@ class Segment:
 
 
 class _Bidder:
-    __slots__ = ("id", "score", "s", "start", "pool", "rank", "row")
+    __slots__ = ("id", "score", "s", "start", "pool", "rank", "since",
+                 "left", "paid", "won")
 
     def __init__(self, id: str, score: Fraction, start: int, pool):
         self.id = id
-        self.score = score  # exact, for the segments
+        self.score = score  # exact, for the rankings of the views
         self.s = 0          # score in the day's scaled int unit
         self.start = start
         self.pool = pool    # None = unlimited (the table's subject); scaled int
         self.rank = 0       # position in the day's (-score, id) order
-        self.row = (id, score, None)  # its ranking row when unslotted
+        self.since = 0      # the query it entered the active set on
+        self.left = 0       # the query its settle dropped it on
+        self.paid = 0       # its price times queries, over the day so far
+        self.won = 0        # its value times queries, likewise
 
 
 _by_rank = attrgetter("rank")
@@ -195,7 +257,7 @@ _by_rank = attrgetter("rank")
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                          reserve: Fraction = ZERO,
                          stop: Optional[Tuple[str, Fraction]] = None
-                         ) -> Tuple[Segment, ...]:
+                         ) -> KeywordDay:
     """Advance a keyword's day from event to event.
 
     ``bidders`` yields (id, score, start_query, pool) with pool None meaning
@@ -211,15 +273,15 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     the pools times D are all ints, so prices, slot values and pools are ints
     in units of 1/D and the eviction test, the floor ``pool // price`` and
     the pool updates are exact.  The reserve and sign tests on the way in
-    read numerators, and no ``Fraction`` is built.  Each ``Segment`` keeps D
-    and its slotted bidders' ints.
+    read numerators, and no ``Fraction`` is built.  A new slate is stored
+    where the active set changed since the last segment, and each segment
+    is added to the day's totals where the pools are updated.
 
     ``stop``, a (bidder id, budget) pair, ends the day after the first
     segment in which that bidder's running payment exceeds the budget, or
     at the day's end if it never does.  A timeline is causal, so the
     stopped run is a prefix of the whole day's segments, its last segment
-    whole.  The watched bidder's price is read once per slate and added
-    once per segment.
+    whole.
     """
     auction.check_reserve(reserve)
     r_num, r_den = reserve.numerator, reserve.denominator
@@ -250,37 +312,45 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         who, budget = stop
         watch = next((b for b in entrants if b.id == who), None)
         cap = budget.numerator * D // budget.denominator  # paid > cap: over
-        paid = owed = 0  # its payment so far and its price on the slate
     entrants.sort(key=lambda b: (-b.s, b.id))
     for rank, b in enumerate(entrants):
         b.rank = rank
+    day = KeywordDay(D)
+    los, his, slate_of = day.lo, day.hi, day.slate
     pending = sorted(entrants, key=lambda b: (b.start, b.id))
     waiting = len(pending)
     top_k = slots.count + 1
     active: List[_Bidder] = []  # ranked by (-score, id)
     slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
     prices: List[int] = []
-    slate = None  # segment fields of the settled active set; reset on change
-    segments: List[Segment] = []
-    entered = 0
+    values: List[int] = []
+    rev = wel = 0  # the priced top's revenue and welfare per query
+    day_rev = day_wel = 0
+    changed = True  # the active set moved since the last segment's slate
+    k = -1  # the last segment's slate
+    n_in = 0
     t = 1
     while t <= volume:
-        while entered < waiting and pending[entered].start <= t:
-            insort(active, pending[entered], key=_by_rank)
-            entered += 1
-            slate = None
+        while n_in < waiting and pending[n_in].start <= t:
+            b = pending[n_in]
+            b.since = t
+            insort(active, b, key=_by_rank)
+            n_in += 1
+            changed = True
         # settle the slate: evict slotted members priced beyond their pool,
         # one at a time from the lowest score up — an eviction moves the
         # others' prices, so survivors are rechecked before they go too.
         # The settled slate's shortest run, pool // price, bounds the segment
         passed: Optional[Dict[str, int]] = None
         while True:
-            if slate is None:  # else the active set is the settled one
+            if changed:  # else the active set is the settled one
                 top = active[:top_k]
                 if top != slotted:  # scores are fixed: same top, same prices
                     slotted = top
                     prices = auction.slot_prices([b.s for b in top], drops,
                                                  floor)
+                    values = [c * b.s for c, b in zip(clicks, top)]
+                    rev, wel = sum(prices), sum(values)
             worst = None
             run = volume - t + 1  # queries left in the day
             for b, price in zip(slotted, prices):
@@ -302,46 +372,40 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                         and price > passed.get(b.id, -1)):
                     passed[b.id] = price
             active.remove(worst)
-            slate = None
-        next_entry = (pending[entered].start if entered < waiting
-                      else volume + 1)
+            worst.left = t
+            changed = True
+        next_entry = pending[n_in].start if n_in < waiting else volume + 1
         hi = t + run - 1
         if hi >= next_entry:
             hi = next_entry - 1
-        if slate is None:
-            slate = _slate(active, prices, clicks)
-            if watch is not None:
-                owed = next((price for b, price in zip(slotted, prices)
-                             if b is watch), 0)
-        ranking, int_prices, int_values = slate
-        segments.append(Segment(t, hi, ranking, D, int_prices, int_values,
-                                tuple(passed.items()) if passed else ()))
+        if changed:
+            changed = False
+            k += 1
+            day.ids.append(tuple([b.id for b in active]))
+            day.prices.append(prices)
+            day.values.append(values)
+        if passed:
+            day.passed[len(los)] = passed
+        los.append(t)
+        his.append(hi)
+        slate_of.append(k)
         length = hi - t + 1
-        if watch is not None:
-            paid += length * owed
-            if paid > cap:
-                break
-        for b, price in zip(slotted, prices):
+        day_rev += length * rev
+        day_wel += length * wel
+        for b, price, value in zip(slotted, prices, values):
+            b.paid += length * price
+            b.won += length * value
             if b.pool is not None:
                 b.pool -= length * price
         t = hi + 1
-    return tuple(segments)
-
-
-def _slate(active: Sequence[_Bidder], prices: Sequence[int],
-           clicks: Sequence[int]) -> tuple:
-    """The ranking rows of the ranked active set (slot None past the priced
-    ones), and the slotted bidders' int prices and values."""
-    n = len(prices)
-    head = active[:n]
-    ranking = tuple([(b.id, b.score, r) for r, b in enumerate(head, 1)]
-                    + [b.row for b in active[n:]])
-    values = tuple([c * b.s for c, b in zip(clicks, head)])
-    return ranking, tuple(prices), values
+        if watch is not None and watch.paid > cap:
+            break
+    day._counts = entrants, t, day_rev, day_wel
+    return day
 
 
 def keyword_day(instance: Instance, keyword: str, rows: Iterable[Allocation],
-                reserve: Fraction = ZERO) -> Tuple[Segment, ...]:
+                reserve: Fraction = ZERO) -> KeywordDay:
     """Run a keyword's day for the committed rows on it.
 
     Each row enters at its start query with its budget as its pool (a
@@ -357,8 +421,8 @@ class DayTotals(NamedTuple):
     """A keyword day's totals, exactly, as ints in units of 1/``D`` (the
     day's common denominator): its revenue and welfare, and per advertiser
     ever slotted, what it paid and what it gained (value minus price) over
-    the day.  ``revenue``, ``welfare`` and ``paid`` are exact ``Fraction``
-    views of those ints, built on each read."""
+    the day.  ``revenue`` and ``welfare`` are exact ``Fraction`` views of
+    those ints, built on each read."""
 
     D: int
     int_revenue: int
@@ -374,33 +438,8 @@ class DayTotals(NamedTuple):
     def welfare(self) -> Fraction:
         return Fraction(self.int_welfare, self.D)
 
-    @property
-    def paid(self) -> Dict[str, Fraction]:
-        D = self.D
-        return {adv: Fraction(x, D) for adv, x in self.int_paid.items()}
 
-
-def day_totals(segments: Sequence[Segment]) -> DayTotals:
-    """Sum a keyword day's segments on their scaled ints: the one summation
-    of a day.  Unslotted bidders pay and gain nothing, so an advertiser
-    never slotted is in neither dict."""
-    rev = wel = 0
-    paid: Dict[str, int] = {}
-    gained: Dict[str, int] = {}
-    for seg in segments:
-        n = seg.hi - seg.lo + 1
-        prices, values = seg.int_prices, seg.int_values
-        rev += n * sum(prices)
-        wel += n * sum(values)
-        for (adv, _, _), p, v in zip(seg.ranking, prices, values):
-            paid[adv] = paid.get(adv, 0) + n * p
-            gained[adv] = gained.get(adv, 0) + n * (v - p)
-    D = segments[0].D if segments else 1  # no queries, nothing to convert
-    return DayTotals(D, rev, wel, paid, gained)
-
-
-def pinning_keeps_prefixes(segments: Sequence[Segment],
-                           bidders: Iterable[str]) -> bool:
+def pinning_keeps_prefixes(day: KeywordDay, bidders: Iterable[str]) -> bool:
     """True when the day, and each of its prefixes (the day cut short
     after any query), is provably unchanged with each of ``bidders``'
     pools pinned to what it pays there.
@@ -426,12 +465,12 @@ def pinning_keeps_prefixes(segments: Sequence[Segment],
     none of ``bidders`` has entered yet.
     """
     want = set(bidders)
-    for seg in segments:
-        if seg.passed_prices:
-            own = dict(zip(map(_first, seg.ranking), seg.int_prices))
-            for adv, p in seg.passed_prices:
-                if adv in want and p > own.get(adv, 0):
-                    return False
+    for n, passed in day.passed.items():
+        k = day.slate[n]
+        own = dict(zip(day.ids[k], day.prices[k]))
+        for adv, p in passed.items():
+            if adv in want and p > own.get(adv, 0):
+                return False
     return True
 
 
@@ -463,9 +502,10 @@ def _rate(cost: int, payoff: int):
 class PartitionTable:
     """Per-prefix cost and payoff of one advertiser on one keyword.
 
-    Built in one pass from ``segments``, a day she is in from query 1 (the
-    day ``tables_for`` runs, or a tail of it that ``keyword_marginals`` runs
-    from a later query, numbered from 1).  Segment ``lam`` covers queries
+    Built in one pass from ``segments``, the ``KeywordDay`` of a day she is
+    in from query 1 (the day ``tables_for`` runs, or a tail of it that
+    ``keyword_marginals`` runs from a later query, numbered from 1), her
+    cost and payoff looked up once per slate.  Segment ``lam`` covers queries
     ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
@@ -482,28 +522,33 @@ class PartitionTable:
                  "int_cum_payoff", "_costs", "_payoffs", "_actives")
 
     def __init__(self, advertiser: str, keyword: str, volume: int,
-                 segments: Sequence[Segment]):
+                 segments: KeywordDay):
         self.advertiser = advertiser
         self.keyword = keyword
         self.volume = volume
         self.segments = segments
-        self.D = segments[0].D if segments else 1
+        self.D = segments.D
         self._costs = self._payoffs = self._actives = None
-        breakpoints, ic, iu, cc, cu = [0], [], [], [0], [0]
-        for seg in segments:
-            c = u = 0  # unslotted unless found among the priced rows
-            for (adv, _, _), price, value in zip(seg.ranking, seg.int_prices,
-                                                 seg.int_values):
-                if adv == advertiser:
-                    c, u = price, value - price
-                    break
-            n = seg.hi - seg.lo + 1
-            breakpoints.append(seg.hi)
+        ids, prices, values = segments.ids, segments.prices, segments.values
+        ic, iu, cc, cu = [], [], [0], [0]
+        k = -1
+        for lo, hi, s in zip(segments.lo, segments.hi, segments.slate):
+            if s != k:  # a new slate: her cost and payoff on it
+                k = s
+                priced = prices[s]
+                try:
+                    r = ids[s].index(advertiser, 0, len(priced))
+                except ValueError:  # unslotted there
+                    c = u = 0
+                else:
+                    c = priced[r]
+                    u = values[s][r] - c
+            n = hi - lo + 1
             ic.append(c)
             iu.append(u)
             cc.append(cc[-1] + n * c)
             cu.append(cu[-1] + n * u)
-        self.breakpoints = tuple(breakpoints)
+        self.breakpoints = (0, *segments.hi)
         self.int_costs, self.int_payoffs = tuple(ic), tuple(iu)
         self.int_cum_cost, self.int_cum_payoff = tuple(cc), tuple(cu)
 
@@ -523,7 +568,8 @@ class PartitionTable:
     @property
     def actives(self) -> Tuple[Tuple[str, ...], ...]:
         if self._actives is None:
-            self._actives = tuple([seg.active for seg in self.segments])
+            day = self.segments
+            self._actives = tuple([day.ids[k] for k in day.slate])
         return self._actives
 
     def _key(self) -> tuple:
@@ -668,46 +714,46 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
     row_of = {r.advertiser: r for r in rows}
     alive = {adv for adv in subjects
              if adv in row_of and row_of[adv].start_query <= 1}
-    segs = keyword_day(instance, keyword, rows, reserve) if alive else ()
-    # one pass: everyone's int payments and gains, and for each subject
-    # present from query 1 the index of her last segment with the payments
-    # through it; the others have none
-    paid: Dict[str, int] = {}
-    gained: Dict[str, int] = {}
+    day = (keyword_day(instance, keyword, rows, reserve) if alive
+           else KeywordDay(1))
+    D, paid, gained = day.D, day.totals.int_paid, day.totals.int_gained
+    ids, prices, values, slate = day.ids, day.prices, day.values, day.slate
+    # one pass: for each subject present from query 1, the index of her last
+    # segment and everyone's int payments through it; the others have none.
+    # Payments are summed only until the last of them leaves
     last: Dict[str, Tuple[int, Dict[str, int]]] = dict.fromkeys(
         subjects, (-1, {}))
-    ranking = None
-    for n, seg in enumerate(segs):
-        if alive and seg.ranking is not ranking:  # a new slate: who left?
-            ranking = seg.ranking
-            gone = alive.difference(map(_first, ranking))
+    running: Dict[str, int] = {}
+    k = -1
+    for n, (lo, hi, s) in enumerate(zip(day.lo, day.hi, slate)):
+        if s != k:  # a new slate: who left?
+            k = s
+            gone = alive.difference(ids[s])
             if gone:
                 alive -= gone
-                through = dict(paid)
+                through = dict(running)
                 for adv in gone:
                     last[adv] = (n - 1, through)
-        k = seg.hi - seg.lo + 1
-        for (adv, _, _), p, v in zip(seg.ranking, seg.int_prices,
-                                     seg.int_values):
-            paid[adv] = paid.get(adv, 0) + k * p
-            gained[adv] = gained.get(adv, 0) + k * (v - p)
+                if not alive:
+                    break
+        length = hi - lo + 1
+        for adv, p in zip(ids[s], prices[s]):
+            running[adv] = running.get(adv, 0) + length * p
     for adv in alive:
-        last[adv] = (len(segs) - 1, paid)
-    D = segs[0].D if segs else 1
+        last[adv] = (len(day) - 1, paid)
     starts = {r.start_query for r in rows}
     out: Dict[str, Marginal] = {}
     for adv in subjects:
         n, through = last[adv]
         v0 = price = value = 0
         own_paid = own_gained = ZERO
-        seg = mp_minus = None
+        s = mp_minus = None
         if n >= 0:
-            seg = segs[n]
-            v0 = seg.hi
+            s = slate[n]
+            v0 = day.hi[n]
             own_paid = Fraction(paid.get(adv, 0), D)
             own_gained = Fraction(gained.get(adv, 0), D)
-            for (who, _, _), p, v in zip(seg.ranking, seg.int_prices,
-                                         seg.int_values):
+            for who, p, v in zip(ids[s], prices[s], values[s]):
                 if who == adv:  # else unslotted there: she paid nothing
                     price, value = p, v
                     break
@@ -719,15 +765,15 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
         if price and v0 + 1 not in starts and all(
                 who == adv or _scaled(row_of[who].budget, D)
                 - through.get(who, 0) >= p
-                for (who, _, _), p in zip(seg.ranking, seg.int_prices)):
+                for who, p in zip(ids[s], prices[s])):
             out[adv] = Marginal(v0, own_paid, own_gained, mp_minus, mp_minus,
                                 Fraction(price, D), "quiet")
             continue
         bidders = [(adv, instance.score(adv, keyword), 1, None)]
-        if seg is not None:
-            bidders += [(who, s, 1, row_of[who].budget
-                         - Fraction(through.get(who, 0), D))
-                        for who, s, _ in seg.ranking if who != adv]
+        if s is not None:
+            bidders += [(who, instance.score(who, keyword), 1,
+                         row_of[who].budget - Fraction(through.get(who, 0), D))
+                        for who in ids[s] if who != adv]
         bidders += [(r.advertiser, instance.score(r.advertiser, keyword),
                      r.start_query - v0, r.budget)
                     for r in rows  # a start below 1 is query 1

@@ -5,12 +5,14 @@ each query runs one auction among the advertisers whose committed budget on
 that keyword still covers the current price.  The engine never touches
 individual queries — each keyword's day runs through
 ``partition.keyword_day``, the event-driven segmentation, so a day over
-billions of queries costs the same as one over dozens.  The day's totals
-stay ints until they are reported: ``partition.day_totals`` gives each
-keyword's as ints over its denominator D; an advertiser's spend, payoff and
-leftover and the day's revenue and welfare add those over the lcm of the
-Ds, and each reported value is one ``Fraction`` built from those ints, with
-no ``Fraction`` arithmetic.  ``edge_spend`` is built on its first read.
+billions of queries costs the same as one over dozens.  It comes back as a
+``partition.KeywordDay``, whose event loop has already counted the
+keyword's totals, as ints over its denominator D, and the queries each
+bidder entered, so the simulator walks no segment.  An advertiser's spend,
+payoff and leftover and the day's revenue and welfare add those totals
+over the lcm of the Ds, and each reported value is one ``Fraction`` built
+from those ints, with no ``Fraction`` arithmetic.  ``edge_spend`` is built
+on its first read.  The report writer reads each day's columns.
 
 ``simulate_day`` trusts its inputs; run the model validators at the
 boundary.  Feeding it a profile whose budgets exceed an advertiser's total
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .model import Instance, Profile
-from .partition import DayTotals, Segment, day_totals, keyword_day
+from .partition import DayTotals, KeywordDay, keyword_day
 
 ZERO = Fraction(0)
 
@@ -35,7 +37,7 @@ class DayOutcome:
     """Everything observable after one simulated day.  ``edge_spend``, which
     only ``acbm`` reads, is built from the day's totals on its first read."""
 
-    segments: Dict[str, Tuple[Segment, ...]]
+    segments: Dict[str, KeywordDay]
     revenue: Fraction
     welfare: Fraction
     keyword_revenue: Dict[str, Fraction]
@@ -50,9 +52,11 @@ class DayOutcome:
         if name != "edge_spend":
             raise AttributeError(name)
         rows, totals = self._edges  # simulate_day's rows and DayTotals
-        paid = {kw: t.paid for kw, t in totals.items()}
-        spend = {(r.advertiser, r.keyword):
-                 paid[r.keyword].get(r.advertiser, ZERO) for r in rows}
+        spend = {}
+        for r in rows:
+            t = totals[r.keyword]
+            spend[(r.advertiser, r.keyword)] = Fraction(
+                t.int_paid.get(r.advertiser, 0), t.D)
         object.__setattr__(self, name, spend)
         return spend
 
@@ -60,7 +64,7 @@ class DayOutcome:
 def simulate_day(instance: Instance, profile: Profile,
                  reserve: Fraction = ZERO) -> DayOutcome:
     """Simulate the full day under a committed profile, exactly."""
-    segments: Dict[str, Tuple[Segment, ...]] = {}
+    segments: Dict[str, KeywordDay] = {}
     totals: Dict[str, DayTotals] = {}
     participation = dict.fromkeys(
         ((r.advertiser, r.keyword) for r in profile.rows), 0)
@@ -68,16 +72,11 @@ def simulate_day(instance: Instance, profile: Profile,
     earned: Dict[str, List[Tuple[int, int, int]]] = {}
     for k in instance.keywords:
         kw = k.id
-        segments[kw] = segs = keyword_day(instance, kw, profile.rows_on(kw),
-                                          reserve)
-        entered: Dict[str, int] = {}
-        for seg in segs:
-            n = seg.hi - seg.lo + 1
-            for adv, _, _ in seg.ranking:
-                entered[adv] = entered.get(adv, 0) + n
-        for adv, n in entered.items():
+        segments[kw] = run = keyword_day(instance, kw, profile.rows_on(kw),
+                                         reserve)
+        for adv, n in run.entered.items():
             participation[(adv, kw)] = n
-        totals[kw] = t = day_totals(segs)
+        totals[kw] = t = run.totals
         for adv, paid in t.int_paid.items():
             earned.setdefault(adv, []).append((t.D, paid, t.int_gained[adv]))
     spend, payoff, leftover = {}, {}, {}  # per advertiser

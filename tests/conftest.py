@@ -2,8 +2,9 @@
 costs and payoffs, a per-query reference simulator, the telescoped revenue
 identity of a priced slate, the two-run reference acbm probes, days
 stopped at a bidder's budget, the reprice-everything reference timeline,
-the all-Fraction reference knapsack and the level-scanning int one, the
-listed fptas grid and the
+the segment walks that summed a day's totals and counted its bidders'
+queries, the all-Fraction reference knapsack and the level-scanning int
+one, the listed fptas grid and the
 per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal
 rates, the tree-building reference report encoder, the all-``Fraction``
@@ -33,8 +34,8 @@ from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
                               Instance, Keyword, ModelError, Profile,
                               SlotParams, _check_keys, _decode, _err,
                               format_rational, parse_rational)
-from broadmatch.partition import (INFINITE, PartitionTable, Segment,
-                                  day_totals, keyword_day,
+from broadmatch.partition import (INFINITE, DayTotals, KeywordDay,
+                                  PartitionTable, keyword_day,
                                   run_keyword_timeline, tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
@@ -84,23 +85,26 @@ def build_schedule(rows) -> Profile:
 def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
                    costs, payoffs, actives=None) -> PartitionTable:
     """A partition table with the given per-segment ``Fraction`` costs and
-    payoffs, built as the engine builds every table: from a day's segments,
-    here made up with D the lcm of the denominators and the advertiser
-    priced at her place in each segment's active set (alone by default),
-    everybody ranked ahead of her at price and value 0."""
+    payoffs, built as the engine builds every table: from a day's columns,
+    here made up with D the lcm of the denominators, one slate per segment
+    and the advertiser priced at her place in each segment's active set
+    (alone by default), everybody ranked ahead of her at price and value
+    0."""
     D = math.lcm(*(x.denominator for x in (*costs, *payoffs)))
-    segments = []
-    for lam, (c, u) in enumerate(zip(costs, payoffs)):
-        active = actives[lam] if actives else (advertiser,)
+    active_sets = actives or [(advertiser,)] * len(costs)
+    day = KeywordDay(D)  # read for its columns and views, never its totals
+    day.scores = {a: ZERO for active in active_sets for a in active}
+    for lam, (c, u, active) in enumerate(zip(costs, payoffs, active_sets)):
         n = active.index(advertiser)
-        ranking = tuple((a, ZERO, r + 1 if r <= n else None)
-                        for r, a in enumerate(active))
         price, value = c * D, (c + u) * D
         assert price.denominator == value.denominator == 1
-        segments.append(Segment(breakpoints[lam] + 1, breakpoints[lam + 1],
-                                ranking, D, (0,) * n + (int(price),),
-                                (0,) * n + (int(value),)))
-    return PartitionTable(advertiser, keyword, volume, tuple(segments))
+        day.lo.append(breakpoints[lam] + 1)
+        day.hi.append(breakpoints[lam + 1])
+        day.slate.append(lam)
+        day.ids.append(tuple(active))
+        day.prices.append((0,) * n + (int(price),))
+        day.values.append((0,) * n + (int(value),))
+    return PartitionTable(advertiser, keyword, volume, day)
 
 
 def tri_keyword(volume: int) -> Instance:
@@ -238,7 +242,7 @@ def reference_entry_cost(instance: Instance, rows: Sequence[Allocation],
 
 def stopped_day(instance: Instance, keyword: str, rows: Sequence[Allocation],
                 reserve: Fraction, stop: Optional[Tuple[str, Fraction]]
-                ) -> Tuple[Segment, ...]:
+                ) -> KeywordDay:
     """The keyword's day of the committed ``rows`` on it, run as
     ``keyword_day`` runs it but cut short by the timeline's ``stop``, a
     (bidder, budget) pair; the whole day when ``stop`` is None."""
@@ -251,7 +255,7 @@ def stopped_day(instance: Instance, keyword: str, rows: Sequence[Allocation],
 def stopped_subject_day(instance: Instance, advertiser: str, keyword: str,
                         others: Profile, reserve: Fraction = ZERO,
                         budget: Optional[Fraction] = None
-                        ) -> Tuple[Segment, ...]:
+                        ) -> KeywordDay:
     """The day a partition table of ``advertiser`` on ``keyword`` reads, as
     ``tables_for`` runs it (she unlimited from query 1, the rivals' rows of
     ``others``, none of hers), stopped after the first segment in which her
@@ -324,6 +328,46 @@ def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
                 b[3] -= (hi - t + 1) * slate.prices[b[0]]
         t = hi + 1
     return tuple(segments)
+
+
+# -- reference day walks -------------------------------------------------------
+
+# The walks over a day's segments that summed its totals and counted each
+# bidder's queries, from before the timeline counted both as it ran, kept
+# verbatim apart from their names and the segments now being views.
+def reference_day_totals(segments) -> DayTotals:
+    """Sum a keyword day's segments on their scaled ints: the one summation
+    of a day.  Unslotted bidders pay and gain nothing, so an advertiser
+    never slotted is in neither dict."""
+    rev = wel = 0
+    paid: Dict[str, int] = {}
+    gained: Dict[str, int] = {}
+    for seg in segments:
+        n = seg.hi - seg.lo + 1
+        prices, values = seg.int_prices, seg.int_values
+        rev += n * sum(prices)
+        wel += n * sum(values)
+        for (adv, _, _), p, v in zip(seg.ranking, prices, values):
+            paid[adv] = paid.get(adv, 0) + n * p
+            gained[adv] = gained.get(adv, 0) + n * (v - p)
+    D = segments[0].D if segments else 1  # no queries, nothing to convert
+    return DayTotals(D, rev, wel, paid, gained)
+
+
+def reference_entered(segments) -> Dict[str, int]:
+    """The queries each bidder of a keyword day is active in, summed over
+    the segments whose ranking lists it; one in none is absent."""
+    entered: Dict[str, int] = {}
+    for seg in segments:
+        n = seg.hi - seg.lo + 1
+        for adv, _, _ in seg.ranking:
+            entered[adv] = entered.get(adv, 0) + n
+    return entered
+
+
+def paid_fractions(totals: DayTotals) -> Dict[str, F]:
+    """A day's per-advertiser payments as exact ``Fraction``s."""
+    return {adv: F(x, totals.D) for adv, x in totals.int_paid.items()}
 
 
 # The best-response knapsack before its cost axis moved to scaled ints,
@@ -691,7 +735,7 @@ def _reference_sums(rows: Sequence[Tuple[int, int, int]]) -> Tuple[F, F]:
 def reference_simulate_day(instance: Instance, profile: Profile,
                            reserve: F = F(0)) -> SimpleNamespace:
     """The fields of ``simulate_day``'s ``DayOutcome``, by name."""
-    segments: Dict[str, Tuple[Segment, ...]] = {}
+    segments: Dict[str, KeywordDay] = {}
     keyword_revenue: Dict[str, F] = {}
     keyword_welfare: Dict[str, F] = {}
     edge_spend: Dict[Tuple[str, str], F] = {}
@@ -705,14 +749,9 @@ def reference_simulate_day(instance: Instance, profile: Profile,
         kw = k.id
         segments[kw] = segs = keyword_day(instance, kw, profile.rows_on(kw),
                                           reserve)
-        entered: Dict[str, int] = {}
-        for seg in segs:
-            n = seg.hi - seg.lo + 1
-            for adv, _, _ in seg.ranking:
-                entered[adv] = entered.get(adv, 0) + n
-        for adv, n in entered.items():
+        for adv, n in reference_entered(segs).items():
             participation[(adv, kw)] = n
-        totals = day_totals(segs)
+        totals = reference_day_totals(segs)
         D, gained = totals.D, totals.int_gained
         for adv, paid in totals.int_paid.items():
             edge_spend[(adv, kw)] = Fraction(paid, D)

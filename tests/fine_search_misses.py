@@ -22,7 +22,7 @@ from broadmatch import acbm
 from broadmatch.acbm import excess_budgets
 from broadmatch.equilibrium import natural_base_day
 from broadmatch.model import Allocation
-from broadmatch.partition import day_totals, keyword_day
+from broadmatch.partition import keyword_day
 from broadmatch.simulate import simulate_day
 from conftest import random_extension_pair, random_profile
 
@@ -79,11 +79,12 @@ def fine_search_misses(seeds) -> dict:
                     ext, on_j, j, (Allocation(i, j, 0, avail, t),), F(0))
                 return rev - day.keyword_revenue[j], certified
 
-            for seg in day.segments[j]:
+            segs = day.segments[j]
+            for lo, hi in zip(segs.lo, segs.hi):
                 found = max(d for d, _ in acbm._search(
-                    seg.lo, seg.hi, True, probe).values())
-                best = max(probe(t)[0] for t in range(seg.lo, seg.hi + 1))
-                wide = len(seg) > acbm.FINE_WINDOW
+                    lo, hi, True, probe).values())
+                best = max(probe(t)[0] for t in range(lo, hi + 1))
+                wide = hi - lo + 1 > acbm.FINE_WINDOW
                 out["wide" if wide else "narrow"] += 1
                 if found < best:
                     out["wide_misses" if wide else "narrow_misses"] += 1
@@ -127,18 +128,20 @@ def quiet_segments(seeds, reserves=(F(0), F(1, 2))) -> dict:
 
                 def pinned_delta(t):
                     entrant = Allocation(i, j, 0, avail, t)
-                    segs = keyword_day(ext, j, on_j + (entrant,), reserve)
-                    paid = day_totals(segs).paid.get(i, F(0))
+                    totals = keyword_day(ext, j, on_j + (entrant,),
+                                         reserve).totals
+                    paid = F(totals.int_paid.get(i, 0), totals.D)
                     pinned = Allocation(i, j, 0, paid, t)
-                    segs = keyword_day(ext, j, on_j + (pinned,), reserve)
-                    return day_totals(segs).revenue - day.keyword_revenue[j]
+                    totals = keyword_day(ext, j, on_j + (pinned,),
+                                         reserve).totals
+                    return totals.revenue - day.keyword_revenue[j]
 
-                for seg in day.segments[j]:
-                    if not acbm._quiet(seg, on_j, ext.volume(j)):
+                segs = day.segments[j]
+                for n, (lo, hi) in enumerate(zip(segs.lo, segs.hi)):
+                    if not acbm._quiet(segs, n, on_j, ext.volume(j)):
                         continue
-                    lo, hi = seg.lo, seg.hi
                     out["quiet"] += 1
-                    out["wide"] += len(seg) > acbm.FINE_WINDOW
+                    out["wide"] += hi - lo + 1 > acbm.FINE_WINDOW
                     out["late"] += any(r.start_query > 1 for r in on_j)
                     scan = [pinned_delta(t) for t in range(lo, hi + 1)]
                     out["uncertified"] += lo < hi and not probe(lo + 1)[1]

@@ -1,6 +1,7 @@
 """Check that reports on real traffic are canonical JSON, byte for byte,
-that each names its instance by the digest of its canonical text, and
-that their rationals and segment rows add up.
+that each names its instance by the digest of its canonical text, that
+their rationals and segment rows add up, and that each ``simulate``
+report's participation counts agree with its segment rows.
 
     PYTHONPATH=src python tests/report_bytes_check.py
 
@@ -14,11 +15,18 @@ directory, runs each job in process and requires its stdout to equal
 ``text`` the job's instance file.  Every ``{"approx", "exact"}`` pair must
 have ``approx == _approx(Fraction(exact), 6)``, and in each ``simulate``
 report the sum over a keyword's segment rows of (to - from + 1) times the
-row's revenue must be the keyword's revenue, and the same for welfare.  The
-benchmark's own check digests parsed results with every ``approx`` dropped,
-so it cannot see a byte drift in these documents, a drift of the instance
-digest, or a rounding slip in a rational's text; this can.  Not collected
-by pytest; exits 1 on the first job that fails a check.
+row's revenue must be the keyword's revenue, and the same for welfare.
+Each ``simulate`` report is also read against its split file: for every row
+of the split, the queries the day simulated for it (the ``simulated`` count
+of its ``consistency`` record, or its declared count when it has none) must
+be the summed lengths of the keyword's segment rows whose ``active`` list
+holds the advertiser.  The engine counts participation in the timeline's
+event loop and writes the rows from the day's columns, so this ties the two
+together.  The benchmark's own check digests parsed results with every
+``approx`` dropped, so it cannot see a byte drift in these documents, a
+drift of the instance digest, or a rounding slip in a rational's text;
+this can.  Not collected by pytest; exits 1 on the first job that fails a
+check.
 """
 
 import contextlib
@@ -76,6 +84,23 @@ def sums_error(doc: dict) -> str:
     return ""
 
 
+def participation_error(doc: dict, split: dict) -> str:
+    """Why a ``simulate`` report's participation counts disagree with its
+    segment rows, or ""."""
+    simulated = {(r["advertiser"], r["keyword"]): r["simulated"]
+                 for r in doc["result"]["consistency"]}
+    for row in split["allocations"]:
+        key = row["advertiser"], row["keyword"]
+        got = simulated.get(key, row["queries"])
+        rows = doc["result"]["keywords"][row["keyword"]]["segments"]
+        want = sum(r["to"] - r["from"] + 1 for r in rows
+                   if row["advertiser"] in r["active"])
+        if got != want:
+            return "%s on %s: simulated %d, segment rows %d" % (*key, got,
+                                                                  want)
+    return ""
+
+
 def check(workload: str, root: Path) -> int:
     files, jobs = gen.WORKLOADS[workload](SEED)
     block = jobs[:len(jobs) // gen.BLOCKS[workload]]
@@ -102,12 +127,17 @@ def check(workload: str, root: Path) -> int:
                                                      want))
             return 1
         error = sums_error(doc)
+        if not error and doc["command"] == "simulate":
+            split = json.loads(Path(argv[argv.index("--split") + 1])
+                               .read_text(encoding="utf-8"))
+            error = participation_error(doc, split)
         if error:
             print("%s: %s" % (name, error))
             return 1
         total += len(out.encode("utf-8"))
     print("%d %s seed-%d reports, %d bytes, all canonical, every instance "
-          "digest, approx text and row sum right (Python %s)"
+          "digest, approx text, row sum and participation count right "
+          "(Python %s)"
           % (len(block), workload, SEED, total, sys.version.split()[0]))
     return 0
 

@@ -200,7 +200,7 @@ def test_next_query_on_a_segment_boundary():
     whole = tables_for(market, "s", profile)["k"].segments
     stopped = stopped_subject_day(market, "s", "k", profile, budget=F(6))
     assert [(g.lo, g.hi) for g in whole] == [(1, 4), (5, 7), (8, 10)]
-    assert stopped == whole[:2]
+    assert stopped[:] == whole[:2]
 
 
 def test_zero_budget_buys_the_free_opening():
@@ -222,7 +222,7 @@ def test_zero_budget_buys_the_free_opening():
     whole = tables_for(market, "s", profile)["k"].segments
     assert [(g.lo, g.hi) for g in whole] == [(1, 3), (4, 6), (7, 10)]
     assert stopped_subject_day(market, "s", "k", profile,
-                               budget=F(0)) == whole[:2]
+                               budget=F(0))[:] == whole[:2]
 
 
 # -- local stability ----------------------------------------------------------

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
-from broadmatch.partition import (INFINITE, PartitionTable, day_totals,
+from broadmatch.partition import (INFINITE, KeywordDay, PartitionTable,
                                   keyword_day, pinning_keeps_prefixes,
                                   run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
-from conftest import (RESERVE_GRID, build_instance, build_schedule,
-                      build_split, fraction_table, random_instance,
-                      random_profile, reference_timeline, segment_views,
+from conftest import (RESERVE_GRID, assert_day_matches_naive,
+                      build_instance, build_schedule, build_split,
+                      fraction_table, naive_day, paid_fractions,
+                      random_instance, random_profile, reference_day_totals,
+                      reference_entered, reference_timeline, segment_views,
                       stopped_day, stopped_subject_day)
 
 TWO = SlotParams((F(1), F(7, 10)))
@@ -219,7 +221,7 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
     field for field, and so does the day cut short to each of its
     prefixes, each pinned to its own spend; 3,000 seeded days with drops
     even, falling and rising.  Where it is False the pinned day often does
-    differ: the check is not vacuous.  ``day_totals`` matches the sums of
+    differ: the check is not vacuous.  The day's totals match the sums of
     the exact views."""
     rng = random.Random(8191)
     seen = {"kept": 0, "kept-after-evictions": 0, "rerun": 0, "moved": 0}
@@ -238,15 +240,16 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
                      F(rng.randint(0, 60))) for i in watched]
         reserve = F(rng.randint(0, 3))
         segs = run_keyword_timeline(slots, volume, bidders, reserve)
-        totals = day_totals(segs)
+        totals = segs.totals
         assert totals.revenue == sum((len(g) * g.revenue for g in segs), F(0))
         assert totals.welfare == sum((len(g) * g.welfare for g in segs), F(0))
-        for adv, paid in totals.paid.items():
+        spent = paid_fractions(totals)
+        for adv, paid in spent.items():
             assert paid == _spend(segs, adv), case
         evicted = any(adv in watched for g in segs
                       for adv, _ in g.passed_prices)
         if not pinning_keeps_prefixes(segs, watched):
-            pinned = [(i, s, q0, totals.paid.get(i, F(0)) if i in watched
+            pinned = [(i, s, q0, spent.get(i, F(0)) if i in watched
                        else b) for i, s, q0, b in bidders]
             seen["rerun"] += 1
             seen["moved"] += ([segment_views(g) for g in segs]
@@ -258,13 +261,118 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
         seen["kept-after-evictions"] += evicted
         for n in range(1, volume + 1):
             cut = run_keyword_timeline(slots, n, bidders, reserve)
-            paid = day_totals(cut).paid
+            paid = paid_fractions(cut.totals)
             pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched else b)
                       for i, s, q0, b in bidders]
             assert ([segment_views(g) for g in cut]
                     == [segment_views(g) for g in run_keyword_timeline(
                         slots, n, pinned, reserve)]), (case, n)
     assert min(seen.values()) >= 20, seen
+
+
+# -- the day's columns ---------------------------------------------------------
+
+def _check_columns(day, slots, volume, bidders, reserve, stop=None):
+    """The day's segment views are the reprice-everything loop's (a prefix
+    of them where ``stop`` cuts the day), and the totals and entered counts
+    its event loop kept are those the walks over its segments find; a
+    bidder dropped by its first settle is counted at 0.  Returns the day."""
+    want = reference_timeline(slots, volume, bidders, reserve)
+    if stop is not None:
+        want = want[:len(day)]
+    assert [segment_views(g) for g in day] == [segment_views(w)
+                                               for w in want]
+    assert day.totals == reference_day_totals(day)
+    assert ({adv: n for adv, n in day.entered.items() if n}
+            == reference_entered(day))
+    return day
+
+
+def _bidders(instance, keyword, rows):
+    return [(r.advertiser, instance.score(r.advertiser, keyword),
+             r.start_query, r.budget) for r in rows]
+
+
+def test_day_columns_match_the_segment_walks_on_the_corpus():
+    """On the hundred seeded markets, with and without schedules, each at
+    a reserve from the grid: every keyword day ``simulate_day`` runs and
+    every day a partition table reads passes ``_check_columns``, and the
+    simulated day still equals the per-query ``naive_day``."""
+    seen = {"dark": 0, "partial": 0, "broke-at-entry": 0, "late": 0,
+            "passed": 0, "unlimited": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        profile = random_profile(rng, instance, schedule=seed % 2 == 1)
+        reserve = rng.choice(RESERVE_GRID)
+        outcome = simulate_day(instance, profile, reserve)
+        days = []
+        for kw in instance.keywords:
+            rows = profile.rows_on(kw.id)
+            days.append(_check_columns(
+                outcome.segments[kw.id], instance.slots, kw.volume,
+                _bidders(instance, kw.id, rows), reserve))
+            seen["late"] += any(r.start_query > 1 for r in rows)
+        for adv in instance.advertisers:
+            tables = tables_for(instance, adv.id, profile, reserve=reserve)
+            for kw, table in tables.items():
+                rows = [Allocation(adv.id, kw, 0, None)] + [
+                    r for r in profile.rows_on(kw) if r.advertiser != adv.id]
+                days.append(_check_columns(
+                    table.segments, instance.slots, instance.volume(kw),
+                    _bidders(instance, kw, rows), reserve))
+                seen["unlimited"] += 1
+        for day in days:
+            seen["dark"] += any(not day.active(n) for n in range(len(day)))
+            seen["partial"] += any(
+                n < day.hi[-1] + 1 - day.lo[0] for n in day.entered.values())
+            seen["broke-at-entry"] += 0 in day.entered.values()
+            seen["passed"] += bool(day.passed)
+        assert_day_matches_naive(instance, outcome,
+                                 naive_day(instance, profile, reserve))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_day_columns_on_hand_cases():
+    """A dark day, a reserve that shuts everyone out, a late entry after a
+    lone bidder runs dry, a bidder broke at its first settle, a day cut by
+    ``stop`` and a keyword of 10**400 queries."""
+    dark = _check_columns(run_keyword_timeline(TWO, 10, []), TWO, 10, [], F(0))
+    assert (dark.lo, dark.hi, dark.ids, dark.entered) == ([1], [10], [()], {})
+    assert dark.totals[1:] == (0, 0, {}, {})
+    shut = [("a", F(2), 1, F(3)), ("b", F(1), 4, None)]
+    day = _check_columns(run_keyword_timeline(TWO, 10, shut, F(3)), TWO, 10,
+                         shut, F(3))
+    assert (len(day), day.entered, day.totals[1:]) == (1, {}, (0, 0, {}, {}))
+    # a alone pays the reserve's 3/5 and runs dry after 5 queries; b enters
+    # at query 8 into a dark stream and pays 3/5 twice
+    late = [("a", F(2), 1, F(3)), ("b", F(3), 8, F(6, 5))]
+    day = _check_columns(run_keyword_timeline(TWO, 10, late, F(2)), TWO, 10,
+                         late, F(2))
+    assert [(g.lo, g.hi, g.active) for g in day] == [
+        (1, 5, ("a",)), (6, 7, ()), (8, 9, ("b",)), (10, 10, ())]
+    assert day.entered == {"a": 5, "b": 2}
+    # x enters at query 3 above z, priced 3/5 on a pool of 1/2: its first
+    # settle drops it
+    broke = [("x", F(5), 3, F(1, 2)), ("z", F(2), 1, None)]
+    day = _check_columns(run_keyword_timeline(TWO, 6, broke), TWO, 6, broke,
+                         F(0))
+    assert day.entered["x"] == 0 and "x" not in day.totals.int_paid
+    assert day.entered["z"] == 6
+    bidders = [("1", F(5), 1, F(45)), ("2", F(3), 1, F(37))]
+    day = _check_columns(run_keyword_timeline(TWO, 100, bidders,
+                                              stop=("1", F(44))),
+                         TWO, 100, bidders, F(0), ("1", F(44)))
+    assert (len(day), day.entered) == (1, {"1": 50, "2": 50})
+    big = 10 ** 400
+    huge = [("a", F(2), 1, F(10 ** 6)), ("b", F(1, 3), 1, None)]
+    day = _check_columns(run_keyword_timeline(TWO, big, huge, F(1, 3)), TWO,
+                         big, huge, F(1, 3))
+    # a pays 1/3 a query above b (7/30) until its pool runs dry, then b,
+    # alone, pays the reserve's 1/10 to the day's end
+    assert day.entered == {"a": 3 * 10 ** 6, "b": big}
+    assert day.totals.revenue == (10 ** 6 + 7 * 10 ** 5
+                                  + (big - 3 * 10 ** 6) * F(1, 10))
 
 
 # -- keyword_day ---------------------------------------------------------------
@@ -297,10 +405,10 @@ def _first_over(segments, bidder, budget):
 
 
 def _check_stop(full, stopped, bidder, budget):
-    """The stopped run is a tuple and the prefix of the whole day that ends
+    """The stopped run is a day and the prefix of the whole day that ends
     with the first segment in which the bidder's payment passes the
     budget, or the whole day.  Returns that segment's index, or None."""
-    assert type(stopped) is tuple
+    assert type(stopped) is KeywordDay
     assert ([(segment_views(s), s.passed_prices) for s in stopped]
             == [(segment_views(s), s.passed_prices)
                 for s in full[:len(stopped)]])
