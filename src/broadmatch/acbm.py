@@ -117,7 +117,7 @@ def obrev_check(base: Instance, ext: Instance, base_day: DayOutcome) -> dict:
         if i not in excess:
             continue
         segs = base_day.segments.get(j)
-        last = set(segs.active(-1)) if segs else set()
+        last = set(segs.ids[-1]) if segs else set()
         dark = not last
         s_ij = ext.score(i, j)
         cond = None
@@ -211,7 +211,7 @@ def _quiet(day: KeywordDay, n: int, rows: Sequence[Allocation],
     last query and none of ``rows``, those committed on its keyword, starts
     after its first query: ``_search`` settles such a segment with two
     probes."""
-    return (not any(day.prices[day.slate[n]]) and day.hi[n] == volume
+    return (not any(day.prices[n]) and day.hi[n] == volume
             and all(r.start_query <= day.lo[n] for r in rows))
 
 
@@ -351,8 +351,7 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
             for a, (i1, j, av1) in enumerate(movers):
                 on_j = current.rows_on(j)
                 segs = day.segments[j]
-                dark = [segs.lo[n] for n in range(len(segs))
-                        if not segs.active(n)]
+                dark = [lo for lo, ids in zip(segs.lo, segs.ids) if not ids]
                 for i2, _, av2 in [m for m in movers[a + 1:] if m[1] == j]:
                     for t in dark:
                         rev, paid, _ = _probe(

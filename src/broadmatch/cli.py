@@ -128,9 +128,8 @@ def _dumps(doc) -> str:
     one format: exact as ``"%d"`` or ``"%d/%d"``, approx as ``"%.6f" % (n
     / d)``, the correctly rounded quotient that ``float`` gives too
     (``_approx`` beyond float range).  A segment row is one format per
-    depth, filled from the day's columns: its slate's active list, and its
-    revenue and welfare n/D from the slate's ints, reduced by one gcd, are
-    formatted once per slate, its bounds per row."""
+    depth, filled from the day's columns: its bounds, its active list, and
+    its revenue and welfare n/D from its ints, reduced by one gcd."""
     chunks: List[str] = []
     out = chunks.append
     enc = encode_basestring_ascii
@@ -191,17 +190,15 @@ def _dumps(doc) -> str:
                 '"active": %s', '"from": %d', '"revenue": %s', '"to": %d',
                 '"welfare": %s']) + newlines[d] + "}"
         fmt, i1, i2, D = rows[d], newlines[d + 1], newlines[d + 2], x.D
-        lines, k = [], -1
-        for lo, hi, s in zip(x.lo, x.hi, x.slate):
-            if s != k:  # a new slate: its active list, revenue and welfare
-                k, ids = s, x.ids[s]
-                active = ("[" + i2 + ("," + i2).join(map(enc, ids)) + i1 + "]"
-                          if ids else "[]")
-                r, w = sum(x.prices[s]), sum(x.values[s])
-                g, h = math.gcd(r, D), math.gcd(w, D)
-                rev = rational(r // g, D // g, d + 1)
-                wel = rational(w // h, D // h, d + 1)
-            lines.append(fmt % (active, lo, rev, hi, wel))
+        lines = []
+        for lo, hi, ids, priced, worth in zip(x.lo, x.hi, x.ids, x.prices,
+                                              x.values):
+            active = ("[" + i2 + ("," + i2).join(map(enc, ids)) + i1 + "]"
+                      if ids else "[]")
+            r, w = sum(priced), sum(worth)
+            g, h = math.gcd(r, D), math.gcd(w, D)
+            lines.append(fmt % (active, lo, rational(r // g, D // g, d + 1),
+                                hi, rational(w // h, D // h, d + 1)))
         out("[" + newlines[d] + ("," + newlines[d]).join(lines)
             + newlines[depth] + "]")
 
@@ -261,11 +258,12 @@ def _lines(doc) -> str:
             for n, v in enumerate(sorted(x) if t in (set, frozenset) else x):
                 walk("%s[%d]" % (path, n), v)
         elif t is KeywordDay and x:  # its segments' report rows
-            for n, (lo, hi, s) in enumerate(zip(x.lo, x.hi, x.slate)):
+            for n, (lo, hi, ids, priced, worth) in enumerate(zip(
+                    x.lo, x.hi, x.ids, x.prices, x.values)):
                 walk("%s[%d]" % (path, n), {
-                    "from": lo, "to": hi, "active": x.ids[s],
-                    "revenue": Fraction(sum(x.prices[s]), x.D),
-                    "welfare": Fraction(sum(x.values[s]), x.D)})
+                    "from": lo, "to": hi, "active": ids,
+                    "revenue": Fraction(sum(priced), x.D),
+                    "welfare": Fraction(sum(worth), x.D)})
         elif t is Fraction:
             lines.append("%s  %s (%s)\n"
                          % (path, format_rational(x), _approx(x, 4)))

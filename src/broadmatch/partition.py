@@ -23,7 +23,7 @@ one pricing formula (``auction.slot_prices``) in that unit, and compares,
 floors and subtracts exactly.  Gamma and the price coefficients are scaled
 once per ``SlotParams`` (``SlotParams.scaled``), and the reserve and sign
 tests read numerators, so a run builds no ``Fraction``.  It returns a
-``KeywordDay``: int columns of segments, slates and prices in units of 1/D,
+``KeywordDay``: per-segment int columns of bounds, ids, prices and values,
 with the day's totals and each bidder's queries counted by the loop, which
 every reader in the engine reads as they are; a ``Segment`` is a view of
 one segment, built on demand.  From the prices a settle asked on its way
@@ -76,56 +76,52 @@ class KeywordDay:
     """A keyword's day as ``run_keyword_timeline`` leaves it: int columns.
 
     ``D`` is the day's common denominator.  Segment n is a maximal run of
-    queries ``lo[n]``..``hi[n]`` (1-based, inclusive) on slate
-    ``slate[n]``.  Slate k lists its active bidders in rank order
-    (``ids[k]``); the first ``len(prices[k])`` of them are slotted, and
-    ``prices[k]`` and ``values[k]`` hold each one's per-query price and
-    value (clicks times score) in units of 1/D.  Unslotted bidders pay and
-    gain nothing, and a slate with no ids is dark: its queries go unsold.
-    ``passed`` maps segment n, where the settle at ``lo[n]`` dropped
-    somebody, to ``Segment.passed_prices`` as a dict.
+    queries ``lo[n]``..``hi[n]`` (1-based, inclusive).  ``ids[n]`` lists its
+    active bidders in rank order; the first ``len(prices[n])`` of them are
+    slotted, and ``prices[n]`` and ``values[n]`` hold each one's per-query
+    price and value (clicks times score) in units of 1/D.  Unslotted bidders
+    pay and gain nothing, and a segment with no ids is dark: its queries go
+    unsold.  ``passed`` maps segment n, where the settle at ``lo[n]``
+    dropped somebody, to ``Segment.passed_prices`` as a dict.
 
-    ``totals`` (the day's ``DayTotals``), ``entered`` (the queries each
+    ``totals`` (the day's ``DayTotals``) and ``entered`` (the queries each
     bidder that entered the day was active for, 0 for one dropped by its
-    first settle) and ``scores`` (each bidder's exact score, for the views)
-    are built together on the first read of one of them, from what the
-    event loop counted on its bidders: the queries each entered and was
-    dropped on, and what each slotted one paid and was worth at each
-    segment's pool update.  A partition table reads none of them.
+    first settle) are packed into dicts on the first read of either, from
+    what the event loop counted on its bidders: the queries each entered and
+    was dropped on, and what each slotted one paid and was worth at each
+    segment's pool update.  A partition table, the day most runs build,
+    reads neither.  ``scores`` holds each entrant's exact score, for the
+    views.
 
     The day is a sequence of its segments: ``day[n]`` builds a ``Segment``
-    view, its ranking that of its slate.  Two days are equal when their
-    segment views are.
+    view.  Two days are equal when their segment views are.
     """
 
-    __slots__ = ("D", "lo", "hi", "slate", "ids", "prices", "values",
-                 "passed", "totals", "entered", "scores", "_counts")
+    __slots__ = ("D", "lo", "hi", "ids", "prices", "values", "passed",
+                 "totals", "entered", "scores", "_counts")
 
     def __init__(self, D: int):
         self.D = D
-        self.lo, self.hi, self.slate = [], [], []
+        self.lo, self.hi = [], []
         self.ids, self.prices, self.values = [], [], []
         self.passed: Dict[int, Dict[str, int]] = {}
         self._counts = (), 1, 0, 0  # those of a day of no queries
 
-    def __getattr__(self, name: str):  # totals, entered or scores, unset
-        if name not in ("totals", "entered", "scores"):
+    def __getattr__(self, name: str):  # totals or entered, unset
+        if name not in ("totals", "entered"):
             raise AttributeError(name)
         # the ranked bidders, the query after the last segment, and the
         # revenue and welfare in units of 1/D
         bidders, end, revenue, welfare = self._counts
-        slotted = set().union(*[ids[:len(p)]
-                                for ids, p in zip(self.ids, self.prices)])
-        scores, entered, paid, gained = {}, {}, {}, {}
+        entered, paid, gained = {}, {}, {}
         for b in bidders:
-            scores[b.id] = b.score
             if b.since:
                 entered[b.id] = (b.left or end) - b.since
-            if b.id in slotted:
+            if b.priced:
                 paid[b.id] = b.paid
                 gained[b.id] = b.won - b.paid
         self.totals = DayTotals(self.D, revenue, welfare, paid, gained)
-        self.entered, self.scores = entered, scores
+        self.entered = entered
         del self._counts  # let the bidders go
         return getattr(self, name)
 
@@ -136,10 +132,6 @@ class KeywordDay:
         if isinstance(n, slice):
             return tuple(map(self.__getitem__, range(len(self.lo))[n]))
         return Segment(self, range(len(self.lo))[n])
-
-    def active(self, n: int) -> Tuple[str, ...]:
-        """The ranked active ids of segment n."""
-        return self.ids[self.slate[n]]
 
     def __eq__(self, other):  # which also leaves days unhashable
         if not isinstance(other, KeywordDay):
@@ -156,7 +148,7 @@ class Segment:
     ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` lists
     (advertiser, score, slot) for every active bidder in rank order, as
     ``auction.price_query`` would.  ``D``, ``int_prices`` and ``int_values``
-    are the day's denominator and the slate's ints, which cover the
+    are the day's denominator and the segment's ints, which cover the
     slotted bidders only, the first rows of the ranking.
 
     ``passed_prices`` looks inside the settle at query ``lo`` when it
@@ -175,15 +167,14 @@ class Segment:
                  "passed_prices")
 
     def __init__(self, day: KeywordDay, n: int):
-        k = day.slate[n]
         self.lo = day.lo[n]
         self.hi = day.hi[n]
-        slotted, score = len(day.prices[k]), day.scores
+        slotted, score = len(day.prices[n]), day.scores
         self.ranking = tuple((adv, score[adv], r if r <= slotted else None)
-                             for r, adv in enumerate(day.ids[k], 1))
+                             for r, adv in enumerate(day.ids[n], 1))
         self.D = day.D
-        self.int_prices = tuple(day.prices[k])
-        self.int_values = tuple(day.values[k])
+        self.int_prices = tuple(day.prices[n])
+        self.int_values = tuple(day.values[n])
         self.passed_prices = tuple(day.passed.get(n, {}).items())
 
     def __len__(self) -> int:
@@ -235,18 +226,18 @@ class Segment:
 
 
 class _Bidder:
-    __slots__ = ("id", "score", "s", "start", "pool", "rank", "since",
-                 "left", "paid", "won")
+    __slots__ = ("id", "s", "start", "pool", "rank", "since", "left",
+                 "priced", "paid", "won")
 
-    def __init__(self, id: str, score: Fraction, start: int, pool):
+    def __init__(self, id: str, start: int, pool):
         self.id = id
-        self.score = score  # exact, for the rankings of the views
         self.s = 0          # score in the day's scaled int unit
         self.start = start
         self.pool = pool    # None = unlimited (the table's subject); scaled int
         self.rank = 0       # position in the day's (-score, id) order
         self.since = 0      # the query it entered the active set on
         self.left = 0       # the query its settle dropped it on
+        self.priced = False  # slotted in some segment
         self.paid = 0       # its price times queries, over the day so far
         self.won = 0        # its value times queries, likewise
 
@@ -273,9 +264,9 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     the pools times D are all ints, so prices, slot values and pools are ints
     in units of 1/D and the eviction test, the floor ``pool // price`` and
     the pool updates are exact.  The reserve and sign tests on the way in
-    read numerators, and no ``Fraction`` is built.  A new slate is stored
-    where the active set changed since the last segment, and each segment
-    is added to the day's totals where the pools are updated.
+    read numerators, and no ``Fraction`` is built.  Each segment is stored
+    with its active ids, prices and values, and added to the day's totals
+    where the pools are updated.
 
     ``stop``, a (bidder id, budget) pair, ends the day after the first
     segment in which that bidder's running payment exceeds the budget, or
@@ -288,12 +279,14 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     s_den = r_den
     p_den = 1
     entrants = []
+    scores = {}
     for i, s, q0, b in bidders:
         if b is not None and b.numerator < 0:
             raise ValueError("negative pool %s for %r" % (b, i))
         d = s.denominator
         if s.numerator * r_den >= r_num * d:  # s >= reserve
-            entrants.append(_Bidder(i, s, max(1, q0), b))
+            entrants.append(_Bidder(i, max(1, q0), b))
+            scores[i] = s
             if s_den % d:
                 s_den = math.lcm(s_den, d)
             if b is not None and p_den % b.denominator:
@@ -302,7 +295,7 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     D = math.lcm(g * s_den, p_den)
     unit = D // g
     for b in entrants:
-        s = b.score
+        s = scores[b.id]
         b.s = s.numerator * (unit // s.denominator)
         if b.pool is not None:
             b.pool = b.pool.numerator * (D // b.pool.denominator)
@@ -316,7 +309,8 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     for rank, b in enumerate(entrants):
         b.rank = rank
     day = KeywordDay(D)
-    los, his, slate_of = day.lo, day.hi, day.slate
+    day.scores = scores
+    los, his = day.lo, day.hi
     pending = sorted(entrants, key=lambda b: (b.start, b.id))
     waiting = len(pending)
     top_k = slots.count + 1
@@ -326,8 +320,7 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     values: List[int] = []
     rev = wel = 0  # the priced top's revenue and welfare per query
     day_rev = day_wel = 0
-    changed = True  # the active set moved since the last segment's slate
-    k = -1  # the last segment's slate
+    changed = True  # the active set moved since the last segment
     n_in = 0
     t = 1
     while t <= volume:
@@ -378,21 +371,19 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         hi = t + run - 1
         if hi >= next_entry:
             hi = next_entry - 1
-        if changed:
-            changed = False
-            k += 1
-            day.ids.append(tuple([b.id for b in active]))
-            day.prices.append(prices)
-            day.values.append(values)
+        changed = False
         if passed:
             day.passed[len(los)] = passed
         los.append(t)
         his.append(hi)
-        slate_of.append(k)
+        day.ids.append(tuple([b.id for b in active]))
+        day.prices.append(prices)
+        day.values.append(values)
         length = hi - t + 1
         day_rev += length * rev
         day_wel += length * wel
         for b, price, value in zip(slotted, prices, values):
+            b.priced = True
             b.paid += length * price
             b.won += length * value
             if b.pool is not None:
@@ -466,8 +457,7 @@ def pinning_keeps_prefixes(day: KeywordDay, bidders: Iterable[str]) -> bool:
     """
     want = set(bidders)
     for n, passed in day.passed.items():
-        k = day.slate[n]
-        own = dict(zip(day.ids[k], day.prices[k]))
+        own = dict(zip(day.ids[n], day.prices[n]))
         for adv, p in passed.items():
             if adv in want and p > own.get(adv, 0):
                 return False
@@ -504,8 +494,8 @@ class PartitionTable:
 
     Built in one pass from ``segments``, the ``KeywordDay`` of a day she is
     in from query 1 (the day ``tables_for`` runs, or a tail of it that
-    ``keyword_marginals`` runs from a later query, numbered from 1), her
-    cost and payoff looked up once per slate.  Segment ``lam`` covers queries
+    ``keyword_marginals`` runs from a later query, numbered from 1), read
+    off its columns.  Segment ``lam`` covers queries
     ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
@@ -529,20 +519,17 @@ class PartitionTable:
         self.segments = segments
         self.D = segments.D
         self._costs = self._payoffs = self._actives = None
-        ids, prices, values = segments.ids, segments.prices, segments.values
         ic, iu, cc, cu = [], [], [0], [0]
-        k = -1
-        for lo, hi, s in zip(segments.lo, segments.hi, segments.slate):
-            if s != k:  # a new slate: her cost and payoff on it
-                k = s
-                priced = prices[s]
-                try:
-                    r = ids[s].index(advertiser, 0, len(priced))
-                except ValueError:  # unslotted there
-                    c = u = 0
-                else:
-                    c = priced[r]
-                    u = values[s][r] - c
+        for lo, hi, ids, priced, worth in zip(
+                segments.lo, segments.hi, segments.ids, segments.prices,
+                segments.values):
+            try:
+                r = ids.index(advertiser, 0, len(priced))
+            except ValueError:  # unslotted there
+                c = u = 0
+            else:
+                c = priced[r]
+                u = worth[r] - c
             n = hi - lo + 1
             ic.append(c)
             iu.append(u)
@@ -568,8 +555,7 @@ class PartitionTable:
     @property
     def actives(self) -> Tuple[Tuple[str, ...], ...]:
         if self._actives is None:
-            day = self.segments
-            self._actives = tuple([day.ids[k] for k in day.slate])
+            self._actives = tuple(self.segments.ids)
         return self._actives
 
     def _key(self) -> tuple:
@@ -717,27 +703,24 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
     day = (keyword_day(instance, keyword, rows, reserve) if alive
            else KeywordDay(1))
     D, paid, gained = day.D, day.totals.int_paid, day.totals.int_gained
-    ids, prices, values, slate = day.ids, day.prices, day.values, day.slate
+    ids, prices, values = day.ids, day.prices, day.values
     # one pass: for each subject present from query 1, the index of her last
     # segment and everyone's int payments through it; the others have none.
     # Payments are summed only until the last of them leaves
     last: Dict[str, Tuple[int, Dict[str, int]]] = dict.fromkeys(
         subjects, (-1, {}))
     running: Dict[str, int] = {}
-    k = -1
-    for n, (lo, hi, s) in enumerate(zip(day.lo, day.hi, slate)):
-        if s != k:  # a new slate: who left?
-            k = s
-            gone = alive.difference(ids[s])
-            if gone:
-                alive -= gone
-                through = dict(running)
-                for adv in gone:
-                    last[adv] = (n - 1, through)
-                if not alive:
-                    break
+    for n, (lo, hi, on) in enumerate(zip(day.lo, day.hi, ids)):
+        gone = alive.difference(on)  # who left?
+        if gone:
+            alive -= gone
+            through = dict(running)
+            for adv in gone:
+                last[adv] = (n - 1, through)
+            if not alive:
+                break
         length = hi - lo + 1
-        for adv, p in zip(ids[s], prices[s]):
+        for adv, p in zip(on, prices[n]):
             running[adv] = running.get(adv, 0) + length * p
     for adv in alive:
         last[adv] = (len(day) - 1, paid)
@@ -747,13 +730,12 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
         n, through = last[adv]
         v0 = price = value = 0
         own_paid = own_gained = ZERO
-        s = mp_minus = None
+        mp_minus = None
         if n >= 0:
-            s = slate[n]
             v0 = day.hi[n]
             own_paid = Fraction(paid.get(adv, 0), D)
             own_gained = Fraction(gained.get(adv, 0), D)
-            for who, p, v in zip(ids[s], prices[s], values[s]):
+            for who, p, v in zip(ids[n], prices[n], values[n]):
                 if who == adv:  # else unslotted there: she paid nothing
                     price, value = p, v
                     break
@@ -765,15 +747,15 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
         if price and v0 + 1 not in starts and all(
                 who == adv or _scaled(row_of[who].budget, D)
                 - through.get(who, 0) >= p
-                for who, p in zip(ids[s], prices[s])):
+                for who, p in zip(ids[n], prices[n])):
             out[adv] = Marginal(v0, own_paid, own_gained, mp_minus, mp_minus,
                                 Fraction(price, D), "quiet")
             continue
         bidders = [(adv, instance.score(adv, keyword), 1, None)]
-        if s is not None:
+        if n >= 0:
             bidders += [(who, instance.score(who, keyword), 1,
                          row_of[who].budget - Fraction(through.get(who, 0), D))
-                        for who in ids[s] if who != adv]
+                        for who in ids[n] if who != adv]
         bidders += [(r.advertiser, instance.score(r.advertiser, keyword),
                      r.start_query - v0, r.budget)
                     for r in rows  # a start below 1 is query 1

@@ -86,10 +86,9 @@ def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
                    costs, payoffs, actives=None) -> PartitionTable:
     """A partition table with the given per-segment ``Fraction`` costs and
     payoffs, built as the engine builds every table: from a day's columns,
-    here made up with D the lcm of the denominators, one slate per segment
-    and the advertiser priced at her place in each segment's active set
-    (alone by default), everybody ranked ahead of her at price and value
-    0."""
+    here made up with D the lcm of the denominators and the advertiser
+    priced at her place in each segment's active set (alone by default),
+    everybody ranked ahead of her at price and value 0."""
     D = math.lcm(*(x.denominator for x in (*costs, *payoffs)))
     active_sets = actives or [(advertiser,)] * len(costs)
     day = KeywordDay(D)  # read for its columns and views, never its totals
@@ -100,7 +99,6 @@ def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
         assert price.denominator == value.denominator == 1
         day.lo.append(breakpoints[lam] + 1)
         day.hi.append(breakpoints[lam + 1])
-        day.slate.append(lam)
         day.ids.append(tuple(active))
         day.prices.append((0,) * n + (int(price),))
         day.values.append((0,) * n + (int(value),))

@@ -323,7 +323,7 @@ def test_day_columns_match_the_segment_walks_on_the_corpus():
                     _bidders(instance, kw, rows), reserve))
                 seen["unlimited"] += 1
         for day in days:
-            seen["dark"] += any(not day.active(n) for n in range(len(day)))
+            seen["dark"] += not all(day.ids)
             seen["partial"] += any(
                 n < day.hi[-1] + 1 - day.lo[0] for n in day.entered.values())
             seen["broke-at-entry"] += 0 in day.entered.values()
