@@ -170,6 +170,13 @@ def _probe(instance: Instance, rows: Sequence[Allocation], kw: str,
                        reserve).totals.revenue, paid, False
 
 
+def _spent(day: DayOutcome, advertiser: str, keyword: str) -> Fraction:
+    """What ``advertiser`` paid on ``keyword`` over ``day``, exactly, read
+    off that keyword's ``DayTotals``: 0 where she was never slotted."""
+    totals = day.segments[keyword].totals
+    return Fraction(totals.int_paid.get(advertiser, 0), totals.D)
+
+
 def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
                  day: DayOutcome) -> Tuple[Allocation, ...]:
     """Pin the advertiser's committed pools to what they actually spend.
@@ -183,8 +190,8 @@ def _reduce_rows(rows: Tuple[Allocation, ...], advertiser: str,
     out = []
     for r in rows:
         if r.advertiser == advertiser:
-            spent = day.edge_spend.get((r.advertiser, r.keyword), ZERO)
-            out.append(Allocation(r.advertiser, r.keyword, r.queries, spent,
+            out.append(Allocation(r.advertiser, r.keyword, r.queries,
+                                  _spent(day, advertiser, r.keyword),
                                   r.start_query))
         else:
             out.append(r)
@@ -309,7 +316,7 @@ def allocate_excess(base: Instance, ext: Instance, profile: Profile,
             if i in reduced or not base.has_edge(i, r.keyword):
                 free -= r.budget
             else:
-                free -= day.edge_spend.get((i, r.keyword), ZERO)
+                free -= _spent(day, i, r.keyword)
         return free
 
     info = excess_budgets(base, base_day)

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from . import acbm as acbm_mod
 from . import bestresp, equilibrium, simulate as simulate_mod
 from .model import (Instance, ModelError, Profile, all_in_profile,
-                    check_extension, format_rational, instance_text,
-                    load_instance, load_schedule, load_split,
+                    check_extension, digit_limit_error, format_rational,
+                    instance_text, load_instance, load_schedule, load_split,
                     serialize_profile, validate_profile)
 from .partition import INFINITE, KeywordDay, tables_for
 
@@ -310,6 +310,8 @@ def _fail(args, code: int, kind: str, payload) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    if (reason := digit_limit_error(text)) is not None:
+        raise argparse.ArgumentTypeError(reason)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

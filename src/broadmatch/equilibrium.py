@@ -32,11 +32,12 @@ from .simulate import DayOutcome, simulate_day
 ZERO = Fraction(0)
 
 
-def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
-                     reserve: Fraction = ZERO) -> Dict[str, dict]:
-    """Per-keyword marginal rates of one advertiser under a profile.
+def _marginals(instance: Instance, profile: Profile, reserve: Fraction,
+               advertisers: Sequence[str]) -> Dict[str, Dict[str, dict]]:
+    """Per-keyword marginal rates of each of ``advertisers`` that matches
+    some keyword, in their order.
 
-    For each keyword the advertiser matches in ``instance``, reports how
+    For each keyword an advertiser matches in ``instance``, reports how
     many queries her committed budget buys, the payoff-per-cost rate of the
     last bought query (None when she buys none) and of the next one (None
     when the stream is exhausted).  Rates on free queries are
@@ -44,19 +45,10 @@ def marginal_payoffs(instance: Instance, advertiser: str, profile: Profile,
     omitted entirely.
 
     The figures are those of her partition table against the profile
-    (``partition.tables_for``), read as ``verify_bme`` reads them: off the
-    profile's own day on each keyword (``partition.keyword_marginals``).
-    This is the public one-advertiser entry point of that reading.
-    """
-    return _marginals(instance, profile, reserve, (advertiser,)).get(
-        advertiser, {})
-
-
-def _marginals(instance: Instance, profile: Profile, reserve: Fraction,
-               advertisers: Sequence[str]) -> Dict[str, Dict[str, dict]]:
-    """``marginal_payoffs`` of each of ``advertisers`` that matches some
-    keyword, in their order: the subjects of each keyword gathered in one
-    pass over the edges, each keyword read once for all of them."""
+    (``partition.tables_for``), read off the profile's own day on each
+    keyword (``partition.keyword_marginals``): the subjects of each keyword
+    gathered in one pass over the edges, each keyword read once for all of
+    them.  ``verify_bme`` reports them as its ``marginals``."""
     wanted = set(advertisers)
     subjects: Dict[str, List[str]] = {}
     for e in instance.edges:
@@ -262,21 +254,15 @@ def best_response_dynamics(instance: Instance, method: str = "greedy",
             "profile": state, "method": method}
 
 
-def natural_base_split(instance: Instance) -> Profile:
-    """Whole budget on each advertiser's unique base keyword.
-
-    The reference point for broadened-matching comparisons.  Ambiguous (and
-    an error) when somebody holds more than one base edge.
-    """
-    return natural_base_day(instance)[0]
-
-
 def natural_base_day(instance: Instance, reserve: Fraction = ZERO
                      ) -> Tuple[Profile, DayOutcome]:
-    """``natural_base_split`` and its base day at ``reserve``.
+    """Whole budget on each advertiser's unique base keyword, and the base
+    day of that split at ``reserve``.
 
-    The split's query counts come from its base day at reserve 0, so at
-    reserve 0 that day is returned as it is, not run again.  On a
+    The split is the reference point for broadened-matching comparisons.
+    It is ambiguous (and an error) when somebody holds more than one base
+    edge.  The split's query counts come from its base day at reserve 0,
+    so at reserve 0 that day is returned as it is, not run again.  On a
     broadening of ``instance`` the split's rows meet the same scores on
     the same keywords, so this is also the broadened day before any entry
     (``acbm.allocate_excess`` reads it as its initial day).
@@ -310,7 +296,7 @@ def dilemma_report(base: Instance, ext: Instance, profiles: List[Profile],
     Each candidate profile is first checked for local stability on the
     broadened instance (a failed check marks the report not ok); its day
     revenue is then compared with the base day under the all-in base
-    split, ``natural_base_split``.  A mix of gains and losses across
+    split (``natural_base_day``).  A mix of gains and losses across
     stable profiles is the auctioneer's dilemma: whether broadening pays
     depends on which stable point the advertisers settle into.
     """

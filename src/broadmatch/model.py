@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +46,23 @@ def _err(errors: List[dict], path: str, message: str) -> None:
     errors.append({"path": path, "message": message})
 
 
+def digit_limit_error(text: str) -> Optional[str]:
+    """Why ``Fraction(text)`` is refused unbuilt, or None: its mantissa
+    digits plus its exponent's magnitude pass the interpreter's limit on
+    int-string digits (``sys.get_int_max_str_digits()``, no bound at 0), so
+    building it could take unbounded time and writing it would fail."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, _, power = text.lower().partition("e")
+    power = power.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if not limit or not power.isdecimal():
+        return None  # ``Fraction`` reads or refuses it as it is
+    digits = sum(c.isdecimal() for c in mantissa)
+    if len(power) > len(str(limit)) or digits + int(power) > limit:
+        return ("too many digits: mantissa and exponent pass the "
+                "interpreter's limit of %d" % limit)
+    return None
+
+
 def parse_rational(value, path: str, errors: List[dict],
                    memo: Optional[Dict[str, Fraction]] = None) -> Fraction:
     """Parse an exact rational from a JSON scalar.
@@ -54,8 +72,9 @@ def parse_rational(value, path: str, errors: List[dict],
     quoted to stay exact.  A string of ASCII digits, with an optional
     leading minus and an optional ``/`` and ASCII-digit denominator, is read
     with ``int``; any other string goes to ``Fraction(str)``, so both ways
-    accept and refuse the same strings.  With a ``memo``, each string is
-    parsed once (a market repeats its scores, a split its shares).
+    accept and refuse the same strings, unless ``digit_limit_error``
+    refuses it first.  With a ``memo``, each string is parsed once (a
+    market repeats its scores, a split its shares).
     """
     if isinstance(value, str):
         if memo is not None and value in memo:
@@ -67,6 +86,9 @@ def parse_rational(value, path: str, errors: List[dict],
                     and (not slash or den.isascii() and den.isdigit())):
                 x = (Fraction(int(num), int(den)) if slash
                      else Fraction(int(num)))
+            elif (reason := digit_limit_error(value)) is not None:
+                _err(errors, path, reason)
+                return Fraction(0)
             else:
                 x = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -25,11 +25,10 @@ once per ``SlotParams`` (``SlotParams.scaled``), and the reserve and sign
 tests read numerators, so a run builds no ``Fraction``.  It returns a
 ``KeywordDay``: per-segment int columns of bounds, ids, prices and values,
 with the day's totals and each bidder's queries counted by the loop, which
-every reader in the engine reads as they are; a ``Segment`` is a view of
-one segment, built on demand.  From the prices a settle asked on its way
-where it dropped somebody, ``pinning_keeps_prefixes`` tells whether pinning
-some pools to their spend would leave the day, and every prefix of it, as
-it is.  No floats are used: a free segment's rate is the exact sentinel
+every reader in the engine reads as they are.  From the prices a settle
+asked on its way where it dropped somebody (``KeywordDay.passed``),
+``pinning_keeps_prefixes`` tells whether pinning some pools to their spend
+would leave the day, and every prefix of it, as it is.  No floats are used: a free segment's rate is the exact sentinel
 ``INFINITE``, and ``rate_gt`` is the one order on rates.
 
 ``keyword_day`` runs a keyword's day from committed ``Allocation`` rows on
@@ -82,7 +81,10 @@ class KeywordDay:
     price and value (clicks times score) in units of 1/D.  Unslotted bidders
     pay and gain nothing, and a segment with no ids is dark: its queries go
     unsold.  ``passed`` maps segment n, where the settle at ``lo[n]``
-    dropped somebody, to ``Segment.passed_prices`` as a dict.
+    dropped somebody, to the prices that settle asked on its way: for each
+    bidder with a finite pool that sat in a slot and was not broke on a
+    slate the settle passed through, the highest such price, in units of
+    1/D, keyed in the order first met.
 
     ``totals`` (the day's ``DayTotals``) and ``entered`` (the queries each
     bidder that entered the day was active for, 0 for one dropped by its
@@ -90,11 +92,9 @@ class KeywordDay:
     what the event loop counted on its bidders: the queries each entered and
     was dropped on, and what each slotted one paid and was worth at each
     segment's pool update.  A partition table, the day most runs build,
-    reads neither.  ``scores`` holds each entrant's exact score, for the
-    views.
-
-    The day is a sequence of its segments: ``day[n]`` builds a ``Segment``
-    view.  Two days are equal when their segment views are.
+    reads neither.  ``scores`` holds each entrant's exact score, the one
+    part of a ranking that the ints cannot give back.  ``len(day)`` is its
+    number of segments.
     """
 
     __slots__ = ("D", "lo", "hi", "ids", "prices", "values", "passed",
@@ -127,102 +127,6 @@ class KeywordDay:
 
     def __len__(self) -> int:
         return len(self.lo)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return tuple(map(self.__getitem__, range(len(self.lo))[n]))
-        return Segment(self, range(len(self.lo))[n])
-
-    def __eq__(self, other):  # which also leaves days unhashable
-        if not isinstance(other, KeywordDay):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return "KeywordDay(%r)" % (tuple(self),)
-
-
-class Segment:
-    """A view of segment n of a ``KeywordDay``, built on demand.
-
-    ``lo``..``hi`` are 1-based inclusive query numbers.  ``ranking`` lists
-    (advertiser, score, slot) for every active bidder in rank order, as
-    ``auction.price_query`` would.  ``D``, ``int_prices`` and ``int_values``
-    are the day's denominator and the segment's ints, which cover the
-    slotted bidders only, the first rows of the ranking.
-
-    ``passed_prices`` looks inside the settle at query ``lo`` when it
-    dropped somebody (it is empty otherwise): for each bidder with a finite
-    pool that sat in a slot and was not broke on a slate the settle passed
-    through on its way, (advertiser, the highest such price, in units of
-    1/D), in the order first met.
-
-    ``prices`` and ``payoffs`` (per query, keyed in rank order over every
-    active bidder), ``revenue`` and ``welfare`` are exact ``Fraction``
-    views of those ints, built on each read.  Two segments are equal when
-    their bounds, rankings and the four views are, dict key order included.
-    """
-
-    __slots__ = ("lo", "hi", "ranking", "D", "int_prices", "int_values",
-                 "passed_prices")
-
-    def __init__(self, day: KeywordDay, n: int):
-        self.lo = day.lo[n]
-        self.hi = day.hi[n]
-        slotted, score = len(day.prices[n]), day.scores
-        self.ranking = tuple((adv, score[adv], r if r <= slotted else None)
-                             for r, adv in enumerate(day.ids[n], 1))
-        self.D = day.D
-        self.int_prices = tuple(day.prices[n])
-        self.int_values = tuple(day.values[n])
-        self.passed_prices = tuple(day.passed.get(n, {}).items())
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def active(self) -> Tuple[str, ...]:
-        return tuple([adv for adv, _, _ in self.ranking])
-
-    def _view(self, scaled: Iterable[int]) -> Dict[str, Fraction]:
-        D = self.D
-        out = {adv: Fraction(x, D) for (adv, _, _), x in zip(self.ranking,
-                                                               scaled)}
-        for adv, _, _ in self.ranking[len(self.int_prices):]:
-            out[adv] = ZERO
-        return out
-
-    @property
-    def prices(self) -> Dict[str, Fraction]:
-        return self._view(self.int_prices)
-
-    @property
-    def payoffs(self) -> Dict[str, Fraction]:
-        return self._view(v - p for p, v in zip(self.int_prices,
-                                                 self.int_values))
-
-    @property
-    def revenue(self) -> Fraction:
-        return Fraction(sum(self.int_prices), self.D)
-
-    @property
-    def welfare(self) -> Fraction:
-        return Fraction(sum(self.int_values), self.D)
-
-    def _key(self) -> tuple:
-        return (self.lo, self.hi, self.ranking, list(self.prices.items()),
-                list(self.payoffs.items()), self.revenue, self.welfare)
-
-    def __eq__(self, other):
-        if not isinstance(other, Segment):
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return ("Segment(lo=%r, hi=%r, ranking=%r, prices=%r, payoffs=%r, "
-                "revenue=%r, welfare=%r)" % self._key())
 
 
 class _Bidder:
@@ -442,7 +346,7 @@ def pinning_keeps_prefixes(day: KeywordDay, bidders: Iterable[str]) -> bool:
     slotted bidder pays its price over the whole segment, so its pinned
     pool covers that price and does not end the segment early either.
     That leaves the slates a settle passes through before it ends
-    (``Segment.passed_prices``): one that asks a bidder not broke there
+    (``KeywordDay.passed``): one that asks a bidder not broke there
     for more than its pinned pool could drop it ahead of a higher-scored
     broke one, and then only a rerun tells the pinned day.
 

@@ -11,8 +11,9 @@ keyword's totals, as ints over its denominator D, and the queries each
 bidder entered, so the simulator walks no segment.  An advertiser's spend,
 payoff and leftover and the day's revenue and welfare add those totals
 over the lcm of the Ds, and each reported value is one ``Fraction`` built
-from those ints, with no ``Fraction`` arithmetic.  ``edge_spend`` is built
-on its first read.  The report writer reads each day's columns.
+from those ints, with no ``Fraction`` arithmetic.  What an advertiser paid
+on one keyword is in that keyword's ``DayTotals``.  The report writer reads
+each day's columns.
 
 ``simulate_day`` trusts its inputs; run the model validators at the
 boundary.  Feeding it a profile whose budgets exceed an advertiser's total
@@ -22,7 +23,7 @@ is allowed (useful for what-if pricing), it just simulates those pools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -34,8 +35,9 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class DayOutcome:
-    """Everything observable after one simulated day.  ``edge_spend``, which
-    only ``acbm`` reads, is built from the day's totals on its first read."""
+    """Everything observable after one simulated day.  Each keyword's day
+    (``segments``) carries its own ``DayTotals``: what each advertiser paid
+    and gained there."""
 
     segments: Dict[str, KeywordDay]
     revenue: Fraction
@@ -45,20 +47,7 @@ class DayOutcome:
     spend: Dict[str, Fraction]                    # per advertiser, whole day
     payoff: Dict[str, Fraction]
     leftover: Dict[str, Fraction]                 # budget minus spend
-    edge_spend: Dict[Tuple[str, str], Fraction] = field(init=False)  # per edge
     participation: Dict[Tuple[str, str], int]     # queries entered per (adv, kw)
-
-    def __getattr__(self, name: str):  # a field not yet set: edge_spend
-        if name != "edge_spend":
-            raise AttributeError(name)
-        rows, totals = self._edges  # simulate_day's rows and DayTotals
-        spend = {}
-        for r in rows:
-            t = totals[r.keyword]
-            spend[(r.advertiser, r.keyword)] = Fraction(
-                t.int_paid.get(r.advertiser, 0), t.D)
-        object.__setattr__(self, name, spend)
-        return spend
 
 
 def simulate_day(instance: Instance, profile: Profile,
@@ -89,12 +78,10 @@ def simulate_day(instance: Instance, profile: Profile,
                                   b.denominator * L)
     L, revenue, welfare = _over_lcm(
         [(t.D, t.int_revenue, t.int_welfare) for t in totals.values()])
-    day = DayOutcome(segments, Fraction(revenue, L), Fraction(welfare, L),
-                     {kw: t.revenue for kw, t in totals.items()},
-                     {kw: t.welfare for kw, t in totals.items()},
-                     spend, payoff, leftover, participation)
-    object.__setattr__(day, "_edges", (profile.rows, totals))
-    return day
+    return DayOutcome(segments, Fraction(revenue, L), Fraction(welfare, L),
+                      {kw: t.revenue for kw, t in totals.items()},
+                      {kw: t.welfare for kw, t in totals.items()},
+                      spend, payoff, leftover, participation)
 
 
 def _over_lcm(rows: Sequence[Tuple[int, int, int]]) -> Tuple[int, int, int]:

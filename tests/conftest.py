@@ -2,12 +2,13 @@
 costs and payoffs, a per-query reference simulator, the telescoped revenue
 identity of a priced slate, the two-run reference acbm probes, days
 stopped at a bidder's budget, the reprice-everything reference timeline,
-the segment walks that summed a day's totals and counted its bidders'
-queries, the all-Fraction reference knapsack and the level-scanning int
-one, the listed fptas grid and the
-per-prefix knapsack candidates, the all-Fraction two-keyword
-configuration scan, the table-based reference marginal
-rates, the tree-building reference report encoder, the all-``Fraction``
+the views of a day's segments built from its columns, the segment walks
+that summed a day's totals and counted its bidders' queries, each
+(advertiser, keyword)'s spend read off a simulated day, the all-Fraction
+reference knapsack and the level-scanning int one, the listed fptas grid
+and the per-prefix knapsack candidates, the all-Fraction two-keyword
+configuration scan, the table-based reference marginal rates, the
+tree-building reference report encoder, the all-``Fraction``
 reference day accounting and segment rows, the instance and
 profile loaders' walk from before the one-walk loaders and the field-by-field
 instance serializer, and the seeded random corpus used by the property
@@ -91,7 +92,7 @@ def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
     everybody ranked ahead of her at price and value 0."""
     D = math.lcm(*(x.denominator for x in (*costs, *payoffs)))
     active_sets = actives or [(advertiser,)] * len(costs)
-    day = KeywordDay(D)  # read for its columns and views, never its totals
+    day = KeywordDay(D)  # read for its columns, never its totals
     day.scores = {a: ZERO for active in active_sets for a in active}
     for lam, (c, u, active) in enumerate(zip(costs, payoffs, active_sets)):
         n = active.index(advertiser)
@@ -216,13 +217,14 @@ def revenue_identity_check(slate: Slate) -> F:
 # -- reference acbm probes ----------------------------------------------------
 
 # The scheduler's probes as they were when each one ran the keyword's day
-# more than once, kept verbatim apart from their names: the entrant's cost
-# from a run at its whole wallet, then the revenue from a second run with
-# the entrant pinned to that cost.
+# more than once, kept verbatim apart from their names and their reading
+# the day through ``day_views``: the entrant's cost from a run at its whole
+# wallet, then the revenue from a second run with the entrant pinned to
+# that cost.
 def reference_keyword_revenue(instance: Instance, rows: Sequence[Allocation],
                               kw: str, reserve: Fraction) -> Fraction:
     """The keyword's revenue with exactly ``rows`` (all on it) committed."""
-    segs = keyword_day(instance, kw, rows, reserve)
+    segs = day_views(keyword_day(instance, kw, rows, reserve))
     return sum((len(s) * s.revenue for s in segs), ZERO)
 
 
@@ -231,7 +233,7 @@ def reference_entry_cost(instance: Instance, rows: Sequence[Allocation],
                          reserve: Fraction) -> Fraction:
     """What the entrant actually pays on the keyword, exactly, when it joins
     the other ``rows`` committed there."""
-    segs = keyword_day(instance, kw, (*rows, entrant), reserve)
+    segs = day_views(keyword_day(instance, kw, (*rows, entrant), reserve))
     who = entrant.advertiser
     return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
 
@@ -267,8 +269,9 @@ def stopped_subject_day(instance: Instance, advertiser: str, keyword: str,
 # -- reference timeline -------------------------------------------------------
 
 class SegmentViews(NamedTuple):
-    """A segment as the engine's ``Segment`` shows it: bounds, ranking and
-    its four exact views."""
+    """A segment's bounds, its ranking and its four exact views, as
+    ``day_views`` builds them from a day's columns and ``reference_timeline``
+    from its slates.  Its ``len`` is its number of queries, not of fields."""
 
     lo: int
     hi: int
@@ -281,6 +284,32 @@ class SegmentViews(NamedTuple):
     @property
     def active(self) -> Tuple[str, ...]:
         return tuple(adv for adv, _, _ in self.ranking)
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1
+
+
+def day_views(day: KeywordDay) -> Tuple[SegmentViews, ...]:
+    """A keyword day's segments as ``SegmentViews``, built from its columns:
+    the ranking lists (advertiser, exact score, slot) for every active
+    bidder in rank order, slot None below the slotted ones, as
+    ``price_query`` would; prices and payoffs are keyed in rank order over
+    every active bidder, unslotted ones at 0; revenue and welfare sum the
+    slotted bidders' prices and values."""
+    D = day.D
+    views = []
+    for lo, hi, ids, prices, values in zip(day.lo, day.hi, day.ids,
+                                           day.prices, day.values):
+        slotted = len(prices)
+        ranking = tuple((adv, day.scores[adv], r if r <= slotted else None)
+                        for r, adv in enumerate(ids, 1))
+        paid = {adv: F(p, D) for adv, p in zip(ids, prices)}
+        gained = {adv: F(v - p, D) for adv, p, v in zip(ids, prices, values)}
+        for adv in ids[slotted:]:
+            paid[adv] = gained[adv] = ZERO
+        views.append(SegmentViews(lo, hi, ranking, paid, gained,
+                                  F(sum(prices), D), F(sum(values), D)))
+    return tuple(views)
 
 
 def segment_views(seg) -> tuple:
@@ -332,35 +361,44 @@ def reference_timeline(slots, volume: int, bidders, reserve: F = F(0)):
 
 # The walks over a day's segments that summed its totals and counted each
 # bidder's queries, from before the timeline counted both as it ran, kept
-# verbatim apart from their names and the segments now being views.
-def reference_day_totals(segments) -> DayTotals:
+# apart from their names and their reading each segment off the day's
+# columns.
+def reference_day_totals(day: KeywordDay) -> DayTotals:
     """Sum a keyword day's segments on their scaled ints: the one summation
     of a day.  Unslotted bidders pay and gain nothing, so an advertiser
     never slotted is in neither dict."""
     rev = wel = 0
     paid: Dict[str, int] = {}
     gained: Dict[str, int] = {}
-    for seg in segments:
-        n = seg.hi - seg.lo + 1
-        prices, values = seg.int_prices, seg.int_values
+    for lo, hi, ids, prices, values in zip(day.lo, day.hi, day.ids,
+                                           day.prices, day.values):
+        n = hi - lo + 1
         rev += n * sum(prices)
         wel += n * sum(values)
-        for (adv, _, _), p, v in zip(seg.ranking, prices, values):
+        for adv, p, v in zip(ids, prices, values):
             paid[adv] = paid.get(adv, 0) + n * p
             gained[adv] = gained.get(adv, 0) + n * (v - p)
-    D = segments[0].D if segments else 1  # no queries, nothing to convert
+    D = day.D if len(day) else 1  # no queries, nothing to convert
     return DayTotals(D, rev, wel, paid, gained)
 
 
-def reference_entered(segments) -> Dict[str, int]:
+def reference_entered(day: KeywordDay) -> Dict[str, int]:
     """The queries each bidder of a keyword day is active in, summed over
-    the segments whose ranking lists it; one in none is absent."""
+    the segments whose active ids list it; one in none is absent."""
     entered: Dict[str, int] = {}
-    for seg in segments:
-        n = seg.hi - seg.lo + 1
-        for adv, _, _ in seg.ranking:
-            entered[adv] = entered.get(adv, 0) + n
+    for lo, hi, ids in zip(day.lo, day.hi, day.ids):
+        for adv in ids:
+            entered[adv] = entered.get(adv, 0) + hi - lo + 1
     return entered
+
+
+def edge_spend(day, edges: Iterable[Tuple[str, str]]
+               ) -> Dict[Tuple[str, str], F]:
+    """What each (advertiser, keyword) of ``edges`` paid over a simulated
+    ``day``, read off the keyword's ``DayTotals``; 0 where the advertiser
+    was never slotted there."""
+    return {(adv, kw): paid_fractions(day.segments[kw].totals).get(adv, ZERO)
+            for adv, kw in edges}
 
 
 def paid_fractions(totals: DayTotals) -> Dict[str, F]:
@@ -600,9 +638,11 @@ def reference_level_candidates(table: PartitionTable, xs: Iterable[int],
 
 # -- reference marginal rates -------------------------------------------------
 
-# ``equilibrium.marginal_payoffs`` as it was when it read whole-day partition
-# tables, kept verbatim apart from its name and its read of the next query's
-# cost (``PartitionTable.query_cost`` had no other caller and is gone).
+# One advertiser's marginal rates (the old ``equilibrium.marginal_payoffs``,
+# now an entry of ``verify_bme``'s ``marginals``) as they were read when
+# they came from whole-day partition tables, kept verbatim apart from the
+# name and the read of the next query's cost (``PartitionTable.query_cost``
+# had no other caller and is gone).
 # The exact dp's two-keyword segment-configuration scan before it moved to
 # ints over one common denominator, kept verbatim apart from the name and
 # the cap, read from the module so a test can lower it: it enumerates the
@@ -716,10 +756,11 @@ def reference_enc(x):
 # -- reference day accounting --------------------------------------------------
 
 # ``simulate_day``'s accounting and ``cli._day_result`` from before a
-# reported value was built from the day's ints, kept apart from names:
-# per-keyword and per-edge ``Fraction``s, one ``Fraction`` sum per
-# advertiser, leftover as budget minus spend, and each segment row's
-# revenue and welfare read off ``Segment.revenue`` and ``Segment.welfare``.
+# reported value was built from the day's ints, kept apart from names and
+# the per-edge spend that ``DayOutcome`` no longer holds: per-keyword
+# ``Fraction``s, one ``Fraction`` sum per advertiser, leftover as budget
+# minus spend, and each segment row's revenue and welfare read off its
+# ``day_views``.
 
 def _reference_sums(rows: Sequence[Tuple[int, int, int]]) -> Tuple[F, F]:
     L = math.lcm(*[D for D, _, _ in rows])
@@ -736,10 +777,8 @@ def reference_simulate_day(instance: Instance, profile: Profile,
     segments: Dict[str, KeywordDay] = {}
     keyword_revenue: Dict[str, F] = {}
     keyword_welfare: Dict[str, F] = {}
-    edge_spend: Dict[Tuple[str, str], F] = {}
     participation: Dict[Tuple[str, str], int] = {}
     for row in profile.rows:
-        edge_spend[(row.advertiser, row.keyword)] = ZERO
         participation[(row.advertiser, row.keyword)] = 0
     days: List[Tuple[int, int, int]] = []
     earned: Dict[str, List[Tuple[int, int, int]]] = {}
@@ -752,7 +791,6 @@ def reference_simulate_day(instance: Instance, profile: Profile,
         totals = reference_day_totals(segs)
         D, gained = totals.D, totals.int_gained
         for adv, paid in totals.int_paid.items():
-            edge_spend[(adv, kw)] = Fraction(paid, D)
             earned.setdefault(adv, []).append((D, paid, gained[adv]))
         keyword_revenue[kw] = totals.revenue
         keyword_welfare[kw] = totals.welfare
@@ -767,7 +805,7 @@ def reference_simulate_day(instance: Instance, profile: Profile,
     return SimpleNamespace(
         segments=segments, revenue=revenue, welfare=welfare,
         keyword_revenue=keyword_revenue, keyword_welfare=keyword_welfare,
-        spend=spend, payoff=payoff, leftover=leftover, edge_spend=edge_spend,
+        spend=spend, payoff=payoff, leftover=leftover,
         participation=participation)
 
 
@@ -779,7 +817,7 @@ def reference_day_result(instance: Instance, day) -> dict:
             "welfare": day.keyword_welfare[k.id],
             "segments": [{"from": s.lo, "to": s.hi, "active": s.active,
                           "revenue": s.revenue, "welfare": s.welfare}
-                         for s in day.segments[k.id]],
+                         for s in day_views(day.segments[k.id])],
         }
     advertisers = {a.id: {"spend": day.spend[a.id],
                           "payoff": day.payoff[a.id],
@@ -798,12 +836,12 @@ def assert_day_matches_naive(instance, day, ref) -> None:
     assert day.spend == ref["spend"]
     assert day.payoff == ref["payoff"]
     assert day.leftover == ref["leftover"]
-    assert day.edge_spend == ref["edge_spend"]
+    assert edge_spend(day, ref["edge_spend"]) == ref["edge_spend"]
     for key, count in ref["participation"].items():
         assert day.participation.get(key, 0) == count, key
     for k in instance.keywords:
         timeline = ref["per_query"][k.id]
-        for seg in day.segments[k.id]:
+        for seg in day_views(day.segments[k.id]):
             for q in range(seg.lo, seg.hi + 1):
                 got_active, got_prices = timeline[q - 1]
                 assert tuple(sorted(seg.active)) == got_active, (k.id, q)

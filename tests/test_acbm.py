@@ -12,7 +12,7 @@ from broadmatch.model import Allocation, load_instance, validate_profile
 from broadmatch.partition import keyword_day, pinning_keeps_prefixes
 from broadmatch.simulate import (DayOutcome, check_profile_consistency,
                                  simulate_day)
-from conftest import (FIXTURES, RESERVE_GRID, build_instance,
+from conftest import (FIXTURES, RESERVE_GRID, build_instance, day_views,
                       random_extension_pair, random_profile,
                       reference_entry_cost, reference_keyword_revenue,
                       segment_views)
@@ -181,7 +181,7 @@ def _day_views(day):
     for f in fields(DayOutcome):
         x = getattr(day, f.name)
         if f.name == "segments":
-            x = {kw: [segment_views(g) for g in segs]
+            x = {kw: [segment_views(g) for g in day_views(segs)]
                  for kw, segs in x.items()}
         out[f.name] = list(x.items()) if isinstance(x, dict) else x
     return out
@@ -200,7 +200,7 @@ def test_natural_base_day_is_the_broadened_day_before_entry():
             profile, day = natural_base_day(base, reserve)
             assert _day_views(day) == _day_views(
                 simulate_day(ext, profile, reserve)), (seed, reserve)
-            seen["shared"] += any(day.segments[e.keyword][0].ranking
+            seen["shared"] += any(day_views(day.segments[e.keyword])[0].ranking
                                   for e in ext.extension_edges())
             seen["paid"] += day.revenue > 0
             seen["priced-out"] += any(e.score < reserve
@@ -277,7 +277,7 @@ def test_one_run_probe_matches_the_two_run_reference():
                         seen["below-reserve"] += 1
                         continue
                     seen["leftover"] += 0 < paid < e.budget
-                    inside = [i in s.active for s in segs]
+                    inside = [i in s.active for s in day_views(segs)]
                     seen["evicted"] += (True in inside
                                         and not inside[-1]
                                         and paid > 0)
@@ -299,7 +299,8 @@ def test_probe_reruns_where_pinning_moves_the_day():
     rows = (Allocation("X", "k", 0, F(5), 1), Allocation("Y", "k", 0, None, 1))
     entrant = Allocation("E", "k", 0, F(100), 1)
     segs = keyword_day(ext, "k", rows + (entrant,), F(0))
-    assert sum((len(s) * s.revenue for s in segs), F(0)) == F(89, 10)
+    assert sum((len(s) * s.revenue for s in day_views(segs)),
+               F(0)) == F(89, 10)
     assert not pinning_keeps_prefixes(segs, ["E"])
     assert acbm._probe(ext, rows, "k", (entrant,), F(0)) == (
         F(17, 2), (F(24, 5),), False)

@@ -10,9 +10,8 @@ from fractions import Fraction as F
 from broadmatch.bestresp import (ScaleError, brute_force_oracle,
                                  exact_best_response_dp, fptas_as2,
                                  greedy_local_best_response)
-from broadmatch.equilibrium import (dilemma_report, marginal_payoffs,
-                                    natural_base_split, verify_bme,
-                                    verify_eps_ne)
+from broadmatch.equilibrium import (dilemma_report, natural_base_day,
+                                    verify_bme, verify_eps_ne)
 from broadmatch.model import (Instance, Keyword, all_in_profile, load_instance,
                               load_schedule, load_split)
 from broadmatch.partition import tables_for
@@ -64,7 +63,7 @@ def test_criterion_2():
     base = inst("single-extension-base.json")
     ext = inst("single-extension-ext.json")
     assert [k.volume for k in base.keywords] == [992, 500]
-    r0 = simulate_day(base, natural_base_split(base)).revenue
+    r0 = simulate_day(base, natural_base_day(base)[0]).revenue
     r_shift = simulate_day(
         ext, split("single-extension-advshift.split.json")).revenue
     r_entry = simulate_day(
@@ -85,8 +84,9 @@ def test_criterion_3():
     assert verify_bme(fam, shifted)["ok"]
     assert verify_bme(fam, stayhome)["ok"]
 
-    mp2 = marginal_payoffs(fam, "2", shifted)
-    mp5 = marginal_payoffs(fam, "5", shifted)
+    marginals = verify_bme(fam, shifted)["marginals"]
+    mp2 = marginals.get("2", {})
+    mp5 = marginals.get("5", {})
     assert mp2["k1"]["mp_plus"] == F(1, 2)
     assert mp2["k3"]["mp_minus"] == F(14, 3)
     assert mp5["k2"]["mp_minus"] == F(5, 3)
@@ -170,7 +170,7 @@ def test_criterion_7():
     started = time.perf_counter()
     base = inst("two-keyword-entry-base.json")
     big = _scaled(base, 10 ** 6)
-    nat = natural_base_split(base)
+    nat = natural_base_day(base)[0]
     others = all_in_profile(base, skip=("1",))
     pairs = [
         (lambda i=base: simulate_day(i, nat),

@@ -283,6 +283,65 @@ def test_integer_literal_past_the_digit_limit_is_a_schema_error(fx, tmp_path,
     assert error["message"].startswith("invalid JSON: ")
 
 
+# rationals whose mantissa digits plus exponent magnitude pass Python's
+# default int-string digit limit (4,300): a power of ten, its reciprocal and
+# a decimal of 5,000 fraction digits
+LONG_RATIONALS = ("1e5000", "1e-5000", "0." + "0" * 4999 + "1")
+
+# (document, the keys down to its field, argv reading it); the document is
+# one of the bundled fixtures with that field's value replaced, as bad.json
+_RATIONAL_FIELDS = {
+    "budget": ("two-keyword-entry-base.json", ("advertisers", 0, "budget"),
+               ("validate", "bad.json")),
+    "score": ("two-keyword-entry-base.json", ("edges", 0, "score"),
+              ("validate", "bad.json")),
+    "clickability": ("two-keyword-entry-base.json",
+                     ("slots", "clickability", 1), ("validate", "bad.json")),
+    "split-budget": ("two-keyword-entry-natural.split.json",
+                     ("allocations", 0, "budget"),
+                     ("simulate", "two-keyword-entry-base.json",
+                      "--split", "bad.json")),
+    "schedule-budget": ("two-keyword-entry-early.schedule.json",
+                        ("allocations", 0, "budget"),
+                        ("simulate", "two-keyword-entry-base.json",
+                         "--schedule", "bad.json")),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit")
+@pytest.mark.parametrize("field,value", [
+    (field, value) for field in _RATIONAL_FIELDS for value in LONG_RATIONALS
+] + [("budget", "1e10000000")], ids=lambda x: x if len(x) < 20 else
+    "%d-fraction-digits" % (len(x) - 2))
+def test_rational_past_the_digit_limit_is_a_schema_error(fx, tmp_path, field,
+                                                         value):
+    """A rational string past the interpreter's int-string digit limit is
+    refused at its field before it is built: a schema error with exit 2.
+    It used to be built, slowly for a large exponent (``1e10000000`` took
+    seconds), and then fail as an engine error when the digest or the
+    report wrote it."""
+    name, keys, argv = _RATIONAL_FIELDS[field]
+    doc = json.loads((cli._FIXTURE_DIR / name).read_text(encoding="utf-8"))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = "$" + "".join("[%d]" % k if isinstance(k, int) else "." + k
+                         for k in keys)
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    started = time.perf_counter()
+    code, out = fx(*[str(tmp_path / a) if a == "bad.json" else a
+                     for a in argv])
+    assert time.perf_counter() - started < 5
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"]["type"] == "schema"
+    assert {"path": path, "message": "too many digits: mantissa and exponent "
+            "pass the interpreter's limit of %d"
+            % sys.get_int_max_str_digits()} in doc["error"]["errors"]
+
+
 def test_missing_file_is_a_usage_error(fx):
     code, out = fx("validate", "no-such-file.json")
     doc = json.loads(out)
@@ -479,7 +538,17 @@ USAGE_CASES = [
     ("verify", "three-keyword-family.json",
      "--split", "three-keyword-family-shifted.split.json",
      "--bme", "--method", "fptas"),
-]
+] + [
+    # a rational option past the interpreter's int-string digit limit
+    (*argv, option, value)
+    for argv, option in (
+        (("simulate", "two-keyword-entry-base.json",
+          "--split", "two-keyword-entry-natural.split.json"), "--reserve"),
+        (("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+          "--method", "fptas"), "--eps"),
+        (("verify", "three-keyword-family.json",
+          "--split", "three-keyword-family-shifted.split.json"), "--eps-ne"))
+    for value in LONG_RATIONALS]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES,

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from broadmatch import bestresp
 from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
-                                    initial_profile, marginal_payoffs,
-                                    natural_base_split, verify_bme,
-                                    verify_eps_ne)
+                                    initial_profile, natural_base_day,
+                                    verify_bme, verify_eps_ne)
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, all_in_profile,
                               load_instance, load_split)
@@ -19,8 +18,8 @@ from broadmatch.partition import (INFINITE, keyword_day, keyword_marginals,
                                   tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (FIXTURES, GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
-                      build_instance, build_schedule, random_instance,
-                      random_profile, reference_marginals,
+                      build_instance, build_schedule, day_views,
+                      random_instance, random_profile, reference_marginals,
                       stopped_subject_day)
 
 
@@ -41,12 +40,13 @@ STAYHOME = "three-keyword-family-stayhome.split.json"
 
 def test_marginal_rates_under_the_shifted_split():
     fam, sh = inst(FAMILY), split(SHIFTED)
-    mp2 = marginal_payoffs(fam, "2", sh)
+    marginals = verify_bme(fam, sh)["marginals"]
+    mp2 = marginals.get("2", {})
     assert mp2["k3"]["queries"] == 14 and mp2["k3"]["mp_minus"] == F(14, 3)
     assert mp2["k3"]["mp_plus"] is None            # stream exhausted
     assert mp2["k1"]["queries"] == 0 and mp2["k1"]["mp_minus"] is None
     assert mp2["k1"]["mp_plus"] == F(1, 2)
-    mp5 = marginal_payoffs(fam, "5", sh)
+    mp5 = marginals.get("5", {})
     assert mp5["k2"]["mp_minus"] == F(5, 3)
     assert mp5["k3"]["mp_plus"] == F(1, 2)
 
@@ -54,7 +54,7 @@ def test_marginal_rates_under_the_shifted_split():
 def test_free_queries_count_as_already_bought():
     ext = inst("two-keyword-entry-ext.json")
     nat = split("two-keyword-entry-natural.split.json")
-    mp = marginal_payoffs(ext, "3", nat)
+    mp = verify_bme(ext, nat)["marginals"].get("3", {})
     # 3 pays nothing on k1 under this profile, so with zero committed she
     # still "buys" the whole stream; there is no next query to move into
     assert mp["k1"]["queries"] == 100
@@ -81,8 +81,9 @@ def test_marginal_payoffs_match_the_table_reference_on_the_corpus():
         for schedule in (False, True):
             profile = random_profile(rng, instance, schedule)
             reserve = rng.choice(RESERVE_GRID)
+            marginals = verify_bme(instance, profile, reserve)["marginals"]
             for adv in instance.advertisers:
-                got = marginal_payoffs(instance, adv.id, profile, reserve)
+                got = marginals.get(adv.id, {})
                 assert _records(got) == _records(reference_marginals(
                     instance, adv.id, profile, reserve)), (seed, adv.id)
                 seen["omitted"] += len(got) < len(instance.keywords_of(adv.id))
@@ -118,9 +119,10 @@ def test_the_own_day_can_drop_a_subject_too_early():
          ("4", "k", "6", "base")))
     profile = all_in_profile(market)
     own = keyword_day(market, "k", profile.rows_on("k"))
-    assert [(g.lo, g.hi, g.active) for g in own] == [(1, 9, ("3", "2"))]
-    assert dict(own[0].passed_prices)["0"] == 5  # 5/2 in units of 1/D
-    assert own[0].D == 2
+    assert [(g.lo, g.hi, g.active) for g in day_views(own)] == [
+        (1, 9, ("3", "2"))]
+    assert own.passed.get(0, {})["0"] == 5  # 5/2 in units of 1/D
+    assert own.D == 2
     found = keyword_marginals(market, "k", profile, list("01234"), F(0))
     assert found["0"].case == "tail" and found["0"].queries == 1
     # the same rows starting at query 0, which a day reads as query 1
@@ -130,8 +132,6 @@ def test_the_own_day_can_drop_a_subject_too_early():
         marginals = verify_bme(market, rows)["marginals"]
         for i in "01234":
             want = reference_marginals(market, i, rows)
-            assert _records(marginal_payoffs(market, i, rows)) \
-                == _records(want), i
             assert _records(marginals[i]) == _records(want), i
     assert marginals["0"]["k"] == {
         "budget": F(4), "queries": 1, "cost": F(3), "payoff": F(2),
@@ -191,16 +191,16 @@ def test_next_query_on_a_segment_boundary():
     profile = build_schedule((("s", "k", 4, "6", 1), ("r", "k", 4, "2", 1),
                               ("q", "k", 10, "100", 1),
                               ("x", "k", 3, "100", 8)))
-    mp = marginal_payoffs(market, "s", profile)
+    mp = verify_bme(market, profile)["marginals"].get("s", {})
     assert mp == reference_marginals(market, "s", profile)
     assert mp["k"] == {"budget": F(6), "queries": 4, "cost": F(6),
                        "payoff": F(6), "mp_minus": F(1), "mp_plus": F(5),
                        "next_cost": F(1, 2)}
     # the day stops after the segment holding query 5, before x enters
-    whole = tables_for(market, "s", profile)["k"].segments
+    whole = day_views(tables_for(market, "s", profile)["k"].segments)
     stopped = stopped_subject_day(market, "s", "k", profile, budget=F(6))
     assert [(g.lo, g.hi) for g in whole] == [(1, 4), (5, 7), (8, 10)]
-    assert stopped[:] == whole[:2]
+    assert day_views(stopped)[:] == whole[:2]
 
 
 def test_zero_budget_buys_the_free_opening():
@@ -214,15 +214,15 @@ def test_zero_budget_buys_the_free_opening():
     profile = build_schedule((("s", "h", 10, "5", 1),
                               ("r", "k", 7, "100", 4),
                               ("y", "k", 4, "100", 7)))
-    mp = marginal_payoffs(market, "s", profile)
+    mp = verify_bme(market, profile)["marginals"].get("s", {})
     assert mp == reference_marginals(market, "s", profile)
     assert mp["k"] == {"budget": F(0), "queries": 3, "cost": F(0),
                        "payoff": F(6), "mp_minus": INFINITE, "mp_plus": F(1),
                        "next_cost": F(1)}
-    whole = tables_for(market, "s", profile)["k"].segments
+    whole = day_views(tables_for(market, "s", profile)["k"].segments)
     assert [(g.lo, g.hi) for g in whole] == [(1, 3), (4, 6), (7, 10)]
-    assert stopped_subject_day(market, "s", "k", profile,
-                               budget=F(0))[:] == whole[:2]
+    assert day_views(stopped_subject_day(market, "s", "k", profile,
+                                         budget=F(0)))[:] == whole[:2]
 
 
 # -- local stability ----------------------------------------------------------
@@ -372,7 +372,8 @@ def test_initial_profiles():
 
 def test_natural_base_split_matches_the_stored_profile():
     ext = inst("two-keyword-entry-ext.json")
-    assert natural_base_split(ext) == split("two-keyword-entry-natural.split.json")
+    assert natural_base_day(ext)[0] == split(
+        "two-keyword-entry-natural.split.json")
 
 
 def test_natural_base_split_requires_unique_base_keywords():
@@ -381,7 +382,7 @@ def test_natural_base_split_requires_unique_base_keywords():
         (("a", "k1", "2", "base"), ("a", "k2", "1", "base"),
          ("b", "k1", "1", "base")))
     with pytest.raises(ValueError, match="ambiguous"):
-        natural_base_split(two_base)
+        natural_base_day(two_base)[0]
 
 
 def test_family_dilemma_report_small_scale():

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch.model import (Allocation, ModelError, all_in_profile,
-                              check_extension, instance_text, load_instance,
-                              load_schedule, load_split, parse_rational,
+                              check_extension, digit_limit_error,
+                              instance_text, load_instance, load_schedule,
+                              load_split, parse_rational,
                               serialize_instance, serialize_profile,
                               validate_profile)
 from conftest import (FIXTURES, build_instance, build_split, random_instance,
@@ -523,6 +524,30 @@ def test_integer_literal_past_the_digit_limit_is_invalid_json():
     with pytest.raises(ModelError) as err:
         load_instance(json.dumps(inst).replace("-1", "100"))
     assert [e["path"] for e in err.value.errors] == ["$.advertisers[0].budget"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit")
+def test_digit_limit_error_reads_the_interpreter_limit():
+    """A rational string is refused unbuilt once its mantissa digits plus
+    its exponent's magnitude pass ``sys.get_int_max_str_digits()``; up to
+    that bound ``Fraction`` builds it and ``str`` writes it.  A limit of 0
+    is no bound, and what is no decimal at all is left to ``Fraction``."""
+    limit = sys.get_int_max_str_digits()
+    for fits, over in (("1e%d" % (limit - 1), "1e%d" % limit),
+                       ("1.5E-%d" % (limit - 2), "1.5E-%d" % (limit - 1)),
+                       ("-0." + "7" * (limit - 1), "-0." + "7" * limit)):
+        assert digit_limit_error(fits) is None, fits
+        str(F(fits))
+        assert digit_limit_error(over).startswith("too many digits"), over
+    for text in ("2/3", "bogus", "1e"):
+        assert digit_limit_error(text) is None, text
+    assert digit_limit_error("1e" + "9" * (limit + 1)) is not None
+    try:
+        sys.set_int_max_str_digits(0)
+        assert digit_limit_error("1e%d" % limit) is None
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_instance_text_is_the_sorted_json_of_the_document():

@@ -14,7 +14,7 @@ from broadmatch.partition import (INFINITE, KeywordDay, PartitionTable,
                                   run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (RESERVE_GRID, assert_day_matches_naive,
-                      build_instance, build_schedule, build_split,
+                      build_instance, build_schedule, build_split, day_views,
                       fraction_table, naive_day, paid_fractions,
                       random_instance, random_profile, reference_day_totals,
                       reference_entered, reference_timeline, segment_views,
@@ -40,8 +40,8 @@ def natural():
 # -- run_keyword_timeline -----------------------------------------------------
 
 def test_timeline_exhaustion_breakpoint():
-    segs = run_keyword_timeline(TWO, 100, [("1", F(5), 1, F(45)),
-                                           ("2", F(3), 1, F(37))])
+    segs = day_views(run_keyword_timeline(TWO, 100, [("1", F(5), 1, F(45)),
+                                                     ("2", F(3), 1, F(37))]))
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert segs[0].prices == {"1": F(9, 10), "2": F(0)}
@@ -52,9 +52,9 @@ def test_timeline_exhaustion_breakpoint():
 def test_eviction_is_one_at_a_time_lowest_score_first():
     # At the opening prices both x (3.3 > 2) and y (2.1 > 1) are broke.
     # Evicting y (the lower score) first drops x's price to 0.9, rescuing x.
-    segs = run_keyword_timeline(TWO, 10, [("x", F(5), 1, F(2)),
-                                          ("y", F(4), 1, F(1)),
-                                          ("z", F(3), 1, None)])
+    segs = day_views(run_keyword_timeline(TWO, 10, [("x", F(5), 1, F(2)),
+                                                    ("y", F(4), 1, F(1)),
+                                                    ("z", F(3), 1, None)]))
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 2, ("x", "z")), (3, 10, ("z",))]
     assert segs[0].prices["x"] == F(9, 10)
@@ -63,16 +63,16 @@ def test_eviction_is_one_at_a_time_lowest_score_first():
 def test_eviction_tie_breaks_on_id():
     # a and b tie at score 4 and both are broke; the rule takes the smaller
     # id, so a goes first and b survives at the post-eviction price.
-    segs = run_keyword_timeline(TWO, 10, [("a", F(4), 1, F(0)),
-                                          ("b", F(4), 1, F(2)),
-                                          ("z", F(3), 1, None)])
+    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(4), 1, F(0)),
+                                                    ("b", F(4), 1, F(2)),
+                                                    ("z", F(3), 1, None)]))
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 2, ("b", "z")), (3, 10, ("z",))]
 
 
 def test_dark_segments_and_scheduled_entry():
-    segs = run_keyword_timeline(TWO, 10, [("a", F(2), 5, F(3))],
-                                reserve=F(2))
+    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(2), 5, F(3))],
+                                          reserve=F(2)))
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 4, ()), (5, 9, ("a",)), (10, 10, ())]
     assert segs[0].ranking == () and segs[0].revenue == 0
@@ -81,20 +81,20 @@ def test_dark_segments_and_scheduled_entry():
 
 
 def test_reserve_excludes_low_scores_entirely():
-    segs = run_keyword_timeline(TWO, 10, [("a", F(2), 1, F(3))],
-                                reserve=F(3))
+    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(2), 1, F(3))],
+                                          reserve=F(3)))
     assert [(s.lo, s.hi, s.active) for s in segs] == [(1, 10, ())]
 
 
 def test_start_query_clamped_to_one():
-    segs = run_keyword_timeline(TWO, 10, [("a", F(1), 0, None)])
+    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(1), 0, None)]))
     assert [(s.lo, s.hi, s.active) for s in segs] == [(1, 10, ("a",))]
 
 
 def test_timeline_is_event_driven_not_per_query():
     # a trillion queries, two events: exhaustion, then darkness
-    segs = run_keyword_timeline(TWO, 10**12, [("a", F(2), 1, F(10**6))],
-                                reserve=F(1))
+    segs = day_views(run_keyword_timeline(
+        TWO, 10**12, [("a", F(2), 1, F(10**6))], reserve=F(1)))
     assert [(s.lo, s.hi) for s in segs] == [(1, 3333333),
                                             (3333334, 10**12)]
 
@@ -133,7 +133,7 @@ def test_top_k_timeline_matches_the_reprice_everything_loop():
                             rng.randint(0, volume), pool))
         got = run_keyword_timeline(slots, volume, bidders, reserve)
         want = reference_timeline(slots, volume, bidders, reserve)
-        assert ([segment_views(g) for g in got]
+        assert ([segment_views(g) for g in day_views(got)]
                 == [segment_views(w) for w in want]), case
         scores = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(scores)) < len(scores)
@@ -202,7 +202,7 @@ def test_int_core_is_exact_across_coprime_denominators():
             want = reference_timeline(slots, volume, bidders, reserve)
             seen["spent-pool"] += 1
         got = run_keyword_timeline(slots, volume, bidders, reserve)
-        assert ([segment_views(g) for g in got]
+        assert ([segment_views(g) for g in day_views(got)]
                 == [segment_views(w) for w in want]), case
         drawn = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(drawn)) < len(drawn)
@@ -241,21 +241,22 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
         reserve = F(rng.randint(0, 3))
         segs = run_keyword_timeline(slots, volume, bidders, reserve)
         totals = segs.totals
-        assert totals.revenue == sum((len(g) * g.revenue for g in segs), F(0))
-        assert totals.welfare == sum((len(g) * g.welfare for g in segs), F(0))
+        views = day_views(segs)
+        assert totals.revenue == sum((len(g) * g.revenue for g in views), F(0))
+        assert totals.welfare == sum((len(g) * g.welfare for g in views), F(0))
         spent = paid_fractions(totals)
         for adv, paid in spent.items():
-            assert paid == _spend(segs, adv), case
-        evicted = any(adv in watched for g in segs
-                      for adv, _ in g.passed_prices)
+            assert paid == _spend(views, adv), case
+        evicted = any(adv in watched for n in range(len(segs))
+                      for adv in segs.passed.get(n, {}))
         if not pinning_keeps_prefixes(segs, watched):
             pinned = [(i, s, q0, spent.get(i, F(0)) if i in watched
                        else b) for i, s, q0, b in bidders]
             seen["rerun"] += 1
-            seen["moved"] += ([segment_views(g) for g in segs]
-                              != [segment_views(g) for g in
+            seen["moved"] += ([segment_views(g) for g in views]
+                              != [segment_views(g) for g in day_views(
                                   run_keyword_timeline(slots, volume, pinned,
-                                                       reserve)])
+                                                       reserve))])
             continue
         seen["kept"] += 1
         seen["kept-after-evictions"] += evicted
@@ -264,9 +265,10 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
             paid = paid_fractions(cut.totals)
             pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched else b)
                       for i, s, q0, b in bidders]
-            assert ([segment_views(g) for g in cut]
-                    == [segment_views(g) for g in run_keyword_timeline(
-                        slots, n, pinned, reserve)]), (case, n)
+            assert ([segment_views(g) for g in day_views(cut)]
+                    == [segment_views(g) for g in day_views(
+                        run_keyword_timeline(slots, n, pinned, reserve))]), (
+                            case, n)
     assert min(seen.values()) >= 20, seen
 
 
@@ -280,8 +282,8 @@ def _check_columns(day, slots, volume, bidders, reserve, stop=None):
     want = reference_timeline(slots, volume, bidders, reserve)
     if stop is not None:
         want = want[:len(day)]
-    assert [segment_views(g) for g in day] == [segment_views(w)
-                                               for w in want]
+    assert [segment_views(g) for g in day_views(day)] == [segment_views(w)
+                                                          for w in want]
     assert day.totals == reference_day_totals(day)
     assert ({adv: n for adv, n in day.entered.items() if n}
             == reference_entered(day))
@@ -349,7 +351,7 @@ def test_day_columns_on_hand_cases():
     late = [("a", F(2), 1, F(3)), ("b", F(3), 8, F(6, 5))]
     day = _check_columns(run_keyword_timeline(TWO, 10, late, F(2)), TWO, 10,
                          late, F(2))
-    assert [(g.lo, g.hi, g.active) for g in day] == [
+    assert [(g.lo, g.hi, g.active) for g in day_views(day)] == [
         (1, 5, ("a",)), (6, 7, ()), (8, 9, ("b",)), (10, 10, ())]
     assert day.entered == {"a": 5, "b": 2}
     # x enters at query 3 above z, priced 3/5 on a pool of 1/2: its first
@@ -381,13 +383,13 @@ def test_keyword_day_runs_committed_rows_as_bidders():
     rows = [Allocation("2", "k1", 50, F(37), 51),
             Allocation("1", "k1", 100, F(45)),
             Allocation("3", "k1", 100, None)]
-    segs = keyword_day(small(), "k1", rows, reserve=F(1))
-    assert segs == run_keyword_timeline(
+    segs = day_views(keyword_day(small(), "k1", rows, reserve=F(1)))
+    assert segs == day_views(run_keyword_timeline(
         small().slots, 100, [("2", F(3), 51, F(37)), ("1", F(5), 1, F(45)),
-                             ("3", F(2), 1, None)], F(1))
+                             ("3", F(2), 1, None)], F(1)))
     # 3's pool is unlimited: it is still in the day after both rivals leave
     assert segs[-1].active == ("3",) and segs[-1].hi == 100
-    assert keyword_day(small(), "k2", ()) == (
+    assert day_views(keyword_day(small(), "k2", ())) == day_views(
         run_keyword_timeline(small().slots, 100, []))
 
 
@@ -409,10 +411,11 @@ def _check_stop(full, stopped, bidder, budget):
     with the first segment in which the bidder's payment passes the
     budget, or the whole day.  Returns that segment's index, or None."""
     assert type(stopped) is KeywordDay
-    assert ([(segment_views(s), s.passed_prices) for s in stopped]
-            == [(segment_views(s), s.passed_prices)
-                for s in full[:len(stopped)]])
-    first = _first_over(full, bidder, budget)
+    assert ([(segment_views(s), list(stopped.passed.get(n, {}).items()))
+             for n, s in enumerate(day_views(stopped))]
+            == [(segment_views(s), list(full.passed.get(n, {}).items()))
+                for n, s in enumerate(day_views(full)[:len(stopped)])])
+    first = _first_over(day_views(full), bidder, budget)
     assert len(stopped) == (len(full) if first is None else first + 1)
     return first
 
@@ -429,7 +432,7 @@ def test_stop_ends_the_day_after_the_budget_is_passed():
     # 2 never pays, and nobody is "9": both days run whole
     for who in ("2", "9"):
         stopped = run_keyword_timeline(TWO, 100, bidders, stop=(who, F(0)))
-        assert stopped == full
+        assert day_views(stopped) == day_views(full)
 
 
 def test_stop_cuts_subject_days_on_the_corpus():
@@ -451,8 +454,8 @@ def test_stop_cuts_subject_days_on_the_corpus():
                 full = stopped_subject_day(instance, adv.id, kw, profile,
                                            reserve)
                 if kw in tables:  # the day her table reads
-                    assert tables[kw].segments == full
-                total = _spend(full, adv.id)
+                    assert day_views(tables[kw].segments) == day_views(full)
+                total = _spend(day_views(full), adv.id)
                 share = total * F(rng.randint(1, 9), 10) + F(1, 7)
                 for budget in (F(0), profile.committed(adv.id, kw), share,
                                total):
@@ -466,14 +469,15 @@ def test_stop_cuts_subject_days_on_the_corpus():
                 seen["reserve"] += reserve > 0
                 seen["late"] += any(r.start_query > 1
                                     for r in profile.rows_on(kw))
-                slots = [(slot, s.prices[adv.id]) for s in full
+                slots = [(slot, s.prices[adv.id]) for s in day_views(full)
                          for i, _, slot in s.ranking if i == adv.id]
                 seen["free"] += any(slot and not p for slot, p in slots)
                 seen["unslotted"] += any(slot is None for slot, _ in slots)
         for kw in instance.keywords:
             rows = profile.rows_on(kw.id)
             full = keyword_day(instance, kw.id, rows, reserve)
-            assert stopped_day(instance, kw.id, rows, reserve, None) == full
+            assert day_views(stopped_day(instance, kw.id, rows, reserve,
+                                         None)) == day_views(full)
             for r in rows:
                 budget = r.budget * F(rng.randint(0, 4), 4)
                 stopped = stopped_day(instance, kw.id, rows, reserve,
@@ -723,7 +727,7 @@ def test_a_stopped_day_table_agrees_with_the_whole_day_table(day):
 
 def test_global_partition_of_the_natural_day():
     day = simulate_day(small(), natural())
-    k1, k2 = day.segments["k1"], day.segments["k2"]
+    k1, k2 = day_views(day.segments["k1"]), day_views(day.segments["k2"])
     assert [(s.lo, s.hi, s.active) for s in k1] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]

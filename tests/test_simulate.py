@@ -8,8 +8,9 @@ from broadmatch import cli
 from broadmatch.simulate import (DayOutcome, check_profile_consistency,
                                  compare_outcomes, simulate_day)
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
-                      build_split, random_instance, random_profile,
-                      reference_day_result, reference_simulate_day)
+                      build_split, day_views, edge_spend, random_instance,
+                      random_profile, reference_day_result,
+                      reference_simulate_day)
 
 
 def small():
@@ -41,8 +42,9 @@ def test_natural_day_totals():
     assert day.spend == {"1": F(45), "2": F(0), "3": F(30), "4": F(0)}
     assert day.payoff == {"1": F(205), "2": F(255), "3": F(120), "4": F(70)}
     assert day.leftover == {"1": F(0), "2": F(37), "3": F(10), "4": F(20)}
-    assert day.edge_spend == {("1", "k1"): F(45), ("2", "k1"): F(0),
-                              ("3", "k2"): F(30), ("4", "k2"): F(0)}
+    edges = [(r.advertiser, r.keyword) for r in natural().rows]
+    assert edge_spend(day, edges) == {("1", "k1"): F(45), ("2", "k1"): F(0),
+                                      ("3", "k2"): F(30), ("4", "k2"): F(0)}
     assert day.participation == {("1", "k1"): 50, ("2", "k1"): 100,
                                  ("3", "k2"): 100, ("4", "k2"): 100}
     assert day.revenue == sum(day.spend.values())
@@ -50,7 +52,7 @@ def test_natural_day_totals():
 
 def test_segment_table_rows():
     day = simulate_day(small(), natural())
-    k1, k2 = day.segments["k1"], day.segments["k2"]
+    k1, k2 = day_views(day.segments["k1"]), day_views(day.segments["k2"])
     assert [(s.lo, s.hi, s.active) for s in k1] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]
@@ -66,7 +68,7 @@ def test_reserve_day():
     assert day.revenue == F(222, 5)
     assert day.participation == {("1", "k1"): 37, ("2", "k1"): 0,
                                  ("3", "k2"): 0, ("4", "k2"): 0}
-    assert [s.active for s in day.segments["k2"]] == [()]
+    assert [s.active for s in day_views(day.segments["k2"])] == [()]
 
 
 def test_overcommitted_pool_is_simulated_as_given():
@@ -113,11 +115,15 @@ def test_day_revenue_equals_total_spend_under_schedules():
 def assert_day_matches_fraction_path(instance, profile, reserve=F(0)):
     """``simulate_day`` and ``cli._day_result`` against the Fraction path of
     ``conftest``: every ``DayOutcome`` field equal, dict key order included,
-    and the report rows identical as JSON and as table text."""
+    each keyword's day compared through its ``day_views``, and the report
+    rows identical as JSON and as table text."""
     day = simulate_day(instance, profile, reserve)
     ref = reference_simulate_day(instance, profile, reserve)
     for f in fields(DayOutcome):
         got, want = getattr(day, f.name), getattr(ref, f.name)
+        if f.name == "segments":
+            got = {kw: day_views(x) for kw, x in got.items()}
+            want = {kw: day_views(x) for kw, x in want.items()}
         if isinstance(got, dict):
             got, want = list(got.items()), list(want.items())
         assert got == want, f.name
@@ -161,12 +167,12 @@ def test_day_accounting_matches_the_fraction_path_on_edge_cases():
     for reserve in (F(0), F(1, 2), F(7, 3)):
         day = assert_day_matches_fraction_path(inst, schedule, reserve)
         assert any(not s.ranking for segs in day.segments.values()
-                   for s in segs)
+                   for s in day_views(segs))
     day = simulate_day(inst, schedule, F(1, 2))
-    assert [s.ranking for s in day.segments["k2"]] == [()]
-    assert [(s.lo, s.hi, s.active) for s in day.segments["k4"]] == [
+    assert [s.ranking for s in day_views(day.segments["k2"])] == [()]
+    assert [(s.lo, s.hi, s.active) for s in day_views(day.segments["k4"])] == [
         (1, 12, ("f",)), (13, 20, ())]
     assert day.participation[("a", "k2")] == 0
-    assert any(s.revenue > 2 ** 1024 for s in day.segments["k3"])
+    assert any(s.revenue > 2 ** 1024 for s in day_views(day.segments["k3"]))
     assert day.keyword_revenue["k3"] > 2 ** 1024
     assert day.spend["c"] > 2 ** 1024
