@@ -10,7 +10,7 @@ All monetary scalars are exact ``fractions.Fraction`` values.  Drop-out
 times involve floor(budget / price), which is discontinuous, so floating
 point is never used anywhere in the engine; rationals enter as JSON strings
 like ``"2.3"`` or ``"23/10"`` (or plain integers) and are canonicalized on
-load.  The loaders walk each record once; digests hash ``instance_text``.
+load.  Loaders read record lists by column; digests hash ``instance_text``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 BASE = "base"
 EXTENSION = "extension"
 _TAGS = (BASE, EXTENSION)
+ZERO = Fraction(0)
 
 
 class ModelError(ValueError):
@@ -63,8 +65,30 @@ def digit_limit_error(text: str) -> Optional[str]:
     return None
 
 
-def parse_rational(value, path: str, errors: List[dict],
-                   memo: Optional[Dict[str, Fraction]] = None) -> Fraction:
+def _rational(value):
+    """``value`` read as ``parse_rational`` reads it: its ``Fraction``, or
+    the message of the error it is refused with."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        try:
+            if (digits.isascii() and digits.isdigit()
+                    and (not slash or den.isascii() and den.isdigit())):
+                return (Fraction(int(num), int(den)) if slash
+                        else Fraction(int(num)))
+            return digit_limit_error(value) or Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return "not a rational: %r" % value
+    if isinstance(value, bool):
+        return "expected integer or rational string, got boolean"
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return "floats are not exact; quote the value, e.g. \"2.3\""
+    return "expected integer or rational string, got %s" % type(value).__name__
+
+
+def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
     """Parse an exact rational from a JSON scalar.
 
     Accepts integers and strings such as ``"2.3"``, ``"23/10"`` or ``"45"``.
@@ -73,66 +97,18 @@ def parse_rational(value, path: str, errors: List[dict],
     leading minus and an optional ``/`` and ASCII-digit denominator, is read
     with ``int``; any other string goes to ``Fraction(str)``, so both ways
     accept and refuse the same strings, unless ``digit_limit_error``
-    refuses it first.  With a ``memo``, each string is parsed once (a
-    market repeats its scores, a split its shares).
+    refuses it first.  A refused value is an error at ``path`` and reads 0.
     """
-    if isinstance(value, str):
-        if memo is not None and value in memo:
-            return memo[value]
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        try:
-            if (digits.isascii() and digits.isdigit()
-                    and (not slash or den.isascii() and den.isdigit())):
-                x = (Fraction(int(num), int(den)) if slash
-                     else Fraction(int(num)))
-            elif (reason := digit_limit_error(value)) is not None:
-                _err(errors, path, reason)
-                return Fraction(0)
-            else:
-                x = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _err(errors, path, "not a rational: %r" % value)
-            return Fraction(0)
-        if memo is not None:
-            memo[value] = x
-        return x
-    if isinstance(value, bool):
-        _err(errors, path, "expected integer or rational string, got boolean")
-        return Fraction(0)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        _err(errors, path, "floats are not exact; quote the value, e.g. \"2.3\"")
-        return Fraction(0)
-    _err(errors, path, "expected integer or rational string, got %s" % type(value).__name__)
-    return Fraction(0)
+    x = _rational(value)
+    if isinstance(x, str):
+        _err(errors, path, x)
+        return ZERO
+    return x
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form: ``"45"`` for integers, else ``"p/q"`` in lowest terms."""
     return str(x)
-
-
-# Field readers: ``item[key]`` checked, with an error at ``path.key`` (``path``
-# is "" inside ``_objects``' walk) and a neutral value when it does not fit.
-
-def _int_field(item: dict, key: str, path: str, errors: List[dict],
-               default: int = 0) -> int:
-    value = item.get(key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    _err(errors, path + "." + key,
-         "expected an integer, got %s" % type(value).__name__)
-    return 0
-
-
-def _str_field(item: dict, key: str, path: str, errors: List[dict]) -> str:
-    value = item.get(key, "")
-    if isinstance(value, str) and value:
-        return value
-    _err(errors, path + "." + key, "expected a non-empty string")
-    return ""
 
 
 def _check_keys(obj: dict, path: str, required: Sequence[str],
@@ -164,30 +140,89 @@ def _decode(document, kind: str) -> dict:
     return document
 
 
-def _objects(doc: dict, key: str, required: Sequence[str], optional: Sequence[str],
-             errors: List[dict], dupes: List[dict]) -> Iterator[Tuple[int, dict]]:
-    """``(n, item)`` for each object of the list ``doc[key]``, its keys
-    checked; a non-list and a non-object item are errors.  While the caller
-    holds item n, its errors' paths are relative (``".field"``), made
-    absolute when the walk moves on, so a path is built only for an error.
-    ``dupes``, the caller's errors on repeats, follow the section's others."""
-    items = doc.get(key, [])
-    if not isinstance(items, list):
-        _err(errors, "$." + key, "expected a list")
-        return
-    need = frozenset(required)
-    allowed = need.union(optional)
-    for n, item in enumerate(items):
-        if isinstance(item, dict):
-            if not need <= item.keys() <= allowed:
-                _check_keys(item, "$.%s[%d]" % (key, n), required, optional, errors)
-            mark = len(errors)
-            yield n, item
-            for e in errors[mark:]:
-                e["path"] = "$.%s[%d]%s" % (key, n, e["path"])
-        else:
-            _err(errors, "$.%s[%d]" % (key, n), "expected an object")
-    errors += dupes
+def _walk_order(pending: List[tuple]) -> List[dict]:
+    """Errors held as (row, path, message) check by check, in walk order."""
+    pending.sort(key=itemgetter(0))  # stable: a row's checks keep their order
+    return [{"path": path, "message": message} for _, path, message in pending]
+
+
+class _Section:
+    """The objects of the list ``doc[key]``, by column: ``columns`` holds one
+    list per field of ``fields`` and then ``optional`` (each maps a field to
+    what an object without it reads), ``at[m]`` row m's list position.  A
+    check lists the rows that fail it, and ``fail`` builds their errors in
+    ``pending``; key errors come first in their row, repeats after all."""
+
+    def __init__(self, doc: dict, key: str, fields: dict, optional: dict = {}):
+        self.key, self.pending = key, []
+        items = doc.get(key, [])
+        if not isinstance(items, list):
+            self.pending.append((-1, "$." + key, "expected a list"))
+            items = []
+        objs = [item for item in items if isinstance(item, dict)]
+        self.at = range(len(items))
+        if len(objs) < len(items):
+            self.at = [n for n, x in enumerate(items) if isinstance(x, dict)]
+            self.pending += [(n, "$.%s[%d]" % (key, n), "expected an object")
+                             for n, x in enumerate(items)
+                             if not isinstance(x, dict)]
+        every = {**fields, **optional}
+        get = itemgetter(*every)
+        try:  # one pass, when each object holds every key and no other
+            rows = list(map(get, objs))
+            if set(map(len, objs)) - {len(every)}:
+                raise KeyError(key)
+        except KeyError:
+            for m in [m for m, x in enumerate(objs) if x.keys() != every.keys()]:
+                if not fields.keys() <= objs[m].keys() <= every.keys():
+                    n, found = self.at[m], []
+                    _check_keys(objs[m], "$.%s[%d]" % (key, n), fields,
+                                optional, found)
+                    self.pending += [(n, e["path"], e["message"]) for e in found]
+                objs[m] = {**every, **objs[m]}  # a field it lacks: its default
+            rows = list(map(get, objs))
+        self.columns = list(map(list, zip(*rows))) or [[] for _ in every]
+
+    def fail(self, field: str, rows: List[int], message) -> List[int]:
+        """Errors at ``field`` (".id", "" for the object) of ``rows``, which it
+        returns; ``message`` is a text or, given a row, its text."""
+        if rows:
+            self.pending += [(self.at[m], "$.%s[%d]%s" % (self.key, self.at[m], field),
+                              message if isinstance(message, str)
+                              else message(m)) for m in rows]
+        return rows
+
+    def strings(self, field: str, col: List) -> None:
+        """Check the column ``col`` holds non-empty strings; "" where not."""
+        bad = [m for m, v in enumerate(col) if not (isinstance(v, str) and v)]
+        for m in self.fail(field, bad, "expected a non-empty string"):
+            col[m] = ""
+
+    def ints(self, field: str, col: List) -> None:
+        """Check the column ``col`` holds ints, not bools; 0 where not."""
+        bad = [m for m, v in enumerate(col)
+               if not isinstance(v, int) or isinstance(v, bool)]
+        for m in self.fail(field, bad, lambda m: "expected an integer, got %s"
+                           % type(col[m]).__name__):
+            col[m] = 0
+
+    def rationals(self, field: str, col: List, memo: Dict[str, object]) -> None:
+        """Read the column ``col`` as ``parse_rational`` reads each value, 0
+        where it fails; by ``memo``, a document parses each text once."""
+        for text in {v for v in col if type(v) is str}.difference(memo):
+            memo[text] = _rational(text)
+        col[:] = [memo[v] if type(v) is str else _rational(v) for v in col]
+        bad = [m for m, x in enumerate(col) if type(x) is str]
+        for m in self.fail(field, bad, col.__getitem__):
+            col[m] = ZERO
+
+    def repeats(self, field: str, keys: Sequence, message: str) -> None:
+        """An error, ``message % (key,)``, on each repeat of a key."""
+        seen: set = set()  # seen.add(k) is None: false for a first k
+        if len(set(keys)) < len(keys):
+            self.pending += [(math.inf, "$.%s[%d]%s" % (self.key, self.at[m], field),
+                              message % (k,)) for m, k in enumerate(keys)
+                             if k in seen or seen.add(k)]
 
 
 @dataclass(frozen=True)
@@ -315,7 +350,11 @@ def load_instance(document) -> Instance:
         _err(errors, "$.slots", "expected an object")
     else:
         _check_keys(slots_doc, "$.slots", ("count", "clickability"), (), errors)
-        count = _int_field(slots_doc, "count", "$.slots", errors)
+        count = slots_doc.get("count", 0)
+        if not isinstance(count, int) or isinstance(count, bool):
+            _err(errors, "$.slots.count",
+                 "expected an integer, got %s" % type(count).__name__)
+            count = 0
         click = slots_doc.get("clickability", [])
         if not isinstance(click, list):
             _err(errors, "$.slots.clickability", "expected a list")
@@ -336,56 +375,47 @@ def load_instance(document) -> Instance:
                 _err(errors, "$.slots.clickability[%d]" % (n + 1),
                      "clickability not strictly decreasing")
 
-    keywords: List[Keyword] = []
-    kw_ids, dupes = set(), []
-    for n, item in _objects(doc, "keywords", ("id", "volume"), (), errors, dupes):
-        kid = _str_field(item, "id", "", errors)
-        if kid in kw_ids:
-            _err(dupes, "$.keywords[%d].id" % n, "duplicate keyword id %r" % kid)
-        kw_ids.add(kid)
-        vol = _int_field(item, "volume", "", errors)
-        if vol < 1:
-            _err(errors, ".volume", "volume must be a positive integer")
-        keywords.append(Keyword(kid, vol))
+    rows = _Section(doc, "keywords", {"id": "", "volume": 0})
+    kw_ids, volumes = rows.columns
+    rows.strings(".id", kw_ids)
+    rows.ints(".volume", volumes)
+    rows.fail(".volume", [m for m, v in enumerate(volumes) if v < 1],
+              "volume must be a positive integer")
+    rows.repeats(".id", kw_ids, "duplicate keyword id %r")
+    errors += _walk_order(rows.pending)
 
-    memo: Dict[str, Fraction] = {}
-    advertisers: List[Advertiser] = []
-    adv_ids, dupes = set(), []
-    for n, item in _objects(doc, "advertisers", ("id", "budget"), (), errors, dupes):
-        aid = _str_field(item, "id", "", errors)
-        if aid in adv_ids:
-            _err(dupes, "$.advertisers[%d].id" % n, "duplicate advertiser id %r" % aid)
-        adv_ids.add(aid)
-        budget = parse_rational(item.get("budget", 0), ".budget", errors, memo)
-        if budget.numerator < 0:
-            _err(errors, ".budget", "budget must be nonnegative")
-        advertisers.append(Advertiser(aid, budget))
+    memo: Dict[str, object] = {}
+    rows = _Section(doc, "advertisers", {"id": "", "budget": 0})
+    adv_ids, budgets = rows.columns
+    rows.strings(".id", adv_ids)
+    rows.rationals(".budget", budgets, memo)
+    rows.fail(".budget", [m for m, b in enumerate(budgets) if b.numerator < 0],
+              "budget must be nonnegative")
+    rows.repeats(".id", adv_ids, "duplicate advertiser id %r")
+    errors += _walk_order(rows.pending)
 
-    edges: List[Edge] = []
-    pairs, dupes = set(), []
-    for n, item in _objects(doc, "edges", ("advertiser", "keyword", "score"),
-                            ("tag",), errors, dupes):
-        adv = _str_field(item, "advertiser", "", errors)
-        kw = _str_field(item, "keyword", "", errors)
-        score = parse_rational(item.get("score", 0), ".score", errors, memo)
-        tag = item.get("tag", BASE)
-        if adv and adv not in adv_ids:
-            _err(errors, ".advertiser", "unknown advertiser %r" % adv)
-        if kw and kw not in kw_ids:
-            _err(errors, ".keyword", "unknown keyword %r" % kw)
-        if score.numerator <= 0:
-            _err(errors, ".score", "score must be positive")
-        if tag not in _TAGS:
-            _err(errors, ".tag", "tag must be 'base' or 'extension'")
-            tag = BASE
-        edges.append(Edge(adv, kw, score, tag))
-        if (adv, kw) in pairs:
-            _err(dupes, "$.edges[%d]" % n, "duplicate edge %r" % ((adv, kw),))
-        pairs.add((adv, kw))
+    rows = _Section(doc, "edges", {"advertiser": "", "keyword": "", "score": 0},
+                    {"tag": BASE})
+    advs, kws, scores, tags = rows.columns
+    rows.strings(".advertiser", advs)
+    rows.strings(".keyword", kws)
+    rows.rationals(".score", scores, memo)
+    for field, col, known in (("advertiser", advs, set(adv_ids)),
+                              ("keyword", kws, set(kw_ids))):
+        rows.fail("." + field, [m for m, x in enumerate(col) if x and x not in known],
+                  lambda m: "unknown %s %r" % (field, col[m]))
+    rows.fail(".score", [m for m, x in enumerate(scores) if x.numerator <= 0],
+              "score must be positive")
+    rows.fail(".tag", [m for m, tag in enumerate(tags) if tag not in _TAGS],
+              "tag must be 'base' or 'extension'")
+    rows.repeats("", list(zip(advs, kws)), "duplicate edge %r")
+    errors += _walk_order(rows.pending)
 
     if errors:
         raise ModelError(errors)
-    return Instance(SlotParams(gamma), tuple(keywords), tuple(advertisers), tuple(edges))
+    return Instance(SlotParams(gamma), tuple(map(Keyword, kw_ids, volumes)),
+                    tuple(map(Advertiser, adv_ids, budgets)),
+                    tuple(map(Edge, advs, kws, scores, tags)))
 
 
 def instance_text(instance: Instance) -> str:
@@ -471,37 +501,34 @@ class Profile:
         return Profile(tuple(kept) + tuple(new_rows), self.kind)
 
 
-_FIELDS = {"split": ("advertiser", "keyword", "queries", "budget"),
-           "schedule": ("advertiser", "keyword", "queries", "budget", "start_query")}
+# each kind's fields, with what a row without one reads
+_FIELDS = {"split": {"advertiser": "", "keyword": "", "queries": 0, "budget": 0}}
+_FIELDS["schedule"] = {**_FIELDS["split"], "start_query": 1}
 
 
 def _load_profile(document, kind: str) -> Profile:
     doc = _decode(document, kind)
     errors: List[dict] = []
     _check_keys(doc, "$", ("allocations",), (), errors)
-    rows: List[Allocation] = []
-    memo: Dict[str, Fraction] = {}
-    pairs, dupes = set(), []
-    for n, item in _objects(doc, "allocations", _FIELDS[kind], (), errors, dupes):
-        adv = _str_field(item, "advertiser", "", errors)
-        kw = _str_field(item, "keyword", "", errors)
-        queries = _int_field(item, "queries", "", errors)
-        budget = parse_rational(item.get("budget", 0), ".budget", errors, memo)
-        start = (_int_field(item, "start_query", "", errors, 1)
-                 if kind == "schedule" else 1)
-        if start < 1:
-            _err(errors, ".start_query", "start_query must be >= 1")
-        if queries < 0:
-            _err(errors, ".queries", "queries must be nonnegative")
-        if budget.numerator < 0:
-            _err(errors, ".budget", "budget must be nonnegative")
-        rows.append(Allocation(adv, kw, queries, budget, start))
-        if (adv, kw) in pairs:
-            _err(dupes, "$.allocations[%d]" % n, "duplicate allocation %r" % ((adv, kw),))
-        pairs.add((adv, kw))
+    rows = _Section(doc, "allocations", _FIELDS[kind])
+    advs, kws, queries, budgets, *starts = rows.columns
+    rows.strings(".advertiser", advs)
+    rows.strings(".keyword", kws)
+    rows.ints(".queries", queries)
+    rows.rationals(".budget", budgets, {})
+    for col in starts:  # a schedule's
+        rows.ints(".start_query", col)
+        rows.fail(".start_query", [m for m, s in enumerate(col) if s < 1],
+                  "start_query must be >= 1")
+    rows.fail(".queries", [m for m, q in enumerate(queries) if q < 0],
+              "queries must be nonnegative")
+    rows.fail(".budget", [m for m, b in enumerate(budgets) if b.numerator < 0],
+              "budget must be nonnegative")
+    rows.repeats("", list(zip(advs, kws)), "duplicate allocation %r")
+    errors += _walk_order(rows.pending)
     if errors:
         raise ModelError(errors)
-    return Profile(tuple(rows), kind)
+    return Profile(tuple(map(Allocation, *rows.columns)), kind)
 
 
 def load_split(document) -> Profile:
@@ -523,7 +550,7 @@ def serialize_profile(profile: Profile) -> dict:
 
 
 def validate_profile(instance: Instance, profile: Profile) -> List[dict]:
-    """Static consistency of a profile against an instance.
+    """Static consistency of a profile against an instance, by column.
 
     Checks edge existence, volume bounds and per-advertiser budget caps,
     the caps on int sums over the lcm of each advertiser's budget
@@ -531,27 +558,30 @@ def validate_profile(instance: Instance, profile: Profile) -> List[dict]:
     participation count is a dynamic property checked by
     ``simulate.check_profile_consistency``.
     """
-    errors: List[dict] = []
+    rows = profile.rows
+    gone = profile._row.keys() - instance._edge.keys()
+    missing = {n for n, r in enumerate(rows)  # rows off the market
+               if (r.advertiser, r.keyword) in gone} if gone else set()
+    pending = []
+    for n in missing:
+        adv, kw = rows[n].advertiser, rows[n].keyword
+        field, message = (
+            (".advertiser", "unknown advertiser %r" % adv)
+            if adv not in instance._adv else
+            (".keyword", "unknown keyword %r" % kw) if kw not in instance._kw
+            else ("", "no edge (%s, %s) in the instance" % (adv, kw)))
+        pending.append((n, "$.allocations[%d]%s" % (n, field), message))
+    volume = {k.id: k.volume for k in instance.keywords}
+    volumes = [volume.get(r.keyword, 0) for r in rows]
+    for field in ("queries", "start_query"):
+        pending += [(n, "$.allocations[%d].%s" % (n, field),
+                     "exceeds keyword volume %d" % v) for n, (x, v) in
+                    enumerate(zip(map(attrgetter(field), rows), volumes))
+                    if x > v and n not in missing]
+    errors = _walk_order(pending)
     committed: Dict[str, List[Fraction]] = {}
-    for n, r in enumerate(profile.rows):
+    for r in rows:
         committed.setdefault(r.advertiser, []).append(r.budget)
-        kw = instance._kw.get(r.keyword)
-        if r.advertiser not in instance._adv:
-            _err(errors, "$.allocations[%d].advertiser" % n,
-                 "unknown advertiser %r" % r.advertiser)
-        elif kw is None:
-            _err(errors, "$.allocations[%d].keyword" % n,
-                 "unknown keyword %r" % r.keyword)
-        elif (r.advertiser, r.keyword) not in instance._edge:
-            _err(errors, "$.allocations[%d]" % n, "no edge (%s, %s) in the "
-                 "instance" % (r.advertiser, r.keyword))
-        else:
-            if r.queries > kw.volume:
-                _err(errors, "$.allocations[%d].queries" % n,
-                     "exceeds keyword volume %d" % kw.volume)
-            if r.start_query > kw.volume:
-                _err(errors, "$.allocations[%d].start_query" % n,
-                     "exceeds keyword volume %d" % kw.volume)
     for adv in sorted(committed):
         if adv not in instance._adv:
             continue

@@ -59,7 +59,7 @@ budget cannot buy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -133,9 +133,9 @@ class _Bidder:
     __slots__ = ("id", "s", "start", "pool", "rank", "since", "left",
                  "priced", "paid", "won")
 
-    def __init__(self, id: str, start: int, pool):
+    def __init__(self, id: str, s: int, start: int, pool):
         self.id = id
-        self.s = 0          # score in the day's scaled int unit
+        self.s = s          # score in the day's scaled int unit
         self.start = start
         self.pool = pool    # None = unlimited (the table's subject); scaled int
         self.rank = 0       # position in the day's (-score, id) order
@@ -162,15 +162,15 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     or exhaustion event.  A negative reserve or pool is a ValueError.
 
     The loop runs on ints: with G the lcm of the gamma denominators and S
-    that of the score and reserve denominators, D is the lcm of G*S and every
-    finite pool's denominator.  Scores and the reserve times D/G, the
+    that of the reserve's and the entrants' score denominators, D is the lcm
+    of G*S and the entrants' finite pool denominators (a bidder the reserve
+    shuts out adds to neither).  Scores and the reserve times D/G, the
     coefficients ``slots.drops`` and gamma times G (``slots.scaled``), and
-    the pools times D are all ints, so prices, slot values and pools are ints
-    in units of 1/D and the eviction test, the floor ``pool // price`` and
-    the pool updates are exact.  The reserve and sign tests on the way in
-    read numerators, and no ``Fraction`` is built.  Each segment is stored
-    with its active ids, prices and values, and added to the day's totals
-    where the pools are updated.
+    the pools times D are ints, so prices, values and pools are ints in units
+    of 1/D and every test, floor and update is exact.  Each score and pool is
+    read once, and no ``Fraction`` built.  Each segment is stored with its
+    active ids, prices and values, and added to the day's totals where the
+    pools are updated, a pass that also scans the slate for the next settle.
 
     ``stop``, a (bidder id, budget) pair, ends the day after the first
     segment in which that bidder's running payment exceeds the budget, or
@@ -182,56 +182,60 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     r_num, r_den = reserve.numerator, reserve.denominator
     s_den = r_den
     p_den = 1
-    entrants = []
+    entries = []  # each entrant's id, start, and score and pool as int pairs
     scores = {}
     for i, s, q0, b in bidders:
-        if b is not None and b.numerator < 0:
+        pn, pd = (None, 1) if b is None else (b.numerator, b.denominator)
+        if pn is not None and pn < 0:
             raise ValueError("negative pool %s for %r" % (b, i))
-        d = s.denominator
-        if s.numerator * r_den >= r_num * d:  # s >= reserve
-            entrants.append(_Bidder(i, max(1, q0), b))
+        sn, sd = s.numerator, s.denominator
+        if sn * r_den >= r_num * sd:  # s >= reserve
+            entries.append((i, max(1, q0), sn, sd, pn, pd))
             scores[i] = s
-            if s_den % d:
-                s_den = math.lcm(s_den, d)
-            if b is not None and p_den % b.denominator:
-                p_den = math.lcm(p_den, b.denominator)
+            if s_den % sd:
+                s_den = math.lcm(s_den, sd)
+            if p_den % pd:
+                p_den = math.lcm(p_den, pd)
     g, clicks, drops = slots.scaled
     D = math.lcm(g * s_den, p_den)
     unit = D // g
-    for b in entrants:
-        s = scores[b.id]
-        b.s = s.numerator * (unit // s.denominator)
-        if b.pool is not None:
-            b.pool = b.pool.numerator * (D // b.pool.denominator)
+    entrants = [_Bidder(i, sn * (unit // sd), q0,
+                        None if pn is None else pn * (D // pd))
+                for i, q0, sn, sd, pn, pd in entries]
     floor = r_num * (unit // r_den)
     watch = None  # the bidder whose payment ends the day, if any
     if stop is not None:
         who, budget = stop
         watch = next((b for b in entrants if b.id == who), None)
         cap = budget.numerator * D // budget.denominator  # paid > cap: over
-    entrants.sort(key=lambda b: (-b.s, b.id))
+    entrants.sort(key=attrgetter("id"))
+    pending = sorted(entrants, key=attrgetter("start"))  # by (start, id)
+    entrants.sort(key=attrgetter("s"), reverse=True)  # (-score, id): stable
     for rank, b in enumerate(entrants):
         b.rank = rank
     day = KeywordDay(D)
     day.scores = scores
     los, his = day.lo, day.hi
-    pending = sorted(entrants, key=lambda b: (b.start, b.id))
     waiting = len(pending)
     top_k = slots.count + 1
-    active: List[_Bidder] = []  # ranked by (-score, id)
+    active, ids = [], []  # bidders ranked by (-score, id), and their ids
     slotted: List[_Bidder] = []  # the top K+1 that ``prices`` belong to
     prices: List[int] = []
     values: List[int] = []
     rev = wel = 0  # the priced top's revenue and welfare per query
     day_rev = day_wel = 0
     changed = True  # the active set moved since the last segment
+    # the slate's scan, by each reprice and pool update: the broke member
+    worst, least = None, volume  # least by (score, id), the rest's least run
     n_in = 0
     t = 1
     while t <= volume:
         while n_in < waiting and pending[n_in].start <= t:
             b = pending[n_in]
             b.since = t
-            insort(active, b, key=_by_rank)
+            n = bisect_right(active, b.rank, key=_by_rank)
+            active.insert(n, b)
+            ids.insert(n, b.id)
             n_in += 1
             changed = True
         # settle the slate: evict slotted members priced beyond their pool,
@@ -248,18 +252,17 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                                                  floor)
                     values = [c * b.s for c, b in zip(clicks, top)]
                     rev, wel = sum(prices), sum(values)
-            worst = None
-            run = volume - t + 1  # queries left in the day
-            for b, price in zip(slotted, prices):
-                pool = b.pool
-                if pool is None or not price:
-                    continue
-                if price > pool:  # broke; in rank order, the first of the
-                    # lowest score is the one least by (score, id)
-                    if worst is None or b.s < worst.s:
-                        worst = b
-                elif pool // price < run:
-                    run = pool // price
+                    worst, least = None, volume
+                    for b, price in zip(slotted, prices):
+                        pool = b.pool
+                        if pool is None or not price:
+                            continue
+                        if price > pool:  # broke; in rank order, the first
+                            # of the lowest score is least by (score, id)
+                            if worst is None or b.s < worst.s:
+                                worst = b
+                        elif pool // price < least:
+                            least = pool // price
             if worst is None:
                 break
             if passed is None:
@@ -268,11 +271,12 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                 if (b.pool is not None and price <= b.pool
                         and price > passed.get(b.id, -1)):
                     passed[b.id] = price
-            active.remove(worst)
+            n = active.index(worst)
+            del active[n], ids[n]
             worst.left = t
             changed = True
         next_entry = pending[n_in].start if n_in < waiting else volume + 1
-        hi = t + run - 1
+        hi = t + least - 1 if least < volume - t + 1 else volume
         if hi >= next_entry:
             hi = next_entry - 1
         changed = False
@@ -280,18 +284,24 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
             day.passed[len(los)] = passed
         los.append(t)
         his.append(hi)
-        day.ids.append(tuple([b.id for b in active]))
+        day.ids.append(tuple(ids))
         day.prices.append(prices)
         day.values.append(values)
         length = hi - t + 1
         day_rev += length * rev
         day_wel += length * wel
+        worst, least = None, volume  # pay the segment, scan the slate
         for b, price, value in zip(slotted, prices, values):
             b.priced = True
             b.paid += length * price
             b.won += length * value
-            if b.pool is not None:
-                b.pool -= length * price
+            if b.pool is not None and price:
+                b.pool = pool = b.pool - length * price
+                if price > pool:
+                    if worst is None or b.s < worst.s:
+                        worst = b
+                elif pool // price < least:
+                    least = pool // price
         t = hi + 1
         if watch is not None and watch.paid > cap:
             break

@@ -10,9 +10,9 @@ and the per-prefix knapsack candidates, the all-Fraction two-keyword
 configuration scan, the table-based reference marginal rates, the
 tree-building reference report encoder, the all-``Fraction``
 reference day accounting and segment rows, the instance and
-profile loaders' walk from before the one-walk loaders and the field-by-field
-instance serializer, and the seeded random corpus used by the property
-tests.
+profile loaders' walk and the profile validator's row walk from before the
+column loaders, the field-by-field instance serializer, and the seeded
+random corpus used by the property tests.
 
 The reference simulator walks every query one at a time and knows nothing
 about segments or horizons; agreement with the event-driven engine is one of
@@ -851,7 +851,7 @@ def assert_day_matches_naive(instance, day, ref) -> None:
 
 # -- reference loaders ---------------------------------------------------------
 
-# The instance and profile loaders' walk from before the one-walk loaders,
+# The instance and profile loaders' walk from before the column loaders,
 # kept verbatim apart from names: a path per record, built before any error,
 # and the ids and pairs listed for a second, duplicate-finding pass.  Their
 # decoding, key checks and rational parser are the module's own.
@@ -1025,6 +1025,44 @@ def reference_load_profile(document, kind: str) -> Profile:
     if errors:
         raise ModelError(errors)
     return Profile(tuple(rows), kind)
+
+
+def reference_validate_profile(instance: Instance,
+                               profile: Profile) -> List[dict]:
+    """``model.validate_profile`` as it was: a walk of the rows, each
+    row's errors in turn, then the budget caps in advertiser order."""
+    errors: List[dict] = []
+    committed: Dict[str, List[Fraction]] = {}
+    for n, r in enumerate(profile.rows):
+        committed.setdefault(r.advertiser, []).append(r.budget)
+        kw = instance._kw.get(r.keyword)
+        if r.advertiser not in instance._adv:
+            _err(errors, "$.allocations[%d].advertiser" % n,
+                 "unknown advertiser %r" % r.advertiser)
+        elif kw is None:
+            _err(errors, "$.allocations[%d].keyword" % n,
+                 "unknown keyword %r" % r.keyword)
+        elif (r.advertiser, r.keyword) not in instance._edge:
+            _err(errors, "$.allocations[%d]" % n, "no edge (%s, %s) in the "
+                 "instance" % (r.advertiser, r.keyword))
+        else:
+            if r.queries > kw.volume:
+                _err(errors, "$.allocations[%d].queries" % n,
+                     "exceeds keyword volume %d" % kw.volume)
+            if r.start_query > kw.volume:
+                _err(errors, "$.allocations[%d].start_query" % n,
+                     "exceeds keyword volume %d" % kw.volume)
+    for adv in sorted(committed):
+        if adv not in instance._adv:
+            continue
+        budgets = committed[adv]
+        L = math.lcm(*[b.denominator for b in budgets])
+        total = sum([b.numerator * (L // b.denominator) for b in budgets])
+        cap = instance.budget(adv)
+        if total * cap.denominator > cap.numerator * L:
+            _err(errors, "$.allocations", "advertiser %r commits %s > budget %s"
+                 % (adv, Fraction(total, L), cap))
+    return errors
 
 
 def reference_serialize_instance(instance: Instance) -> dict:

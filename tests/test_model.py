@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broadmatch.model import (Allocation, ModelError, all_in_profile,
+from broadmatch.model import (Allocation, ModelError, Profile, all_in_profile,
                               check_extension, digit_limit_error,
                               instance_text, load_instance, load_schedule,
                               load_split, parse_rational,
@@ -16,7 +17,7 @@ from broadmatch.model import (Allocation, ModelError, all_in_profile,
                               validate_profile)
 from conftest import (FIXTURES, build_instance, build_split, random_instance,
                       reference_load_instance, reference_load_profile,
-                      reference_serialize_instance)
+                      reference_serialize_instance, reference_validate_profile)
 
 
 def small():
@@ -456,26 +457,29 @@ def test_every_fixture_file_loads_cleanly():
             assert load_instance(json.dumps(doc)) == inst
 
 
+# every bundled profile fixture and the instance it is played on
+FIXTURE_PROFILES = {
+    "two-keyword-entry-natural.split.json": "two-keyword-entry-base.json",
+    "two-keyword-entry-early.schedule.json": "two-keyword-entry-ext.json",
+    "two-keyword-entry-late.schedule.json": "two-keyword-entry-ext.json",
+    "two-keyword-entry-tuned.schedule.json": "two-keyword-entry-ext.json",
+    "single-extension-advshift.split.json": "single-extension-ext.json",
+    "single-extension-entry.schedule.json": "single-extension-ext.json",
+    "agreeing-methods-allk2.split.json": "agreeing-methods.json",
+    "three-keyword-family-shifted.split.json": "three-keyword-family.json",
+    "three-keyword-family-stayhome.split.json": "three-keyword-family.json",
+    "three-keyword-family-large-shifted.split.json":
+        "three-keyword-family-large.json",
+    "three-keyword-family-large-stayhome.split.json":
+        "three-keyword-family-large.json",
+    "edge-no-shift-noshift.split.json": "edge-no-shift-ext.json",
+    "edge-shift-shift.split.json": "edge-shift-ext.json",
+    "edge-shift-noshift.split.json": "edge-shift-ext.json",
+}
+
+
 def test_fixture_profiles_validate_against_their_instances():
-    pairs = {
-        "two-keyword-entry-natural.split.json": "two-keyword-entry-base.json",
-        "two-keyword-entry-early.schedule.json": "two-keyword-entry-ext.json",
-        "two-keyword-entry-late.schedule.json": "two-keyword-entry-ext.json",
-        "two-keyword-entry-tuned.schedule.json": "two-keyword-entry-ext.json",
-        "single-extension-advshift.split.json": "single-extension-ext.json",
-        "single-extension-entry.schedule.json": "single-extension-ext.json",
-        "agreeing-methods-allk2.split.json": "agreeing-methods.json",
-        "three-keyword-family-shifted.split.json": "three-keyword-family.json",
-        "three-keyword-family-stayhome.split.json": "three-keyword-family.json",
-        "three-keyword-family-large-shifted.split.json":
-            "three-keyword-family-large.json",
-        "three-keyword-family-large-stayhome.split.json":
-            "three-keyword-family-large.json",
-        "edge-no-shift-noshift.split.json": "edge-no-shift-ext.json",
-        "edge-shift-shift.split.json": "edge-shift-ext.json",
-        "edge-shift-noshift.split.json": "edge-shift-ext.json",
-    }
-    for prof_name, inst_name in pairs.items():
+    for prof_name, inst_name in FIXTURE_PROFILES.items():
         inst = load_instance((FIXTURES / inst_name).read_text())
         loader = load_split if ".split." in prof_name else load_schedule
         profile = loader((FIXTURES / prof_name).read_text())
@@ -572,7 +576,7 @@ def test_instance_text_is_the_sorted_json_of_the_document():
         assert serialize_instance(inst) == reference_serialize_instance(inst)
 
 
-# -- the one-walk loaders against the walk they replaced ------------------------
+# -- the column loaders against the walk they replaced --------------------------
 
 REFERENCE_LOADERS = {
     "instance": reference_load_instance,
@@ -585,6 +589,36 @@ for _path in sorted(FIXTURES.glob("*.json")):
     _VALID["split" if ".split." in _path.name else "schedule"
            if ".schedule." in _path.name else "instance"].append(
         json.loads(_path.read_text()))
+
+
+def _wide_documents(seed: int = 28, n: int = 120, m: int = 24):
+    """A seeded market of n advertisers on three of m keywords each and
+    its uniform split, as documents: 360 edges and 360 allocations whose
+    budget and score texts repeat.  Over so many rows, mutations land far
+    apart, and a repeated row far from the row it copies."""
+    rng = random.Random(seed)
+    keywords = [{"id": "k%d" % (j + 1),
+                 "volume": rng.randint(1, 9) * 10 ** rng.randint(3, 8)}
+                for j in range(m)]
+    advertisers, edges, rows = [], [], []
+    for i in range(n):
+        aid = "a%d" % (i + 1)
+        budget = F(rng.randint(50, 5000), rng.choice((1, 2, 4, 5)))
+        advertisers.append({"id": aid, "budget": str(budget)})
+        for j in sorted(rng.sample(range(m), 3)):
+            score = F(rng.randint(1, 60), rng.randint(1, 4))
+            edges.append({"advertiser": aid, "keyword": "k%d" % (j + 1),
+                          "score": str(score), "tag": "base"})
+            rows.append({"advertiser": aid, "keyword": "k%d" % (j + 1),
+                         "queries": 0, "budget": str(budget / 3)})
+    slots = {"count": 3, "clickability": ["1", "4/5", "3/5"]}
+    return ({"slots": slots, "keywords": keywords, "advertisers": advertisers,
+             "edges": edges}, {"allocations": rows})
+
+
+# a wide instance and split, each drawn as often as all the fixtures of
+# its kind together
+_WIDE = dict(zip(("instance", "split"), _wide_documents()))
 
 # values a mutation puts where a field, an item or a section was: wrong
 # types, booleans, floats, bad and zero-denominator rationals, empty and
@@ -611,7 +645,9 @@ def _mutated(draw):
     boolean, an item repeated (a duplicate id, edge or allocation), a name
     the market lacks, an item or a section that is not an object or list."""
     kind = draw(st.sampled_from(sorted(_VALID)))
-    doc = copy.deepcopy(draw(st.sampled_from(_VALID[kind])))
+    wide = kind in _WIDE and draw(st.booleans())
+    doc = copy.deepcopy(_WIDE[kind] if wide
+                        else draw(st.sampled_from(_VALID[kind])))
     for _ in range(draw(st.integers(1, 3))):
         sections = [v for v in doc.values() if isinstance(v, list) and v]
         objects = [doc] + [v for v in doc.values() if isinstance(v, dict)] + [
@@ -648,8 +684,10 @@ def _mutated(draw):
 def test_one_walk_loaders_match_the_walk_they_replaced(case):
     """On mutated documents, parsed or as text, each loader returns what the
     reference walk of tests/conftest.py returns, or raises the same errors:
-    the same paths and messages in the same order.  The document is left
-    as it was."""
+    the same paths and messages in the same order, on the fixtures and on
+    a wide instance and split, where a duplicate's error must follow every
+    other of its section's however far apart the rows are.  The document
+    is left as it was."""
     kind, doc = case
     before = copy.deepcopy(doc)
     for document in (doc, json.dumps(doc)):
@@ -660,5 +698,63 @@ def test_one_walk_loaders_match_the_walk_they_replaced(case):
 
 def test_one_walk_loaders_match_the_walk_they_replaced_on_fixtures():
     for kind, docs in _VALID.items():
-        for doc in docs:
+        for doc in docs + [_WIDE[k] for k in (kind,) if k in _WIDE]:
             assert LOADERS[kind](doc) == REFERENCE_LOADERS[kind](doc)
+
+
+# -- the column validator against the row walk it replaced ---------------------
+
+_PROFILES = [(load_instance((FIXTURES / inst).read_text()),
+              (load_split if ".split." in prof else load_schedule)(
+                  (FIXTURES / prof).read_text()))
+             for prof, inst in sorted(FIXTURE_PROFILES.items())]
+
+
+@st.composite
+def _mutated_profile(draw):
+    """A fixture profile and its instance with one to four rows changed: an
+    advertiser or keyword the market lacks, a keyword the advertiser may
+    hold no edge on, queries and a start query near the keyword's volume, a
+    budget that brings the advertiser's commitments to within a share of
+    a mixed denominator of her budget, or a row repeated elsewhere."""
+    instance, profile = draw(st.sampled_from(_PROFILES))
+    rows = list(profile.rows)
+    kws = [k.id for k in instance.keywords]
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, len(rows) - 1))
+        r = rows[n]
+        op = draw(st.sampled_from(["advertiser", "keyword", "edge", "volume",
+                                   "volume", "budget", "budget", "repeat"]))
+        if op == "advertiser":
+            r = dataclasses.replace(r, advertiser="zz")
+        elif op == "keyword":
+            r = dataclasses.replace(r, keyword="zz")
+        elif op == "edge":
+            r = dataclasses.replace(r, keyword=draw(st.sampled_from(kws)))
+        elif op == "volume" and r.keyword in kws:
+            v = instance.volume(r.keyword)
+            r = dataclasses.replace(r, queries=v + draw(st.integers(-1, 2)),
+                                    start_query=v + draw(st.integers(-2, 1)))
+        elif op == "budget" and r.advertiser in instance._adv:
+            others = sum((o.budget for m, o in enumerate(rows)
+                          if m != n and o.advertiser == r.advertiser), F(0))
+            share = F(draw(st.integers(-1, 1)),
+                      draw(st.sampled_from([3, 4, 7, 12])))
+            r = dataclasses.replace(r, budget=max(
+                F(0), instance.budget(r.advertiser) - others + share))
+        elif op == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), r)
+            continue
+        rows[n] = r
+    return instance, Profile(tuple(rows), profile.kind)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_mutated_profile())
+def test_column_validator_matches_the_walk_it_replaced(case):
+    """On mutated fixture profiles, ``validate_profile`` reports what the
+    row walk of tests/conftest.py reports: the same paths and messages in
+    the same order, the budget caps after every row's errors."""
+    instance, profile = case
+    assert (validate_profile(instance, profile)
+            == reference_validate_profile(instance, profile))

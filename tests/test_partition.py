@@ -377,6 +377,38 @@ def test_day_columns_on_hand_cases():
                                   + (big - 3 * 10 ** 6) * F(1, 10))
 
 
+def test_set_up_on_hand_cases():
+    """What the set-up decides and ``day_views`` cannot show, or shows only
+    through a ranking: D takes the entrants' scores and pools alone, equal
+    scores entering at one query in reverse id order rank by id, and three
+    bidders entering together at a later query rank by score; each day is
+    also the reprice-everything loop's."""
+    half = SlotParams((F(1), F(1, 2)))
+    base = [("a", F(3), 1, F(10)), ("b", F(2), 1, F(9, 2))]
+    shut = base + [("c", F(1, 3), 1, F(50, 7))]  # below the reserve of 1
+    day = run_keyword_timeline(half, 40, base, F(1))
+    out = run_keyword_timeline(half, 40, shut, F(1))
+    assert day.D == out.D == 2 and "c" not in out.scores
+    assert day_views(out) == day_views(day)
+    assert run_keyword_timeline(half, 40, shut).D == 42  # c in: 3 and 7
+    tied = [("c", F(2), 4, F(9)), ("b", F(2), 4, F(9)), ("a", F(2), 4, F(9)),
+            ("z", F(5), 1, None)]
+    later = [("w", F(1), 1, F(4)), ("y", F(3), 6, F(7, 3)),
+             ("x", F(4), 6, None), ("v", F(2), 6, F(5))]
+    for bidders, volume, actives, entered in (
+            (tied, 16, [("z",), ("z", "a", "b", "c"), ("z", "b", "c"),
+                        ("z", "c")], {"z": 16, "a": 6, "b": 12, "c": 13}),
+            (later, 20, [("w",), ("x", "y", "v", "w"), ("x", "v", "w"),
+                         ("x", "w")], {"x": 15, "y": 1, "v": 8, "w": 20})):
+        day = run_keyword_timeline(TWO, volume, bidders)
+        views = day_views(day)
+        assert [g.active for g in views] == actives
+        assert day.entered == entered == reference_entered(day)
+        assert ([segment_views(g) for g in views] == [
+            segment_views(w) for w in reference_timeline(TWO, volume,
+                                                         bidders)])
+
+
 # -- keyword_day ---------------------------------------------------------------
 
 def test_keyword_day_runs_committed_rows_as_bidders():
