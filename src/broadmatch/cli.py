@@ -11,7 +11,8 @@ would walk a second tree built only to hold those pairs.  A report's
 
 ``--format table`` prints the same envelope (``_lines``), one ``path  value``
 line per leaf such as ``result.moves[0].start_query  15``, errors included;
-an argv that argparse rejects has no parsed ``--format`` and stays JSON.
+an argv that argparse rejects has no parsed ``--format`` and stays JSON.  A
+subcommand's argv goes straight to its own parser (``_parse``).
 
 Exit codes: 0 success, 1 engine error, 2 usage or schema error,
 3 verification failed (so ``verify`` slots into CI pipelines).
@@ -330,7 +331,8 @@ def _reserve(text: str) -> Fraction:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
     except UnicodeDecodeError as exc:
@@ -347,10 +349,9 @@ def _load_profile_file(instance: Instance, path: str, kind: str) -> Profile:
 
 def _profile_arg(args, instance: Instance) -> Optional[Profile]:
     """The profile of ``--split`` or ``--schedule``; None without either."""
-    if args.split:
-        return _load_profile_file(instance, args.split, "split")
-    if args.schedule:
-        return _load_profile_file(instance, args.schedule, "schedule")
+    for kind, path in (("split", args.split), ("schedule", args.schedule)):
+        if path is not None:  # "" too: a path that cannot be read
+            return _load_profile_file(instance, path, kind)
     return None
 
 
@@ -383,7 +384,7 @@ def _cmd_validate(args) -> int:
     result = {"ok": True, "warnings": [], "checked": ["instance"]}
     if _profile_arg(args, instance) is not None:
         result["checked"].append("profile")
-    if args.ext:
+    if args.ext is not None:
         ext = load_instance(_read(args.ext))
         chk = check_extension(instance, ext)
         if not chk["ok"]:
@@ -536,7 +537,7 @@ def _cmd_dynamics(args) -> int:
                          % args.max_rounds)
     instance = load_instance(_read(args.instance))
     start = None
-    if args.init:
+    if args.init is not None:
         start = _load_profile_file(instance, args.init, "split")
     rep = equilibrium.best_response_dynamics(
         instance, method=args.method, eps=args.eps,
@@ -740,7 +741,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
     p.add_argument("dir", nargs="?")
 
+    parser.commands = sub.choices  # each subcommand's own parser, by name
     return parser
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, a subcommand's argv by its own parser."""
+    if argv and argv[0] in _DISPATCH:
+        return _parser().commands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    return _parser().parse_args(argv)
 
 
 _DISPATCH = {
@@ -761,7 +771,7 @@ _DISPATCH = {
 def run(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except UsageError as exc:
         command = argv[0] if argv and argv[0] in _DISPATCH else None
         return _fail(argparse.Namespace(command=command, _argv=argv), 2,

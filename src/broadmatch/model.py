@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, gt, itemgetter, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 BASE = "base"
@@ -66,8 +66,18 @@ def digit_limit_error(text: str) -> Optional[str]:
 
 
 def _rational(value):
-    """``value`` read as ``parse_rational`` reads it: its ``Fraction``, or
-    the message of the error it is refused with."""
+    """An exact rational read from a JSON scalar: its ``Fraction``, or the
+    message of the error it is refused with.
+
+    Accepts integers and strings such as ``"2.3"``, ``"23/10"`` or ``"45"``.
+    JSON floats are refused: a decimal literal in the source text must be
+    quoted to stay exact.  A string of ASCII digits, with an optional
+    leading minus and an optional ``/`` and ASCII-digit denominator, is read
+    with ``int``; any other string goes to ``Fraction(str)``, so both ways
+    accept and refuse the same strings, unless ``digit_limit_error``
+    refuses it first.  A loader records a refused value as an error at its
+    field, and reads it as 0.
+    """
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
@@ -86,24 +96,6 @@ def _rational(value):
     if isinstance(value, float):
         return "floats are not exact; quote the value, e.g. \"2.3\""
     return "expected integer or rational string, got %s" % type(value).__name__
-
-
-def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
-    """Parse an exact rational from a JSON scalar.
-
-    Accepts integers and strings such as ``"2.3"``, ``"23/10"`` or ``"45"``.
-    JSON floats are rejected: a decimal literal in the source text must be
-    quoted to stay exact.  A string of ASCII digits, with an optional
-    leading minus and an optional ``/`` and ASCII-digit denominator, is read
-    with ``int``; any other string goes to ``Fraction(str)``, so both ways
-    accept and refuse the same strings, unless ``digit_limit_error``
-    refuses it first.  A refused value is an error at ``path`` and reads 0.
-    """
-    x = _rational(value)
-    if isinstance(x, str):
-        _err(errors, path, x)
-        return ZERO
-    return x
 
 
 def format_rational(x: Fraction) -> str:
@@ -151,7 +143,9 @@ class _Section:
     list per field of ``fields`` and then ``optional`` (each maps a field to
     what an object without it reads), ``at[m]`` row m's list position.  A
     check lists the rows that fail it, and ``fail`` builds their errors in
-    ``pending``; key errors come first in their row, repeats after all."""
+    ``pending``; key errors come first in their row, repeats after all.  A
+    check lists rows only when a test of the whole column's value types or
+    values, run in C, fails: a bool, float, None or subclass always does."""
 
     def __init__(self, doc: dict, key: str, fields: dict, optional: dict = {}):
         self.key, self.pending = key, []
@@ -159,7 +153,8 @@ class _Section:
         if not isinstance(items, list):
             self.pending.append((-1, "$." + key, "expected a list"))
             items = []
-        objs = [item for item in items if isinstance(item, dict)]
+        objs = (items if set(map(type, items)) <= {dict}
+                else [item for item in items if isinstance(item, dict)])
         self.at = range(len(items))
         if len(objs) < len(items):
             self.at = [n for n, x in enumerate(items) if isinstance(x, dict)]
@@ -179,8 +174,7 @@ class _Section:
                     _check_keys(objs[m], "$.%s[%d]" % (key, n), fields,
                                 optional, found)
                     self.pending += [(n, e["path"], e["message"]) for e in found]
-                objs[m] = {**every, **objs[m]}  # a field it lacks: its default
-            rows = list(map(get, objs))
+            rows = [get({**every, **x}) for x in objs]  # a field it lacks: its default
         self.columns = list(map(list, zip(*rows))) or [[] for _ in every]
 
     def fail(self, field: str, rows: List[int], message) -> List[int]:
@@ -194,32 +188,40 @@ class _Section:
 
     def strings(self, field: str, col: List) -> None:
         """Check the column ``col`` holds non-empty strings; "" where not."""
-        bad = [m for m, v in enumerate(col) if not (isinstance(v, str) and v)]
-        for m in self.fail(field, bad, "expected a non-empty string"):
-            col[m] = ""
+        if not (set(map(type, col)) <= {str} and "" not in col):
+            bad = [m for m, v in enumerate(col) if not (isinstance(v, str) and v)]
+            for m in self.fail(field, bad, "expected a non-empty string"):
+                col[m] = ""
 
     def ints(self, field: str, col: List) -> None:
         """Check the column ``col`` holds ints, not bools; 0 where not."""
-        bad = [m for m, v in enumerate(col)
-               if not isinstance(v, int) or isinstance(v, bool)]
-        for m in self.fail(field, bad, lambda m: "expected an integer, got %s"
-                           % type(col[m]).__name__):
-            col[m] = 0
+        if not set(map(type, col)) <= {int}:
+            bad = [m for m, v in enumerate(col)
+                   if not isinstance(v, int) or isinstance(v, bool)]
+            for m in self.fail(field, bad, lambda m: "expected an integer, "
+                               "got %s" % type(col[m]).__name__):
+                col[m] = 0
 
     def rationals(self, field: str, col: List, memo: Dict[str, object]) -> None:
-        """Read the column ``col`` as ``parse_rational`` reads each value, 0
+        """Read the column ``col`` as ``_rational`` reads each value, 0
         where it fails; by ``memo``, a document parses each text once."""
         for text in {v for v in col if type(v) is str}.difference(memo):
             memo[text] = _rational(text)
         col[:] = [memo[v] if type(v) is str else _rational(v) for v in col]
-        bad = [m for m, x in enumerate(col) if type(x) is str]
-        for m in self.fail(field, bad, col.__getitem__):
-            col[m] = ZERO
+        if not set(map(type, col)) <= {Fraction}:
+            bad = [m for m, x in enumerate(col) if type(x) is str]
+            for m in self.fail(field, bad, col.__getitem__):
+                col[m] = ZERO
+
+    def below(self, field: str, col: List[int], low: int, message: str) -> None:
+        """An error, ``message``, on each int of the column ``col`` below ``low``."""
+        if min(col, default=low) < low:
+            self.fail(field, [m for m, v in enumerate(col) if v < low], message)
 
     def repeats(self, field: str, keys: Sequence, message: str) -> None:
         """An error, ``message % (key,)``, on each repeat of a key."""
-        seen: set = set()  # seen.add(k) is None: false for a first k
         if len(set(keys)) < len(keys):
+            seen: set = set()  # seen.add(k) is None: false for a first k
             self.pending += [(math.inf, "$.%s[%d]%s" % (self.key, self.at[m], field),
                               message % (k,)) for m, k in enumerate(keys)
                              if k in seen or seen.add(k)]
@@ -247,11 +249,10 @@ class SlotParams:
     def scaled(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
         """(G, gamma times G, ``drops`` times G), G the lcm of the gamma
         denominators: the day engine's int clickabilities and price
-        coefficients, computed once."""
+        coefficients, computed once, the latter as ``g[j] - g[j + 1]``."""
         G = math.lcm(*(x.denominator for x in self.gamma))
-        return (G,
-                tuple(x.numerator * (G // x.denominator) for x in self.gamma),
-                tuple(x.numerator * (G // x.denominator) for x in self.drops))
+        g = tuple(x.numerator * (G // x.denominator) for x in self.gamma)
+        return G, g, tuple(map(sub, g, g[1:] + (0,)))
 
 
 # Records: slotted dataclasses, not frozen ones, whose every field set goes
@@ -294,10 +295,10 @@ class Instance:
     _kw_order: Dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self._kw.update((k.id, k) for k in self.keywords)
-        self._adv.update((a.id, a) for a in self.advertisers)
-        self._edge.update(((e.advertiser, e.keyword), e) for e in self.edges)
-        self._kw_order.update((k.id, n) for n, k in enumerate(self.keywords))
+        self._kw.update({k.id: k for k in self.keywords})
+        self._adv.update({a.id: a for a in self.advertisers})
+        self._edge.update({(e.advertiser, e.keyword): e for e in self.edges})
+        self._kw_order.update({k.id: n for n, k in enumerate(self.keywords)})
 
     # -- lookups ------------------------------------------------------------
 
@@ -345,7 +346,7 @@ def load_instance(document) -> Instance:
         raise ModelError(errors)
 
     slots_doc = doc["slots"]
-    gamma: Tuple[Fraction, ...] = ()
+    slots = SlotParams(())
     if not isinstance(slots_doc, dict):
         _err(errors, "$.slots", "expected an object")
     else:
@@ -359,28 +360,30 @@ def load_instance(document) -> Instance:
         if not isinstance(click, list):
             _err(errors, "$.slots.clickability", "expected a list")
             click = []
-        gamma = tuple(
-            parse_rational(v, "$.slots.clickability[%d]" % n, errors)
-            for n, v in enumerate(click)
-        )
+        gamma = list(map(_rational, click))
+        if not set(map(type, gamma)) <= {Fraction}:
+            for n in [n for n, x in enumerate(gamma) if type(x) is str]:
+                _err(errors, "$.slots.clickability[%d]" % n, gamma[n])
+                gamma[n] = ZERO
+        slots = SlotParams(tuple(gamma))
+        g = slots.scaled[1]  # gamma times a positive int: the same signs, order
         if count < 1:
             _err(errors, "$.slots.count", "slot count must be >= 1")
-        if len(gamma) != count:
-            _err(errors, "$.slots.clickability", "expected %d values, got %d" % (count, len(gamma)))
-        for n, g in enumerate(gamma):
-            if g.numerator <= 0:
+        if len(g) != count:
+            _err(errors, "$.slots.clickability", "expected %d values, got %d" % (count, len(g)))
+        if min(g, default=1) <= 0:
+            for n in [n for n, x in enumerate(g) if x <= 0]:
                 _err(errors, "$.slots.clickability[%d]" % n, "clickability must be positive")
-        for n in range(len(gamma) - 1):
-            if gamma[n] <= gamma[n + 1]:
-                _err(errors, "$.slots.clickability[%d]" % (n + 1),
+        if not all(map(gt, g, g[1:])):
+            for n in [n for n in range(1, len(g)) if g[n - 1] <= g[n]]:
+                _err(errors, "$.slots.clickability[%d]" % n,
                      "clickability not strictly decreasing")
 
     rows = _Section(doc, "keywords", {"id": "", "volume": 0})
     kw_ids, volumes = rows.columns
     rows.strings(".id", kw_ids)
     rows.ints(".volume", volumes)
-    rows.fail(".volume", [m for m, v in enumerate(volumes) if v < 1],
-              "volume must be a positive integer")
+    rows.below(".volume", volumes, 1, "volume must be a positive integer")
     rows.repeats(".id", kw_ids, "duplicate keyword id %r")
     errors += _walk_order(rows.pending)
 
@@ -389,8 +392,8 @@ def load_instance(document) -> Instance:
     adv_ids, budgets = rows.columns
     rows.strings(".id", adv_ids)
     rows.rationals(".budget", budgets, memo)
-    rows.fail(".budget", [m for m, b in enumerate(budgets) if b.numerator < 0],
-              "budget must be nonnegative")
+    rows.below(".budget", [b.numerator for b in budgets], 0,
+               "budget must be nonnegative")
     rows.repeats(".id", adv_ids, "duplicate advertiser id %r")
     errors += _walk_order(rows.pending)
 
@@ -400,20 +403,21 @@ def load_instance(document) -> Instance:
     rows.strings(".advertiser", advs)
     rows.strings(".keyword", kws)
     rows.rationals(".score", scores, memo)
-    for field, col, known in (("advertiser", advs, set(adv_ids)),
-                              ("keyword", kws, set(kw_ids))):
-        rows.fail("." + field, [m for m, x in enumerate(col) if x and x not in known],
-                  lambda m: "unknown %s %r" % (field, col[m]))
-    rows.fail(".score", [m for m, x in enumerate(scores) if x.numerator <= 0],
-              "score must be positive")
-    rows.fail(".tag", [m for m, tag in enumerate(tags) if tag not in _TAGS],
-              "tag must be 'base' or 'extension'")
+    for field, col, known in (("advertiser", advs, {"", *adv_ids}),
+                              ("keyword", kws, {"", *kw_ids})):  # "": refused
+        if not known.issuperset(col):
+            rows.fail("." + field, [m for m, x in enumerate(col) if x not in known],
+                      lambda m: "unknown %s %r" % (field, col[m]))
+    rows.below(".score", [x.numerator for x in scores], 1, "score must be positive")
+    if not (set(map(type, tags)) <= {str} and set(_TAGS).issuperset(tags)):
+        rows.fail(".tag", [m for m, tag in enumerate(tags) if tag not in _TAGS],
+                  "tag must be 'base' or 'extension'")
     rows.repeats("", list(zip(advs, kws)), "duplicate edge %r")
     errors += _walk_order(rows.pending)
 
     if errors:
         raise ModelError(errors)
-    return Instance(SlotParams(gamma), tuple(map(Keyword, kw_ids, volumes)),
+    return Instance(slots, tuple(map(Keyword, kw_ids, volumes)),
                     tuple(map(Advertiser, adv_ids, budgets)),
                     tuple(map(Edge, advs, kws, scores, tags)))
 
@@ -474,11 +478,11 @@ class Profile:
                                                    default_factory=dict)
 
     def __post_init__(self):
-        self._row.update(((r.advertiser, r.keyword), r) for r in self.rows)
+        self._row.update({(r.advertiser, r.keyword): r for r in self.rows})
         on: Dict[str, List[Allocation]] = {}
         for r in self.rows:
             on.setdefault(r.keyword, []).append(r)
-        self._on.update((kw, tuple(rs)) for kw, rs in on.items())
+        self._on.update({kw: tuple(rs) for kw, rs in on.items()})
 
     def row(self, advertiser: str, keyword: str) -> Optional[Allocation]:
         return self._row.get((advertiser, keyword))
@@ -518,12 +522,10 @@ def _load_profile(document, kind: str) -> Profile:
     rows.rationals(".budget", budgets, {})
     for col in starts:  # a schedule's
         rows.ints(".start_query", col)
-        rows.fail(".start_query", [m for m, s in enumerate(col) if s < 1],
-                  "start_query must be >= 1")
-    rows.fail(".queries", [m for m, q in enumerate(queries) if q < 0],
-              "queries must be nonnegative")
-    rows.fail(".budget", [m for m, b in enumerate(budgets) if b.numerator < 0],
-              "budget must be nonnegative")
+        rows.below(".start_query", col, 1, "start_query must be >= 1")
+    rows.below(".queries", queries, 0, "queries must be nonnegative")
+    rows.below(".budget", [b.numerator for b in budgets], 0,
+               "budget must be nonnegative")
     rows.repeats("", list(zip(advs, kws)), "duplicate allocation %r")
     errors += _walk_order(rows.pending)
     if errors:

@@ -34,7 +34,7 @@ from broadmatch.cli import _FIXTURE_DIR, _approx
 from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
                               Instance, Keyword, ModelError, Profile,
                               SlotParams, _check_keys, _decode, _err,
-                              format_rational, parse_rational)
+                              _rational, format_rational)
 from broadmatch.partition import (INFINITE, DayTotals, KeywordDay,
                                   PartitionTable, keyword_day,
                                   run_keyword_timeline, tables_for)
@@ -854,7 +854,18 @@ def assert_day_matches_naive(instance, day, ref) -> None:
 # The instance and profile loaders' walk from before the column loaders,
 # kept verbatim apart from names: a path per record, built before any error,
 # and the ids and pairs listed for a second, duplicate-finding pass.  Their
-# decoding, key checks and rational parser are the module's own.
+# decoding, key checks and rational reading (``_rational``) are the module's own.
+
+def parse_rational(value, path: str, errors: List[dict]) -> Fraction:
+    """A JSON scalar's exact rational, as ``model._rational`` reads it; a
+    refused value is an error at ``path`` and reads 0.  The error-recording
+    wrapper the loaders called per value before they read by column."""
+    x = _rational(value)
+    if isinstance(x, str):
+        _err(errors, path, x)
+        return ZERO
+    return x
+
 
 def _ref_int_field(item: dict, key: str, path: str, errors: List[dict],
                    default: int = 0) -> int:

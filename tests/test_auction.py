@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadmatch.auction import price_query
-from broadmatch.model import SlotParams
-from conftest import revenue_identity_check
+from broadmatch.model import SlotParams, all_in_profile
+from broadmatch.simulate import simulate_day
+from conftest import build_instance, revenue_identity_check
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -97,3 +99,54 @@ def test_identity_on_thousand_random_slates():
         reserve = rng.choice([F(0), F(0), F(1, 2), F(1)])
         slate = price_query(active, slots, reserve)
         assert revenue_identity_check(slate) == slate.revenue
+
+
+# -- slot scaling: the day engine's ints, the query pricer's fractions ---------
+
+@st.composite
+def _gammas(draw):
+    """Strictly decreasing positive clickabilities, one to eight slots, over
+    denominators that are often coprime."""
+    k = draw(st.integers(1, 8))
+    dens = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13, 10 ** 9 + 7])
+    xs = draw(st.lists(st.builds(F, st.integers(1, 10 ** 6), dens),
+                       min_size=k, max_size=k, unique=True))
+    return tuple(sorted(xs, reverse=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gammas())
+@example((F(7, 3),))
+@example((F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13), F(1, 17),
+          F(1, 19)))
+def test_scaled_is_gamma_and_drops_times_their_lcm(gamma):
+    """``scaled`` is (G, gamma times G, ``drops`` times G), G the lcm of the
+    gamma denominators, all ints: the same as through ``Fraction``."""
+    slots = SlotParams(gamma)
+    G = math.lcm(*(x.denominator for x in gamma))
+    drops = tuple(x - y for x, y in zip(gamma, gamma[1:] + (F(0),)))
+    assert slots.drops == drops
+    assert all((x * G).denominator == 1 for x in gamma + drops)
+    assert slots.scaled == (G, tuple((x * G).numerator for x in gamma),
+                            tuple((x * G).numerator for x in drops))
+    G_, g, d = slots.scaled
+    assert all(type(x) is int for x in (G_, *g, *d))
+
+
+def test_price_query_reads_the_fraction_drops():
+    """The query pricer prices with ``drops``, ``Fraction``s, and never
+    scales; the day engine scales and never builds ``drops``."""
+    slots = SlotParams((F(1), F(7, 10), F(1, 3)))
+    slate = price_query([("a", F(5)), ("b", F(3)), ("c", F(2)), ("d", F(1))],
+                        slots)
+    assert "drops" in vars(slots) and "scaled" not in vars(slots)
+    d = slots.drops
+    assert slate.prices == {"a": d[0] * 3 + d[1] * 2 + d[2], "b": d[1] * 2 + d[2],
+                            "c": d[2], "d": 0}
+    assert all(type(p) is F for p in slate.prices.values())
+    instance = build_instance(("1", "7/10", "1/3"), (("k1", 5),),
+                              (("a", "9"), ("b", "4")),
+                              (("a", "k1", "5", "base"), ("b", "k1", "3", "base")))
+    simulate_day(instance, all_in_profile(instance))
+    assert "scaled" in vars(instance.slots)
+    assert "drops" not in vars(instance.slots)

@@ -548,7 +548,18 @@ USAGE_CASES = [
           "--method", "fptas"), "--eps"),
         (("verify", "three-keyword-family.json",
           "--split", "three-keyword-family-shifted.split.json"), "--eps-ne"))
-    for value in LONG_RATIONALS]
+    for value in LONG_RATIONALS] + [
+    # an empty file argument: a path that cannot be read, not an absent one
+    ("simulate", "two-keyword-entry-base.json", "--split", ""),
+    ("simulate", "two-keyword-entry-base.json", "--schedule", ""),
+    ("verify", "three-keyword-family.json", "--split", "", "--bme"),
+    ("partition", "greedy-vs-exact.json", "--advertiser", "1", "--split", ""),
+    ("best-response", "greedy-vs-exact.json", "--advertiser", "1",
+     "--split", ""),
+    ("validate", "two-keyword-entry-base.json", "--split", ""),
+    ("validate", "two-keyword-entry-base.json", "--schedule", ""),
+    ("validate", "two-keyword-entry-base.json", "--ext", ""),
+    ("dynamics", "greedy-vs-exact.json", "--init", "")]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES,
@@ -564,6 +575,119 @@ def test_usage_errors_exit_2(fx, argv):
 def test_usage_cases_are_distinct():
     # a repeated case would run twice and take the id of its first copy
     assert len(set(USAGE_CASES)) == len(USAGE_CASES)
+
+
+@pytest.mark.parametrize("argv", [a for a in USAGE_CASES if "" in a],
+                         ids=lambda a: " ".join(a[:2]) + " " + a[a.index("") - 1])
+def test_an_empty_file_argument_cannot_be_read(fx, argv):
+    """``--split ""`` and the like name a file, the empty path, which
+    cannot be read; they are not taken as the option left out."""
+    code, out = fx(*argv)
+    doc = json.loads(out)
+    assert code == doc["exit_code"] == 2
+    assert doc["error"]["type"] == "usage"
+    assert doc["error"]["message"].startswith("cannot read : ")
+
+
+# -- the direct dispatch against the top-level parser ---------------------------
+
+def _parse_outcome(parse, argv) -> tuple:
+    """What parsing ``argv`` gives: the namespace's fields, a usage message,
+    or the exit code and text of ``--help``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parse(list(argv)))
+    except cli.UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def _assert_routes_agree(argv) -> None:
+    """``cli._parse``, which hands a subcommand's argv to that subcommand's
+    own parser, gives what the top-level parser gives."""
+    direct = _parse_outcome(cli._parse, argv)
+    assert direct == _parse_outcome(cli._parser().parse_args, argv), argv
+    if direct[0] == "exit":
+        assert direct[1] == 0 and direct[2].startswith("usage: broadmatch")
+
+
+_SUBCOMMANDS = sorted(cli._parser().commands)
+
+
+def test_both_parse_routes_agree_on_listed_argvs():
+    """Every usage case, every golden's argv with and without ``--format
+    table``, every subcommand's ``--help`` and the argvs that no subcommand
+    starts (none, the top-level help, an unknown name)."""
+    argvs = [list(a) for a in USAGE_CASES]
+    for argv in [*GOLDEN_CASES.values(), *MARKET_GOLDEN_CASES.values()]:
+        argvs += [argv, argv + ["--format", "table"]]
+    argvs += [[name, flag] for name in _SUBCOMMANDS for flag in ("-h", "--help")]
+    argvs += [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--help"],
+              ["--format", "table", "simulate"], ["", "simulate"]]
+    for argv in argvs:
+        _assert_routes_agree(argv)
+    assert _parse_outcome(cli._parse, ["nosuch"])[1].startswith(
+        "argument command: invalid choice: 'nosuch'")
+
+
+def _option_strings(command: str) -> list:
+    return sorted({s for action in cli._parser().commands[command]._actions
+                   for s in action.option_strings})
+
+
+# each subcommand's shortest argv that parses, with the placeholder F for
+# any file name
+_PARSES = {"validate": ["F"], "price": ["F", "k1"],
+           "partition": ["F", "--advertiser", "1"],
+           "simulate": ["F", "--split", "F"],
+           "best-response": ["F", "--advertiser", "1"],
+           "verify": ["F", "--split", "F", "--bme"], "dynamics": ["F"],
+           "dilemma": ["F", "F", "--profiles", "F"], "acbm": ["F", "--ext", "F"],
+           "compare": ["F"], "fixtures": []}
+
+
+@st.composite
+def _dispatch_argv(draw):
+    """A subcommand, then its shortest argv that parses or zero to two drawn
+    positionals, then options drawn from its own option strings: with a
+    value, alone, as ``--opt=value`` or abbreviated (some prefixes are
+    ambiguous), among values good and bad, and now and then ``--``, other
+    subcommands' names, ``-h`` or junk; an option may come back, so repeats
+    are drawn too."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    options = [o for o in _option_strings(command) if o not in ("-h", "--help")]
+    prefixes = sorted({o[:n] for o in options if o.startswith("--")
+                       for n in range(3, len(o))})
+    values = ["two-keyword-entry-base.json", "greedy-vs-exact.json", "1",
+              "k1", "1/4", "-1", "0", "1e3", "fptas", "dp", "greedy", "table",
+              "json", "", "x"]
+    junk = ["--", "-", "---", "--nosuch", "-x", "-5", "-1/2", "--=", "-h",
+            "-hx", "--format=", *_SUBCOMMANDS[:3]]
+    option = st.sampled_from(options + prefixes) if options else st.just("--x")
+    value = st.sampled_from(values)
+    unit = st.one_of(
+        st.tuples(option, value).map(list), st.tuples(option, value).map(list),
+        st.tuples(option).map(list),
+        st.builds("{}={}".format, option, value).map(lambda t: [t]),
+        st.tuples(st.sampled_from(junk)).map(list))
+    start = draw(st.one_of(st.just(_PARSES[command]), st.lists(value, max_size=2)))
+    return ([command] + [draw(value) if t == "F" else t for t in start]
+            + [t for u in draw(st.lists(unit, max_size=4)) for t in u])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_dispatch_argv())
+@example(["simulate", "x", "--split", "a", "--split=b"])
+@example(["simulate", "x", "--", "--split", "a"])
+@example(["simulate", "x", "--sp", "a", "--for", "table"])
+@example(["validate", "x", "--s", "a"])
+@example(["verify", "x", "--split", "a", "--e", "1/4", "--bme"])
+@example(["compare", "x", "--split", "a", "--split", "b", "--split"])
+@example(["fixtures", "--", "-h"])
+def test_both_parse_routes_agree_on_drawn_argvs(argv):
+    _assert_routes_agree(argv)
 
 
 @pytest.mark.parametrize("keyword,advertiser,message", [

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from broadmatch.model import (Allocation, ModelError, Profile, all_in_profile,
                               check_extension, digit_limit_error,
                               instance_text, load_instance, load_schedule,
-                              load_split, parse_rational,
+                              load_split,
                               serialize_instance, serialize_profile,
                               validate_profile)
-from conftest import (FIXTURES, build_instance, build_split, random_instance,
+from conftest import (FIXTURES, build_instance, build_split, parse_rational,
+                      random_instance,
                       reference_load_instance, reference_load_profile,
                       reference_serialize_instance, reference_validate_profile)
 
@@ -758,3 +760,105 @@ def test_column_validator_matches_the_walk_it_replaced(case):
     instance, profile = case
     assert (validate_profile(instance, profile)
             == reference_validate_profile(instance, profile))
+
+
+# -- the all-valid column tests on values JSON never yields --------------------
+
+class _Str(str):
+    """A str, though not of type str."""
+
+
+class _Int(int):
+    """An int, though not of type int (nor a bool)."""
+
+
+class _Dict(dict):
+    """An object, though not of type dict."""
+
+
+# values a parsed document can hold but JSON text never yields, and the
+# empty string: each column's all-valid test must defer them to the listing
+_UNPARSED = [True, False, 1.0, 2.5, None, "", _Str(""), _Str("k1"),
+             _Str("a1"), _Str("1"), _Str("2"), _Str("3/2"), _Str("base"),
+             _Int(-1), _Int(0), _Int(1), _Int(5)]
+
+# every column of each kind, as (section, field), and each section's rows
+# themselves (field "")
+_COLUMNS = [("instance", "slots", "count"), ("instance", "slots", "clickability"),
+            *[("instance", "keywords", f) for f in ("id", "volume")],
+            *[("instance", "advertisers", f) for f in ("id", "budget")],
+            *[("instance", "edges", f)
+              for f in ("advertiser", "keyword", "score", "tag")],
+            *[(kind, "allocations", f) for kind in ("split", "schedule")
+              for f in ("advertiser", "keyword", "queries", "budget")],
+            ("schedule", "allocations", "start_query"),
+            *[("instance", section, "")
+              for section in ("keywords", "advertisers", "edges")],
+            ("split", "allocations", ""), ("schedule", "allocations", "")]
+
+_PAIRS = [(json.loads((FIXTURES / inst).read_text()),
+           json.loads((FIXTURES / prof).read_text()),
+           "split" if ".split." in prof else "schedule")
+          for prof, inst in sorted(FIXTURE_PROFILES.items())]
+
+
+def _put(doc: dict, section: str, field: str, value, every: bool) -> None:
+    """``value`` in the first row of a column, or in every row; for the
+    field "", in place of the first row or of every row."""
+    if not field:
+        rows = doc[section]
+        rows[:] = [value] * len(rows) if every else [value] + rows[1:]
+    elif section == "slots" and field == "count":
+        doc["slots"]["count"] = value
+    elif section == "slots":
+        col = doc["slots"]["clickability"]
+        col[:] = [value] * len(col) if every else [value] + col[1:]
+    else:
+        for item in doc[section][:None if every else 1]:
+            item[field] = value
+
+
+@pytest.mark.parametrize("kind,section,field", _COLUMNS,
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_all_valid_tests_defer_values_json_never_yields(kind, section, field):
+    """Parsed documents holding a bool, a float, None, an int or str
+    subclass or an empty string in a column, in its first row or in every
+    row, or in place of a row, load as the reference walks of
+    tests/conftest.py load them: the same records or the same errors in the
+    same order.  Where both load, ``validate_profile`` reports what the
+    reference validator reports."""
+    for inst_doc, prof_doc, prof_kind in _PAIRS:
+        if kind != "instance" and kind != prof_kind:
+            continue
+        for value, every in itertools.product(_UNPARSED + [[], _Dict()],
+                                              (False, True)):
+            inst_doc2, prof_doc2 = copy.deepcopy((inst_doc, prof_doc))
+            _put(inst_doc2 if kind == "instance" else prof_doc2, section,
+                 field, value, every)
+            got = [_outcome(load_instance, inst_doc2),
+                   _outcome(LOADERS[prof_kind], prof_doc2)]
+            want = [_outcome(reference_load_instance, inst_doc2),
+                    _outcome(REFERENCE_LOADERS[prof_kind], prof_doc2)]
+            assert got == want, (section, field, value, every)
+            if not any(isinstance(x, list) for x in got):
+                assert (validate_profile(*got)
+                        == reference_validate_profile(*got))
+
+
+def test_all_valid_tests_accept_subclass_objects_and_values():
+    """Rows that are ``dict`` subclasses, holding ``str`` and ``int``
+    subclasses only, load as the reference walks load them."""
+    for inst_doc, prof_doc, prof_kind in _PAIRS:
+        docs = copy.deepcopy((inst_doc, prof_doc))
+        for doc in docs:
+            for section, items in doc.items():
+                if isinstance(items, list):
+                    items[:] = [_Dict({k: _Str(v) if type(v) is str else _Int(v)
+                                       for k, v in item.items()})
+                                for item in items]
+        instance, profile = (load_instance(docs[0]),
+                             LOADERS[prof_kind](docs[1]))
+        assert instance == reference_load_instance(docs[0])
+        assert profile == REFERENCE_LOADERS[prof_kind](docs[1])
+        assert (validate_profile(instance, profile)
+                == reference_validate_profile(instance, profile))
