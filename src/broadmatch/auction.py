@@ -17,8 +17,8 @@ coefficients ``gamma_j - gamma_{j+1}``; it works on any exact number type.
 engine (``partition.run_keyword_timeline``) calls it on Python ints: it
 scales one keyword day's scores, reserve and coefficients to a common
 denominator, prices the top K+1 of a ranking it keeps across events, and
-keeps the prices as ints in the day it returns; only a segment's view turns
-them back into exact ``Fraction``s.
+keeps the prices as ints in the day it returns; its readers turn them back
+into exact ``Fraction``s over the day's denominator where they need them.
 No floats are used anywhere.
 """
 

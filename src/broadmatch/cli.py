@@ -444,7 +444,7 @@ def _cmd_partition(args) -> int:
             segs.append({
                 "from": table.breakpoints[lam] + 1,
                 "to": table.breakpoints[lam + 1],
-                "active": table.actives[lam],
+                "active": table.segments.ids[lam],
                 "cost": table.costs[lam],
                 "payoff": table.payoffs[lam],
                 "rate": table.rate(lam),

@@ -35,25 +35,20 @@ would leave the day, and every prefix of it, as it is.  No floats are used: a fr
 it.  The day simulator, the partition tables (``tables_for``, which adds
 the subject unlimited from query 1), the auctioneer's entry probes and the
 stability check's read of the profile's own day all go through it.  The
-stability check's tails alone run the timeline directly, with its one
-optional argument, ``stop``: a (bidder, budget) pair that ends the day
-after the first segment in which that bidder's running payment exceeds
-the budget.  A timeline is causal, so the stopped run is a prefix of the
-whole day's segments, its last one whole.
+stability check's tails alone call the timeline directly, and run, like
+every other day, to the keyword's last query.
 
 ``PartitionTable`` is the per-(advertiser, keyword) view used by the best
 response solvers and the stability check: the advertiser is assumed
 present in every query, and the table records, on its day's ints, what
-each query prefix costs and pays.  The solvers read tables of the whole day
-(``tables_for``).  The stability check's marginal rates
-(``keyword_marginals``) are read, for every subject of a keyword at once,
-off the profile's own day there, run once: it agrees with each subject's
-table through her last segment in it, and for most subjects it also
-settles the next query.  A table is built only for the others, of the
-rest of her day, run by the timeline from the query after that segment (a
-tail; from query 1 where her row starts late or she holds none), and
-stopped at her committed budget, so it runs only to the first query that
-budget cannot buy.
+each query prefix costs and pays, up to the end of its day.  The solvers
+read tables of the whole day (``tables_for``).  The stability check's
+marginal rates (``keyword_marginals``) are read, for every subject of a
+keyword at once, off the profile's own day there, run once: it agrees with
+each subject's table through her last segment in it, and for most subjects
+it also settles the next query.  A table is built only for the others, of
+the rest of her day, run by the timeline from the query after that segment
+(a tail; from query 1 where her row starts late or she holds none).
 """
 
 from __future__ import annotations
@@ -92,13 +87,11 @@ class KeywordDay:
     what the event loop counted on its bidders: the queries each entered and
     was dropped on, and what each slotted one paid and was worth at each
     segment's pool update.  A partition table, the day most runs build,
-    reads neither.  ``scores`` holds each entrant's exact score, the one
-    part of a ranking that the ints cannot give back.  ``len(day)`` is its
-    number of segments.
+    reads neither.  ``len(day)`` is its number of segments.
     """
 
     __slots__ = ("D", "lo", "hi", "ids", "prices", "values", "passed",
-                 "totals", "entered", "scores", "_counts")
+                 "totals", "entered", "_counts")
 
     def __init__(self, D: int):
         self.D = D
@@ -150,9 +143,7 @@ _by_rank = attrgetter("rank")
 
 
 def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
-                         reserve: Fraction = ZERO,
-                         stop: Optional[Tuple[str, Fraction]] = None
-                         ) -> KeywordDay:
+                         reserve: Fraction = ZERO) -> KeywordDay:
     """Advance a keyword's day from event to event.
 
     ``bidders`` yields (id, score, start_query, pool) with pool None meaning
@@ -171,19 +162,12 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
     read once, and no ``Fraction`` built.  Each segment is stored with its
     active ids, prices and values, and added to the day's totals where the
     pools are updated, a pass that also scans the slate for the next settle.
-
-    ``stop``, a (bidder id, budget) pair, ends the day after the first
-    segment in which that bidder's running payment exceeds the budget, or
-    at the day's end if it never does.  A timeline is causal, so the
-    stopped run is a prefix of the whole day's segments, its last segment
-    whole.
     """
     auction.check_reserve(reserve)
     r_num, r_den = reserve.numerator, reserve.denominator
     s_den = r_den
     p_den = 1
     entries = []  # each entrant's id, start, and score and pool as int pairs
-    scores = {}
     for i, s, q0, b in bidders:
         pn, pd = (None, 1) if b is None else (b.numerator, b.denominator)
         if pn is not None and pn < 0:
@@ -191,7 +175,6 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
         sn, sd = s.numerator, s.denominator
         if sn * r_den >= r_num * sd:  # s >= reserve
             entries.append((i, max(1, q0), sn, sd, pn, pd))
-            scores[i] = s
             if s_den % sd:
                 s_den = math.lcm(s_den, sd)
             if p_den % pd:
@@ -203,18 +186,12 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                         None if pn is None else pn * (D // pd))
                 for i, q0, sn, sd, pn, pd in entries]
     floor = r_num * (unit // r_den)
-    watch = None  # the bidder whose payment ends the day, if any
-    if stop is not None:
-        who, budget = stop
-        watch = next((b for b in entrants if b.id == who), None)
-        cap = budget.numerator * D // budget.denominator  # paid > cap: over
     entrants.sort(key=attrgetter("id"))
     pending = sorted(entrants, key=attrgetter("start"))  # by (start, id)
     entrants.sort(key=attrgetter("s"), reverse=True)  # (-score, id): stable
     for rank, b in enumerate(entrants):
         b.rank = rank
     day = KeywordDay(D)
-    day.scores = scores
     los, his = day.lo, day.hi
     waiting = len(pending)
     top_k = slots.count + 1
@@ -303,8 +280,6 @@ def run_keyword_timeline(slots, volume: int, bidders: Iterable[Tuple],
                 elif pool // price < least:
                     least = pool // price
         t = hi + 1
-        if watch is not None and watch.paid > cap:
-            break
     day._counts = entrants, t, day_rev, day_wel
     return day
 
@@ -414,25 +389,21 @@ class PartitionTable:
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
     and summed into ``int_cum_cost`` and ``int_cum_payoff`` so prefix
-    evaluation is a bisect.  ``costs``, ``payoffs`` and ``actives`` (the
-    ranked active set per segment) are read-only views built on first read.
-    A table ends where its day does: at ``volume``, or before it for a tail
-    stopped at a budget, whose last segment holds the first query that
-    budget cannot buy.  Past the last breakpoint is out of range.
+    evaluation is a bisect.  ``costs`` and ``payoffs`` are read-only views
+    built on first read.  A table ends where its day does: ``volume``, its
+    last breakpoint.  Past it is out of range.
     """
 
     __slots__ = ("advertiser", "keyword", "volume", "segments", "breakpoints",
                  "D", "int_costs", "int_payoffs", "int_cum_cost",
-                 "int_cum_payoff", "_costs", "_payoffs", "_actives")
+                 "int_cum_payoff", "_costs", "_payoffs")
 
-    def __init__(self, advertiser: str, keyword: str, volume: int,
-                 segments: KeywordDay):
+    def __init__(self, advertiser: str, keyword: str, segments: KeywordDay):
         self.advertiser = advertiser
         self.keyword = keyword
-        self.volume = volume
         self.segments = segments
         self.D = segments.D
-        self._costs = self._payoffs = self._actives = None
+        self._costs = self._payoffs = None
         ic, iu, cc, cu = [], [], [0], [0]
         for lo, hi, ids, priced, worth in zip(
                 segments.lo, segments.hi, segments.ids, segments.prices,
@@ -450,6 +421,7 @@ class PartitionTable:
             cc.append(cc[-1] + n * c)
             cu.append(cu[-1] + n * u)
         self.breakpoints = (0, *segments.hi)
+        self.volume = self.breakpoints[-1]
         self.int_costs, self.int_payoffs = tuple(ic), tuple(iu)
         self.int_cum_cost, self.int_cum_payoff = tuple(cc), tuple(cu)
 
@@ -465,26 +437,6 @@ class PartitionTable:
             self._payoffs = tuple([Fraction(u, self.D)
                                    for u in self.int_payoffs])
         return self._payoffs
-
-    @property
-    def actives(self) -> Tuple[Tuple[str, ...], ...]:
-        if self._actives is None:
-            self._actives = tuple(self.segments.ids)
-        return self._actives
-
-    def _key(self) -> tuple:
-        return (self.advertiser, self.keyword, self.volume, self.breakpoints,
-                self.costs, self.payoffs, self.actives)
-
-    def __eq__(self, other):  # which also leaves tables unhashable
-        if not isinstance(other, PartitionTable):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("PartitionTable(advertiser=%r, keyword=%r, volume=%r, "
-                "breakpoints=%r, costs=%r, payoffs=%r, actives=%r)"
-                % self._key())
 
     @property
     def segment_count(self) -> int:
@@ -550,10 +502,9 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     for kw in keywords:
         if instance.score(advertiser, kw) < reserve:
             continue
-        volume = instance.volume(kw)
-        rows = [Allocation(advertiser, kw, volume, None)]
+        rows = [Allocation(advertiser, kw, instance.volume(kw), None)]
         rows += [r for r in others.rows_on(kw) if r.advertiser != advertiser]
-        tables[kw] = PartitionTable(advertiser, kw, volume,
+        tables[kw] = PartitionTable(advertiser, kw,
                                     keyword_day(instance, kw, rows, reserve))
     return tables
 
@@ -603,11 +554,12 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
       dropped her began on that slate and found her alone broke, so her
       table's slate at ``v0 + 1`` is that slate, and its price is more
       than her budget left (``"quiet"``);
-    * otherwise the table's day is run from ``v0 + 1`` (``"tail"``), she
-      unlimited, stopped at her budget left, the rivals present at ``v0``
+    * otherwise the table's day is run from ``v0 + 1`` to the keyword's
+      last query (``"tail"``), she unlimited, the rivals present at ``v0``
       with their pools left, later entries shifted by ``v0`` and the
-      evicted left out.  The own day can drop her too early, on a slate
-      her unlimited self never meets, so this run cannot be skipped.
+      evicted left out, and what her budget left buys is read off its
+      table.  The own day can drop her too early, on a slate her unlimited
+      self never meets, so this run cannot be skipped.
     """
     volume = instance.volume(keyword)
     rows = profile.rows_on(keyword)
@@ -675,8 +627,8 @@ def keyword_marginals(instance: Instance, keyword: str, profile: Profile,
                     for r in rows  # a start below 1 is query 1
                     if max(r.start_query, 1) > v0 and r.advertiser != adv]
         left = profile.committed(adv, keyword) - own_paid
-        t = PartitionTable(adv, keyword, volume - v0, run_keyword_timeline(
-            instance.slots, volume - v0, bidders, reserve, (adv, left)))
+        t = PartitionTable(adv, keyword, run_keyword_timeline(
+            instance.slots, volume - v0, bidders, reserve))
         w = t.max_affordable(left)
         if w:
             u, c = t.prefix(w)

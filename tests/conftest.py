@@ -1,8 +1,8 @@
 """Shared builders: fixture paths, partition tables from ``Fraction``
 costs and payoffs, a per-query reference simulator, the telescoped revenue
-identity of a priced slate, the two-run reference acbm probes, days
-stopped at a bidder's budget, the reprice-everything reference timeline,
-the views of a day's segments built from its columns, the segment walks
+identity of a priced slate, the two-run reference acbm probes, the
+reprice-everything reference timeline, the views of a day's segments
+built from its columns and its bidders' scores, the segment walks
 that summed a day's totals and counted its bidders' queries, each
 (advertiser, keyword)'s spend read off a simulated day, the all-Fraction
 reference knapsack and the level-scanning int one, the listed fptas grid
@@ -36,8 +36,7 @@ from broadmatch.model import (BASE, EXTENSION, Advertiser, Allocation, Edge,
                               SlotParams, _check_keys, _decode, _err,
                               _rational, format_rational)
 from broadmatch.partition import (INFINITE, DayTotals, KeywordDay,
-                                  PartitionTable, keyword_day,
-                                  run_keyword_timeline, tables_for)
+                                  PartitionTable, keyword_day, tables_for)
 
 FIXTURES: Path = _FIXTURE_DIR
 ZERO = F(0)
@@ -83,8 +82,8 @@ def build_schedule(rows) -> Profile:
                           for a, k, q, b, t in rows), "schedule")
 
 
-def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
-                   costs, payoffs, actives=None) -> PartitionTable:
+def fraction_table(advertiser: str, keyword: str, breakpoints, costs,
+                   payoffs, actives=None) -> PartitionTable:
     """A partition table with the given per-segment ``Fraction`` costs and
     payoffs, built as the engine builds every table: from a day's columns,
     here made up with D the lcm of the denominators and the advertiser
@@ -93,7 +92,6 @@ def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
     D = math.lcm(*(x.denominator for x in (*costs, *payoffs)))
     active_sets = actives or [(advertiser,)] * len(costs)
     day = KeywordDay(D)  # read for its columns, never its totals
-    day.scores = {a: ZERO for active in active_sets for a in active}
     for lam, (c, u, active) in enumerate(zip(costs, payoffs, active_sets)):
         n = active.index(advertiser)
         price, value = c * D, (c + u) * D
@@ -103,7 +101,7 @@ def fraction_table(advertiser: str, keyword: str, volume: int, breakpoints,
         day.ids.append(tuple(active))
         day.prices.append((0,) * n + (int(price),))
         day.values.append((0,) * n + (int(value),))
-    return PartitionTable(advertiser, keyword, volume, day)
+    return PartitionTable(advertiser, keyword, day)
 
 
 def tri_keyword(volume: int) -> Instance:
@@ -224,7 +222,8 @@ def revenue_identity_check(slate: Slate) -> F:
 def reference_keyword_revenue(instance: Instance, rows: Sequence[Allocation],
                               kw: str, reserve: Fraction) -> Fraction:
     """The keyword's revenue with exactly ``rows`` (all on it) committed."""
-    segs = day_views(keyword_day(instance, kw, rows, reserve))
+    segs = day_views(keyword_day(instance, kw, rows, reserve),
+                     keyword_scores(instance, kw))
     return sum((len(s) * s.revenue for s in segs), ZERO)
 
 
@@ -233,37 +232,10 @@ def reference_entry_cost(instance: Instance, rows: Sequence[Allocation],
                          reserve: Fraction) -> Fraction:
     """What the entrant actually pays on the keyword, exactly, when it joins
     the other ``rows`` committed there."""
-    segs = day_views(keyword_day(instance, kw, (*rows, entrant), reserve))
+    segs = day_views(keyword_day(instance, kw, (*rows, entrant), reserve),
+                     keyword_scores(instance, kw))
     who = entrant.advertiser
     return sum((len(s) * s.prices[who] for s in segs if who in s.prices), ZERO)
-
-
-# -- stopped days -------------------------------------------------------------
-
-def stopped_day(instance: Instance, keyword: str, rows: Sequence[Allocation],
-                reserve: Fraction, stop: Optional[Tuple[str, Fraction]]
-                ) -> KeywordDay:
-    """The keyword's day of the committed ``rows`` on it, run as
-    ``keyword_day`` runs it but cut short by the timeline's ``stop``, a
-    (bidder, budget) pair; the whole day when ``stop`` is None."""
-    bidders = [(r.advertiser, instance.score(r.advertiser, keyword),
-                r.start_query, r.budget) for r in rows]
-    return run_keyword_timeline(instance.slots, instance.volume(keyword),
-                                bidders, reserve, stop)
-
-
-def stopped_subject_day(instance: Instance, advertiser: str, keyword: str,
-                        others: Profile, reserve: Fraction = ZERO,
-                        budget: Optional[Fraction] = None
-                        ) -> KeywordDay:
-    """The day a partition table of ``advertiser`` on ``keyword`` reads, as
-    ``tables_for`` runs it (she unlimited from query 1, the rivals' rows of
-    ``others``, none of hers), stopped after the first segment in which her
-    payment exceeds ``budget``; the whole day when ``budget`` is None."""
-    rows = [Allocation(advertiser, keyword, instance.volume(keyword), None)]
-    rows += [r for r in others.rows_on(keyword) if r.advertiser != advertiser]
-    return stopped_day(instance, keyword, rows, reserve,
-                       None if budget is None else (advertiser, budget))
 
 
 # -- reference timeline -------------------------------------------------------
@@ -289,19 +261,35 @@ class SegmentViews(NamedTuple):
         return self.hi - self.lo + 1
 
 
-def day_views(day: KeywordDay) -> Tuple[SegmentViews, ...]:
-    """A keyword day's segments as ``SegmentViews``, built from its columns:
-    the ranking lists (advertiser, exact score, slot) for every active
-    bidder in rank order, slot None below the slotted ones, as
-    ``price_query`` would; prices and payoffs are keyed in rank order over
-    every active bidder, unslotted ones at 0; revenue and welfare sum the
-    slotted bidders' prices and values."""
+def keyword_scores(instance: Instance, keyword: str) -> Dict[str, F]:
+    """Each advertiser's exact score on ``keyword``, for ``day_views`` of a
+    day run from the instance."""
+    return {e.advertiser: e.score for e in instance.edges
+            if e.keyword == keyword}
+
+
+def bidder_scores(bidders) -> Dict[str, F]:
+    """Each bidder's exact score, for ``day_views`` of a day run by
+    ``run_keyword_timeline`` from ``bidders``."""
+    return {i: s for i, s, _, _ in bidders}
+
+
+def day_views(day: KeywordDay, scores: Dict[str, F]
+              ) -> Tuple[SegmentViews, ...]:
+    """A keyword day's segments as ``SegmentViews``, built from its columns
+    and ``scores``, the exact scores of the bidders it was run from (the
+    one part of a ranking its ints cannot give back): the ranking lists
+    (advertiser, exact score, slot) for every active bidder in rank order,
+    slot None below the slotted ones, as ``price_query`` would; prices and
+    payoffs are keyed in rank order over every active bidder, unslotted
+    ones at 0; revenue and welfare sum the slotted bidders' prices and
+    values."""
     D = day.D
     views = []
     for lo, hi, ids, prices, values in zip(day.lo, day.hi, day.ids,
                                            day.prices, day.values):
         slotted = len(prices)
-        ranking = tuple((adv, day.scores[adv], r if r <= slotted else None)
+        ranking = tuple((adv, scores[adv], r if r <= slotted else None)
                         for r, adv in enumerate(ids, 1))
         paid = {adv: F(p, D) for adv, p in zip(ids, prices)}
         gained = {adv: F(v - p, D) for adv, p, v in zip(ids, prices, values)}
@@ -817,7 +805,8 @@ def reference_day_result(instance: Instance, day) -> dict:
             "welfare": day.keyword_welfare[k.id],
             "segments": [{"from": s.lo, "to": s.hi, "active": s.active,
                           "revenue": s.revenue, "welfare": s.welfare}
-                         for s in day_views(day.segments[k.id])],
+                         for s in day_views(day.segments[k.id],
+                                            keyword_scores(instance, k.id))],
         }
     advertisers = {a.id: {"spend": day.spend[a.id],
                           "payoff": day.payoff[a.id],
@@ -841,7 +830,8 @@ def assert_day_matches_naive(instance, day, ref) -> None:
         assert day.participation.get(key, 0) == count, key
     for k in instance.keywords:
         timeline = ref["per_query"][k.id]
-        for seg in day_views(day.segments[k.id]):
+        for seg in day_views(day.segments[k.id],
+                             keyword_scores(instance, k.id)):
             for q in range(seg.lo, seg.hi + 1):
                 got_active, got_prices = timeline[q - 1]
                 assert tuple(sorted(seg.active)) == got_active, (k.id, q)

@@ -13,7 +13,7 @@ from broadmatch.partition import keyword_day, pinning_keeps_prefixes
 from broadmatch.simulate import (DayOutcome, check_profile_consistency,
                                  simulate_day)
 from conftest import (FIXTURES, RESERVE_GRID, build_instance, day_views,
-                      random_extension_pair, random_profile,
+                      keyword_scores, random_extension_pair, random_profile,
                       reference_entry_cost, reference_keyword_revenue,
                       segment_views)
 from fine_search_misses import quiet_segments
@@ -175,13 +175,14 @@ def test_no_excess_no_moves():
     assert res["initial_revenue"] == res["final_revenue"] == F(21)
 
 
-def _day_views(day):
+def _day_views(instance, day):
     """A day's fields, dict key order included, segments as their views."""
     out = {}
     for f in fields(DayOutcome):
         x = getattr(day, f.name)
         if f.name == "segments":
-            x = {kw: [segment_views(g) for g in day_views(segs)]
+            x = {kw: [segment_views(g) for g in day_views(
+                segs, keyword_scores(instance, kw))]
                  for kw, segs in x.items()}
         out[f.name] = list(x.items()) if isinstance(x, dict) else x
     return out
@@ -198,9 +199,9 @@ def test_natural_base_day_is_the_broadened_day_before_entry():
         base, ext = random_extension_pair(rng)
         for reserve in sorted(set(RESERVE_GRID)):
             profile, day = natural_base_day(base, reserve)
-            assert _day_views(day) == _day_views(
-                simulate_day(ext, profile, reserve)), (seed, reserve)
-            seen["shared"] += any(day_views(day.segments[e.keyword])[0].ranking
+            assert _day_views(ext, day) == _day_views(
+                ext, simulate_day(ext, profile, reserve)), (seed, reserve)
+            seen["shared"] += any(day.segments[e.keyword].ids[0]
                                   for e in ext.extension_edges())
             seen["paid"] += day.revenue > 0
             seen["priced-out"] += any(e.score < reserve
@@ -277,7 +278,7 @@ def test_one_run_probe_matches_the_two_run_reference():
                         seen["below-reserve"] += 1
                         continue
                     seen["leftover"] += 0 < paid < e.budget
-                    inside = [i in s.active for s in day_views(segs)]
+                    inside = [i in ids for ids in segs.ids]
                     seen["evicted"] += (True in inside
                                         and not inside[-1]
                                         and paid > 0)
@@ -299,7 +300,8 @@ def test_probe_reruns_where_pinning_moves_the_day():
     rows = (Allocation("X", "k", 0, F(5), 1), Allocation("Y", "k", 0, None, 1))
     entrant = Allocation("E", "k", 0, F(100), 1)
     segs = keyword_day(ext, "k", rows + (entrant,), F(0))
-    assert sum((len(s) * s.revenue for s in day_views(segs)),
+    assert sum((len(s) * s.revenue
+                for s in day_views(segs, keyword_scores(ext, "k"))),
                F(0)) == F(89, 10)
     assert not pinning_keeps_prefixes(segs, ["E"])
     assert acbm._probe(ext, rows, "k", (entrant,), F(0)) == (

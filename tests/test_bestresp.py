@@ -116,7 +116,7 @@ def engine_grid(t, g, afford):
 
 
 def test_build_subpartition_endpoints():
-    t = fraction_table("a", "k", 100, (0, 100), (F(1),), (F(2),))
+    t = fraction_table("a", "k", (0, 100), (F(1),), (F(2),))
     # G = ceil(2 / (1/4)) = 8
     pts = reference_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts == (0, 12, 24, 36, 48, 60, 72, 84, 96, 97, 98, 99, 100)
@@ -127,13 +127,13 @@ def test_build_subpartition_endpoints():
 
 
 def test_build_subpartition_short_segments_go_single():
-    t = fraction_table("a", "k", 5, (0, 5), (F(1),), (F(2),))
+    t = fraction_table("a", "k", (0, 5), (F(1),), (F(2),))
     assert reference_subpartition(t, F(1, 2), 2, cap=t.volume) == (
         0, 1, 2, 3, 4, 5) == engine_grid(t, 8, t.volume)
 
 
 def test_build_subpartition_spans_segments():
-    t = fraction_table("a", "k", 105, (0, 5, 105), (F(1), F(2)),
+    t = fraction_table("a", "k", (0, 5, 105), (F(1), F(2)),
                        (F(2), F(1)))
     pts = reference_subpartition(t, F(1, 2), 2, cap=t.volume)
     assert pts[:6] == (0, 1, 2, 3, 4, 5)
@@ -307,7 +307,7 @@ def random_table(rng, kw, volume, cost_dens, pay_dens, pay_max):
         else:
             costs.append(F(rng.randint(1, 60), rng.choice(cost_dens)))
         payoffs.append(F(rng.randint(0, pay_max), rng.choice(pay_dens)))
-    return fraction_table("s", kw, volume, (0, *cuts, volume), costs, payoffs)
+    return fraction_table("s", kw, (0, *cuts, volume), costs, payoffs)
 
 
 def random_candidates(rng, t):

@@ -381,7 +381,7 @@ def test_schedule_sets_the_rivals_profile(fx, command):
             assert rows["breakpoints"] == list(table.breakpoints)
             assert [(s["active"], s["cost"]["exact"])
                     for s in rows["segments"]] == [
-                (list(a), str(c)) for a, c in zip(table.actives, table.costs)]
+                (list(a), str(c)) for a, c in zip(table.segments.ids, table.costs)]
         assert ["1", "2", "3"] in [s["active"] for s in
                                    got["keywords"]["k1"]["segments"]]
     else:

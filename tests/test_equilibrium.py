@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadmatch import bestresp
+from broadmatch import bestresp, partition
 from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
                                     initial_profile, natural_base_day,
                                     verify_bme, verify_eps_ne)
@@ -15,12 +15,12 @@ from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, all_in_profile,
                               load_instance, load_split)
 from broadmatch.partition import (INFINITE, keyword_day, keyword_marginals,
-                                  tables_for)
+                                  run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
 from conftest import (FIXTURES, GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       build_instance, build_schedule, day_views,
-                      random_instance, random_profile, reference_marginals,
-                      stopped_subject_day)
+                      keyword_scores, random_instance, random_profile,
+                      reference_marginals)
 
 
 def inst(name):
@@ -119,7 +119,8 @@ def test_the_own_day_can_drop_a_subject_too_early():
          ("4", "k", "6", "base")))
     profile = all_in_profile(market)
     own = keyword_day(market, "k", profile.rows_on("k"))
-    assert [(g.lo, g.hi, g.active) for g in day_views(own)] == [
+    assert [(g.lo, g.hi, g.active)
+            for g in day_views(own, keyword_scores(market, "k"))] == [
         (1, 9, ("3", "2"))]
     assert own.passed.get(0, {})["0"] == 5  # 5/2 in units of 1/D
     assert own.D == 2
@@ -196,11 +197,9 @@ def test_next_query_on_a_segment_boundary():
     assert mp["k"] == {"budget": F(6), "queries": 4, "cost": F(6),
                        "payoff": F(6), "mp_minus": F(1), "mp_plus": F(5),
                        "next_cost": F(1, 2)}
-    # the day stops after the segment holding query 5, before x enters
-    whole = day_views(tables_for(market, "s", profile)["k"].segments)
-    stopped = stopped_subject_day(market, "s", "k", profile, budget=F(6))
-    assert [(g.lo, g.hi) for g in whole] == [(1, 4), (5, 7), (8, 10)]
-    assert day_views(stopped)[:] == whole[:2]
+    # her next query, 5, opens her table's second segment, before x enters
+    whole = tables_for(market, "s", profile)["k"].segments
+    assert list(zip(whole.lo, whole.hi)) == [(1, 4), (5, 7), (8, 10)]
 
 
 def test_zero_budget_buys_the_free_opening():
@@ -219,10 +218,45 @@ def test_zero_budget_buys_the_free_opening():
     assert mp["k"] == {"budget": F(0), "queries": 3, "cost": F(0),
                        "payoff": F(6), "mp_minus": INFINITE, "mp_plus": F(1),
                        "next_cost": F(1)}
-    whole = day_views(tables_for(market, "s", profile)["k"].segments)
-    assert [(g.lo, g.hi) for g in whole] == [(1, 3), (4, 6), (7, 10)]
-    assert day_views(stopped_subject_day(market, "s", "k", profile,
-                                         budget=F(0)))[:] == whole[:2]
+    whole = tables_for(market, "s", profile)["k"].segments
+    assert list(zip(whole.lo, whole.hi)) == [(1, 3), (4, 6), (7, 10)]
+
+
+def test_a_tail_runs_past_the_first_query_her_budget_cannot_buy(
+        monkeypatch):
+    # two slots; s's row starts at query 2, so her tail is her table's
+    # whole day.  She pays 3/2 a query while r (pool 3, 1/2 a query)
+    # lasts: her 7 buys 4 queries and not the 5th.  After that query r is
+    # evicted, at query 7, and x enters above q, at query 9
+    market = build_instance(
+        ("1", "1/2"), (("k", 12),),
+        (("s", "10"), ("r", "3"), ("q", "100"), ("y", "100"), ("x", "100")),
+        (("s", "k", "3", "base"), ("r", "k", "2", "base"),
+         ("q", "k", "1", "base"), ("y", "k", "1/2", "base"),
+         ("x", "k", "5/2", "base")))
+    profile = build_schedule((("s", "k", 4, "7", 2), ("r", "k", 6, "3", 1),
+                              ("q", "k", 12, "100", 1),
+                              ("y", "k", 10, "100", 3),
+                              ("x", "k", 4, "100", 9)))
+    runs = []
+
+    def run(*args):
+        day = run_keyword_timeline(*args)
+        runs.append(list(zip(day.lo, day.hi, day.ids)))
+        return day
+
+    monkeypatch.setattr(partition, "run_keyword_timeline", run)
+    found = keyword_marginals(market, "k", profile, ["s"], F(0))
+    assert found["s"].case == "tail"
+    assert runs == [[(1, 2, ("s", "r", "q")), (3, 6, ("s", "r", "q", "y")),
+                     (7, 8, ("s", "q", "y")),
+                     (9, 12, ("s", "x", "q", "y"))]]
+    mp = verify_bme(market, profile)["marginals"]["s"]
+    assert _records(mp) == _records(reference_marginals(market, "s",
+                                                        profile))
+    assert mp["k"] == {"budget": F(7), "queries": 4, "cost": F(6),
+                       "payoff": F(6), "mp_minus": F(1), "mp_plus": F(1),
+                       "next_cost": F(3, 2)}
 
 
 # -- local stability ----------------------------------------------------------

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from broadmatch.acbm import excess_budgets
 from broadmatch.model import Allocation, Profile, SlotParams
-from broadmatch.partition import (INFINITE, KeywordDay, PartitionTable,
-                                  keyword_day, pinning_keeps_prefixes,
+from broadmatch.partition import (INFINITE, keyword_day,
+                                  pinning_keeps_prefixes,
                                   run_keyword_timeline, tables_for)
 from broadmatch.simulate import simulate_day
-from conftest import (RESERVE_GRID, assert_day_matches_naive,
+from conftest import (RESERVE_GRID, assert_day_matches_naive, bidder_scores,
                       build_instance, build_schedule, build_split, day_views,
-                      fraction_table, naive_day, paid_fractions,
-                      random_instance, random_profile, reference_day_totals,
-                      reference_entered, reference_timeline, segment_views,
-                      stopped_day, stopped_subject_day)
+                      fraction_table, keyword_scores, naive_day,
+                      paid_fractions, random_instance, random_profile,
+                      reference_day_totals, reference_entered,
+                      reference_timeline, segment_views)
 
 TWO = SlotParams((F(1), F(7, 10)))
 
@@ -39,9 +39,14 @@ def natural():
 
 # -- run_keyword_timeline -----------------------------------------------------
 
+def _views(slots, volume, bidders, reserve=F(0)):
+    """The views of the day ``run_keyword_timeline`` runs from these."""
+    return day_views(run_keyword_timeline(slots, volume, bidders, reserve),
+                     bidder_scores(bidders))
+
+
 def test_timeline_exhaustion_breakpoint():
-    segs = day_views(run_keyword_timeline(TWO, 100, [("1", F(5), 1, F(45)),
-                                                     ("2", F(3), 1, F(37))]))
+    segs = _views(TWO, 100, [("1", F(5), 1, F(45)), ("2", F(3), 1, F(37))])
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert segs[0].prices == {"1": F(9, 10), "2": F(0)}
@@ -52,9 +57,8 @@ def test_timeline_exhaustion_breakpoint():
 def test_eviction_is_one_at_a_time_lowest_score_first():
     # At the opening prices both x (3.3 > 2) and y (2.1 > 1) are broke.
     # Evicting y (the lower score) first drops x's price to 0.9, rescuing x.
-    segs = day_views(run_keyword_timeline(TWO, 10, [("x", F(5), 1, F(2)),
-                                                    ("y", F(4), 1, F(1)),
-                                                    ("z", F(3), 1, None)]))
+    segs = _views(TWO, 10, [("x", F(5), 1, F(2)), ("y", F(4), 1, F(1)),
+                            ("z", F(3), 1, None)])
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 2, ("x", "z")), (3, 10, ("z",))]
     assert segs[0].prices["x"] == F(9, 10)
@@ -63,16 +67,14 @@ def test_eviction_is_one_at_a_time_lowest_score_first():
 def test_eviction_tie_breaks_on_id():
     # a and b tie at score 4 and both are broke; the rule takes the smaller
     # id, so a goes first and b survives at the post-eviction price.
-    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(4), 1, F(0)),
-                                                    ("b", F(4), 1, F(2)),
-                                                    ("z", F(3), 1, None)]))
+    segs = _views(TWO, 10, [("a", F(4), 1, F(0)), ("b", F(4), 1, F(2)),
+                            ("z", F(3), 1, None)])
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 2, ("b", "z")), (3, 10, ("z",))]
 
 
 def test_dark_segments_and_scheduled_entry():
-    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(2), 5, F(3))],
-                                          reserve=F(2)))
+    segs = _views(TWO, 10, [("a", F(2), 5, F(3))], reserve=F(2))
     assert [(s.lo, s.hi, s.active) for s in segs] == [
         (1, 4, ()), (5, 9, ("a",)), (10, 10, ())]
     assert segs[0].ranking == () and segs[0].revenue == 0
@@ -81,20 +83,18 @@ def test_dark_segments_and_scheduled_entry():
 
 
 def test_reserve_excludes_low_scores_entirely():
-    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(2), 1, F(3))],
-                                          reserve=F(3)))
+    segs = _views(TWO, 10, [("a", F(2), 1, F(3))], reserve=F(3))
     assert [(s.lo, s.hi, s.active) for s in segs] == [(1, 10, ())]
 
 
 def test_start_query_clamped_to_one():
-    segs = day_views(run_keyword_timeline(TWO, 10, [("a", F(1), 0, None)]))
+    segs = _views(TWO, 10, [("a", F(1), 0, None)])
     assert [(s.lo, s.hi, s.active) for s in segs] == [(1, 10, ("a",))]
 
 
 def test_timeline_is_event_driven_not_per_query():
     # a trillion queries, two events: exhaustion, then darkness
-    segs = day_views(run_keyword_timeline(
-        TWO, 10**12, [("a", F(2), 1, F(10**6))], reserve=F(1)))
+    segs = _views(TWO, 10**12, [("a", F(2), 1, F(10**6))], reserve=F(1))
     assert [(s.lo, s.hi) for s in segs] == [(1, 3333333),
                                             (3333334, 10**12)]
 
@@ -131,9 +131,9 @@ def test_top_k_timeline_matches_the_reprice_everything_loop():
                                              rng.choice([1, 2, 4]))])
             bidders.append((i, rng.choice(_TIE_SCORES),
                             rng.randint(0, volume), pool))
-        got = run_keyword_timeline(slots, volume, bidders, reserve)
+        got = _views(slots, volume, bidders, reserve)
         want = reference_timeline(slots, volume, bidders, reserve)
-        assert ([segment_views(g) for g in day_views(got)]
+        assert ([segment_views(g) for g in got]
                 == [segment_views(w) for w in want]), case
         scores = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(scores)) < len(scores)
@@ -201,8 +201,8 @@ def test_int_core_is_exact_across_coprime_denominators():
                         else b) for i, s, q0, b in bidders]
             want = reference_timeline(slots, volume, bidders, reserve)
             seen["spent-pool"] += 1
-        got = run_keyword_timeline(slots, volume, bidders, reserve)
-        assert ([segment_views(g) for g in day_views(got)]
+        got = _views(slots, volume, bidders, reserve)
+        assert ([segment_views(g) for g in got]
                 == [segment_views(w) for w in want]), case
         drawn = [s for _, s, _, _ in bidders]
         seen["tie"] += len(set(drawn)) < len(drawn)
@@ -241,7 +241,7 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
         reserve = F(rng.randint(0, 3))
         segs = run_keyword_timeline(slots, volume, bidders, reserve)
         totals = segs.totals
-        views = day_views(segs)
+        views = day_views(segs, bidder_scores(bidders))
         assert totals.revenue == sum((len(g) * g.revenue for g in views), F(0))
         assert totals.welfare == sum((len(g) * g.welfare for g in views), F(0))
         spent = paid_fractions(totals)
@@ -254,9 +254,8 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
                        else b) for i, s, q0, b in bidders]
             seen["rerun"] += 1
             seen["moved"] += ([segment_views(g) for g in views]
-                              != [segment_views(g) for g in day_views(
-                                  run_keyword_timeline(slots, volume, pinned,
-                                                       reserve))])
+                              != [segment_views(g) for g in _views(
+                                  slots, volume, pinned, reserve)])
             continue
         seen["kept"] += 1
         seen["kept-after-evictions"] += evicted
@@ -265,25 +264,23 @@ def test_pinning_keeps_prefixes_only_where_pinned_days_are_the_same():
             paid = paid_fractions(cut.totals)
             pinned = [(i, s, q0, paid.get(i, F(0)) if i in watched else b)
                       for i, s, q0, b in bidders]
-            assert ([segment_views(g) for g in day_views(cut)]
-                    == [segment_views(g) for g in day_views(
-                        run_keyword_timeline(slots, n, pinned, reserve))]), (
-                            case, n)
+            assert ([segment_views(g) for g in day_views(
+                        cut, bidder_scores(bidders))]
+                    == [segment_views(g) for g in _views(
+                        slots, n, pinned, reserve)]), (case, n)
     assert min(seen.values()) >= 20, seen
 
 
 # -- the day's columns ---------------------------------------------------------
 
-def _check_columns(day, slots, volume, bidders, reserve, stop=None):
-    """The day's segment views are the reprice-everything loop's (a prefix
-    of them where ``stop`` cuts the day), and the totals and entered counts
-    its event loop kept are those the walks over its segments find; a
-    bidder dropped by its first settle is counted at 0.  Returns the day."""
+def _check_columns(day, slots, volume, bidders, reserve):
+    """The day's segment views are the reprice-everything loop's, and the
+    totals and entered counts its event loop kept are those the walks over
+    its segments find; a bidder dropped by its first settle is counted at
+    0.  Returns the day."""
     want = reference_timeline(slots, volume, bidders, reserve)
-    if stop is not None:
-        want = want[:len(day)]
-    assert [segment_views(g) for g in day_views(day)] == [segment_views(w)
-                                                          for w in want]
+    assert ([segment_views(g) for g in day_views(day, bidder_scores(bidders))]
+            == [segment_views(w) for w in want])
     assert day.totals == reference_day_totals(day)
     assert ({adv: n for adv, n in day.entered.items() if n}
             == reference_entered(day))
@@ -337,8 +334,8 @@ def test_day_columns_match_the_segment_walks_on_the_corpus():
 
 def test_day_columns_on_hand_cases():
     """A dark day, a reserve that shuts everyone out, a late entry after a
-    lone bidder runs dry, a bidder broke at its first settle, a day cut by
-    ``stop`` and a keyword of 10**400 queries."""
+    lone bidder runs dry, a bidder broke at its first settle and a keyword
+    of 10**400 queries."""
     dark = _check_columns(run_keyword_timeline(TWO, 10, []), TWO, 10, [], F(0))
     assert (dark.lo, dark.hi, dark.ids, dark.entered) == ([1], [10], [()], {})
     assert dark.totals[1:] == (0, 0, {}, {})
@@ -351,7 +348,8 @@ def test_day_columns_on_hand_cases():
     late = [("a", F(2), 1, F(3)), ("b", F(3), 8, F(6, 5))]
     day = _check_columns(run_keyword_timeline(TWO, 10, late, F(2)), TWO, 10,
                          late, F(2))
-    assert [(g.lo, g.hi, g.active) for g in day_views(day)] == [
+    assert [(g.lo, g.hi, g.active)
+            for g in day_views(day, bidder_scores(late))] == [
         (1, 5, ("a",)), (6, 7, ()), (8, 9, ("b",)), (10, 10, ())]
     assert day.entered == {"a": 5, "b": 2}
     # x enters at query 3 above z, priced 3/5 on a pool of 1/2: its first
@@ -361,11 +359,6 @@ def test_day_columns_on_hand_cases():
                          F(0))
     assert day.entered["x"] == 0 and "x" not in day.totals.int_paid
     assert day.entered["z"] == 6
-    bidders = [("1", F(5), 1, F(45)), ("2", F(3), 1, F(37))]
-    day = _check_columns(run_keyword_timeline(TWO, 100, bidders,
-                                              stop=("1", F(44))),
-                         TWO, 100, bidders, F(0), ("1", F(44)))
-    assert (len(day), day.entered) == (1, {"1": 50, "2": 50})
     big = 10 ** 400
     huge = [("a", F(2), 1, F(10 ** 6)), ("b", F(1, 3), 1, None)]
     day = _check_columns(run_keyword_timeline(TWO, big, huge, F(1, 3)), TWO,
@@ -388,8 +381,9 @@ def test_set_up_on_hand_cases():
     shut = base + [("c", F(1, 3), 1, F(50, 7))]  # below the reserve of 1
     day = run_keyword_timeline(half, 40, base, F(1))
     out = run_keyword_timeline(half, 40, shut, F(1))
-    assert day.D == out.D == 2 and "c" not in out.scores
-    assert day_views(out) == day_views(day)
+    assert day.D == out.D == 2 and "c" not in out.entered
+    assert day_views(out, bidder_scores(shut)) == day_views(
+        day, bidder_scores(base))
     assert run_keyword_timeline(half, 40, shut).D == 42  # c in: 3 and 7
     tied = [("c", F(2), 4, F(9)), ("b", F(2), 4, F(9)), ("a", F(2), 4, F(9)),
             ("z", F(5), 1, None)]
@@ -401,7 +395,7 @@ def test_set_up_on_hand_cases():
             (later, 20, [("w",), ("x", "y", "v", "w"), ("x", "v", "w"),
                          ("x", "w")], {"x": 15, "y": 1, "v": 8, "w": 20})):
         day = run_keyword_timeline(TWO, volume, bidders)
-        views = day_views(day)
+        views = day_views(day, bidder_scores(bidders))
         assert [g.active for g in views] == actives
         assert day.entered == entered == reference_entered(day)
         assert ([segment_views(g) for g in views] == [
@@ -415,133 +409,16 @@ def test_keyword_day_runs_committed_rows_as_bidders():
     rows = [Allocation("2", "k1", 50, F(37), 51),
             Allocation("1", "k1", 100, F(45)),
             Allocation("3", "k1", 100, None)]
-    segs = day_views(keyword_day(small(), "k1", rows, reserve=F(1)))
-    assert segs == day_views(run_keyword_timeline(
-        small().slots, 100, [("2", F(3), 51, F(37)), ("1", F(5), 1, F(45)),
-                             ("3", F(2), 1, None)], F(1)))
+    segs = day_views(keyword_day(small(), "k1", rows, reserve=F(1)),
+                     keyword_scores(small(), "k1"))
+    assert segs == _views(small().slots, 100, [("2", F(3), 51, F(37)),
+                                               ("1", F(5), 1, F(45)),
+                                               ("3", F(2), 1, None)], F(1))
     # 3's pool is unlimited: it is still in the day after both rivals leave
     assert segs[-1].active == ("3",) and segs[-1].hi == 100
-    assert day_views(keyword_day(small(), "k2", ())) == day_views(
-        run_keyword_timeline(small().slots, 100, []))
-
-
-# -- a day stopped at a bidder's budget ---------------------------------------
-
-def _first_over(segments, bidder, budget):
-    """Index of the first segment after which the bidder's running payment,
-    summed on the ``Fraction`` views, exceeds the budget; None if none."""
-    paid = F(0)
-    for n, seg in enumerate(segments):
-        paid += len(seg) * seg.prices.get(bidder, F(0))
-        if paid > budget:
-            return n
-    return None
-
-
-def _check_stop(full, stopped, bidder, budget):
-    """The stopped run is a day and the prefix of the whole day that ends
-    with the first segment in which the bidder's payment passes the
-    budget, or the whole day.  Returns that segment's index, or None."""
-    assert type(stopped) is KeywordDay
-    assert ([(segment_views(s), list(stopped.passed.get(n, {}).items()))
-             for n, s in enumerate(day_views(stopped))]
-            == [(segment_views(s), list(full.passed.get(n, {}).items()))
-                for n, s in enumerate(day_views(full)[:len(stopped)])])
-    first = _first_over(day_views(full), bidder, budget)
-    assert len(stopped) == (len(full) if first is None else first + 1)
-    return first
-
-
-def test_stop_ends_the_day_after_the_budget_is_passed():
-    # 1 pays 9/10 a query: 45 buys 50 queries, so 44 is passed in segment 1
-    bidders = [("1", F(5), 1, F(45)), ("2", F(3), 1, F(37))]
-    full = run_keyword_timeline(TWO, 100, bidders)
-    assert len(full) == 2
-    for budget, n in ((F(0), 1), (F(44), 1), (F(45), 2), (F(10**9), 2)):
-        stopped = run_keyword_timeline(TWO, 100, bidders, stop=("1", budget))
-        assert len(stopped) == n, budget
-        _check_stop(full, stopped, "1", budget)
-    # 2 never pays, and nobody is "9": both days run whole
-    for who in ("2", "9"):
-        stopped = run_keyword_timeline(TWO, 100, bidders, stop=(who, F(0)))
-        assert day_views(stopped) == day_views(full)
-
-
-def test_stop_cuts_subject_days_on_the_corpus():
-    """On the hundred seeded markets, with and without schedules and
-    reserves: each advertiser's table day on each of its keywords, stopped
-    at budgets 0, its committed budget, a fractional share of its whole-day
-    payment and that payment itself, and each rival's committed day stopped
-    at a share of its pool."""
-    seen = {"cut": 0, "whole": 0, "reserve": 0, "late": 0, "zero": 0,
-            "fraction": 0, "free": 0, "unslotted": 0}
-    for seed in range(100):
-        rng = random.Random(seed)
-        instance = random_instance(rng)
-        profile = random_profile(rng, instance, schedule=seed % 2 == 1)
-        reserve = rng.choice(RESERVE_GRID)
-        for adv in instance.advertisers:
-            tables = tables_for(instance, adv.id, profile, reserve=reserve)
-            for kw in instance.keywords_of(adv.id):
-                full = stopped_subject_day(instance, adv.id, kw, profile,
-                                           reserve)
-                if kw in tables:  # the day her table reads
-                    assert day_views(tables[kw].segments) == day_views(full)
-                total = _spend(day_views(full), adv.id)
-                share = total * F(rng.randint(1, 9), 10) + F(1, 7)
-                for budget in (F(0), profile.committed(adv.id, kw), share,
-                               total):
-                    stopped = stopped_subject_day(instance, adv.id, kw,
-                                                  profile, reserve, budget)
-                    first = _check_stop(full, stopped, adv.id, budget)
-                    seen["cut"] += len(stopped) < len(full)
-                    seen["whole"] += first is None
-                    seen["zero"] += budget == 0
-                    seen["fraction"] += budget.denominator > 1
-                seen["reserve"] += reserve > 0
-                seen["late"] += any(r.start_query > 1
-                                    for r in profile.rows_on(kw))
-                slots = [(slot, s.prices[adv.id]) for s in day_views(full)
-                         for i, _, slot in s.ranking if i == adv.id]
-                seen["free"] += any(slot and not p for slot, p in slots)
-                seen["unslotted"] += any(slot is None for slot, _ in slots)
-        for kw in instance.keywords:
-            rows = profile.rows_on(kw.id)
-            full = keyword_day(instance, kw.id, rows, reserve)
-            assert day_views(stopped_day(instance, kw.id, rows, reserve,
-                                         None)) == day_views(full)
-            for r in rows:
-                budget = r.budget * F(rng.randint(0, 4), 4)
-                stopped = stopped_day(instance, kw.id, rows, reserve,
-                                      (r.advertiser, budget))
-                _check_stop(full, stopped, r.advertiser, budget)
-    assert min(seen.values()) >= 20, seen
-
-
-@st.composite
-def _stopped_days(draw):
-    k = draw(st.integers(1, 3))
-    gamma = sorted(draw(st.lists(st.sampled_from(_GAMMA_POOL), min_size=k,
-                                 max_size=k, unique=True)), reverse=True)
-    volume = draw(st.integers(1, 40))
-    n = draw(st.integers(0, 6))
-    pools = st.none() | st.fractions(0, 60, max_denominator=7)
-    bidders = [("a%d" % i, draw(st.sampled_from(_TIE_SCORES)),
-                draw(st.integers(0, volume)), draw(pools)) for i in range(n)]
-    reserve = draw(st.sampled_from([F(0), F(1, 2), F(2)]))
-    who = "a%d" % draw(st.integers(0, n))  # a<n> is in no day
-    budget = draw(st.fractions(0, 60, max_denominator=7))
-    return SlotParams(tuple(gamma)), volume, bidders, reserve, who, budget
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_stopped_days())
-def test_a_stopped_day_is_a_prefix_of_the_whole_day(day):
-    slots, volume, bidders, reserve, who, budget = day
-    full = run_keyword_timeline(slots, volume, bidders, reserve)
-    stopped = run_keyword_timeline(slots, volume, bidders, reserve,
-                                   (who, budget))
-    _check_stop(full, stopped, who, budget)
+    assert day_views(keyword_day(small(), "k2", ()),
+                     keyword_scores(small(), "k2")) == _views(
+        small().slots, 100, [])
 
 
 # -- PartitionTable -----------------------------------------------------------
@@ -552,12 +429,18 @@ def table_for_1(budget_2="37"):
     return tables_for(small(), "1", rivals, keywords=["k1"])["k1"]
 
 
+def _fields(t):
+    """What tells two tables apart: each of these equal, they are one."""
+    return (t.advertiser, t.keyword, t.volume, t.breakpoints, t.costs,
+            t.payoffs, tuple(t.segments.ids))
+
+
 def test_table_breakpoints_costs_payoffs():
     t = table_for_1()
     assert t.breakpoints == (0, 26, 100)
     assert t.costs == (F(23, 10), F(3, 5))
     assert t.payoffs == (F(27, 10), F(22, 5))
-    assert t.actives == (("1", "2", "3"), ("1", "3"))
+    assert t.segments.ids == [("1", "2", "3"), ("1", "3")]
     assert t.segment_count == 2
     assert [t.prefix_cost(z) for z in t.breakpoints] == [F(0), F(299, 5),
                                                          F(521, 5)]
@@ -590,10 +473,9 @@ def test_table_cumulative_sums_match_its_own_segments():
             assert t.int_cum_cost == tuple(c * t.D for _, c in want)
             assert all((x * t.D).denominator == 1
                        for x in t.costs + t.payoffs), seed
-            again = fraction_table(t.advertiser, t.keyword, t.volume,
-                                   t.breakpoints, t.costs, t.payoffs,
-                                   t.actives)
-            assert again == t, (seed, t.keyword)
+            again = fraction_table(t.advertiser, t.keyword, t.breakpoints,
+                                   t.costs, t.payoffs, t.segments.ids)
+            assert _fields(again) == _fields(t), (seed, t.keyword)
             for ours, theirs in ((again.int_cum_cost, t.int_cum_cost),
                                  (again.int_cum_payoff, t.int_cum_payoff)):
                 assert [x * t.D for x in ours] == [
@@ -650,7 +532,7 @@ def test_free_segments_rate_infinite():
 def test_tables_for_skips_zero_budget_rivals():
     # a rival with nothing committed is priced out before the first query
     t = table_for_1(budget_2="0")
-    assert t.actives == (("1", "3"),)
+    assert t.segments.ids == [("1", "3")]
     assert t.costs == (F(3, 5),)
 
 
@@ -661,7 +543,7 @@ def test_tables_for_ignores_subjects_own_rows():
                             ("4", "k2", 100, "20", 1)))
     a = tables_for(small(), "3", early, keywords=["k1"])["k1"]
     b = tables_for(small(), "3", natural(), keywords=["k1"])["k1"]
-    assert a == b
+    assert _fields(a) == _fields(b)
 
 
 def test_tables_for_honors_rival_start_queries():
@@ -672,7 +554,7 @@ def test_tables_for_honors_rival_start_queries():
     # slots while both rivals are live, then 1 exhausts
     assert t.breakpoints == (0, 50, 56, 100)
     assert t.payoffs == (F(7, 5), F(0), F(7, 5))
-    assert t.actives[1] == ("1", "2", "3")
+    assert t.segments.ids[1] == ("1", "2", "3")
 
 
 def test_tables_for_defaults_to_all_edges_of_subject():
@@ -680,86 +562,12 @@ def test_tables_for_defaults_to_all_edges_of_subject():
     assert sorted(tables) == ["k1", "k2"]
 
 
-def _check_stopped_table(whole, stopped, budget):
-    """A table of the day stopped at ``budget`` agrees with the whole-day
-    table on what the budget buys and on every prefix, rate and segment up
-    to its last breakpoint, past which it refuses.  Returns whether it
-    ends early."""
-    last = stopped.breakpoints[-1]
-    assert stopped.breakpoints == whole.breakpoints[:len(stopped.breakpoints)]
-    assert stopped.max_affordable(budget) == whole.max_affordable(budget)
-    assert [stopped.prefix(l) for l in range(last + 1)] == [
-        whole.prefix(l) for l in range(last + 1)]
-    assert [stopped.segment_of(q) for q in range(1, last + 1)] == [
-        whole.segment_of(q) for q in range(1, last + 1)]
-    assert [stopped.rate(lam) for lam in range(stopped.segment_count)] == [
-        whole.rate(lam) for lam in range(stopped.segment_count)]
-    early = last < whole.volume
-    if early:
-        assert stopped.max_affordable(budget) < last
-        for bad in (stopped.segment_of, stopped.prefix):
-            with pytest.raises(ValueError):
-                bad(last + 1)
-    else:
-        assert stopped == whole
-    return early
-
-
-def test_stopped_day_tables_agree_with_whole_day_tables_on_the_corpus():
-    """On the hundred seeded markets, with and without schedules and
-    reserves: each advertiser's table on each keyword she is not priced
-    out of, built from her day stopped at budgets 0, her committed budget
-    and a fractional share of her whole-day payment, against her
-    whole-day table."""
-    seen = {"early": 0, "whole": 0, "free": 0, "reserve": 0}
-    for seed in range(100):
-        rng = random.Random(seed)
-        instance = random_instance(rng)
-        profile = random_profile(rng, instance, schedule=seed % 2 == 1)
-        reserve = rng.choice(RESERVE_GRID)
-        for adv in instance.advertisers:
-            tables = tables_for(instance, adv.id, profile, reserve=reserve)
-            for kw, whole in tables.items():
-                total = whole.prefix_cost(whole.volume)
-                for budget in (F(0), profile.committed(adv.id, kw),
-                               total * F(rng.randint(1, 9), 10) + F(1, 7)):
-                    stopped = PartitionTable(
-                        adv.id, kw, instance.volume(kw),
-                        stopped_subject_day(instance, adv.id, kw, profile,
-                                            reserve, budget))
-                    early = _check_stopped_table(whole, stopped, budget)
-                    seen["early" if early else "whole"] += 1
-                    seen["free"] += INFINITE in map(
-                        stopped.rate, range(stopped.segment_count))
-                    seen["reserve"] += reserve > 0
-    assert min(seen.values()) >= 50, seen
-
-
-@st.composite
-def _subject_days(draw):
-    """A stopped-day draw with a subject "s" present from query 1 with an
-    unlimited pool, at a score the reserve lets in."""
-    slots, volume, bidders, reserve, _, budget = draw(_stopped_days())
-    score = draw(st.sampled_from([s for s in _TIE_SCORES if s >= reserve]))
-    return slots, volume, [("s", score, 1, None)] + bidders, reserve, budget
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_subject_days())
-def test_a_stopped_day_table_agrees_with_the_whole_day_table(day):
-    slots, volume, bidders, reserve, budget = day
-    whole = PartitionTable("s", "k", volume, run_keyword_timeline(
-        slots, volume, bidders, reserve))
-    stopped = PartitionTable("s", "k", volume, run_keyword_timeline(
-        slots, volume, bidders, reserve, ("s", budget)))
-    _check_stopped_table(whole, stopped, budget)
-
-
 # -- the natural day, whole ---------------------------------------------------
 
 def test_global_partition_of_the_natural_day():
     day = simulate_day(small(), natural())
-    k1, k2 = day_views(day.segments["k1"]), day_views(day.segments["k2"])
+    k1 = day_views(day.segments["k1"], keyword_scores(small(), "k1"))
+    k2 = day_views(day.segments["k2"], keyword_scores(small(), "k2"))
     assert [(s.lo, s.hi, s.active) for s in k1] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]

@@ -8,8 +8,8 @@ from broadmatch import cli
 from broadmatch.simulate import (DayOutcome, check_profile_consistency,
                                  compare_outcomes, simulate_day)
 from conftest import (RESERVE_GRID, build_instance, build_schedule,
-                      build_split, day_views, edge_spend, random_instance,
-                      random_profile, reference_day_result,
+                      build_split, day_views, edge_spend, keyword_scores,
+                      random_instance, random_profile, reference_day_result,
                       reference_simulate_day)
 
 
@@ -20,6 +20,11 @@ def small():
         (("1", "k1", "5", "base"), ("2", "k1", "3", "base"),
          ("3", "k2", "3/2", "base"), ("4", "k2", "1", "base"),
          ("3", "k1", "2", "extension")))
+
+
+def views(instance, day, kw):
+    """The views of a simulated day's segments on ``kw``."""
+    return day_views(day.segments[kw], keyword_scores(instance, kw))
 
 
 def natural():
@@ -52,7 +57,7 @@ def test_natural_day_totals():
 
 def test_segment_table_rows():
     day = simulate_day(small(), natural())
-    k1, k2 = day_views(day.segments["k1"]), day_views(day.segments["k2"])
+    k1, k2 = views(small(), day, "k1"), views(small(), day, "k2")
     assert [(s.lo, s.hi, s.active) for s in k1] == [
         (1, 50, ("1", "2")), (51, 100, ("2",))]
     assert [(s.lo, s.hi, s.active) for s in k2] == [(1, 100, ("3", "4"))]
@@ -68,7 +73,7 @@ def test_reserve_day():
     assert day.revenue == F(222, 5)
     assert day.participation == {("1", "k1"): 37, ("2", "k1"): 0,
                                  ("3", "k2"): 0, ("4", "k2"): 0}
-    assert [s.active for s in day_views(day.segments["k2"])] == [()]
+    assert [s.active for s in views(small(), day, "k2")] == [()]
 
 
 def test_overcommitted_pool_is_simulated_as_given():
@@ -122,8 +127,8 @@ def assert_day_matches_fraction_path(instance, profile, reserve=F(0)):
     for f in fields(DayOutcome):
         got, want = getattr(day, f.name), getattr(ref, f.name)
         if f.name == "segments":
-            got = {kw: day_views(x) for kw, x in got.items()}
-            want = {kw: day_views(x) for kw, x in want.items()}
+            got = {kw: views(instance, day, kw) for kw in got}
+            want = {kw: views(instance, ref, kw) for kw in want}
         if isinstance(got, dict):
             got, want = list(got.items()), list(want.items())
         assert got == want, f.name
@@ -166,13 +171,13 @@ def test_day_accounting_matches_the_fraction_path_on_edge_cases():
         ("e", "k3", 0, "%d/7" % big ** 2, 5), ("f", "k4", 0, "3/2", 1)))
     for reserve in (F(0), F(1, 2), F(7, 3)):
         day = assert_day_matches_fraction_path(inst, schedule, reserve)
-        assert any(not s.ranking for segs in day.segments.values()
-                   for s in day_views(segs))
+        assert any(not s.ranking for kw in day.segments
+                   for s in views(inst, day, kw))
     day = simulate_day(inst, schedule, F(1, 2))
-    assert [s.ranking for s in day_views(day.segments["k2"])] == [()]
-    assert [(s.lo, s.hi, s.active) for s in day_views(day.segments["k4"])] == [
+    assert [s.ranking for s in views(inst, day, "k2")] == [()]
+    assert [(s.lo, s.hi, s.active) for s in views(inst, day, "k4")] == [
         (1, 12, ("f",)), (13, 20, ())]
     assert day.participation[("a", "k2")] == 0
-    assert any(s.revenue > 2 ** 1024 for s in day_views(day.segments["k3"]))
+    assert any(s.revenue > 2 ** 1024 for s in views(inst, day, "k3"))
     assert day.keyword_revenue["k3"] > 2 ** 1024
     assert day.spend["c"] > 2 ** 1024
