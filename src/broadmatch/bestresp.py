@@ -33,6 +33,14 @@ table's ints (``_level_candidates``), never one per prefix.  AS1 and the
 fptas differ only in the prefix lengths the one rounded driver,
 ``_rounded``, draws them from: every affordable one, or the fptas grid,
 which is counted (``_grid_size``) and never listed.
+
+The arithmetic around the knapsack runs on ints too, and a ``Fraction`` is
+built only for a value that is reported.  The answer's payoff and cost sum
+the tables' int prefixes (``PartitionTable.int_prefix``) over the lcm of
+their ``D``s, one ``Fraction`` each and one per committed budget.  The
+rounding unit is one ``Fraction`` of the peak's ints, and the level bound,
+the fptas grid's G and its inner eps are computed on eps's numerator and
+denominator (``_top_level``, ``_fptas_scale``).
 """
 
 from __future__ import annotations
@@ -83,12 +91,16 @@ class BestResponse:
 
 def _exact_value(tables: Mapping[str, PartitionTable],
                  queries: Mapping[str, int]) -> Tuple[Fraction, Fraction]:
-    payoff = cost = ZERO
+    """(payoff, cost) of ``queries``, exactly: the tables' int prefixes
+    summed over the lcm of their ``D``s, one ``Fraction`` each."""
+    den = math.lcm(*(tables[kw].D for kw in queries))
+    payoff = cost = 0
     for kw, x in queries.items():
-        u, c = tables[kw].prefix(x)
-        payoff += u
-        cost += c
-    return payoff, cost
+        t = tables[kw]
+        u, c = t.int_prefix(x)
+        payoff += u * (den // t.D)
+        cost += c * (den // t.D)
+    return Fraction(payoff, den), Fraction(cost, den)
 
 
 def _answer(advertiser: str, method: str, tables: Mapping[str, PartitionTable],
@@ -96,7 +108,8 @@ def _answer(advertiser: str, method: str, tables: Mapping[str, PartitionTable],
     """The response buying ``queries``, each keyword's committed budget
     exactly the cost of its prefix."""
     payoff, cost = _exact_value(tables, queries)
-    committed = {kw: tables[kw].prefix_cost(x) for kw, x in queries.items()}
+    committed = {kw: Fraction(tables[kw].int_prefix(x)[1], tables[kw].D)
+                 for kw, x in queries.items()}
     return BestResponse(advertiser, method, queries, committed, payoff, cost,
                         meta=meta)
 
@@ -366,12 +379,10 @@ def _knapsack(tabs: List[Tuple[str, PartitionTable]], budget: Fraction,
 
 
 def _utility_unit(tabs: List[Tuple[str, PartitionTable]]) -> Fraction:
-    """Exact common divisor of all per-query payoffs: 1/lcm(denominators)."""
-    den = 1
-    for _, t in tabs:
-        for u in t.payoffs:
-            den = den * u.denominator // math.gcd(den, u.denominator)
-    return Fraction(1, den)
+    """Exact common divisor of all per-query payoffs: 1/lcm(denominators),
+    each denominator read off the table's ints as D // gcd(u, D)."""
+    return Fraction(1, math.lcm(*{t.D // math.gcd(u, t.D)
+                                  for _, t in tabs for u in t.int_payoffs}))
 
 
 def _config_pair(ta: PartitionTable, tb: PartitionTable,
@@ -460,12 +471,12 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
         meta["work"] = work
     else:
         unit = _utility_unit(tabs)
+        per = unit.denominator  # levels per unit payoff
         maxaff = {kw: t.max_affordable(budget) for kw, t in tabs}
         total_levels = 0
         total_cands = 0
         for kw, t in tabs:
-            u, _ = t.prefix(maxaff[kw])
-            total_levels += int(u // unit)
+            total_levels += t.int_prefix(maxaff[kw])[0] * per // t.D
             total_cands += maxaff[kw] + 1
         projected = (total_levels + 1) * total_cands
         if projected > WORK_CAP:
@@ -476,6 +487,12 @@ def exact_best_response_dp(instance: Instance, advertiser: str, others: Profile,
             kw: _level_candidates(t, maxaff[kw], unit) for kw, t in tabs})
         meta.update(unit=unit, cells=projected)
     return _answer(advertiser, "dp", tables, queries, meta)
+
+
+def _top_level(m: int, eps: Fraction) -> int:
+    """floor(M/eps), on ints: the highest level a prefix can reach with
+    payoffs floored to multiples of eps*P/M, P their peak."""
+    return m * eps.denominator // eps.numerator
 
 
 def _rounded(tables: Mapping[str, PartitionTable], budget: Fraction,
@@ -496,11 +513,16 @@ def _rounded(tables: Mapping[str, PartitionTable], budget: Fraction,
     level from ``_level_candidates``.
     """
     m = len(tables)
-    peak = max([ZERO, *(tables[kw].prefix(x)[0] for kw, x in afford.items())])
-    if peak == 0:
+    top, D = 0, 1  # the peak, top / D, picked by cross-multiplication
+    for kw, x in afford.items():
+        t = tables[kw]
+        u = t.int_prefix(x)[0]
+        if u * D > top * t.D:
+            top, D = u, t.D
+    if top == 0:
         return {kw: 0 for kw in tables}, None
-    unit = eps * peak / m
-    projected = (m * math.floor(m / eps) + 1) * sum(sizes.values())
+    unit = Fraction(eps.numerator * top, eps.denominator * D * m)
+    projected = (m * _top_level(m, eps) + 1) * sum(sizes.values())
     if projected > WORK_CAP:
         raise ScaleError(
             "rounded dp would need up to %d cells (cap %d); use a larger eps"
@@ -520,13 +542,14 @@ def rounded_dp_as1(instance: Instance, advertiser: str, others: Profile,
     that many candidates, however many queries it affords: the table is
     independent of volume.  Guarantee: payoff >= (1-eps)*optimum.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    if eps.numerator <= 0:
         raise ValueError("eps must be positive")
     tables = tables_for(instance, advertiser, others, reserve=reserve)
     budget = instance.budget(advertiser)
     afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
-    levels = math.floor(len(tables) / eps) + 1  # at most, on any keyword
+    levels = _top_level(len(tables), eps) + 1  # at most, on any keyword
     queries, unit = _rounded(tables, budget, afford, eps,
                              {kw: min(x + 1, levels)
                               for kw, x in afford.items()})
@@ -559,6 +582,13 @@ def _grid_size(table: PartitionTable, g: int, afford: int) -> int:
     return size
 
 
+def _fptas_scale(m: int, eps: Fraction) -> Tuple[int, Fraction]:
+    """The fptas's G = ceil(M/eps^2) blocks a segment and the rounding's
+    inner eps/(1+eps), on eps = p/q's ints: ceil(M*q^2/p^2) and p/(p+q)."""
+    p, q = eps.numerator, eps.denominator
+    return -(-m * q * q // (p * p)), Fraction(p, p + q)
+
+
 def fptas_as2(instance: Instance, advertiser: str, others: Profile,
               eps: Fraction, reserve: Fraction = ZERO) -> BestResponse:
     """Fully polynomial scheme: the rounded knapsack (``_rounded``) on
@@ -571,16 +601,15 @@ def fptas_as2(instance: Instance, advertiser: str, others: Profile,
     rounded table is sized, and ``grid_sizes`` is reported even when
     nothing pays.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    if not 0 < eps.numerator < eps.denominator:
         raise ValueError("eps must be in (0, 1)")
     tables = tables_for(instance, advertiser, others, reserve=reserve)
-    m = len(tables)
     budget = instance.budget(advertiser)
     afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
-    g = math.ceil(m / (eps * eps))
+    g, inner = _fptas_scale(len(tables), eps)
     sizes = {kw: _grid_size(t, g, afford[kw]) for kw, t in tables.items()}
-    inner = eps / (1 + eps)
     queries, _ = _rounded(tables, budget, afford, inner, sizes, g)
     return _answer(advertiser, "fptas", tables, queries,
                    {"eps": eps, "inner_eps": inner, "grid_sizes": sizes})

@@ -127,6 +127,30 @@ def verify_bme(instance: Instance, profile: Profile,
             "marginals": marginals}
 
 
+def _eps_status(have: Fraction, eps: Fraction, alg: Fraction,
+               exact: bool) -> str:
+    """One advertiser's eps Nash verdict, her day paying ``have``.
+
+    Against her exact optimum ``alg`` (``exact``) she is ``"certified"``
+    when have >= (1-eps) * alg, else ``"violated"``.  Against the payoff
+    ``alg`` of the approximation scheme run at delta = eps/2, her optimum
+    is at most upper = alg/(1-delta): ``"certified"`` when
+    have >= (1-eps) * upper, ``"violated"`` when have < (1-eps) * alg,
+    else ``"inconclusive"``.  With eps = p/q, alg = A/B and have = H/K
+    (denominators positive, p < q), each test is one int compare:
+    H*B*(2q-p) >= 2(q-p)*A*K, H*B*q < (q-p)*A*K, and H*B*q >= (q-p)*A*K
+    for the exact one.
+    """
+    p, q = eps.numerator, eps.denominator
+    HB = have.numerator * alg.denominator
+    AK = (q - p) * alg.numerator * have.denominator
+    if exact:
+        return "certified" if HB * q >= AK else "violated"
+    if HB * (2 * q - p) >= 2 * AK:
+        return "certified"
+    return "violated" if HB * q < AK else "inconclusive"
+
+
 def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
                   method: str = "dp", reserve: Fraction = ZERO) -> dict:
     """Certify or refute the profile as an eps Nash point.
@@ -136,19 +160,23 @@ def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
     (``bestresp.WORK_CAP``) is a ``ScaleError``.  With the approximation
     scheme, run at accuracy delta = eps/2, the optimum is only bracketed:
     payoff >= (1-eps) * alg/(1-delta) certifies, payoff < (1-eps) * alg
-    refutes, anything between is inconclusive for that advertiser.
-    ``eps`` must lie in [0, 1), since from 1 up the bound (1-eps) * optimum
-    is at most 0 and passes every profile; the scheme needs eps > 0.
+    refutes, anything between is inconclusive for that advertiser.  Each
+    verdict is an int compare (``_eps_status``), and upper is one
+    ``Fraction`` of ints.  ``eps`` must lie in [0, 1), since from 1 up the
+    bound (1-eps) * optimum is at most 0 and passes every profile; the
+    scheme needs eps > 0.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    if not 0 <= p < q:
         raise ValueError("eps must be in [0, 1)")
     if method not in ("dp", "fptas"):
         raise ValueError("method must be dp or fptas")
-    if method == "fptas" and eps == 0:
+    if method == "fptas" and p == 0:
         raise ValueError("eps 0 cannot be certified by the approximation "
                          "scheme; use the exact method")
-    delta = eps / 2
+    delta = Fraction(p, 2 * q)
     day = simulate_day(instance, profile, reserve)
     per: Dict[str, dict] = {}
     statuses = []
@@ -160,21 +188,17 @@ def verify_eps_ne(instance: Instance, profile: Profile, eps: Fraction,
         if method == "dp":
             opt = bestresp.exact_best_response_dp(instance, i, profile,
                                                   reserve=reserve)
-            ok = have >= (1 - eps) * opt.payoff
-            status = "certified" if ok else "violated"
+            status = _eps_status(have, eps, opt.payoff, exact=True)
             per[i] = {"payoff": have, "optimum": opt.payoff,
                       "deviation": opt.queries, "status": status}
         else:
             alg = bestresp.fptas_as2(instance, i, profile, delta,
-                                     reserve=reserve)
-            upper = alg.payoff / (1 - delta)
-            if have >= (1 - eps) * upper:
-                status = "certified"
-            elif have < (1 - eps) * alg.payoff:
-                status = "violated"
-            else:
-                status = "inconclusive"
-            per[i] = {"payoff": have, "alg": alg.payoff, "upper": upper,
+                                     reserve=reserve).payoff
+            # alg / (1 - delta), with alg = A/B
+            upper = Fraction(2 * q * alg.numerator,
+                             alg.denominator * (2 * q - p))
+            status = _eps_status(have, eps, alg, exact=False)
+            per[i] = {"payoff": have, "alg": alg, "upper": upper,
                       "status": status}
         statuses.append(status)
     if all(s == "certified" for s in statuses):

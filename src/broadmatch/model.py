@@ -318,10 +318,20 @@ class Instance:
         """Position of the keyword in the document order (tie-break rank)."""
         return self._kw_order[keyword]
 
+    @cached_property
+    def _keywords_by_advertiser(self) -> Dict[str, List[str]]:
+        """Each advertiser's keywords in keyword order, indexed on the
+        first ``keywords_of`` call, which loading and simulating never
+        make."""
+        index: Dict[str, List[str]] = {}
+        for e in self.edges:
+            index.setdefault(e.advertiser, []).append(e.keyword)
+        for kws in index.values():
+            kws.sort(key=self._kw_order.__getitem__)
+        return index
+
     def keywords_of(self, advertiser: str) -> List[str]:
-        kws = [e.keyword for e in self.edges if e.advertiser == advertiser]
-        kws.sort(key=self.keyword_index)
-        return kws
+        return list(self._keywords_by_advertiser.get(advertiser, ()))
 
     def advertisers_on(self, keyword: str) -> List[str]:
         return sorted(e.advertiser for e in self.edges if e.keyword == keyword)

@@ -388,10 +388,12 @@ class PartitionTable:
     ``breakpoints[lam]+1 .. breakpoints[lam+1]`` at a constant per-query
     cost and payoff, kept as ints in units of 1/``D``, the day's common
     denominator (``int_costs``, ``int_payoffs``; 0 where she is unslotted),
-    and summed into ``int_cum_cost`` and ``int_cum_payoff`` so prefix
-    evaluation is a bisect.  ``costs`` and ``payoffs`` are read-only views
-    built on first read.  A table ends where its day does: ``volume``, its
-    last breakpoint.  Past it is out of range.
+    and summed into ``int_cum_cost`` and ``int_cum_payoff`` so a prefix's
+    (payoff, cost) in 1/D, ``int_prefix``, is one bisect.  ``prefix`` is
+    the exact ``Fraction`` view of ``int_prefix``, and ``costs`` and
+    ``payoffs`` are read-only views built on first read.  A table ends
+    where its day does: ``volume``, its last breakpoint.  Past it is out of
+    range.
     """
 
     __slots__ = ("advertiser", "keyword", "volume", "segments", "breakpoints",
@@ -454,8 +456,8 @@ class PartitionTable:
             raise ValueError("query %d out of range 1..%d" % (query, end))
         return bisect_left(self.breakpoints, query) - 1
 
-    def prefix(self, l: int) -> Tuple[Fraction, Fraction]:
-        """(payoff, cost) of the first ``l`` queries, exactly."""
+    def int_prefix(self, l: int) -> Tuple[int, int]:
+        """(payoff, cost) of the first ``l`` queries, in units of 1/D."""
         end = self.breakpoints[-1]
         if not 0 <= l <= end:
             raise ValueError("prefix length %d out of range 0..%d" % (l, end))
@@ -465,10 +467,13 @@ class PartitionTable:
             extra = l - self.breakpoints[k]
             u += extra * self.int_payoffs[k]
             c += extra * self.int_costs[k]
-        return Fraction(u, self.D), Fraction(c, self.D)
+        return u, c
 
-    def prefix_cost(self, l: int) -> Fraction:
-        return self.prefix(l)[1]
+    def prefix(self, l: int) -> Tuple[Fraction, Fraction]:
+        """(payoff, cost) of the first ``l`` queries, exactly: the
+        ``Fraction`` view of ``int_prefix``."""
+        u, c = self.int_prefix(l)
+        return Fraction(u, self.D), Fraction(c, self.D)
 
     def max_affordable(self, budget: Fraction) -> int:
         """Largest prefix whose exact cost fits the budget; the last
@@ -499,8 +504,10 @@ def tables_for(instance: Instance, advertiser: str, others: Profile,
     if keywords is None:
         keywords = instance.keywords_of(advertiser)
     tables: Dict[str, PartitionTable] = {}
+    r_num, r_den = reserve.numerator, reserve.denominator
     for kw in keywords:
-        if instance.score(advertiser, kw) < reserve:
+        s = instance.score(advertiser, kw)
+        if s.numerator * r_den < r_num * s.denominator:  # s < reserve
             continue
         rows = [Allocation(advertiser, kw, instance.volume(kw), None)]
         rows += [r for r in others.rows_on(kw) if r.advertiser != advertiser]

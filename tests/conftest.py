@@ -7,7 +7,9 @@ that summed a day's totals and counted its bidders' queries, each
 (advertiser, keyword)'s spend read off a simulated day, the all-Fraction
 reference knapsack and the level-scanning int one, the listed fptas grid
 and the per-prefix knapsack candidates, the all-Fraction two-keyword
-configuration scan, the table-based reference marginal rates, the
+configuration scan, the ``Fraction`` best-response values (answer,
+utility unit, rounding unit and projection, fptas scale, eps Nash
+verdicts), the table-based reference marginal rates, the
 tree-building reference report encoder, the all-``Fraction``
 reference day accounting and segment rows, the instance and
 profile loaders' walk and the profile validator's row walk from before the
@@ -624,13 +626,6 @@ def reference_level_candidates(table: PartitionTable, xs: Iterable[int],
                                                              budget), unit)
 
 
-# -- reference marginal rates -------------------------------------------------
-
-# One advertiser's marginal rates (the old ``equilibrium.marginal_payoffs``,
-# now an entry of ``verify_bme``'s ``marginals``) as they were read when
-# they came from whole-day partition tables, kept verbatim apart from the
-# name and the read of the next query's cost (``PartitionTable.query_cost``
-# had no other caller and is gone).
 # The exact dp's two-keyword segment-configuration scan before it moved to
 # ints over one common denominator, kept verbatim apart from the name and
 # the cap, read from the module so a test can lower it: it enumerates the
@@ -693,6 +688,87 @@ def reference_config_pair(ta: PartitionTable, tb: PartitionTable,
     return best[0], best[1], work
 
 
+# -- reference best-response values -------------------------------------------
+
+# The best-response layer's arithmetic before it moved to the tables' ints,
+# kept verbatim apart from the names, with ``_rounded``'s unit and
+# projection and ``fptas_as2``'s grid blocks and inner eps cut out of their
+# solvers, and ``verify_eps_ne``'s verdicts out of its loop: every step is
+# ``Fraction`` arithmetic on ``prefix()`` and ``payoffs``.
+def reference_exact_value(tables: Dict[str, PartitionTable],
+                          queries: Dict[str, int]) -> Tuple[F, F]:
+    payoff = cost = ZERO
+    for kw, x in queries.items():
+        u, c = tables[kw].prefix(x)
+        payoff += u
+        cost += c
+    return payoff, cost
+
+
+def reference_committed(tables: Dict[str, PartitionTable],
+                        queries: Dict[str, int]) -> Dict[str, F]:
+    """Each keyword's committed budget: exactly its prefix's cost."""
+    return {kw: tables[kw].prefix(x)[1] for kw, x in queries.items()}
+
+
+def reference_utility_unit(tabs: List[Tuple[str, PartitionTable]]) -> F:
+    """Exact common divisor of all per-query payoffs: 1/lcm(denominators)."""
+    den = 1
+    for _, t in tabs:
+        for u in t.payoffs:
+            den = den * u.denominator // math.gcd(den, u.denominator)
+    return Fraction(1, den)
+
+
+def reference_rounded_unit(tables: Dict[str, PartitionTable],
+                           afford: Dict[str, int], eps: F,
+                           sizes: Dict[str, int]) -> Optional[F]:
+    """The rounded knapsack's unit eps*P/M, None when P = 0; a
+    ``ScaleError`` when the projected table passes ``WORK_CAP``."""
+    m = len(tables)
+    peak = max([ZERO, *(tables[kw].prefix(x)[0] for kw, x in afford.items())])
+    if peak == 0:
+        return None
+    unit = eps * peak / m
+    projected = (m * math.floor(m / eps) + 1) * sum(sizes.values())
+    if projected > bestresp.WORK_CAP:
+        raise bestresp.ScaleError(
+            "rounded dp would need up to %d cells (cap %d); use a larger eps"
+            % (projected, bestresp.WORK_CAP))
+    return unit
+
+
+def reference_fptas_scale(m: int, eps: F) -> Tuple[int, F]:
+    """The fptas's G = ceil(M/eps^2) and its rounding's eps/(1+eps)."""
+    return math.ceil(m / (eps * eps)), eps / (1 + eps)
+
+
+def reference_eps_verdict(have: F, eps: F, alg: F,
+                          exact: bool) -> Tuple[str, Optional[F]]:
+    """(status, upper) of one advertiser: against the exact optimum
+    ``alg``, or bracketed by the scheme's payoff ``alg`` at eps/2, whose
+    upper bound alg/(1-delta) it returns too."""
+    if exact:
+        ok = have >= (1 - eps) * alg
+        return ("certified" if ok else "violated"), None
+    delta = eps / 2
+    upper = alg / (1 - delta)
+    if have >= (1 - eps) * upper:
+        status = "certified"
+    elif have < (1 - eps) * alg:
+        status = "violated"
+    else:
+        status = "inconclusive"
+    return status, upper
+
+
+# -- reference marginal rates -------------------------------------------------
+
+# One advertiser's marginal rates (the old ``equilibrium.marginal_payoffs``,
+# now an entry of ``verify_bme``'s ``marginals``) as they were read when
+# they came from whole-day partition tables, kept verbatim apart from the
+# name and the read of the next query's cost (``PartitionTable.query_cost``
+# had no other caller and is gone).
 def reference_marginals(instance: Instance, advertiser: str, profile: Profile,
                         reserve: Fraction = ZERO) -> Dict[str, dict]:
     """Per-keyword marginal rates of one advertiser under a profile, read

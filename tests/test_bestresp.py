@@ -9,18 +9,23 @@ import pytest
 
 from broadmatch import bestresp
 from broadmatch.bestresp import (BRUTE_CAP, BestResponse, ScaleError,
-                                 _config_pair, _grid_size, _knapsack,
-                                 _level_candidates, _unstable, _utility_unit,
-                                 _walk, brute_force_oracle,
-                                 exact_best_response_dp, fptas_as2,
-                                 greedy_local_best_response, rounded_dp_as1)
+                                 _answer, _config_pair, _exact_value,
+                                 _fptas_scale, _grid_size, _knapsack,
+                                 _level_candidates, _rounded, _top_level,
+                                 _unstable, _utility_unit, _walk,
+                                 brute_force_oracle, exact_best_response_dp,
+                                 fptas_as2, greedy_local_best_response,
+                                 rounded_dp_as1)
 from broadmatch.model import all_in_profile, load_instance
 from broadmatch.partition import tables_for
 from conftest import (FIXTURES, build_instance, build_split, first_per_level,
                       fraction_table, random_instance, random_profile,
-                      reference_candidate_values, reference_config_pair,
-                      reference_knapsack, reference_level_candidates,
-                      reference_subpartition, scan_knapsack, tri_keyword)
+                      reference_candidate_values, reference_committed,
+                      reference_config_pair, reference_exact_value,
+                      reference_fptas_scale, reference_knapsack,
+                      reference_level_candidates, reference_rounded_unit,
+                      reference_subpartition, reference_utility_unit,
+                      scan_knapsack, tri_keyword)
 
 
 def load(name):
@@ -482,7 +487,7 @@ def test_front_merge_matches_the_level_scan_at_benchmark_scale():
         else:
             unit = F(1, rng.randint(1, 4))
             seen["coarse"] += 1
-        budget = (sum((t.prefix_cost(t.volume) for _, t in tabs), F(0))
+        budget = (sum((t.prefix(t.volume)[1] for _, t in tabs), F(0))
                   * F(rng.randint(20, 99), 100)
                   + F(1, rng.randint(2, 10 ** 6)))
         candidates = {kw: reference_candidate_values(t, grids[kw], budget)
@@ -491,7 +496,7 @@ def test_front_merge_matches_the_level_scan_at_benchmark_scale():
             queries, _ = _knapsack(tabs, budget, {
                 kw: first_per_level(t, candidates[kw], unit)
                 for kw, t in tabs})
-            budget = sum((t.prefix_cost(queries[kw]) for kw, t in tabs), F(0))
+            budget = sum((t.prefix(queries[kw])[1] for kw, t in tabs), F(0))
             candidates = {kw: reference_candidate_values(t, grids[kw], budget)
                           for kw, t in tabs}
             seen["on-cost"] += 1
@@ -534,9 +539,9 @@ def test_candidate_sweep_equals_per_prefix_lookups():
                    for x in t.costs + t.payoffs), case
         seen["hand-built" if case < hand_built else "tables_for"] += 1
         if rng.random() < 0.5:
-            budget = t.prefix_cost(rng.randint(0, t.volume))
+            budget = t.prefix(rng.randint(0, t.volume))[1]
         else:
-            budget = t.prefix_cost(t.volume) * F(rng.randint(0, 120), 100)
+            budget = t.prefix(t.volume)[1] * F(rng.randint(0, 120), 100)
         cap = t.max_affordable(budget)
         grids = [reference_subpartition(t, rng.choice([F(1, 2), F(1, 4)]),
                                         rng.randint(1, 6), cap=cap),
@@ -568,8 +573,8 @@ def test_level_candidates_match_the_per_prefix_sweep():
     counts.  Budgets end mid-segment and on breakpoints; grids have blocks
     and single points only, span several segments, and skip levels."""
     rng = random.Random(20081020)
-    tables = [(t, t.prefix_cost(rng.randint(0, t.volume))
-               if rng.random() < 0.3 else t.prefix_cost(t.volume)
+    tables = [(t, t.prefix(rng.randint(0, t.volume))[1]
+               if rng.random() < 0.3 else t.prefix(t.volume)[1]
                * F(rng.randint(0, 120), 100) + F(1, rng.randint(1, 10 ** 6)))
               for t in (random_table(rng, "k", rng.randint(1, 4000),
                                      [1, 3, 7], [1, 2, 5], 9)
@@ -694,11 +699,11 @@ def test_int_config_pair_matches_the_fraction_scan(monkeypatch):
         ta, tb = (random_table(rng, kw, rng.randint(1, 30), dens, [1, 2, 4], 3)
                   for kw in ("a", "b"))
         if rng.random() < 0.25:
-            budget = (ta.prefix_cost(rng.randint(0, ta.volume))
-                      + tb.prefix_cost(rng.randint(0, tb.volume)))
+            budget = (ta.prefix(rng.randint(0, ta.volume))[1]
+                      + tb.prefix(rng.randint(0, tb.volume))[1])
             seen["on-cost"] += 1
         else:
-            budget = ((ta.prefix_cost(ta.volume) + tb.prefix_cost(tb.volume))
+            budget = ((ta.prefix(ta.volume)[1] + tb.prefix(tb.volume)[1])
                       * F(rng.randint(0, 100), 100)
                       + F(rng.randint(0, 3), rng.randint(1, 10 ** 9)))
         want = reference_config_pair(ta, tb, budget)
@@ -724,7 +729,7 @@ def test_int_config_pair_matches_the_fraction_scan(monkeypatch):
         for sa in range(ta.segment_count):
             for sb in range(tb.segment_count):
                 za, zb = ta.breakpoints[sa], tb.breakpoints[sb]
-                if ta.prefix_cost(za) + tb.prefix_cost(zb) > budget:
+                if ta.prefix(za)[1] + tb.prefix(zb)[1] > budget:
                     continue
                 la = ta.breakpoints[sa + 1] - za
                 lb = tb.breakpoints[sb + 1] - zb
@@ -735,3 +740,107 @@ def test_int_config_pair_matches_the_fraction_scan(monkeypatch):
         for kind in kinds:
             seen[kind] += 1
     assert min(seen.values()) >= 200, seen
+
+
+# -- the answer and the rounding on ints, against their Fraction forms --------
+
+def table_groups(rng, count):
+    """``count`` groups of 1..4 seeded hand-built tables, their D's coprime
+    or sharing factors (denominators up to 10^9, volumes up to 10^6), then
+    the tables of 150 seeded markets against their profiles, each with the
+    subject's budget."""
+    groups = []
+    for _ in range(count):
+        dens = [1, 3, 7, rng.randint(1, 10 ** 9)]
+        group = {}
+        for j in range(rng.randint(1, 4)):
+            kw = "k%d" % j
+            volume = rng.choice([rng.randint(1, 60), rng.randint(1, 10 ** 6)])
+            group[kw] = random_table(rng, kw, volume, dens, dens, 10 ** 6)
+        full = sum((t.prefix(t.volume)[1] for t in group.values()), F(0))
+        groups.append((group, full * F(rng.randint(0, 120), 100)))
+    for seed in range(150):
+        market = random.Random(seed)
+        instance = random_instance(market)
+        others = random_profile(market, instance)
+        subject = market.choice(instance.advertisers).id
+        tables = tables_for(instance, subject, others)
+        if tables:
+            groups.append((tables, instance.budget(subject)))
+    return groups
+
+
+def test_answer_and_utility_unit_match_the_fraction_references():
+    """``_exact_value``, ``_answer``'s payoff, cost and committed budgets,
+    and ``_utility_unit`` equal their ``Fraction`` forms (``conftest``) on
+    600 seeded groups of hand-built tables and on the tables of 150 seeded
+    markets, over query vectors of empty, full-volume and mid-segment
+    prefixes, on all keywords or some, the empty vector included.  Tables
+    of one group have different D's, so a sum over anything but their lcm
+    differs."""
+    rng = random.Random(3101)
+    seen = {"empty": 0, "full": 0, "mixed-D": 0, "some": 0}
+    for case, (tables, _) in enumerate(table_groups(rng, 600)):
+        tabs = list(tables.items())
+        assert _utility_unit(tabs) == reference_utility_unit(tabs), case
+        for _ in range(4):
+            queries = {kw: rng.choice([0, t.volume, rng.randint(0, t.volume)])
+                       for kw, t in tabs if rng.random() < 0.8}
+            want = reference_exact_value(tables, queries)
+            assert _exact_value(tables, queries) == want, case
+            resp = _answer("s", "dp", tables, queries, {})
+            assert (resp.payoff, resp.cost) == want, case
+            assert resp.committed == reference_committed(tables, queries)
+            seen["empty"] += 0 in queries.values()
+            seen["full"] += any(x == tables[kw].volume
+                                for kw, x in queries.items())
+            seen["some"] += 0 < len(queries) < len(tabs)
+        seen["mixed-D"] += len({t.D for t in tables.values()}) > 1
+    assert _exact_value({}, {}) == (0, 0)
+    assert min(seen.values()) >= 100, seen
+
+
+def random_eps(rng):
+    """An eps in (0, 1) with small or large (up to 10^30) terms."""
+    q = rng.choice([rng.randint(2, 12), rng.randint(2, 10 ** 30)])
+    return F(rng.randint(1, q - 1), q)
+
+
+def test_rounding_unit_and_fptas_scale_match_the_fraction_references():
+    """floor(M/eps) (``_top_level``), the fptas's G and inner eps
+    (``_fptas_scale``) and ``_rounded``'s unit and refusal equal their
+    ``Fraction`` forms (``conftest``) for 3,000 random eps in (0, 1), terms
+    up to 10^30, and on the seeded table groups, both rounded schemes'
+    eps among them.  Each group is offered a candidate count at the
+    projected table's cap and one past it, so a floor taken as a ceiling
+    (one level more a keyword) refuses where the reference does not."""
+    rng = random.Random(3102)
+    for _ in range(3000):
+        eps, m = random_eps(rng), rng.randint(0, 7)
+        assert _top_level(m, eps) == math.floor(m / eps), eps
+        assert _fptas_scale(m, eps) == reference_fptas_scale(m, eps), eps
+    seen = {"unit": 0, "none": 0, "refused": 0, "large": 0}
+    for case, (tables, budget) in enumerate(table_groups(rng, 300)):
+        m = len(tables)
+        q = rng.choice([rng.randint(2, 50), rng.randint(10 ** 20, 10 ** 30)])
+        eps = F(rng.randint(-(-q // 50), q - 1), q)  # levels stay few
+        if rng.random() < 0.5:
+            eps = reference_fptas_scale(m, eps)[1]
+        afford = {kw: t.max_affordable(budget) for kw, t in tables.items()}
+        at_cap = bestresp.WORK_CAP // (m * math.floor(m / eps) + 1)
+        for total in (m, at_cap, at_cap + 1):
+            sizes = dict.fromkeys(tables, 1)
+            sizes[next(iter(tables))] += total - m
+            try:
+                want = reference_rounded_unit(tables, afford, eps, sizes)
+            except ScaleError:
+                want = "refused"
+            try:
+                got = _rounded(tables, budget, afford, eps, sizes)[1]
+            except ScaleError:
+                got = "refused"
+            assert got == want, case
+            seen["refused" if want == "refused" else
+                 "none" if want is None else "unit"] += 1
+        seen["large"] += eps.denominator > 10 ** 15
+    assert min(seen.values()) >= 50, seen

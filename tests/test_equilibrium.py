@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadmatch import bestresp, partition
-from broadmatch.equilibrium import (best_response_dynamics, dilemma_report,
-                                    initial_profile, natural_base_day,
-                                    verify_bme, verify_eps_ne)
+from broadmatch.equilibrium import (_eps_status, best_response_dynamics,
+                                    dilemma_report, initial_profile,
+                                    natural_base_day, verify_bme,
+                                    verify_eps_ne)
 from broadmatch.model import (Advertiser, Allocation, Edge, Instance, Keyword,
                               Profile, SlotParams, all_in_profile,
                               load_instance, load_split)
@@ -20,7 +21,7 @@ from broadmatch.simulate import simulate_day
 from conftest import (FIXTURES, GAMMA_GRID, RESERVE_GRID, SCORE_GRID,
                       build_instance, build_schedule, day_views,
                       keyword_scores, random_instance, random_profile,
-                      reference_marginals)
+                      reference_eps_verdict, reference_marginals)
 
 
 def inst(name):
@@ -332,6 +333,61 @@ def test_bracketing_method_can_be_inconclusive():
     assert all(d["status"] == "certified"
                for i, d in rep["per_advertiser"].items() if i != "5")
     assert "upper" in rep["per_advertiser"]["5"]
+
+
+def test_eps_verdicts_match_the_fraction_brackets_at_their_edges():
+    """``_eps_status`` equals the ``Fraction`` brackets (``conftest``) on
+    20,000 seeded cases: eps with terms up to 10^30 (and 0 for the exact
+    check), payoffs of 0 and of large terms, and a day's payoff placed
+    exactly on (1-eps) * upper or (1-eps) * alg, or one part in 10^40 to
+    either side, besides anywhere."""
+    rng = random.Random(3103)
+    seen = {}
+    for case in range(20000):
+        exact = rng.random() < 0.3
+        q = rng.choice([rng.randint(1, 12), rng.randint(1, 10 ** 30)])
+        eps = F(rng.randint(0 if exact else 1, q - 1), q) if q > 1 else F(0)
+        if not exact and eps == 0:
+            eps = F(1, 2)
+        alg = rng.choice([F(0), F(rng.randint(0, 300), rng.randint(1, 12)),
+                          F(rng.randint(0, 10 ** 25),
+                            rng.randint(1, 10 ** 25))])
+        upper = alg / (1 - eps / 2)
+        edge = rng.choice(["upper", "alg", "any"])
+        have = ((1 - eps) * (upper if edge == "upper" else alg)
+                if edge != "any" else alg * F(rng.randint(0, 40), 20))
+        have += rng.choice([0, 0, F(1, 10 ** 40), -F(1, 10 ** 40)])
+        have = max(have, F(0))
+        want, _ = reference_eps_verdict(have, eps, alg, exact)
+        assert _eps_status(have, eps, alg, exact) == want, case
+        key = (exact, want, edge)
+        seen[key] = seen.get(key, 0) + 1
+    # every verdict, on each edge it can fall on
+    assert len(seen) >= 11 and min(seen.values()) >= 50, seen
+
+
+def test_eps_ne_reports_match_the_fraction_brackets_on_the_corpus():
+    """Each advertiser's status, and the scheme's upper bound, from
+    ``verify_eps_ne`` equal the ``Fraction`` brackets (``conftest``) on 60
+    seeded markets, by both methods at random eps."""
+    rng = random.Random(3104)
+    seen = {}
+    for seed in range(60):
+        market = random.Random(seed)
+        instance = random_instance(market, m_max=3, v_max=10)
+        profile = random_profile(market, instance)
+        eps = F(rng.randint(1, 9), 10)
+        for method in ("dp", "fptas"):
+            rep = verify_eps_ne(instance, profile, eps, method=method)
+            for i, rec in rep["per_advertiser"].items():
+                exact = method == "dp"
+                alg = rec["optimum" if exact else "alg"]
+                status, upper = reference_eps_verdict(rec["payoff"], eps, alg,
+                                                      exact)
+                assert rec["status"] == status, (seed, method, i)
+                assert rec.get("upper") == upper, (seed, method, i)
+                seen[status] = seen.get(status, 0) + 1
+    assert len(seen) == 3, seen
 
 
 def test_eps_ne_argument_validation():

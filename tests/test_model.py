@@ -16,6 +16,7 @@ from broadmatch.model import (Allocation, ModelError, Profile, all_in_profile,
                               load_split,
                               serialize_instance, serialize_profile,
                               validate_profile)
+from broadmatch.simulate import simulate_day
 from conftest import (FIXTURES, build_instance, build_split, parse_rational,
                       random_instance,
                       reference_load_instance, reference_load_profile,
@@ -59,6 +60,48 @@ def test_edge_lookups_keep_their_orders_and_hand_out_copies():
     inst.advertisers_on("k3").clear()
     assert inst.keywords_of("b") == ["k1", "k3"]
     assert inst.advertisers_on("k3") == ["a", "b", "c"]
+
+
+def scanned_keywords_of(inst, advertiser):
+    """An advertiser's keywords as ``keywords_of`` read them before its
+    index: a scan of every edge, sorted into keyword order."""
+    kws = [e.keyword for e in inst.edges if e.advertiser == advertiser]
+    kws.sort(key=inst.keyword_index)
+    return kws
+
+
+def test_keywords_of_index_matches_the_edge_scan():
+    """``keywords_of`` equals the scan of every edge, order included, for
+    each advertiser of every fixture market and of 100 seeded wide markets
+    (edges listed in random order, one advertiser without an edge), and for
+    an unknown id.  Loading or simulating never builds its index."""
+    markets = [load_instance(path.read_text())
+               for path in sorted(FIXTURES.glob("*.json"))
+               if ".split." not in path.name
+               and ".schedule." not in path.name]
+    rng = random.Random(3105)
+    for _ in range(100):
+        n, m = rng.randint(2, 60), rng.randint(1, 20)
+        kws = [("k%d" % j, rng.randint(1, 50)) for j in range(m)]
+        advs = [(str(i), str(rng.randint(0, 99))) for i in range(n)]
+        edges = [(a, k, str(rng.randint(1, 9)),
+                  rng.choice(["base", "extension"]))
+                 for a, _ in advs[1:] for k, _ in kws if rng.random() < 0.4]
+        rng.shuffle(edges)
+        wide = build_instance(("1", "1/2"), kws, advs, edges)
+        markets.append(load_instance(json.dumps(serialize_instance(wide))))
+    for inst in markets:
+        first = {e.advertiser: e for e in reversed(inst.edges)}.values()
+        simulate_day(inst, Profile(tuple(
+            Allocation(e.advertiser, e.keyword, 0, inst.budget(e.advertiser))
+            for e in first)))
+        assert "_keywords_by_advertiser" not in vars(inst)
+        for adv in inst.advertisers:
+            want = scanned_keywords_of(inst, adv.id)
+            assert inst.keywords_of(adv.id) == want
+        assert inst.keywords_of("nobody") == []
+    assert sum(not inst.keywords_of(inst.advertisers[0].id)
+               for inst in markets) >= 100
 
 
 def test_base_instance_strips_extensions():

@@ -442,7 +442,7 @@ def test_table_breakpoints_costs_payoffs():
     assert t.payoffs == (F(27, 10), F(22, 5))
     assert t.segments.ids == [("1", "2", "3"), ("1", "3")]
     assert t.segment_count == 2
-    assert [t.prefix_cost(z) for z in t.breakpoints] == [F(0), F(299, 5),
+    assert [t.prefix(z)[1] for z in t.breakpoints] == [F(0), F(299, 5),
                                                          F(521, 5)]
     assert (t.D, t.int_cum_cost) == (10, (0, 598, 1042))
 
@@ -490,7 +490,7 @@ def test_prefix_evaluation_is_exact():
     assert t.prefix(26) == (F(351, 5), F(299, 5))
     assert t.prefix(27) == (F(373, 5), F(302, 5))
     assert t.prefix(100) == (F(1979, 5), F(521, 5))
-    assert t.prefix_cost(51) == F(374, 5)
+    assert t.prefix(51)[1] == F(374, 5)
     assert t.prefix(51)[0] == F(901, 5)
     for bad in (-1, 101):
         with pytest.raises(ValueError):
